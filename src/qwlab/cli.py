@@ -4,8 +4,8 @@ Subcommands mirror the library: ``hitting``, ``sweep-decoherence``,
 ``spectrum``, ``quotient``, ``dfs``, ``classical``.  Every output embeds a
 reproducibility manifest (command, graph, coin, seeds, tolerances, tool
 version) and CSV bodies end with comment lines carrying the manifest and
-its SHA-256 hash.  Exit codes: 0 success, 1 bad arguments or input, 2
-indeterminate computation.
+its SHA-256 hash.  Exit codes: 0 success, 1 bad arguments or input or
+out of memory, 2 indeterminate computation.
 """
 
 from __future__ import annotations
@@ -186,7 +186,11 @@ def cmd_hitting(args, out) -> int:
         "method": args.method,
         "epsilon": args.epsilon,
         "step_cap": args.step_cap,
-        "tolerances": {"singular_rtol": hitting.SINGULAR_RTOL},
+        "tolerances": {
+            "singular_rtol": hitting.SINGULAR_RTOL,
+            "escape_atol": hitting.ESCAPE_ATOL,
+        },
+        "numpy_version": np.__version__,
         "tool_version": __version__,
     }
     if args.method == "series":
@@ -440,6 +444,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2
     except (QwlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -5,17 +5,27 @@ the walker sits at the final vertex.  The first-detection probabilities
 
     p(t) = Tr{ P_f U (Q_f U)^(t-1) rho_0 (U+ Q_f)^(t-1) U+ P_f }
 
-define the expected hitting time tau = sum_t t p(t).  Row-stacking the
-density matrix turns the survive-and-step map into the D^2 x D^2 matrix
-N = (Q_f U) (x) (Q_f U)* and the detect map into Y = (P_f U) (x) (P_f U)*,
-so that, when I - N is invertible,
+define the expected hitting time tau = sum_t t p(t).  When every walker
+arrives, tau is the summed survival mass: with A = Q_f U,
 
-    tau = vec(I) . Y (I - N)^(-2) vec(rho_0).
+    tau = sum_{t>=0} Tr(A^t rho_0 A^t+) = Tr(X rho_0),
 
-When I - N is singular the walk supports eigenvectors that never reach the
-final vertex; the spectral module's projector decides between a genuinely
-infinite hitting time (positive escape mass) and a finite value computed
-with the Moore-Penrose pseudo-inverse.
+where X = sum_t (A^t)+ A^t solves the Stein equation X - A+ X A = I.  The
+closed form solves it by Smith doubling in D x D matrices, O(D^3) time and
+O(D^2) memory; a solve that does not converge, leaves a residual above the
+bound or produces a non-finite entry raises IndeterminateError.
+
+The sum defining X converges exactly when A has spectral radius below one,
+i.e. when U has no eigenvector without final-vertex amplitude.  Otherwise the
+spectral module's trapped projector P decides: a start state with mass in
+ran(P) never arrives (an infinite hitting time with that escape mass); one
+without is solved with A (I - P) on the trapped complement.  ran(P) reduces
+A, so this equals the Moore-Penrose value of the vectorized formula
+
+    tau = vec(I) . Y (I - N)^(-2) vec(rho_0),   N = A (x) A*,
+
+whose dense D^2 x D^2 superoperators are kept as a small-D test oracle and
+as the engine of the decohered closed form.
 
 Classical baselines: the exact hypercube first-passage time from the
 Hamming-weight recursion, and a seeded Monte Carlo estimator that serves
@@ -30,6 +40,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import spectral
 from .errors import IndeterminateError, ThresholdUnreachableError
 from .graphs import BasisIndexing, ColoredGraph
 from .walk import WalkOperator
@@ -60,6 +71,7 @@ DEFAULT_DIM_GUARD = 512
 SINGULAR_RTOL = 1e-9
 ESCAPE_ATOL = 1e-9
 STALL_GAIN = 1e-12
+MAX_DOUBLINGS = 64
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_PSEUDO_INVERSE = "pseudo_inverse"
@@ -113,14 +125,6 @@ class MeasuredWalkSpec:
     @property
     def final_array(self) -> np.ndarray:
         return np.asarray(self.final_indices, dtype=int)
-
-    def p_f_matrix(self) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim), dtype=complex)
-        p[self.final_array, self.final_array] = 1.0
-        return p
-
-    def q_f_matrix(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex) - self.p_f_matrix()
 
 
 def symmetric_state(g: ColoredGraph, vertex: int = 0) -> np.ndarray:
@@ -398,7 +402,9 @@ def superoperators(spec: MeasuredWalkSpec) -> tuple[np.ndarray, np.ndarray]:
 
     With row stacking, rho -> A rho B becomes (A (x) B^T) vec(rho), so the
     maps rho -> (Q_f U) rho (Q_f U)+ and rho -> (P_f U) rho (P_f U)+ are
-    N = (Q_f U) (x) (Q_f U)* and Y = (P_f U) (x) (P_f U)*.
+    N = (Q_f U) (x) (Q_f U)* and Y = (P_f U) (x) (P_f U)*.  Both are
+    D^2 x D^2; the unitary closed form never builds them, so they serve as
+    the dense oracle for small D.
     """
     u = spec.walk.matrix
     fin = spec.final_array
@@ -434,7 +440,10 @@ def closed_form_engine(
     escape_atol: float = ESCAPE_ATOL,
     escape_fn=None,
 ) -> HittingResult:
-    """Shared invert/pseudo-invert policy behind the closed-form formulas.
+    """Invert/pseudo-invert policy on dense vectorized superoperators.
+
+    Used by the decohered closed form and, with ``superoperators``, as the
+    small-D oracle for the unitary closed form.
 
     ``escape_fn`` is called only when I - N is singular and must return the
     never-arriving mass; escape above ``escape_atol`` classifies the walk as
@@ -468,6 +477,39 @@ def closed_form_engine(
     return HittingResult(METHOD_PSEUDO_INVERSE, value=tau)
 
 
+def _stein_trace(a: np.ndarray, rho: np.ndarray, *, residual_rtol: float) -> float:
+    """Tr(X rho) for the solution X = sum_t (A^t)+ A^t of X - A+ X A = I.
+
+    Smith doubling: after k steps X holds the first 2^k terms and A_k =
+    A^(2^k), so the missing tail A_k+ X A_k is at most ||A_k||^2 times the
+    full sum; the loop stops once that bound drops under machine epsilon.
+    """
+    eye = np.eye(a.shape[0], dtype=complex)
+    x, ak = eye, a
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_DOUBLINGS):
+            x = x + ak.conj().T @ x @ ak
+            ak = ak @ ak
+            tail = np.linalg.norm(ak) ** 2
+            if not (np.isfinite(tail) and np.isfinite(x).all()):
+                raise IndeterminateError(
+                    "Stein doubling overflowed: the spectral radius of Q_f U is not below 1"
+                )
+            if tail <= np.finfo(float).eps:
+                break
+        else:
+            raise IndeterminateError(
+                f"Stein doubling did not converge in {MAX_DOUBLINGS} doublings "
+                f"(tail bound {tail:.3e})"
+            )
+    residual = np.linalg.norm(x - a.conj().T @ x @ a - eye) / np.linalg.norm(x)
+    if not residual <= residual_rtol:
+        raise IndeterminateError(
+            f"Stein residual {residual:.3e} exceeds {residual_rtol:.3e}"
+        )
+    return float(np.real(np.sum(x * rho.T)))
+
+
 def hitting_time_closed_form(
     spec: MeasuredWalkSpec,
     *,
@@ -475,31 +517,36 @@ def hitting_time_closed_form(
     singular_rtol: float = SINGULAR_RTOL,
     escape_atol: float = ESCAPE_ATOL,
 ) -> HittingResult:
-    """Expected hitting time from the vectorized superoperator formula.
+    """Expected hitting time from the Stein equation X - A+ X A = I, A = Q_f U.
 
-    Returns the closed-form value when I - N is invertible; otherwise the
-    trapped-subspace projector decides between an infinite hitting time
-    (with its escape probability) and a pseudo-inverse value for initial
-    states orthogonal to the trapped subspace.
+    The trapped-subspace projector P picks the route: with no trapped
+    subspace the solve covers the whole space (method ``closed_form``);
+    escape mass above ``escape_atol`` makes the hitting time infinite
+    (method ``closed_form``, with its escape probability); otherwise the
+    solve uses A (I - P) and (I - P) rho_0 (I - P), which equals the
+    pseudo-inverse of the vectorized formula (method ``pseudo_inverse``).
+    ``singular_rtol`` bounds the relative Stein residual
+    ||X - A+ X A - I|| / ||X||; a larger residual, a non-finite entry or a
+    solve that does not converge raises IndeterminateError.
     """
     if spec.dim > dim_guard:
         raise ValueError(f"dimension {spec.dim} exceeds guard {dim_guard}")
-    n_mat, y_mat = superoperators(spec)
+    u = spec.walk.matrix
+    a = u.copy()
+    a[spec.final_array, :] = 0.0
+    report = spectral.infinite_hitting_projector(u, spec.final_array)
+    if report.trace_int == 0:
+        return HittingResult(
+            METHOD_CLOSED_FORM, value=_stein_trace(a, spec.rho0, residual_rtol=singular_rtol)
+        )
 
-    def escape() -> float:
-        from . import spectral
+    escape = spectral.escape_probability(report, spec.psi0 if spec.psi0 is not None else spec.rho0)
+    if escape > escape_atol:
+        return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
 
-        report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
-        return spectral.escape_probability(report, spec.psi0 if spec.psi0 is not None else spec.rho0)
-
-    return closed_form_engine(
-        n_mat,
-        y_mat,
-        vectorize(spec.rho0),
-        singular_rtol=singular_rtol,
-        escape_atol=escape_atol,
-        escape_fn=escape,
-    )
+    q = np.eye(spec.dim, dtype=complex) - report.p_hat
+    value = _stein_trace(a @ q, q @ spec.rho0 @ q, residual_rtol=singular_rtol)
+    return HittingResult(METHOD_PSEUDO_INVERSE, value=value)
 
 
 # ----------------------------------------------------------------------

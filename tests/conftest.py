@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from qwlab import graphs, groups
+from qwlab import graphs, groups, hitting, walk
 
 
 @pytest.fixture
@@ -30,3 +32,40 @@ def full_direction_group(cay: graphs.CayleyGraph) -> groups.PermGroup:
     d = cay.degree
     texts = [f"({i},{i + 1})" for i in range(1, d)]
     return direction_group(cay, *texts)
+
+
+@functools.cache
+def battery() -> tuple:
+    """(name, spec) pairs over cycles, hypercubes up to n = 3, the two
+    permutation Cayley graphs and the rewired hypercube (largest D = 24)."""
+    specs = []
+
+    def add(name, g, coin, start, finals):
+        op = walk.evolution_operator(g, coin)
+        specs.append((name, hitting.measured_walk(op, start, final_vertices=finals)))
+
+    edge = graphs.build_edge_graph()
+    add("edge", edge, walk.grover_coin(1), hitting.basis_state(edge, 0, 1), [1])
+    c4 = graphs.build_cycle(4)
+    add("cycle4-uniform-basis", c4, walk.grover_coin(2), hitting.basis_state(c4, 0, 1), [2])
+    add("cycle4-dft-basis", c4, walk.dft_coin(2), hitting.basis_state(c4, 0, 1), [2])
+    c6 = graphs.build_cycle(6)
+    add("cycle6-uniform-sym", c6, walk.grover_coin(2), hitting.symmetric_state(c6, 0), [3])
+    c8 = graphs.build_cycle(8)
+    add("cycle8-dft-sym", c8, walk.dft_coin(2), hitting.symmetric_state(c8, 0), [4])
+    for n in (2, 3):
+        g = graphs.build_hypercube(n)
+        add(f"cube{n}-uniform-sym", g, walk.grover_coin(n), hitting.symmetric_state(g, 0), [2 ** n - 1])
+        add(f"cube{n}-dft-sym", g, walk.dft_coin(n), hitting.symmetric_state(g, 0), [2 ** n - 1])
+        add(f"cube{n}-uniform-basis", g, walk.grover_coin(n), hitting.basis_state(g, 0, 1), [2 ** n - 1])
+    s2 = graphs.cayley_s3_2gen().graph
+    add("s3g2-basis", s2, walk.grover_coin(2), hitting.basis_state(s2, 0, 1), [5])
+    add("s3g2-sym", s2, walk.grover_coin(2), hitting.symmetric_state(s2, 0), [5])
+    s3 = graphs.cayley_s3_3gen().graph
+    add("s3g3-uniform-sym", s3, walk.grover_coin(3), hitting.symmetric_state(s3, 0), [4])
+    add("s3g3-dft-sym", s3, walk.dft_coin(3), hitting.symmetric_state(s3, 0), [4])
+    d3 = graphs.build_distorted_hypercube(3)
+    add("distorted3-sym", d3, walk.grover_coin(3), hitting.symmetric_state(d3, 0), [7])
+    add("distorted3-basis", d3, walk.grover_coin(3), hitting.basis_state(d3, 0, 1), [7])
+    assert all(spec.dim <= 128 for _, spec in specs)
+    return tuple(specs)

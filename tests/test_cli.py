@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qwlab import cli, graphs
+from qwlab import cli, decoherence, graphs, hitting, quotient, walk
 
 
 def run_cli(*argv):
@@ -81,6 +81,30 @@ class TestHittingCommand:
         assert float(row["escape"]) == pytest.approx(0.4, abs=2e-3)
 
 
+    def test_manifest_records_tolerances_and_numpy(self):
+        _, out = run_cli("hitting", "--graph", "edge")
+        line = next(l for l in out.splitlines() if l.startswith("# manifest="))
+        manifest = json.loads(line[len("# manifest="):])
+        assert manifest["tolerances"] == {
+            "singular_rtol": hitting.SINGULAR_RTOL,
+            "escape_atol": hitting.ESCAPE_ATOL,
+        }
+        assert manifest["numpy_version"] == np.__version__
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_hypercube_matches_line_walk(self, n):
+        code, out = run_cli("hitting", "--graph", f"hypercube:{n}")
+        assert code == 0
+        lw = quotient.hypercube_line_reduction(n)
+        start = np.zeros(lw.dim, dtype=complex)
+        start[lw.start_index] = 1.0
+        line = hitting.measured_walk(
+            walk.WalkOperator(lw.matrix), start, final_indices=[lw.final_index]
+        )
+        expected = hitting.hitting_time_closed_form(line).value
+        assert float(csv_rows(out)[0]["tau"]) == pytest.approx(expected, rel=1e-9)
+
+
 class TestSweepCommand:
     def test_endpoints_agree_across_kinds(self):
         code, out = run_cli(
@@ -103,6 +127,17 @@ class TestSweepCommand:
         sweep_tau = float(csv_rows(sweep_out)[0]["tau"])
         hit_tau = float(csv_rows(hit_out)[0]["tau"])
         assert sweep_tau == pytest.approx(hit_tau, abs=1e-10)
+
+
+    def test_memory_error_exits_one(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.77 GiB for an array")
+
+        monkeypatch.setattr(decoherence, "decohered_hitting_time", exhausted)
+        code, _ = run_cli("sweep-decoherence", "--graph", "hypercube:2", "--p-grid", "0")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "9.77 GiB" in err
 
 
 class TestSpectrumCommand:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwlab import graphs, hitting, spectral, walk
+from qwlab import graphs, hitting, quotient, spectral, walk
 from qwlab.errors import IndeterminateError, ThresholdUnreachableError
 
-from conftest import random_unitary
+from conftest import battery, random_unitary
 
 
 def edge_spec():
@@ -21,6 +21,26 @@ def hypercube_spec(n, coin_kind="grover", start="symmetric"):
     op = walk.evolution_operator(g, coin)
     psi = hitting.symmetric_state(g, 0) if start == "symmetric" else hitting.basis_state(g, 0, 1)
     return hitting.measured_walk(op, psi, final_vertices=[2 ** n - 1])
+
+
+def line_spec(n):
+    """Hamming-weight line walk of the n-cube from |R,0> to |L,n>."""
+    lw = quotient.hypercube_line_reduction(n)
+    start = np.zeros(lw.dim, dtype=complex)
+    start[lw.start_index] = 1.0
+    return hitting.measured_walk(
+        walk.WalkOperator(lw.matrix), start, final_indices=[lw.final_index]
+    )
+
+
+def dense_oracle(spec):
+    """The vectorized formula on the D^2 x D^2 superoperators."""
+    report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
+    return hitting.closed_form_engine(
+        *hitting.superoperators(spec),
+        hitting.vectorize(spec.rho0),
+        escape_fn=lambda: spectral.escape_probability(report, spec.rho0),
+    )
 
 
 def cycle4_deterministic_spec():
@@ -279,6 +299,85 @@ class TestClosedForm:
             res = hitting.hitting_time_closed_form(spec)
             if res.is_finite:
                 assert res.value >= 1.0 - 1e-9
+
+    def test_matches_dense_oracle_on_battery(self):
+        for name, spec in battery():
+            fast, dense = hitting.hitting_time_closed_form(spec), dense_oracle(spec)
+            assert (fast.method, fast.kind) == (dense.method, dense.kind), name
+            if fast.is_finite:
+                assert abs(fast.value - dense.value) <= 1e-10 * dense.value, name
+            else:
+                assert abs(fast.escape_probability - dense.escape_probability) <= 1e-10, name
+
+    def test_matches_dense_oracle_on_complex_mixed_start(self, rng):
+        g = graphs.build_hypercube(3)
+        op = walk.evolution_operator(g, walk.dft_coin(3))
+        z = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+        rho = z @ z.conj().T
+        spec = hitting.measured_walk(op, rho / np.trace(rho), final_vertices=[1, 2, 4])
+        fast, dense = hitting.hitting_time_closed_form(spec), dense_oracle(spec)
+        assert fast.method == dense.method == "closed_form"
+        assert abs(fast.value - dense.value) <= 1e-10 * dense.value
+
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    def test_cube4_matches_dense_superoperator(self, coin_kind):
+        # The dense engine's SVD of the 4096 x 4096 matrix I - N takes minutes,
+        # so D = 64 is checked without it: vec(P) is a fixed point of N, so
+        # I - N is singular and the engine would take the projector's escape
+        # mass; a finite value is the dense survival resolvent
+        # vec(I) . (I - N_c)^(-1) vec(rho_c) on the trapped complement.
+        spec = hypercube_spec(4, coin_kind)
+        fast = hitting.hitting_time_closed_form(spec)
+        report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
+        p_vec = hitting.vectorize(report.p_hat)
+        n_mat, _ = hitting.superoperators(spec)
+        assert np.linalg.norm(p_vec - n_mat @ p_vec) <= 1e-12 * np.linalg.norm(p_vec)
+        del n_mat
+        escape = spectral.escape_probability(report, spec.rho0)
+        if coin_kind == "dft":
+            assert fast.kind == "infinite" and fast.method == "closed_form"
+            assert abs(fast.escape_probability - escape) <= 1e-10
+            return
+        assert escape <= hitting.ESCAPE_ATOL and fast.method == "pseudo_inverse"
+        q = np.eye(spec.dim) - report.p_hat
+        a_c = spec.walk.matrix @ q
+        a_c[spec.final_array, :] = 0.0
+        m = np.kron(a_c, a_c.conj())
+        m *= -1.0
+        m[np.diag_indices_from(m)] += 1.0
+        x = np.linalg.solve(m, hitting.vectorize(q @ spec.rho0 @ q))
+        dense = float(np.real(np.trace(hitting.devectorize(x))))
+        assert abs(fast.value - dense) <= 1e-10 * dense
+
+    def test_builds_no_superoperator(self, monkeypatch):
+        g = graphs.build_hypercube(3)
+        op = walk.evolution_operator(g, walk.grover_coin(3))
+        sym, basis = hitting.symmetric_state(g, 0), hitting.basis_state(g, 0, 1)
+        specs = {
+            "closed_form": hitting.measured_walk(op, sym, final_vertices=[1, 2, 4]),
+            "pseudo_inverse": hitting.measured_walk(op, sym, final_vertices=[7]),
+            "infinite": hitting.measured_walk(op, basis, final_vertices=[7]),
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed form built a D^2-sized operator")
+
+        monkeypatch.setattr(hitting, "superoperators", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        routes = {}
+        for route, spec in specs.items():
+            res = hitting.hitting_time_closed_form(spec)
+            routes[route] = res.method if res.is_finite else "infinite"
+        assert routes == {route: route for route in specs}
+
+    def test_unresolved_gap_raises(self):
+        # at n = 64 the gap 1 - rho(Q_f U) is below machine epsilon
+        with pytest.raises(IndeterminateError):
+            hitting.hitting_time_closed_form(line_spec(64))
+
+    def test_residual_above_bound_raises(self):
+        with pytest.raises(IndeterminateError, match="residual"):
+            hitting.hitting_time_closed_form(line_spec(32), singular_rtol=1e-18)
 
     def test_singularity_probe(self):
         smin, smax, singular = hitting.superoperator_singularity(hypercube_spec(3))
