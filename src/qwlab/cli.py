@@ -117,15 +117,15 @@ def resolve_start(token: str, g: graphs.ColoredGraph) -> np.ndarray:
     raise UsageError(f"bad start {token!r} (symmetric or basis:v:c)")
 
 
-def resolve_subgroup(tokens: list[str], cay) -> groups.PermGroup:
+def resolve_subgroup(tokens: list[str], cay) -> tuple[groups.Permutation, ...]:
+    """Basis automorphisms lifted from direction permutations: the subgroup's
+    generators, which is all the orbit and quotient code needs."""
     if cay is None:
         raise UsageError("subgroups are specified for Cayley graphs only")
-    gens = []
-    for text in tokens:
-        dp = groups.parse_cycles(text, cay.degree)
-        gens.append(groups.direction_perm_to_automorphism(cay, dp))
-    dim = graphs.BasisIndexing.from_graph(cay.graph).total_dim
-    return groups.closure(gens, dim=dim)
+    return tuple(
+        groups.direction_perm_to_automorphism(cay, groups.parse_cycles(text, cay.degree))
+        for text in tokens
+    )
 
 
 # ----------------------------------------------------------------------
@@ -272,9 +272,9 @@ def cmd_spectrum(args, out) -> int:
 
 def cmd_quotient(args, out) -> int:
     g, cay, descr = resolve_graph(args.graph, args.graph_file)
-    grp = resolve_subgroup(args.subgroup, cay)
+    gens = resolve_subgroup(args.subgroup, cay)
     dim = graphs.BasisIndexing.from_graph(g).total_dim
-    basis = quotient.orbit_basis(grp, dim)
+    basis = quotient.orbit_basis(gens, dim)
     sh, qg = quotient.quotient_shift_and_graph(graphs.shift_matrix(g), basis, graph=g)
     payload = {
         "orbits": [list(o) for o in basis.orbits],
@@ -307,9 +307,10 @@ def cmd_dfs(args, out) -> int:
     else:
         kappas = [float(t) for t in args.kappas.split(",")]
     ch = decoherence.swap_dephasing_example(n, kappas)
-    grp = resolve_subgroup(args.subgroup, cay)
+    subgroup = args.subgroup or [f"({i},{i + 1})" for i in range(1, n)]
+    gens = resolve_subgroup(subgroup, cay)
     dim = graphs.BasisIndexing.from_graph(g).total_dim
-    basis = quotient.orbit_basis(grp, dim)
+    basis = quotient.orbit_basis(gens, dim)
     verdict = decoherence.dfs_check_kraus(ch, basis.matrix)
     payload = {
         "is_dfs": verdict.is_dfs,
@@ -323,7 +324,7 @@ def cmd_dfs(args, out) -> int:
         "command": "dfs",
         "graph": descr,
         "kappas": kappas,
-        "subgroup": args.subgroup,
+        "subgroup": subgroup,
         "tool_version": __version__,
     }
     emit_json(out, payload, manifest)
@@ -431,10 +432,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "dfs" and args.subgroup is None:
-            g, _, _ = resolve_graph(args.graph, args.graph_file)
-            n = g.degree_value
-            args.subgroup = [f"({i},{i + 1})" for i in range(1, n)]
         return args.func(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ from .hitting import (
     _accumulate_series,
     _vec_identity_dot,
     closed_form_engine,
+    hitting_time_closed_form,
     vectorize,
 )
 
@@ -215,22 +216,20 @@ def decohered_hitting_time(
 ) -> HittingResult:
     """Closed-form hitting time of the decohered measured walk.
 
-    Follows the unitary policy when I - N_D is singular: for the identity
-    channel the escape mass comes from the trapped-subspace projector of U;
-    for a nontrivial channel it is estimated by iterating the decohered
-    series to a stall.
+    The identity channel is the unitary walk and goes to
+    :func:`hitting_time_closed_form`.  Otherwise the unitary policy applies
+    when I - N_D is singular, with the escape mass estimated by iterating
+    the decohered series to a stall.
     """
+    if ch.is_identity and ch.dim == spec.dim:
+        return hitting_time_closed_form(
+            spec, dim_guard=dim_guard, singular_rtol=singular_rtol, escape_atol=escape_atol
+        )
     if spec.dim > dim_guard:
         raise ValueError(f"dimension {spec.dim} exceeds guard {dim_guard}")
     n_d, y_d = decohered_superoperators(spec, ch)
 
     def escape() -> float:
-        if ch.is_identity:
-            from . import spectral
-
-            report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
-            state = spec.psi0 if spec.psi0 is not None else spec.rho0
-            return spectral.escape_probability(report, state)
         result = decohered_hitting_series(spec, ch, 1e-9)
         return result.escape_probability or 0.0
 

@@ -16,7 +16,6 @@ are the graphs on which a position-independent coin factorizes as
 from __future__ import annotations
 
 import collections
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,8 +41,6 @@ __all__ = [
     "cayley_s4_3gen",
     "perm_compose",
     "perm_identity",
-    "perm_inverse",
-    "symmetric_group",
     "shift_permutation",
     "shift_matrix",
     "adjacency_matrix",
@@ -320,18 +317,6 @@ def perm_compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def perm_identity(m: int) -> tuple[int, ...]:
     return tuple(range(m))
-
-
-def perm_inverse(a: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return tuple(inv)
-
-
-def symmetric_group(m: int) -> tuple[tuple[int, ...], ...]:
-    """All permutations of ``0..m-1`` in lexicographic order."""
-    return tuple(itertools.permutations(range(m)))
 
 
 def _transposition(m: int, a: int, b: int) -> tuple[int, ...]:

@@ -28,6 +28,7 @@ __all__ = [
     "is_automorphism",
     "is_direction_preserving",
     "closure",
+    "generators_of",
     "orbits",
     "group_to_dict",
     "group_from_dict",
@@ -263,9 +264,14 @@ def closure(
     return PermGroup(elements, generators)
 
 
+def generators_of(grp: PermGroup | Iterable[Permutation]) -> tuple[Permutation, ...]:
+    """Generators of a subgroup given as a ``PermGroup`` or as the generators."""
+    return grp.generators if isinstance(grp, PermGroup) else tuple(grp)
+
+
 def orbits(grp: PermGroup | Iterable[Permutation], dim: int) -> tuple[tuple[int, ...], ...]:
     """Partition of ``[0, dim)`` into orbits, sorted by smallest member."""
-    perms = grp.generators if isinstance(grp, PermGroup) else tuple(grp)
+    perms = generators_of(grp)
     parent = list(range(dim))
 
     def find(x: int) -> int:

@@ -12,12 +12,13 @@ shift is B+ S B (a permutation with 0/1 entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import OracleMismatchError, SymmetryError
 from .graphs import BasisIndexing, ColoredGraph, glued_trees_columns
-from .groups import PermGroup, Permutation, orbits
+from .groups import PermGroup, Permutation, generators_of, orbits
 from .spectral import infinite_hitting_projector
 
 __all__ = [
@@ -50,12 +51,13 @@ class OrbitBasis:
 
     Column j of ``matrix`` is the normalized indicator of ``orbits[j]``;
     orbits are ordered by smallest flat index, which fixes every reduced
-    matrix deterministically.
+    matrix deterministically.  The orbits and every symmetry test need only
+    the subgroup's ``generators``; its elements are never listed.
     """
 
     orbits: tuple[tuple[int, ...], ...]
     matrix: np.ndarray
-    group: PermGroup
+    generators: tuple[Permutation, ...]
 
     @property
     def dim(self) -> int:
@@ -66,12 +68,13 @@ class OrbitBasis:
         return len(self.orbits)
 
 
-def orbit_basis(grp: PermGroup, dim: int) -> OrbitBasis:
-    orbs = orbits(grp, dim)
+def orbit_basis(grp: PermGroup | Iterable[Permutation], dim: int) -> OrbitBasis:
+    gens = generators_of(grp)
+    orbs = orbits(gens, dim)
     b = np.zeros((dim, len(orbs)), dtype=complex)
     for j, orb in enumerate(orbs):
         b[list(orb), j] = 1.0 / np.sqrt(len(orb))
-    return OrbitBasis(orbs, b, grp)
+    return OrbitBasis(orbs, b, gens)
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,13 @@ class SymmetryCheck:
     max_residual: float
 
 
-def check_walk_symmetry(u, grp: PermGroup, *, atol: float = SYMMETRY_ATOL) -> SymmetryCheck:
+def check_walk_symmetry(
+    u, grp: PermGroup | Iterable[Permutation], *, atol: float = SYMMETRY_ATOL
+) -> SymmetryCheck:
     """Largest entry of U sigma(h) - sigma(h) U over the generators."""
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
-    gens = grp.generators if grp.generators else grp.elements
     worst = 0.0
-    for h in gens:
+    for h in generators_of(grp):
         img = np.asarray(h.image)
         # sigma(h) U permutes rows; U sigma(h) permutes columns (by inverse).
         left = m[np.argsort(img), :]
@@ -97,7 +101,7 @@ def check_walk_symmetry(u, grp: PermGroup, *, atol: float = SYMMETRY_ATOL) -> Sy
 def quotient_walk(u, basis: OrbitBasis, *, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     """U_H = B+ U B; requires U to commute with the subgroup."""
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
-    chk = check_walk_symmetry(m, basis.group, atol=atol)
+    chk = check_walk_symmetry(m, basis.generators, atol=atol)
     if not chk.commutes:
         raise SymmetryError(
             f"walk leaks out of the symmetric subspace (residual {chk.max_residual:.3e})"
@@ -341,9 +345,9 @@ class QuotientHittingVerdict:
         return self.intersection_dim > 0
 
 
-def _final_indices_invariant(final: np.ndarray, grp: PermGroup) -> bool:
+def _final_indices_invariant(final: np.ndarray, gens: tuple[Permutation, ...]) -> bool:
     fin = set(int(i) for i in final)
-    for h in grp.generators if grp.generators else ():
+    for h in gens:
         if {h.image[i] for i in fin} != fin:
             return False
     return True
@@ -365,7 +369,7 @@ def quotient_infinite_hitting(
     """
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
     final = np.asarray(sorted(int(i) for i in final_indices), dtype=int)
-    if not _final_indices_invariant(final, basis.group):
+    if not _final_indices_invariant(final, basis.generators):
         raise SymmetryError(
             "final-vertex projector does not commute with the subgroup"
         )

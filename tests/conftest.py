@@ -27,6 +27,11 @@ def direction_group(cay: graphs.CayleyGraph, *cycle_texts: str) -> groups.PermGr
     return groups.closure(gens, dim=dim)
 
 
+def subgroup_forms(grp: groups.PermGroup) -> tuple:
+    """The two forms the orbit code accepts: the closed group and its generators."""
+    return grp, tuple(grp.generators)
+
+
 def full_direction_group(cay: graphs.CayleyGraph) -> groups.PermGroup:
     """All direction permutations, generated by adjacent transpositions."""
     d = cay.degree

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from qwlab import cli, decoherence, graphs, hitting, quotient, walk
+from qwlab import cli, decoherence, graphs, groups, hitting, quotient, walk
+
+from conftest import full_direction_group
 
 
 def run_cli(*argv):
@@ -173,6 +175,42 @@ class TestQuotientCommand:
         code, _ = run_cli("quotient", "--graph", "cayley:s3:2gen")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "descriptor, texts",
+        [("cayley:s3:2gen", ["(1,2)"]), ("hypercube:3", ["(1,2)", "(2,3)"])],
+        ids=["cayley:s3:2gen", "hypercube:3"],
+    )
+    def test_never_enumerates_the_group(self, monkeypatch, descriptor, texts):
+        g, cay, _ = cli.resolve_graph(descriptor, None)
+        dim = graphs.BasisIndexing.from_graph(g).total_dim
+        elements = groups.closure(cli.resolve_subgroup(texts, cay), dim=dim).elements
+        expected_orbits = [list(o) for o in groups.orbits(elements, dim)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quotient listed the group's elements")
+
+        monkeypatch.setattr(groups, "closure", refuse)
+        argv = ["quotient", "--graph", descriptor, "--coin", "grover"]
+        for text in texts:
+            argv += ["--subgroup", text]
+        code, out = run_cli(*argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["orbits"] == expected_orbits
+        if descriptor == "hypercube:3":
+            u_h = walk.matrix_from_json(payload["u_h"])
+            assert np.max(np.abs(u_h - quotient.hypercube_line_reduction(3).matrix)) < 1e-12
+
+    def test_hypercube8_full_direction_group(self):
+        argv = ["quotient", "--graph", "hypercube:8"]
+        for i in range(1, 8):
+            argv += ["--subgroup", f"({i},{i + 1})"]
+        code, out = run_cli(*argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["orbits"]) == 16
+        assert payload["quotient_graph"]["num_vertices"] == 9
+
 
 class TestDfsCommand:
     def test_swap_example_passes(self):
@@ -184,6 +222,22 @@ class TestDfsCommand:
         for re, im in payload["coefficients"]:
             assert re == pytest.approx(expected, abs=1e-10)
             assert im == pytest.approx(0.0, abs=1e-10)
+
+    def test_never_enumerates_the_group(self, monkeypatch):
+        _, reference = run_cli("dfs", "--graph", "hypercube:3")
+        cay = graphs.cayley_hypercube(3)
+        num_orbits = len(groups.orbits(full_direction_group(cay).elements, 24))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dfs listed the group's elements")
+
+        monkeypatch.setattr(groups, "closure", refuse)
+        code, out = run_cli("dfs", "--graph", "hypercube:3")
+        assert code == 0
+        assert out == reference
+        payload = json.loads(out)
+        assert payload["num_orbits"] == num_orbits
+        assert payload["manifest"]["subgroup"] == ["(1,2)", "(2,3)"]
 
 
 class TestClassicalCommand:

@@ -84,6 +84,32 @@ class TestDecoheredHitting:
             assert res.method == unit.method
             assert res.value == pytest.approx(unit.value, abs=1e-10)
 
+    def test_identity_channel_is_the_unitary_closed_form(self, monkeypatch):
+        g = graphs.build_hypercube(3)
+        op = walk.evolution_operator(g, walk.grover_coin(3))
+        sym, basis = hitting.symmetric_state(g, 0), hitting.basis_state(g, 0, 1)
+        specs = {
+            "closed_form": hitting.measured_walk(op, sym, final_vertices=[1, 2, 4]),
+            "pseudo_inverse": hitting.measured_walk(op, sym, final_vertices=[7]),
+            "infinite": hitting.measured_walk(op, basis, final_vertices=[7]),
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the identity channel went through the dense engine")
+
+        monkeypatch.setattr(deco, "closed_form_engine", refuse)
+        for route, spec in specs.items():
+            unit = hitting.hitting_time_closed_form(spec)
+            assert (unit.method if unit.is_finite else "infinite") == route
+            for kind in ("both", "coin", "position"):
+                ch = deco.dephasing_channel(kind, 0.0, g.num_vertices, g.degree_value)
+                assert deco.decohered_hitting_time(spec, ch) == unit
+
+    def test_identity_channel_of_wrong_dimension_rejected(self):
+        _, spec = grover_cube_spec()
+        with pytest.raises(ValueError, match="dimension"):
+            deco.decohered_hitting_time(spec, deco.dephasing_channel("both", 0.0, 4, 2))
+
     def test_small_dephasing_slows_the_symmetric_walk(self):
         g, spec = grover_cube_spec()
         unit = hitting.hitting_time_closed_form(spec)

@@ -4,7 +4,7 @@ import pytest
 from qwlab import graphs, groups, hitting, quotient, walk
 from qwlab.errors import SymmetryError
 
-from conftest import direction_group, full_direction_group
+from conftest import direction_group, full_direction_group, subgroup_forms
 
 R22 = 2.0 * np.sqrt(2.0) / 3.0
 
@@ -65,19 +65,29 @@ def cube_walk(n, coin="grover"):
 
 class TestOrbitBasis:
     def test_trivial_group_is_identity(self):
-        grp = groups.closure([], dim=5)
-        basis = quotient.orbit_basis(grp, 5)
-        assert np.array_equal(basis.matrix, np.eye(5, dtype=complex))
+        for sub in subgroup_forms(groups.closure([], dim=5)):
+            basis = quotient.orbit_basis(sub, 5)
+            assert np.array_equal(basis.matrix, np.eye(5, dtype=complex))
+            assert basis.generators == ()
+
+    def test_keeps_generators_not_elements(self):
+        cay, _ = cube_walk(3)
+        grp = full_direction_group(cay)
+        for sub in subgroup_forms(grp):
+            basis = quotient.orbit_basis(sub, 24)
+            assert basis.generators == grp.generators
+            assert not any(isinstance(v, groups.PermGroup) for v in vars(basis).values())
 
     def test_isometry_and_symmetry(self):
         cay = graphs.cayley_s3_2gen()
         grp = direction_group(cay, "(1,2)")
-        basis = quotient.orbit_basis(grp, 12)
-        gram = basis.matrix.conj().T @ basis.matrix
-        assert np.max(np.abs(gram - np.eye(6))) < 1e-14
-        for p in grp.elements:
-            sigma = p.matrix()
-            assert np.max(np.abs(sigma @ basis.matrix - basis.matrix)) < 1e-12
+        for sub in subgroup_forms(grp):
+            basis = quotient.orbit_basis(sub, 12)
+            gram = basis.matrix.conj().T @ basis.matrix
+            assert np.max(np.abs(gram - np.eye(6))) < 1e-14
+            for p in grp.elements:
+                sigma = p.matrix()
+                assert np.max(np.abs(sigma @ basis.matrix - basis.matrix)) < 1e-12
 
     def test_two_generator_orbit_vectors(self):
         cay = graphs.cayley_s3_2gen()
@@ -90,41 +100,45 @@ class TestOrbitBasis:
 
     def test_cube_normalizations(self):
         cay, _ = cube_walk(3)
-        basis = quotient.orbit_basis(full_direction_group(cay), 24)
-        norms = sorted(set(np.round(basis.matrix[basis.matrix != 0].real, 12)))
-        assert norms == sorted({round(1 / np.sqrt(3), 12), round(1 / np.sqrt(6), 12)})
+        for sub in subgroup_forms(full_direction_group(cay)):
+            basis = quotient.orbit_basis(sub, 24)
+            norms = sorted(set(np.round(basis.matrix[basis.matrix != 0].real, 12)))
+            assert norms == sorted({round(1 / np.sqrt(3), 12), round(1 / np.sqrt(6), 12)})
 
     def test_column_space_matches_fixed_space_dimension(self):
         # independent route: nullspace of the stacked (sigma - I) maps
         cay, _ = cube_walk(3)
         grp = full_direction_group(cay)
-        basis = quotient.orbit_basis(grp, 24)
         stack = np.vstack([p.matrix() - np.eye(24) for p in grp.elements])
         rank = np.linalg.matrix_rank(stack, tol=1e-10)
-        assert 24 - rank == basis.num_orbits
+        for sub in subgroup_forms(grp):
+            assert 24 - rank == quotient.orbit_basis(sub, 24).num_orbits
 
 
 class TestWalkSymmetry:
     def test_uniform_coin_full_group(self):
         cay, op = cube_walk(3)
-        chk = quotient.check_walk_symmetry(op.matrix, full_direction_group(cay))
-        assert chk.commutes and chk.max_residual < 1e-12
+        for sub in subgroup_forms(full_direction_group(cay)):
+            chk = quotient.check_walk_symmetry(op.matrix, sub)
+            assert chk.commutes and chk.max_residual < 1e-12
 
     def test_fourier_coin_breaks_transpositions(self):
         cay, op = cube_walk(3, coin="dft")
-        chk = quotient.check_walk_symmetry(op.matrix, direction_group(cay, "(1,2)"))
-        assert not chk.commutes
+        for sub in subgroup_forms(direction_group(cay, "(1,2)")):
+            assert not quotient.check_walk_symmetry(op.matrix, sub).commutes
 
     def test_trivial_group_always_commutes(self, rng):
         u = np.eye(6)[rng.permutation(6)].astype(complex)
-        grp = groups.closure([], dim=6)
-        assert quotient.check_walk_symmetry(u, grp).commutes
+        for sub in subgroup_forms(groups.closure([], dim=6)):
+            chk = quotient.check_walk_symmetry(u, sub)
+            assert chk.commutes and chk.max_residual == 0.0
 
     def test_quotient_walk_raises_on_leak(self):
         cay, op = cube_walk(3, coin="dft")
-        basis = quotient.orbit_basis(direction_group(cay, "(1,2)"), 24)
-        with pytest.raises(SymmetryError):
-            quotient.quotient_walk(op.matrix, basis)
+        for sub in subgroup_forms(direction_group(cay, "(1,2)")):
+            basis = quotient.orbit_basis(sub, 24)
+            with pytest.raises(SymmetryError):
+                quotient.quotient_walk(op.matrix, basis)
 
 
 class TestReducedWalks:
@@ -164,11 +178,11 @@ class TestReducedWalks:
 
     def test_cube_full_group_equals_line_reduction(self):
         cay, op = cube_walk(3)
-        basis = quotient.orbit_basis(full_direction_group(cay), 24)
-        uh = quotient.quotient_walk(op.matrix, basis)
-        assert np.max(np.abs(uh - GOLDEN_CUBE3_LINE)) < 1e-12
         lw = quotient.hypercube_line_reduction(3)
-        assert np.max(np.abs(uh - lw.matrix)) < 1e-12
+        for sub in subgroup_forms(full_direction_group(cay)):
+            uh = quotient.quotient_walk(op.matrix, quotient.orbit_basis(sub, 24))
+            assert np.max(np.abs(uh - GOLDEN_CUBE3_LINE)) < 1e-12
+            assert np.max(np.abs(uh - lw.matrix)) < 1e-12
 
     def test_trivial_subgroup_returns_original(self):
         cay, op = cube_walk(2)
@@ -348,29 +362,32 @@ class TestQuotientInfiniteHitting:
     def test_cyclic_subgroup_keeps_trapped_states(self):
         cay = graphs.cayley_s3_3gen()
         op = walk.evolution_operator(cay.graph, walk.grover_coin(3))
-        basis = quotient.orbit_basis(direction_group(cay, "(1,2,3)"), 18)
         fin = graphs.BasisIndexing.from_graph(cay.graph).indices_for([cay.vertex_of_word([1, 2])])
-        verdict = quotient.quotient_infinite_hitting(op.matrix, basis, fin)
-        assert verdict.full_trace > 1e-6
-        assert verdict.has_infinite_hitting
+        for sub in subgroup_forms(direction_group(cay, "(1,2,3)")):
+            basis = quotient.orbit_basis(sub, 18)
+            verdict = quotient.quotient_infinite_hitting(op.matrix, basis, fin)
+            assert verdict.full_trace > 1e-6
+            assert verdict.has_infinite_hitting
 
     def test_full_group_with_paired_finals_clears(self):
         cay = graphs.cayley_s3_3gen()
         op = walk.evolution_operator(cay.graph, walk.grover_coin(3))
-        basis = quotient.orbit_basis(full_direction_group(cay), 18)
         finals = [cay.vertex_of_word([1, 2]), cay.vertex_of_word([2, 1])]
         fin = graphs.BasisIndexing.from_graph(cay.graph).indices_for(finals)
-        verdict = quotient.quotient_infinite_hitting(op.matrix, basis, fin)
-        assert verdict.full_trace < 1e-6
-        assert verdict.intersection_dim == 0
+        for sub in subgroup_forms(full_direction_group(cay)):
+            basis = quotient.orbit_basis(sub, 18)
+            verdict = quotient.quotient_infinite_hitting(op.matrix, basis, fin)
+            assert verdict.full_trace < 1e-6
+            assert verdict.intersection_dim == 0
 
     def test_incompatible_measurement_rejected(self):
         cay = graphs.cayley_s3_3gen()
         op = walk.evolution_operator(cay.graph, walk.grover_coin(3))
-        basis = quotient.orbit_basis(full_direction_group(cay), 18)
         fin = graphs.BasisIndexing.from_graph(cay.graph).indices_for([cay.vertex_of_word([1, 2])])
-        with pytest.raises(SymmetryError):
-            quotient.quotient_infinite_hitting(op.matrix, basis, fin)
+        for sub in subgroup_forms(full_direction_group(cay)):
+            basis = quotient.orbit_basis(sub, 18)
+            with pytest.raises(SymmetryError):
+                quotient.quotient_infinite_hitting(op.matrix, basis, fin)
 
 
 class TestQuotientAutomorphismCheck:
