@@ -229,6 +229,12 @@ def cmd_sweep(args, out) -> int:
         "final": list(final),
         "kinds": kinds,
         "p_grid": grid,
+        "tolerances": {
+            "singular_rtol": hitting.SINGULAR_RTOL,
+            "escape_atol": hitting.ESCAPE_ATOL,
+            "escape_series_epsilon": decoherence.ESCAPE_SERIES_EPSILON,
+        },
+        "numpy_version": np.__version__,
         "tool_version": __version__,
     }
     rows = []

@@ -1,14 +1,16 @@
 """Quantum channels, decohered hitting times, and decoherence-free subspaces.
 
-A channel is a Kraus family {A_i} with sum A_i+ A_i = I.  Interleaving the
-channel between the unitary step and the final-vertex measurement replaces
-the vectorized superoperators by
-
-    N_D = (Q_f (x) Q_f*) . (sum_i A_i (x) A_i*) . (U (x) U*)
-    Y_D = (P_f (x) P_f*) . (sum_i A_i (x) A_i*) . (U (x) U*)
-
-and the closed-form hitting value keeps its shape with the same
-inverse/pseudo-inverse policy.
+A channel is a Kraus family {A_i} with sum A_i+ A_i = I, applied between
+the unitary step and the final-vertex measurement.  When every A_i is
+diagonal it is the Schur multiplier rho -> m o rho with
+m = sum_i diag(A_i) diag(A_i)+; dephasing of strength p (position, coin
+or both) has m = (1 - p) + p M for a 0/1 mask M.  The vectorized
+survive/detect maps are then the rows of U (x) U* scaled by vec(m), with
+the rows outside Q_f (x) Q_f* (for N_D) or P_f (x) P_f* (for Y_D) zeroed;
+the slope in p scales the same rows by M - 1.  Channels with no
+multiplier keep the Kraus superoperator sum_i A_i (x) A_i* before U (x) U*.
+The closed form keeps the unitary inverse/pseudo-inverse policy; the step
+series iterates D x D density matrices.
 
 A subspace is decoherence-free exactly when every Kraus (or Lindblad)
 operator acts on it as a scalar; the checks here estimate the scalar from
@@ -17,7 +19,7 @@ the first basis vector and verify the residual on all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +59,8 @@ __all__ = [
 
 COMPLETENESS_ATOL = 1e-10
 DFS_ATOL = 1e-9
+# residual mass of the series that estimates the escape of a singular I - N_D
+ESCAPE_SERIES_EPSILON = 1e-9
 
 KIND_BOTH = "both"
 KIND_COIN = "coin"
@@ -65,10 +69,15 @@ KIND_POSITION = "position"
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Completely positive trace-preserving map in Kraus form."""
+    """Completely positive trace-preserving map in Kraus form.
+
+    ``schur`` is derived: sum_i diag(A_i) diag(A_i)+ when every A_i is
+    diagonal (the channel is then rho -> schur o rho), else None.
+    """
 
     kraus: tuple[np.ndarray, ...]
     label: str = "channel"
+    schur: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus)
@@ -83,7 +92,14 @@ class Channel:
         defect = float(np.max(np.abs(total - np.eye(d))))
         if defect > COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated (defect {defect:.3e})")
+        schur = None
+        off_diagonal = ~np.eye(d, dtype=bool)
+        if not any(np.any(a[off_diagonal]) for a in ops):
+            schur = np.zeros((d, d), dtype=complex)
+            for a in ops:
+                schur += np.outer(np.diag(a), np.diag(a).conj())
         object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "schur", schur)
 
     @property
     def dim(self) -> int:
@@ -114,27 +130,14 @@ class LindbladSet:
         object.__setattr__(self, "rates", rates)
 
 
-def _basis_projectors(kind: str, num_vertices: int, coin_dim: int):
-    d = num_vertices * coin_dim
-    if kind == KIND_BOTH:
-        for i in range(d):
-            p = np.zeros((d, d), dtype=complex)
-            p[i, i] = 1.0
-            yield p
-    elif kind == KIND_COIN:
-        eye_v = np.eye(num_vertices)
-        for c in range(coin_dim):
-            pc = np.zeros((coin_dim, coin_dim))
-            pc[c, c] = 1.0
-            yield np.kron(eye_v, pc).astype(complex)
-    elif kind == KIND_POSITION:
-        eye_c = np.eye(coin_dim)
-        for v in range(num_vertices):
-            pv = np.zeros((num_vertices, num_vertices))
-            pv[v, v] = 1.0
-            yield np.kron(pv, eye_c).astype(complex)
-    else:
+def _basis_projectors(kind: str, num_vertices: int, coin_dim: int) -> list[np.ndarray]:
+    """Diagonal projectors onto the classes of a label of walk index i = v*coin_dim + c."""
+    i = np.arange(num_vertices * coin_dim)
+    labels = {KIND_BOTH: i, KIND_COIN: i % coin_dim, KIND_POSITION: i // coin_dim}
+    if kind not in labels:
         raise ValueError(f"unknown dephasing kind {kind!r}")
+    label = labels[kind]
+    return [np.diag((label == k).astype(complex)) for k in range(label.max() + 1)]
 
 
 def dephasing_channel(
@@ -145,21 +148,25 @@ def dephasing_channel(
     Kraus set sqrt(1-p) I together with sqrt(p) Pi_i over the projector
     family: rank-1 basis projectors for ``both``, coin projectors for
     ``coin``, position projectors for ``position``.  Completeness holds
-    exactly because each family sums to the identity.
+    exactly because each family sums to the identity.  The ``schur``
+    multiplier is (1 - p) + p M, where the 0/1 mask M keeps (i, j) when i
+    and j share a basis state, coin or vertex.  Unknown kinds are rejected.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("dephasing strength must lie in [0, 1]")
-    d = num_vertices * coin_dim
+    projectors = _basis_projectors(kind, num_vertices, coin_dim)
     ops: list[np.ndarray] = []
     if p < 1.0:
-        ops.append(np.sqrt(1.0 - p) * np.eye(d, dtype=complex))
+        ops.append(np.sqrt(1.0 - p) * np.eye(num_vertices * coin_dim, dtype=complex))
     if p > 0.0:
-        ops.extend(np.sqrt(p) * pi for pi in _basis_projectors(kind, num_vertices, coin_dim))
+        ops.extend(np.sqrt(p) * pi for pi in projectors)
     return Channel(tuple(ops), label=f"dephasing-{kind}(p={p})")
 
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
+    if ch.schur is not None:
+        return ch.schur * rho
     out = np.zeros_like(rho)
     for a in ch.kraus:
         out += a @ rho @ a.conj().T
@@ -175,20 +182,17 @@ def channel_superoperator(ch: Channel) -> np.ndarray:
     return out
 
 
-def _masked_rows(mat: np.ndarray, final: np.ndarray, dim: int, keep_final: bool) -> np.ndarray:
-    """Apply P_f (x) P_f* (keep_final) or Q_f (x) Q_f* from the left.
-
-    Both are diagonal 0/1 projectors in the vectorized basis, so they act by
-    zeroing rows: row (i, j) survives P (x) P* iff both i and j are final,
-    and survives Q (x) Q* iff neither is.
-    """
-    is_final = np.zeros(dim, dtype=bool)
+def _survive_detect(
+    rows: np.ndarray, weights: np.ndarray, final: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, Y): rows of a vectorized map scaled by D x D weights, masked by
+    Q_f (x) Q_f* (row (i, j) kept iff neither i nor j is final) and by
+    P_f (x) P_f* (kept iff both are)."""
+    is_final = np.zeros(weights.shape[0], dtype=bool)
     is_final[final] = True
-    row_keep = np.logical_and.outer(is_final, is_final) if keep_final else \
-        np.logical_and.outer(~is_final, ~is_final)
-    out = mat.copy()
-    out[~row_keep.reshape(-1), :] = 0.0
-    return out
+    n_w = weights * np.logical_and.outer(~is_final, ~is_final)
+    y_w = weights * np.logical_and.outer(is_final, is_final)
+    return n_w.reshape(-1, 1) * rows, y_w.reshape(-1, 1) * rows
 
 
 def decohered_superoperators(
@@ -199,11 +203,11 @@ def decohered_superoperators(
         raise ValueError("channel dimension does not match the walk")
     u = spec.walk.matrix
     uu = np.kron(u, u.conj())
-    du = channel_superoperator(ch) @ uu if not ch.is_identity else uu
-    fin = spec.final_array
-    n_d = _masked_rows(du, fin, spec.dim, keep_final=False)
-    y_d = _masked_rows(du, fin, spec.dim, keep_final=True)
-    return n_d, y_d
+    if ch.schur is None:
+        return _survive_detect(
+            channel_superoperator(ch) @ uu, np.ones((spec.dim, spec.dim)), spec.final_array
+        )
+    return _survive_detect(uu, ch.schur, spec.final_array)
 
 
 def decohered_hitting_time(
@@ -230,7 +234,7 @@ def decohered_hitting_time(
     n_d, y_d = decohered_superoperators(spec, ch)
 
     def escape() -> float:
-        result = decohered_hitting_series(spec, ch, 1e-9)
+        result = decohered_hitting_series(spec, ch, ESCAPE_SERIES_EPSILON)
         return result.escape_probability or 0.0
 
     return closed_form_engine(
@@ -251,33 +255,28 @@ def decohered_hitting_series(
     step_cap: int = DEFAULT_STEP_CAP,
     stall_window: int | None = None,
 ) -> HittingResult:
-    """Step-iterated hitting time of the measure-channel-step composition."""
+    """Step-iterated hitting time: sigma = Phi(U rho U+), detect on P_f, keep Q_f sigma Q_f."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    n_d, y_d = decohered_superoperators(spec, ch)
-    rho_vec = vectorize(spec.rho0)
+    if ch.dim != spec.dim:
+        raise ValueError("channel dimension does not match the walk")
+    u = spec.walk.matrix
+    u_dag = u.conj().T
+    fin = spec.final_array
 
     def probabilities():
-        vec = rho_vec
+        rho = spec.rho0
         while True:
-            yield max(_vec_identity_dot(y_d @ vec), 0.0)
-            vec = n_d @ vec
+            sigma = apply_channel(ch, u @ rho @ u_dag)
+            yield max(float(np.real(sigma[fin, fin].sum())), 0.0)
+            sigma[fin, :] = 0.0
+            sigma[:, fin] = 0.0
+            rho = sigma
 
     window = 4 * spec.dim if stall_window is None else stall_window
     return _accumulate_series(
         probabilities(), epsilon, step_cap=step_cap, stall_window=window
     )
-
-
-def _dephasing_superop_derivative(
-    kind: str, num_vertices: int, coin_dim: int
-) -> np.ndarray:
-    """d/dp of the dephasing superoperator: -I (x) I + sum_i Pi_i (x) Pi_i*."""
-    d = num_vertices * coin_dim
-    out = -np.eye(d * d, dtype=complex)
-    for pi in _basis_projectors(kind, num_vertices, coin_dim):
-        out += np.kron(pi, pi.conj())
-    return out
 
 
 def hitting_time_slope(
@@ -294,7 +293,8 @@ def hitting_time_slope(
 
         dtau/dp = vec(I) . Y' S^2 rho + vec(I) . Y (S N' S^2 + S^2 N' S) rho
 
-    with constant N' and Y' because the dephasing family is affine in p.
+    with constant N' and Y' because the dephasing multiplier (1 - p) + p M
+    is affine in p: they are the rows of U (x) U* scaled by M - 1.
     Raises when I - N(p) is singular (at p = 0 for walks with a trapped
     subspace the slope is undefined in this form).
     """
@@ -302,8 +302,10 @@ def hitting_time_slope(
         raise ValueError("slope needs the walk's graph to build the dephasing family")
     g = spec.walk.graph
     nv, cd = g.num_vertices, g.degree_value
-    ch = dephasing_channel(kind, p, nv, cd)
-    n_d, y_d = decohered_superoperators(spec, ch)
+    u = spec.walk.matrix
+    uu = np.kron(u, u.conj())
+    fin = spec.final_array
+    n_d, y_d = _survive_detect(uu, dephasing_channel(kind, p, nv, cd).schur, fin)
     m = np.eye(n_d.shape[0]) - n_d
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] <= singular_rtol * sv[0]:
@@ -311,19 +313,14 @@ def hitting_time_slope(
             f"I - N is singular at p={p}; the slope formula needs an invertible resolvent"
         )
 
-    u = spec.walk.matrix
-    uu = np.kron(u, u.conj())
-    d_super = _dephasing_superop_derivative(kind, nv, cd) @ uu
-    fin = spec.final_array
-    dn = _masked_rows(d_super, fin, spec.dim, keep_final=False)
-    dy = _masked_rows(d_super, fin, spec.dim, keep_final=True)
-
-    rho_vec = vectorize(spec.rho0)
-    s1 = np.linalg.solve(m, rho_vec)        # S rho
-    s2 = np.linalg.solve(m, s1)             # S^2 rho
+    mask = dephasing_channel(kind, 1.0, nv, cd).schur
+    dn, dy = _survive_detect(uu, mask - 1.0, fin)
+    # three solves with one factorisation each: S rho; [S^2 rho, S N' S rho];
+    # [S N' S^2 rho, S^2 N' S rho]
+    s1 = np.linalg.solve(m, vectorize(spec.rho0))
+    s2, t = np.linalg.solve(m, np.column_stack([s1, dn @ s1])).T
+    w1, w2 = np.linalg.solve(m, np.column_stack([dn @ s2, t])).T
     term1 = _vec_identity_dot(dy @ s2)
-    w1 = np.linalg.solve(m, dn @ s2)        # S N' S^2 rho
-    w2 = np.linalg.solve(m, np.linalg.solve(m, dn @ s1))  # S^2 N' S rho
     term2 = _vec_identity_dot(y_d @ (w1 + w2))
     return term1 + term2
 

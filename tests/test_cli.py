@@ -119,6 +119,21 @@ class TestSweepCommand:
         for p in ("0", "1"):
             taus = [float(r["tau"]) for r in rows if r["p"] == p]
             assert max(taus) - min(taus) < 1e-6
+        line = next(l for l in out.splitlines() if l.startswith("# manifest="))
+        manifest = json.loads(line[len("# manifest="):])
+        assert manifest["tolerances"] == {
+            "singular_rtol": hitting.SINGULAR_RTOL,
+            "escape_atol": hitting.ESCAPE_ATOL,
+            "escape_series_epsilon": decoherence.ESCAPE_SERIES_EPSILON,
+        }
+        assert manifest["numpy_version"] == np.__version__
+
+    @pytest.mark.parametrize("grid", ["0", "0,0.5"])
+    def test_unknown_kind_exits_one(self, grid, capsys):
+        code, out = run_cli("sweep-decoherence", "--graph", "hypercube:2", "--kinds", "bogus",
+                            "--p-grid", grid)
+        assert code == 1 and out == ""
+        assert "unknown dephasing kind 'bogus'" in capsys.readouterr().err
 
     def test_zero_strength_matches_hitting_command(self):
         _, sweep_out = run_cli(

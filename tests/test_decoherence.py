@@ -51,8 +51,9 @@ class TestChannels:
     def test_strength_domain(self):
         with pytest.raises(ValueError):
             deco.dephasing_channel("both", 1.5, 2, 2)
-        with pytest.raises(ValueError):
-            deco.dephasing_channel("bogus", 0.5, 2, 2)
+        for p in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="unknown dephasing kind"):
+                deco.dephasing_channel("bogus", p, 2, 2)
 
     def test_apply_preserves_trace_and_positivity(self, rng):
         ch = random_channel(4, 3, rng)
@@ -68,6 +69,33 @@ class TestChannels:
         rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         via_super = hitting.devectorize(deco.channel_superoperator(ch) @ hitting.vectorize(rho))
         assert np.max(np.abs(via_super - deco.apply_channel(ch, rho))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["both", "coin", "position", "phases"])
+    def test_schur_multiplier_is_the_kraus_sum(self, kind, rng):
+        nv, cd = 4, 3  # walk index v * cd + c
+        rho = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        if kind == "phases":
+            weights = (0.2, 0.8)
+            phases = [np.exp(2j * np.pi * rng.random(12)) for _ in weights]
+            channels = [deco.Channel(tuple(np.sqrt(w) * np.diag(z) for w, z in zip(weights, phases)))]
+        else:
+            mask = {
+                "both": np.eye(12),
+                "coin": np.kron(np.ones((nv, nv)), np.eye(cd)),
+                "position": np.kron(np.eye(nv), np.ones((cd, cd))),
+            }[kind]
+            strengths = (0.0, 0.3, 1.0)
+            channels = [deco.dephasing_channel(kind, p, nv, cd) for p in strengths]
+            for p, ch in zip(strengths, channels):
+                assert np.max(np.abs(ch.schur - ((1 - p) + p * mask))) < 1e-15
+        for ch in channels:
+            kraus_sum = sum(a @ rho @ a.conj().T for a in ch.kraus)
+            assert np.max(np.abs(deco.apply_channel(ch, rho) - kraus_sum)) < 1e-14
+
+    def test_multiplier_only_for_diagonal_kraus(self, rng):
+        assert random_channel(4, 3, rng).schur is None
+        assert deco.swap_dephasing_example(3, [0.6, 0.8]).schur is None
+        assert deco.Channel((np.eye(3, dtype=complex),)).schur.tolist() == np.ones((3, 3)).tolist()
 
     def test_lindblad_rates_nonnegative(self):
         with pytest.raises(ValueError):
@@ -142,6 +170,60 @@ class TestDecoheredHitting:
         closed = deco.decohered_hitting_time(spec, ch)
         series = deco.decohered_hitting_series(spec, ch, 1e-8)
         assert abs(closed.value - series.value) / closed.value < 1e-3
+
+    @pytest.mark.parametrize("walk_name", ["cube3", "cycle6"])
+    def test_superoperators_match_dense_kraus_oracle(self, walk_name):
+        if walk_name == "cube3":
+            g, spec = grover_cube_spec()
+        else:
+            g = graphs.build_cycle(6)
+            op = walk.evolution_operator(g, walk.grover_coin(2))
+            spec = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[3])
+        u = spec.walk.matrix
+        is_final = np.zeros(spec.dim, dtype=bool)
+        is_final[spec.final_array] = True
+        survive = np.logical_and.outer(~is_final, ~is_final).reshape(-1)
+        detect = np.logical_and.outer(is_final, is_final).reshape(-1)
+        for kind in ("both", "coin", "position"):
+            for p in (0.0, 0.3, 1.0):
+                ch = deco.dephasing_channel(kind, p, g.num_vertices, g.degree_value)
+                dense = deco.channel_superoperator(ch) @ np.kron(u, u.conj())
+                n_ref, y_ref = dense.copy(), dense.copy()
+                n_ref[~survive, :] = 0.0
+                y_ref[~detect, :] = 0.0
+                n_d, y_d = deco.decohered_superoperators(spec, ch)
+                assert np.max(np.abs(n_d - n_ref)) <= 1e-15
+                assert np.max(np.abs(y_d - y_ref)) <= 1e-15
+
+    def test_non_diagonal_channel_closed_form_matches_series(self, rng):
+        g = graphs.build_hypercube(2)
+        op = walk.evolution_operator(g, walk.grover_coin(2))
+        spec = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[3])
+        ch = random_channel(spec.dim, 3, rng)
+        assert spec.dim == 8 and ch.schur is None
+        closed = deco.decohered_hitting_time(spec, ch)
+        series = deco.decohered_hitting_series(spec, ch, 1e-10)
+        assert closed.is_finite and series.is_finite
+        assert closed.value == pytest.approx(series.value, rel=1e-6)
+
+    def test_dephasing_never_builds_the_kraus_superoperator(self, monkeypatch):
+        g, spec = grover_cube_spec()
+        ch = deco.dephasing_channel("coin", 0.5, g.num_vertices, g.degree_value)
+        point = deco.decohered_hitting_time(spec, ch)
+        slope = deco.hitting_time_slope(spec, "position", 0.5)
+        series = deco.decohered_hitting_series(spec, ch, 1e-8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense construction on a dephasing path")
+
+        monkeypatch.setattr(deco, "channel_superoperator", refuse)
+        assert deco.decohered_hitting_time(spec, ch) == point
+        assert deco.hitting_time_slope(spec, "position", 0.5) == slope
+        assert deco.decohered_hitting_series(spec, ch, 1e-8) == series
+        # the series steps D x D density matrices: no superoperator at all
+        monkeypatch.setattr(deco, "decohered_superoperators", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        assert deco.decohered_hitting_series(spec, ch, 1e-8) == series
 
     def test_dimension_guard(self):
         g, spec = grover_cube_spec()
