@@ -4,13 +4,27 @@ A channel is a Kraus family {A_i} with sum A_i+ A_i = I, applied between
 the unitary step and the final-vertex measurement.  When every A_i is
 diagonal it is the Schur multiplier rho -> m o rho with
 m = sum_i diag(A_i) diag(A_i)+; dephasing of strength p (position, coin
-or both) has m = (1 - p) + p M for a 0/1 mask M.  The vectorized
-survive/detect maps are then the rows of U (x) U* scaled by vec(m), with
-the rows outside Q_f (x) Q_f* (for N_D) or P_f (x) P_f* (for Y_D) zeroed;
-the slope in p scales the same rows by M - 1.  Channels with no
-multiplier keep the Kraus superoperator sum_i A_i (x) A_i* before U (x) U*.
-The closed form keeps the unitary inverse/pseudo-inverse policy; the step
-series iterates D x D density matrices.
+or both) has m = (1 - p) + p M for a 0/1 mask M and is built from m
+alone, its Kraus family made only when read.
+
+A step of the decohered walk that does not detect the walker maps rho to
+N_D(rho) = Q_f Phi(U rho U+) Q_f.  The channel keeps the trace, so the
+detect map drops out of the closed form: vec(I) . Y_D = vec(I) . (I - N_D),
+and
+
+    tau = vec(I) . Y_D (I - N_D)^(-2) vec(rho_0) = Tr(X rho_0),   X - L(X) = I,
+
+with L the adjoint of N_D (the survive map in Heisenberg form):
+X -> A+ (m* o X) A with A = Q_f U for a multiplier, else
+X -> U+ (sum_i A_i+ (Q_f X Q_f) A_i) U.  Restarted GMRES solves this on
+D x D matrices, in O(D^3) time per step and O(D^2) memory per Krylov
+vector; for a multiplier it is preconditioned by the Stein inverse of
+sqrt(min Re m) A, applied by the Smith doubling of the unitary closed
+form.  The slope in p is one more solve with the same operator.  A solve
+that stagnates above the residual bound marks I - N_D as singular; only
+then are the dense D^2 x D^2 superoperators built, below a byte limit,
+for the inverse/pseudo-inverse policy of the unitary walk.  Otherwise they
+are the test oracle.  The step series iterates D x D density matrices.
 
 A subspace is decoherence-free exactly when every Kraus (or Lindblad)
 operator acts on it as a scalar; the checks here estimate the scalar from
@@ -19,20 +33,23 @@ the first basis vector and verify the residual on all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import IndeterminateError
 from .hitting import (
     ESCAPE_ATOL,
     DEFAULT_DIM_GUARD,
     DEFAULT_STEP_CAP,
     SINGULAR_RTOL,
+    METHOD_CLOSED_FORM,
     HittingResult,
     MeasuredWalkSpec,
     _accumulate_series,
-    _vec_identity_dot,
+    _doubling_powers,
+    _stein_sum,
     closed_form_engine,
     hitting_time_closed_form,
     vectorize,
@@ -61,26 +78,31 @@ COMPLETENESS_ATOL = 1e-10
 DFS_ATOL = 1e-9
 # residual mass of the series that estimates the escape of a singular I - N_D
 ESCAPE_SERIES_EPSILON = 1e-9
+# GMRES on X - L(X) = C: target relative residual ||X - L(X) - C|| / ||X||,
+# Krylov basis size per restart cycle, and the factor by which a cycle must
+# cut the residual (a cycle that does not has stagnated)
+GMRES_RTOL = 1e-13
+GMRES_RESTART = 40
+GMRES_STALL = 0.5
+# largest dense fallback, in bytes, tried at a singular point
+DENSE_FALLBACK_MAX_BYTES = 2**31
 
 KIND_BOTH = "both"
 KIND_COIN = "coin"
 KIND_POSITION = "position"
 
 
-@dataclass(frozen=True, eq=False)
 class Channel:
     """Completely positive trace-preserving map in Kraus form.
 
     ``schur`` is derived: sum_i diag(A_i) diag(A_i)+ when every A_i is
-    diagonal (the channel is then rho -> schur o rho), else None.
+    diagonal (the channel is then rho -> schur o rho), else None.  A
+    channel made by :meth:`_from_multiplier` holds only the multiplier and
+    builds its Kraus family on the first read of ``kraus``.
     """
 
-    kraus: tuple[np.ndarray, ...]
-    label: str = "channel"
-    schur: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus)
+    def __init__(self, kraus: Sequence[np.ndarray], label: str = "channel"):
+        ops = tuple(np.asarray(a, dtype=complex) for a in kraus)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         d = ops[0].shape[0]
@@ -98,18 +120,38 @@ class Channel:
             schur = np.zeros((d, d), dtype=complex)
             for a in ops:
                 schur += np.outer(np.diag(a), np.diag(a).conj())
-        object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "schur", schur)
+        self.label = label
+        self.schur = schur
+        self.is_identity = len(ops) == 1 and bool(np.array_equal(ops[0], np.eye(d)))
+        self._kraus = ops
+
+    @classmethod
+    def _from_multiplier(
+        cls,
+        schur: np.ndarray,
+        kraus: Callable[[], Iterable[np.ndarray]],
+        *,
+        is_identity: bool,
+        label: str,
+    ) -> "Channel":
+        """The channel rho -> schur o rho; ``kraus()`` returns its Kraus
+        family, diagonal and complete, and runs only if the family is read."""
+        ch = cls.__new__(cls)
+        ch.label = label
+        ch.schur = schur
+        ch.is_identity = is_identity
+        ch._kraus = kraus
+        return ch
+
+    @property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        if callable(self._kraus):
+            self._kraus = tuple(self._kraus())
+        return self._kraus
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
-
-    @property
-    def is_identity(self) -> bool:
-        return len(self.kraus) == 1 and bool(
-            np.array_equal(self.kraus[0], np.eye(self.dim))
-        )
+        return self.schur.shape[0] if self.schur is not None else self.kraus[0].shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,14 +172,13 @@ class LindbladSet:
         object.__setattr__(self, "rates", rates)
 
 
-def _basis_projectors(kind: str, num_vertices: int, coin_dim: int) -> list[np.ndarray]:
-    """Diagonal projectors onto the classes of a label of walk index i = v*coin_dim + c."""
+def _basis_labels(kind: str, num_vertices: int, coin_dim: int) -> np.ndarray:
+    """Class label of walk index i = v*coin_dim + c: the basis state, coin or vertex."""
     i = np.arange(num_vertices * coin_dim)
     labels = {KIND_BOTH: i, KIND_COIN: i % coin_dim, KIND_POSITION: i // coin_dim}
     if kind not in labels:
         raise ValueError(f"unknown dephasing kind {kind!r}")
-    label = labels[kind]
-    return [np.diag((label == k).astype(complex)) for k in range(label.max() + 1)]
+    return labels[kind]
 
 
 def dephasing_channel(
@@ -145,22 +186,33 @@ def dephasing_channel(
 ) -> Channel:
     """Dephasing of strength p in the chosen basis family.
 
-    Kraus set sqrt(1-p) I together with sqrt(p) Pi_i over the projector
-    family: rank-1 basis projectors for ``both``, coin projectors for
-    ``coin``, position projectors for ``position``.  Completeness holds
-    exactly because each family sums to the identity.  The ``schur``
-    multiplier is (1 - p) + p M, where the 0/1 mask M keeps (i, j) when i
-    and j share a basis state, coin or vertex.  Unknown kinds are rejected.
+    The channel is the Schur multiplier (1 - p) + p M, where the 0/1 mask
+    M keeps (i, j) when i and j share a basis state (``both``), coin
+    (``coin``) or vertex (``position``).  Its Kraus set, built only when
+    read, is sqrt(1-p) I together with sqrt(p) Pi_k over the diagonal
+    projectors onto the label classes; it is complete because the
+    projectors sum to the identity.  Unknown kinds are rejected.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("dephasing strength must lie in [0, 1]")
-    projectors = _basis_projectors(kind, num_vertices, coin_dim)
-    ops: list[np.ndarray] = []
-    if p < 1.0:
-        ops.append(np.sqrt(1.0 - p) * np.eye(num_vertices * coin_dim, dtype=complex))
-    if p > 0.0:
-        ops.extend(np.sqrt(p) * pi for pi in projectors)
-    return Channel(tuple(ops), label=f"dephasing-{kind}(p={p})")
+    label = _basis_labels(kind, num_vertices, coin_dim)
+    classes = int(label.max()) + 1
+
+    def kraus() -> list[np.ndarray]:
+        ops = []
+        if p < 1.0:
+            ops.append(np.sqrt(1.0 - p) * np.eye(label.size, dtype=complex))
+        if p > 0.0:
+            ops.extend(np.sqrt(p) * np.diag((label == k).astype(complex)) for k in range(classes))
+        return ops
+
+    return Channel._from_multiplier(
+        (1.0 - p) + p * (label[:, None] == label[None, :]),
+        kraus,
+        # the family is the single operator I exactly at p = 0, or at p = 1 with one class
+        is_identity=p == 0.0 or (p == 1.0 and classes == 1),
+        label=f"dephasing-{kind}(p={p})",
+    )
 
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
@@ -198,7 +250,11 @@ def _survive_detect(
 def decohered_superoperators(
     spec: MeasuredWalkSpec, ch: Channel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized survive/detect maps with the channel after each unitary step."""
+    """Vectorized survive/detect maps with the channel after each unitary step.
+
+    Dense D^2 x D^2 arrays: the fallback at a singular point and the oracle
+    of the matrix-free solve.
+    """
     if ch.dim != spec.dim:
         raise ValueError("channel dimension does not match the walk")
     u = spec.walk.matrix
@@ -210,27 +266,122 @@ def decohered_superoperators(
     return _survive_detect(uu, ch.schur, spec.final_array)
 
 
-def decohered_hitting_time(
-    spec: MeasuredWalkSpec,
-    ch: Channel,
-    *,
-    dim_guard: int = DEFAULT_DIM_GUARD,
-    singular_rtol: float = SINGULAR_RTOL,
-    escape_atol: float = ESCAPE_ATOL,
-) -> HittingResult:
-    """Closed-form hitting time of the decohered measured walk.
+def _gmres(
+    operator: Callable[[np.ndarray], np.ndarray],
+    precondition: Callable[[np.ndarray], np.ndarray],
+    rhs: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Solve operator(X) = rhs for a D x D matrix X by restarted GMRES.
 
-    The identity channel is the unitary walk and goes to
-    :func:`hitting_time_closed_form`.  Otherwise the unitary policy applies
-    when I - N_D is singular, with the escape mass estimated by iterating
-    the decohered series to a stall.
+    Right-preconditioned (Saad & Schultz 1986): each cycle builds an
+    orthonormal Krylov basis of operator(precondition(.)), with the
+    Gram-Schmidt pass run twice, until the least-squares residual falls
+    under GMRES_RTOL ||X|| or the basis holds GMRES_RESTART matrices.  The
+    loop ends once the true residual ||operator(X) - rhs|| is under
+    GMRES_RTOL ||X||, or when a cycle leaves it above GMRES_STALL times its
+    value at the cycle start.  Returns X and that relative residual.
+    Memory is O(GMRES_RESTART D^2); each step is one operator and one
+    preconditioner application.
     """
-    if ch.is_identity and ch.dim == spec.dim:
-        return hitting_time_closed_form(
-            spec, dim_guard=dim_guard, singular_rtol=singular_rtol, escape_atol=escape_atol
+    shape = rhs.shape
+    b = rhs.reshape(-1)
+    x = np.zeros_like(b)
+    r, res = b, float(np.linalg.norm(b))
+    if res == 0.0:
+        return x.reshape(shape), 0.0
+    scale = res  # ||X||, estimated by ||rhs|| before the first cycle
+    basis = np.empty((GMRES_RESTART + 1, b.size), dtype=complex)
+    hess = np.empty((GMRES_RESTART + 1, GMRES_RESTART), dtype=complex)
+    while True:
+        basis[0] = r / res
+        hess[:] = 0.0
+        e1 = np.zeros(GMRES_RESTART + 1, dtype=complex)
+        e1[0] = res
+        for k in range(GMRES_RESTART):
+            w = operator(precondition(basis[k].reshape(shape))).reshape(-1)
+            for _ in range(2):
+                h = (basis[: k + 1] @ w.conj()).conj()
+                w = w - h @ basis[: k + 1]
+                hess[: k + 1, k] += h
+            hess[k + 1, k] = np.linalg.norm(w)
+            y = np.linalg.lstsq(hess[: k + 2, : k + 1], e1[: k + 2], rcond=None)[0]
+            estimate = np.linalg.norm(e1[: k + 2] - hess[: k + 2, : k + 1] @ y)
+            if estimate <= GMRES_RTOL * scale or hess[k + 1, k] == 0.0:
+                break
+            basis[k + 1] = w / hess[k + 1, k]
+        x = x + precondition((y @ basis[: k + 1]).reshape(shape)).reshape(-1)
+        r = b - operator(x.reshape(shape)).reshape(-1)
+        last, res = res, float(np.linalg.norm(r))
+        scale = float(np.linalg.norm(x))
+        # a non-finite residual ends the loop as a stall
+        if res <= GMRES_RTOL * scale or not res <= GMRES_STALL * last:
+            return x.reshape(shape), res / scale
+
+
+class _SurvivalMap:
+    """The decohered survive map in Heisenberg form, and its resolvent.
+
+    N_D(rho) = Q_f Phi(U rho U+) Q_f has the adjoint
+    L(X) = U+ Phi+(Q_f X Q_f) U: A+ (m* o X) A with A = Q_f U for a channel
+    with Schur multiplier m, else U+ (sum_i K_i+ (Q_f X Q_f) K_i) U.  For a
+    multiplier, the preconditioner is the Stein inverse
+    C -> sum_t (B^t)+ C B^t of B = sqrt(c) A, where c = min Re m (1 - p for
+    dephasing) is the weight of the identity in the channel.
+    """
+
+    def __init__(self, spec: MeasuredWalkSpec, ch: Channel):
+        if ch.dim != spec.dim:
+            raise ValueError("channel dimension does not match the walk")
+        u = spec.walk.matrix
+        self.a = u.copy()
+        self.a[spec.final_array, :] = 0.0
+        a, a_dag = self.a, self.a.conj().T
+        self.powers: list[np.ndarray] | None = []
+        if ch.schur is not None:
+            m = ch.schur.conj()
+            self.apply = lambda x: a_dag @ (m * x) @ a
+            c = float(np.clip(ch.schur.real.min(), 0.0, 1.0))
+            if c > 0.0:
+                try:
+                    self.powers = _doubling_powers(np.sqrt(c) * a)
+                except IndeterminateError:
+                    # then m = 1 and L is the Stein map of A, whose
+                    # spectral radius is not below one: I - L is singular
+                    self.powers = None
+        else:
+            keep = np.ones(spec.dim)
+            keep[spec.final_array] = 0.0
+            q = np.outer(keep, keep)
+            u_dag = u.conj().T
+            ops = [(k.conj().T, k) for k in ch.kraus]
+            self.apply = lambda x: u_dag @ sum(kd @ (q * x) @ k for kd, k in ops) @ u
+
+    def solve(self, c: np.ndarray, singular_rtol: float) -> np.ndarray | None:
+        """X with X - L(X) = C, or None when I - L is singular: GMRES ends
+        with a relative residual ||X - L(X) - C|| / ||X|| above singular_rtol."""
+        if self.powers is None:
+            return None
+        x, residual = _gmres(
+            lambda y: y - self.apply(y), lambda y: _stein_sum(self.powers, y), c
         )
-    if spec.dim > dim_guard:
-        raise ValueError(f"dimension {spec.dim} exceeds guard {dim_guard}")
+        return x if residual <= singular_rtol else None
+
+
+def _dense_fallback(
+    spec: MeasuredWalkSpec, ch: Channel, *, singular_rtol: float, escape_atol: float
+) -> HittingResult:
+    """The dense policy for a singular I - N_D: series escape, then pseudo-inverse.
+
+    Refused with IndeterminateError before it allocates when N_D, Y_D,
+    I - N_D and the two SVD factors, five complex D^2 x D^2 arrays, would
+    exceed DENSE_FALLBACK_MAX_BYTES.
+    """
+    needed = 5 * 16 * spec.dim**4
+    if needed > DENSE_FALLBACK_MAX_BYTES:
+        raise IndeterminateError(
+            f"I - N_D is singular and its dense fallback would need about {needed} bytes "
+            f"(limit {DENSE_FALLBACK_MAX_BYTES}) at dimension {spec.dim}"
+        )
     n_d, y_d = decohered_superoperators(spec, ch)
 
     def escape() -> float:
@@ -245,6 +396,38 @@ def decohered_hitting_time(
         escape_atol=escape_atol,
         escape_fn=escape,
     )
+
+
+def decohered_hitting_time(
+    spec: MeasuredWalkSpec,
+    ch: Channel,
+    *,
+    dim_guard: int = DEFAULT_DIM_GUARD,
+    singular_rtol: float = SINGULAR_RTOL,
+    escape_atol: float = ESCAPE_ATOL,
+) -> HittingResult:
+    """Closed-form hitting time of the decohered measured walk.
+
+    The identity channel is the unitary walk and goes to
+    :func:`hitting_time_closed_form`.  Otherwise tau = Tr(X rho_0), where X
+    solves X - L(X) = I for the Heisenberg survive map L of
+    :class:`_SurvivalMap` (method ``closed_form``).  A solve whose relative
+    residual ends above ``singular_rtol`` marks I - N_D as singular; only
+    then does the dense policy of :func:`closed_form_engine` run, with the
+    escape mass estimated by iterating the decohered series to a stall.
+    """
+    if ch.is_identity and ch.dim == spec.dim:
+        return hitting_time_closed_form(
+            spec, dim_guard=dim_guard, singular_rtol=singular_rtol, escape_atol=escape_atol
+        )
+    if spec.dim > dim_guard:
+        raise ValueError(f"dimension {spec.dim} exceeds guard {dim_guard}")
+    x = _SurvivalMap(spec, ch).solve(np.eye(spec.dim, dtype=complex), singular_rtol)
+    if x is None:
+        return _dense_fallback(
+            spec, ch, singular_rtol=singular_rtol, escape_atol=escape_atol
+        )
+    return HittingResult(METHOD_CLOSED_FORM, value=float(np.real(np.sum(x * spec.rho0.T))))
 
 
 def decohered_hitting_series(
@@ -288,41 +471,31 @@ def hitting_time_slope(
 ) -> float:
     """Analytic derivative of the dephased hitting time with respect to p.
 
-    Differentiating tau = vec(I) . Y(p) (I - N(p))^(-2) vec(rho_0) with the
-    product rule on the squared resolvent S = (I - N)^(-1) gives
+    tau(p) = Tr(X rho_0), where X - L(X) = I and
+    L(X) = A+ (m o X) A with A = Q_f U and the multiplier
+    m = (1 - p) + p M, affine in p.  Differentiating the equation gives
+    one more solve with the same operator,
 
-        dtau/dp = vec(I) . Y' S^2 rho + vec(I) . Y (S N' S^2 + S^2 N' S) rho
+        X' - L(X') = A+ ((M - 1) o X) A,    dtau/dp = Tr(X' rho_0).
 
-    with constant N' and Y' because the dephasing multiplier (1 - p) + p M
-    is affine in p: they are the rows of U (x) U* scaled by M - 1.
-    Raises when I - N(p) is singular (at p = 0 for walks with a trapped
-    subspace the slope is undefined in this form).
+    Raises ValueError when I - N(p) is singular (at p = 0 for walks with a
+    trapped subspace the slope is undefined in this form).
     """
     if spec.walk.graph is None:
         raise ValueError("slope needs the walk's graph to build the dephasing family")
     g = spec.walk.graph
     nv, cd = g.num_vertices, g.degree_value
-    u = spec.walk.matrix
-    uu = np.kron(u, u.conj())
-    fin = spec.final_array
-    n_d, y_d = _survive_detect(uu, dephasing_channel(kind, p, nv, cd).schur, fin)
-    m = np.eye(n_d.shape[0]) - n_d
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= singular_rtol * sv[0]:
+    survival = _SurvivalMap(spec, dephasing_channel(kind, p, nv, cd))
+    x = survival.solve(np.eye(spec.dim, dtype=complex), singular_rtol)
+    if x is not None:
+        a = survival.a
+        dm = dephasing_channel(kind, 1.0, nv, cd).schur - 1.0
+        x = survival.solve(a.conj().T @ (dm * x) @ a, singular_rtol)
+    if x is None:
         raise ValueError(
             f"I - N is singular at p={p}; the slope formula needs an invertible resolvent"
         )
-
-    mask = dephasing_channel(kind, 1.0, nv, cd).schur
-    dn, dy = _survive_detect(uu, mask - 1.0, fin)
-    # three solves with one factorisation each: S rho; [S^2 rho, S N' S rho];
-    # [S N' S^2 rho, S^2 N' S rho]
-    s1 = np.linalg.solve(m, vectorize(spec.rho0))
-    s2, t = np.linalg.solve(m, np.column_stack([s1, dn @ s1])).T
-    w1, w2 = np.linalg.solve(m, np.column_stack([dn @ s2, t])).T
-    term1 = _vec_identity_dot(dy @ s2)
-    term2 = _vec_identity_dot(y_d @ (w1 + w2))
-    return term1 + term2
+    return float(np.real(np.sum(x * spec.rho0.T)))
 
 
 # ----------------------------------------------------------------------

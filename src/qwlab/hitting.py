@@ -24,8 +24,10 @@ A, so this equals the Moore-Penrose value of the vectorized formula
 
     tau = vec(I) . Y (I - N)^(-2) vec(rho_0),   N = A (x) A*,
 
-whose dense D^2 x D^2 superoperators are kept as a small-D test oracle and
-as the engine of the decohered closed form.
+whose dense D^2 x D^2 superoperators are kept as a small-D test oracle.
+The decohered closed form (decoherence module) solves its own Heisenberg
+equation with the same Smith doubling as preconditioner, and reaches the
+dense policy of closed_form_engine only at a singular point.
 
 Classical baselines: the exact hypercube first-passage time from the
 Hamming-weight recursion, and a seeded Monte Carlo estimator that serves
@@ -442,8 +444,8 @@ def closed_form_engine(
 ) -> HittingResult:
     """Invert/pseudo-invert policy on dense vectorized superoperators.
 
-    Used by the decohered closed form and, with ``superoperators``, as the
-    small-D oracle for the unitary closed form.
+    Used by the decohered closed form at a singular point and, with
+    ``superoperators``, as the small-D oracle for both closed forms.
 
     ``escape_fn`` is called only when I - N is singular and must return the
     never-arriving mass; escape above ``escape_atol`` classifies the walk as
@@ -477,31 +479,46 @@ def closed_form_engine(
     return HittingResult(METHOD_PSEUDO_INVERSE, value=tau)
 
 
-def _stein_trace(a: np.ndarray, rho: np.ndarray, *, residual_rtol: float) -> float:
-    """Tr(X rho) for the solution X = sum_t (A^t)+ A^t of X - A+ X A = I.
+def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
+    """A, A^2, A^4, ..., A^(2^(k-1)): the powers Smith doubling needs.
 
-    Smith doubling: after k steps X holds the first 2^k terms and A_k =
-    A^(2^k), so the missing tail A_k+ X A_k is at most ||A_k||^2 times the
-    full sum; the loop stops once that bound drops under machine epsilon.
+    k is the first step with ||A^(2^k)||_F^2 under machine epsilon; that
+    bounds the tail the Stein sum leaves out, relative to the full sum.
+    Raises IndeterminateError on overflow or when no such k <= 64 exists,
+    i.e. when the spectral radius of A is not below one.
     """
-    eye = np.eye(a.shape[0], dtype=complex)
-    x, ak = eye, a
+    powers = []
+    ak = a
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_DOUBLINGS):
-            x = x + ak.conj().T @ x @ ak
+            powers.append(ak)
             ak = ak @ ak
             tail = np.linalg.norm(ak) ** 2
-            if not (np.isfinite(tail) and np.isfinite(x).all()):
+            if not np.isfinite(tail):
                 raise IndeterminateError(
                     "Stein doubling overflowed: the spectral radius of Q_f U is not below 1"
                 )
             if tail <= np.finfo(float).eps:
-                break
-        else:
-            raise IndeterminateError(
-                f"Stein doubling did not converge in {MAX_DOUBLINGS} doublings "
-                f"(tail bound {tail:.3e})"
-            )
+                return powers
+    raise IndeterminateError(
+        f"Stein doubling did not converge in {MAX_DOUBLINGS} doublings "
+        f"(tail bound {tail:.3e})"
+    )
+
+
+def _stein_sum(powers: list[np.ndarray], c: np.ndarray) -> np.ndarray:
+    """sum_t (A^t)+ C A^t, the solution X of X - A+ X A = C, from the
+    doubling powers of A: after step k, X holds the first 2^k terms."""
+    x = c
+    for ak in powers:
+        x = x + ak.conj().T @ x @ ak
+    return x
+
+
+def _stein_trace(a: np.ndarray, rho: np.ndarray, *, residual_rtol: float) -> float:
+    """Tr(X rho) for the solution X = sum_t (A^t)+ A^t of X - A+ X A = I."""
+    eye = np.eye(a.shape[0], dtype=complex)
+    x = _stein_sum(_doubling_powers(a), eye)
     residual = np.linalg.norm(x - a.conj().T @ x @ a - eye) / np.linalg.norm(x)
     if not residual <= residual_rtol:
         raise IndeterminateError(

@@ -39,6 +39,12 @@ def full_direction_group(cay: graphs.CayleyGraph) -> groups.PermGroup:
     return direction_group(cay, *texts)
 
 
+def two_four_cycles() -> graphs.ColoredGraph:
+    """Two disjoint 4-cycles, vertices 0-3 and 4-7, colored like build_cycle(4)."""
+    edges = [graphs.Edge(o + k, 1 + k % 2, o + (k + 1) % 4, 1 + k % 2) for o in (0, 4) for k in range(4)]
+    return graphs.ColoredGraph(8, tuple(edges))
+
+
 @functools.cache
 def battery() -> tuple:
     """(name, spec) pairs over cycles, hypercubes up to n = 3, the two

@@ -6,7 +6,7 @@ import pytest
 
 from qwlab import cli, decoherence, graphs, groups, hitting, quotient, walk
 
-from conftest import full_direction_group
+from conftest import full_direction_group, two_four_cycles
 
 
 def run_cli(*argv):
@@ -125,6 +125,10 @@ class TestSweepCommand:
             "singular_rtol": hitting.SINGULAR_RTOL,
             "escape_atol": hitting.ESCAPE_ATOL,
             "escape_series_epsilon": decoherence.ESCAPE_SERIES_EPSILON,
+            "gmres_rtol": decoherence.GMRES_RTOL,
+            "gmres_restart": decoherence.GMRES_RESTART,
+            "gmres_stall": decoherence.GMRES_STALL,
+            "dense_fallback_max_bytes": decoherence.DENSE_FALLBACK_MAX_BYTES,
         }
         assert manifest["numpy_version"] == np.__version__
 
@@ -145,6 +149,20 @@ class TestSweepCommand:
         hit_tau = float(csv_rows(hit_out)[0]["tau"])
         assert sweep_tau == pytest.approx(hit_tau, abs=1e-10)
 
+    def test_oversized_dense_fallback_exits_two(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "two-cycles.json"
+        path.write_text(graphs.graph_to_json(two_four_cycles()))
+        argv = ("sweep-decoherence", "--graph-file", str(path), "--final", "v6",
+                "--kinds", "coin", "--p-grid", "0.5")
+        code, out = run_cli(*argv)
+        row = csv_rows(out)[0]
+        assert code == 0 and row["method"] == "closed_form" and row["escape"] == "1"
+        monkeypatch.setattr(decoherence, "DENSE_FALLBACK_MAX_BYTES", 2**20)
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("indeterminate:") and f"about {5 * 16 * 16**4} bytes" in err
+        assert "Traceback" not in err
 
     def test_memory_error_exits_one(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

@@ -4,7 +4,8 @@ import pytest
 from qwlab import decoherence as deco
 from qwlab import graphs, hitting, walk
 
-from conftest import full_direction_group, random_unitary
+from conftest import battery, full_direction_group, random_unitary, two_four_cycles
+from qwlab.errors import IndeterminateError
 from qwlab.quotient import orbit_basis
 
 
@@ -205,25 +206,86 @@ class TestDecoheredHitting:
         series = deco.decohered_hitting_series(spec, ch, 1e-10)
         assert closed.is_finite and series.is_finite
         assert closed.value == pytest.approx(series.value, rel=1e-6)
+        # the final projector acts inside the channel: U+ (sum K+ (Q X Q) K) U
+        dense = hitting.closed_form_engine(
+            *deco.decohered_superoperators(spec, ch), hitting.vectorize(spec.rho0)
+        )
+        assert closed.method == dense.method
+        assert closed.value == pytest.approx(dense.value, rel=1e-10)
 
-    def test_dephasing_never_builds_the_kraus_superoperator(self, monkeypatch):
+    def test_dephasing_never_builds_the_kraus_superoperator(self, monkeypatch, rng):
         g, spec = grover_cube_spec()
         ch = deco.dephasing_channel("coin", 0.5, g.num_vertices, g.degree_value)
+        kraus = random_channel(spec.dim, 3, rng)
         point = deco.decohered_hitting_time(spec, ch)
         slope = deco.hitting_time_slope(spec, "position", 0.5)
         series = deco.decohered_hitting_series(spec, ch, 1e-8)
+        kraus_point = deco.decohered_hitting_time(spec, kraus)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dense construction on a dephasing path")
+            raise AssertionError("dense construction on a production path")
 
-        monkeypatch.setattr(deco, "channel_superoperator", refuse)
+        # nothing D^2 x D^2: every solve works on D x D matrices
+        for name in ("channel_superoperator", "decohered_superoperators", "closed_form_engine"):
+            monkeypatch.setattr(deco, name, refuse)
+        monkeypatch.setattr(np, "kron", refuse)
         assert deco.decohered_hitting_time(spec, ch) == point
         assert deco.hitting_time_slope(spec, "position", 0.5) == slope
         assert deco.decohered_hitting_series(spec, ch, 1e-8) == series
-        # the series steps D x D density matrices: no superoperator at all
+        assert deco.decohered_hitting_time(spec, kraus) == kraus_point
+        assert point.method == kraus_point.method == "closed_form"
+
+    @pytest.mark.parametrize("name", [name for name, _ in battery()] + ["cube3-dft-complex-mixed"])
+    def test_matches_dense_engine(self, name, rng):
+        spec = dict(battery()).get(name)
+        if spec is None:
+            # a complex start state: only here would a transposed trace show
+            g = graphs.build_hypercube(3)
+            op = walk.evolution_operator(g, walk.dft_coin(3))
+            z = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+            rho = z @ z.conj().T
+            spec = hitting.measured_walk(op, rho / np.trace(rho), final_vertices=[1, 2, 4])
+        g = spec.walk.graph
+        for kind in ("both", "coin", "position"):
+            for p in (0.25, 0.5, 1.0):
+                ch = deco.dephasing_channel(kind, p, g.num_vertices, g.degree_value)
+                got = deco.decohered_hitting_time(spec, ch)
+                dense = hitting.closed_form_engine(
+                    *deco.decohered_superoperators(spec, ch), hitting.vectorize(spec.rho0)
+                )
+                assert got.method == dense.method
+                assert got.value == pytest.approx(dense.value, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["both", "coin", "position"])
+    def test_singular_point_takes_the_dense_policy(self, kind):
+        # the walker's own 4-cycle holds no final vertex, or the other 4-cycle
+        # holds a trapped state: either way I - N_D is singular at p > 0
+        g = two_four_cycles()
+        op = walk.evolution_operator(g, walk.grover_coin(2))
+        ch = deco.dephasing_channel(kind, 0.5, 8, 2)
+        far = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[6])
+        near = hitting.measured_walk(op, hitting.symmetric_state(g, 4), final_vertices=[6])
+        assert deco._SurvivalMap(far, ch).solve(np.eye(16, dtype=complex), 1e-9) is None
+        res = deco.decohered_hitting_time(far, ch)
+        assert not res.is_finite and res.method == "closed_form"
+        assert res.escape_probability == pytest.approx(1.0, abs=1e-9)
+        res = deco.decohered_hitting_time(near, ch)
+        assert res.method == "pseudo_inverse"
+        assert res.value == pytest.approx(2.0, rel=1e-10)
+
+    def test_oversized_dense_fallback_refused_before_it_allocates(self, monkeypatch):
+        g = two_four_cycles()
+        op = walk.evolution_operator(g, walk.grover_coin(2))
+        spec = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[6])
+        ch = deco.dephasing_channel("both", 0.5, 8, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense fallback allocated")
+
+        monkeypatch.setattr(deco, "DENSE_FALLBACK_MAX_BYTES", 5 * 16 * 16**4 - 1)
         monkeypatch.setattr(deco, "decohered_superoperators", refuse)
-        monkeypatch.setattr(np, "kron", refuse)
-        assert deco.decohered_hitting_series(spec, ch, 1e-8) == series
+        with pytest.raises(IndeterminateError, match=f"about {5 * 16 * 16**4} bytes"):
+            deco.decohered_hitting_time(spec, ch)
 
     def test_dimension_guard(self):
         g, spec = grover_cube_spec()
@@ -258,6 +320,31 @@ class TestSlope:
         op = walk.evolution_operator(g, walk.grover_coin(1))
         spec = hitting.measured_walk(op, hitting.basis_state(g, 0, 1), final_vertices=[1])
         assert deco.hitting_time_slope(spec, "both", 0.5) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["both", "coin", "position"])
+    def test_matches_dense_squared_resolvent(self, kind):
+        # dtau/dp = vec(I) . (Y' S^2 + Y (S N' S^2 + S^2 N' S)) vec(rho_0),
+        # S = (I - N)^(-1), with N, Y the rows of U (x) U* scaled by the
+        # multiplier and masked by Q_f (x) Q_f* and P_f (x) P_f*
+        g, spec = grover_cube_spec()
+        d = spec.dim
+        u = spec.walk.matrix
+        uu = np.kron(u, u.conj())
+        is_final = np.zeros(d, dtype=bool)
+        is_final[spec.final_array] = True
+        survive = np.logical_and.outer(~is_final, ~is_final).reshape(-1, 1)
+        detect = np.logical_and.outer(is_final, is_final).reshape(-1, 1)
+        mask = deco.dephasing_channel(kind, 1.0, g.num_vertices, g.degree_value).schur.reshape(-1, 1)
+        dn, dy = survive * (mask - 1) * uu, detect * (mask - 1) * uu
+        vec_i, rho = np.eye(d).reshape(-1), spec.rho0.reshape(-1)
+        for p in (0.25, 0.5, 0.75):
+            m = (1 - p) + p * mask
+            n, y = survive * m * uu, detect * m * uu
+            s = np.linalg.inv(np.eye(d * d) - n)
+            s1 = s @ rho
+            s2 = s @ s1
+            dense = vec_i @ (dy @ s2) + vec_i @ (y @ (s @ (dn @ s2) + s @ (s @ (dn @ s1))))
+            assert deco.hitting_time_slope(spec, kind, p) == pytest.approx(dense.real, rel=1e-10)
 
     def test_errors_when_resolvent_singular(self):
         _, spec = grover_cube_spec()  # trapped subspace present at p = 0
