@@ -232,11 +232,9 @@ def cmd_sweep(args, out) -> int:
         "tolerances": {
             "singular_rtol": hitting.SINGULAR_RTOL,
             "escape_atol": hitting.ESCAPE_ATOL,
-            "escape_series_epsilon": decoherence.ESCAPE_SERIES_EPSILON,
             "gmres_rtol": decoherence.GMRES_RTOL,
             "gmres_restart": decoherence.GMRES_RESTART,
             "gmres_stall": decoherence.GMRES_STALL,
-            "dense_fallback_max_bytes": decoherence.DENSE_FALLBACK_MAX_BYTES,
         },
         "numpy_version": np.__version__,
         "tool_version": __version__,

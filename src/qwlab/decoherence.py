@@ -20,11 +20,13 @@ X -> U+ (sum_i A_i+ (Q_f X Q_f) A_i) U.  Restarted GMRES solves this on
 D x D matrices, in O(D^3) time per step and O(D^2) memory per Krylov
 vector; for a multiplier it is preconditioned by the Stein inverse of
 sqrt(min Re m) A, applied by the Smith doubling of the unitary closed
-form.  The slope in p is one more solve with the same operator.  A solve
-that stagnates above the residual bound marks I - N_D as singular; only
-then are the dense D^2 x D^2 superoperators built, below a byte limit,
-for the inverse/pseudo-inverse policy of the unitary walk.  Otherwise they
-are the test oracle.  The step series iterates D x D density matrices.
+form.  The slope in p is one more solve with the same operator, and the
+step series iterates D x D density matrices.  A solve that stagnates
+marks I - N_D as singular; as in the unitary closed form, a trapped
+projector p then decides the escape Tr(p rho_0), and the solve runs again
+on its complement.  N_D of a unital channel is a Hilbert-Schmidt
+contraction with its fixed points in B(ran p), so this is the
+Moore-Penrose value of the dense D^2 x D^2 formula, kept as test oracle.
 
 A subspace is decoherence-free exactly when every Kraus (or Lindblad)
 operator acts on it as a scalar; the checks here estimate the scalar from
@@ -38,6 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import spectral
 from .errors import IndeterminateError
 from .hitting import (
     ESCAPE_ATOL,
@@ -45,14 +48,13 @@ from .hitting import (
     DEFAULT_STEP_CAP,
     SINGULAR_RTOL,
     METHOD_CLOSED_FORM,
+    METHOD_PSEUDO_INVERSE,
     HittingResult,
     MeasuredWalkSpec,
     _accumulate_series,
     _doubling_powers,
     _stein_sum,
-    closed_form_engine,
     hitting_time_closed_form,
-    vectorize,
 )
 
 __all__ = [
@@ -76,16 +78,12 @@ __all__ = [
 
 COMPLETENESS_ATOL = 1e-10
 DFS_ATOL = 1e-9
-# residual mass of the series that estimates the escape of a singular I - N_D
-ESCAPE_SERIES_EPSILON = 1e-9
 # GMRES on X - L(X) = C: target relative residual ||X - L(X) - C|| / ||X||,
 # Krylov basis size per restart cycle, and the factor by which a cycle must
 # cut the residual (a cycle that does not has stagnated)
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 40
 GMRES_STALL = 0.5
-# largest dense fallback, in bytes, tried at a singular point
-DENSE_FALLBACK_MAX_BYTES = 2**31
 
 KIND_BOTH = "both"
 KIND_COIN = "coin"
@@ -225,6 +223,13 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply_adjoint(ch: Channel, y: np.ndarray) -> np.ndarray:
+    """Phi+(Y): m* o Y for a channel with multiplier m, else sum_i A_i+ Y A_i."""
+    if ch.schur is not None:
+        return ch.schur.conj() * y
+    return sum(a.conj().T @ y @ a for a in ch.kraus)
+
+
 def channel_superoperator(ch: Channel) -> np.ndarray:
     """sum_i A_i (x) A_i*, the row-stacked matrix of the channel."""
     d = ch.dim
@@ -252,8 +257,7 @@ def decohered_superoperators(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized survive/detect maps with the channel after each unitary step.
 
-    Dense D^2 x D^2 arrays: the fallback at a singular point and the oracle
-    of the matrix-free solve.
+    Dense D^2 x D^2 arrays: the test oracle of the matrix-free solve.
     """
     if ch.dim != spec.dim:
         raise ValueError("channel dimension does not match the walk")
@@ -326,13 +330,16 @@ class _SurvivalMap:
     with Schur multiplier m, else U+ (sum_i K_i+ (Q_f X Q_f) K_i) U.  For a
     multiplier, the preconditioner is the Stein inverse
     C -> sum_t (B^t)+ C B^t of B = sqrt(c) A, where c = min Re m (1 - p for
-    dephasing) is the weight of the identity in the channel.
+    dephasing) is the weight of the identity in the channel.  Given a
+    ``complement`` I - p, U (I - p) stands in for U.
     """
 
-    def __init__(self, spec: MeasuredWalkSpec, ch: Channel):
+    def __init__(self, spec: MeasuredWalkSpec, ch: Channel, complement: np.ndarray | None = None):
         if ch.dim != spec.dim:
             raise ValueError("channel dimension does not match the walk")
         u = spec.walk.matrix
+        if complement is not None:
+            u = u @ complement
         self.a = u.copy()
         self.a[spec.final_array, :] = 0.0
         a, a_dag = self.a, self.a.conj().T
@@ -353,8 +360,7 @@ class _SurvivalMap:
             keep[spec.final_array] = 0.0
             q = np.outer(keep, keep)
             u_dag = u.conj().T
-            ops = [(k.conj().T, k) for k in ch.kraus]
-            self.apply = lambda x: u_dag @ sum(kd @ (q * x) @ k for kd, k in ops) @ u
+            self.apply = lambda x: u_dag @ _apply_adjoint(ch, q * x) @ u
 
     def solve(self, c: np.ndarray, singular_rtol: float) -> np.ndarray | None:
         """X with X - L(X) = C, or None when I - L is singular: GMRES ends
@@ -367,35 +373,22 @@ class _SurvivalMap:
         return x if residual <= singular_rtol else None
 
 
-def _dense_fallback(
-    spec: MeasuredWalkSpec, ch: Channel, *, singular_rtol: float, escape_atol: float
-) -> HittingResult:
-    """The dense policy for a singular I - N_D: series escape, then pseudo-inverse.
-
-    Refused with IndeterminateError before it allocates when N_D, Y_D,
-    I - N_D and the two SVD factors, five complex D^2 x D^2 arrays, would
-    exceed DENSE_FALLBACK_MAX_BYTES.
-    """
-    needed = 5 * 16 * spec.dim**4
-    if needed > DENSE_FALLBACK_MAX_BYTES:
-        raise IndeterminateError(
-            f"I - N_D is singular and its dense fallback would need about {needed} bytes "
-            f"(limit {DENSE_FALLBACK_MAX_BYTES}) at dimension {spec.dim}"
-        )
-    n_d, y_d = decohered_superoperators(spec, ch)
-
-    def escape() -> float:
-        result = decohered_hitting_series(spec, ch, ESCAPE_SERIES_EPSILON)
-        return result.escape_probability or 0.0
-
-    return closed_form_engine(
-        n_d,
-        y_d,
-        vectorize(spec.rho0),
-        singular_rtol=singular_rtol,
-        escape_atol=escape_atol,
-        escape_fn=escape,
-    )
+def _trapped_projector(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:
+    """Projector p = I - P onto the largest subspace off the finals that
+    every A_i U and its adjoint keep: P grows from P_f to the range of
+    P + Phi(U P U+) + U+ Phi+(P) U, with rank cutoff NULLSPACE_RTOL, until
+    its rank stops.  N_D maps each block of the split by p into itself."""
+    u = spec.walk.matrix
+    u_dag = u.conj().T
+    basis = np.eye(spec.dim, dtype=complex)[:, spec.final_array]
+    while True:
+        p = basis @ basis.conj().T
+        grown = p + apply_channel(ch, u @ p @ u_dag) + u_dag @ _apply_adjoint(ch, p) @ u
+        w, v = np.linalg.eigh(grown)
+        keep = w > spectral.NULLSPACE_RTOL * w[-1]
+        if keep.sum() == basis.shape[1]:
+            return np.eye(spec.dim, dtype=complex) - p
+        basis = v[:, keep]
 
 
 def decohered_hitting_time(
@@ -412,9 +405,12 @@ def decohered_hitting_time(
     :func:`hitting_time_closed_form`.  Otherwise tau = Tr(X rho_0), where X
     solves X - L(X) = I for the Heisenberg survive map L of
     :class:`_SurvivalMap` (method ``closed_form``).  A solve whose relative
-    residual ends above ``singular_rtol`` marks I - N_D as singular; only
-    then does the dense policy of :func:`closed_form_engine` run, with the
-    escape mass estimated by iterating the decohered series to a stall.
+    residual ends above ``singular_rtol`` marks I - N_D as singular.  X is
+    then solved with U (I - p) for the :func:`_trapped_projector` p; escape
+    Tr(p rho_0) above ``escape_atol`` is infinite (``closed_form``), else
+    tau = Tr(X (I - p) rho_0 (I - p)) (``pseudo_inverse``), the Moore-Penrose
+    value for a unital channel.  A second stagnating solve, as when a channel
+    moves mass into a region it keeps, raises IndeterminateError.
     """
     if ch.is_identity and ch.dim == spec.dim:
         return hitting_time_closed_form(
@@ -422,12 +418,21 @@ def decohered_hitting_time(
         )
     if spec.dim > dim_guard:
         raise ValueError(f"dimension {spec.dim} exceeds guard {dim_guard}")
-    x = _SurvivalMap(spec, ch).solve(np.eye(spec.dim, dtype=complex), singular_rtol)
+    eye = np.eye(spec.dim, dtype=complex)
+    x = _SurvivalMap(spec, ch).solve(eye, singular_rtol)
+    if x is not None:
+        return HittingResult(METHOD_CLOSED_FORM, value=float(np.real(np.sum(x * spec.rho0.T))))
+    trapped = _trapped_projector(spec, ch)
+    q = eye - trapped
+    x = _SurvivalMap(spec, ch, q).solve(eye, singular_rtol)
     if x is None:
-        return _dense_fallback(
-            spec, ch, singular_rtol=singular_rtol, escape_atol=escape_atol
-        )
-    return HittingResult(METHOD_CLOSED_FORM, value=float(np.real(np.sum(x * spec.rho0.T))))
+        dim = round(np.trace(trapped).real)
+        raise IndeterminateError(f"I - N_D is singular off the trapped subspace (dimension {dim})")
+    escape = float(np.real(np.sum(trapped * spec.rho0.T)))
+    if escape > escape_atol:
+        return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
+    value = float(np.real(np.sum(x * (q @ spec.rho0 @ q).T)))
+    return HittingResult(METHOD_PSEUDO_INVERSE, value=value)
 
 
 def decohered_hitting_series(

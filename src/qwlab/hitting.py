@@ -25,9 +25,8 @@ A, so this equals the Moore-Penrose value of the vectorized formula
     tau = vec(I) . Y (I - N)^(-2) vec(rho_0),   N = A (x) A*,
 
 whose dense D^2 x D^2 superoperators are kept as a small-D test oracle.
-The decohered closed form (decoherence module) solves its own Heisenberg
-equation with the same Smith doubling as preconditioner, and reaches the
-dense policy of closed_form_engine only at a singular point.
+The decohered closed form (decoherence module) takes the same route for
+its own Heisenberg equation, with the same Smith doubling as preconditioner.
 
 Classical baselines: the exact hypercube first-passage time from the
 Hamming-weight recursion, and a seeded Monte Carlo estimator that serves
@@ -442,10 +441,8 @@ def closed_form_engine(
     escape_atol: float = ESCAPE_ATOL,
     escape_fn=None,
 ) -> HittingResult:
-    """Invert/pseudo-invert policy on dense vectorized superoperators.
-
-    Used by the decohered closed form at a singular point and, with
-    ``superoperators``, as the small-D oracle for both closed forms.
+    """Invert/pseudo-invert policy on dense vectorized superoperators: the
+    small-D test oracle of both closed forms, called by no production path.
 
     ``escape_fn`` is called only when I - N is singular and must return the
     never-arriving mass; escape above ``escape_atol`` classifies the walk as

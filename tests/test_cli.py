@@ -124,11 +124,9 @@ class TestSweepCommand:
         assert manifest["tolerances"] == {
             "singular_rtol": hitting.SINGULAR_RTOL,
             "escape_atol": hitting.ESCAPE_ATOL,
-            "escape_series_epsilon": decoherence.ESCAPE_SERIES_EPSILON,
             "gmres_rtol": decoherence.GMRES_RTOL,
             "gmres_restart": decoherence.GMRES_RESTART,
             "gmres_stall": decoherence.GMRES_STALL,
-            "dense_fallback_max_bytes": decoherence.DENSE_FALLBACK_MAX_BYTES,
         }
         assert manifest["numpy_version"] == np.__version__
 
@@ -149,20 +147,27 @@ class TestSweepCommand:
         hit_tau = float(csv_rows(hit_out)[0]["tau"])
         assert sweep_tau == pytest.approx(hit_tau, abs=1e-10)
 
-    def test_oversized_dense_fallback_exits_two(self, tmp_path, monkeypatch, capsys):
+    def test_singular_point_builds_no_dense_superoperator(self, tmp_path, monkeypatch):
         path = tmp_path / "two-cycles.json"
         path.write_text(graphs.graph_to_json(two_four_cycles()))
-        argv = ("sweep-decoherence", "--graph-file", str(path), "--final", "v6",
-                "--kinds", "coin", "--p-grid", "0.5")
-        code, out = run_cli(*argv)
+        kron = np.kron
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense construction at a singular point")
+
+        def kron_below_d2(a, b):
+            # the walk operator is a D-row Kronecker product; D^2 rows (D = 16) are refused
+            if np.shape(a)[0] * np.shape(b)[0] >= 16**2:
+                refuse()
+            return kron(a, b)
+
+        monkeypatch.setattr(decoherence, "decohered_superoperators", refuse)
+        monkeypatch.setattr(hitting, "closed_form_engine", refuse)
+        monkeypatch.setattr(np, "kron", kron_below_d2)
+        code, out = run_cli("sweep-decoherence", "--graph-file", str(path), "--final", "v6",
+                            "--kinds", "coin", "--p-grid", "0.5")
         row = csv_rows(out)[0]
         assert code == 0 and row["method"] == "closed_form" and row["escape"] == "1"
-        monkeypatch.setattr(decoherence, "DENSE_FALLBACK_MAX_BYTES", 2**20)
-        code, out = run_cli(*argv)
-        err = capsys.readouterr().err
-        assert code == 2 and out == ""
-        assert err.startswith("indeterminate:") and f"about {5 * 16 * 16**4} bytes" in err
-        assert "Traceback" not in err
 
     def test_memory_error_exits_one(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

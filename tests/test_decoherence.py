@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from qwlab import decoherence as deco
-from qwlab import graphs, hitting, walk
+from qwlab import graphs, hitting, spectral, walk
 
 from conftest import battery, full_direction_group, random_unitary, two_four_cycles
 from qwlab.errors import IndeterminateError
 from qwlab.quotient import orbit_basis
+
+COINS = {"grover": walk.grover_coin, "dft": walk.dft_coin}
 
 
 def grover_cube_spec(n=3, start="symmetric"):
@@ -21,6 +23,46 @@ def random_channel(dim, num_ops, rng):
     z = rng.standard_normal((num_ops * dim, dim)) + 1j * rng.standard_normal((num_ops * dim, dim))
     q, _ = np.linalg.qr(z)
     return deco.Channel(tuple(q[i * dim : (i + 1) * dim] for i in range(num_ops)))
+
+
+def dense_policy(spec, ch):
+    """The dense oracle at any point: SVD of I - N_D, the escape of the
+    decohered series at a singular point, then the pseudo-inverse."""
+
+    def escape():
+        return deco.decohered_hitting_series(spec, ch, 1e-9).escape_probability or 0.0
+
+    return hitting.closed_form_engine(
+        *deco.decohered_superoperators(spec, ch), hitting.vectorize(spec.rho0), escape_fn=escape
+    )
+
+
+def assert_same_result(got, want, rel=1e-10):
+    assert got.method == want.method and got.kind == want.kind
+    if want.is_finite:
+        assert got.value == pytest.approx(want.value, rel=rel)
+    else:
+        assert got.escape_probability == pytest.approx(want.escape_probability, rel=rel)
+
+
+def two_cycle_spec(coin, vertex):
+    """Two 4-cycles measured at vertex 6: a walker at 0 never arrives, one at 4 does."""
+    g = two_four_cycles()
+    op = walk.evolution_operator(g, coin)
+    return hitting.measured_walk(op, hitting.symmetric_state(g, vertex), final_vertices=[6])
+
+
+def amplitude_damping(source, target, dim, gamma=0.3):
+    """Kraus pair moving weight gamma of index ``source`` to index ``target``."""
+    k0 = np.zeros((dim, dim), dtype=complex)
+    k0[target, source] = np.sqrt(gamma)
+    k1 = np.eye(dim, dtype=complex)
+    k1[source, source] = np.sqrt(1.0 - gamma)
+    return deco.Channel((k0, k1))
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("dense construction on a production path")
 
 
 class TestChannels:
@@ -123,10 +165,8 @@ class TestDecoheredHitting:
             "infinite": hitting.measured_walk(op, basis, final_vertices=[7]),
         }
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the identity channel went through the dense engine")
-
-        monkeypatch.setattr(deco, "closed_form_engine", refuse)
+        monkeypatch.setattr(hitting, "closed_form_engine", refuse)
+        assert "closed_form_engine" not in vars(deco)
         for route, spec in specs.items():
             unit = hitting.hitting_time_closed_form(spec)
             assert (unit.method if unit.is_finite else "infinite") == route
@@ -222,13 +262,12 @@ class TestDecoheredHitting:
         series = deco.decohered_hitting_series(spec, ch, 1e-8)
         kraus_point = deco.decohered_hitting_time(spec, kraus)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense construction on a production path")
-
         # nothing D^2 x D^2: every solve works on D x D matrices
-        for name in ("channel_superoperator", "decohered_superoperators", "closed_form_engine"):
+        for name in ("channel_superoperator", "decohered_superoperators"):
             monkeypatch.setattr(deco, name, refuse)
+        monkeypatch.setattr(hitting, "closed_form_engine", refuse)
         monkeypatch.setattr(np, "kron", refuse)
+        assert "closed_form_engine" not in vars(deco)
         assert deco.decohered_hitting_time(spec, ch) == point
         assert deco.hitting_time_slope(spec, "position", 0.5) == slope
         assert deco.decohered_hitting_series(spec, ch, 1e-8) == series
@@ -273,19 +312,77 @@ class TestDecoheredHitting:
         assert res.method == "pseudo_inverse"
         assert res.value == pytest.approx(2.0, rel=1e-10)
 
-    def test_oversized_dense_fallback_refused_before_it_allocates(self, monkeypatch):
-        g = two_four_cycles()
-        op = walk.evolution_operator(g, walk.grover_coin(2))
-        spec = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[6])
-        ch = deco.dephasing_channel("both", 0.5, 8, 2)
+    @pytest.mark.parametrize("coin", ["grover", "dft"])
+    @pytest.mark.parametrize("vertex", [0, 4])
+    @pytest.mark.parametrize("kind", ["both", "coin", "position"])
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_singular_points_match_the_dense_policy(self, coin, vertex, kind, p):
+        spec = two_cycle_spec(COINS[coin](2), vertex)
+        ch = deco.dephasing_channel(kind, p, 8, 2)
+        assert deco._SurvivalMap(spec, ch).solve(np.eye(16, dtype=complex), 1e-9) is None
+        assert_same_result(deco.decohered_hitting_time(spec, ch), dense_policy(spec, ch))
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the dense fallback allocated")
+    @pytest.mark.parametrize("start", ["symmetric", "basis"])
+    def test_swap_dephasing_singular_point_matches_the_dense_policy(self, start):
+        _, spec = grover_cube_spec(3, start)
+        ch = deco.swap_dephasing_example(3, [np.sqrt(0.5)] * 2)
+        assert deco._SurvivalMap(spec, ch).solve(np.eye(24, dtype=complex), 1e-9) is None
+        assert_same_result(deco.decohered_hitting_time(spec, ch), dense_policy(spec, ch))
 
-        monkeypatch.setattr(deco, "DENSE_FALLBACK_MAX_BYTES", 5 * 16 * 16**4 - 1)
-        monkeypatch.setattr(deco, "decohered_superoperators", refuse)
-        with pytest.raises(IndeterminateError, match=f"about {5 * 16 * 16**4} bytes"):
-            deco.decohered_hitting_time(spec, ch)
+    @pytest.mark.parametrize(
+        "n, tau, escape", [(3, 4.0, 0.4), (4, 20 / 3, 9 / 17), (5, 89 / 9, 30 / 49)]
+    )
+    def test_swap_dephasing_is_the_unitary_walk(self, n, tau, escape, monkeypatch):
+        # the orbit states are decoherence-free, so the walk keeps its unitary
+        # route and value; the singular point builds nothing D^2 x D^2
+        ch = deco.swap_dephasing_example(n, np.ones(n - 1) / np.sqrt(n - 1))
+        specs = [grover_cube_spec(n, start)[1] for start in ("symmetric", "basis")]
+        units = [hitting.hitting_time_closed_form(spec) for spec in specs]
+        assert units[0].value == pytest.approx(tau, rel=1e-10)
+        assert units[1].escape_probability == pytest.approx(escape, rel=1e-10)
+        for name in ("channel_superoperator", "decohered_superoperators"):
+            monkeypatch.setattr(deco, name, refuse)
+        monkeypatch.setattr(hitting, "closed_form_engine", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        for spec, unit in zip(specs, units):
+            assert_same_result(deco.decohered_hitting_time(spec, ch), unit)
+
+    def test_trapped_projector_of_the_identity_channel_is_the_spectral_one(self):
+        cube4 = graphs.build_hypercube(4)
+        s4 = graphs.cayley_s4_3gen().graph
+        specs = [spec for _, spec in battery()] + [
+            hitting.measured_walk(
+                walk.evolution_operator(cube4, walk.grover_coin(4)),
+                hitting.symmetric_state(cube4, 0),
+                final_vertices=[15],
+            ),
+            hitting.measured_walk(
+                walk.evolution_operator(s4, walk.grover_coin(3)),
+                hitting.symmetric_state(s4, 0),
+                final_vertices=[20, 23],
+            ),
+        ]
+        traces = []
+        for spec in specs:
+            p = deco._trapped_projector(spec, deco.Channel((np.eye(spec.dim, dtype=complex),)))
+            report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
+            assert np.max(np.abs(p - report.p_hat)) <= 1e-12
+            traces.append(report.trace_int)
+        assert traces[-2:] == [32, 18] and any(traces[:-2])
+
+    @pytest.mark.parametrize("coin", ["grover", "dft"])
+    @pytest.mark.parametrize("vertex", [0, 4])
+    def test_non_unital_channels(self, coin, vertex):
+        spec = two_cycle_spec(COINS[coin](2), vertex)
+        # damping inside the far cycle, and a leak from the far cycle into the
+        # near one, whose leaking states only the adjoint term keeps out of p
+        for ch in (amplitude_damping(1, 0, 16), amplitude_damping(1, 8, 16)):
+            assert ch.schur is None
+            assert_same_result(deco.decohered_hitting_time(spec, ch), dense_policy(spec, ch))
+        # a leak from the near cycle into the far one traps mass that no
+        # subspace kept by every A_i U and its adjoint holds
+        with pytest.raises(IndeterminateError, match="trapped subspace"):
+            deco.decohered_hitting_time(spec, amplitude_damping(9, 0, 16))
 
     def test_dimension_guard(self):
         g, spec = grover_cube_spec()
