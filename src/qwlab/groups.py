@@ -1,15 +1,22 @@
 """Permutations of the walk basis, graph automorphisms, and orbits.
 
-Group elements are stored as explicit index arrays on the flat
-``(vertex, color)`` basis; matrices are materialized on demand.  The
-automorphism criterion is exact integer arithmetic: p is an automorphism
-iff conjugating the shift permutation by p returns it unchanged.
+A permutation is its image on the flat ``(vertex, color)`` basis;
+matrices are materialized on demand.  The automorphism criterion is exact
+integer arithmetic: p is an automorphism iff conjugating the shift
+permutation by p returns it unchanged.
+
+A closed group is an ``order x degree`` integer table, one image per row,
+built by breadth-first products of whole frontiers of rows.  The
+``Permutation`` objects of its elements are built only when first read;
+orbits, quotients and verdicts need only the generators.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -44,7 +51,12 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.image) != list(range(len(self.image))):
+        try:
+            image = tuple(map(operator.index, self.image))
+        except TypeError:
+            raise ValueError("image entries are not integers") from None
+        object.__setattr__(self, "image", image)
+        if sorted(image) != list(range(len(image))):
             raise ValueError("image is not a bijection")
 
     @classmethod
@@ -84,23 +96,45 @@ class Permutation:
         return out
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    """A closed set of permutations with a distinguished generator list."""
+def _index_dtype(degree: int) -> type:
+    return np.int16 if degree < 32768 else np.int32
 
-    elements: tuple[Permutation, ...]
+
+@dataclass(frozen=True, eq=False)
+class PermGroup:
+    """A closed set of permutations with a distinguished generator list.
+
+    ``table`` holds one element's image per row, rows in lexicographic
+    order.  ``elements`` builds the matching ``Permutation`` tuple on first
+    read; membership looks the image up among the rows' bytes.
+    """
+
+    table: np.ndarray
     generators: tuple[Permutation, ...]
+
+    def __post_init__(self):
+        self.table.flags.writeable = False
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.table.shape[0]
 
     @property
     def degree(self) -> int:
-        return self.elements[0].degree
+        return self.table.shape[1]
+
+    @functools.cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(row)) for row in self.table.tolist())
+
+    @functools.cached_property
+    def _row_keys(self) -> frozenset[bytes]:
+        return frozenset(row.tobytes() for row in self.table)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements)
+        if p.degree != self.degree:
+            return False
+        return np.asarray(p.image, dtype=self.table.dtype).tobytes() in self._row_keys
 
     @property
     def is_trivial(self) -> bool:
@@ -233,35 +267,52 @@ def closure(
 ) -> PermGroup:
     """Full element set generated by breadth-first products.
 
+    Each level multiplies the whole frontier by each generator with one
+    gather, ``s[frontier]``, whose rows are the products ``s.compose(p)``.
     Finite closure under generator products contains inverses and the
-    identity automatically.  Raises :class:`GroupOrderError` beyond
-    ``max_order`` elements to guard against combinatorial blowup.
+    identity automatically.  Raises :class:`GroupOrderError` as soon as
+    more than ``max_order`` elements are found, to guard against
+    combinatorial blowup.
     """
     generators = tuple(generators)
     if not generators:
         if dim is None:
             raise ValueError("dim required for an empty generator list")
-        e = Permutation.identity(dim)
-        return PermGroup((e,), ())
+        return PermGroup(np.arange(dim, dtype=_index_dtype(dim))[None, :], ())
     if dim is not None and any(g.degree != dim for g in generators):
         raise ValueError("generator degree does not match dim")
+    degree = generators[0].degree
+    if any(g.degree != degree for g in generators):
+        raise ValueError("generators have different degrees")
 
-    e = Permutation.identity(generators[0].degree)
-    seen = {e.image: e}
-    queue = collections.deque([e])
-    while queue:
-        p = queue.popleft()
-        for s in generators:
-            q = s.compose(p)
-            if q.image not in seen:
-                if len(seen) >= max_order:
-                    raise GroupOrderError(
-                        f"group order exceeds max_order={max_order}"
-                    )
-                seen[q.image] = q
-                queue.append(q)
-    elements = tuple(sorted(seen.values(), key=lambda p: p.image))
-    return PermGroup(elements, generators)
+    dtype = _index_dtype(degree)
+    gens = [np.asarray(g.image, dtype=dtype) for g in generators]
+    frontier = np.arange(degree, dtype=dtype)[None, :]
+    seen = {frontier.tobytes()}
+    levels = [frontier]
+    width = frontier.nbytes
+    while len(frontier):
+        fresh = []
+        for s in gens:
+            products = s[frontier]
+            buf = products.tobytes()
+            new_rows = []
+            for i in range(len(products)):
+                key = buf[i * width:(i + 1) * width]
+                if key not in seen:
+                    if len(seen) >= max_order:
+                        raise GroupOrderError(
+                            f"group order exceeds max_order={max_order}"
+                        )
+                    seen.add(key)
+                    new_rows.append(i)
+            fresh.append(products[new_rows])
+        frontier = np.concatenate(fresh)
+        levels.append(frontier)
+    table = np.concatenate(levels)
+    if degree:  # lexsort needs at least one key
+        table = table[np.lexsort(table.T[::-1])]
+    return PermGroup(table, generators)
 
 
 def generators_of(grp: PermGroup | Iterable[Permutation]) -> tuple[Permutation, ...]:
@@ -301,7 +352,7 @@ def group_to_dict(grp: PermGroup) -> dict:
     return {
         "degree": grp.degree,
         "generators": [list(p.image) for p in grp.generators],
-        "elements": [list(p.image) for p in grp.elements],
+        "elements": grp.table.tolist(),
     }
 
 
@@ -311,7 +362,11 @@ def group_from_dict(d: dict) -> PermGroup:
         elems = tuple(Permutation(tuple(img)) for img in d["elements"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed group document: {exc}") from None
-    return PermGroup(elems, gens)
+    if not elems or any(p.degree != elems[0].degree for p in elems):
+        raise ValueError("malformed group document: elements must share one degree")
+    degree = elems[0].degree
+    table = np.array([p.image for p in elems], dtype=_index_dtype(degree))
+    return PermGroup(table.reshape(len(elems), degree), gens)
 
 
 def group_to_json(grp: PermGroup) -> str:

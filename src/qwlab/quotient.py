@@ -43,6 +43,7 @@ __all__ = [
 SYMMETRY_ATOL = 1e-10
 UNITARITY_ATOL = 1e-9
 ENTRY_ATOL = 1e-12
+_SYMMETRY_BLOCK_BYTES = 1 << 18  # per side, so that both blocks stay in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,15 +87,25 @@ class SymmetryCheck:
 def check_walk_symmetry(
     u, grp: PermGroup | Iterable[Permutation], *, atol: float = SYMMETRY_ATOL
 ) -> SymmetryCheck:
-    """Largest entry of U sigma(h) - sigma(h) U over the generators."""
+    """Largest entry of U sigma(h) - sigma(h) U over the generators.
+
+    The two sides are compared one block of rows at a time, so no whole
+    D x D copy of U is made.
+    """
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
+    dim = m.shape[0]
+    rows = max(1, _SYMMETRY_BLOCK_BYTES // max(1, m[:1].nbytes))
     worst = 0.0
     for h in generators_of(grp):
         img = np.asarray(h.image)
+        inv = np.empty_like(img)
+        inv[img] = np.arange(dim)
         # sigma(h) U permutes rows; U sigma(h) permutes columns (by inverse).
-        left = m[np.argsort(img), :]
-        right = m[:, img]
-        worst = max(worst, float(np.max(np.abs(right - left))))
+        for lo in range(0, dim, rows):
+            hi = lo + rows
+            right = m[lo:hi][:, img]
+            left = m[inv[lo:hi]]
+            worst = max(worst, float(np.max(np.abs(right - left))))
     return SymmetryCheck(worst <= atol, worst)
 
 

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwlab import graphs, groups
+from qwlab import graphs, groups, quotient, walk
 from qwlab.errors import GroupOrderError, NotAnAutomorphismError
 from qwlab.graphs import BasisIndexing
 from qwlab.groups import Permutation
@@ -50,6 +52,15 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
+
+    def test_rejects_non_integer_images(self):
+        with pytest.raises(ValueError, match="not integers"):
+            Permutation((0.0, 1.0))
+
+    def test_numpy_integer_images_become_ints(self):
+        p = Permutation(tuple(np.array([1, 0, 2])))
+        assert p.image == (1, 0, 2)
+        assert all(type(x) is int for x in p.image)
 
     def test_matrix_conjugation_is_exact(self):
         g = graphs.build_hypercube(2)
@@ -143,6 +154,36 @@ class TestIsAutomorphism:
             groups.is_automorphism(graphs.build_hypercube(2), Permutation.identity(4))
 
 
+def oracle_closure(generators):
+    """Breadth-first closure over ``Permutation.compose``, sorted by image."""
+    e = Permutation.identity(generators[0].degree)
+    seen = {e.image: e}
+    queue = collections.deque([e])
+    while queue:
+        p = queue.popleft()
+        for s in generators:
+            q = s.compose(p)
+            if q.image not in seen:
+                seen[q.image] = q
+                queue.append(q)
+    return tuple(sorted(seen.values(), key=lambda p: p.image))
+
+
+def cayley_translations(cay):
+    return groups.closure([groups.left_translation(cay, a) for a in cay.generators])
+
+
+ORACLE_CASES = {
+    "cayley:s3:2gen": lambda: full_direction_group(graphs.cayley_s3_2gen()),
+    "cayley:s3:3gen": lambda: full_direction_group(graphs.cayley_s3_3gen()),
+    "cayley:s4:3gen": lambda: full_direction_group(graphs.cayley_s4_3gen()),
+    "hypercube:3": lambda: full_direction_group(graphs.cayley_hypercube(3)),
+    "hypercube:4": lambda: full_direction_group(graphs.cayley_hypercube(4)),
+    "hypercube:5": lambda: full_direction_group(graphs.cayley_hypercube(5)),
+    "cayley:s3:translations": lambda: cayley_translations(graphs.cayley_s3_2gen()),
+}
+
+
 class TestClosure:
     def test_single_involution(self):
         p = Permutation((1, 0, 2))
@@ -154,6 +195,9 @@ class TestClosure:
         grp = groups.closure([], dim=5)
         assert grp.order == 1
         assert grp.elements[0].is_identity
+
+    def test_degree_zero_generator(self):
+        assert groups.closure([Permutation(())]).order == 1
 
     def test_inverse_closed(self):
         cay = graphs.cayley_s3_3gen()
@@ -167,6 +211,58 @@ class TestClosure:
         b = groups.direction_perm_to_automorphism(cay, groups.parse_cycles("(1,2,3)", 3))
         with pytest.raises(GroupOrderError):
             groups.closure([a, b], max_order=4)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_compose_oracle(self, case):
+        grp = ORACLE_CASES[case]()
+        assert grp.elements == oracle_closure(grp.generators)
+        assert grp.order == len(grp.elements)
+        assert grp.degree == grp.generators[0].degree
+
+    def test_order_guard_is_exact(self):
+        gens = full_direction_group(graphs.cayley_hypercube(4)).generators
+        assert groups.closure(gens, max_order=24).order == 24
+        with pytest.raises(GroupOrderError, match="max_order=23"):
+            groups.closure(gens, max_order=23)
+
+    def test_hypercube8_full_direction_group_refused(self):
+        cay = graphs.cayley_hypercube(8)
+        gens = [
+            groups.direction_perm_to_automorphism(cay, groups.parse_cycles(f"({i},{i + 1})", 8))
+            for i in range(1, 8)
+        ]
+        with pytest.raises(GroupOrderError, match=f"max_order={groups.DEFAULT_MAX_ORDER}"):
+            groups.closure(gens)
+
+    def test_mixed_generator_degrees_rejected(self):
+        gens = [Permutation((1, 0)), Permutation((1, 0, 2))]
+        with pytest.raises(ValueError, match="different degrees"):
+            groups.closure(gens)
+        with pytest.raises(ValueError, match="does not match dim"):
+            groups.closure(gens, dim=2)
+
+    def test_verdict_never_builds_elements(self):
+        cay = graphs.cayley_hypercube(4)
+        grp = full_direction_group(cay)
+        op = walk.evolution_operator(cay.graph, walk.grover_coin(4))
+        idx = BasisIndexing.from_graph(cay.graph)
+        basis = quotient.orbit_basis(grp, idx.total_dim)
+        quotient.quotient_infinite_hitting(op.matrix, basis, idx.indices_for([15]))
+        assert "elements" not in vars(grp)
+
+    def test_membership_agrees_with_elements(self, rng):
+        cay = graphs.cayley_hypercube(3)
+        grp = full_direction_group(cay)
+        members = set(grp.elements)
+        for p in grp.elements:
+            assert p in grp
+        outsiders = [groups.left_translation(cay, a) for a in range(1, 8)]
+        outsiders += [Permutation(tuple(rng.permutation(24).tolist())) for _ in range(20)]
+        outsiders += [p.compose(t) for p in grp.elements for t in outsiders[:7]]
+        for q in outsiders:
+            assert (q in grp) == (q in members)
+        assert not any(q in grp for q in outsiders[:7])
+        assert Permutation.identity(12) not in grp
 
 
 class TestOrbits:
@@ -238,3 +334,40 @@ class TestSerialization:
         again = groups.group_from_json(groups.group_to_json(grp))
         assert again.elements == grp.elements
         assert again.generators == grp.generators
+
+    # SHA-256 of the documents written when groups were tuples of Permutations.
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                lambda: direction_group(graphs.cayley_s3_2gen(), "(1,2)"),
+                "ea5cb2ee846b3d3f62a9bc9fbb612c7ed5eb8019e2f5323acdaa59b7f61fbeb2",
+            ),
+            (
+                lambda: direction_group(graphs.cayley_s3_3gen(), "(1,2,3)"),
+                "930fd7b531625ffd1de8502cd7f203cf68b8b4e1601665dc7fa21ed3d9a4d3b0",
+            ),
+            (
+                lambda: full_direction_group(graphs.cayley_hypercube(4)),
+                "b24bf33f378e589ffca89a46268029e8ec522ca11a1940f27f0efe1ba381ac68",
+            ),
+        ],
+        ids=["s3:2gen-(1,2)", "s3:3gen-(1,2,3)", "hypercube:4-full"],
+    )
+    def test_document_is_unchanged(self, build, digest):
+        text = groups.group_to_json(build())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert groups.group_to_json(groups.group_from_json(text)) == text
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"generators": [], "elements": []},
+            {"generators": [], "elements": [[0, 1], [0]]},
+            {"generators": [], "elements": [[0.0, 1.0]]},
+        ],
+        ids=["empty", "mixed-degrees", "floats"],
+    )
+    def test_malformed_document(self, doc):
+        with pytest.raises(ValueError):
+            groups.group_from_dict(doc)

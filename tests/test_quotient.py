@@ -133,6 +133,18 @@ class TestWalkSymmetry:
             chk = quotient.check_walk_symmetry(u, sub)
             assert chk.commutes and chk.max_residual == 0.0
 
+    def test_row_blocks_match_whole_matrix_residual(self, rng):
+        # D=512 spans several row blocks; the residual must equal, bit for
+        # bit, the one read off whole-matrix copies.
+        dim = 512
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        perms = [groups.Permutation(tuple(rng.permutation(dim).tolist())) for _ in range(3)]
+        expected = max(
+            float(np.max(np.abs(m[:, np.asarray(p.image)] - m[np.argsort(p.image), :])))
+            for p in perms
+        )
+        assert quotient.check_walk_symmetry(m, perms).max_residual == expected
+
     def test_quotient_walk_raises_on_leak(self):
         cay, op = cube_walk(3, coin="dft")
         for sub in subgroup_forms(direction_group(cay, "(1,2)")):
@@ -236,7 +248,7 @@ class TestQuotientShiftAndGraph:
     def test_non_symmetry_subgroup_rejected(self):
         cay = graphs.cayley_hypercube(2)
         rogue = groups.Permutation((1, 0) + tuple(range(2, 8)))
-        grp = groups.PermGroup((groups.Permutation.identity(8), rogue), (rogue,))
+        grp = groups.closure([rogue])
         with pytest.raises(SymmetryError):
             quotient.quotient_shift_and_graph(
                 graphs.shift_matrix(cay.graph), quotient.orbit_basis(grp, 8), graph=cay.graph
