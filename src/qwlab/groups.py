@@ -310,8 +310,9 @@ def closure(
         frontier = np.concatenate(fresh)
         levels.append(frontier)
     table = np.concatenate(levels)
-    if degree:  # lexsort needs at least one key
-        table = table[np.lexsort(table.T[::-1])]
+    if degree:  # big-endian bytes of non-negative indices sort as the rows do
+        keys = table.astype(table.dtype.newbyteorder(">"))
+        table = table[np.argsort(keys.view(np.dtype((np.void, width))).ravel())]
     return PermGroup(table, generators)
 
 

@@ -5,10 +5,19 @@ on the final-vertex subspace.  A walk started inside ran(P) is never
 detected, so trace(P) > 0 is exactly the infinite-hitting-time condition;
 the per-vertex coin-overlap blocks of P identify which local coin states
 avoid (or cannot avoid) being trapped.
+
+A unitary is normal, so its spectrum comes from Hermitian eigensolves: one
+of the Hermitian part (U + U+)/2, then small ones inside each cluster of
+its eigenvalues (``eigenspace_clusters``); no general eigensolver or QR is
+used, and non-normal input is rejected.  The trapped subspace is kept as an
+orthonormal basis B; trace(P), escape probabilities and coin-overlap
+blocks are read from B, and the D x D projector B B+ is built only when
+``SpectralReport.p_hat`` is read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,20 +56,27 @@ class EigenCluster:
 
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
-    """Spectral decomposition of U together with the trapped-subspace projector.
+    """Spectral decomposition of U together with the trapped subspace.
 
-    ``basis`` spans ran(p_hat) with orthonormal columns; ``contributions``
-    counts the trapped dimensions contributed by each cluster, in cluster
-    order.  Warnings record nullspace rank decisions that fell within 10x
-    of the singular value cutoff.
+    ``basis`` spans the trapped subspace with orthonormal columns;
+    ``p_hat``, the D x D projector onto it, is built from ``basis`` on first
+    read.  ``contributions`` counts the trapped dimensions contributed by
+    each cluster, in cluster order.  Warnings record nullspace rank
+    decisions that fell within 10x of the singular value cutoff.
     """
 
     clusters: tuple[EigenCluster, ...]
-    p_hat: np.ndarray
     basis: np.ndarray
-    trace_p: float
     contributions: tuple[int, ...]
     warnings: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def p_hat(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
+
+    @property
+    def trace_p(self) -> float:
+        return float(np.linalg.norm(self.basis) ** 2)
 
     @property
     def trace_int(self) -> int:
@@ -68,43 +84,103 @@ class SpectralReport:
 
     @property
     def dim(self) -> int:
-        return self.p_hat.shape[0]
+        return self.basis.shape[0]
 
 
 def _as_matrix(u) -> np.ndarray:
     return np.asarray(getattr(u, "matrix", u), dtype=complex)
 
 
-def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:
-    """Eigenvalues of a unitary grouped by absolute distance <= tol.
+def _runs(values: np.ndarray, tol: float) -> list[slice]:
+    """Slices of ascending ``values`` over the runs whose neighbours lie within tol."""
+    v = values.tolist()
+    cuts = [0, *(i for i in range(1, len(v)) if v[i] - v[i - 1] > tol), len(v)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
-    Eigenvalues are sorted by phase and chains of neighbors within tol are
-    merged (including the wrap across the branch cut); each cluster's
-    eigenbasis is re-orthonormalized by QR.
+
+def _eigen_runs(a: np.ndarray, tol: float) -> list[np.ndarray | None]:
+    """Eigenvector blocks of Hermitian a, one per run of its eigenvalues.
+
+    A matrix within tol/2 of a multiple of the identity in Frobenius norm
+    has all its eigenvalues within tol of each other: it gives [None], the
+    whole space, without an eigh.
+    """
+    k = len(a)
+    if k == 1 or 2 * np.linalg.norm(a - np.trace(a).real / k * np.eye(k)) <= tol:
+        return [None]
+    vals, y = np.linalg.eigh(a)
+    return [y[:, run] for run in _runs(vals, tol)]
+
+
+def _joint_blocks(c: np.ndarray, s: np.ndarray, tol: float) -> list[np.ndarray | None]:
+    """Orthonormal column blocks (None for the whole space) on which diag(c)
+    and the commuting Hermitian s each have one run of eigenvalues.
+
+    When c spans more than tol, the space is split into the runs of one
+    matrix restricted to it, each part into those of the other, and so on
+    in turn; a part is final once neither splits it.
+    """
+    if np.ptp(c) <= tol:  # diag(c) restricted to any subspace has one run
+        return _eigen_runs(s, tol)
+    blocks = []
+    stack = [(np.eye(len(c)), np.diag(c), s, False)]  # (columns, split by, other, whole under other)
+    while stack:
+        x, a, b, settled = stack.pop()
+        parts = _eigen_runs(x.conj().T @ a @ x, tol)
+        if len(parts) > 1:
+            stack.extend((x @ y, b, a, True) for y in parts)
+        elif settled:
+            blocks.append(x)
+        else:
+            stack.append((x, b, a, True))
+    return blocks
+
+
+def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:
+    """Eigenvalues of a unitary grouped into clusters by distance tol.
+
+    U = H + iK with Hermitian H = (U + U+)/2 and K = (U - U+)/2i, which
+    commute exactly when U is normal; each eigenvalue cos + i sin of U pairs
+    an eigenvalue of H with one of K on a common eigenvector.  One eigh of
+    H (in real arithmetic when U is real) gives the cosines and their
+    eigenvectors W.  Cosines are chained across gaps of at most sqrt(tol),
+    so that each chain's columns W_c span an invariant subspace of U to
+    about eps/sqrt(tol).  Inside a chain the small Hermitian matrices
+    diag(cos_c) and W_c+ K W_c are split in turn into runs of eigenvalues
+    within tol of their neighbours, which separates e^{i theta} from
+    e^{-i theta}.  Eigenvalues within tol on the circle are within tol in
+    cosine and in sine, so chains of such neighbours share a cluster, across
+    the branch cut at -1 too.  A step within tol in both cosine and sine
+    but up to sqrt(2)*tol long on the circle also links two eigenvalues.
+
+    Each cluster basis is orthonormal and orthogonal to the other clusters'
+    by construction; its eigenvalue is the normalised mean Rayleigh quotient.
+    Clusters are listed by phase in [-pi, pi): the cluster within tol of -1
+    comes first.  Raises ValueError when U is not normal, i.e. when a
+    chain's block residual ||K W_c - W_c (W_c+ K W_c)|| exceeds tol.
     """
     m = _as_matrix(u)
-    d = m.shape[0]
-    w, v = np.linalg.eig(m)
-    order = np.argsort(np.angle(w))
-    w, v = w[order], v[:, order]
-
-    groups: list[list[int]] = [[0]]
-    for i in range(1, d):
-        if abs(w[i] - w[i - 1]) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    if len(groups) > 1 and abs(w[groups[0][0]] - w[groups[-1][-1]]) <= tol:
-        groups[0] = groups.pop() + groups[0]
+    a = m.real if not m.imag.any() else m
+    cos, w = np.linalg.eigh((a + a.conj().T) / 2)
+    ikw = ((a - a.conj().T) / 2) @ w  # i K W
 
     clusters = []
-    for idx in groups:
-        block = v[:, idx]
-        q, _ = np.linalg.qr(block)
-        lam = complex(np.mean(w[idx]))
-        lam /= abs(lam)
-        clusters.append(EigenCluster(lam, len(idx), q))
-    assert sum(c.multiplicity for c in clusters) == d
+    for chain in _runs(cos, max(tol, np.sqrt(tol))):
+        wc, ikc = w[:, chain], ikw[:, chain]
+        t = wc.conj().T @ ikc  # i W_c+ K W_c
+        residual = float(np.linalg.norm(ikc - wc @ t))
+        if residual > tol:
+            raise ValueError(
+                f"matrix is not normal (eigenspace block residual {residual:.3e} > {tol:.0e})"
+            )
+        mc = np.diag(cos[chain]) + t  # W_c+ U W_c
+        for x in _joint_blocks(cos[chain], -1j * t, tol):
+            if x is None:
+                lam, basis = complex(np.trace(mc)), wc.astype(complex)
+            else:
+                lam, basis = complex(np.trace(x.conj().T @ mc @ x)), wc @ x
+            clusters.append(EigenCluster(lam / abs(lam), basis.shape[1], basis))
+    clusters.sort(key=lambda c: -np.pi if abs(c.eigenvalue + 1) <= tol else np.angle(c.eigenvalue))
     return tuple(clusters)
 
 
@@ -137,19 +213,21 @@ def infinite_hitting_projector(
     directions solve the homogeneous d x k system F* V a = 0, where F spans
     the rank-d final subspace; the solution space has dimension k - rank.
     Rank decisions use singular values with a relative cutoff; values inside
-    [cutoff, 10*cutoff) are reported as warnings rather than failures.
+    [cutoff, 10*cutoff) are reported as warnings rather than failures.  The
+    clusters' bases are mutually orthogonal, so the trapped pieces are
+    stacked into ``basis`` as they are.
     """
     m = _as_matrix(u)
     d = m.shape[0]
-    fin = _final_range_basis(p_f, d)
+    fin_h = _final_range_basis(p_f, d).conj().T
     clusters = eigenspace_clusters(m, tol=cluster_tol)
 
     pieces = []
     contributions = []
     warnings: list[str] = []
     for ci, cluster in enumerate(clusters):
-        overlap = fin.conj().T @ cluster.basis  # d x k
-        sv = np.linalg.svd(overlap, compute_uv=False)
+        overlap = fin_h @ cluster.basis  # d x k
+        _, sv, vh = np.linalg.svd(overlap)
         smax = sv[0] if sv.size else 0.0
         cutoff = null_rtol * smax
         if smax == 0.0:
@@ -165,23 +243,13 @@ def infinite_hitting_projector(
         null_dim = cluster.multiplicity - rank
         contributions.append(null_dim)
         if null_dim:
-            _, _, vh = np.linalg.svd(overlap)
             null_vecs = vh[rank:].conj().T  # k x null_dim
             pieces.append(cluster.basis @ null_vecs)
 
-    if pieces:
-        stacked = np.hstack(pieces)
-        basis, _ = np.linalg.qr(stacked)
-        p_hat = basis @ basis.conj().T
-    else:
-        basis = np.zeros((d, 0), dtype=complex)
-        p_hat = np.zeros((d, d), dtype=complex)
-
+    basis = np.hstack(pieces) if pieces else np.zeros((d, 0), dtype=complex)
     return SpectralReport(
         clusters=clusters,
-        p_hat=p_hat,
         basis=basis,
-        trace_p=float(np.real(np.trace(p_hat))),
         contributions=tuple(contributions),
         warnings=tuple(warnings),
     )
@@ -194,7 +262,7 @@ def escape_probability(report: SpectralReport, state: np.ndarray) -> float:
         amps = report.basis.conj().T @ state
         return float(np.real(np.vdot(amps, amps)))
     if state.ndim == 2:
-        return float(np.real(np.trace(report.p_hat @ state)))
+        return float(np.real(np.vdot(report.basis, state @ report.basis)))
     raise ValueError("state must be a vector or a density matrix")
 
 
@@ -221,7 +289,8 @@ def coin_overlap_matrix(
 ) -> CoinOverlapMatrix:
     idx = BasisIndexing.from_graph(g)
     rows = np.asarray(idx.vertex_indices(vertex))
-    block = report.p_hat[np.ix_(rows, rows)]
+    b = report.basis[rows]
+    block = b @ b.conj().T
     herm_defect = float(np.max(np.abs(block - block.conj().T))) if block.size else 0.0
     if herm_defect > 1e-10:
         raise ValueError(f"coin-overlap block not Hermitian (defect {herm_defect:.3e})")

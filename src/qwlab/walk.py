@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ColoredGraph, adjacency_matrix, shift_matrix
+from .graphs import ColoredGraph, adjacency_matrix, shift_permutation
 
 __all__ = [
     "Coin",
@@ -106,7 +106,9 @@ def evolution_operator(g: ColoredGraph, coin: Coin) -> WalkOperator:
     d = g.degree_value
     if coin.dim != d:
         raise ValueError(f"coin dimension {coin.dim} != graph degree {d}")
-    u = shift_matrix(g) @ np.kron(np.eye(g.num_vertices), coin.matrix)
+    image = shift_permutation(g)
+    u = np.empty((image.size, image.size), dtype=complex)
+    u[image] = np.kron(np.eye(g.num_vertices), coin.matrix)  # row j of I (x) C is row image[j] of U
     _require_unitary(u, COIN_UNITARITY_ATOL, "evolution operator")
     return WalkOperator(u, graph=g, coin=coin)
 

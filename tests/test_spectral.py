@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qwlab import graphs, hitting, spectral, walk
+from qwlab import graphs, hitting, quotient, spectral, walk
 
-from conftest import random_unitary
+from conftest import battery, full_direction_group, random_unitary
 
 
 def hypercube_setup(n, coin_kind):
@@ -12,6 +12,67 @@ def hypercube_setup(n, coin_kind):
     op = walk.evolution_operator(g, coin)
     fin = graphs.BasisIndexing.from_graph(g).indices_for([2 ** n - 1])
     return g, op, fin
+
+
+def eig_qr_clusters(u, tol=spectral.CLUSTER_TOL):
+    """The general-eigensolver clustering, kept as the oracle: eigenvalues
+    sorted by phase, neighbours within tol chained (with the wrap across
+    the branch cut), each cluster's eigenvectors re-orthonormalised by QR."""
+    w, v = np.linalg.eig(np.asarray(u, dtype=complex))
+    order = np.argsort(np.angle(w))
+    w, v = w[order], v[:, order]
+    groups = [[0]]
+    for i in range(1, w.size):
+        if abs(w[i] - w[i - 1]) <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    if len(groups) > 1 and abs(w[groups[0][0]] - w[groups[-1][-1]]) <= tol:
+        groups[0] = groups.pop() + groups[0]
+    clusters = []
+    for idx in groups:
+        q, _ = np.linalg.qr(v[:, idx])
+        lam = complex(np.mean(w[idx]))
+        clusters.append(spectral.EigenCluster(lam / abs(lam), len(idx), q))
+    return tuple(clusters)
+
+
+def eig_qr_report(u, fin):
+    """(report, p_hat) from the oracle clusters, with the stacked trapped
+    basis re-orthonormalised by QR as the general-eigensolver route did."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "eigenspace_clusters", eig_qr_clusters)
+        report = spectral.infinite_hitting_projector(u, fin)
+    q, _ = np.linalg.qr(report.basis)
+    return report, q @ q.conj().T
+
+
+def oracle_cases() -> dict:
+    cases = {name: (spec.walk.matrix, spec.final_array) for name, spec in battery()}
+    for n in (4, 5):
+        for coin_kind in ("grover", "dft"):
+            _, op, fin = hypercube_setup(n, coin_kind)
+            cases[f"hypercube{n}-{coin_kind}"] = (op.matrix, fin)
+    cay = graphs.cayley_s4_3gen()
+    finals = [cay.vertex_of_word([1, 3, 2, 1]), cay.vertex_of_word([2, 3, 1, 2])]
+    op = walk.evolution_operator(cay.graph, walk.grover_coin(3))
+    cases["s4g3-12"] = (op.matrix, graphs.BasisIndexing.from_graph(cay.graph).indices_for(finals))
+    rng = np.random.default_rng(909)
+    for i in range(5):
+        # phases repeated 1..4 times, so clusters of several sizes meet two final indices
+        phases = np.repeat(rng.uniform(-np.pi, np.pi, 4), [1, 2, 3, 4])
+        v = random_unitary(phases.size, rng)
+        cases[f"random{i}"] = ((v * np.exp(1j * phases)) @ v.conj().T, np.array([0, 1]))
+    angles = np.array([np.pi - 5e-10, -np.pi + 5e-10, 0.3])
+    cases["branch-cut"] = (np.diag(np.exp(1j * angles)), np.array([2]))
+    # equal sines, cosines 2e-5 apart: one chain of cosines, two clusters
+    v = random_unitary(5, rng)
+    angles = np.array([np.pi / 2 - 1e-5, np.pi / 2 + 1e-5, np.pi / 2 + 1e-5, 2.0, -1.0])
+    cases["equal-sines"] = ((v * np.exp(1j * angles)) @ v.conj().T, np.array([0]))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
 
 
 class TestClusters:
@@ -45,6 +106,57 @@ class TestClusters:
         u = np.diag(np.exp(1j * angles))
         clusters = spectral.eigenspace_clusters(u)
         assert sorted(c.multiplicity for c in clusters) == [1, 2]
+
+    @pytest.mark.parametrize("walk_kind", ["cycle6-grover", "cycle4-dft"])
+    def test_minus_one_cluster_first_then_by_phase(self, walk_kind):
+        n, coin = (6, walk.grover_coin(2)) if walk_kind == "cycle6-grover" else (4, walk.dft_coin(2))
+        u = walk.evolution_operator(graphs.build_cycle(n), coin).matrix
+        clusters = spectral.eigenspace_clusters(u)
+        assert abs(clusters[0].eigenvalue + 1) < 1e-12
+        phases = [np.angle(c.eigenvalue) for c in clusters[1:]]
+        assert phases == sorted(phases)
+
+    def test_non_normal_matrix_rejected(self, rng):
+        with pytest.raises(ValueError, match="not normal"):
+            spectral.eigenspace_clusters(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not normal"):
+            spectral.eigenspace_clusters(rng.standard_normal((8, 8)))
+
+
+class TestAgainstGeneralEigensolver:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_clusters_contributions_and_projector(self, name):
+        u, fin = ORACLE_CASES[name]
+        report = spectral.infinite_hitting_projector(u, fin)
+        oracle, oracle_p = eig_qr_report(u, fin)
+        unmatched = list(range(len(oracle.clusters)))
+        for i, c in enumerate(report.clusters):
+            j = next(
+                (j for j in unmatched
+                 if oracle.clusters[j].multiplicity == c.multiplicity
+                 and abs(oracle.clusters[j].eigenvalue - c.eigenvalue) <= 1e-12),
+                None,
+            )
+            assert j is not None, f"cluster {c.eigenvalue} x{c.multiplicity} has no oracle match"
+            assert report.contributions[i] == oracle.contributions[j]
+            unmatched.remove(j)
+        assert not unmatched
+        assert np.max(np.abs(report.p_hat - oracle_p)) <= 1e-10
+
+    def test_no_general_eigensolver_or_qr_on_the_verdict_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("general eigensolver or QR called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        for coin_kind in ("grover", "dft"):
+            _, op, fin = hypercube_setup(4, coin_kind)
+            assert spectral.infinite_hitting_projector(op.matrix, fin).trace_int > 0
+        cay = graphs.cayley_hypercube(4)
+        op = walk.evolution_operator(cay.graph, walk.grover_coin(4))
+        fin = graphs.BasisIndexing.from_graph(cay.graph).indices_for([cay.vertex_of_word([1, 2, 3, 4])])
+        basis = quotient.orbit_basis(full_direction_group(cay), 64)
+        assert quotient.quotient_infinite_hitting(op.matrix, basis, fin).intersection_dim == 0
 
 
 class TestProjector:
@@ -168,6 +280,16 @@ class TestEscape:
         assert spectral.escape_probability(report, rho) == pytest.approx(
             spectral.escape_probability(report, psi), abs=1e-12
         )
+
+    def test_projector_not_built_for_escape_or_coin_blocks(self):
+        g, op, fin = hypercube_setup(3, "dft")
+        report = spectral.infinite_hitting_projector(op.matrix, fin)
+        psi = hitting.symmetric_state(g, 0)
+        spectral.escape_probability(report, psi)
+        spectral.escape_probability(report, np.outer(psi, psi.conj()))
+        for v in range(g.num_vertices):
+            spectral.coin_overlap_matrix(report, g, v)
+        assert "p_hat" not in vars(report)
 
 
 class TestCoinOverlap:

@@ -74,6 +74,13 @@ class TestEvolutionOperator:
         op = walk.evolution_operator(g, walk.grover_coin(1))
         assert np.array_equal(op.matrix, graphs.shift_matrix(g))
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_equals_shift_times_coin_product(self, n, rng):
+        g = graphs.build_hypercube(n)
+        for coin in (walk.grover_coin(n), walk.dft_coin(n), walk.custom_coin(random_unitary(n, rng))):
+            product = graphs.shift_matrix(g) @ np.kron(np.eye(g.num_vertices), coin.matrix)
+            assert np.array_equal(walk.evolution_operator(g, coin).matrix, product)
+
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degree"):
             walk.evolution_operator(graphs.build_hypercube(3), walk.grover_coin(2))
