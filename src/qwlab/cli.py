@@ -272,6 +272,7 @@ def cmd_spectrum(args, out) -> int:
         "graph": descr,
         "coin": args.coin,
         "final": list(final),
+        "numpy_version": np.__version__,
         "tool_version": __version__,
     }
     emit_json(out, payload, manifest)
@@ -283,11 +284,11 @@ def cmd_quotient(args, out) -> int:
     gens = resolve_subgroup(args.subgroup, cay)
     dim = graphs.BasisIndexing.from_graph(g).total_dim
     basis = quotient.orbit_basis(gens, dim)
-    sh, qg = quotient.quotient_shift_and_graph(graphs.shift_matrix(g), basis, graph=g)
+    sh, qg = quotient.quotient_shift_and_graph(graphs.shift_permutation(g), basis, graph=g)
     payload = {
         "orbits": [list(o) for o in basis.orbits],
         "quotient_graph": quotient.quotient_graph_to_dict(qg, sh),
-        "s_h": walk.matrix_to_json(sh),
+        "s_h": sh.tolist(),
     }
     if args.coin is not None:
         coin = resolve_coin(args.coin, g.degree_value)
@@ -299,6 +300,7 @@ def cmd_quotient(args, out) -> int:
         "graph": descr,
         "coin": args.coin,
         "subgroup": args.subgroup,
+        "numpy_version": np.__version__,
         "tool_version": __version__,
     }
     emit_json(out, payload, manifest)
@@ -333,6 +335,7 @@ def cmd_dfs(args, out) -> int:
         "graph": descr,
         "kappas": kappas,
         "subgroup": subgroup,
+        "numpy_version": np.__version__,
         "tool_version": __version__,
     }
     emit_json(out, payload, manifest)
@@ -347,6 +350,7 @@ def cmd_classical(args, out) -> int:
         "hypercube": n,
         "mc_trials": args.mc_trials,
         "seed": args.seed,
+        "numpy_version": np.__version__,
         "tool_version": __version__,
     }
     row = [n, f"{tau:.12g}", None, None, args.mc_trials, args.seed]

@@ -52,6 +52,7 @@ from .hitting import (
     HittingResult,
     MeasuredWalkSpec,
     _accumulate_series,
+    _hit_probabilities,
     _doubling_powers,
     _stein_sum,
     hitting_time_closed_form,
@@ -448,23 +449,9 @@ def decohered_hitting_series(
         raise ValueError("epsilon must be in (0, 1)")
     if ch.dim != spec.dim:
         raise ValueError("channel dimension does not match the walk")
-    u = spec.walk.matrix
-    u_dag = u.conj().T
-    fin = spec.final_array
-
-    def probabilities():
-        rho = spec.rho0
-        while True:
-            sigma = apply_channel(ch, u @ rho @ u_dag)
-            yield max(float(np.real(sigma[fin, fin].sum())), 0.0)
-            sigma[fin, :] = 0.0
-            sigma[:, fin] = 0.0
-            rho = sigma
-
     window = 4 * spec.dim if stall_window is None else stall_window
-    return _accumulate_series(
-        probabilities(), epsilon, step_cap=step_cap, stall_window=window
-    )
+    probabilities = _hit_probabilities(spec, lambda sig: apply_channel(ch, sig))
+    return _accumulate_series(probabilities, epsilon, step_cap=step_cap, stall_window=window)
 
 
 def hitting_time_slope(

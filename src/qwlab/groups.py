@@ -36,6 +36,7 @@ __all__ = [
     "is_direction_preserving",
     "closure",
     "generators_of",
+    "orbit_labels",
     "orbits",
     "group_to_dict",
     "group_from_dict",
@@ -321,9 +322,12 @@ def generators_of(grp: PermGroup | Iterable[Permutation]) -> tuple[Permutation, 
     return grp.generators if isinstance(grp, PermGroup) else tuple(grp)
 
 
-def orbits(grp: PermGroup | Iterable[Permutation], dim: int) -> tuple[tuple[int, ...], ...]:
-    """Partition of ``[0, dim)`` into orbits, sorted by smallest member."""
-    perms = generators_of(grp)
+def orbit_labels(grp: PermGroup | Iterable[Permutation], dim: int) -> np.ndarray:
+    """Orbit index of each point of ``[0, dim)``, orbits numbered by smallest member.
+
+    A union-find over the generator edges keeps each orbit's smallest
+    member as its root; the labels rank the roots.
+    """
     parent = list(range(dim))
 
     def find(x: int) -> int:
@@ -337,16 +341,19 @@ def orbits(grp: PermGroup | Iterable[Permutation], dim: int) -> tuple[tuple[int,
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for p in perms:
+    for p in generators_of(grp):
         if p.degree != dim:
             raise ValueError("permutation degree does not match dim")
         for i, j in enumerate(p.image):
             union(i, j)
+    return np.unique([find(i) for i in range(dim)], return_inverse=True)[1]
 
-    buckets: dict[int, list[int]] = collections.defaultdict(list)
-    for i in range(dim):
-        buckets[find(i)].append(i)
-    return tuple(tuple(sorted(members)) for _, members in sorted(buckets.items()))
+
+def orbits(grp: PermGroup | Iterable[Permutation], dim: int) -> tuple[tuple[int, ...], ...]:
+    """Partition of ``[0, dim)`` into orbits, sorted by smallest member."""
+    labels = orbit_labels(grp, dim)
+    members = np.argsort(labels, kind="stable")
+    return tuple(tuple(m.tolist()) for m in np.split(members, np.cumsum(np.bincount(labels))[:-1]))
 
 
 def group_to_dict(grp: PermGroup) -> dict:

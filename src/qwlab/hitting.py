@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -189,24 +189,32 @@ def measured_walk(
 # Step-iterated dynamics
 # ----------------------------------------------------------------------
 
-def _hit_probabilities(spec: MeasuredWalkSpec) -> Iterator[float]:
-    """Yield p(1), p(2), ... by iterating the survive-and-step map."""
+def _hit_probabilities(
+    spec: MeasuredWalkSpec, step_map: Callable[[np.ndarray], np.ndarray] | None = None
+) -> Iterator[float]:
+    """Yield p(1), p(2), ... by iterating the survive-and-step map.
+
+    ``step_map``, when given, acts on U rho U+ before the detection (a
+    channel, say); the density matrix is then stepped even for a pure start.
+    """
     u = spec.walk.matrix
     fin = spec.final_array
-    if spec.psi0 is not None:
+    if spec.psi0 is not None and step_map is None:
         psi = spec.psi0.copy()
         while True:
             phi = u @ psi
             amp = phi[fin]
             p = float(np.real(np.vdot(amp, amp)))
-            phi = phi.copy()
             phi[fin] = 0.0
             psi = phi
             yield _clamp_probability(p)
     else:
-        rho = spec.rho0.copy()
+        rho = spec.rho0
+        u_dag = u.conj().T
         while True:
-            sig = u @ rho @ u.conj().T
+            sig = u @ rho @ u_dag
+            if step_map is not None:
+                sig = step_map(sig)
             p = float(np.real(np.sum(sig[fin, fin])))
             sig[fin, :] = 0.0
             sig[:, fin] = 0.0

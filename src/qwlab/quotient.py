@@ -1,24 +1,27 @@
 """Orbit bases, quotient graphs, and symmetry-reduced walks.
 
 A subgroup H of basis automorphisms partitions the (vertex, color) basis
-into orbits.  The uniform superpositions over orbits are the simultaneous
-eigenvalue-1 eigenvectors of all sigma(h); stacking them as columns of an
-isometry B gives the symmetric subspace.  When U commutes with every
-sigma(h) the walk restricted there is U_H = B+ U B, a coined walk on a
-smaller quotient graph whose vertices are orbit vertex-sets and whose
-shift is B+ S B (a permutation with 0/1 entries).
+into orbits, held as one label array: the orbit index of each basis index.
+The uniform superpositions over orbits are the simultaneous eigenvalue-1
+eigenvectors of all sigma(h); as columns they form an isometry B onto the
+symmetric subspace.  When U commutes with every sigma(h) the walk
+restricted there is U_H = B+ U B, a coined walk on a smaller quotient graph
+whose vertices are orbit vertex-sets.  B is never formed on these paths:
+U_H is scaled orbit sums of U's rows and then its columns, and the reduced
+shift B+ S B is a permutation of the orbits, read off the shift image.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import OracleMismatchError, SymmetryError
-from .graphs import BasisIndexing, ColoredGraph, glued_trees_columns
-from .groups import PermGroup, Permutation, generators_of, orbits
+from .graphs import ColoredGraph, glued_trees_columns
+from .groups import PermGroup, Permutation, generators_of, orbit_labels
 from .spectral import infinite_hitting_projector
 
 __all__ = [
@@ -48,34 +51,75 @@ _SYMMETRY_BLOCK_BYTES = 1 << 18  # per side, so that both blocks stay in cache
 
 @dataclass(frozen=True, eq=False)
 class OrbitBasis:
-    """Orbit partition plus the isometry into the symmetric subspace.
+    """Orbit partition of the walk basis, as one label array.
 
-    Column j of ``matrix`` is the normalized indicator of ``orbits[j]``;
-    orbits are ordered by smallest flat index, which fixes every reduced
-    matrix deterministically.  The orbits and every symmetry test need only
-    the subgroup's ``generators``; its elements are never listed.
+    ``labels[i]`` is the orbit of basis index i; orbits are numbered by
+    smallest member, which fixes every reduced matrix deterministically.
+    ``matrix``, the isometry whose column j is the normalized indicator of
+    orbit j, is built only when read.  The orbits and every symmetry test
+    need only the subgroup's ``generators``; its elements are never listed.
     """
 
-    orbits: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
+    labels: np.ndarray
     generators: tuple[Permutation, ...]
+
+    def __post_init__(self):
+        self.labels.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.labels.size
+
+    @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.labels)
 
     @property
     def num_orbits(self) -> int:
-        return len(self.orbits)
+        return self.sizes.size
+
+    @functools.cached_property
+    def _members(self) -> np.ndarray:
+        """Basis indices grouped by orbit, ascending within each orbit."""
+        return np.argsort(self.labels, kind="stable")
+
+    @functools.cached_property
+    def _starts(self) -> np.ndarray:
+        """Position in ``_members`` of each orbit's smallest member."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    @functools.cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(m.tolist()) for m in np.split(self._members, self._starts[1:]))
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        b = np.zeros((self.dim, self.num_orbits), dtype=complex)
+        b[np.arange(self.dim), self.labels] = 1.0 / np.sqrt(self.sizes[self.labels])
+        return b
 
 
 def orbit_basis(grp: PermGroup | Iterable[Permutation], dim: int) -> OrbitBasis:
     gens = generators_of(grp)
-    orbs = orbits(gens, dim)
-    b = np.zeros((dim, len(orbs)), dtype=complex)
-    for j, orb in enumerate(orbs):
-        b[list(orb), j] = 1.0 / np.sqrt(len(orb))
-    return OrbitBasis(orbs, b, gens)
+    return OrbitBasis(orbit_labels(gens, dim), gens)
+
+
+def _orbit_map(basis: OrbitBasis, image: np.ndarray, what: str) -> np.ndarray:
+    """Orbit map induced by a basis permutation given as its image: orbit j
+    goes where its smallest member goes; raises when another member does not."""
+    induced = basis.labels[image[basis._members[basis._starts]]]
+    split = np.flatnonzero(basis.labels[image] != induced[basis.labels])
+    if split.size:
+        raise SymmetryError(f"{what} scatters orbit {basis.labels[split[0]]} across orbits")
+    return induced
+
+
+def _orbit_sums(a: np.ndarray, basis: OrbitBasis, axis: int) -> np.ndarray:
+    """B+ a (axis 0) or a B (axis 1): each orbit's rows (columns) of a,
+    summed and scaled by 1/sqrt(orbit size)."""
+    sums = np.add.reduceat(np.take(a, basis._members, axis=axis), basis._starts, axis=axis)
+    scale = 1.0 / np.sqrt(basis.sizes)
+    return sums * (scale[:, None] if axis == 0 else scale)
 
 
 @dataclass(frozen=True)
@@ -110,15 +154,14 @@ def check_walk_symmetry(
 
 
 def quotient_walk(u, basis: OrbitBasis, *, atol: float = SYMMETRY_ATOL) -> np.ndarray:
-    """U_H = B+ U B; requires U to commute with the subgroup."""
+    """U_H = B+ U B by orbit sums; requires U to commute with the subgroup."""
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
     chk = check_walk_symmetry(m, basis.generators, atol=atol)
     if not chk.commutes:
         raise SymmetryError(
             f"walk leaks out of the symmetric subspace (residual {chk.max_residual:.3e})"
         )
-    b = basis.matrix
-    uh = b.conj().T @ m @ b
+    uh = _orbit_sums(_orbit_sums(m, basis, 0), basis, 1)
     defect = float(np.max(np.abs(uh.conj().T @ uh - np.eye(uh.shape[0]))))
     if defect > UNITARITY_ATOL:
         raise SymmetryError(f"reduced walk not unitary (defect {defect:.3e})")
@@ -136,7 +179,6 @@ class QuotientGraph:
 
     num_vertices: int
     vertex_slots: tuple[tuple[int, ...], ...]
-    orbit_vertex_sets: tuple[frozenset, ...]
     orbit_to_vertex: tuple[int, ...]
     connections: tuple[int, ...]
 
@@ -154,67 +196,52 @@ class QuotientGraph:
         return tuple(j for j, k in enumerate(self.connections) if j == k)
 
 
+def _is_permutation(image: np.ndarray, n: int) -> bool:
+    return image.shape == (n,) and bool(np.array_equal(np.sort(image), np.arange(n)))
+
+
 def quotient_shift_and_graph(
     s, basis: OrbitBasis, *, graph: ColoredGraph | None = None
 ) -> tuple[np.ndarray, QuotientGraph]:
     """Reduce the shift and read off the quotient graph.
 
-    ``s`` may be the shift matrix or its permutation image array.  The
-    reduced shift must be an exact 0/1 permutation, which holds precisely
-    when connected orbits have equal cardinality; anything else means the
-    subgroup was not a group of shift symmetries.
+    ``s`` is the shift's image array or its 0/1 permutation matrix.  The
+    reduced shift B+ S B is returned as its orbit image ``s_h``: column j
+    has its one entry in row ``s_h[j]``.  It is a 0/1 permutation exactly
+    when the shift carries each orbit whole onto an orbit of the same size;
+    anything else means the subgroup was not a group of shift symmetries.
     """
-    arr = np.asarray(s)
-    if arr.ndim == 1:
-        perm = arr.astype(int)
-        dim = perm.size
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[perm, np.arange(dim)] = 1.0
-    else:
-        mat = arr.astype(complex)
-    b = basis.matrix
-    sh = b.conj().T @ mat @ b
-    rounded = np.where(np.abs(sh) > ENTRY_ATOL, sh, 0.0)
-    if np.max(np.abs(rounded.imag)) > ENTRY_ATOL:
-        raise SymmetryError("reduced shift has complex entries")
-    sh_real = rounded.real
-    if np.max(np.abs(sh_real - np.round(sh_real))) > 1e-9:
-        raise SymmetryError(
-            "reduced shift entries are not 0/1; connected orbits differ in size"
-        )
-    sh01 = np.round(sh_real)
-    if not (np.all(sh01.sum(axis=0) == 1) and np.all(sh01.sum(axis=1) == 1)):
-        raise SymmetryError("reduced shift is not a permutation")
+    image = np.asarray(s)
+    if image.ndim == 2:
+        cols, rows = np.nonzero(image.T)
+        if not (np.array_equal(cols, np.arange(len(image))) and np.all(image[rows, cols] == 1)):
+            raise ValueError("shift matrix is not a 0/1 permutation matrix")
+        image = rows
+    if not _is_permutation(image, basis.dim):
+        raise ValueError("shift image is not a permutation of the walk basis")
+    conn = _orbit_map(basis, image, "shift")
+    if not np.array_equal(basis.sizes[conn], basis.sizes):
+        raise SymmetryError("reduced shift entries are not 0/1; connected orbits differ in size")
 
-    idx = None
-    if graph is not None:
-        idx = BasisIndexing.from_graph(graph)
-
-    def vertex_set(orb: tuple[int, ...]) -> frozenset:
-        if idx is not None:
-            return frozenset(idx.pair(i)[0] for i in orb)
-        return frozenset(orb)  # fall back to index sets when no graph is given
-
-    vsets = tuple(vertex_set(o) for o in basis.orbits)
-    seen: dict[frozenset, int] = {}
-    slots: list[list[int]] = []
-    orbit_to_vertex = []
-    for j, vs in enumerate(vsets):
-        if vs not in seen:
-            seen[vs] = len(slots)
-            slots.append([])
-        q = seen[vs]
+    # without a graph, index sets stand in for vertex sets
+    vertex_of = np.arange(basis.dim) if graph is None else np.repeat(
+        np.arange(graph.num_vertices), graph.degrees
+    )
+    vertex_ids: dict[frozenset, int] = {}
+    orbit_to_vertex = tuple(
+        vertex_ids.setdefault(frozenset(vertex_of[list(o)].tolist()), len(vertex_ids))
+        for o in basis.orbits
+    )
+    slots: list[list[int]] = [[] for _ in vertex_ids]
+    for j, q in enumerate(orbit_to_vertex):
         slots[q].append(j)
-        orbit_to_vertex.append(q)
-    connections = tuple(int(np.argmax(sh01[:, j])) for j in range(len(basis.orbits)))
     qg = QuotientGraph(
         num_vertices=len(slots),
-        vertex_slots=tuple(tuple(s_) for s_ in slots),
-        orbit_vertex_sets=vsets,
-        orbit_to_vertex=tuple(orbit_to_vertex),
-        connections=connections,
+        vertex_slots=tuple(map(tuple, slots)),
+        orbit_to_vertex=orbit_to_vertex,
+        connections=tuple(conn.tolist()),
     )
-    return sh01.astype(complex), qg
+    return conn, qg
 
 
 def quotient_coin(
@@ -222,15 +249,14 @@ def quotient_coin(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """C_H = S_H+ U_H with its per-vertex unitary blocks.
 
-    The reduced shift is a permutation, so its adjoint is its inverse and
-    each direction slot has a unique partner.  Off-block mass or a
-    non-permutation shift raises.
+    ``s_h`` is the reduced shift's orbit image, so row j of C_H is row
+    ``s_h[j]`` of U_H.  Off-block mass or a non-permutation shift raises.
     """
+    u_h = np.asarray(u_h, dtype=complex)
     s_h = np.asarray(s_h)
-    perm_defect = np.max(np.abs(s_h @ s_h.conj().T - np.eye(s_h.shape[0])))
-    if perm_defect > 1e-12 or np.max(np.abs(s_h - np.round(s_h.real))) > 1e-12:
-        raise ValueError("reduced shift must be a 0/1 permutation matrix")
-    c_h = s_h.conj().T @ np.asarray(u_h, dtype=complex)
+    if not _is_permutation(s_h, u_h.shape[0]):
+        raise ValueError("reduced shift must be a permutation of the orbits")
+    c_h = u_h[s_h]
     blocks = []
     mask = np.zeros_like(c_h, dtype=bool)
     for slots in qgraph.vertex_slots:
@@ -356,14 +382,6 @@ class QuotientHittingVerdict:
         return self.intersection_dim > 0
 
 
-def _final_indices_invariant(final: np.ndarray, gens: tuple[Permutation, ...]) -> bool:
-    fin = set(int(i) for i in final)
-    for h in gens:
-        if {h.image[i] for i in fin} != fin:
-            return False
-    return True
-
-
 def quotient_infinite_hitting(
     u,
     basis: OrbitBasis,
@@ -374,37 +392,28 @@ def quotient_infinite_hitting(
     """Decide infinite hitting on the quotient by two independent routes.
 
     Route 1 intersects the full-space trapped subspace with the symmetric
-    subspace via principal angles; route 2 builds the trapped projector of
-    the reduced walk directly.  The measurement must commute with the
-    subgroup, otherwise the measured walk leaves the quotient.
+    subspace via principal angles, the singular values of B+ V for the
+    trapped basis V; route 2 builds the trapped projector of the reduced
+    walk directly.  The measurement must commute with the subgroup, that
+    is, no orbit may straddle the finals; otherwise the measured walk
+    leaves the quotient.
     """
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
-    final = np.asarray(sorted(int(i) for i in final_indices), dtype=int)
-    if not _final_indices_invariant(final, basis.generators):
+    final = np.unique(np.asarray(final_indices, dtype=int))
+    inside = np.bincount(basis.labels[final], minlength=basis.num_orbits)
+    if np.any((inside > 0) & (inside < basis.sizes)):
         raise SymmetryError(
             "final-vertex projector does not commute with the subgroup"
         )
+    final_orbits = np.flatnonzero(inside)
+    if not final_orbits.size:
+        raise SymmetryError("final projector has no support on the quotient")
 
     report_full = infinite_hitting_projector(m, final)
-    b = basis.matrix
-    if report_full.basis.shape[1] == 0:
-        dim_full = 0
-    else:
-        cosines = np.linalg.svd(report_full.basis.conj().T @ b, compute_uv=False)
-        dim_full = int(np.sum(cosines > 1.0 - angle_atol))
+    cosines = np.linalg.svd(_orbit_sums(report_full.basis, basis, 0), compute_uv=False)
+    dim_full = int(np.sum(cosines > 1.0 - angle_atol))
 
-    u_h = quotient_walk(m, basis)
-    p_fh = np.zeros((basis.num_orbits, basis.num_orbits), dtype=complex)
-    fin_set = set(int(i) for i in final)
-    for j, orb in enumerate(basis.orbits):
-        inside = sum(1 for i in orb if i in fin_set)
-        if inside == len(orb):
-            p_fh[j, j] = 1.0
-        elif inside:
-            raise SymmetryError("an orbit straddles the final projector")
-    if not np.any(np.diag(p_fh).real > 0.5):
-        raise SymmetryError("final projector has no support on the quotient")
-    report_q = infinite_hitting_projector(u_h, p_fh)
+    report_q = infinite_hitting_projector(quotient_walk(m, basis), final_orbits)
     dim_q = report_q.trace_int
     if abs(report_q.trace_p - dim_q) > 1e-6:
         raise OracleMismatchError(
@@ -427,36 +436,19 @@ def quotient_automorphism_check(
 ) -> bool:
     """True when an orbit-respecting automorphism preserves the reduced shift.
 
-    Raises when p does not map orbits onto orbits (membership in the
-    orbit-stabilizing subgroup fails).
+    ``s_h`` is the reduced shift's orbit image.  Raises when p does not map
+    orbits onto orbits (membership in the orbit-stabilizing subgroup fails).
     """
-    orbit_of = {}
-    for j, orb in enumerate(basis.orbits):
-        for i in orb:
-            orbit_of[i] = j
-    induced = []
-    for j, orb in enumerate(basis.orbits):
-        images = {orbit_of[p(i)] for i in orb}
-        if len(images) != 1:
-            raise SymmetryError(f"permutation scatters orbit {j} across orbits")
-        induced.append(images.pop())
-    if sorted(induced) != list(range(len(basis.orbits))):
-        raise SymmetryError("induced orbit map is not a permutation")
-    s01 = np.round(np.asarray(s_h).real).astype(int)
-    for j in range(len(induced)):
-        k = int(np.argmax(s01[:, j]))
-        if s01[induced[k], induced[j]] != 1:
-            return False
-    return True
+    induced = _orbit_map(basis, np.asarray(p.image), "permutation")
+    s_h = np.asarray(s_h)
+    return bool(np.array_equal(s_h[induced], induced[s_h]))
 
 
 def quotient_graph_to_dict(qg: QuotientGraph, s_h: np.ndarray) -> dict:
     """Quotient graph in the shared edge-list schema, with self-loop markers."""
-    s01 = np.round(np.asarray(s_h).real).astype(int)
     edges = []
     done = set()
-    for j in range(len(qg.orbit_to_vertex)):
-        k = int(np.argmax(s01[:, j]))
+    for j, k in enumerate(np.asarray(s_h).tolist()):
         key = (min(j, k), max(j, k))
         if key in done:
             continue

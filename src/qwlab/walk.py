@@ -31,15 +31,10 @@ COIN_UNITARITY_ATOL = 1e-10
 PROPAGATOR_UNITARITY_ATOL = 1e-9
 
 
-def _unitarity_defect(m: np.ndarray) -> float:
-    d = m.shape[0]
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
-
-
 def _require_unitary(m: np.ndarray, atol: float, what: str):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
-    defect = _unitarity_defect(m)
+    defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
     if defect > atol:
         raise ValueError(f"{what} is not unitary (defect {defect:.3e} > {atol:.0e})")
 
@@ -98,7 +93,10 @@ def custom_coin(matrix: np.ndarray, kind: str = "custom") -> Coin:
 
 
 def evolution_operator(g: ColoredGraph, coin: Coin) -> WalkOperator:
-    """U = S (I (x) C) for a regular, consistently colored graph."""
+    """U = S (I (x) C) for a regular, consistently colored graph.
+
+    U is a row permutation of I (x) C, so it is as unitary as the coin.
+    """
     if not g.is_regular:
         raise ValueError("coined evolution needs a regular graph")
     if not g.is_consistently_colored:
@@ -109,7 +107,6 @@ def evolution_operator(g: ColoredGraph, coin: Coin) -> WalkOperator:
     image = shift_permutation(g)
     u = np.empty((image.size, image.size), dtype=complex)
     u[image] = np.kron(np.eye(g.num_vertices), coin.matrix)  # row j of I (x) C is row image[j] of U
-    _require_unitary(u, COIN_UNITARITY_ATOL, "evolution operator")
     return WalkOperator(u, graph=g, coin=coin)
 
 

@@ -92,6 +92,20 @@ class TestHittingCommand:
             "escape_atol": hitting.ESCAPE_ATOL,
         }
         assert manifest["numpy_version"] == np.__version__
+        for argv in (
+            ["spectrum", "--graph", "hypercube:2"],
+            ["quotient", "--graph", "hypercube:2", "--subgroup", "(1,2)"],
+            ["dfs", "--graph", "hypercube:3"],
+            ["classical", "--hypercube", "3"],
+        ):
+            code, out = run_cli(*argv)
+            assert code == 0
+            if argv[0] == "classical":
+                line = next(l for l in out.splitlines() if l.startswith("# manifest="))
+                manifest = json.loads(line[len("# manifest="):])
+            else:
+                manifest = json.loads(out)["manifest"]
+            assert manifest["numpy_version"] == np.__version__, argv[0]
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_hypercube_matches_line_walk(self, n):
@@ -206,6 +220,7 @@ class TestQuotientCommand:
         payload = json.loads(out)
         assert payload["orbits"] == [[0, 1], [2, 5], [3, 4], [6, 9], [7, 8], [10, 11]]
         assert payload["quotient_graph"]["num_vertices"] == 4
+        assert payload["s_h"] == [1, 0, 4, 5, 2, 3]
         u_h = np.array([[complex(re, im) for re, im in row] for row in payload["u_h"]])
         assert np.max(np.abs(u_h.conj().T @ u_h - np.eye(6))) < 1e-10
 

@@ -1,7 +1,10 @@
+import functools
+import io
+
 import numpy as np
 import pytest
 
-from qwlab import graphs, groups, hitting, quotient, walk
+from qwlab import cli, graphs, groups, hitting, quotient, spectral, walk
 from qwlab.errors import SymmetryError
 
 from conftest import direction_group, full_direction_group, subgroup_forms
@@ -210,7 +213,7 @@ class TestQuotientShiftAndGraph:
         sh, qg = quotient.quotient_shift_and_graph(
             graphs.shift_matrix(cay.graph), basis, graph=cay.graph
         )
-        assert set(np.unique(sh.real)) <= {0.0, 1.0}
+        assert sorted(sh.tolist()) == list(range(6))
         assert qg.num_vertices == 4
         assert qg.degrees == (1, 2, 2, 1)
         assert qg.connections == (1, 0, 4, 5, 2, 3)
@@ -245,6 +248,16 @@ class TestQuotientShiftAndGraph:
         payload = quotient.quotient_graph_to_dict(qg, sh)
         assert any(e.get("self_loop") for e in payload["edges"])
 
+    @pytest.mark.parametrize(
+        "shift",
+        [np.full((8, 8), 0.125), np.eye(8)[[1, 0, 2, 3, 4, 5, 6, 7]] * 2, np.zeros(8, dtype=int)],
+        ids=["dense-uniform", "dense-scaled", "image-not-bijective"],
+    )
+    def test_non_permutation_shift_rejected(self, shift):
+        basis = quotient.orbit_basis(groups.closure([], dim=8), 8)
+        with pytest.raises(ValueError, match="permutation"):
+            quotient.quotient_shift_and_graph(shift, basis)
+
     def test_non_symmetry_subgroup_rejected(self):
         cay = graphs.cayley_hypercube(2)
         rogue = groups.Permutation((1, 0) + tuple(range(2, 8)))
@@ -271,7 +284,7 @@ class TestQuotientCoin:
         flip = np.array([[0, 1], [1, 0]])
         assert np.max(np.abs(blocks[1] - flip)) < 1e-12
         assert np.max(np.abs(blocks[2] - flip)) < 1e-12
-        assert np.max(np.abs(sh @ c_h - uh)) < 1e-12
+        assert np.max(np.abs(c_h[np.argsort(sh)] - uh)) < 1e-12
 
     def test_cube_stabilizer_blocks(self):
         # fixing one direction leaves 2x2 mixing blocks and 3x3 uniform blocks
@@ -302,7 +315,7 @@ class TestQuotientCoin:
 
     def test_rejects_non_permutation_shift(self):
         with pytest.raises(ValueError, match="permutation"):
-            quotient.quotient_coin(np.eye(2), np.array([[0.5, 0.5], [0.5, 0.5]]), None)
+            quotient.quotient_coin(np.eye(2), np.array([0, 0]), None)
 
 
 class TestLineReduction:
@@ -433,3 +446,79 @@ class TestQuotientAutomorphismCheck:
         rogue = groups.Permutation(tuple(image))
         with pytest.raises(SymmetryError):
             quotient.quotient_automorphism_check(rogue, basis, sh)
+
+
+def dense_isometry(orbits, dim):
+    b = np.zeros((dim, len(orbits)))
+    for j, orb in enumerate(orbits):
+        b[list(orb), j] = 1.0 / np.sqrt(len(orb))
+    return b
+
+
+ORACLE_GRAPHS = {
+    "cayley:s3:2gen": graphs.cayley_s3_2gen,
+    "cayley:s3:3gen": graphs.cayley_s3_3gen,
+    "cayley:s4:3gen": graphs.cayley_s4_3gen,
+    **{f"hypercube:{n}": functools.partial(graphs.cayley_hypercube, n) for n in (3, 4, 5)},
+}
+
+
+class TestLabelSumsAgainstDenseIsometry:
+    """The label-array paths against B, S and B+ U B built densely here."""
+
+    @pytest.mark.parametrize("subgroup", ["(1,2)", "full", "trivial"])
+    @pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+    def test_walk_shift_and_verdict(self, name, subgroup):
+        cay = ORACLE_GRAPHS[name]()
+        g = cay.graph
+        op = walk.evolution_operator(g, walk.grover_coin(cay.degree))
+        grp = {
+            "(1,2)": lambda: direction_group(cay, "(1,2)"),
+            "full": lambda: full_direction_group(cay),
+            "trivial": lambda: groups.closure([], dim=op.dim),
+        }[subgroup]()
+        basis = quotient.orbit_basis(grp.generators, op.dim)
+        b = dense_isometry(basis.orbits, op.dim)
+        dense_uh = b.T @ op.matrix @ b
+        assert np.max(np.abs(quotient.quotient_walk(op, basis) - dense_uh)) <= 1e-13
+
+        sh, qg = quotient.quotient_shift_and_graph(graphs.shift_permutation(g), basis, graph=g)
+        dense_sh = b.T @ graphs.shift_matrix(g) @ b
+        assert np.max(np.abs(dense_sh - np.round(dense_sh.real))) < 1e-12
+        assert sh.tolist() == np.argmax(dense_sh.real, axis=0).tolist() == list(qg.connections)
+
+        final = graphs.BasisIndexing.from_graph(g).indices_for([cay.vertex_index[cay.identity]])
+        verdict = quotient.quotient_infinite_hitting(op, basis, final)
+        report = spectral.infinite_hitting_projector(op.matrix, final)
+        cosines = np.linalg.svd(report.basis.conj().T @ b, compute_uv=False)
+        p_fh = np.diag([float(set(o) <= set(final.tolist())) for o in basis.orbits])
+        report_q = spectral.infinite_hitting_projector(dense_uh, p_fh)
+        assert verdict.intersection_dim == int(np.sum(cosines > 1.0 - 1e-8))
+        assert verdict.intersection_dim == report_q.trace_int
+        assert abs(verdict.full_trace - report.trace_p) <= 1e-12
+        assert abs(verdict.quotient_trace - report_q.trace_p) <= 1e-12
+
+
+@pytest.mark.parametrize("descriptor", ["hypercube:4", "cayley:s4:3gen"])
+def test_symmetry_paths_build_no_dense_isometry_or_shift(monkeypatch, descriptor):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symmetry path built a dense D x D matrix")
+
+    monkeypatch.setattr(graphs, "shift_matrix", refuse)
+    monkeypatch.setattr(groups.Permutation, "matrix", refuse)
+    made, build = [], quotient.orbit_basis
+    monkeypatch.setattr(quotient, "orbit_basis", lambda *a: made.append(build(*a)) or made[-1])
+    g, cay, _ = cli.resolve_graph(descriptor, None)
+    texts = [f"({i},{i + 1})" for i in range(1, cay.degree)]
+    argv = ["quotient", "--graph", descriptor]
+    for text in texts:
+        argv += ["--subgroup", text]
+    for coin in ([], ["--coin", "grover"]):
+        assert cli.main(argv + coin, out=io.StringIO()) == 0
+
+    op = walk.evolution_operator(g, walk.grover_coin(cay.degree))
+    basis = quotient.orbit_basis(cli.resolve_subgroup(texts, cay), op.dim)
+    final = graphs.BasisIndexing.from_graph(g).indices_for([cay.vertex_index[cay.identity]])
+    quotient.quotient_infinite_hitting(op, basis, final)
+    assert len(made) == 3
+    assert all("matrix" not in vars(b) for b in made)

@@ -90,6 +90,17 @@ class TestEvolutionOperator:
         with pytest.raises(ValueError):
             walk.evolution_operator(g, walk.grover_coin(3))
 
+    def test_non_unitary_coin_rejected_before_u_is_built(self, monkeypatch):
+        # U is not checked itself: it is a row permutation of I (x) C
+        def refuse(*args, **kwargs):
+            raise AssertionError("U was assembled from a non-unitary coin")
+
+        monkeypatch.setattr(walk, "shift_permutation", refuse)
+        with pytest.raises(ValueError, match="coin is not unitary"):
+            walk.evolution_operator(
+                graphs.build_cycle(4), walk.custom_coin(np.array([[1.0, 0.1], [0.0, 1.0]]))
+            )
+
     @pytest.mark.parametrize(
         "g, d",
         [
