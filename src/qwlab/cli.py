@@ -132,6 +132,12 @@ def resolve_subgroup(tokens: list[str], cay) -> tuple[groups.Permutation, ...]:
 # Output plumbing
 # ----------------------------------------------------------------------
 
+def _manifest(command: str, **fields) -> dict:
+    """A subcommand's manifest: its fields plus the versions every one records."""
+    return {"command": command, **fields, "numpy_version": np.__version__,
+            "tool_version": __version__}
+
+
 def manifest_json(manifest: dict) -> str:
     return json.dumps(manifest, sort_keys=True, separators=(",", ":"))
 
@@ -153,7 +159,7 @@ def emit_json(out, payload: dict, manifest: dict):
     payload = dict(payload)
     payload["manifest"] = manifest
     payload["manifest_sha256"] = manifest_hash(manifest)
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _result_row(result: hitting.HittingResult) -> list:
@@ -170,39 +176,37 @@ def _result_row(result: hitting.HittingResult) -> list:
 # Subcommands
 # ----------------------------------------------------------------------
 
-def cmd_hitting(args, out) -> int:
+def _measured_walk(args):
+    """(graph, manifest fields, spec) for the walk that --graph, --coin,
+    --final and --start describe."""
     g, cay, descr = resolve_graph(args.graph, args.graph_file)
     coin = resolve_coin(args.coin, g.degree_value)
     final = resolve_final(args.final, g, cay)
     start = resolve_start(args.start, g)
     op = walk.evolution_operator(g, coin)
-    spec = hitting.measured_walk(op, start, final_vertices=final)
-    manifest = {
-        "command": "hitting",
-        "graph": descr,
-        "coin": args.coin,
-        "start": args.start,
-        "final": list(final),
-        "method": args.method,
-        "epsilon": args.epsilon,
-        "step_cap": args.step_cap,
-        "tolerances": {
+    fields = {"graph": descr, "coin": args.coin, "start": args.start, "final": list(final)}
+    return g, fields, hitting.measured_walk(op, start, final_vertices=final)
+
+
+def cmd_hitting(args, out) -> int:
+    _, fields, spec = _measured_walk(args)
+    manifest = _manifest(
+        "hitting",
+        **fields,
+        method=args.method,
+        epsilon=args.epsilon,
+        step_cap=args.step_cap,
+        tolerances={
             "singular_rtol": hitting.SINGULAR_RTOL,
             "escape_atol": hitting.ESCAPE_ATOL,
         },
-        "numpy_version": np.__version__,
-        "tool_version": __version__,
-    }
+    )
     if args.method == "series":
         result = hitting.hitting_time_series(spec, args.epsilon, step_cap=args.step_cap)
     else:
         result = hitting.hitting_time_closed_form(spec)
-    emit_csv(
-        out,
-        ["graph", "kind", "tau", "method", "escape", "arrival_mass"],
-        [[descr] + _result_row(result)],
-        manifest,
-    )
+    header = ["graph", "kind", "tau", "method", "escape", "arrival_mass"]
+    emit_csv(out, header, [[fields["graph"]] + _result_row(result)], manifest)
     if args.distribution is not None:
         dist = hitting.first_hit_distribution(spec, args.horizon)
         body = hitting.distribution_csv(dist)
@@ -213,41 +217,28 @@ def cmd_hitting(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    g, cay, descr = resolve_graph(args.graph, args.graph_file)
-    coin = resolve_coin(args.coin, g.degree_value)
-    final = resolve_final(args.final, g, cay)
-    start = resolve_start(args.start, g)
-    op = walk.evolution_operator(g, coin)
-    spec = hitting.measured_walk(op, start, final_vertices=final)
+    g, fields, spec = _measured_walk(args)
     grid = [float(tok) for tok in args.p_grid.split(",")]
     kinds = args.kinds.split(",")
-    manifest = {
-        "command": "sweep-decoherence",
-        "graph": descr,
-        "coin": args.coin,
-        "start": args.start,
-        "final": list(final),
-        "kinds": kinds,
-        "p_grid": grid,
-        "tolerances": {
+    manifest = _manifest(
+        "sweep-decoherence",
+        **fields,
+        kinds=kinds,
+        p_grid=grid,
+        tolerances={
             "singular_rtol": hitting.SINGULAR_RTOL,
             "escape_atol": hitting.ESCAPE_ATOL,
             "gmres_rtol": decoherence.GMRES_RTOL,
             "gmres_restart": decoherence.GMRES_RESTART,
             "gmres_stall": decoherence.GMRES_STALL,
         },
-        "numpy_version": np.__version__,
-        "tool_version": __version__,
-    }
+    )
     rows = []
     for kind in kinds:
         for p in grid:
             ch = decoherence.dephasing_channel(kind, p, g.num_vertices, g.degree_value)
             result = decoherence.decohered_hitting_time(spec, ch)
-            rows.append(
-                [kind, f"{p:.12g}"]
-                + _result_row(result)[1:4]
-            )
+            rows.append([kind, f"{p:.12g}"] + _result_row(result)[1:4])
     emit_csv(out, ["kind", "p", "tau", "method", "escape"], rows, manifest)
     return 0
 
@@ -267,14 +258,7 @@ def cmd_spectrum(args, out) -> int:
     payload["degeneracy_condition"] = spectral.degeneracy_condition(
         report.clusters, g.degree_value
     )
-    manifest = {
-        "command": "spectrum",
-        "graph": descr,
-        "coin": args.coin,
-        "final": list(final),
-        "numpy_version": np.__version__,
-        "tool_version": __version__,
-    }
+    manifest = _manifest("spectrum", graph=descr, coin=args.coin, final=list(final))
     emit_json(out, payload, manifest)
     return 0
 
@@ -295,14 +279,7 @@ def cmd_quotient(args, out) -> int:
         op = walk.evolution_operator(g, coin)
         uh = quotient.quotient_walk(op.matrix, basis)
         payload["u_h"] = walk.matrix_to_json(uh)
-    manifest = {
-        "command": "quotient",
-        "graph": descr,
-        "coin": args.coin,
-        "subgroup": args.subgroup,
-        "numpy_version": np.__version__,
-        "tool_version": __version__,
-    }
+    manifest = _manifest("quotient", graph=descr, coin=args.coin, subgroup=args.subgroup)
     emit_json(out, payload, manifest)
     return 0
 
@@ -330,14 +307,7 @@ def cmd_dfs(args, out) -> int:
         "witness": None if verdict.witness is None else list(verdict.witness),
         "num_orbits": basis.num_orbits,
     }
-    manifest = {
-        "command": "dfs",
-        "graph": descr,
-        "kappas": kappas,
-        "subgroup": subgroup,
-        "numpy_version": np.__version__,
-        "tool_version": __version__,
-    }
+    manifest = _manifest("dfs", graph=descr, kappas=kappas, subgroup=subgroup)
     emit_json(out, payload, manifest)
     return 0
 
@@ -345,14 +315,7 @@ def cmd_dfs(args, out) -> int:
 def cmd_classical(args, out) -> int:
     n = args.hypercube
     tau = hitting.classical_hypercube_hitting(n)
-    manifest = {
-        "command": "classical",
-        "hypercube": n,
-        "mc_trials": args.mc_trials,
-        "seed": args.seed,
-        "numpy_version": np.__version__,
-        "tool_version": __version__,
-    }
+    manifest = _manifest("classical", hypercube=n, mc_trials=args.mc_trials, seed=args.seed)
     row = [n, f"{tau:.12g}", None, None, args.mc_trials, args.seed]
     if args.mc_trials:
         g = graphs.build_hypercube(n)

@@ -44,8 +44,8 @@ from . import spectral
 from .errors import IndeterminateError
 from .hitting import (
     ESCAPE_ATOL,
-    DEFAULT_DIM_GUARD,
     DEFAULT_STEP_CAP,
+    MAX_DOUBLINGS,
     SINGULAR_RTOL,
     METHOD_CLOSED_FORM,
     METHOD_PSEUDO_INVERSE,
@@ -55,6 +55,7 @@ from .hitting import (
     _hit_probabilities,
     _doubling_powers,
     _stein_sum,
+    _check_memory,
     hitting_time_closed_form,
 )
 
@@ -85,6 +86,10 @@ DFS_ATOL = 1e-9
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 40
 GMRES_STALL = 0.5
+# complex D x D arrays held during a solve: the Krylov basis, at most
+# MAX_DOUBLINGS preconditioner powers, ten more (9.5 measured on
+# hypercube:4-5), and U, rho_0 and a dephasing multiplier held by the caller
+DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 13
 
 KIND_BOTH = "both"
 KIND_COIN = "coin"
@@ -396,7 +401,6 @@ def decohered_hitting_time(
     spec: MeasuredWalkSpec,
     ch: Channel,
     *,
-    dim_guard: int = DEFAULT_DIM_GUARD,
     singular_rtol: float = SINGULAR_RTOL,
     escape_atol: float = ESCAPE_ATOL,
 ) -> HittingResult:
@@ -411,14 +415,12 @@ def decohered_hitting_time(
     Tr(p rho_0) above ``escape_atol`` is infinite (``closed_form``), else
     tau = Tr(X (I - p) rho_0 (I - p)) (``pseudo_inverse``), the Moore-Penrose
     value for a unital channel.  A second stagnating solve, as when a channel
-    moves mass into a region it keeps, raises IndeterminateError.
+    moves mass into a region it keeps, raises IndeterminateError.  A solve
+    that would not fit in the memory budget is refused first.
     """
     if ch.is_identity and ch.dim == spec.dim:
-        return hitting_time_closed_form(
-            spec, dim_guard=dim_guard, singular_rtol=singular_rtol, escape_atol=escape_atol
-        )
-    if spec.dim > dim_guard:
-        raise ValueError(f"dimension {spec.dim} exceeds guard {dim_guard}")
+        return hitting_time_closed_form(spec, singular_rtol=singular_rtol, escape_atol=escape_atol)
+    _check_memory(spec.dim, DECOHERED_WORK_ARRAYS * spec.dim**2)
     eye = np.eye(spec.dim, dtype=complex)
     x = _SurvivalMap(spec, ch).solve(eye, singular_rtol)
     if x is not None:

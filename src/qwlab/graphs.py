@@ -347,9 +347,6 @@ class CayleyGraph:
     def vertex_of(self, element) -> int:
         return self.vertex_index[element]
 
-    def element_of(self, v: int):
-        return self.elements[v]
-
     def vertex_of_word(self, word: Iterable[int]) -> int:
         """Vertex reached from the identity by following 1-based generator indices."""
         g = self.identity

@@ -91,11 +91,6 @@ class Permutation:
         m[np.asarray(self.image), np.arange(d)] = 1
         return m
 
-    def apply_to_vector(self, vec: np.ndarray) -> np.ndarray:
-        out = np.empty_like(vec)
-        out[np.asarray(self.image)] = vec
-        return out
-
 
 def _index_dtype(degree: int) -> type:
     return np.int16 if degree < 32768 else np.int32
@@ -136,10 +131,6 @@ class PermGroup:
         if p.degree != self.degree:
             return False
         return np.asarray(p.image, dtype=self.table.dtype).tobytes() in self._row_keys
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -10,23 +10,26 @@ arrives, tau is the summed survival mass: with A = Q_f U,
 
     tau = sum_{t>=0} Tr(A^t rho_0 A^t+) = Tr(X rho_0),
 
-where X = sum_t (A^t)+ A^t solves the Stein equation X - A+ X A = I.  The
-closed form solves it by Smith doubling in D x D matrices, O(D^3) time and
-O(D^2) memory; a solve that does not converge, leaves a residual above the
-bound or produces a non-finite entry raises IndeterminateError.
+where X = sum_t (A^t)+ A^t solves the Stein equation X - A+ X A = I.
 
-The sum defining X converges exactly when A has spectral radius below one,
-i.e. when U has no eigenvector without final-vertex amplitude.  Otherwise the
-spectral module's trapped projector P decides: a start state with mass in
-ran(P) never arrives (an infinite hitting time with that escape mass); one
-without is solved with A (I - P) on the trapped complement.  ran(P) reduces
-A, so this equals the Moore-Penrose value of the vectorized formula
+The sum converges exactly when U has no trapped eigenvector, one without
+final-vertex amplitude.  A start state with mass in the trapped subspace
+never arrives: an infinite hitting time with that escape mass (Krovi and
+Brun, PRA 74, 042334 (2006)).  Otherwise the closed form solves in the
+orthonormal eigenbasis W of U's other eigenvectors, whose range holds the
+finals and reduces A to the r x r matrix A_r = W+ A W, formed from U so
+that the residual checks the walk itself: Smith doubling in r dimensions
+after an O(D^3) eigensolve, in O(D^2) memory, each refused before it
+allocates if its estimated working set exceeds the memory budget.  A
+solve that does not converge, leaves a residual above the bound or
+produces a non-finite entry raises IndeterminateError.  With a trapped
+subspace this is the Moore-Penrose value of the vectorized formula
 
     tau = vec(I) . Y (I - N)^(-2) vec(rho_0),   N = A (x) A*,
 
 whose dense D^2 x D^2 superoperators are kept as a small-D test oracle.
-The decohered closed form (decoherence module) takes the same route for
-its own Heisenberg equation, with the same Smith doubling as preconditioner.
+The decohered closed form (decoherence module) solves its own Heisenberg
+equation by GMRES, with the same Smith doubling as preconditioner.
 
 Classical baselines: the exact hypercube first-passage time from the
 Hamming-weight recursion, and a seeded Monte Carlo estimator that serves
@@ -35,7 +38,9 @@ as the oracle on arbitrary graphs.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -68,11 +73,19 @@ __all__ = [
 ]
 
 DEFAULT_STEP_CAP = 1_000_000
-DEFAULT_DIM_GUARD = 512
 SINGULAR_RTOL = 1e-9
 ESCAPE_ATOL = 1e-9
 STALL_GAIN = 1e-12
 MAX_DOUBLINGS = 64
+# complex arrays held at once: the eigensolve's (3.0-3.5 D^2 measured) beside
+# U and rho_0; at most MAX_DOUBLINGS powers and X in r dimensions beside U,
+# rho_0, the report's bases and U W (STEIN_HELD_ARRAYS D^2)
+EIGENSOLVE_WORK_ARRAYS = 6
+STEIN_WORK_ARRAYS = MAX_DOUBLINGS + 5
+STEIN_HELD_ARRAYS = 4
+# where this process's cgroups are listed, and where they are mounted
+PROC_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_PSEUDO_INVERSE = "pseudo_inverse"
@@ -520,6 +533,42 @@ def _stein_sum(powers: list[np.ndarray], c: np.ndarray) -> np.ndarray:
     return x
 
 
+@functools.cache
+def _memory_budget() -> int:
+    """Physical memory, or the lowest memory limit set on this process's
+    cgroup (v2, or v1's memory controller) or one of its ancestors; read
+    once per process."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open(PROC_CGROUP) as f:
+            listing = [line.split(":", 2) for line in f.read().splitlines()]
+    except OSError:
+        listing = []
+    for _, controllers, path in listing:
+        v1 = "memory" in controllers.split(",")
+        if controllers and not v1:
+            continue
+        parts = [CGROUP_ROOT, "memory"] if v1 else [CGROUP_ROOT]
+        for part in path.split("/"):  # the mount root, then one level down at a time
+            parts.append(part)
+            try:
+                with open(os.path.join(*parts, "memory.limit_in_bytes" if v1 else "memory.max")) as f:
+                    budget = min(budget, int(f.read()))
+            except (OSError, ValueError):  # no such file, or "max"
+                pass
+    return budget
+
+
+def _check_memory(dim: int, entries: int) -> None:
+    """Refuse a solve in dimension ``dim`` before it allocates: an estimated
+    ``entries`` complex numbers held at once beyond the memory budget."""
+    need = entries * np.dtype(complex).itemsize
+    budget = _memory_budget()
+    if need > budget:
+        raise ValueError(f"dimension {dim} needs an estimated {need / 2**20:.0f} MiB, "
+                         f"over a memory budget of {budget / 2**20:.0f} MiB")
+
+
 def _stein_trace(a: np.ndarray, rho: np.ndarray, *, residual_rtol: float) -> float:
     """Tr(X rho) for the solution X = sum_t (A^t)+ A^t of X - A+ X A = I."""
     eye = np.eye(a.shape[0], dtype=complex)
@@ -535,40 +584,37 @@ def _stein_trace(a: np.ndarray, rho: np.ndarray, *, residual_rtol: float) -> flo
 def hitting_time_closed_form(
     spec: MeasuredWalkSpec,
     *,
-    dim_guard: int = DEFAULT_DIM_GUARD,
     singular_rtol: float = SINGULAR_RTOL,
     escape_atol: float = ESCAPE_ATOL,
 ) -> HittingResult:
     """Expected hitting time from the Stein equation X - A+ X A = I, A = Q_f U.
 
-    The trapped-subspace projector P picks the route: with no trapped
-    subspace the solve covers the whole space (method ``closed_form``);
-    escape mass above ``escape_atol`` makes the hitting time infinite
-    (method ``closed_form``, with its escape probability); otherwise the
-    solve uses A (I - P) and (I - P) rho_0 (I - P), which equals the
-    pseudo-inverse of the vectorized formula (method ``pseudo_inverse``).
-    ``singular_rtol`` bounds the relative Stein residual
-    ||X - A+ X A - I|| / ||X||; a larger residual, a non-finite entry or a
-    solve that does not converge raises IndeterminateError.
+    Escape mass in the trapped subspace above ``escape_atol`` makes the
+    hitting time infinite (method ``closed_form``).  Otherwise A maps the
+    range of the untrapped eigenbasis W into itself, as A_r = W+ A W, and
+    tau = Tr(X_r W+ rho_0 W) for X_r - A_r+ X_r A_r = I.  The method is
+    ``pseudo_inverse`` when a trapped subspace exists, else ``closed_form``.
+    A relative residual ||X_r - A_r+ X_r A_r - I|| / ||X_r|| above
+    ``singular_rtol``, a non-finite entry or a solve that does not converge
+    raises IndeterminateError.  The eigensolve and the solve are each
+    refused first if they would not fit in the memory budget.
     """
-    if spec.dim > dim_guard:
-        raise ValueError(f"dimension {spec.dim} exceeds guard {dim_guard}")
-    u = spec.walk.matrix
-    a = u.copy()
-    a[spec.final_array, :] = 0.0
-    report = spectral.infinite_hitting_projector(u, spec.final_array)
-    if report.trace_int == 0:
-        return HittingResult(
-            METHOD_CLOSED_FORM, value=_stein_trace(a, spec.rho0, residual_rtol=singular_rtol)
-        )
-
+    d = spec.dim
+    _check_memory(d, EIGENSOLVE_WORK_ARRAYS * d * d)
+    report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
     escape = spectral.escape_probability(report, spec.psi0 if spec.psi0 is not None else spec.rho0)
     if escape > escape_atol:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
 
-    q = np.eye(spec.dim, dtype=complex) - report.p_hat
-    value = _stein_trace(a @ q, q @ spec.rho0 @ q, residual_rtol=singular_rtol)
-    return HittingResult(METHOD_PSEUDO_INVERSE, value=value)
+    w = report.untrapped
+    r = w.shape[1]
+    _check_memory(d, STEIN_WORK_ARRAYS * r * r + STEIN_HELD_ARRAYS * d * d)
+    aw = spec.walk.matrix @ w
+    aw[spec.final_array] = 0.0
+    a_r = w.conj().T @ aw
+    value = _stein_trace(a_r, w.conj().T @ spec.rho0 @ w, residual_rtol=singular_rtol)
+    method = METHOD_PSEUDO_INVERSE if report.basis.shape[1] else METHOD_CLOSED_FORM
+    return HittingResult(method, value=value)
 
 
 # ----------------------------------------------------------------------

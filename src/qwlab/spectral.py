@@ -11,13 +11,14 @@ of the Hermitian part (U + U+)/2, then small ones inside each cluster of
 its eigenvalues (``eigenspace_clusters``); no general eigensolver or QR is
 used, and non-normal input is rejected.  The trapped subspace is kept as an
 orthonormal basis B; trace(P), escape probabilities and coin-overlap
-blocks are read from B, and the D x D projector B B+ is built only when
-``SpectralReport.p_hat`` is read.
+blocks are read from B, and no D x D projector is formed.  The rest of
+each cluster, the eigenvectors that do see the finals, is kept too: an
+orthonormal basis W of ran(I - P) made of eigenvectors of U, in which the
+hitting module solves for the hitting time.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,20 +60,18 @@ class SpectralReport:
     """Spectral decomposition of U together with the trapped subspace.
 
     ``basis`` spans the trapped subspace with orthonormal columns;
-    ``p_hat``, the D x D projector onto it, is built from ``basis`` on first
-    read.  ``contributions`` counts the trapped dimensions contributed by
-    each cluster, in cluster order.  Warnings record nullspace rank
-    decisions that fell within 10x of the singular value cutoff.
+    ``untrapped`` spans its orthogonal complement, which holds the finals,
+    with orthonormal eigenvectors of U.  ``contributions`` counts the trapped
+    dimensions contributed by each cluster, in cluster order.  Warnings
+    record nullspace rank decisions that fell within 10x of the singular
+    value cutoff.
     """
 
     clusters: tuple[EigenCluster, ...]
     basis: np.ndarray
+    untrapped: np.ndarray
     contributions: tuple[int, ...]
     warnings: tuple[str, ...] = ()
-
-    @functools.cached_property
-    def p_hat(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
     @property
     def trace_p(self) -> float:
@@ -222,7 +221,7 @@ def infinite_hitting_projector(
     fin_h = _final_range_basis(p_f, d).conj().T
     clusters = eigenspace_clusters(m, tol=cluster_tol)
 
-    pieces = []
+    trapped, untrapped = [], []
     contributions = []
     warnings: list[str] = []
     for ci, cluster in enumerate(clusters):
@@ -240,16 +239,17 @@ def infinite_hitting_projector(
                     f"cluster {ci} (eigenvalue {cluster.eigenvalue:.6f}): "
                     f"{band} singular value(s) within 10x of cutoff"
                 )
-        null_dim = cluster.multiplicity - rank
-        contributions.append(null_dim)
-        if null_dim:
-            null_vecs = vh[rank:].conj().T  # k x null_dim
-            pieces.append(cluster.basis @ null_vecs)
+        contributions.append(cluster.multiplicity - rank)
+        trapped.append(cluster.basis @ vh[rank:].conj().T)
+        # when nothing is trapped, any orthonormal basis of the cluster will do
+        untrapped.append(
+            cluster.basis if rank == cluster.multiplicity else cluster.basis @ vh[:rank].conj().T
+        )
 
-    basis = np.hstack(pieces) if pieces else np.zeros((d, 0), dtype=complex)
     return SpectralReport(
         clusters=clusters,
-        basis=basis,
+        basis=np.hstack(trapped),
+        untrapped=np.hstack(untrapped),
         contributions=tuple(contributions),
         warnings=tuple(warnings),
     )

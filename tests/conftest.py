@@ -17,6 +17,11 @@ def random_unitary(dim: int, rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def trapped_projector(report) -> np.ndarray:
+    """The D x D projector B B+ onto a spectral report's trapped subspace."""
+    return report.basis @ report.basis.conj().T
+
+
 def direction_group(cay: graphs.CayleyGraph, *cycle_texts: str) -> groups.PermGroup:
     """Closure of the basis automorphisms induced by direction permutations."""
     gens = [

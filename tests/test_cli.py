@@ -107,7 +107,7 @@ class TestHittingCommand:
                 manifest = json.loads(out)["manifest"]
             assert manifest["numpy_version"] == np.__version__, argv[0]
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [5, 6, 7])
     def test_hypercube_matches_line_walk(self, n):
         code, out = run_cli("hitting", "--graph", f"hypercube:{n}")
         assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from qwlab import decoherence as deco
 from qwlab import graphs, hitting, spectral, walk
 
-from conftest import battery, full_direction_group, random_unitary, two_four_cycles
+from conftest import battery, full_direction_group, random_unitary, trapped_projector, two_four_cycles
 from qwlab.errors import IndeterminateError
 from qwlab.quotient import orbit_basis
 
@@ -366,7 +366,7 @@ class TestDecoheredHitting:
         for spec in specs:
             p = deco._trapped_projector(spec, deco.Channel((np.eye(spec.dim, dtype=complex),)))
             report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
-            assert np.max(np.abs(p - report.p_hat)) <= 1e-12
+            assert np.max(np.abs(p - trapped_projector(report))) <= 1e-12
             traces.append(report.trace_int)
         assert traces[-2:] == [32, 18] and any(traces[:-2])
 
@@ -384,11 +384,20 @@ class TestDecoheredHitting:
         with pytest.raises(IndeterminateError, match="trapped subspace"):
             deco.decohered_hitting_time(spec, amplitude_damping(9, 0, 16))
 
-    def test_dimension_guard(self):
+    def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(deco, "_SurvivalMap", refuse)
+        monkeypatch.setattr(hitting, "_memory_budget", hitting._memory_budget.__wrapped__)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 128}
+        monkeypatch.setattr(hitting.os, "sysconf", pages.__getitem__)
         g, spec = grover_cube_spec()
         ch = deco.dephasing_channel("both", 0.2, g.num_vertices, g.degree_value)
-        with pytest.raises(ValueError, match="guard"):
-            deco.decohered_hitting_time(spec, ch, dim_guard=8)
+        # the Krylov basis, the doubling powers and 13 more 24 x 24 complex
+        # arrays: 1.1 MiB against a 0.5 MiB budget
+        with pytest.raises(ValueError, match="dimension 24 needs an estimated 1 MiB, over a memory budget of 0 MiB"):
+            deco.decohered_hitting_time(spec, ch)
 
 
 class TestSlope:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from qwlab import graphs, hitting, quotient, spectral, walk
 from qwlab.errors import IndeterminateError, ThresholdUnreachableError
 
-from conftest import battery, random_unitary
+from conftest import battery, random_unitary, trapped_projector
 
 
 def edge_spec():
@@ -290,9 +292,69 @@ class TestClosedForm:
             spectral.escape_probability(rep, spec.psi0), abs=1e-10
         )
 
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            hitting.hitting_time_closed_form(hypercube_spec(3), dim_guard=16)
+    def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve started")
+
+        monkeypatch.setattr(spectral, "infinite_hitting_projector", refuse)
+        monkeypatch.setattr(hitting, "_memory_budget", hitting._memory_budget.__wrapped__)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}
+        monkeypatch.setattr(hitting.os, "sysconf", pages.__getitem__)
+        # 6 arrays of 24 x 24 complex entries: 54 KiB against an 8 KiB budget
+        with pytest.raises(ValueError, match="needs an estimated 0 MiB, over a memory budget of 0 MiB"):
+            hitting.hitting_time_closed_form(hypercube_spec(3))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_memory_budget_reads_the_cgroup_limit(self, monkeypatch, tmp_path, version):
+        # a 1 MiB limit on the parent of this process's cgroup, none on its own
+        if version == 1:
+            listing, mount, name = "4:cpu,memory:/jobs/run", tmp_path / "memory", "memory.limit_in_bytes"
+        else:
+            listing, mount, name = "0::/jobs/run", tmp_path, "memory.max"
+        (mount / "jobs" / "run").mkdir(parents=True)
+        (mount / "jobs" / name).write_text(f"{2**20}\n")
+        (mount / "jobs" / "run" / name).write_text("max\n" if version == 2 else f"{2**62}\n")
+        (tmp_path / "cgroup").write_text(f"1:name=systemd:/\n{listing}\n")
+        monkeypatch.setattr(hitting, "PROC_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(hitting, "CGROUP_ROOT", str(tmp_path))
+        # the process reads its budget once; these checks read it afresh
+        monkeypatch.setattr(hitting, "_memory_budget", hitting._memory_budget.__wrapped__)
+        assert hitting._memory_budget() == 2**20
+        # hypercube:5 fits in physical memory, not in the limit
+        with pytest.raises(ValueError, match="dimension 160 needs an estimated 2 MiB, over a memory budget of 1 MiB"):
+            hitting.hitting_time_closed_form(hypercube_spec(5))
+        monkeypatch.setattr(hitting, "PROC_CGROUP", str(tmp_path / "absent"))
+        assert hitting._memory_budget() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_oracle_across_near_degenerate_eigenvalues(self, seed):
+        # pairs of eigenvalues 2e-9 and 5e-9 apart share a cluster whose basis
+        # is no exact eigenbasis; pairs 1e-7 and 1e-6 apart are split, with
+        # eigenvectors accurate to eps / gap.  Three finals see every pair.
+        rng = np.random.default_rng(seed)
+        splits = np.array([2e-9, 5e-9, 1e-7, 1e-6])
+        base = rng.uniform(-np.pi, np.pi, 12 - splits.size)
+        v = random_unitary(12, rng)
+        u = (v * np.exp(1j * np.concatenate([base, base[: splits.size] + splits]))) @ v.conj().T
+        start = np.zeros(12, dtype=complex)
+        start[3] = 1.0
+        spec = hitting.measured_walk(walk.WalkOperator(u), start, final_indices=[0, 1, 2])
+        fast, dense = hitting.hitting_time_closed_form(spec), dense_oracle(spec)
+        assert fast.method == dense.method == "closed_form"
+        assert fast.value == pytest.approx(dense.value, rel=1e-10)
+
+    def test_stein_solve_runs_in_the_untrapped_dimension(self, monkeypatch):
+        shapes = []
+        stein_trace = hitting._stein_trace
+
+        def record(a, rho, **kwargs):
+            shapes.append((a.shape, rho.shape))
+            return stein_trace(a, rho, **kwargs)
+
+        monkeypatch.setattr(hitting, "_stein_trace", record)
+        res = hitting.hitting_time_closed_form(hypercube_spec(6))
+        assert res.method == "pseudo_inverse" and res.value == pytest.approx(13.6, rel=1e-12)
+        assert shapes == [((72, 72), (72, 72))]
 
     def test_values_at_least_one_without_final_support(self):
         for spec in (edge_spec(), hypercube_spec(2), hypercube_spec(3)):
@@ -329,7 +391,7 @@ class TestClosedForm:
         spec = hypercube_spec(4, coin_kind)
         fast = hitting.hitting_time_closed_form(spec)
         report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
-        p_vec = hitting.vectorize(report.p_hat)
+        p_vec = hitting.vectorize(trapped_projector(report))
         n_mat, _ = hitting.superoperators(spec)
         assert np.linalg.norm(p_vec - n_mat @ p_vec) <= 1e-12 * np.linalg.norm(p_vec)
         del n_mat
@@ -339,7 +401,7 @@ class TestClosedForm:
             assert abs(fast.escape_probability - escape) <= 1e-10
             return
         assert escape <= hitting.ESCAPE_ATOL and fast.method == "pseudo_inverse"
-        q = np.eye(spec.dim) - report.p_hat
+        q = np.eye(spec.dim) - trapped_projector(report)
         a_c = spec.walk.matrix @ q
         a_c[spec.final_array, :] = 0.0
         m = np.kron(a_c, a_c.conj())
