@@ -5,7 +5,10 @@ the unitary step and the final-vertex measurement.  When every A_i is
 diagonal it is the Schur multiplier rho -> m o rho with
 m = sum_i diag(A_i) diag(A_i)+; dephasing of strength p (position, coin
 or both) has m = (1 - p) + p M for a 0/1 mask M and is built from m
-alone, its Kraus family made only when read.
+alone, its Kraus family made only when read.  When every A_i is monomial,
+a permutation matrix times a diagonal (swap dephasing), the channel holds
+each as an image and a weight vector and applies it by index gathers in
+O(D^2), again making the dense family only when read.
 
 A step of the decohered walk that does not detect the walker maps rho to
 N_D(rho) = Q_f Phi(U rho U+) Q_f.  The channel keeps the trace, so the
@@ -35,6 +38,7 @@ the first basis vector and verify the residual on all of them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -101,9 +105,14 @@ class Channel:
 
     ``schur`` is derived: sum_i diag(A_i) diag(A_i)+ when every A_i is
     diagonal (the channel is then rho -> schur o rho), else None.  A
-    channel made by :meth:`_from_multiplier` holds only the multiplier and
-    builds its Kraus family on the first read of ``kraus``.
+    channel made by :meth:`_from_multiplier` holds only the multiplier, and
+    one made by :meth:`_from_monomials` only ``monomials``, a k x D image
+    array and a k x D weight array with A_i e_j = weights[i, j] e_image[i, j]
+    (a permutation matrix times a diagonal).  Both build their Kraus family
+    on the first read of ``kraus``.
     """
+
+    monomials: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, kraus: Sequence[np.ndarray], label: str = "channel"):
         ops = tuple(np.asarray(a, dtype=complex) for a in kraus)
@@ -147,6 +156,38 @@ class Channel:
         ch._kraus = kraus
         return ch
 
+    @classmethod
+    def _from_monomials(cls, images: np.ndarray, weights: np.ndarray, label: str) -> "Channel":
+        """The channel with Kraus operators e_j -> weights[i, j] e_images[i, j].
+
+        Each A_i+ A_i is diag(|weights[i]|^2), so completeness is an O(D)
+        check: sum_i |weights[i, j]|^2 = 1 for every j.
+        """
+        images = np.asarray(images)
+        weights = np.asarray(weights, dtype=complex)
+        k, d = images.shape
+        if not np.array_equal(np.sort(images, axis=1), np.broadcast_to(np.arange(d), (k, d))):
+            raise ValueError("monomial Kraus images must be permutations")
+        defect = float(np.max(np.abs(np.sum(np.abs(weights) ** 2, axis=0) - 1.0)))
+        if defect > COMPLETENESS_ATOL:
+            raise ValueError(f"Kraus completeness violated (defect {defect:.3e})")
+
+        def kraus() -> list[np.ndarray]:
+            ops = []
+            for image, w in zip(images, weights):
+                a = np.zeros((d, d), dtype=complex)
+                a[image, np.arange(d)] = w
+                ops.append(a)
+            return ops
+
+        ch = cls.__new__(cls)
+        ch.label = label
+        ch.schur = None
+        ch.is_identity = k == 1 and bool(np.all(images == np.arange(d)) and np.all(weights == 1.0))
+        ch.monomials = (images, weights)
+        ch._kraus = kraus
+        return ch
+
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:
         if callable(self._kraus):
@@ -155,7 +196,11 @@ class Channel:
 
     @property
     def dim(self) -> int:
-        return self.schur.shape[0] if self.schur is not None else self.kraus[0].shape[0]
+        if self.schur is not None:
+            return self.schur.shape[0]
+        if self.monomials is not None:
+            return self.monomials[0].shape[1]
+        return self.kraus[0].shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +264,33 @@ def dephasing_channel(
     )
 
 
+def _monomial_apply(image: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for A e_j = weights[j] e_image[j], x a vector or a block of columns."""
+    out = np.empty(x.shape, dtype=complex)
+    out[image] = (weights * x.T).T
+    return out
+
+
+def _monomial_adjoint(image: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(image, weights) of A+, which sends e_image[j] to weights[j]* e_j."""
+    inverse = np.empty_like(image)
+    inverse[image] = np.arange(image.size)
+    return inverse, weights.conj()[inverse]
+
+
+def _monomial_sandwich(image: np.ndarray, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A+ Y A, entry (a, b) = weights[a]* Y[image[a], image[b]] weights[b]: one gather."""
+    return weights.conj()[:, None] * y[np.ix_(image, image)] * weights
+
+
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
+    """Phi(rho): m o rho for a multiplier m; sum_i A_i rho A_i+, which for
+    monomial A_i is sum_i B_i+ rho B_i with B_i = A_i+, by gathers."""
     rho = np.asarray(rho, dtype=complex)
     if ch.schur is not None:
         return ch.schur * rho
+    if ch.monomials is not None:
+        return sum(_monomial_sandwich(*_monomial_adjoint(*a), rho) for a in zip(*ch.monomials))
     out = np.zeros_like(rho)
     for a in ch.kraus:
         out += a @ rho @ a.conj().T
@@ -233,6 +301,8 @@ def _apply_adjoint(ch: Channel, y: np.ndarray) -> np.ndarray:
     """Phi+(Y): m* o Y for a channel with multiplier m, else sum_i A_i+ Y A_i."""
     if ch.schur is not None:
         return ch.schur.conj() * y
+    if ch.monomials is not None:
+        return sum(_monomial_sandwich(*a, y) for a in zip(*ch.monomials))
     return sum(a.conj().T @ y @ a for a in ch.kraus)
 
 
@@ -356,7 +426,7 @@ class _SurvivalMap:
             c = float(np.clip(ch.schur.real.min(), 0.0, 1.0))
             if c > 0.0:
                 try:
-                    self.powers = _doubling_powers(np.sqrt(c) * a)
+                    self.powers = list(_doubling_powers(np.sqrt(c) * a))
                 except IndeterminateError:
                     # then m = 1 and L is the Stein map of A, whose
                     # spectral radius is not below one: I - L is singular
@@ -510,8 +580,10 @@ class DfsVerdict:
 
 
 def _check_scalar_action(
-    ops: Sequence[np.ndarray], basis: np.ndarray, atol: float
+    ops: Sequence[Callable[[np.ndarray], np.ndarray]], basis: np.ndarray, atol: float
 ) -> DfsVerdict:
+    """Each op, given as the map X -> A X on blocks of columns, must act on
+    every basis column v as A v = c v; c is read off the first column."""
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[1] == 0:
         raise ValueError("basis must be a nonempty matrix of columns")
@@ -519,47 +591,47 @@ def _check_scalar_action(
     if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-9:
         raise ValueError("basis columns must be orthonormal")
     coeffs = []
-    for i, a in enumerate(ops):
-        v0 = basis[:, 0]
-        c = complex(np.vdot(v0, a @ v0))
-        for j in range(basis.shape[1]):
-            v = basis[:, j]
-            residual = float(np.linalg.norm(a @ v - c * v))
-            if residual > atol:
-                return DfsVerdict(False, witness=(i, j, residual))
+    for i, apply in enumerate(ops):
+        image = apply(basis)
+        c = complex(np.vdot(basis[:, 0], image[:, 0]))
+        residuals = np.linalg.norm(image - c * basis, axis=0)
+        bad = np.flatnonzero(residuals > atol)
+        if bad.size:
+            return DfsVerdict(False, witness=(i, int(bad[0]), float(residuals[bad[0]])))
         coeffs.append(c)
     return DfsVerdict(True, coefficients=tuple(coeffs))
 
 
+def _dense_actions(ops: Sequence[np.ndarray]) -> list[Callable[[np.ndarray], np.ndarray]]:
+    return [np.asarray(a).__matmul__ for a in ops]
+
+
 def dfs_check_kraus(ch: Channel, basis: np.ndarray, *, atol: float = DFS_ATOL) -> DfsVerdict:
-    """Scalar-action test A_i v = c_i v for every basis vector of the subspace."""
-    return _check_scalar_action(ch.kraus, basis, atol)
+    """Scalar-action test A_i v = c_i v for every basis vector of the subspace;
+    monomial Kraus operators act by gathers, O(D) per column."""
+    if ch.monomials is not None:
+        ops = [functools.partial(_monomial_apply, *a) for a in zip(*ch.monomials)]
+    else:
+        ops = _dense_actions(ch.kraus)
+    return _check_scalar_action(ops, basis, atol)
 
 
 def dfs_check_lindblad(
     lset: LindbladSet, basis: np.ndarray, *, atol: float = DFS_ATOL
 ) -> DfsVerdict:
-    return _check_scalar_action(lset.ops, basis, atol)
+    return _check_scalar_action(_dense_actions(lset.ops), basis, atol)
 
 
-def _position_bit_swap(n: int, i: int, j: int) -> np.ndarray:
-    """Permutation of 0..2^n-1 exchanging bits (i-1) and (j-1)."""
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    dim = 1 << n
-    perm = np.arange(dim)
-    for v in range(dim):
-        a, b = bool(v & bi), bool(v & bj)
-        if a != b:
-            perm[v] = v ^ bi ^ bj
-    m = np.zeros((dim, dim), dtype=complex)
-    m[perm, np.arange(dim)] = 1.0
-    return m
-
-
-def _coin_transposition(d: int, i: int, j: int) -> np.ndarray:
-    m = np.eye(d, dtype=complex)
-    m[[i - 1, j - 1]] = m[[j - 1, i - 1]]
-    return m
+def _swap_image(n: int, i: int) -> np.ndarray:
+    """Image of the walk-basis permutation |v, c> -> |v', c'> where v' swaps
+    position bits i-1 and i of v, and c' transposes coin directions i-1 and
+    i (0-based) of c: the direction transposition (i, i+1), basis v*n + c."""
+    v = np.arange(1 << n)
+    flip = ((v >> (i - 1)) ^ (v >> i)) & 1
+    vertex = v ^ (flip * (3 << (i - 1)))
+    coin = np.arange(n)
+    coin[[i - 1, i]] = coin[[i, i - 1]]
+    return (vertex[:, None] * n + coin).ravel()
 
 
 def swap_dephasing_example(n: int, kappas: Iterable[float | complex]) -> Channel:
@@ -580,8 +652,6 @@ def swap_dephasing_example(n: int, kappas: Iterable[float | complex]) -> Channel
     norm = sum(abs(k) ** 2 for k in kap)
     if abs(norm - 1.0) > COMPLETENESS_ATOL:
         raise ValueError(f"sum |kappa|^2 = {norm} != 1")
-    ops = []
-    for i, k in enumerate(kap, start=1):
-        swap = np.kron(_position_bit_swap(n, i, i + 1), _coin_transposition(n, i, i + 1))
-        ops.append(k * swap)
-    return Channel(tuple(ops), label=f"swap-dephasing(n={n})")
+    images = np.array([_swap_image(n, i) for i in range(1, n)])
+    weights = np.repeat(np.array(kap)[:, None], images.shape[1], axis=1)
+    return Channel._from_monomials(images, weights, label=f"swap-dephasing(n={n})")

@@ -128,6 +128,28 @@ class ColoredGraph:
             cols[e.v].append(e.cv)
         return tuple(tuple(sorted(c)) for c in cols)
 
+    @cached_property
+    def neighbor_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(far vertex, far basis index) of every half-edge, in the flat
+        basis order of :class:`BasisIndexing`; both arrays are read-only.
+
+        Sorting the half-edges by (vertex, color) lists them in that order,
+        so the rank of a half-edge is its basis index.
+        """
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 4)
+        vertex = np.concatenate([ends[:, 0], ends[:, 2]])
+        color = np.concatenate([ends[:, 1], ends[:, 3]])
+        rank = np.empty(vertex.size, dtype=np.int64)
+        rank[np.lexsort((color, vertex))] = np.arange(vertex.size)
+        half = len(self.edges)
+        partner = np.concatenate([np.arange(half, 2 * half), np.arange(half)])
+        far_vertex = np.empty_like(rank)
+        far_index = np.empty_like(rank)
+        far_vertex[rank] = vertex[partner]
+        far_index[rank] = rank[partner]
+        far_vertex.flags.writeable = far_index.flags.writeable = False
+        return far_vertex, far_index
+
     def degree(self, v: int) -> int:
         return self.degrees[v]
 
@@ -448,13 +470,7 @@ def cayley_s4_3gen() -> CayleyGraph:
 
 def shift_permutation(g: ColoredGraph) -> np.ndarray:
     """Image array of the shift on the flat basis: (v, c) -> far end of the edge."""
-    idx = BasisIndexing.from_graph(g)
-    image = np.empty(idx.total_dim, dtype=int)
-    for v in range(g.num_vertices):
-        for c in g.colors(v):
-            w, cw = g.neighbor(v, c)
-            image[idx.index(v, c)] = idx.index(w, cw)
-    return image
+    return g.neighbor_table[1].copy()
 
 
 def shift_matrix(g: ColoredGraph) -> np.ndarray:

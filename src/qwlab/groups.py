@@ -13,7 +13,6 @@ orbits, quotients and verdicts need only the generators.
 
 from __future__ import annotations
 
-import collections
 import functools
 import json
 import operator
@@ -184,35 +183,32 @@ def direction_perm_to_automorphism(cay: CayleyGraph, dirperm: Permutation) -> Pe
     if not g.is_consistently_colored:
         raise ValueError("graph is not consistently colored")
 
-    e_idx = cay.vertex_index[cay.identity]
-    vmap = [-1] * g.num_vertices
-    vmap[e_idx] = e_idx
-    queue = collections.deque([e_idx])
-    while queue:
-        v = queue.popleft()
-        for c in range(1, d + 1):
-            w, _ = g.neighbor(v, c)
-            target, _ = g.neighbor(vmap[v], dirperm(c - 1) + 1)
-            if vmap[w] == -1:
-                vmap[w] = target
-                queue.append(w)
+    nbr = g.neighbor_table[0].reshape(g.num_vertices, d)  # nbr[v, c - 1]
+    perm = np.asarray(dirperm.image)
 
-    for v in range(g.num_vertices):
-        for c in range(1, d + 1):
-            w, _ = g.neighbor(v, c)
-            target, _ = g.neighbor(vmap[v], dirperm(c - 1) + 1)
-            if vmap[w] != target:
-                raise NotAnAutomorphismError(
-                    f"direction permutation is not an automorphism: vertex {v}, "
-                    f"color {c} maps inconsistently"
-                )
+    # Level by level: each new vertex takes the image given by its first
+    # (frontier vertex, color) in queue order.
+    vmap = np.full(g.num_vertices, -1)
+    frontier = np.array([cay.vertex_index[cay.identity]])
+    vmap[frontier] = frontier
+    while frontier.size:
+        far = nbr[frontier].ravel()
+        target = nbr[vmap[frontier]][:, perm].ravel()
+        fresh = np.flatnonzero(vmap[far] == -1)
+        _, first = np.unique(far[fresh], return_index=True)
+        first = fresh[np.sort(first)]
+        frontier = far[first]
+        vmap[frontier] = target[first]
 
-    idx = BasisIndexing.from_graph(g)
-    image = [0] * idx.total_dim
-    for v in range(g.num_vertices):
-        for c in range(1, d + 1):
-            image[idx.index(v, c)] = idx.index(vmap[v], dirperm(c - 1) + 1)
-    return Permutation(tuple(image))
+    bad = np.argwhere(vmap[nbr] != nbr[vmap][:, perm])
+    if bad.size:
+        v, c = bad[0]
+        raise NotAnAutomorphismError(
+            f"direction permutation is not an automorphism: vertex {v}, "
+            f"color {c + 1} maps inconsistently"
+        )
+    # consistently colored and regular: (v, c) sits at v * d + c - 1
+    return Permutation(tuple((vmap[:, None] * d + perm).ravel().tolist()))
 
 
 def left_translation(cay: CayleyGraph, element) -> Permutation:
@@ -316,28 +312,27 @@ def generators_of(grp: PermGroup | Iterable[Permutation]) -> tuple[Permutation, 
 def orbit_labels(grp: PermGroup | Iterable[Permutation], dim: int) -> np.ndarray:
     """Orbit index of each point of ``[0, dim)``, orbits numbered by smallest member.
 
-    A union-find over the generator edges keeps each orbit's smallest
-    member as its root; the labels rank the roots.
+    Every point starts with its own index as label; each round lowers the
+    label of i to that of p(i) where smaller, for every generator p, and
+    then jumps each label to its label's label, until nothing changes.
+    Labels only fall and stay within an orbit.  At the fixed point they do
+    not rise along any cycle of any generator, so they are constant on each
+    orbit: its smallest member.  The labels rank those members.
     """
-    parent = list(range(dim))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    images = []
     for p in generators_of(grp):
         if p.degree != dim:
             raise ValueError("permutation degree does not match dim")
-        for i, j in enumerate(p.image):
-            union(i, j)
-    return np.unique([find(i) for i in range(dim)], return_inverse=True)[1]
+        images.append(np.asarray(p.image))
+    label = np.arange(dim)
+    while True:
+        new = label
+        for image in images:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
 
 
 def orbits(grp: PermGroup | Iterable[Permutation], dim: int) -> tuple[tuple[int, ...], ...]:

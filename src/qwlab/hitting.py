@@ -78,10 +78,11 @@ ESCAPE_ATOL = 1e-9
 STALL_GAIN = 1e-12
 MAX_DOUBLINGS = 64
 # complex arrays held at once: the eigensolve's (3.0-3.5 D^2 measured) beside
-# U and rho_0; at most MAX_DOUBLINGS powers and X in r dimensions beside U,
-# rho_0, the report's bases and U W (STEIN_HELD_ARRAYS D^2)
+# U and rho_0; in r dimensions, the Stein solve's two doubling powers, X and
+# temporaries (6 r^2 measured) beside A_r and W+ rho_0 W, and in D dimensions
+# U, rho_0, the report's bases and U W (STEIN_HELD_ARRAYS D^2)
 EIGENSOLVE_WORK_ARRAYS = 6
-STEIN_WORK_ARRAYS = MAX_DOUBLINGS + 5
+STEIN_WORK_ARRAYS = 8
 STEIN_HELD_ARRAYS = 4
 # where this process's cgroups are listed, and where they are mounted
 PROC_CGROUP = "/proc/self/cgroup"
@@ -210,12 +211,12 @@ def _hit_probabilities(
     ``step_map``, when given, acts on U rho U+ before the detection (a
     channel, say); the density matrix is then stepped even for a pure start.
     """
-    u = spec.walk.matrix
+    walk = spec.walk
     fin = spec.final_array
     if spec.psi0 is not None and step_map is None:
-        psi = spec.psi0.copy()
+        psi = spec.psi0
         while True:
-            phi = u @ psi
+            phi = walk.apply(psi)
             amp = phi[fin]
             p = float(np.real(np.vdot(amp, amp)))
             phi[fin] = 0.0
@@ -223,9 +224,8 @@ def _hit_probabilities(
             yield _clamp_probability(p)
     else:
         rho = spec.rho0
-        u_dag = u.conj().T
         while True:
-            sig = u @ rho @ u_dag
+            sig = walk.apply(walk.apply(rho).conj().T).conj().T  # U rho U+ = (U (U rho)+)+
             if step_map is not None:
                 sig = step_map(sig)
             p = float(np.real(np.sum(sig[fin, fin])))
@@ -395,7 +395,7 @@ def one_shot_hitting_time(
     for t in range(t_max + 1):
         if abs(np.vdot(fin, psi)) ** 2 >= threshold:
             return t
-        psi = walk.matrix @ psi
+        psi = walk.apply(psi)
     return None
 
 
@@ -497,34 +497,36 @@ def closed_form_engine(
     return HittingResult(METHOD_PSEUDO_INVERSE, value=tau)
 
 
-def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
-    """A, A^2, A^4, ..., A^(2^(k-1)): the powers Smith doubling needs.
+def _doubling_powers(a: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield A, A^2, A^4, ..., A^(2^(k-1)): the powers Smith doubling needs.
 
     k is the first step with ||A^(2^k)||_F^2 under machine epsilon; that
     bounds the tail the Stein sum leaves out, relative to the full sum.
-    Raises IndeterminateError on overflow or when no such k <= 64 exists,
-    i.e. when the spectral radius of A is not below one.
+    A power is yielded once its square is known to be finite, and dropped
+    when the next one is; a consumer that folds each power in as it comes
+    holds two at a time.  Raises IndeterminateError on overflow or when no
+    such k <= 64 exists, i.e. when the spectral radius of A is not below one.
     """
-    powers = []
     ak = a
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(MAX_DOUBLINGS):
-            powers.append(ak)
-            ak = ak @ ak
-            tail = np.linalg.norm(ak) ** 2
-            if not np.isfinite(tail):
-                raise IndeterminateError(
-                    "Stein doubling overflowed: the spectral radius of Q_f U is not below 1"
-                )
-            if tail <= np.finfo(float).eps:
-                return powers
+    for _ in range(MAX_DOUBLINGS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = ak @ ak
+            tail = np.linalg.norm(square) ** 2
+        if not np.isfinite(tail):
+            raise IndeterminateError(
+                "Stein doubling overflowed: the spectral radius of Q_f U is not below 1"
+            )
+        yield ak
+        if tail <= np.finfo(float).eps:
+            return
+        ak = square
     raise IndeterminateError(
         f"Stein doubling did not converge in {MAX_DOUBLINGS} doublings "
         f"(tail bound {tail:.3e})"
     )
 
 
-def _stein_sum(powers: list[np.ndarray], c: np.ndarray) -> np.ndarray:
+def _stein_sum(powers: Iterable[np.ndarray], c: np.ndarray) -> np.ndarray:
     """sum_t (A^t)+ C A^t, the solution X of X - A+ X A = C, from the
     doubling powers of A: after step k, X holds the first 2^k terms."""
     x = c
@@ -669,11 +671,8 @@ def classical_hitting_monte_carlo(
         raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     deg = np.asarray(g.degrees)
-    dmax = int(deg.max())
-    nbrs = np.zeros((g.num_vertices, dmax), dtype=int)
-    for v in range(g.num_vertices):
-        for k, c in enumerate(g.colors(v)):
-            nbrs[v, k] = g.neighbor(v, c)[0]
+    offsets = np.cumsum(deg) - deg
+    nbrs = g.neighbor_table[0]  # neighbor k of v at offsets[v] + k
 
     pos = np.full(trials, start, dtype=int)
     steps = np.zeros(trials, dtype=np.int64)
@@ -687,7 +686,7 @@ def classical_hitting_monte_carlo(
                 f"{step_cap} steps; start and final may be disconnected"
             )
         draws = rng.integers(0, deg[pos[alive]])
-        pos[alive] = nbrs[pos[alive], draws]
+        pos[alive] = nbrs[offsets[pos[alive]] + draws]
         arrived = alive.copy()
         arrived[alive] = pos[alive] == final
         steps[arrived] = t

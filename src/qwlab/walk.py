@@ -8,6 +8,7 @@ adjacency structure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +58,56 @@ class Coin:
 
 @dataclass(frozen=True, eq=False)
 class WalkOperator:
-    """Dense unitary on the walk basis, with provenance when available."""
+    """A unitary on the walk basis in the factored form U = S (I (x) C).
 
-    matrix: np.ndarray
+    ``block`` (C, b x b) acts on each run of b consecutive basis states, and
+    the permutation ``image`` then moves state j to image[j]: row j of
+    I (x) C is row image[j] of U.  ``WalkOperator(matrix)`` is the same form
+    with one D x D block and the identity image.  :meth:`apply` costs O(D b)
+    per column; the dense ``matrix`` is built on first read.  ``graph`` and
+    ``coin`` record provenance when available.
+    """
+
+    block: np.ndarray
     graph: ColoredGraph | None = None
     coin: Coin | None = None
+    image: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        block = np.asarray(self.block, dtype=complex)
+        object.__setattr__(self, "block", block)
+        if self.image is None:
+            object.__setattr__(self, "image", np.arange(block.shape[0]))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.image.size
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        d, b = self.dim, self.block.shape[0]
+        u = np.empty((d, d), dtype=complex)
+        eye = np.eye(d // b)  # I (x) C, entry for entry as np.kron forms it
+        u[self.image] = (eye[:, None, :, None] * self.block[None, :, None, :]).reshape(d, d)
+        return u
+
+    @functools.cached_property
+    def _gathers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row gathers around the one product with C.  The first lists the
+        basis coin-major (state v*b + c at position c*n + v), so that C acts
+        on a b x (n k) matrix; the second reads row i of U x at the
+        coin-major position of the state that U moves to i."""
+        b = self.block.shape[0]
+        n = self.dim // b
+        source = np.empty_like(self.image)
+        source[self.image] = np.arange(self.dim)
+        return np.arange(self.dim).reshape(n, b).T.ravel(), source % b * n + source // b
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """U x for a length-D vector or a D x k block of columns."""
+        coin_major, rows = self._gathers
+        b = self.block.shape[0]
+        return (self.block @ x[coin_major].reshape(b, -1)).reshape(x.shape)[rows]
 
 
 def grover_coin(d: int) -> Coin:
@@ -104,10 +143,7 @@ def evolution_operator(g: ColoredGraph, coin: Coin) -> WalkOperator:
     d = g.degree_value
     if coin.dim != d:
         raise ValueError(f"coin dimension {coin.dim} != graph degree {d}")
-    image = shift_permutation(g)
-    u = np.empty((image.size, image.size), dtype=complex)
-    u[image] = np.kron(np.eye(g.num_vertices), coin.matrix)  # row j of I (x) C is row image[j] of U
-    return WalkOperator(u, graph=g, coin=coin)
+    return WalkOperator(coin.matrix, g, coin, image=shift_permutation(g))
 
 
 def continuous_hamiltonian(

@@ -4,7 +4,14 @@ import pytest
 from qwlab import decoherence as deco
 from qwlab import graphs, hitting, spectral, walk
 
-from conftest import battery, full_direction_group, random_unitary, trapped_projector, two_four_cycles
+from conftest import (
+    battery,
+    direction_group,
+    full_direction_group,
+    random_unitary,
+    trapped_projector,
+    two_four_cycles,
+)
 from qwlab.errors import IndeterminateError
 from qwlab.quotient import orbit_basis
 
@@ -63,6 +70,34 @@ def amplitude_damping(source, target, dim, gamma=0.3):
 
 def refuse(*args, **kwargs):
     raise AssertionError("dense construction on a production path")
+
+
+def position_bit_swap(n, i, j):
+    """Permutation matrix of 0..2^n-1 exchanging bits (i-1) and (j-1)."""
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    dim = 1 << n
+    perm = np.arange(dim)
+    for v in range(dim):
+        a, b = bool(v & bi), bool(v & bj)
+        if a != b:
+            perm[v] = v ^ bi ^ bj
+    m = np.zeros((dim, dim), dtype=complex)
+    m[perm, np.arange(dim)] = 1.0
+    return m
+
+
+def coin_transposition(d, i, j):
+    m = np.eye(d, dtype=complex)
+    m[[i - 1, j - 1]] = m[[j - 1, i - 1]]
+    return m
+
+
+def swap_dephasing_oracle(n, kappas):
+    """The dense Kraus family of swap dephasing, built by Kronecker products."""
+    return [
+        k * np.kron(position_bit_swap(n, i, i + 1), coin_transposition(n, i, i + 1))
+        for i, k in enumerate(kappas, start=1)
+    ]
 
 
 class TestChannels:
@@ -458,6 +493,77 @@ class TestSlope:
             deco.hitting_time_slope(spec, "both", 0.0)
 
 
+def random_kappas(n, rng):
+    k = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    return k / np.linalg.norm(k)
+
+
+class TestSwapDephasingMonomials:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_kraus_family_is_the_kronecker_construction(self, n, rng):
+        kappas = random_kappas(n, rng)
+        ch = deco.swap_dephasing_example(n, kappas)
+        assert ch.schur is None and not ch.is_identity and ch.dim == (1 << n) * n
+        oracle = swap_dephasing_oracle(n, kappas)
+        assert len(ch.kraus) == n - 1
+        assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, oracle))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_gathers_match_the_dense_kraus_sums(self, n, rng):
+        kappas = random_kappas(n, rng)
+        ch = deco.swap_dephasing_example(n, kappas)
+        dense = deco.Channel(swap_dephasing_oracle(n, kappas))
+        assert dense.monomials is None
+        d = ch.dim
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = z @ z.conj().T
+        rho /= np.trace(rho)
+        y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.max(np.abs(deco.apply_channel(ch, rho) - deco.apply_channel(dense, rho))) < 1e-14
+        assert np.max(np.abs(deco._apply_adjoint(ch, y) - deco._apply_adjoint(dense, y))) < 1e-13
+
+    def test_builds_no_dense_operator(self, monkeypatch, rng):
+        monkeypatch.setattr(np, "kron", refuse)
+        monkeypatch.setattr(deco.Channel, "kraus", property(refuse))
+        ch = deco.swap_dephasing_example(4, random_kappas(4, rng))
+        rho = np.eye(ch.dim, dtype=complex) / ch.dim
+        deco.apply_channel(ch, rho)
+        deco._apply_adjoint(ch, rho)
+        cay = graphs.cayley_hypercube(4)
+        assert deco.dfs_check_kraus(ch, orbit_basis(full_direction_group(cay), ch.dim).matrix).is_dfs
+
+    def test_incomplete_weights_raise(self):
+        image = np.arange(4)[None, :]
+        with pytest.raises(ValueError, match="completeness"):
+            deco.Channel._from_monomials(image, np.full((1, 4), 0.9), "short")
+        with pytest.raises(ValueError, match="completeness"):
+            deco.Channel._from_monomials(
+                np.vstack([image, image]), np.array([[0.6] * 4, [0.8] * 3 + [0.7]]), "uneven"
+            )
+        with pytest.raises(ValueError, match="permutations"):
+            deco.Channel._from_monomials(np.array([[0, 0, 1, 2]]), np.ones((1, 4)), "not a bijection")
+        with pytest.raises(ValueError, match="kappa"):
+            deco.swap_dephasing_example(4, [0.6, 0.8, 0.1])
+
+    @pytest.mark.parametrize(
+        "n, subgroup", [(3, None), (4, None), (3, ("(1,2)",)), (4, ("(1,2)", "(3,4)")), (4, ("(2,3)",))]
+    )
+    def test_dfs_verdicts_and_witnesses_match_the_dense_family(self, n, subgroup, rng):
+        cay = graphs.cayley_hypercube(n)
+        grp = full_direction_group(cay) if subgroup is None else direction_group(cay, *subgroup)
+        basis = orbit_basis(grp, (1 << n) * n).matrix
+        for kappas in (np.ones(n - 1) / np.sqrt(n - 1), random_kappas(n, rng)):
+            got = deco.dfs_check_kraus(deco.swap_dephasing_example(n, kappas), basis)
+            want = deco.dfs_check_kraus(deco.Channel(swap_dephasing_oracle(n, kappas)), basis)
+            assert got.is_dfs == want.is_dfs == (subgroup is None)
+            if got.is_dfs:
+                assert got.coefficients == want.coefficients
+                assert np.allclose(got.coefficients, kappas, atol=1e-12)
+            else:
+                assert got.witness[:2] == want.witness[:2]
+                assert got.witness[2] == pytest.approx(want.witness[2], abs=1e-12)
+
+
 class TestSwapDephasing:
     def test_n2_single_unitary_kraus(self):
         ch = deco.swap_dephasing_example(2, [1.0])
@@ -516,7 +622,7 @@ class TestDfsChecks:
         # continuous walk: vertex permutations swapping qubits act trivially
         # on Hamming-symmetric combinations
         n = 3
-        swaps = [deco._position_bit_swap(n, i, i + 1) for i in (1, 2)]
+        swaps = [position_bit_swap(n, i, i + 1) for i in (1, 2)]
         from qwlab.groups import Permutation, closure
 
         perms = [

@@ -91,6 +91,31 @@ class TestShift:
         s = graphs.shift_matrix(graphs.build_edge_graph())
         assert np.array_equal(s, np.array([[0, 1], [1, 0]], dtype=complex))
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            graphs.build_hypercube(4),
+            graphs.build_distorted_hypercube(3),
+            graphs.build_glued_trees(3),
+            graphs.cayley_s4_3gen().graph,
+            ColoredGraph(4, (Edge(0, 2, 3, 5), Edge(1, 1, 0, 7), Edge(3, 1, 1, 4))),
+        ],
+        ids=["hypercube4", "distorted3", "glued3", "s4-3gen", "irregular-colors"],
+    )
+    def test_neighbor_table_matches_the_half_edges(self, g):
+        far_vertex, far_index = g.neighbor_table
+        idx = BasisIndexing.from_graph(g)
+        want_vertex, want_index = [], []
+        for v in range(g.num_vertices):
+            for c in g.colors(v):
+                w, cw = g.neighbor(v, c)
+                want_vertex.append(w)
+                want_index.append(idx.index(w, cw))
+        assert far_vertex.tolist() == want_vertex and far_index.tolist() == want_index
+        assert not far_vertex.flags.writeable and not far_index.flags.writeable
+        image = graphs.shift_permutation(g)
+        assert image.tolist() == want_index and image.flags.writeable
+
 
 class TestCayley:
     def test_s3_two_generators(self):

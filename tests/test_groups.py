@@ -79,7 +79,53 @@ class TestPermutation:
         assert p.inverse().compose(p).is_identity
 
 
+def lift_oracle(cay, dirperm):
+    """The lift by a pure-Python breadth-first search and edge-by-edge check;
+    returns the basis image, or (vertex, color) of the first bad edge."""
+    g, d = cay.graph, cay.degree
+    e = cay.vertex_index[cay.identity]
+    vmap = {e: e}
+    queue = collections.deque([e])
+    while queue:
+        v = queue.popleft()
+        for c in range(1, d + 1):
+            w, _ = g.neighbor(v, c)
+            if w not in vmap:
+                vmap[w] = g.neighbor(vmap[v], dirperm(c - 1) + 1)[0]
+                queue.append(w)
+    for v in range(g.num_vertices):
+        for c in range(1, d + 1):
+            if vmap[g.neighbor(v, c)[0]] != g.neighbor(vmap[v], dirperm(c - 1) + 1)[0]:
+                return v, c
+    idx = BasisIndexing.from_graph(g)
+    return tuple(
+        idx.index(vmap[v], dirperm(c - 1) + 1) for v in range(g.num_vertices) for c in range(1, d + 1)
+    )
+
+
 class TestDirectionPermLift:
+    @pytest.mark.parametrize(
+        "cay, texts",
+        [
+            (graphs.cayley_hypercube(5), ("(1,2)", "(4,5)", "(1,3,5)", "(1,2)(3,4,5)")),
+            (graphs.cayley_s4_3gen(), ("(1,2)", "(2,3)", "(1,2,3)")),
+            (graphs.cayley_s3_3gen(), ("(1,3)", "(1,3,2)")),
+        ],
+        ids=["hypercube5", "s4-3gen", "s3-3gen"],
+    )
+    def test_matches_the_breadth_first_oracle(self, cay, texts):
+        for text in texts:
+            p = groups.parse_cycles(text, cay.degree)
+            assert groups.direction_perm_to_automorphism(cay, p).image == lift_oracle(cay, p)
+
+    @pytest.mark.parametrize("text", ["(1,3)", "(2,3)", "(1,2,3)"])
+    def test_non_automorphism_names_the_first_bad_edge(self, text):
+        cay = graphs.build_cayley(None, ((1, 0, 3, 2), (2, 1, 0, 3), (2, 3, 0, 1)))
+        p = groups.parse_cycles(text, 3)
+        v, c = lift_oracle(cay, p)
+        with pytest.raises(NotAnAutomorphismError, match=f"vertex {v}, color {c} maps"):
+            groups.direction_perm_to_automorphism(cay, p)
+
     def test_hypercube_swap_matches_direct_construction(self):
         cay = graphs.cayley_hypercube(3)
         lifted = groups.direction_perm_to_automorphism(cay, groups.parse_cycles("(1,2)", 3))
@@ -265,7 +311,43 @@ class TestClosure:
         assert Permutation.identity(12) not in grp
 
 
+def union_find_labels(perms, dim):
+    """Orbit labels by union-find, orbits numbered by smallest member."""
+    parent = list(range(dim))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in perms:
+        for i, j in enumerate(p.image):
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    roots = [find(i) for i in range(dim)]
+    rank = {r: k for k, r in enumerate(sorted(set(roots)))}
+    return [rank[r] for r in roots]
+
+
 class TestOrbits:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), dim=st.integers(1, 60), count=st.integers(0, 3))
+    def test_labels_match_union_find(self, seed, dim, count):
+        rng = np.random.default_rng(seed)
+        perms = []
+        for _ in range(count):
+            # a few short cycles, so that orbits stay small and many
+            image = np.arange(dim)
+            moved = rng.choice(dim, size=min(dim, 4), replace=False)
+            image[moved] = np.roll(moved, 1)
+            perms.append(Permutation(tuple(image.tolist())))
+        assert groups.orbit_labels(perms, dim).tolist() == union_find_labels(perms, dim)
+
+    def test_hypercube_subgroup_labels_match_union_find(self):
+        cay = graphs.cayley_hypercube(6)
+        gens = direction_group(cay, "(1,2)", "(4,5,6)").generators
+        assert groups.orbit_labels(gens, 384).tolist() == union_find_labels(gens, 384)
+
     def test_trivial_group_gives_singletons(self):
         grp = groups.closure([], dim=6)
         assert groups.orbits(grp, 6) == tuple((i,) for i in range(6))

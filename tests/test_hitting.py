@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,25 @@ class TestClosedForm:
         res = hitting.hitting_time_closed_form(hypercube_spec(6))
         assert res.method == "pseudo_inverse" and res.value == pytest.approx(13.6, rel=1e-12)
         assert shapes == [((72, 72), (72, 72))]
+
+    def test_stein_solve_folds_each_power_as_it_squares(self, rng):
+        # slow decay: 15 doubling powers, of which the solve holds two at a time
+        r = 120
+        a = 0.999 * random_unitary(r, rng)
+        rho = np.eye(r, dtype=complex) / r
+        powers = list(hitting._doubling_powers(a))
+        assert len(powers) == 15
+        eye = np.eye(r, dtype=complex)
+        stored = hitting._stein_sum(powers, eye)
+        del powers
+        tracemalloc.start()
+        try:
+            value = hitting._stein_trace(a, rho, residual_rtol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == float(np.real(np.sum(stored * rho.T)))  # bit for bit
+        assert peak <= (hitting.STEIN_WORK_ARRAYS - 2) * r * r * 16 + 2**16
 
     def test_values_at_least_one_without_final_support(self):
         for spec in (edge_spec(), hypercube_spec(2), hypercube_spec(3)):

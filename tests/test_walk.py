@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qwlab import graphs, groups, spectral, walk
+from qwlab import graphs, groups, hitting, spectral, walk
 
 from conftest import full_direction_group, random_unitary
 
@@ -122,6 +122,88 @@ class TestEvolutionOperator:
         for target in (1, -1, 1j, -1j):
             mults = [c.multiplicity for c in clusters if abs(c.eigenvalue - target) < 1e-8]
             assert mults == [8]
+
+
+FACTORED_WALKS = {
+    "hypercube4-grover": (graphs.build_hypercube(4), walk.grover_coin),
+    "hypercube4-dft": (graphs.build_hypercube(4), walk.dft_coin),
+    "cycle8-grover": (graphs.build_cycle(8), walk.grover_coin),
+    "distorted3-grover": (graphs.build_distorted_hypercube(3), walk.grover_coin),
+    "s4-3gen-dft": (graphs.cayley_s4_3gen().graph, walk.dft_coin),
+}
+
+
+def refuse_matrix(self):
+    raise AssertionError("the dense walk matrix was read")
+
+
+class TestFactoredStep:
+    @staticmethod
+    def assert_apply_matches(op, u, rng):
+        x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        cols = rng.standard_normal((op.dim, 5)) + 1j * rng.standard_normal((op.dim, 5))
+        assert op.apply(x).shape == x.shape and op.apply(cols).shape == cols.shape
+        assert np.max(np.abs(op.apply(x) - u @ x)) < 1e-13
+        assert np.max(np.abs(op.apply(cols) - u @ cols)) < 1e-13
+        assert np.max(np.abs(op.apply(np.eye(op.dim)) - u)) < 1e-15
+
+    @pytest.mark.parametrize("name", FACTORED_WALKS)
+    def test_apply_matches_the_dense_matrix(self, name, rng):
+        g, coin = FACTORED_WALKS[name]
+        op = walk.evolution_operator(g, coin(g.degree_value))
+        assert op.block.shape == (g.degree_value, g.degree_value)
+        product = graphs.shift_matrix(g) @ np.kron(np.eye(g.num_vertices), op.block)
+        self.assert_apply_matches(op, product, rng)
+
+    def test_dense_operator_is_one_block_with_the_identity_image(self, rng):
+        u = random_unitary(12, rng)
+        op = walk.WalkOperator(u)
+        assert np.array_equal(op.image, np.arange(12))
+        assert np.array_equal(op.matrix, u)
+        self.assert_apply_matches(op, u, rng)
+
+    def test_step_iterated_paths_read_no_dense_matrix(self, monkeypatch):
+        g = graphs.build_hypercube(4)
+        grover = walk.evolution_operator(g, walk.grover_coin(4))
+        dft = walk.evolution_operator(g, walk.dft_coin(4))
+        e1, e2 = hitting.basis_state(g, 0, 1), hitting.basis_state(g, 3, 2)
+        mixed = 0.5 * (np.outer(e1, e1) + np.outer(e2, e2))
+        starts = {
+            "grover-pure": (grover, hitting.symmetric_state(g, 0)),
+            "grover-mixed": (grover, mixed),
+            "dft-mixed": (dft, mixed),
+        }
+
+        def run(op, start):
+            finals = graphs.BasisIndexing.from_graph(g).indices_for([15])
+            spec = hitting.measured_walk(op, start, final_indices=finals)
+            res = hitting.hitting_time_series(spec, 1e-6)
+            return (
+                res.value if res.is_finite else res.escape_probability,
+                res.truncation,
+                hitting.first_hit_distribution(spec, 40),
+                hitting.concurrent_hitting_time(spec, 0.4),
+            )
+
+        # the same paths on one dense D x D block, computed before the lock
+        dense = {k: run(walk.WalkOperator(op.matrix), start) for k, (op, start) in starts.items()}
+        monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse_matrix))
+        # values of the dense-matrix step, recorded before the factored one
+        recorded = {
+            "grover-pure": (6.6666101154647945, 70, 0.9996620406755028, 4),
+            "grover-mixed": (0.5686274509803921, 512, 0.4312179821720292, 14),
+            "dft-mixed": (0.48214285714286154, 1536, 0.43765694909711783, 30),
+        }
+        for key, (op, start) in starts.items():
+            value, steps, dist, when = run(op, start)
+            want_value, want_steps, want_mass, want_when = recorded[key]
+            assert value == pytest.approx(want_value, rel=1e-12)
+            assert value == pytest.approx(dense[key][0], rel=1e-12)
+            assert (steps, when) == (want_steps, want_when) == (dense[key][1], dense[key][3])
+            assert dist.sum() == pytest.approx(want_mass, rel=1e-12)
+            assert np.max(np.abs(dist - dense[key][2])) < 1e-12
+        sym, far = hitting.symmetric_state(g, 0), hitting.symmetric_state(g, 15)
+        assert hitting.one_shot_hitting_time(grover, sym, far, 0.5, 200) == 4
 
 
 class TestWalkSymmetries:
