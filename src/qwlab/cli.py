@@ -11,6 +11,7 @@ out of memory, 2 indeterminate computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -337,7 +338,9 @@ def cmd_classical(args, out) -> int:
 # Entry point
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="qwlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

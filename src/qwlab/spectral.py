@@ -7,14 +7,18 @@ the per-vertex coin-overlap blocks of P identify which local coin states
 avoid (or cannot avoid) being trapped.
 
 A unitary is normal, so its spectrum comes from Hermitian eigensolves: one
-of the Hermitian part (U + U+)/2, then small ones inside each cluster of
-its eigenvalues (``eigenspace_clusters``); no general eigensolver or QR is
-used, and non-normal input is rejected.  The trapped subspace is kept as an
-orthonormal basis B; trace(P), escape probabilities and coin-overlap
-blocks are read from B, and no D x D projector is formed.  The rest of
-each cluster, the eigenvectors that do see the finals, is kept too: an
-orthonormal basis W of ran(I - P) made of eigenvectors of U, in which the
-hitting module solves for the hitting time.
+of the Hermitian part (U + U+)/2, then small ones inside each chain of
+nearby cosines (``eigenspace_clusters``); no general eigensolver or QR is
+used, and non-normal input is rejected.  The small work is batched: the
+blocks of all chains of one length are split by one stacked eigh, and the
+final-vertex overlaps of all clusters of one multiplicity by one stacked
+SVD, so a small walk costs a few numpy calls rather than a Python pass per
+chain and per cluster.  Only the D-tall products stay per chain, on column
+views.  The trapped subspace is kept as an orthonormal basis B; trace(P),
+escape probabilities and coin-overlap blocks are read from B, and no D x D
+projector is formed.  The rest of each cluster, the eigenvectors that do
+see the finals, is kept too: an orthonormal basis W of ran(I - P) made of
+eigenvectors of U, in which the hitting module solves for the hitting time.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ class SpectralReport:
     ``basis`` spans the trapped subspace with orthonormal columns;
     ``untrapped`` spans its orthogonal complement, which holds the finals,
     with orthonormal eigenvectors of U.  ``contributions`` counts the trapped
-    dimensions contributed by each cluster, in cluster order.  Warnings
-    record nullspace rank decisions that fell within 10x of the singular
-    value cutoff.
+    dimensions contributed by each cluster, in cluster order.  Warnings, in
+    cluster order, record nullspace rank decisions that fell within 10x of
+    the singular value cutoff, and neighbouring clusters whose eigenvalues
+    lie within 10x of the cluster tolerance.
     """
 
     clusters: tuple[EigenCluster, ...]
@@ -111,16 +116,14 @@ def _eigen_runs(a: np.ndarray, tol: float) -> list[np.ndarray | None]:
     return [y[:, run] for run in _runs(vals, tol)]
 
 
-def _joint_blocks(c: np.ndarray, s: np.ndarray, tol: float) -> list[np.ndarray | None]:
-    """Orthonormal column blocks (None for the whole space) on which diag(c)
-    and the commuting Hermitian s each have one run of eigenvalues.
+def _joint_blocks(c: np.ndarray, s: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Orthonormal column blocks on which diag(c), for c spanning more than
+    tol, and the commuting Hermitian s each have one run of eigenvalues.
 
-    When c spans more than tol, the space is split into the runs of one
-    matrix restricted to it, each part into those of the other, and so on
-    in turn; a part is final once neither splits it.
+    The space is split into the runs of one matrix restricted to it, each
+    part into those of the other, and so on in turn; a part is final once
+    neither splits it.
     """
-    if np.ptp(c) <= tol:  # diag(c) restricted to any subspace has one run
-        return _eigen_runs(s, tol)
     blocks = []
     stack = [(np.eye(len(c)), np.diag(c), s, False)]  # (columns, split by, other, whole under other)
     while stack:
@@ -133,6 +136,88 @@ def _joint_blocks(c: np.ndarray, s: np.ndarray, tol: float) -> list[np.ndarray |
         else:
             stack.append((x, b, a, True))
     return blocks
+
+
+def _split(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, first columns, basis) of the clusters of unitary m, in chain order.
+
+    Cluster i's orthonormal eigenbasis is the block of columns of the D x D
+    ``basis`` from ``first[i]`` up to the next cluster's first column.  Each
+    chain's D-tall work runs on column views; its small blocks are stacked
+    with those of the other chains of its length and split together.
+    """
+    a = m.real if not m.imag.any() else m
+    cos, w = np.linalg.eigh((a + a.conj().T) / 2)
+    ikw = ((a - a.conj().T) / 2) @ w  # i K W
+    cuts = (np.flatnonzero(np.diff(cos) > max(tol, np.sqrt(tol))) + 1).tolist()
+    starts = np.array([0, *cuts])
+    blocks = []
+    for lo, hi in zip(starts.tolist(), [*cuts, len(cos)]):
+        wc, ikc = w[:, lo:hi], ikw[:, lo:hi]
+        t = wc.conj().T @ ikc  # i W_c+ K W_c
+        residual = float(np.linalg.norm(ikc - wc @ t))
+        if residual > tol:
+            raise ValueError(
+                f"matrix is not normal (eigenspace block residual {residual:.3e} > {tol:.0e})"
+            )
+        blocks.append(t)
+    del ikw
+
+    lengths = np.diff([*starts, len(cos)])
+    wide = cos[starts + lengths - 1] - cos[starts] > tol
+    firsts, lams, turns = [], [], []  # turns: (chain start, rotation of its columns)
+    for i in np.flatnonzero(wide).tolist():  # cosines spread wider than tol
+        c = cos[starts[i]:starts[i] + lengths[i]]
+        parts = _joint_blocks(c, -1j * blocks[i], tol)
+        at = np.cumsum([0] + [p.shape[1] for p in parts[:-1]])
+        x = np.hstack(parts)
+        rayleigh = np.sum(x.conj() * ((np.diag(c) + blocks[i]) @ x), axis=0)
+        firsts.append(starts[i] + at)
+        lams.append(np.add.reduceat(rayleigh, at))
+        turns.append((starts[i], x))
+    for size in sorted(set(lengths[~wide].tolist())):
+        group = np.flatnonzero((lengths == size) & ~wide)
+        c = cos[starts[group, None] + np.arange(size)]
+        t = np.stack([blocks[i] for i in group])
+        mc = t + c[:, :, None] * np.eye(size)  # W_c+ U W_c
+        s = -1j * t
+        dev = s - (np.trace(s, axis1=1, axis2=2).real / size)[:, None, None] * np.eye(size)
+        whole = 2 * np.linalg.norm(dev, axis=(1, 2)) <= tol  # one run: no eigh
+        firsts.append(starts[group[whole]])
+        lams.append(np.trace(mc[whole], axis1=1, axis2=2))
+        if whole.all():
+            continue
+        split = starts[group[~whole]]
+        vals, y = np.linalg.eigh(s[~whole])
+        rayleigh = np.sum(y.conj() * (mc[~whole] @ y), axis=1)  # per eigenvector
+        new_run = np.ones(vals.shape, dtype=bool)
+        new_run[:, 1:] = np.diff(vals, axis=1) > tol
+        at = np.flatnonzero(new_run)  # flat index of each run's first eigenvector
+        firsts.append(split[at // size] + at % size)
+        lams.append(np.add.reduceat(rayleigh.ravel(), at))
+        turns += zip(split.tolist(), y)
+
+    first = np.concatenate(firsts)
+    order = np.argsort(first)
+    lam = np.concatenate(lams)[order]
+    basis = w.astype(complex, copy=False)
+    for lo, x in turns:
+        basis[:, lo:lo + len(x)] = basis[:, lo:lo + len(x)] @ x
+    return lam / np.abs(lam), first[order], basis
+
+
+def _phase_order(lams: np.ndarray, tol: float) -> np.ndarray:
+    """Cluster order by phase in [-pi, pi), the cluster within tol of -1 first."""
+    return np.argsort(np.where(np.abs(lams + 1) <= tol, -np.pi, np.angle(lams)), kind="stable")
+
+
+def _clusters(lams, first, basis, order) -> tuple[EigenCluster, ...]:
+    """The clusters in ``order``, each with a view of its columns of basis."""
+    bounds = [*first.tolist(), basis.shape[1]]
+    return tuple(
+        EigenCluster(complex(lams[i]), bounds[i + 1] - bounds[i], basis[:, bounds[i]:bounds[i + 1]])
+        for i in order.tolist()
+    )
 
 
 def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:
@@ -152,51 +237,35 @@ def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]
     the branch cut at -1 too.  A step within tol in both cosine and sine
     but up to sqrt(2)*tol long on the circle also links two eigenvalues.
 
+    Chains of one length are split together: one batched eigh of their
+    blocks W_c+ K W_c, skipped for blocks within tol of a multiple of the
+    identity, and one batched pass for the run cuts and the Rayleigh
+    quotients.  Only a chain whose cosines spread wider than tol takes the
+    alternating split on its own.
+
     Each cluster basis is orthonormal and orthogonal to the other clusters'
     by construction; its eigenvalue is the normalised mean Rayleigh quotient.
     Clusters are listed by phase in [-pi, pi): the cluster within tol of -1
     comes first.  Raises ValueError when U is not normal, i.e. when a
     chain's block residual ||K W_c - W_c (W_c+ K W_c)|| exceeds tol.
     """
-    m = _as_matrix(u)
-    a = m.real if not m.imag.any() else m
-    cos, w = np.linalg.eigh((a + a.conj().T) / 2)
-    ikw = ((a - a.conj().T) / 2) @ w  # i K W
-
-    clusters = []
-    for chain in _runs(cos, max(tol, np.sqrt(tol))):
-        wc, ikc = w[:, chain], ikw[:, chain]
-        t = wc.conj().T @ ikc  # i W_c+ K W_c
-        residual = float(np.linalg.norm(ikc - wc @ t))
-        if residual > tol:
-            raise ValueError(
-                f"matrix is not normal (eigenspace block residual {residual:.3e} > {tol:.0e})"
-            )
-        mc = np.diag(cos[chain]) + t  # W_c+ U W_c
-        for x in _joint_blocks(cos[chain], -1j * t, tol):
-            if x is None:
-                lam, basis = complex(np.trace(mc)), wc.astype(complex)
-            else:
-                lam, basis = complex(np.trace(x.conj().T @ mc @ x)), wc @ x
-            clusters.append(EigenCluster(lam / abs(lam), basis.shape[1], basis))
-    clusters.sort(key=lambda c: -np.pi if abs(c.eigenvalue + 1) <= tol else np.angle(c.eigenvalue))
-    return tuple(clusters)
+    lams, first, basis = _split(_as_matrix(u), tol)
+    return _clusters(lams, first, basis, _phase_order(lams, tol))
 
 
-def _final_range_basis(p_f, dim: int) -> np.ndarray:
-    """Orthonormal basis of ran(P_f) as columns, from a matrix or index list."""
+def _final_overlap(p_f, v: np.ndarray) -> np.ndarray:
+    """F+ V for an orthonormal basis F of ran(P_f), from a matrix or index list."""
     arr = np.asarray(p_f)
     if arr.ndim == 1:
-        basis = np.zeros((dim, arr.size), dtype=complex)
-        basis[arr.astype(int), np.arange(arr.size)] = 1.0
-        return basis
+        return v[arr.astype(int)]
+    dim = v.shape[0]
     if arr.shape != (dim, dim):
         raise ValueError("projector dimension mismatch")
-    w, v = np.linalg.eigh(arr.astype(complex))
-    cols = v[:, w > 0.5]
+    w, f = np.linalg.eigh(arr.astype(complex))
+    cols = f[:, w > 0.5]
     if not np.allclose(arr, cols @ cols.conj().T, atol=1e-10):
         raise ValueError("p_f is not a projector")
-    return cols
+    return cols.conj().T @ v
 
 
 def infinite_hitting_projector(
@@ -211,47 +280,57 @@ def infinite_hitting_projector(
     For a cluster with orthonormal eigenbasis V (dim k) the trapped
     directions solve the homogeneous d x k system F* V a = 0, where F spans
     the rank-d final subspace; the solution space has dimension k - rank.
-    Rank decisions use singular values with a relative cutoff; values inside
-    [cutoff, 10*cutoff) are reported as warnings rather than failures.  The
-    clusters' bases are mutually orthogonal, so the trapped pieces are
-    stacked into ``basis`` as they are.
+    The overlaps F* V of all clusters of one multiplicity are decomposed in
+    one stacked SVD.  Rank decisions use singular values with a relative
+    cutoff; values inside [cutoff, 10*cutoff) are reported as warnings
+    rather than failures, and so are neighbouring clusters on the circle
+    whose eigenvalues lie within 10*cluster_tol, where the clustering itself
+    is a close call.  The clusters' bases are mutually orthogonal, so the
+    trapped pieces are stacked into ``basis`` as they are.
     """
-    m = _as_matrix(u)
-    d = m.shape[0]
-    fin_h = _final_range_basis(p_f, d).conj().T
-    clusters = eigenspace_clusters(m, tol=cluster_tol)
+    lams, first, v = _split(_as_matrix(u), cluster_tol)
+    dim, n = v.shape[0], len(lams)
+    order = _phase_order(lams, cluster_tol)
+    position = np.empty_like(order)
+    position[order] = np.arange(n)
+    size = np.diff([*first, dim])
+    overlap = _final_overlap(p_f, v)
 
-    trapped, untrapped = [], []
-    contributions = []
-    warnings: list[str] = []
-    for ci, cluster in enumerate(clusters):
-        overlap = fin_h @ cluster.basis  # d x k
-        _, sv, vh = np.linalg.svd(overlap)
-        smax = sv[0] if sv.size else 0.0
-        cutoff = null_rtol * smax
-        if smax == 0.0:
-            rank = 0
-        else:
-            rank = int(np.sum(sv > cutoff))
-            band = np.sum((sv > cutoff) & (sv <= 10 * cutoff))
+    rank = np.zeros(n, dtype=int)
+    warnings = []  # (cluster position, message)
+    for k in sorted(set(size.tolist())):
+        group = np.flatnonzero(size == k)
+        _, sv, vh = np.linalg.svd(overlap[:, first[group, None] + np.arange(k)].transpose(1, 0, 2))
+        cutoff = null_rtol * sv[:, :1]
+        kept = sv > cutoff
+        rank[group] = kept.sum(axis=1)
+        for i, band in zip(group, np.sum(kept & (sv <= 10 * cutoff), axis=1).tolist()):
             if band:
-                warnings.append(
-                    f"cluster {ci} (eigenvalue {cluster.eigenvalue:.6f}): "
-                    f"{band} singular value(s) within 10x of cutoff"
-                )
-        contributions.append(cluster.multiplicity - rank)
-        trapped.append(cluster.basis @ vh[rank:].conj().T)
-        # when nothing is trapped, any orthonormal basis of the cluster will do
-        untrapped.append(
-            cluster.basis if rank == cluster.multiplicity else cluster.basis @ vh[:rank].conj().T
-        )
+                warnings.append((position[i], f"cluster {position[i]} (eigenvalue "
+                                 f"{complex(lams[i]):.6f}): {band} singular value(s) "
+                                 "within 10x of cutoff"))
+        for i, vhi in zip(group.tolist(), vh):
+            if 0 < rank[i] < k:  # rotate the first rank columns onto the overlap's row space
+                cols = slice(first[i], first[i] + k)
+                v[:, cols] = v[:, cols] @ vhi.conj().T
 
+    ring = lams[order]
+    gaps = np.abs(ring - np.roll(ring, -1))  # cluster i to cluster i + 1, and around
+    pairs = n if n > 2 else n - 1  # two clusters are one pair of neighbours, not two
+    for i in np.flatnonzero(gaps[:pairs] <= 10 * cluster_tol).tolist():
+        j = (i + 1) % n
+        warnings.append((i, f"clusters {i} and {j} (eigenvalues {complex(ring[i]):.6f} and "
+                         f"{complex(ring[j]):.6f}): gap {gaps[i]:.1e} within 10x of the "
+                         "cluster tolerance"))
+
+    columns = np.argsort(np.repeat(position, size), kind="stable")  # in cluster order
+    sees_finals = (np.arange(dim) - np.repeat(first, size) < np.repeat(rank, size))[columns]
     return SpectralReport(
-        clusters=clusters,
-        basis=np.hstack(trapped),
-        untrapped=np.hstack(untrapped),
-        contributions=tuple(contributions),
-        warnings=tuple(warnings),
+        clusters=_clusters(lams, first, v, order),
+        basis=np.take(v, columns[~sees_finals], axis=1),
+        untrapped=np.take(v, columns[sees_finals], axis=1),
+        contributions=tuple((size - rank)[order].tolist()),
+        warnings=tuple(msg for _, msg in sorted(warnings, key=lambda w: w[0])),
     )
 
 

@@ -323,3 +323,41 @@ class TestGraphFile:
     def test_missing_file_exits_one(self):
         code, _ = run_cli("hitting", "--graph-file", "/nonexistent/graph.json")
         assert code == 1
+
+
+class TestCachedParser:
+    def test_repeated_subgroup_lists_do_not_leak_between_calls(self):
+        base = ("quotient", "--graph", "hypercube:3")
+        _, one = run_cli(*base, "--subgroup", "(1,2)")
+        _, two = run_cli(*base, "--subgroup", "(2,3)", "--subgroup", "(1,3)")
+        _, again = run_cli(*base, "--subgroup", "(1,2)")
+        assert json.loads(one)["manifest"]["subgroup"] == ["(1,2)"]
+        assert json.loads(two)["manifest"]["subgroup"] == ["(2,3)", "(1,3)"]
+        assert again == one
+        assert len(json.loads(two)["orbits"]) < len(json.loads(one)["orbits"])
+
+    def test_valid_call_after_a_usage_error(self):
+        _, before = run_cli("hitting", "--graph", "cycle:6")
+        assert run_cli("hitting", "--graph", "cycle:6", "--method", "bogus")[0] == 1
+        assert run_cli("hitting", "--no-such-option")[0] == 1
+        code, after = run_cli("hitting", "--graph", "cycle:6")
+        assert code == 0
+        assert after == before
+
+    def test_one_parser_build_per_process(self, monkeypatch):
+        inits = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            inits.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        run_cli("hitting", "--graph", "edge")
+        built = len(inits)  # the top-level parser and one per subcommand
+        assert inits.count("qwlab") == 1
+        run_cli("spectrum", "--graph", "hypercube:2")
+        run_cli("hitting", "--bogus")
+        run_cli("classical", "--hypercube", "3")
+        assert len(inits) == built

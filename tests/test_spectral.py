@@ -47,6 +47,95 @@ def eig_qr_report(u, fin):
     return report, q @ q.conj().T
 
 
+def loop_clusters(u, tol=spectral.CLUSTER_TOL):
+    """The per-chain clustering loop, kept as the oracle of the batched split:
+    one Python pass per chain of cosines with its own small eighs, and one
+    Rayleigh trace per cluster."""
+    m = np.asarray(u, dtype=complex)
+    a = m.real if not m.imag.any() else m
+    cos, w = np.linalg.eigh((a + a.conj().T) / 2)
+    ikw = ((a - a.conj().T) / 2) @ w
+    clusters = []
+    for chain in spectral._runs(cos, max(tol, np.sqrt(tol))):
+        wc, ikc = w[:, chain], ikw[:, chain]
+        t = wc.conj().T @ ikc
+        assert np.linalg.norm(ikc - wc @ t) <= tol
+        mc = np.diag(cos[chain]) + t
+        c, s = cos[chain], -1j * t
+        if np.ptp(c) <= tol:
+            parts = spectral._eigen_runs(s, tol)
+        else:
+            parts = spectral._joint_blocks(c, s, tol)
+        for x in parts:
+            if x is None:
+                lam, basis = complex(np.trace(mc)), wc.astype(complex)
+            else:
+                lam, basis = complex(np.trace(x.conj().T @ mc @ x)), wc @ x
+            clusters.append(spectral.EigenCluster(lam / abs(lam), basis.shape[1], basis))
+    clusters.sort(key=lambda c: -np.pi if abs(c.eigenvalue + 1) <= tol else np.angle(c.eigenvalue))
+    return tuple(clusters)
+
+
+def loop_report(u, fin, tol=spectral.CLUSTER_TOL, null_rtol=spectral.NULLSPACE_RTOL):
+    """The per-cluster projector loop, one SVD per cluster, kept as the oracle
+    of the stacked SVDs: (clusters, trapped basis, untrapped basis,
+    contributions, warnings) for final indices ``fin``."""
+    clusters = loop_clusters(u, tol)
+    trapped, untrapped, contributions, warnings = [], [], [], []
+    for ci, cluster in enumerate(clusters):
+        _, sv, vh = np.linalg.svd(cluster.basis[np.asarray(fin)])
+        cutoff = null_rtol * (sv[0] if sv.size else 0.0)
+        rank = int(np.sum(sv > cutoff))
+        band = int(np.sum((sv > cutoff) & (sv <= 10 * cutoff)))
+        if band:
+            warnings.append(
+                f"cluster {ci} (eigenvalue {cluster.eigenvalue:.6f}): "
+                f"{band} singular value(s) within 10x of cutoff"
+            )
+        n = len(clusters)
+        if ci < (n if n > 2 else n - 1):
+            nxt = clusters[(ci + 1) % n]
+            gap = abs(cluster.eigenvalue - nxt.eigenvalue)
+            if gap <= 10 * tol:
+                warnings.append(
+                    f"clusters {ci} and {(ci + 1) % n} (eigenvalues {cluster.eigenvalue:.6f} "
+                    f"and {nxt.eigenvalue:.6f}): gap {gap:.1e} within 10x of the cluster tolerance"
+                )
+        contributions.append(cluster.multiplicity - rank)
+        trapped.append(cluster.basis @ vh[rank:].conj().T)
+        untrapped.append(cluster.basis @ vh[:rank].conj().T)
+    return clusters, np.hstack(trapped), np.hstack(untrapped), tuple(contributions), tuple(warnings)
+
+
+def planted(phases, rng, fin=(0, 1)):
+    """(U, final indices) for a random eigenbasis with the given phases."""
+    v = random_unitary(len(phases), rng)
+    return (v * np.exp(1j * np.asarray(phases))) @ v.conj().T, np.array(fin)
+
+
+def planted_cases() -> dict:
+    rng = np.random.default_rng(4242)
+    theta = rng.uniform(0.2, 2.9, 3)
+    eps = 5e-9  # one singular value of the overlap at 5x the cutoff
+    w = np.zeros((4, 4), dtype=complex)
+    w[0, 0] = w[3, 3] = 1.0
+    w[1:3, 1:3] = [[eps, np.sqrt(1 - eps ** 2)], [np.sqrt(1 - eps ** 2), -eps]]
+    return {
+        "multiplicities-1-6": planted(
+            np.repeat(rng.uniform(-np.pi, np.pi, 6), [1, 2, 3, 4, 5, 6]), rng),
+        # e^{+i theta} and e^{-i theta} share a cosine: one chain, split by eigh
+        "conjugate-pairs": planted(
+            np.repeat(np.concatenate([theta, -theta]), [1, 2, 3, 3, 1, 2]), rng),
+        # cosines 3e-6 * sin(theta) apart: one chain spread wider than tol
+        "wide-chain": planted(
+            [theta[0], theta[0] + 3e-6, -theta[0], -theta[0], 1.0, 2.5], rng),
+        "warning-band": ((w * [1, 1, 1j, -1]) @ w.conj().T, np.array([0, 1])),
+    }
+
+
+PLANTED_CASES = planted_cases()
+
+
 def oracle_cases() -> dict:
     cases = {name: (spec.walk.matrix, spec.final_array) for name, spec in battery()}
     for n in (4, 5):
@@ -143,6 +232,38 @@ class TestAgainstGeneralEigensolver:
         assert not unmatched
         assert np.max(np.abs(trapped_projector(report) - oracle_p)) <= 1e-10
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES) + sorted(PLANTED_CASES))
+    def test_batched_split_matches_the_loop_oracle(self, name):
+        u, fin = {**ORACLE_CASES, **PLANTED_CASES}[name]
+        report = spectral.infinite_hitting_projector(u, fin)
+        clusters, b, w, contributions, warnings = loop_report(u, fin)
+        assert [c.multiplicity for c in report.clusters] == [c.multiplicity for c in clusters]
+        assert report.contributions == contributions
+        assert report.warnings == warnings
+        lams = np.array([c.eigenvalue for c in report.clusters])
+        assert np.max(np.abs(lams - [c.eigenvalue for c in clusters])) <= 1e-12
+        assert np.max(np.abs(trapped_projector(report) - b @ b.conj().T)) <= 1e-12
+        w_report = report.untrapped @ report.untrapped.conj().T
+        assert np.max(np.abs(w_report - w @ w.conj().T)) <= 1e-12
+
+    def test_planted_cases_reach_every_path(self, monkeypatch):
+        joint_calls = []
+        joint_blocks = spectral._joint_blocks
+
+        def counting(*args):
+            joint_calls.append(args)
+            return joint_blocks(*args)
+
+        monkeypatch.setattr(spectral, "_joint_blocks", counting)
+        reports = {name: spectral.infinite_hitting_projector(u, fin)
+                   for name, (u, fin) in PLANTED_CASES.items()}
+        assert len(joint_calls) == 1  # only the wide chain takes the alternating split
+        mults = [c.multiplicity for c in reports["multiplicities-1-6"].clusters]
+        assert sorted(mults) == [1, 2, 3, 4, 5, 6]
+        assert sorted(reports["multiplicities-1-6"].contributions) == [0, 0, 1, 2, 3, 4]
+        assert len(reports["conjugate-pairs"].clusters) == 6
+        assert len(reports["wide-chain"].clusters) == 5
+
     def test_no_general_eigensolver_or_qr_on_the_verdict_path(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("general eigensolver or QR called")
@@ -222,22 +343,37 @@ class TestProjector:
         by_indices = spectral.infinite_hitting_projector(op.matrix, fin)
         assert np.max(np.abs(trapped_projector(by_matrix) - trapped_projector(by_indices))) < 1e-12
 
+    def test_near_tolerance_neighbours_warn(self):
+        # eigenvalue pairs 3e-8 apart, just above the cluster tolerance: the
+        # clustering keeps them apart, and each close call is reported
+        rng = np.random.default_rng(0)
+        base = rng.uniform(-np.pi, np.pi, 6)
+        u, fin = planted(np.concatenate([base - 1.5e-8, base + 1.5e-8]), rng, fin=(0,))
+        report = spectral.infinite_hitting_projector(u, fin)
+        assert len(report.clusters) == 12
+        gap_warnings = [w for w in report.warnings if "gap" in w]
+        assert len(gap_warnings) == 6
+        for i in range(0, 12, 2):
+            assert any(w.startswith(f"clusters {i} and {i + 1} ") for w in gap_warnings)
+
+    def test_wrapping_neighbours_warn(self):
+        # the last cluster and the first are neighbours across the branch cut
+        u = np.diag(np.exp(1j * np.array([np.pi - 2e-8, -np.pi + 2e-8, 0.3, 1.2])))
+        report = spectral.infinite_hitting_projector(u, np.array([2]))
+        assert [w.split(" (")[0] for w in report.warnings] == ["clusters 3 and 0"]
+
+    def test_no_oracle_case_warns(self):
+        # the smallest neighbour gap among these is 2e-5, on the planted
+        # equal-sines case; among the walks it is 3.6e-4, on hypercube:5 dft
+        for name, (u, fin) in ORACLE_CASES.items():
+            assert spectral.infinite_hitting_projector(u, fin).warnings == (), name
+
     def test_rank_decision_warning_band(self):
-        eps = 5e-9
-        w1 = np.zeros(4, dtype=complex)
-        w1[0] = 1.0
-        w2 = np.array([0.0, eps, np.sqrt(1 - eps ** 2), 0.0], dtype=complex)
-        w3 = np.array([0.0, np.sqrt(1 - eps ** 2), -eps, 0.0], dtype=complex)
-        w4 = np.zeros(4, dtype=complex)
-        w4[3] = 1.0
-        u = (
-            np.outer(w1, w1.conj())
-            + np.outer(w2, w2.conj())
-            + 1j * np.outer(w3, w3.conj())
-            - np.outer(w4, w4.conj())
-        )
-        report = spectral.infinite_hitting_projector(u, np.array([0, 1]))
-        assert report.warnings
+        # eigenvalue 1 twice, on e0 and a vector with 5e-9 on e1: the overlap
+        # with finals e0, e1 has one singular value at 5x the cutoff
+        u, fin = PLANTED_CASES["warning-band"]
+        report = spectral.infinite_hitting_projector(u, fin)
+        assert [w.split(" (")[0] for w in report.warnings] == ["cluster 1"]
 
 
 class TestEscape:
