@@ -95,25 +95,28 @@ def _as_matrix(u) -> np.ndarray:
     return np.asarray(getattr(u, "matrix", u), dtype=complex)
 
 
-def _runs(values: np.ndarray, tol: float) -> list[slice]:
-    """Slices of ascending ``values`` over the runs whose neighbours lie within tol."""
-    v = values.tolist()
-    cuts = [0, *(i for i in range(1, len(v)) if v[i] - v[i - 1] > tol), len(v)]
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+def _runs(values: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the entries that start a run along the last axis of ascending
+    ``values``: the first, and each more than tol above the one before it."""
+    new_run = np.ones(values.shape, dtype=bool)
+    new_run[..., 1:] = np.diff(values, axis=-1) > tol
+    return new_run
 
 
-def _eigen_runs(a: np.ndarray, tol: float) -> list[np.ndarray | None]:
-    """Eigenvector blocks of Hermitian a, one per run of its eigenvalues.
+def _eigen_runs(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(whole, eigenvectors, run starts) of a stack of Hermitian k x k blocks.
 
-    A matrix within tol/2 of a multiple of the identity in Frobenius norm
-    has all its eigenvalues within tol of each other: it gives [None], the
-    whole space, without an eigh.
+    A block within tol/2 of a multiple of the identity in Frobenius norm has
+    all its eigenvalues within tol of each other: ``whole`` marks it as one
+    run, and it takes no eigh.  The other blocks, a[~whole], are split by one
+    stacked eigh: their eigenvectors in ascending order of eigenvalue, and
+    the ``_runs`` mask of those eigenvalues.
     """
-    k = len(a)
-    if k == 1 or 2 * np.linalg.norm(a - np.trace(a).real / k * np.eye(k)) <= tol:
-        return [None]
-    vals, y = np.linalg.eigh(a)
-    return [y[:, run] for run in _runs(vals, tol)]
+    k = a.shape[-1]
+    dev = a - (np.trace(a, axis1=-2, axis2=-1).real / k)[..., None, None] * np.eye(k)
+    whole = (k == 1) | (2 * np.linalg.norm(dev, axis=(-2, -1)) <= tol)
+    vals, y = np.linalg.eigh(a[~whole])
+    return whole, y, _runs(vals, tol)
 
 
 def _joint_blocks(c: np.ndarray, s: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -128,9 +131,10 @@ def _joint_blocks(c: np.ndarray, s: np.ndarray, tol: float) -> list[np.ndarray]:
     stack = [(np.eye(len(c)), np.diag(c), s, False)]  # (columns, split by, other, whole under other)
     while stack:
         x, a, b, settled = stack.pop()
-        parts = _eigen_runs(x.conj().T @ a @ x, tol)
-        if len(parts) > 1:
-            stack.extend((x @ y, b, a, True) for y in parts)
+        _, y, new_run = _eigen_runs((x.conj().T @ a @ x)[None], tol)
+        cuts = np.flatnonzero(new_run)[1:]  # none when the block is whole or one run
+        if cuts.size:
+            stack.extend((x @ part, b, a, True) for part in np.split(y[0], cuts, axis=1))
         elif settled:
             blocks.append(x)
         else:
@@ -149,10 +153,9 @@ def _split(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     a = m.real if not m.imag.any() else m
     cos, w = np.linalg.eigh((a + a.conj().T) / 2)
     ikw = ((a - a.conj().T) / 2) @ w  # i K W
-    cuts = (np.flatnonzero(np.diff(cos) > max(tol, np.sqrt(tol))) + 1).tolist()
-    starts = np.array([0, *cuts])
+    starts = np.flatnonzero(_runs(cos, max(tol, np.sqrt(tol))))
     blocks = []
-    for lo, hi in zip(starts.tolist(), [*cuts, len(cos)]):
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(cos)]):
         wc, ikc = w[:, lo:hi], ikw[:, lo:hi]
         t = wc.conj().T @ ikc  # i W_c+ K W_c
         residual = float(np.linalg.norm(ikc - wc @ t))
@@ -180,18 +183,13 @@ def _split(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
         c = cos[starts[group, None] + np.arange(size)]
         t = np.stack([blocks[i] for i in group])
         mc = t + c[:, :, None] * np.eye(size)  # W_c+ U W_c
-        s = -1j * t
-        dev = s - (np.trace(s, axis1=1, axis2=2).real / size)[:, None, None] * np.eye(size)
-        whole = 2 * np.linalg.norm(dev, axis=(1, 2)) <= tol  # one run: no eigh
+        whole, y, new_run = _eigen_runs(-1j * t, tol)
         firsts.append(starts[group[whole]])
         lams.append(np.trace(mc[whole], axis1=1, axis2=2))
         if whole.all():
             continue
         split = starts[group[~whole]]
-        vals, y = np.linalg.eigh(s[~whole])
         rayleigh = np.sum(y.conj() * (mc[~whole] @ y), axis=1)  # per eigenvector
-        new_run = np.ones(vals.shape, dtype=bool)
-        new_run[:, 1:] = np.diff(vals, axis=1) > tol
         at = np.flatnonzero(new_run)  # flat index of each run's first eigenvector
         firsts.append(split[at // size] + at % size)
         lams.append(np.add.reduceat(rayleigh.ravel(), at))

@@ -38,13 +38,48 @@ def eig_qr_clusters(u, tol=spectral.CLUSTER_TOL):
 
 
 def eig_qr_report(u, fin):
-    """(report, projector) from the oracle clusters, with the stacked trapped
-    basis re-orthonormalised by QR as the general-eigensolver route did."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "eigenspace_clusters", eig_qr_clusters)
-        report = spectral.infinite_hitting_projector(u, fin)
-    q, _ = np.linalg.qr(report.basis)
-    return report, q @ q.conj().T
+    """(clusters, contributions, projector) of the per-cluster projector loop
+    on the oracle clusters, with the stacked trapped basis re-orthonormalised
+    by QR as the general-eigensolver route did."""
+    clusters, b, _, contributions, _ = loop_report(eig_qr_clusters(u), fin)
+    q, _ = np.linalg.qr(b)
+    return clusters, contributions, q @ q.conj().T
+
+
+def loop_runs(values, tol):
+    """Slices of ascending ``values`` over the runs whose neighbours lie within tol."""
+    v = values.tolist()
+    cuts = [0, *(i for i in range(1, len(v)) if v[i] - v[i - 1] > tol), len(v)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def loop_eigen_runs(a, tol):
+    """Eigenvector blocks of Hermitian a, one per run of its eigenvalues;
+    [None], the whole space, within tol/2 of a multiple of the identity."""
+    k = len(a)
+    if k == 1 or 2 * np.linalg.norm(a - np.trace(a).real / k * np.eye(k)) <= tol:
+        return [None]
+    vals, y = np.linalg.eigh(a)
+    return [y[:, run] for run in loop_runs(vals, tol)]
+
+
+def loop_joint_blocks(c, s, tol):
+    """Blocks on which diag(c) and the commuting Hermitian s each have one
+    run, by splitting along one and then the other until neither splits."""
+    if np.ptp(c) <= tol:
+        return loop_eigen_runs(s, tol)
+    blocks = []
+    stack = [(np.eye(len(c)), np.diag(c), s, False)]
+    while stack:
+        x, a, b, settled = stack.pop()
+        parts = loop_eigen_runs(x.conj().T @ a @ x, tol)
+        if len(parts) > 1:
+            stack.extend((x @ y, b, a, True) for y in parts)
+        elif settled:
+            blocks.append(x)
+        else:
+            stack.append((x, b, a, True))
+    return blocks
 
 
 def loop_clusters(u, tol=spectral.CLUSTER_TOL):
@@ -56,17 +91,12 @@ def loop_clusters(u, tol=spectral.CLUSTER_TOL):
     cos, w = np.linalg.eigh((a + a.conj().T) / 2)
     ikw = ((a - a.conj().T) / 2) @ w
     clusters = []
-    for chain in spectral._runs(cos, max(tol, np.sqrt(tol))):
+    for chain in loop_runs(cos, max(tol, np.sqrt(tol))):
         wc, ikc = w[:, chain], ikw[:, chain]
         t = wc.conj().T @ ikc
         assert np.linalg.norm(ikc - wc @ t) <= tol
         mc = np.diag(cos[chain]) + t
-        c, s = cos[chain], -1j * t
-        if np.ptp(c) <= tol:
-            parts = spectral._eigen_runs(s, tol)
-        else:
-            parts = spectral._joint_blocks(c, s, tol)
-        for x in parts:
+        for x in loop_joint_blocks(cos[chain], -1j * t, tol):
             if x is None:
                 lam, basis = complex(np.trace(mc)), wc.astype(complex)
             else:
@@ -76,11 +106,10 @@ def loop_clusters(u, tol=spectral.CLUSTER_TOL):
     return tuple(clusters)
 
 
-def loop_report(u, fin, tol=spectral.CLUSTER_TOL, null_rtol=spectral.NULLSPACE_RTOL):
+def loop_report(clusters, fin, tol=spectral.CLUSTER_TOL, null_rtol=spectral.NULLSPACE_RTOL):
     """The per-cluster projector loop, one SVD per cluster, kept as the oracle
     of the stacked SVDs: (clusters, trapped basis, untrapped basis,
-    contributions, warnings) for final indices ``fin``."""
-    clusters = loop_clusters(u, tol)
+    contributions, warnings) of the given clusters for final indices ``fin``."""
     trapped, untrapped, contributions, warnings = [], [], [], []
     for ci, cluster in enumerate(clusters):
         _, sv, vh = np.linalg.svd(cluster.basis[np.asarray(fin)])
@@ -217,17 +246,17 @@ class TestAgainstGeneralEigensolver:
     def test_clusters_contributions_and_projector(self, name):
         u, fin = ORACLE_CASES[name]
         report = spectral.infinite_hitting_projector(u, fin)
-        oracle, oracle_p = eig_qr_report(u, fin)
-        unmatched = list(range(len(oracle.clusters)))
+        clusters, contributions, oracle_p = eig_qr_report(u, fin)
+        unmatched = list(range(len(clusters)))
         for i, c in enumerate(report.clusters):
             j = next(
                 (j for j in unmatched
-                 if oracle.clusters[j].multiplicity == c.multiplicity
-                 and abs(oracle.clusters[j].eigenvalue - c.eigenvalue) <= 1e-12),
+                 if clusters[j].multiplicity == c.multiplicity
+                 and abs(clusters[j].eigenvalue - c.eigenvalue) <= 1e-12),
                 None,
             )
             assert j is not None, f"cluster {c.eigenvalue} x{c.multiplicity} has no oracle match"
-            assert report.contributions[i] == oracle.contributions[j]
+            assert report.contributions[i] == contributions[j]
             unmatched.remove(j)
         assert not unmatched
         assert np.max(np.abs(trapped_projector(report) - oracle_p)) <= 1e-10
@@ -236,7 +265,7 @@ class TestAgainstGeneralEigensolver:
     def test_batched_split_matches_the_loop_oracle(self, name):
         u, fin = {**ORACLE_CASES, **PLANTED_CASES}[name]
         report = spectral.infinite_hitting_projector(u, fin)
-        clusters, b, w, contributions, warnings = loop_report(u, fin)
+        clusters, b, w, contributions, warnings = loop_report(loop_clusters(u), fin)
         assert [c.multiplicity for c in report.clusters] == [c.multiplicity for c in clusters]
         assert report.contributions == contributions
         assert report.warnings == warnings
