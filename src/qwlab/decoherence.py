@@ -467,42 +467,36 @@ def _trapped_projector(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:
         basis = v[:, keep]
 
 
-def decohered_hitting_time(
-    spec: MeasuredWalkSpec,
-    ch: Channel,
-    *,
-    singular_rtol: float = SINGULAR_RTOL,
-    escape_atol: float = ESCAPE_ATOL,
-) -> HittingResult:
+def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult:
     """Closed-form hitting time of the decohered measured walk.
 
     The identity channel is the unitary walk and goes to
     :func:`hitting_time_closed_form`.  Otherwise tau = Tr(X rho_0), where X
     solves X - L(X) = I for the Heisenberg survive map L of
     :class:`_SurvivalMap` (method ``closed_form``).  A solve whose relative
-    residual ends above ``singular_rtol`` marks I - N_D as singular.  X is
+    residual ends above SINGULAR_RTOL marks I - N_D as singular.  X is
     then solved with U (I - p) for the :func:`_trapped_projector` p; escape
-    Tr(p rho_0) above ``escape_atol`` is infinite (``closed_form``), else
+    Tr(p rho_0) above ESCAPE_ATOL is infinite (``closed_form``), else
     tau = Tr(X (I - p) rho_0 (I - p)) (``pseudo_inverse``), the Moore-Penrose
     value for a unital channel.  A second stagnating solve, as when a channel
     moves mass into a region it keeps, raises IndeterminateError.  A solve
     that would not fit in the memory budget is refused first.
     """
     if ch.is_identity and ch.dim == spec.dim:
-        return hitting_time_closed_form(spec, singular_rtol=singular_rtol, escape_atol=escape_atol)
+        return hitting_time_closed_form(spec)
     _check_memory(spec.dim, DECOHERED_WORK_ARRAYS * spec.dim**2)
     eye = np.eye(spec.dim, dtype=complex)
-    x = _SurvivalMap(spec, ch).solve(eye, singular_rtol)
+    x = _SurvivalMap(spec, ch).solve(eye, SINGULAR_RTOL)
     if x is not None:
         return HittingResult(METHOD_CLOSED_FORM, value=float(np.real(np.sum(x * spec.rho0.T))))
     trapped = _trapped_projector(spec, ch)
     q = eye - trapped
-    x = _SurvivalMap(spec, ch, q).solve(eye, singular_rtol)
+    x = _SurvivalMap(spec, ch, q).solve(eye, SINGULAR_RTOL)
     if x is None:
         dim = round(np.trace(trapped).real)
         raise IndeterminateError(f"I - N_D is singular off the trapped subspace (dimension {dim})")
     escape = float(np.real(np.sum(trapped * spec.rho0.T)))
-    if escape > escape_atol:
+    if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
     value = float(np.real(np.sum(x * (q @ spec.rho0 @ q).T)))
     return HittingResult(METHOD_PSEUDO_INVERSE, value=value)
@@ -526,13 +520,7 @@ def decohered_hitting_series(
     return _accumulate_series(probabilities, epsilon, step_cap=step_cap, stall_window=window)
 
 
-def hitting_time_slope(
-    spec: MeasuredWalkSpec,
-    kind: str,
-    p: float,
-    *,
-    singular_rtol: float = SINGULAR_RTOL,
-) -> float:
+def hitting_time_slope(spec: MeasuredWalkSpec, kind: str, p: float) -> float:
     """Analytic derivative of the dephased hitting time with respect to p.
 
     tau(p) = Tr(X rho_0), where X - L(X) = I and
@@ -550,11 +538,11 @@ def hitting_time_slope(
     g = spec.walk.graph
     nv, cd = g.num_vertices, g.degree_value
     survival = _SurvivalMap(spec, dephasing_channel(kind, p, nv, cd))
-    x = survival.solve(np.eye(spec.dim, dtype=complex), singular_rtol)
+    x = survival.solve(np.eye(spec.dim, dtype=complex), SINGULAR_RTOL)
     if x is not None:
         a = survival.a
         dm = dephasing_channel(kind, 1.0, nv, cd).schur - 1.0
-        x = survival.solve(a.conj().T @ (dm * x) @ a, singular_rtol)
+        x = survival.solve(a.conj().T @ (dm * x) @ a, SINGULAR_RTOL)
     if x is None:
         raise ValueError(
             f"I - N is singular at p={p}; the slope formula needs an invertible resolvent"
@@ -616,10 +604,8 @@ def dfs_check_kraus(ch: Channel, basis: np.ndarray, *, atol: float = DFS_ATOL) -
     return _check_scalar_action(ops, basis, atol)
 
 
-def dfs_check_lindblad(
-    lset: LindbladSet, basis: np.ndarray, *, atol: float = DFS_ATOL
-) -> DfsVerdict:
-    return _check_scalar_action(_dense_actions(lset.ops), basis, atol)
+def dfs_check_lindblad(lset: LindbladSet, basis: np.ndarray) -> DfsVerdict:
+    return _check_scalar_action(_dense_actions(lset.ops), basis, DFS_ATOL)
 
 
 def _swap_image(n: int, i: int) -> np.ndarray:

@@ -210,9 +210,15 @@ class BasisIndexing:
     def num_vertices(self) -> int:
         return len(self.offsets)
 
+    def _colors(self, v: int) -> tuple[int, ...]:
+        if not 0 <= v < self.num_vertices:
+            raise ValueError(f"vertex {v} out of range")
+        return self.vertex_colors[v]
+
     def index(self, v: int, c: int) -> int:
+        colors = self._colors(v)
         try:
-            rank = self.vertex_colors[v].index(c)
+            rank = colors.index(c)
         except ValueError:
             raise ValueError(f"vertex {v} has no color {c}") from None
         return self.offsets[v] + rank
@@ -224,7 +230,8 @@ class BasisIndexing:
         return v, self.vertex_colors[v][i - self.offsets[v]]
 
     def vertex_indices(self, v: int) -> range:
-        return range(self.offsets[v], self.offsets[v] + len(self.vertex_colors[v]))
+        size = len(self._colors(v))
+        return range(self.offsets[v], self.offsets[v] + size)
 
     def indices_for(self, vertices: Iterable[int]) -> np.ndarray:
         out: list[int] = []

@@ -95,43 +95,53 @@ METHOD_SERIES = "series"
 
 @dataclass(frozen=True, eq=False)
 class MeasuredWalkSpec:
-    """Walk operator, final-vertex projector, and initial state.
+    """Walk operator, final-vertex projector, and start state.
 
     ``final_indices`` lists the flat basis indices supporting P_f (all coin
-    states of the final vertices for a coined walk).  ``psi0`` is kept when
-    the initial state is pure, enabling vector-sized iteration.
+    states of the final vertices for a coined walk).  ``state`` is the start
+    as given: a unit vector psi_0 or a density matrix rho_0, checked once in
+    that form.  ``psi0`` is the vector, or None for a mixed start; ``rho0``
+    is the density matrix, built as psi_0 psi_0+ on first read for a pure
+    start, so a route that steps or projects the vector never forms it.
     """
 
     walk: WalkOperator
     final_indices: tuple[int, ...]
-    rho0: np.ndarray
-    psi0: np.ndarray | None = None
+    state: np.ndarray
     final_vertices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         d = self.walk.dim
-        rho = np.asarray(self.rho0, dtype=complex)
-        if rho.shape != (d, d):
-            raise ValueError("rho0 dimension does not match the walk")
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
-            raise ValueError("rho0 must have unit trace")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-            raise ValueError("rho0 must be Hermitian")
-        evs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if evs[0] < -1e-10:
-            raise ValueError(f"rho0 not positive semidefinite (min eig {evs[0]:.3e})")
-        object.__setattr__(self, "rho0", rho)
+        state = np.asarray(self.state, dtype=complex)
+        if state.shape == (d,):
+            if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+                raise ValueError("start state must be normalized")
+        elif state.shape == (d, d):
+            if abs(np.trace(state).real - 1.0) > 1e-12 or abs(np.trace(state).imag) > 1e-12:
+                raise ValueError("rho0 must have unit trace")
+            if np.max(np.abs(state - state.conj().T)) > 1e-10:
+                raise ValueError("rho0 must be Hermitian")
+            evs = np.linalg.eigvalsh((state + state.conj().T) / 2)
+            if evs[0] < -1e-10:
+                raise ValueError(f"rho0 not positive semidefinite (min eig {evs[0]:.3e})")
+        else:
+            raise ValueError(f"start state of shape {state.shape} does not match dimension {d}")
+        object.__setattr__(self, "state", state)
         fin = tuple(sorted(set(int(i) for i in self.final_indices)))
         if not fin:
             raise ValueError("final projector must have positive rank")
         if fin[0] < 0 or fin[-1] >= d:
             raise ValueError("final index out of range")
         object.__setattr__(self, "final_indices", fin)
-        if self.psi0 is not None:
-            psi = np.asarray(self.psi0, dtype=complex)
-            if psi.shape != (d,):
-                raise ValueError("psi0 dimension does not match the walk")
-            object.__setattr__(self, "psi0", psi)
+
+    @property
+    def psi0(self) -> np.ndarray | None:
+        return self.state if self.state.ndim == 1 else None
+
+    @functools.cached_property
+    def rho0(self) -> np.ndarray:
+        psi = self.psi0
+        return self.state if psi is None else np.outer(psi, psi.conj())
 
     @property
     def dim(self) -> int:
@@ -171,7 +181,6 @@ def measured_walk(
     vertices are resolved through the walk's graph; pass explicit
     ``final_indices`` for reduced (graph-free) walks.
     """
-    start = np.asarray(start, dtype=complex)
     if final_indices is None:
         if final_vertices is None:
             raise ValueError("specify final_vertices or final_indices")
@@ -182,19 +191,10 @@ def measured_walk(
         final_indices = idx.indices_for(verts)
     else:
         verts = tuple(sorted(set(int(v) for v in final_vertices))) if final_vertices else None
-    if start.ndim == 1:
-        nrm = np.linalg.norm(start)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError("start state must be normalized")
-        rho = np.outer(start, start.conj())
-        psi = start
-    else:
-        rho, psi = start, None
     return MeasuredWalkSpec(
         walk=walk,
         final_indices=tuple(int(i) for i in final_indices),
-        rho0=rho,
-        psi0=psi,
+        state=start,
         final_vertices=verts,
     )
 
@@ -584,14 +584,11 @@ def _stein_trace(a: np.ndarray, rho: np.ndarray, *, residual_rtol: float) -> flo
 
 
 def hitting_time_closed_form(
-    spec: MeasuredWalkSpec,
-    *,
-    singular_rtol: float = SINGULAR_RTOL,
-    escape_atol: float = ESCAPE_ATOL,
+    spec: MeasuredWalkSpec, *, singular_rtol: float = SINGULAR_RTOL
 ) -> HittingResult:
     """Expected hitting time from the Stein equation X - A+ X A = I, A = Q_f U.
 
-    Escape mass in the trapped subspace above ``escape_atol`` makes the
+    Escape mass in the trapped subspace above ESCAPE_ATOL makes the
     hitting time infinite (method ``closed_form``).  Otherwise A maps the
     range of the untrapped eigenbasis W into itself, as A_r = W+ A W, and
     tau = Tr(X_r W+ rho_0 W) for X_r - A_r+ X_r A_r = I.  The method is
@@ -604,8 +601,8 @@ def hitting_time_closed_form(
     d = spec.dim
     _check_memory(d, EIGENSOLVE_WORK_ARRAYS * d * d)
     report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
-    escape = spectral.escape_probability(report, spec.psi0 if spec.psi0 is not None else spec.rho0)
-    if escape > escape_atol:
+    escape = spectral.escape_probability(report, spec.state)
+    if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
 
     w = report.untrapped

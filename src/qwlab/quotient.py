@@ -46,6 +46,7 @@ __all__ = [
 SYMMETRY_ATOL = 1e-10
 UNITARITY_ATOL = 1e-9
 ENTRY_ATOL = 1e-12
+ANGLE_ATOL = 1e-8  # a principal angle cosine above 1 - ANGLE_ATOL is a shared direction
 _SYMMETRY_BLOCK_BYTES = 1 << 18  # per side, so that both blocks stay in cache
 
 
@@ -128,9 +129,7 @@ class SymmetryCheck:
     max_residual: float
 
 
-def check_walk_symmetry(
-    u, grp: PermGroup | Iterable[Permutation], *, atol: float = SYMMETRY_ATOL
-) -> SymmetryCheck:
+def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCheck:
     """Largest entry of U sigma(h) - sigma(h) U over the generators.
 
     The two sides are compared one block of rows at a time, so no whole
@@ -150,13 +149,13 @@ def check_walk_symmetry(
             right = m[lo:hi][:, img]
             left = m[inv[lo:hi]]
             worst = max(worst, float(np.max(np.abs(right - left))))
-    return SymmetryCheck(worst <= atol, worst)
+    return SymmetryCheck(worst <= SYMMETRY_ATOL, worst)
 
 
-def quotient_walk(u, basis: OrbitBasis, *, atol: float = SYMMETRY_ATOL) -> np.ndarray:
+def quotient_walk(u, basis: OrbitBasis) -> np.ndarray:
     """U_H = B+ U B by orbit sums; requires U to commute with the subgroup."""
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
-    chk = check_walk_symmetry(m, basis.generators, atol=atol)
+    chk = check_walk_symmetry(m, basis.generators)
     if not chk.commutes:
         raise SymmetryError(
             f"walk leaks out of the symmetric subspace (residual {chk.max_residual:.3e})"
@@ -382,13 +381,7 @@ class QuotientHittingVerdict:
         return self.intersection_dim > 0
 
 
-def quotient_infinite_hitting(
-    u,
-    basis: OrbitBasis,
-    final_indices,
-    *,
-    angle_atol: float = 1e-8,
-) -> QuotientHittingVerdict:
+def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHittingVerdict:
     """Decide infinite hitting on the quotient by two independent routes.
 
     Route 1 intersects the full-space trapped subspace with the symmetric
@@ -411,7 +404,7 @@ def quotient_infinite_hitting(
 
     report_full = infinite_hitting_projector(m, final)
     cosines = np.linalg.svd(_orbit_sums(report_full.basis, basis, 0), compute_uv=False)
-    dim_full = int(np.sum(cosines > 1.0 - angle_atol))
+    dim_full = int(np.sum(cosines > 1.0 - ANGLE_ATOL))
 
     report_q = infinite_hitting_projector(quotient_walk(m, basis), final_orbits)
     dim_q = report_q.trace_int

@@ -251,55 +251,35 @@ def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]
     return _clusters(lams, first, basis, _phase_order(lams, tol))
 
 
-def _final_overlap(p_f, v: np.ndarray) -> np.ndarray:
-    """F+ V for an orthonormal basis F of ran(P_f), from a matrix or index list."""
-    arr = np.asarray(p_f)
-    if arr.ndim == 1:
-        return v[arr.astype(int)]
-    dim = v.shape[0]
-    if arr.shape != (dim, dim):
-        raise ValueError("projector dimension mismatch")
-    w, f = np.linalg.eigh(arr.astype(complex))
-    cols = f[:, w > 0.5]
-    if not np.allclose(arr, cols @ cols.conj().T, atol=1e-10):
-        raise ValueError("p_f is not a projector")
-    return cols.conj().T @ v
-
-
-def infinite_hitting_projector(
-    u,
-    p_f,
-    *,
-    cluster_tol: float = CLUSTER_TOL,
-    null_rtol: float = NULLSPACE_RTOL,
-) -> SpectralReport:
+def infinite_hitting_projector(u, p_f) -> SpectralReport:
     """Projector onto eigenvectors of U with no final-vertex overlap.
 
-    For a cluster with orthonormal eigenbasis V (dim k) the trapped
-    directions solve the homogeneous d x k system F* V a = 0, where F spans
-    the rank-d final subspace; the solution space has dimension k - rank.
-    The overlaps F* V of all clusters of one multiplicity are decomposed in
+    ``p_f`` lists the basis indices of the final subspace.  For a cluster
+    with orthonormal eigenbasis V (dim k) the trapped directions solve the
+    homogeneous d x k system V[p_f] a = 0, the rows of V on the d final
+    indices; the solution space has dimension k - rank.
+    The overlaps V[p_f] of all clusters of one multiplicity are decomposed in
     one stacked SVD.  Rank decisions use singular values with a relative
-    cutoff; values inside [cutoff, 10*cutoff) are reported as warnings
-    rather than failures, and so are neighbouring clusters on the circle
-    whose eigenvalues lie within 10*cluster_tol, where the clustering itself
-    is a close call.  The clusters' bases are mutually orthogonal, so the
-    trapped pieces are stacked into ``basis`` as they are.
+    cutoff NULLSPACE_RTOL; values inside [cutoff, 10*cutoff) are reported as
+    warnings rather than failures, and so are neighbouring clusters on the
+    circle whose eigenvalues lie within 10*CLUSTER_TOL, where the clustering
+    itself is a close call.  The clusters' bases are mutually orthogonal, so
+    the trapped pieces are stacked into ``basis`` as they are.
     """
-    lams, first, v = _split(_as_matrix(u), cluster_tol)
+    lams, first, v = _split(_as_matrix(u), CLUSTER_TOL)
     dim, n = v.shape[0], len(lams)
-    order = _phase_order(lams, cluster_tol)
+    order = _phase_order(lams, CLUSTER_TOL)
     position = np.empty_like(order)
     position[order] = np.arange(n)
     size = np.diff([*first, dim])
-    overlap = _final_overlap(p_f, v)
+    overlap = v[np.asarray(p_f, dtype=int)]
 
     rank = np.zeros(n, dtype=int)
     warnings = []  # (cluster position, message)
     for k in sorted(set(size.tolist())):
         group = np.flatnonzero(size == k)
         _, sv, vh = np.linalg.svd(overlap[:, first[group, None] + np.arange(k)].transpose(1, 0, 2))
-        cutoff = null_rtol * sv[:, :1]
+        cutoff = NULLSPACE_RTOL * sv[:, :1]
         kept = sv > cutoff
         rank[group] = kept.sum(axis=1)
         for i, band in zip(group, np.sum(kept & (sv <= 10 * cutoff), axis=1).tolist()):
@@ -315,7 +295,7 @@ def infinite_hitting_projector(
     ring = lams[order]
     gaps = np.abs(ring - np.roll(ring, -1))  # cluster i to cluster i + 1, and around
     pairs = n if n > 2 else n - 1  # two clusters are one pair of neighbours, not two
-    for i in np.flatnonzero(gaps[:pairs] <= 10 * cluster_tol).tolist():
+    for i in np.flatnonzero(gaps[:pairs] <= 10 * CLUSTER_TOL).tolist():
         j = (i + 1) % n
         warnings.append((i, f"clusters {i} and {j} (eigenvalues {complex(ring[i]):.6f} and "
                          f"{complex(ring[j]):.6f}): gap {gaps[i]:.1e} within 10x of the "

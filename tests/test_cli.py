@@ -52,6 +52,12 @@ class TestHittingCommand:
         code, _ = run_cli("hitting", "--graph", "bogus:9")
         assert code == 1
 
+    @pytest.mark.parametrize("start", ["basis:-1:1", "basis:8:1"])
+    def test_out_of_range_start_exits_one(self, start, capsys):
+        code, out = run_cli("hitting", "--graph", "hypercube:3", "--start", start)
+        assert (code, out) == (1, "")
+        assert "out of range" in capsys.readouterr().err
+
     def test_step_cap_exhaustion_exits_two(self):
         code, _ = run_cli(
             "hitting", "--graph", "hypercube:3", "--coin", "grover",

@@ -1,3 +1,4 @@
+import functools
 import os
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwlab import graphs, hitting, quotient, spectral, walk
+from qwlab import decoherence, graphs, hitting, quotient, spectral, walk
 from qwlab.errors import IndeterminateError, ThresholdUnreachableError
 
 from conftest import battery, random_unitary, trapped_projector
@@ -79,6 +80,44 @@ class TestSpecValidation:
         op = walk.evolution_operator(g, walk.grover_coin(1))
         with pytest.raises(ValueError, match="final"):
             hitting.measured_walk(op, hitting.basis_state(g, 0, 1))
+
+    def test_non_hermitian_rejected(self):
+        g = graphs.build_edge_graph()
+        op = walk.evolution_operator(g, walk.grover_coin(1))
+        rho = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hitting.measured_walk(op, rho, final_vertices=[1])
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 3), (2, 2, 2)])
+    def test_start_of_wrong_shape_rejected(self, shape):
+        g = graphs.build_edge_graph()
+        op = walk.evolution_operator(g, walk.grover_coin(1))
+        start = np.zeros(shape, dtype=complex)
+        start.flat[0] = 1.0
+        with pytest.raises(ValueError, match="dimension"):
+            hitting.measured_walk(op, start, final_vertices=[1])
+
+    @pytest.mark.parametrize("vertex", [-1, 8])
+    def test_out_of_range_vertex_rejected(self, vertex):
+        g = graphs.build_hypercube(3)
+        op = walk.evolution_operator(g, walk.grover_coin(3))
+        with pytest.raises(ValueError, match="out of range"):
+            hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[vertex])
+        with pytest.raises(ValueError, match="out of range"):
+            hitting.symmetric_state(g, vertex)
+        with pytest.raises(ValueError, match="out of range"):
+            hitting.basis_state(g, vertex, 1)
+
+    def test_pure_start_forms_no_density_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pure start was checked by an eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        spec = hypercube_spec(3)
+        assert spec.psi0 is spec.state
+        hitting.hitting_time_series(spec, 1e-6)
+        assert "rho0" not in vars(spec)
+        assert np.array_equal(spec.rho0, np.outer(spec.psi0, spec.psi0.conj()))
 
 
 class TestFirstHitDistribution:
@@ -390,6 +429,29 @@ class TestClosedForm:
                 assert abs(fast.value - dense.value) <= 1e-10 * dense.value, name
             else:
                 assert abs(fast.escape_probability - dense.escape_probability) <= 1e-10, name
+
+    def test_pure_and_density_matrix_starts_agree_on_battery(self):
+        for name, pure in battery():
+            mixed = hitting.measured_walk(
+                pure.walk, np.outer(pure.psi0, pure.psi0.conj()), final_indices=pure.final_indices
+            )
+            assert mixed.psi0 is None, name
+            series = functools.partial(hitting.hitting_time_series, epsilon=1e-6)
+            for solve in (hitting.hitting_time_closed_form, series):
+                a, b = solve(pure), solve(mixed)
+                assert (a.method, a.kind, a.truncation) == (b.method, b.kind, b.truncation), name
+                assert (a.value, a.escape_probability) == pytest.approx(
+                    (b.value, b.escape_probability), rel=1e-12, abs=1e-12
+                ), name
+            g = pure.walk.graph
+            for kind in (decoherence.KIND_COIN, decoherence.KIND_POSITION, decoherence.KIND_BOTH):
+                ch = decoherence.dephasing_channel(kind, 0.5, g.num_vertices, g.degree_value)
+                a = decoherence.decohered_hitting_time(pure, ch)
+                b = decoherence.decohered_hitting_time(mixed, ch)
+                assert (a.method, a.kind) == (b.method, b.kind), (name, kind)
+                assert (a.value, a.escape_probability) == pytest.approx(
+                    (b.value, b.escape_probability), rel=1e-12, abs=1e-12
+                ), (name, kind)
 
     def test_matches_dense_oracle_on_complex_mixed_start(self, rng):
         g = graphs.build_hypercube(3)

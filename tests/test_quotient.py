@@ -491,8 +491,8 @@ class TestLabelSumsAgainstDenseIsometry:
         verdict = quotient.quotient_infinite_hitting(op, basis, final)
         report = spectral.infinite_hitting_projector(op.matrix, final)
         cosines = np.linalg.svd(report.basis.conj().T @ b, compute_uv=False)
-        p_fh = np.diag([float(set(o) <= set(final.tolist())) for o in basis.orbits])
-        report_q = spectral.infinite_hitting_projector(dense_uh, p_fh)
+        fin_h = np.flatnonzero([set(o) <= set(final.tolist()) for o in basis.orbits])
+        report_q = spectral.infinite_hitting_projector(dense_uh, fin_h)
         assert verdict.intersection_dim == int(np.sum(cosines > 1.0 - 1e-8))
         assert verdict.intersection_dim == report_q.trace_int
         assert abs(verdict.full_trace - report.trace_p) <= 1e-12

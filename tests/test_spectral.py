@@ -364,14 +364,6 @@ class TestProjector:
         assert all(contrib >= 8 - 4 for contrib in big)
         assert sum(big) >= 16
 
-    def test_matrix_projector_input(self):
-        _, op, fin = hypercube_setup(2, "grover")
-        p_f = np.zeros((8, 8), dtype=complex)
-        p_f[fin, fin] = 1.0
-        by_matrix = spectral.infinite_hitting_projector(op.matrix, p_f)
-        by_indices = spectral.infinite_hitting_projector(op.matrix, fin)
-        assert np.max(np.abs(trapped_projector(by_matrix) - trapped_projector(by_indices))) < 1e-12
-
     def test_near_tolerance_neighbours_warn(self):
         # eigenvalue pairs 3e-8 apart, just above the cluster tolerance: the
         # clustering keeps them apart, and each close call is reported
