@@ -1,14 +1,14 @@
 """Quantum channels, decohered hitting times, and decoherence-free subspaces.
 
 A channel is a Kraus family {A_i} with sum A_i+ A_i = I, applied between
-the unitary step and the final-vertex measurement.  When every A_i is
-diagonal it is the Schur multiplier rho -> m o rho with
-m = sum_i diag(A_i) diag(A_i)+; dephasing of strength p (position, coin
-or both) has m = (1 - p) + p M for a 0/1 mask M and is built from m
-alone, its Kraus family made only when read.  When every A_i is monomial,
-a permutation matrix times a diagonal (swap dephasing), the channel holds
-each as an image and a weight vector and applies it by index gathers in
-O(D^2), again making the dense family only when read.
+the unitary step and the final-vertex measurement.  The structured
+channels have monomial A_i, a permutation matrix times a diagonal: the
+channel holds each as an image and a weight vector, applies it by index
+gathers in O(D^2), and makes the dense family only when read.  Dephasing
+of strength p (position, coin or both) has diagonal A_i, the identity
+image, and also holds its Schur multiplier m = sum_i diag(A_i) diag(A_i)+
+= (1 - p) + p M for a 0/1 mask M, applied as rho -> m o rho; swap
+dephasing permutes the basis.
 
 A step of the decohered walk that does not detect the walker maps rho to
 N_D(rho) = Q_f Phi(U rho U+) Q_f.  The channel keeps the trace, so the
@@ -18,11 +18,10 @@ and
     tau = vec(I) . Y_D (I - N_D)^(-2) vec(rho_0) = Tr(X rho_0),   X - L(X) = I,
 
 with L the adjoint of N_D (the survive map in Heisenberg form):
-X -> A+ (m* o X) A with A = Q_f U for a multiplier, else
-X -> U+ (sum_i A_i+ (Q_f X Q_f) A_i) U.  Restarted GMRES solves this on
-D x D matrices, in O(D^3) time per step and O(D^2) memory per Krylov
-vector; for a multiplier it is preconditioned by the Stein inverse of
-sqrt(min Re m) A, applied by the Smith doubling of the unitary closed
+X -> U+ Phi+(Q_f X Q_f) U.  Restarted GMRES solves this on D x D
+matrices, in O(D^3) time per step and O(D^2) memory per Krylov vector;
+for a multiplier it is preconditioned by the Stein inverse of
+sqrt(min Re m) Q_f U, applied by the Smith doubling of the unitary closed
 form.  The slope in p is one more solve with the same operator, and the
 step series iterates D x D density matrices.  A solve that stagnates
 marks I - N_D as singular; as in the unitary closed form, a trapped
@@ -55,8 +54,8 @@ from .hitting import (
     METHOD_PSEUDO_INVERSE,
     HittingResult,
     MeasuredWalkSpec,
-    _accumulate_series,
     _hit_probabilities,
+    _series_hitting_time,
     _doubling_powers,
     _stein_sum,
     _check_memory,
@@ -92,8 +91,9 @@ GMRES_RESTART = 40
 GMRES_STALL = 0.5
 # complex D x D arrays held during a solve: the Krylov basis, at most
 # MAX_DOUBLINGS preconditioner powers, ten more (9.5 measured on
-# hypercube:4-5), and U, rho_0 and a dephasing multiplier held by the caller
-DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 13
+# hypercube:4-5), and U, rho_0, a dephasing multiplier and its (D + 1) x D
+# Kraus weights held by the caller
+DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 14
 
 KIND_BOTH = "both"
 KIND_COIN = "coin"
@@ -103,18 +103,17 @@ KIND_POSITION = "position"
 class Channel:
     """Completely positive trace-preserving map in Kraus form.
 
-    ``schur`` is derived: sum_i diag(A_i) diag(A_i)+ when every A_i is
-    diagonal (the channel is then rho -> schur o rho), else None.  A
-    channel made by :meth:`_from_multiplier` holds only the multiplier, and
-    one made by :meth:`_from_monomials` only ``monomials``, a k x D image
-    array and a k x D weight array with A_i e_j = weights[i, j] e_image[i, j]
-    (a permutation matrix times a diagonal).  Both build their Kraus family
+    ``schur`` is sum_i diag(A_i) diag(A_i)+ when every A_i is diagonal (the
+    channel is then rho -> schur o rho), else None.  A channel made by
+    :meth:`_from_monomials` holds ``monomials``, a k x D image array and a
+    k x D weight array with A_i e_j = weights[i, j] e_image[i, j] (a
+    permutation matrix times a diagonal), and builds its dense Kraus family
     on the first read of ``kraus``.
     """
 
     monomials: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __init__(self, kraus: Sequence[np.ndarray], label: str = "channel"):
+    def __init__(self, kraus: Sequence[np.ndarray]):
         ops = tuple(np.asarray(a, dtype=complex) for a in kraus)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
@@ -133,35 +132,19 @@ class Channel:
             schur = np.zeros((d, d), dtype=complex)
             for a in ops:
                 schur += np.outer(np.diag(a), np.diag(a).conj())
-        self.label = label
         self.schur = schur
-        self.is_identity = len(ops) == 1 and bool(np.array_equal(ops[0], np.eye(d)))
-        self._kraus = ops
+        self.kraus = ops
 
     @classmethod
-    def _from_multiplier(
-        cls,
-        schur: np.ndarray,
-        kraus: Callable[[], Iterable[np.ndarray]],
-        *,
-        is_identity: bool,
-        label: str,
+    def _from_monomials(
+        cls, images: np.ndarray, weights: np.ndarray, schur: np.ndarray | None = None
     ) -> "Channel":
-        """The channel rho -> schur o rho; ``kraus()`` returns its Kraus
-        family, diagonal and complete, and runs only if the family is read."""
-        ch = cls.__new__(cls)
-        ch.label = label
-        ch.schur = schur
-        ch.is_identity = is_identity
-        ch._kraus = kraus
-        return ch
-
-    @classmethod
-    def _from_monomials(cls, images: np.ndarray, weights: np.ndarray, label: str) -> "Channel":
         """The channel with Kraus operators e_j -> weights[i, j] e_images[i, j].
 
         Each A_i+ A_i is diag(|weights[i]|^2), so completeness is an O(D)
-        check: sum_i |weights[i, j]|^2 = 1 for every j.
+        check: sum_i |weights[i, j]|^2 = 1 for every j.  ``schur`` is the
+        channel's multiplier, which the caller passes when every image is
+        the identity.
         """
         images = np.asarray(images)
         weights = np.asarray(weights, dtype=complex)
@@ -171,33 +154,28 @@ class Channel:
         defect = float(np.max(np.abs(np.sum(np.abs(weights) ** 2, axis=0) - 1.0)))
         if defect > COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated (defect {defect:.3e})")
-
-        def kraus() -> list[np.ndarray]:
-            ops = []
-            for image, w in zip(images, weights):
-                a = np.zeros((d, d), dtype=complex)
-                a[image, np.arange(d)] = w
-                ops.append(a)
-            return ops
-
         ch = cls.__new__(cls)
-        ch.label = label
-        ch.schur = None
-        ch.is_identity = k == 1 and bool(np.all(images == np.arange(d)) and np.all(weights == 1.0))
+        ch.schur = schur
         ch.monomials = (images, weights)
-        ch._kraus = kraus
         return ch
 
-    @property
+    @functools.cached_property
     def kraus(self) -> tuple[np.ndarray, ...]:
-        if callable(self._kraus):
-            self._kraus = tuple(self._kraus())
-        return self._kraus
+        images, weights = self.monomials
+        d = images.shape[1]
+        ops = []
+        for image, w in zip(images, weights):
+            a = np.zeros((d, d), dtype=complex)
+            a[image, np.arange(d)] = w
+            ops.append(a)
+        return tuple(ops)
+
+    @property
+    def is_identity(self) -> bool:
+        return self.schur is not None and bool((self.schur == 1).all())
 
     @property
     def dim(self) -> int:
-        if self.schur is not None:
-            return self.schur.shape[0]
         if self.monomials is not None:
             return self.monomials[0].shape[1]
         return self.kraus[0].shape[0]
@@ -237,30 +215,23 @@ def dephasing_channel(
 
     The channel is the Schur multiplier (1 - p) + p M, where the 0/1 mask
     M keeps (i, j) when i and j share a basis state (``both``), coin
-    (``coin``) or vertex (``position``).  Its Kraus set, built only when
-    read, is sqrt(1-p) I together with sqrt(p) Pi_k over the diagonal
-    projectors onto the label classes; it is complete because the
-    projectors sum to the identity.  Unknown kinds are rejected.
+    (``coin``) or vertex (``position``).  Its Kraus operators are the
+    diagonals sqrt(1-p) I and sqrt(p) Pi_c over the projectors onto the
+    label classes, held as monomials with the identity image; the family is
+    complete because the projectors sum to the identity.  Unknown kinds are
+    rejected.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("dephasing strength must lie in [0, 1]")
     label = _basis_labels(kind, num_vertices, coin_dim)
-    classes = int(label.max()) + 1
-
-    def kraus() -> list[np.ndarray]:
-        ops = []
-        if p < 1.0:
-            ops.append(np.sqrt(1.0 - p) * np.eye(label.size, dtype=complex))
-        if p > 0.0:
-            ops.extend(np.sqrt(p) * np.diag((label == k).astype(complex)) for k in range(classes))
-        return ops
-
-    return Channel._from_multiplier(
-        (1.0 - p) + p * (label[:, None] == label[None, :]),
-        kraus,
-        # the family is the single operator I exactly at p = 0, or at p = 1 with one class
-        is_identity=p == 0.0 or (p == 1.0 and classes == 1),
-        label=f"dephasing-{kind}(p={p})",
+    rows = [np.full((1, label.size), np.sqrt(1.0 - p))] if p < 1.0 else []
+    if p > 0.0:
+        rows.append(np.sqrt(p) * (np.arange(label.max() + 1)[:, None] == label))
+    weights = np.concatenate(rows)
+    return Channel._from_monomials(
+        np.broadcast_to(np.arange(label.size), weights.shape),
+        weights,
+        schur=(1.0 - p) + p * (label[:, None] == label[None, :]),
     )
 
 
@@ -402,12 +373,11 @@ class _SurvivalMap:
     """The decohered survive map in Heisenberg form, and its resolvent.
 
     N_D(rho) = Q_f Phi(U rho U+) Q_f has the adjoint
-    L(X) = U+ Phi+(Q_f X Q_f) U: A+ (m* o X) A with A = Q_f U for a channel
-    with Schur multiplier m, else U+ (sum_i K_i+ (Q_f X Q_f) K_i) U.  For a
-    multiplier, the preconditioner is the Stein inverse
-    C -> sum_t (B^t)+ C B^t of B = sqrt(c) A, where c = min Re m (1 - p for
-    dephasing) is the weight of the identity in the channel.  Given a
-    ``complement`` I - p, U (I - p) stands in for U.
+    L(X) = U+ Phi+(Q_f X Q_f) U.  For a channel with Schur multiplier m,
+    the preconditioner is the Stein inverse C -> sum_t (B^t)+ C B^t of
+    B = sqrt(c) A with A = Q_f U, where c = min Re m (1 - p for dephasing)
+    is the weight of the identity in the channel.  Given a ``complement``
+    I - p, U (I - p) stands in for U.
     """
 
     def __init__(self, spec: MeasuredWalkSpec, ch: Channel, complement: np.ndarray | None = None):
@@ -418,25 +388,20 @@ class _SurvivalMap:
             u = u @ complement
         self.a = u.copy()
         self.a[spec.final_array, :] = 0.0
-        a, a_dag = self.a, self.a.conj().T
+        keep = np.ones(spec.dim)
+        keep[spec.final_array] = 0.0
+        q = np.outer(keep, keep)
+        u_dag = u.conj().T
+        self.apply = lambda x: u_dag @ _apply_adjoint(ch, q * x) @ u
         self.powers: list[np.ndarray] | None = []
-        if ch.schur is not None:
-            m = ch.schur.conj()
-            self.apply = lambda x: a_dag @ (m * x) @ a
-            c = float(np.clip(ch.schur.real.min(), 0.0, 1.0))
-            if c > 0.0:
-                try:
-                    self.powers = list(_doubling_powers(np.sqrt(c) * a))
-                except IndeterminateError:
-                    # then m = 1 and L is the Stein map of A, whose
-                    # spectral radius is not below one: I - L is singular
-                    self.powers = None
-        else:
-            keep = np.ones(spec.dim)
-            keep[spec.final_array] = 0.0
-            q = np.outer(keep, keep)
-            u_dag = u.conj().T
-            self.apply = lambda x: u_dag @ _apply_adjoint(ch, q * x) @ u
+        c = 0.0 if ch.schur is None else float(np.clip(ch.schur.real.min(), 0.0, 1.0))
+        if c > 0.0:
+            try:
+                self.powers = list(_doubling_powers(np.sqrt(c) * self.a))
+            except IndeterminateError:
+                # then m = 1 and L is the Stein map of A, whose
+                # spectral radius is not below one: I - L is singular
+                self.powers = None
 
     def solve(self, c: np.ndarray, singular_rtol: float) -> np.ndarray | None:
         """X with X - L(X) = C, or None when I - L is singular: GMRES ends
@@ -511,13 +476,10 @@ def decohered_hitting_series(
     stall_window: int | None = None,
 ) -> HittingResult:
     """Step-iterated hitting time: sigma = Phi(U rho U+), detect on P_f, keep Q_f sigma Q_f."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
     if ch.dim != spec.dim:
         raise ValueError("channel dimension does not match the walk")
-    window = 4 * spec.dim if stall_window is None else stall_window
     probabilities = _hit_probabilities(spec, lambda sig: apply_channel(ch, sig))
-    return _accumulate_series(probabilities, epsilon, step_cap=step_cap, stall_window=window)
+    return _series_hitting_time(spec, probabilities, epsilon, step_cap, stall_window)
 
 
 def hitting_time_slope(spec: MeasuredWalkSpec, kind: str, p: float) -> float:
@@ -536,12 +498,12 @@ def hitting_time_slope(spec: MeasuredWalkSpec, kind: str, p: float) -> float:
     if spec.walk.graph is None:
         raise ValueError("slope needs the walk's graph to build the dephasing family")
     g = spec.walk.graph
-    nv, cd = g.num_vertices, g.degree_value
-    survival = _SurvivalMap(spec, dephasing_channel(kind, p, nv, cd))
+    survival = _SurvivalMap(spec, dephasing_channel(kind, p, g.num_vertices, g.degree_value))
     x = survival.solve(np.eye(spec.dim, dtype=complex), SINGULAR_RTOL)
     if x is not None:
         a = survival.a
-        dm = dephasing_channel(kind, 1.0, nv, cd).schur - 1.0
+        label = _basis_labels(kind, g.num_vertices, g.degree_value)
+        dm = (label[:, None] == label[None, :]) - 1.0
         x = survival.solve(a.conj().T @ (dm * x) @ a, SINGULAR_RTOL)
     if x is None:
         raise ValueError(
@@ -640,4 +602,4 @@ def swap_dephasing_example(n: int, kappas: Iterable[float | complex]) -> Channel
         raise ValueError(f"sum |kappa|^2 = {norm} != 1")
     images = np.array([_swap_image(n, i) for i in range(1, n)])
     weights = np.repeat(np.array(kap)[:, None], images.shape[1], axis=1)
-    return Channel._from_monomials(images, weights, label=f"swap-dephasing(n={n})")
+    return Channel._from_monomials(images, weights)

@@ -108,7 +108,6 @@ class MeasuredWalkSpec:
     walk: WalkOperator
     final_indices: tuple[int, ...]
     state: np.ndarray
-    final_vertices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         d = self.walk.dim
@@ -177,25 +176,19 @@ def measured_walk(
 ) -> MeasuredWalkSpec:
     """Assemble a measured-walk description.
 
-    ``start`` may be a pure state vector or a density matrix.  Final
-    vertices are resolved through the walk's graph; pass explicit
-    ``final_indices`` for reduced (graph-free) walks.
+    ``start`` may be a pure state vector or a density matrix.  The finals
+    are given once: as ``final_vertices``, resolved through the walk's
+    graph, or as explicit ``final_indices`` for reduced (graph-free) walks.
     """
+    if (final_vertices is None) == (final_indices is None):
+        raise ValueError("specify exactly one of final_vertices and final_indices")
     if final_indices is None:
-        if final_vertices is None:
-            raise ValueError("specify final_vertices or final_indices")
         if walk.graph is None:
             raise ValueError("walk has no graph; use final_indices")
         verts = tuple(sorted(set(int(v) for v in final_vertices)))
-        idx = BasisIndexing.from_graph(walk.graph)
-        final_indices = idx.indices_for(verts)
-    else:
-        verts = tuple(sorted(set(int(v) for v in final_vertices))) if final_vertices else None
+        final_indices = BasisIndexing.from_graph(walk.graph).indices_for(verts)
     return MeasuredWalkSpec(
-        walk=walk,
-        final_indices=tuple(int(i) for i in final_indices),
-        state=start,
-        final_vertices=verts,
+        walk=walk, final_indices=tuple(int(i) for i in final_indices), state=start
     )
 
 
@@ -296,18 +289,18 @@ class HittingResult:
 
 def _accumulate_series(
     probabilities: Iterator[float],
-    epsilon: float,
+    target: float,
     *,
     step_cap: int,
     stall_window: int,
-    stall_gain: float = STALL_GAIN,
 ) -> HittingResult:
-    """Sum t*p(t) until mass reaches 1 - epsilon, stalls, or hits the cap.
+    """Sum t*p(t) until the mass reaches ``target``, stalls, or hits the cap.
 
-    A stall (mass gain below ``stall_gain`` across ``stall_window``
-    consecutive steps) classifies the walk as infinite-hitting with escape
-    estimate 1 - mass: the decaying component of a measured walk loses mass
-    geometrically, so a flat stretch this long means the remainder is trapped.
+    The result's ``truncation`` is the last step summed.  A stall (mass gain
+    below STALL_GAIN across ``stall_window`` consecutive steps) classifies
+    the walk as infinite-hitting with escape estimate 1 - mass: the decaying
+    component of a measured walk loses mass geometrically, so a flat stretch
+    this long means the remainder is trapped.
     """
     mass = 0.0
     tau = 0.0
@@ -316,12 +309,12 @@ def _accumulate_series(
         p = next(probabilities)
         mass += p
         tau += t * p
-        if mass >= 1.0 - epsilon:
+        if mass >= target:
             return HittingResult(
                 METHOD_SERIES, value=tau, arrival_mass=mass, truncation=t
             )
         if t - mark_step >= stall_window:
-            if mass - mark_mass < stall_gain:
+            if mass - mark_mass < STALL_GAIN:
                 return HittingResult(
                     METHOD_SERIES,
                     escape_probability=1.0 - mass,
@@ -330,8 +323,23 @@ def _accumulate_series(
                 )
             mark_step, mark_mass = t, mass
     raise IndeterminateError(
-        f"series did not reach mass {1 - epsilon:.3e} or stall within {step_cap} steps"
+        f"series did not reach mass {target:.3e} or stall within {step_cap} steps"
     )
+
+
+def _series_hitting_time(
+    spec: MeasuredWalkSpec,
+    probabilities: Iterator[float],
+    epsilon: float,
+    step_cap: int,
+    stall_window: int | None,
+) -> HittingResult:
+    """The series summed to mass 1 - epsilon, with a stall window of 4 D
+    steps unless one is given."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
+    window = 4 * spec.dim if stall_window is None else stall_window
+    return _accumulate_series(probabilities, 1.0 - epsilon, step_cap=step_cap, stall_window=window)
 
 
 def hitting_time_series(
@@ -342,12 +350,7 @@ def hitting_time_series(
     stall_window: int | None = None,
 ) -> HittingResult:
     """Truncated-series hitting time: sum of t*p(t) up to residual epsilon."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    window = 4 * spec.dim if stall_window is None else stall_window
-    return _accumulate_series(
-        _hit_probabilities(spec), epsilon, step_cap=step_cap, stall_window=window
-    )
+    return _series_hitting_time(spec, _hit_probabilities(spec), epsilon, step_cap, stall_window)
 
 
 def concurrent_hitting_time(
@@ -356,25 +359,19 @@ def concurrent_hitting_time(
     *,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> int:
-    """Least T with cumulative arrival mass >= threshold."""
+    """Least T with cumulative arrival mass >= threshold; a series that
+    stalls below the threshold raises ThresholdUnreachableError."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    window = 4 * spec.dim
-    mass = 0.0
-    mark_step, mark_mass = 0, 0.0
-    probabilities = _hit_probabilities(spec)
-    for t in range(1, step_cap + 1):
-        mass += next(probabilities)
-        if mass >= threshold:
-            return t
-        if t - mark_step >= window:
-            if mass - mark_mass < STALL_GAIN:
-                raise ThresholdUnreachableError(
-                    f"threshold {threshold} exceeds total arrival mass ~{mass:.6f}",
-                    arrival_mass=mass,
-                )
-            mark_step, mark_mass = t, mass
-    raise IndeterminateError(f"threshold {threshold} not reached within {step_cap} steps")
+    result = _accumulate_series(
+        _hit_probabilities(spec), threshold, step_cap=step_cap, stall_window=4 * spec.dim
+    )
+    if not result.is_finite:
+        raise ThresholdUnreachableError(
+            f"threshold {threshold} exceeds total arrival mass ~{result.arrival_mass:.6f}",
+            arrival_mass=result.arrival_mass,
+        )
+    return result.truncation
 
 
 def one_shot_hitting_time(
@@ -659,10 +656,11 @@ def classical_hitting_monte_carlo(
 ) -> MonteCarloEstimate:
     """Empirical mean first-passage time of the simple random walk.
 
-    All trials advance in lockstep with vectorized neighbor draws from a
-    PCG64 generator, so results are reproducible given the seed.  Walkers
-    still alive at ``step_cap`` raise, with a hint that start and final may
-    be disconnected.
+    The walkers still out advance in lockstep, in trial order, with
+    vectorized neighbor draws from a PCG64 generator, so results are
+    reproducible given the seed; an arrival leaves the walking set.
+    Walkers still out at ``step_cap`` raise, with a hint that start and
+    final may be disconnected.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -671,23 +669,21 @@ def classical_hitting_monte_carlo(
     offsets = np.cumsum(deg) - deg
     nbrs = g.neighbor_table[0]  # neighbor k of v at offsets[v] + k
 
-    pos = np.full(trials, start, dtype=int)
     steps = np.zeros(trials, dtype=np.int64)
-    alive = pos != final
+    live = np.arange(trials if start != final else 0)  # trials still walking
+    pos = np.full(live.size, start)
     t = 0
-    while alive.any():
+    while live.size:
         t += 1
         if t > step_cap:
             raise IndeterminateError(
-                f"{int(alive.sum())} of {trials} walkers not absorbed after "
+                f"{live.size} of {trials} walkers not absorbed after "
                 f"{step_cap} steps; start and final may be disconnected"
             )
-        draws = rng.integers(0, deg[pos[alive]])
-        pos[alive] = nbrs[offsets[pos[alive]] + draws]
-        arrived = alive.copy()
-        arrived[alive] = pos[alive] == final
-        steps[arrived] = t
-        alive &= ~arrived
+        pos = nbrs[offsets[pos] + rng.integers(0, deg[pos])]
+        arrived = pos == final
+        steps[live[arrived]] = t
+        live, pos = live[~arrived], pos[~arrived]
 
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import OracleMismatchError, SymmetryError
 from .graphs import ColoredGraph, glued_trees_columns
 from .groups import PermGroup, Permutation, generators_of, orbit_labels
-from .spectral import infinite_hitting_projector
+from .spectral import _final_array, infinite_hitting_projector
 
 __all__ = [
     "OrbitBasis",
@@ -389,10 +389,10 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     trapped basis V; route 2 builds the trapped projector of the reduced
     walk directly.  The measurement must commute with the subgroup, that
     is, no orbit may straddle the finals; otherwise the measured walk
-    leaves the quotient.
+    leaves the quotient.  A final index outside [0, D) raises ValueError.
     """
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
-    final = np.unique(np.asarray(final_indices, dtype=int))
+    final = np.unique(_final_array(final_indices, m.shape[0]))
     inside = np.bincount(basis.labels[final], minlength=basis.num_orbits)
     if np.any((inside > 0) & (inside < basis.sizes)):
         raise SymmetryError(

@@ -95,6 +95,15 @@ def _as_matrix(u) -> np.ndarray:
     return np.asarray(getattr(u, "matrix", u), dtype=complex)
 
 
+def _final_array(p_f, dim: int) -> np.ndarray:
+    """``p_f`` as an index array, checked to lie in [0, dim): a negative
+    index would otherwise wrap around to the last rows."""
+    p_f = np.asarray(p_f, dtype=int)
+    if p_f.size and (p_f.min() < 0 or p_f.max() >= dim):
+        raise ValueError(f"final index out of range [0, {dim})")
+    return p_f
+
+
 def _runs(values: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the entries that start a run along the last axis of ascending
     ``values``: the first, and each more than tol above the one before it."""
@@ -264,15 +273,18 @@ def infinite_hitting_projector(u, p_f) -> SpectralReport:
     warnings rather than failures, and so are neighbouring clusters on the
     circle whose eigenvalues lie within 10*CLUSTER_TOL, where the clustering
     itself is a close call.  The clusters' bases are mutually orthogonal, so
-    the trapped pieces are stacked into ``basis`` as they are.
+    the trapped pieces are stacked into ``basis`` as they are.  A final
+    index outside [0, D) raises ValueError.
     """
-    lams, first, v = _split(_as_matrix(u), CLUSTER_TOL)
+    m = _as_matrix(u)
+    p_f = _final_array(p_f, m.shape[0])
+    lams, first, v = _split(m, CLUSTER_TOL)
     dim, n = v.shape[0], len(lams)
     order = _phase_order(lams, CLUSTER_TOL)
     position = np.empty_like(order)
     position[order] = np.arange(n)
     size = np.diff([*first, dim])
-    overlap = v[np.asarray(p_f, dtype=int)]
+    overlap = v[p_f]
 
     rank = np.zeros(n, dtype=int)
     warnings = []  # (cluster position, message)

@@ -64,13 +64,13 @@ class WalkOperator:
     the permutation ``image`` then moves state j to image[j]: row j of
     I (x) C is row image[j] of U.  ``WalkOperator(matrix)`` is the same form
     with one D x D block and the identity image.  :meth:`apply` costs O(D b)
-    per column; the dense ``matrix`` is built on first read.  ``graph`` and
-    ``coin`` record provenance when available.
+    per column; the dense ``matrix`` is built on first read.  ``graph``,
+    when given, is the graph the walk runs on; the finals and the
+    dephasing labels of a measured walk are read from it.
     """
 
     block: np.ndarray
     graph: ColoredGraph | None = None
-    coin: Coin | None = None
     image: np.ndarray | None = None
 
     def __post_init__(self):
@@ -143,7 +143,7 @@ def evolution_operator(g: ColoredGraph, coin: Coin) -> WalkOperator:
     d = g.degree_value
     if coin.dim != d:
         raise ValueError(f"coin dimension {coin.dim} != graph degree {d}")
-    return WalkOperator(coin.matrix, g, coin, image=shift_permutation(g))
+    return WalkOperator(coin.matrix, g, image=shift_permutation(g))
 
 
 def continuous_hamiltonian(

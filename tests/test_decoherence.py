@@ -170,6 +170,32 @@ class TestChannels:
             kraus_sum = sum(a @ rho @ a.conj().T for a in ch.kraus)
             assert np.max(np.abs(deco.apply_channel(ch, rho) - kraus_sum)) < 1e-14
 
+    @pytest.mark.parametrize("kind", ["both", "coin", "position"])
+    def test_dephasing_kraus_family_is_the_diagonal_construction(self, kind):
+        """The family built from the monomials is sqrt(1-p) I and sqrt(p) Pi_c,
+        entry for entry, and its own multiplier is the one the channel holds."""
+        nv, cd = 4, 3
+        label = deco._basis_labels(kind, nv, cd)
+        for p in (0.0, 0.3, 1.0):
+            ch = deco.dephasing_channel(kind, p, nv, cd)
+            images, _ = ch.monomials
+            assert (images == np.arange(nv * cd)).all()
+            want = [np.sqrt(1.0 - p) * np.eye(nv * cd, dtype=complex)] if p < 1.0 else []
+            if p > 0.0:
+                want += [np.sqrt(p) * np.diag((label == c).astype(complex)) for c in range(label.max() + 1)]
+            assert len(ch.kraus) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, want))
+            assert np.max(np.abs(deco.Channel(ch.kraus).schur - ch.schur)) < 1e-15
+
+    def test_identity_is_read_off_the_multiplier(self, rng):
+        assert deco.Channel((np.eye(3, dtype=complex),)).is_identity
+        assert not random_channel(4, 3, rng).is_identity
+        assert not deco.swap_dephasing_example(3, [0.6, 0.8]).is_identity
+        for p in (0.0, 0.3, 1.0):
+            # one coin class: every strength keeps every coherence
+            assert deco.dephasing_channel("coin", p, 4, 1).is_identity
+            assert deco.dephasing_channel("position", p, 4, 3).is_identity == (p == 0.0)
+
     def test_multiplier_only_for_diagonal_kraus(self, rng):
         assert random_channel(4, 3, rng).schur is None
         assert deco.swap_dephasing_example(3, [0.6, 0.8]).schur is None
@@ -535,13 +561,13 @@ class TestSwapDephasingMonomials:
     def test_incomplete_weights_raise(self):
         image = np.arange(4)[None, :]
         with pytest.raises(ValueError, match="completeness"):
-            deco.Channel._from_monomials(image, np.full((1, 4), 0.9), "short")
+            deco.Channel._from_monomials(image, np.full((1, 4), 0.9))
         with pytest.raises(ValueError, match="completeness"):
             deco.Channel._from_monomials(
-                np.vstack([image, image]), np.array([[0.6] * 4, [0.8] * 3 + [0.7]]), "uneven"
+                np.vstack([image, image]), np.array([[0.6] * 4, [0.8] * 3 + [0.7]])
             )
         with pytest.raises(ValueError, match="permutations"):
-            deco.Channel._from_monomials(np.array([[0, 0, 1, 2]]), np.ones((1, 4)), "not a bijection")
+            deco.Channel._from_monomials(np.array([[0, 0, 1, 2]]), np.ones((1, 4)))
         with pytest.raises(ValueError, match="kappa"):
             deco.swap_dephasing_example(4, [0.6, 0.8, 0.1])
 

@@ -81,6 +81,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="final"):
             hitting.measured_walk(op, hitting.basis_state(g, 0, 1))
 
+    def test_finals_given_once(self):
+        g = graphs.build_hypercube(3)
+        op = walk.evolution_operator(g, walk.grover_coin(3))
+        with pytest.raises(ValueError, match="exactly one"):
+            hitting.measured_walk(
+                op, hitting.symmetric_state(g, 0), final_vertices=[3], final_indices=[0]
+            )
+
     def test_non_hermitian_rejected(self):
         g = graphs.build_edge_graph()
         op = walk.evolution_operator(g, walk.grover_coin(1))
@@ -220,6 +228,10 @@ class TestConcurrent:
         with pytest.raises(ThresholdUnreachableError) as err:
             hitting.concurrent_hitting_time(spec, 0.7)
         assert err.value.arrival_mass < 0.7
+
+    def test_step_cap(self):
+        with pytest.raises(IndeterminateError, match="within 2 steps"):
+            hitting.concurrent_hitting_time(hypercube_spec(3), 0.9, step_cap=2)
 
 
 class TestOneShot:
@@ -578,6 +590,31 @@ class TestMonteCarlo:
         est = hitting.classical_hitting_monte_carlo(g, 0, 7, 20_000, seed=5)
         assert est.mean > 1.0
         assert est.stderr > 0.0
+
+    @pytest.mark.parametrize("n, final, seed", [(3, 7, 0), (4, 15, 1), (5, 31, 2), (5, 0, 3)])
+    def test_same_estimate_as_stepping_every_trial(self, n, final, seed):
+        """Against the lockstep loop that masks all trials at every step,
+        the arrived included: the same draws, so the same estimate."""
+        g = graphs.build_hypercube(n)
+        trials = 3000
+        rng = np.random.Generator(np.random.PCG64(seed))
+        deg = np.asarray(g.degrees)
+        offsets = np.cumsum(deg) - deg
+        pos = np.zeros(trials, dtype=int)
+        steps = np.zeros(trials, dtype=np.int64)
+        alive = pos != final
+        t = 0
+        while alive.any():
+            t += 1
+            draws = rng.integers(0, deg[pos[alive]])
+            pos[alive] = g.neighbor_table[0][offsets[pos[alive]] + draws]
+            arrived = alive.copy()
+            arrived[alive] = pos[alive] == final
+            steps[arrived] = t
+            alive &= ~arrived
+        est = hitting.classical_hitting_monte_carlo(g, 0, final, trials, seed)
+        assert est.mean == float(steps.mean())
+        assert est.stderr == float(steps.std(ddof=1) / np.sqrt(trials))
 
     def test_generator_recorded(self):
         est = hitting.classical_hitting_monte_carlo(graphs.build_edge_graph(), 0, 1, 10, seed=1)

@@ -1,30 +1,38 @@
 """One pass of the benchmark's closed-form and dephasing mixes, and of the
 symmetry mix's smaller walks, against the stored references, so that a
 drift from ``perfbench/references.json`` or an API change the benchmark
-reads fails here before it fails the benchmark.  The benchmark files are
-only read."""
+reads fails here before it fails the benchmark; and one traced CLI run, so
+that a library name the span tracer wraps cannot vanish unnoticed.  The
+benchmark files are only read."""
 
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from qwlab import cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text())
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    """perfbench/workloads.py as a module of its own name, with no entry left
+def load(name: str):
+    """perfbench/<name>.py as a module of its own name, with no entry left
     behind in sys.path or sys.modules."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(sys.modules, spec.name, module)  # read by @dataclass while the file runs
         spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load("workloads")
 
 
 def failures(ops) -> list[str]:
@@ -50,3 +58,24 @@ def test_symmetry_mix_builds_and_its_small_walks_pass(workloads):
     small = {id(op): op for op in build(REFERENCES) if op.dim <= 160}
     assert len(small) == 9
     assert not failures(small.values())
+
+
+def test_traced_sweep_counts_kraus_operators_and_uninstalls():
+    """The tracer wraps every name spans.py lists (a missing one fails
+    install), counts the 3 coin projectors and sqrt(1-p) I of one dephasing
+    point, and leaves every qwlab attribute as it found it."""
+    spans = load("spans")
+    qwlab_modules = [m for k, m in sys.modules.items() if k == "qwlab" or k.startswith("qwlab.")]
+    before = {(m, attr): value for m in qwlab_modules for attr, value in vars(m).items()}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        wrapped = [(m, attr) for m, attr, _ in tracer._saved]
+        assert (sys.modules["qwlab.decoherence"], "dephasing_channel") in wrapped
+        argv = ["sweep-decoherence", "--graph", "hypercube:3", "--kinds", "coin", "--p-grid", "0.5"]
+        assert cli.main(argv, out=io.StringIO()) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["decoherence.kraus_ops"] == 4
+    assert "decoherence.decohered_hitting_time" in {s.name for s in tracer.spans}
+    assert all(getattr(m, attr) is before[m, attr] for m, attr in wrapped)

@@ -405,6 +405,15 @@ class TestQuotientInfiniteHitting:
             assert verdict.full_trace < 1e-6
             assert verdict.intersection_dim == 0
 
+    @pytest.mark.parametrize("final", [-1, 12])
+    def test_out_of_range_final_rejected(self, final):
+        """-1 would wrap to index 11 and 12 would fail as an IndexError."""
+        cay = graphs.cayley_s3_2gen()
+        op = walk.evolution_operator(cay.graph, walk.grover_coin(2))
+        basis = quotient.orbit_basis(direction_group(cay, "(1,2)"), 12)
+        with pytest.raises(ValueError, match="out of range"):
+            quotient.quotient_infinite_hitting(op.matrix, basis, [final])
+
     def test_incompatible_measurement_rejected(self):
         cay = graphs.cayley_s3_3gen()
         op = walk.evolution_operator(cay.graph, walk.grover_coin(3))

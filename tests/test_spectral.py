@@ -310,6 +310,13 @@ class TestAgainstGeneralEigensolver:
 
 
 class TestProjector:
+    @pytest.mark.parametrize("final", [-1, 24])
+    def test_out_of_range_final_rejected(self, final):
+        """-1 would wrap to index 23 and 24 would fail as an IndexError."""
+        _, op, _ = hypercube_setup(3, "grover")
+        with pytest.raises(ValueError, match="out of range"):
+            spectral.infinite_hitting_projector(op.matrix, [final])
+
     def test_zero_when_every_eigenvector_sees_final(self, rng):
         u = random_unitary(6, rng)  # generic: no eigenvector avoids index 0
         report = spectral.infinite_hitting_projector(u, np.array([0]))
