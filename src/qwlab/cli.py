@@ -35,16 +35,21 @@ class _Parser(argparse.ArgumentParser):
 # Argument resolution
 # ----------------------------------------------------------------------
 
-GRAPH_SHORTHANDS = (
-    "edge",
-    "hypercube:n",
-    "cycle:n",
-    "distorted-hypercube:n",
-    "gluedtrees:n",
-    "cayley:s3:2gen",
-    "cayley:s3:3gen",
-    "cayley:s4:3gen",
-)
+def _cayley(cay: graphs.CayleyGraph):
+    return cay.graph, cay
+
+
+# shorthand -> builder of (ColoredGraph, CayleyGraph | None); ":n" takes the size
+GRAPHS = {
+    "edge": lambda: (graphs.build_edge_graph(), None),
+    "hypercube:n": lambda n: _cayley(graphs.cayley_hypercube(n)),
+    "cycle:n": lambda n: (graphs.build_cycle(n), None),
+    "distorted-hypercube:n": lambda n: (graphs.build_distorted_hypercube(n), None),
+    "gluedtrees:n": lambda n: (graphs.build_glued_trees(n), None),
+    "cayley:s3:2gen": lambda: _cayley(graphs.cayley_s3_2gen()),
+    "cayley:s3:3gen": lambda: _cayley(graphs.cayley_s3_3gen()),
+    "cayley:s4:3gen": lambda: _cayley(graphs.cayley_s4_3gen()),
+}
 
 
 def resolve_graph(descriptor: str, graph_file: str | None):
@@ -52,30 +57,15 @@ def resolve_graph(descriptor: str, graph_file: str | None):
     if graph_file is not None:
         with open(graph_file, "r", encoding="utf-8") as fh:
             return graphs.graph_from_json(fh.read()), None, f"file:{graph_file}"
-    parts = descriptor.split(":")
-    kind = parts[0]
+    kind, _, size = descriptor.partition(":")
     try:
-        if kind == "edge":
-            return graphs.build_edge_graph(), None, descriptor
-        if kind == "hypercube":
-            cay = graphs.cayley_hypercube(int(parts[1]))
-            return cay.graph, cay, descriptor
-        if kind == "cycle":
-            return graphs.build_cycle(int(parts[1])), None, descriptor
-        if kind == "distorted-hypercube":
-            return graphs.build_distorted_hypercube(int(parts[1])), None, descriptor
-        if kind == "gluedtrees":
-            return graphs.build_glued_trees(int(parts[1])), None, descriptor
-        if kind == "cayley":
-            cay = {
-                ("s3", "2gen"): graphs.cayley_s3_2gen,
-                ("s3", "3gen"): graphs.cayley_s3_3gen,
-                ("s4", "3gen"): graphs.cayley_s4_3gen,
-            }[(parts[1], parts[2])]()
-            return cay.graph, cay, descriptor
-    except (IndexError, KeyError, ValueError) as exc:
+        if descriptor in GRAPHS:
+            return (*GRAPHS[descriptor](), descriptor)
+        if f"{kind}:n" in GRAPHS:
+            return (*GRAPHS[f"{kind}:n"](int(size)), descriptor)
+    except ValueError as exc:
         raise UsageError(f"bad graph descriptor {descriptor!r}: {exc}") from None
-    raise UsageError(f"unknown graph {descriptor!r}; shorthands: {', '.join(GRAPH_SHORTHANDS)}")
+    raise UsageError(f"unknown graph {descriptor!r}; shorthands: {', '.join(GRAPHS)}")
 
 
 def resolve_coin(name: str, degree: int) -> walk.Coin:
@@ -112,9 +102,9 @@ def resolve_final(tokens: str, g: graphs.ColoredGraph, cay) -> tuple[int, ...]:
 def resolve_start(token: str, g: graphs.ColoredGraph) -> np.ndarray:
     if token == "symmetric":
         return hitting.symmetric_state(g, 0)
-    if token.startswith("basis:"):
-        _, v, c = token.split(":")
-        return hitting.basis_state(g, int(v), int(c))
+    kind, *place = token.split(":")
+    if kind == "basis" and len(place) == 2 and all(p.removeprefix("-").isdigit() for p in place):
+        return hitting.basis_state(g, int(place[0]), int(place[1]))
     raise UsageError(f"bad start {token!r} (symmetric or basis:v:c)")
 
 
@@ -250,7 +240,7 @@ def cmd_spectrum(args, out) -> int:
     final = resolve_final(args.final, g, cay)
     op = walk.evolution_operator(g, coin)
     idx = graphs.BasisIndexing.from_graph(g)
-    report = spectral.infinite_hitting_projector(op.matrix, idx.indices_for(final))
+    report = spectral.infinite_hitting_projector(op, idx.indices_for(final))
     payload = spectral.report_to_dict(report)
     payload["zero_coin_eigenvalues"] = {
         str(v): spectral.coin_overlap_matrix(report, g, v).zero_eigenvalue_count

@@ -24,11 +24,12 @@ for a multiplier it is preconditioned by the Stein inverse of
 sqrt(min Re m) Q_f U, applied by the Smith doubling of the unitary closed
 form.  The slope in p is one more solve with the same operator, and the
 step series iterates D x D density matrices.  A solve that stagnates
-marks I - N_D as singular; as in the unitary closed form, a trapped
-projector p then decides the escape Tr(p rho_0), and the solve runs again
-on its complement.  N_D of a unital channel is a Hilbert-Schmidt
-contraction with its fixed points in B(ran p), so this is the
-Moore-Penrose value of the dense D^2 x D^2 formula, kept as test oracle.
+marks I - N_D as singular; as in the unitary closed form, an orthonormal
+basis T of the trapped subspace then decides the escape Tr(T+ rho_0 T),
+and the same map solves again for the right side I - T T+, as L keeps
+each block of the split by T T+.  N_D of a unital channel is a
+Hilbert-Schmidt contraction with its fixed points in B(ran T), so this is
+the Moore-Penrose value of the dense D^2 x D^2 formula, the test oracle.
 
 A subspace is decoherence-free exactly when every Kraus (or Lindblad)
 operator acts on it as a scalar; the checks here estimate the scalar from
@@ -58,9 +59,9 @@ from .hitting import (
     _series_hitting_time,
     _doubling_powers,
     _stein_sum,
-    _check_memory,
     hitting_time_closed_form,
 )
+from .walk import _check_memory
 
 __all__ = [
     "Channel",
@@ -376,16 +377,13 @@ class _SurvivalMap:
     L(X) = U+ Phi+(Q_f X Q_f) U.  For a channel with Schur multiplier m,
     the preconditioner is the Stein inverse C -> sum_t (B^t)+ C B^t of
     B = sqrt(c) A with A = Q_f U, where c = min Re m (1 - p for dephasing)
-    is the weight of the identity in the channel.  Given a ``complement``
-    I - p, U (I - p) stands in for U.
+    is the weight of the identity in the channel.
     """
 
-    def __init__(self, spec: MeasuredWalkSpec, ch: Channel, complement: np.ndarray | None = None):
+    def __init__(self, spec: MeasuredWalkSpec, ch: Channel):
         if ch.dim != spec.dim:
             raise ValueError("channel dimension does not match the walk")
         u = spec.walk.matrix
-        if complement is not None:
-            u = u @ complement
         self.a = u.copy()
         self.a[spec.final_array, :] = 0.0
         keep = np.ones(spec.dim)
@@ -403,22 +401,23 @@ class _SurvivalMap:
                 # spectral radius is not below one: I - L is singular
                 self.powers = None
 
-    def solve(self, c: np.ndarray, singular_rtol: float) -> np.ndarray | None:
+    def solve(self, c: np.ndarray) -> np.ndarray | None:
         """X with X - L(X) = C, or None when I - L is singular: GMRES ends
-        with a relative residual ||X - L(X) - C|| / ||X|| above singular_rtol."""
+        with a relative residual ||X - L(X) - C|| / ||X|| above SINGULAR_RTOL."""
         if self.powers is None:
             return None
         x, residual = _gmres(
             lambda y: y - self.apply(y), lambda y: _stein_sum(self.powers, y), c
         )
-        return x if residual <= singular_rtol else None
+        return x if residual <= SINGULAR_RTOL else None
 
 
-def _trapped_projector(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:
-    """Projector p = I - P onto the largest subspace off the finals that
-    every A_i U and its adjoint keep: P grows from P_f to the range of
-    P + Phi(U P U+) + U+ Phi+(P) U, with rank cutoff NULLSPACE_RTOL, until
-    its rank stops.  N_D maps each block of the split by p into itself."""
+def _trapped_basis(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:
+    """Orthonormal basis T of the largest subspace off the finals that every
+    A_i U and its adjoint keep: the projector P grows from P_f to the range
+    of P + Phi(U P U+) + U+ Phi+(P) U, with rank cutoff NULLSPACE_RTOL,
+    until its rank stops, and T spans the rest.  N_D and L map each block
+    of the split by T T+ into itself."""
     u = spec.walk.matrix
     u_dag = u.conj().T
     basis = np.eye(spec.dim, dtype=complex)[:, spec.final_array]
@@ -428,7 +427,7 @@ def _trapped_projector(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:
         w, v = np.linalg.eigh(grown)
         keep = w > spectral.NULLSPACE_RTOL * w[-1]
         if keep.sum() == basis.shape[1]:
-            return np.eye(spec.dim, dtype=complex) - p
+            return v[:, ~keep]
         basis = v[:, keep]
 
 
@@ -439,32 +438,32 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
     :func:`hitting_time_closed_form`.  Otherwise tau = Tr(X rho_0), where X
     solves X - L(X) = I for the Heisenberg survive map L of
     :class:`_SurvivalMap` (method ``closed_form``).  A solve whose relative
-    residual ends above SINGULAR_RTOL marks I - N_D as singular.  X is
-    then solved with U (I - p) for the :func:`_trapped_projector` p; escape
-    Tr(p rho_0) above ESCAPE_ATOL is infinite (``closed_form``), else
-    tau = Tr(X (I - p) rho_0 (I - p)) (``pseudo_inverse``), the Moore-Penrose
-    value for a unital channel.  A second stagnating solve, as when a channel
-    moves mass into a region it keeps, raises IndeterminateError.  A solve
-    that would not fit in the memory budget is refused first.
+    residual ends above SINGULAR_RTOL marks I - N_D as singular.  The same
+    map then solves X - L(X) = I - T T+ for the :func:`_trapped_basis` T;
+    escape Tr(T+ rho_0 T) above ESCAPE_ATOL is infinite (``closed_form``),
+    else tau = Tr(X rho_0) (``pseudo_inverse``), the Moore-Penrose value for
+    a unital channel.  A second stagnating solve, as when a channel moves
+    mass into a region it keeps, raises IndeterminateError.  A solve that
+    would not fit in the memory budget is refused first.
     """
     if ch.is_identity and ch.dim == spec.dim:
         return hitting_time_closed_form(spec)
     _check_memory(spec.dim, DECOHERED_WORK_ARRAYS * spec.dim**2)
     eye = np.eye(spec.dim, dtype=complex)
-    x = _SurvivalMap(spec, ch).solve(eye, SINGULAR_RTOL)
+    survival = _SurvivalMap(spec, ch)
+    x = survival.solve(eye)
     if x is not None:
         return HittingResult(METHOD_CLOSED_FORM, value=float(np.real(np.sum(x * spec.rho0.T))))
-    trapped = _trapped_projector(spec, ch)
-    q = eye - trapped
-    x = _SurvivalMap(spec, ch, q).solve(eye, SINGULAR_RTOL)
+    trapped = _trapped_basis(spec, ch)
+    x = survival.solve(eye - trapped @ trapped.conj().T)
     if x is None:
-        dim = round(np.trace(trapped).real)
-        raise IndeterminateError(f"I - N_D is singular off the trapped subspace (dimension {dim})")
-    escape = float(np.real(np.sum(trapped * spec.rho0.T)))
+        raise IndeterminateError(
+            f"I - N_D is singular off the trapped subspace (dimension {trapped.shape[1]})"
+        )
+    escape = float(np.real(np.vdot(trapped, spec.rho0 @ trapped)))
     if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
-    value = float(np.real(np.sum(x * (q @ spec.rho0 @ q).T)))
-    return HittingResult(METHOD_PSEUDO_INVERSE, value=value)
+    return HittingResult(METHOD_PSEUDO_INVERSE, value=float(np.real(np.sum(x * spec.rho0.T))))
 
 
 def decohered_hitting_series(
@@ -499,12 +498,12 @@ def hitting_time_slope(spec: MeasuredWalkSpec, kind: str, p: float) -> float:
         raise ValueError("slope needs the walk's graph to build the dephasing family")
     g = spec.walk.graph
     survival = _SurvivalMap(spec, dephasing_channel(kind, p, g.num_vertices, g.degree_value))
-    x = survival.solve(np.eye(spec.dim, dtype=complex), SINGULAR_RTOL)
+    x = survival.solve(np.eye(spec.dim, dtype=complex))
     if x is not None:
         a = survival.a
         label = _basis_labels(kind, g.num_vertices, g.degree_value)
         dm = (label[:, None] == label[None, :]) - 1.0
-        x = survival.solve(a.conj().T @ (dm * x) @ a, SINGULAR_RTOL)
+        x = survival.solve(a.conj().T @ (dm * x) @ a)
     if x is None:
         raise ValueError(
             f"I - N is singular at p={p}; the slope formula needs an invertible resolvent"

@@ -377,9 +377,12 @@ class CayleyGraph:
         return self.vertex_index[element]
 
     def vertex_of_word(self, word: Iterable[int]) -> int:
-        """Vertex reached from the identity by following 1-based generator indices."""
+        """Vertex reached from the identity by following 1-based generator
+        indices; an index outside 1..degree raises ValueError."""
         g = self.identity
         for i in word:
+            if not 1 <= i <= self.degree:
+                raise ValueError(f"generator index {i} outside 1..{self.degree}")
             g = self.mul(g, self.generators[i - 1])
         return self.vertex_index[g]
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -49,7 +48,7 @@ import numpy as np
 from . import spectral
 from .errors import IndeterminateError, ThresholdUnreachableError
 from .graphs import BasisIndexing, ColoredGraph
-from .walk import WalkOperator
+from .walk import WalkOperator, _check_memory
 
 __all__ = [
     "MeasuredWalkSpec",
@@ -77,16 +76,12 @@ SINGULAR_RTOL = 1e-9
 ESCAPE_ATOL = 1e-9
 STALL_GAIN = 1e-12
 MAX_DOUBLINGS = 64
-# complex arrays held at once: the eigensolve's (3.0-3.5 D^2 measured) beside
-# U and rho_0; in r dimensions, the Stein solve's two doubling powers, X and
-# temporaries (6 r^2 measured) beside A_r and W+ rho_0 W, and in D dimensions
-# U, rho_0, the report's bases and U W (STEIN_HELD_ARRAYS D^2)
-EIGENSOLVE_WORK_ARRAYS = 6
+# complex arrays held at once by the Stein solve: in r dimensions, its two
+# doubling powers, X and temporaries (6 r^2 measured) beside A_r and
+# W+ rho_0 W, and in D dimensions U, rho_0, the report's bases and U W
+# (STEIN_HELD_ARRAYS D^2)
 STEIN_WORK_ARRAYS = 8
 STEIN_HELD_ARRAYS = 4
-# where this process's cgroups are listed, and where they are mounted
-PROC_CGROUP = "/proc/self/cgroup"
-CGROUP_ROOT = "/sys/fs/cgroup"
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_PSEUDO_INVERSE = "pseudo_inverse"
@@ -323,7 +318,7 @@ def _accumulate_series(
                 )
             mark_step, mark_mass = t, mass
     raise IndeterminateError(
-        f"series did not reach mass {target:.3e} or stall within {step_cap} steps"
+        f"series did not reach mass {target:.12g} or stall within {step_cap} steps"
     )
 
 
@@ -359,10 +354,22 @@ def concurrent_hitting_time(
     *,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> int:
-    """Least T with cumulative arrival mass >= threshold; a series that
-    stalls below the threshold raises ThresholdUnreachableError."""
+    """Least T with cumulative arrival mass >= threshold.
+
+    The spectrum answers first: a threshold above the reachable mass
+    1 - escape by more than ESCAPE_ATOL raises ThresholdUnreachableError
+    before the walk is stepped, however slowly its mass creeps toward that
+    limit.  A series that stalls below the threshold raises it too.
+    """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
+    report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
+    reachable = 1.0 - spectral.escape_probability(report, spec.state)
+    if threshold > reachable + ESCAPE_ATOL:
+        raise ThresholdUnreachableError(
+            f"threshold {threshold} exceeds the reachable arrival mass {reachable:.12g}",
+            arrival_mass=reachable,
+        )
     result = _accumulate_series(
         _hit_probabilities(spec), threshold, step_cap=step_cap, stall_window=4 * spec.dim
     )
@@ -532,42 +539,6 @@ def _stein_sum(powers: Iterable[np.ndarray], c: np.ndarray) -> np.ndarray:
     return x
 
 
-@functools.cache
-def _memory_budget() -> int:
-    """Physical memory, or the lowest memory limit set on this process's
-    cgroup (v2, or v1's memory controller) or one of its ancestors; read
-    once per process."""
-    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    try:
-        with open(PROC_CGROUP) as f:
-            listing = [line.split(":", 2) for line in f.read().splitlines()]
-    except OSError:
-        listing = []
-    for _, controllers, path in listing:
-        v1 = "memory" in controllers.split(",")
-        if controllers and not v1:
-            continue
-        parts = [CGROUP_ROOT, "memory"] if v1 else [CGROUP_ROOT]
-        for part in path.split("/"):  # the mount root, then one level down at a time
-            parts.append(part)
-            try:
-                with open(os.path.join(*parts, "memory.limit_in_bytes" if v1 else "memory.max")) as f:
-                    budget = min(budget, int(f.read()))
-            except (OSError, ValueError):  # no such file, or "max"
-                pass
-    return budget
-
-
-def _check_memory(dim: int, entries: int) -> None:
-    """Refuse a solve in dimension ``dim`` before it allocates: an estimated
-    ``entries`` complex numbers held at once beyond the memory budget."""
-    need = entries * np.dtype(complex).itemsize
-    budget = _memory_budget()
-    if need > budget:
-        raise ValueError(f"dimension {dim} needs an estimated {need / 2**20:.0f} MiB, "
-                         f"over a memory budget of {budget / 2**20:.0f} MiB")
-
-
 def _stein_trace(a: np.ndarray, rho: np.ndarray, *, residual_rtol: float) -> float:
     """Tr(X rho) for the solution X = sum_t (A^t)+ A^t of X - A+ X A = I."""
     eye = np.eye(a.shape[0], dtype=complex)
@@ -596,8 +567,7 @@ def hitting_time_closed_form(
     refused first if they would not fit in the memory budget.
     """
     d = spec.dim
-    _check_memory(d, EIGENSOLVE_WORK_ARRAYS * d * d)
-    report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
+    report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
     escape = spectral.escape_probability(report, spec.state)
     if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)

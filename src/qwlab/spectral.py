@@ -19,6 +19,9 @@ escape probabilities and coin-overlap blocks are read from B, and no D x D
 projector is formed.  The rest of each cluster, the eigenvectors that do
 see the finals, is kept too: an orthonormal basis W of ran(I - P) made of
 eigenvectors of U, in which the hitting module solves for the hitting time.
+An eigensolve whose estimated working set exceeds the memory budget
+(physical memory, or the cgroup limit where lower) raises ValueError
+before U is built or read.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import BasisIndexing, ColoredGraph
+from .walk import _check_memory
 
 __all__ = [
     "EigenCluster",
@@ -45,6 +49,9 @@ __all__ = [
 
 CLUSTER_TOL = 1e-8
 NULLSPACE_RTOL = 1e-9
+# complex D x D arrays held at once: the eigensolve's (3.0-3.5 measured)
+# beside U and a caller's rho_0
+EIGENSOLVE_WORK_ARRAYS = 6
 
 SUFFICIENT_FOR_INFINITE = "sufficient_for_infinite"
 INCONCLUSIVE = "inconclusive"
@@ -92,6 +99,10 @@ class SpectralReport:
 
 
 def _as_matrix(u) -> np.ndarray:
+    """U as a dense matrix, refused before it is read or built if the
+    eigensolve on it would not fit in the memory budget."""
+    d = u.dim if hasattr(u, "dim") else np.shape(u)[0]
+    _check_memory(d, EIGENSOLVE_WORK_ARRAYS * d * d)
     return np.asarray(getattr(u, "matrix", u), dtype=complex)
 
 

@@ -3,12 +3,15 @@
 A discrete step is U = S (I (x) C): coin flip in each vertex's direction
 space followed by the shift along colored edges.  Continuous walks drop
 the coin and exponentiate a symmetric Hamiltonian built from the
-adjacency structure.
+adjacency structure.  The memory budget lives here too: the dense U, the
+eigensolves and the solves on it each check their estimated working set
+against it before they allocate.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,9 @@ __all__ = [
 
 COIN_UNITARITY_ATOL = 1e-10
 PROPAGATOR_UNITARITY_ATOL = 1e-9
+# where this process's cgroups are listed, and where they are mounted
+PROC_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
 
 
 def _require_unitary(m: np.ndarray, atol: float, what: str):
@@ -38,6 +44,42 @@ def _require_unitary(m: np.ndarray, atol: float, what: str):
     defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
     if defect > atol:
         raise ValueError(f"{what} is not unitary (defect {defect:.3e} > {atol:.0e})")
+
+
+@functools.cache
+def _memory_budget() -> int:
+    """Physical memory, or the lowest memory limit set on this process's
+    cgroup (v2, or v1's memory controller) or one of its ancestors; read
+    once per process."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open(PROC_CGROUP) as f:
+            listing = [line.split(":", 2) for line in f.read().splitlines()]
+    except OSError:
+        listing = []
+    for _, controllers, path in listing:
+        v1 = "memory" in controllers.split(",")
+        if controllers and not v1:
+            continue
+        parts = [CGROUP_ROOT, "memory"] if v1 else [CGROUP_ROOT]
+        for part in path.split("/"):  # the mount root, then one level down at a time
+            parts.append(part)
+            try:
+                with open(os.path.join(*parts, "memory.limit_in_bytes" if v1 else "memory.max")) as f:
+                    budget = min(budget, int(f.read()))
+            except (OSError, ValueError):  # no such file, or "max"
+                pass
+    return budget
+
+
+def _check_memory(dim: int, entries: int) -> None:
+    """Refuse work in dimension ``dim`` before it allocates: an estimated
+    ``entries`` complex numbers held at once beyond the memory budget."""
+    need = entries * np.dtype(complex).itemsize
+    budget = _memory_budget()
+    if need > budget:
+        raise ValueError(f"dimension {dim} needs an estimated {need / 2**20:.0f} MiB, "
+                         f"over a memory budget of {budget / 2**20:.0f} MiB")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +106,8 @@ class WalkOperator:
     the permutation ``image`` then moves state j to image[j]: row j of
     I (x) C is row image[j] of U.  ``WalkOperator(matrix)`` is the same form
     with one D x D block and the identity image.  :meth:`apply` costs O(D b)
-    per column; the dense ``matrix`` is built on first read.  ``graph``,
+    per column; the dense ``matrix`` is built on first read, and refused
+first if it would not fit in the memory budget.  ``graph``,
     when given, is the graph the walk runs on; the finals and the
     dephasing labels of a measured walk are read from it.
     """
@@ -86,6 +129,7 @@ class WalkOperator:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         d, b = self.dim, self.block.shape[0]
+        _check_memory(d, 2 * d * d)  # U and the product it is gathered from
         u = np.empty((d, d), dtype=complex)
         eye = np.eye(d // b)  # I (x) C, entry for entry as np.kron forms it
         u[self.image] = (eye[:, None, :, None] * self.block[None, :, None, :]).reshape(d, d)

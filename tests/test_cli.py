@@ -1,5 +1,8 @@
 import io
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -13,6 +16,10 @@ def run_cli(*argv):
     buf = io.StringIO()
     code = cli.main(list(argv), out=buf)
     return code, buf.getvalue()
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("allocation past the memory check")
 
 
 def csv_rows(text):
@@ -57,6 +64,31 @@ class TestHittingCommand:
         code, out = run_cli("hitting", "--graph", "hypercube:3", "--start", start)
         assert (code, out) == (1, "")
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start", ["basis:0", "basis:0:1:2", "basis:x:1", "basis"])
+    def test_malformed_start_names_the_token(self, start, capsys):
+        code, out = run_cli("hitting", "--graph", "hypercube:3", "--start", start)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: bad start {start!r} (symmetric or basis:v:c)\n"
+
+    @pytest.mark.parametrize("final", ["w0", "w9", "w19"])
+    def test_word_final_out_of_range_exits_one(self, final, capsys):
+        # w0 would otherwise read the last generator, the vertex w2 names
+        code, out = run_cli("hitting", "--graph", "cayley:s3:2gen", "--final", final)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("error: generator index") and "outside 1..2" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "descriptor, problem",
+        [("hypercube", "bad graph descriptor"), ("hypercube:3:1", "bad graph descriptor"),
+         ("cayley:s3", "unknown graph"), ("cayley:s5:2gen", "unknown graph")],
+    )
+    def test_malformed_graph_exits_one(self, descriptor, problem, capsys):
+        code, out = run_cli("hitting", "--graph", descriptor)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith(f"error: {problem} {descriptor!r}")
 
     def test_step_cap_exhaustion_exits_two(self):
         code, _ = run_cli(
@@ -208,6 +240,17 @@ class TestSpectrumCommand:
         assert payload["trace_p_int"] == 32
         assert payload["zero_coin_eigenvalues"]["0"] == 1
 
+    def test_eigensolve_over_the_memory_budget_exits_one(self, monkeypatch, capsys):
+        # six 384 x 384 complex arrays against a 1 MiB budget, refused before
+        # U is built
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
+        code, out = run_cli("spectrum", "--graph", "hypercube:6")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: dimension 384 needs an estimated 14 MiB, over a memory budget of 1 MiB\n"
+        )
+
     def test_dft_cube4_multiplicities(self):
         _, out = run_cli("spectrum", "--graph", "hypercube:4", "--coin", "dft")
         payload = json.loads(out)
@@ -229,6 +272,18 @@ class TestQuotientCommand:
         assert payload["s_h"] == [1, 0, 4, 5, 2, 3]
         u_h = np.array([[complex(re, im) for re, im in row] for row in payload["u_h"]])
         assert np.max(np.abs(u_h.conj().T @ u_h - np.eye(6))) < 1e-10
+
+    def test_walk_over_the_memory_budget_exits_one(self, monkeypatch, capsys):
+        # U and the product it is gathered from, two 384 x 384 complex arrays,
+        # against a 1 MiB budget
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(quotient, "quotient_walk", refuse)
+        code, out = run_cli("quotient", "--graph", "hypercube:6", "--subgroup", "(1,2)",
+                            "--coin", "grover")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: dimension 384 needs an estimated 4 MiB, over a memory budget of 1 MiB\n"
+        )
 
     def test_subgroup_required(self):
         code, _ = run_cli("quotient", "--graph", "cayley:s3:2gen")
@@ -367,3 +422,19 @@ class TestCachedParser:
         run_cli("hitting", "--bogus")
         run_cli("classical", "--hypercube", "3")
         assert len(inits) == built
+
+
+def readme_commands():
+    """The qwlab lines of README's "Command line" block, continuations joined."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("qwlab ")]
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert len(commands) == 11
+    monkeypatch.chdir(tmp_path)  # one example writes a CSV file
+    for argv in commands:
+        assert run_cli(*argv[1:])[0] == 0, shlex.join(argv)

@@ -365,7 +365,7 @@ class TestDecoheredHitting:
         ch = deco.dephasing_channel(kind, 0.5, 8, 2)
         far = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[6])
         near = hitting.measured_walk(op, hitting.symmetric_state(g, 4), final_vertices=[6])
-        assert deco._SurvivalMap(far, ch).solve(np.eye(16, dtype=complex), 1e-9) is None
+        assert deco._SurvivalMap(far, ch).solve(np.eye(16, dtype=complex)) is None
         res = deco.decohered_hitting_time(far, ch)
         assert not res.is_finite and res.method == "closed_form"
         assert res.escape_probability == pytest.approx(1.0, abs=1e-9)
@@ -380,14 +380,14 @@ class TestDecoheredHitting:
     def test_singular_points_match_the_dense_policy(self, coin, vertex, kind, p):
         spec = two_cycle_spec(COINS[coin](2), vertex)
         ch = deco.dephasing_channel(kind, p, 8, 2)
-        assert deco._SurvivalMap(spec, ch).solve(np.eye(16, dtype=complex), 1e-9) is None
+        assert deco._SurvivalMap(spec, ch).solve(np.eye(16, dtype=complex)) is None
         assert_same_result(deco.decohered_hitting_time(spec, ch), dense_policy(spec, ch))
 
     @pytest.mark.parametrize("start", ["symmetric", "basis"])
     def test_swap_dephasing_singular_point_matches_the_dense_policy(self, start):
         _, spec = grover_cube_spec(3, start)
         ch = deco.swap_dephasing_example(3, [np.sqrt(0.5)] * 2)
-        assert deco._SurvivalMap(spec, ch).solve(np.eye(24, dtype=complex), 1e-9) is None
+        assert deco._SurvivalMap(spec, ch).solve(np.eye(24, dtype=complex)) is None
         assert_same_result(deco.decohered_hitting_time(spec, ch), dense_policy(spec, ch))
 
     @pytest.mark.parametrize(
@@ -408,7 +408,7 @@ class TestDecoheredHitting:
         for spec, unit in zip(specs, units):
             assert_same_result(deco.decohered_hitting_time(spec, ch), unit)
 
-    def test_trapped_projector_of_the_identity_channel_is_the_spectral_one(self):
+    def test_trapped_basis_of_the_identity_channel_is_the_spectral_one(self):
         cube4 = graphs.build_hypercube(4)
         s4 = graphs.cayley_s4_3gen().graph
         specs = [spec for _, spec in battery()] + [
@@ -425,11 +425,33 @@ class TestDecoheredHitting:
         ]
         traces = []
         for spec in specs:
-            p = deco._trapped_projector(spec, deco.Channel((np.eye(spec.dim, dtype=complex),)))
+            t = deco._trapped_basis(spec, deco.Channel((np.eye(spec.dim, dtype=complex),)))
             report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
-            assert np.max(np.abs(p - trapped_projector(report))) <= 1e-12
+            assert t.shape == report.basis.shape
+            assert np.max(np.abs(t.conj().T @ t - np.eye(t.shape[1])), initial=0.0) <= 1e-12
+            assert np.max(np.abs(t @ t.conj().T - trapped_projector(report))) <= 1e-12
             traces.append(report.trace_int)
         assert traces[-2:] == [32, 18] and any(traces[:-2])
+
+    @pytest.mark.parametrize("channel", ["coin", "swap"])
+    def test_singular_point_builds_one_survival_map(self, channel, monkeypatch):
+        # the solve off the trapped subspace reuses the map of the first solve
+        built = []
+
+        class Counted(deco._SurvivalMap):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(deco, "_SurvivalMap", Counted)
+        if channel == "swap":
+            _, spec = grover_cube_spec(3)
+            ch = deco.swap_dephasing_example(3, [np.sqrt(0.5)] * 2)
+        else:
+            spec = two_cycle_spec(walk.grover_coin(2), 4)
+            ch = deco.dephasing_channel("coin", 0.5, 8, 2)
+        assert deco.decohered_hitting_time(spec, ch).method == "pseudo_inverse"
+        assert len(built) == 1
 
     @pytest.mark.parametrize("coin", ["grover", "dft"])
     @pytest.mark.parametrize("vertex", [0, 4])
@@ -450,9 +472,9 @@ class TestDecoheredHitting:
             raise AssertionError("solve started")
 
         monkeypatch.setattr(deco, "_SurvivalMap", refuse)
-        monkeypatch.setattr(hitting, "_memory_budget", hitting._memory_budget.__wrapped__)
+        monkeypatch.setattr(walk, "_memory_budget", walk._memory_budget.__wrapped__)
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 128}
-        monkeypatch.setattr(hitting.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(walk.os, "sysconf", pages.__getitem__)
         g, spec = grover_cube_spec()
         ch = deco.dephasing_channel("both", 0.2, g.num_vertices, g.degree_value)
         # the Krylov basis, the doubling powers and 13 more 24 x 24 complex

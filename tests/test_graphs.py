@@ -151,6 +151,12 @@ class TestCayley:
         assert cay.vertex_of_word([1, 2, 1]) == 5
         assert cay.vertex_of_word([1, 1]) == 0
 
+    @pytest.mark.parametrize("word", [[0], [1, 9], [3]])
+    def test_word_letter_out_of_range(self, word):
+        # 0 would read the last generator, and 3 or more is past the end
+        with pytest.raises(ValueError, match=r"generator index \d outside 1\.\.2"):
+            graphs.cayley_s3_2gen().vertex_of_word(word)
+
 
 def is_bipartite(g: ColoredGraph) -> bool:
     color = [-1] * g.num_vertices

@@ -213,6 +213,10 @@ class TestSeries:
         escape = spectral.escape_probability(rep, spec.psi0)
         assert res.arrival_mass + escape == pytest.approx(1.0, abs=2e-3)
 
+    def test_target_prints_its_digits(self):
+        with pytest.raises(IndeterminateError, match=r"did not reach mass 0\.999999 or stall within 2"):
+            hitting.hitting_time_series(hypercube_spec(3), 1e-6, step_cap=2)
+
 
 class TestConcurrent:
     def test_single_edge(self):
@@ -232,6 +236,19 @@ class TestConcurrent:
     def test_step_cap(self):
         with pytest.raises(IndeterminateError, match="within 2 steps"):
             hitting.concurrent_hitting_time(hypercube_spec(3), 0.9, step_cap=2)
+
+    def test_spectrum_refuses_before_stepping(self, monkeypatch):
+        # on dft hypercube:5 the arrival mass creeps toward 1 - 0.2553 too
+        # slowly for the stall rule: 0.7411 after 200,000 steps
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk was stepped")
+
+        monkeypatch.setattr(hitting, "_hit_probabilities", refuse)
+        spec = hypercube_spec(5, coin_kind="dft")
+        with pytest.raises(ThresholdUnreachableError, match="reachable arrival mass 0.7447") as err:
+            hitting.concurrent_hitting_time(spec, 0.9)
+        escape = hitting.hitting_time_closed_form(spec).escape_probability
+        assert err.value.arrival_mass == pytest.approx(1.0 - escape, abs=1e-12)
 
 
 class TestOneShot:
@@ -348,10 +365,10 @@ class TestClosedForm:
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolve started")
 
-        monkeypatch.setattr(spectral, "infinite_hitting_projector", refuse)
-        monkeypatch.setattr(hitting, "_memory_budget", hitting._memory_budget.__wrapped__)
+        monkeypatch.setattr(spectral, "_split", refuse)
+        monkeypatch.setattr(walk, "_memory_budget", walk._memory_budget.__wrapped__)
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}
-        monkeypatch.setattr(hitting.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(walk.os, "sysconf", pages.__getitem__)
         # 6 arrays of 24 x 24 complex entries: 54 KiB against an 8 KiB budget
         with pytest.raises(ValueError, match="needs an estimated 0 MiB, over a memory budget of 0 MiB"):
             hitting.hitting_time_closed_form(hypercube_spec(3))
@@ -367,16 +384,16 @@ class TestClosedForm:
         (mount / "jobs" / name).write_text(f"{2**20}\n")
         (mount / "jobs" / "run" / name).write_text("max\n" if version == 2 else f"{2**62}\n")
         (tmp_path / "cgroup").write_text(f"1:name=systemd:/\n{listing}\n")
-        monkeypatch.setattr(hitting, "PROC_CGROUP", str(tmp_path / "cgroup"))
-        monkeypatch.setattr(hitting, "CGROUP_ROOT", str(tmp_path))
+        monkeypatch.setattr(walk, "PROC_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(walk, "CGROUP_ROOT", str(tmp_path))
         # the process reads its budget once; these checks read it afresh
-        monkeypatch.setattr(hitting, "_memory_budget", hitting._memory_budget.__wrapped__)
-        assert hitting._memory_budget() == 2**20
+        monkeypatch.setattr(walk, "_memory_budget", walk._memory_budget.__wrapped__)
+        assert walk._memory_budget() == 2**20
         # hypercube:5 fits in physical memory, not in the limit
         with pytest.raises(ValueError, match="dimension 160 needs an estimated 2 MiB, over a memory budget of 1 MiB"):
             hitting.hitting_time_closed_form(hypercube_spec(5))
-        monkeypatch.setattr(hitting, "PROC_CGROUP", str(tmp_path / "absent"))
-        assert hitting._memory_budget() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        monkeypatch.setattr(walk, "PROC_CGROUP", str(tmp_path / "absent"))
+        assert walk._memory_budget() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_oracle_across_near_degenerate_eigenvalues(self, seed):

@@ -531,3 +531,19 @@ def test_symmetry_paths_build_no_dense_isometry_or_shift(monkeypatch, descriptor
     quotient.quotient_infinite_hitting(op, basis, final)
     assert len(made) == 3
     assert all("matrix" not in vars(b) for b in made)
+
+
+def test_verdict_over_the_memory_budget_raises(monkeypatch):
+    # U (4.5 MiB with its gather) fits in 8 MiB, the eigensolve's six
+    # 384 x 384 complex arrays do not
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve started")
+
+    g, cay, _ = cli.resolve_graph("hypercube:6", None)
+    op = walk.evolution_operator(g, walk.grover_coin(6))
+    basis = quotient.orbit_basis(cli.resolve_subgroup(["(1,2)"], cay), op.dim)
+    final = graphs.BasisIndexing.from_graph(g).indices_for([63])
+    monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
+    monkeypatch.setattr(spectral, "_split", refuse)
+    with pytest.raises(ValueError, match="dimension 384 needs an estimated 14 MiB, over a memory budget of 8 MiB"):
+        quotient.quotient_infinite_hitting(op, basis, final)
