@@ -22,14 +22,18 @@ X -> U+ Phi+(Q_f X Q_f) U.  Restarted GMRES solves this on D x D
 matrices, in O(D^3) time per step and O(D^2) memory per Krylov vector;
 for a multiplier it is preconditioned by the Stein inverse of
 sqrt(min Re m) Q_f U, applied by the Smith doubling of the unitary closed
-form.  The slope in p is one more solve with the same operator, and the
-step series iterates D x D density matrices.  A solve that stagnates
-marks I - N_D as singular; as in the unitary closed form, an orthonormal
-basis T of the trapped subspace then decides the escape Tr(T+ rho_0 T),
-and the same map solves again for the right side I - T T+, as L keeps
-each block of the split by T T+.  N_D of a unital channel is a
-Hilbert-Schmidt contraction with its fixed points in B(ran T), so this is
-the Moore-Penrose value of the dense D^2 x D^2 formula, the test oracle.
+form.  The solve runs in the walk's own arithmetic: in float64 when U and
+the channel's data are real (every Grover walk under dephasing, or under
+swap dephasing with real kappa), as L then keeps real X real, and in
+complex128 otherwise.  The slope in p is one more solve with the same
+operator, and the step series iterates D x D density matrices.  A solve
+that stagnates marks I - N_D as singular; as in the unitary closed form,
+an orthonormal basis T of the trapped subspace then decides the escape
+Tr(T+ rho_0 T), and the same map solves again for the right side
+I - T T+, as L keeps each block of the split by T T+.  N_D of a unital
+channel is a Hilbert-Schmidt contraction with its fixed points in
+B(ran T), so this is the Moore-Penrose value of the dense D^2 x D^2
+formula, the test oracle.
 
 A subspace is decoherence-free exactly when every Kraus (or Lindblad)
 operator acts on it as a scalar; the checks here estimate the scalar from
@@ -90,10 +94,11 @@ DFS_ATOL = 1e-9
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 40
 GMRES_STALL = 0.5
-# complex D x D arrays held during a solve: the Krylov basis, at most
-# MAX_DOUBLINGS preconditioner powers, ten more (9.5 measured on
-# hypercube:4-5), and U, rho_0, a dephasing multiplier and its (D + 1) x D
-# Kraus weights held by the caller
+# D x D arrays held during a solve: the Krylov basis, at most MAX_DOUBLINGS
+# preconditioner powers, ten more (9.5 measured on hypercube:4-5), and U,
+# rho_0, a dephasing multiplier and its (D + 1) x D Kraus weights held by
+# the caller.  The estimate counts complex entries; a real walk's solve
+# holds float64 arrays, half that size, so the estimate is conservative
 DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 14
 
 KIND_BOTH = "both"
@@ -255,27 +260,59 @@ def _monomial_sandwich(image: np.ndarray, weights: np.ndarray, y: np.ndarray) ->
     return weights.conj()[:, None] * y[np.ix_(image, image)] * weights
 
 
+def _solve_dtype(u: np.ndarray, ch: Channel) -> np.dtype:
+    """float64 when U and the data of the channel that its maps read (the
+    multiplier, else the monomial weights, else the Kraus operators) have
+    no imaginary part, else complex128: the arithmetic of the decohered
+    solve, in which a real walk's survive map keeps real X real."""
+    if ch.schur is not None:
+        data = (ch.schur,)
+    elif ch.monomials is not None:
+        data = (ch.monomials[1],)
+    else:
+        data = ch.kraus
+    real = not any(np.iscomplexobj(a) and a.imag.any() for a in (u, *data))
+    return np.dtype(float if real else complex)
+
+
+def _in_dtype(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``a`` for arithmetic in ``dtype``: its real part, contiguous, when
+    ``dtype`` is real (:func:`_solve_dtype` has checked that this is all
+    of it), else ``a`` as it is."""
+    return np.ascontiguousarray(a.real) if dtype.kind == "f" else a
+
+
+def _channel_map(
+    ch: Channel, dtype: np.dtype, *, adjoint: bool
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Phi, or Phi+ when ``adjoint``, on D x D arrays of ``dtype``, with
+    the channel's data cast (and a multiplier m conjugated) once: m o rho
+    and m* o Y; else sum_i A_i rho A_i+ and sum_i A_i+ Y A_i, which for
+    monomial A_i go by gathers, Phi as sum_i B_i+ rho B_i with B_i = A_i+."""
+    if ch.schur is not None:
+        m = _in_dtype(ch.schur.conj() if adjoint else ch.schur, dtype)
+        return lambda y: m * y
+    if ch.monomials is not None:
+        pairs = [(image, _in_dtype(w, dtype)) for image, w in zip(*ch.monomials)]
+        if not adjoint:
+            pairs = [_monomial_adjoint(*a) for a in pairs]
+        return lambda y: sum(_monomial_sandwich(*a, y) for a in pairs)
+    ops = [_in_dtype(a, dtype) for a in ch.kraus]
+    if adjoint:
+        return lambda y: sum(a.conj().T @ y @ a for a in ops)
+    return lambda y: sum(a @ y @ a.conj().T for a in ops)
+
+
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """Phi(rho): m o rho for a multiplier m; sum_i A_i rho A_i+, which for
     monomial A_i is sum_i B_i+ rho B_i with B_i = A_i+, by gathers."""
     rho = np.asarray(rho, dtype=complex)
-    if ch.schur is not None:
-        return ch.schur * rho
-    if ch.monomials is not None:
-        return sum(_monomial_sandwich(*_monomial_adjoint(*a), rho) for a in zip(*ch.monomials))
-    out = np.zeros_like(rho)
-    for a in ch.kraus:
-        out += a @ rho @ a.conj().T
-    return out
+    return _channel_map(ch, rho.dtype, adjoint=False)(rho)
 
 
 def _apply_adjoint(ch: Channel, y: np.ndarray) -> np.ndarray:
     """Phi+(Y): m* o Y for a channel with multiplier m, else sum_i A_i+ Y A_i."""
-    if ch.schur is not None:
-        return ch.schur.conj() * y
-    if ch.monomials is not None:
-        return sum(_monomial_sandwich(*a, y) for a in zip(*ch.monomials))
-    return sum(a.conj().T @ y @ a for a in ch.kraus)
+    return _channel_map(ch, np.dtype(complex), adjoint=True)(y)
 
 
 def channel_superoperator(ch: Channel) -> np.ndarray:
@@ -332,8 +369,9 @@ def _gmres(
     loop ends once the true residual ||operator(X) - rhs|| is under
     GMRES_RTOL ||X||, or when a cycle leaves it above GMRES_STALL times its
     value at the cycle start.  Returns X and that relative residual.
-    Memory is O(GMRES_RESTART D^2); each step is one operator and one
-    preconditioner application.
+    The Krylov basis and the least-squares problem take the dtype of
+    ``rhs``.  Memory is O(GMRES_RESTART D^2); each step is one operator
+    and one preconditioner application.
     """
     shape = rhs.shape
     b = rhs.reshape(-1)
@@ -342,12 +380,12 @@ def _gmres(
     if res == 0.0:
         return x.reshape(shape), 0.0
     scale = res  # ||X||, estimated by ||rhs|| before the first cycle
-    basis = np.empty((GMRES_RESTART + 1, b.size), dtype=complex)
-    hess = np.empty((GMRES_RESTART + 1, GMRES_RESTART), dtype=complex)
+    basis = np.empty((GMRES_RESTART + 1, b.size), dtype=b.dtype)
+    hess = np.empty((GMRES_RESTART + 1, GMRES_RESTART), dtype=b.dtype)
     while True:
         basis[0] = r / res
         hess[:] = 0.0
-        e1 = np.zeros(GMRES_RESTART + 1, dtype=complex)
+        e1 = np.zeros(GMRES_RESTART + 1, dtype=b.dtype)
         e1[0] = res
         for k in range(GMRES_RESTART):
             w = operator(precondition(basis[k].reshape(shape))).reshape(-1)
@@ -377,20 +415,26 @@ class _SurvivalMap:
     L(X) = U+ Phi+(Q_f X Q_f) U.  For a channel with Schur multiplier m,
     the preconditioner is the Stein inverse C -> sum_t (B^t)+ C B^t of
     B = sqrt(c) A with A = Q_f U, where c = min Re m (1 - p for dephasing)
-    is the weight of the identity in the channel.
+    is the weight of the identity in the channel.  U, A, the channel's
+    data and the doubling powers are held in ``dtype``, the
+    :func:`_solve_dtype` of U and the channel, so that a real walk under a
+    real channel solves in float64.
     """
 
     def __init__(self, spec: MeasuredWalkSpec, ch: Channel):
         if ch.dim != spec.dim:
             raise ValueError("channel dimension does not match the walk")
         u = spec.walk.matrix
+        self.dtype = _solve_dtype(u, ch)
+        u = _in_dtype(u, self.dtype)
         self.a = u.copy()
         self.a[spec.final_array, :] = 0.0
         keep = np.ones(spec.dim)
         keep[spec.final_array] = 0.0
         q = np.outer(keep, keep)
         u_dag = u.conj().T
-        self.apply = lambda x: u_dag @ _apply_adjoint(ch, q * x) @ u
+        adjoint = _channel_map(ch, self.dtype, adjoint=True)
+        self.apply = lambda x: u_dag @ adjoint(q * x) @ u
         self.powers: list[np.ndarray] | None = []
         c = 0.0 if ch.schur is None else float(np.clip(ch.schur.real.min(), 0.0, 1.0))
         if c > 0.0:
@@ -403,11 +447,14 @@ class _SurvivalMap:
 
     def solve(self, c: np.ndarray) -> np.ndarray | None:
         """X with X - L(X) = C, or None when I - L is singular: GMRES ends
-        with a relative residual ||X - L(X) - C|| / ||X|| above SINGULAR_RTOL."""
+        with a relative residual ||X - L(X) - C|| / ||X|| above SINGULAR_RTOL.
+        The solve runs in ``dtype``, or in complex for a complex C."""
         if self.powers is None:
             return None
         x, residual = _gmres(
-            lambda y: y - self.apply(y), lambda y: _stein_sum(self.powers, y), c
+            lambda y: y - self.apply(y),
+            lambda y: _stein_sum(self.powers, y),
+            np.asarray(c, dtype=np.result_type(c, self.dtype)),
         )
         return x if residual <= SINGULAR_RTOL else None
 
@@ -417,13 +464,18 @@ def _trapped_basis(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:
     A_i U and its adjoint keep: the projector P grows from P_f to the range
     of P + Phi(U P U+) + U+ Phi+(P) U, with rank cutoff NULLSPACE_RTOL,
     until its rank stops, and T spans the rest.  N_D and L map each block
-    of the split by T T+ into itself."""
+    of the split by T T+ into itself.  T is real when the
+    :func:`_solve_dtype` of U and the channel is."""
     u = spec.walk.matrix
+    dtype = _solve_dtype(u, ch)
+    u = _in_dtype(u, dtype)
     u_dag = u.conj().T
-    basis = np.eye(spec.dim, dtype=complex)[:, spec.final_array]
+    channel = _channel_map(ch, dtype, adjoint=False)
+    adjoint = _channel_map(ch, dtype, adjoint=True)
+    basis = np.eye(spec.dim, dtype=dtype)[:, spec.final_array]
     while True:
         p = basis @ basis.conj().T
-        grown = p + apply_channel(ch, u @ p @ u_dag) + u_dag @ _apply_adjoint(ch, p) @ u
+        grown = p + channel(u @ p @ u_dag) + u_dag @ adjoint(p) @ u
         w, v = np.linalg.eigh(grown)
         keep = w > spectral.NULLSPACE_RTOL * w[-1]
         if keep.sum() == basis.shape[1]:
@@ -449,8 +501,8 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
     if ch.is_identity and ch.dim == spec.dim:
         return hitting_time_closed_form(spec)
     _check_memory(spec.dim, DECOHERED_WORK_ARRAYS * spec.dim**2)
-    eye = np.eye(spec.dim, dtype=complex)
     survival = _SurvivalMap(spec, ch)
+    eye = np.eye(spec.dim, dtype=survival.dtype)
     x = survival.solve(eye)
     if x is not None:
         return HittingResult(METHOD_CLOSED_FORM, value=float(np.real(np.sum(x * spec.rho0.T))))
@@ -498,7 +550,7 @@ def hitting_time_slope(spec: MeasuredWalkSpec, kind: str, p: float) -> float:
         raise ValueError("slope needs the walk's graph to build the dephasing family")
     g = spec.walk.graph
     survival = _SurvivalMap(spec, dephasing_channel(kind, p, g.num_vertices, g.degree_value))
-    x = survival.solve(np.eye(spec.dim, dtype=complex))
+    x = survival.solve(np.eye(spec.dim, dtype=survival.dtype))
     if x is not None:
         a = survival.a
         label = _basis_labels(kind, g.num_vertices, g.degree_value)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import OracleMismatchError, SymmetryError
 from .graphs import ColoredGraph, glued_trees_columns
 from .groups import PermGroup, Permutation, generators_of, orbit_labels
-from .spectral import _final_array, infinite_hitting_projector
+from .spectral import _final_array, _walk_dim, infinite_hitting_projector
 
 __all__ = [
     "OrbitBasis",
@@ -390,9 +390,10 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     walk directly.  The measurement must commute with the subgroup, that
     is, no orbit may straddle the finals; otherwise the measured walk
     leaves the quotient.  A final index outside [0, D) raises ValueError.
+    Route 1 gets ``u`` itself, so that a walk whose eigensolve would not
+    fit in the memory budget is refused before its dense U is read.
     """
-    m = np.asarray(getattr(u, "matrix", u), dtype=complex)
-    final = np.unique(_final_array(final_indices, m.shape[0]))
+    final = np.unique(_final_array(final_indices, _walk_dim(u)))
     inside = np.bincount(basis.labels[final], minlength=basis.num_orbits)
     if np.any((inside > 0) & (inside < basis.sizes)):
         raise SymmetryError(
@@ -402,11 +403,11 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     if not final_orbits.size:
         raise SymmetryError("final projector has no support on the quotient")
 
-    report_full = infinite_hitting_projector(m, final)
+    report_full = infinite_hitting_projector(u, final)
     cosines = np.linalg.svd(_orbit_sums(report_full.basis, basis, 0), compute_uv=False)
     dim_full = int(np.sum(cosines > 1.0 - ANGLE_ATOL))
 
-    report_q = infinite_hitting_projector(quotient_walk(m, basis), final_orbits)
+    report_q = infinite_hitting_projector(quotient_walk(u, basis), final_orbits)
     dim_q = report_q.trace_int
     if abs(report_q.trace_p - dim_q) > 1e-6:
         raise OracleMismatchError(

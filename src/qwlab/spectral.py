@@ -98,10 +98,15 @@ class SpectralReport:
         return self.basis.shape[0]
 
 
+def _walk_dim(u) -> int:
+    """D of a WalkOperator or a square array, without reading a dense U."""
+    return u.dim if hasattr(u, "dim") else np.shape(u)[0]
+
+
 def _as_matrix(u) -> np.ndarray:
     """U as a dense matrix, refused before it is read or built if the
     eigensolve on it would not fit in the memory budget."""
-    d = u.dim if hasattr(u, "dim") else np.shape(u)[0]
+    d = _walk_dim(u)
     _check_memory(d, EIGENSOLVE_WORK_ARRAYS * d * d)
     return np.asarray(getattr(u, "matrix", u), dtype=complex)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from qwlab import cli, graphs, hitting, spectral, walk
 from qwlab import decoherence as deco
-from qwlab import graphs, hitting, spectral, walk
 
 from conftest import (
     battery,
@@ -539,6 +539,112 @@ class TestSlope:
         _, spec = grover_cube_spec()  # trapped subspace present at p = 0
         with pytest.raises(ValueError, match="singular"):
             deco.hitting_time_slope(spec, "both", 0.0)
+
+
+def cli_spec(descriptor, start, coin="grover"):
+    """The measured walk that ``--graph descriptor --start start --coin coin``
+    describes, with the default all-ones final."""
+    g, cay, _ = cli.resolve_graph(descriptor, None)
+    op = walk.evolution_operator(g, cli.resolve_coin(coin, g.degree_value))
+    final = cli.resolve_final("all-ones", g, cay)
+    return g, hitting.measured_walk(op, cli.resolve_start(start, g), final_vertices=final)
+
+
+def phased(spec, phi=0.7):
+    """The same measured walk with U replaced by e^(i phi) U: a complex U
+    with the same decohered map and the same preconditioner."""
+    u = walk.WalkOperator(np.exp(1j * phi) * spec.walk.matrix, graph=spec.walk.graph)
+    return hitting.MeasuredWalkSpec(u, spec.final_indices, spec.state)
+
+
+def slope_or_singular(spec, kind, p):
+    try:
+        return deco.hitting_time_slope(spec, kind, p)
+    except ValueError as err:
+        assert "singular" in str(err)
+        return None
+
+
+SLOPE_POINTS = (("both", 0.5), ("coin", 0.25), ("position", 0.75))
+
+
+class TestGlobalPhase:
+    """A global phase leaves L and the Stein preconditioner as they are but
+    makes U complex, so the complex solve is an independent oracle of the
+    real one on the same problem."""
+
+    @pytest.mark.parametrize(
+        "descriptor", ["hypercube:3", "hypercube:4", "cycle:16", "cayley:s4:3gen", "distorted-hypercube:3"]
+    )
+    @pytest.mark.parametrize("start", ["symmetric", "basis:0:1"])
+    def test_dephasing_and_slopes_match_the_complex_solve(self, descriptor, start):
+        g, spec = cli_spec(descriptor, start)
+        twin = phased(spec)
+        for kind in ("both", "coin", "position"):
+            for p in (0.25, 0.5, 1.0):
+                ch = deco.dephasing_channel(kind, p, g.num_vertices, g.degree_value)
+                assert_same_result(
+                    deco.decohered_hitting_time(spec, ch), deco.decohered_hitting_time(twin, ch), rel=1e-12
+                )
+        for kind, p in SLOPE_POINTS:
+            real, phase = slope_or_singular(spec, kind, p), slope_or_singular(twin, kind, p)
+            assert (real is None) == (phase is None)
+            if real is not None:
+                assert real == pytest.approx(phase, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("start", ["symmetric", "basis:0:1"])
+    def test_swap_dephasing_singular_points_match_the_complex_solve(self, n, start):
+        _, spec = cli_spec(f"hypercube:{n}", start)
+        ch = deco.swap_dephasing_example(n, np.ones(n - 1) / np.sqrt(n - 1))
+        assert deco._SurvivalMap(spec, ch).solve(np.eye(spec.dim)) is None
+        got, want = deco.decohered_hitting_time(spec, ch), deco.decohered_hitting_time(phased(spec), ch)
+        # the symmetric start takes the pseudo-inverse, the basis start escapes
+        assert got.is_finite == (got.method == "pseudo_inverse") == (start == "symmetric")
+        assert_same_result(got, want, rel=1e-12)
+
+
+class TestSolveDtype:
+    """The decohered solve runs in float64 when U and the channel are real,
+    and in complex128 otherwise."""
+
+    @staticmethod
+    def assert_solve_dtype(survival, x, dtype):
+        assert survival.dtype == dtype and survival.a.dtype == dtype
+        assert all(a.dtype == dtype for a in survival.powers)
+        assert x.dtype == dtype
+
+    @pytest.mark.parametrize("kind", ["both", "coin", "position"])
+    def test_grover_dephasing_is_real(self, kind):
+        g, spec = grover_cube_spec()
+        survival = deco._SurvivalMap(spec, deco.dephasing_channel(kind, 0.5, g.num_vertices, g.degree_value))
+        self.assert_solve_dtype(survival, survival.solve(np.eye(spec.dim)), np.float64)
+        # a complex right side runs complex on the same map
+        assert survival.solve(np.eye(spec.dim, dtype=complex)).dtype == np.complex128
+
+    def test_swap_dephasing_with_real_kappas_is_real(self):
+        _, spec = grover_cube_spec(4)
+        ch = deco.swap_dephasing_example(4, [0.6, 0.0, 0.8])
+        survival = deco._SurvivalMap(spec, ch)
+        assert survival.dtype == np.float64 and survival.a.dtype == np.float64
+        trapped = deco._trapped_basis(spec, ch)
+        assert trapped.dtype == np.float64
+        x = survival.solve(np.eye(spec.dim) - trapped @ trapped.T)
+        assert x.dtype == np.float64
+
+    def test_swap_dephasing_with_complex_kappas_is_complex(self, rng):
+        _, spec = grover_cube_spec(4)
+        ch = deco.swap_dephasing_example(4, random_kappas(4, rng))
+        assert deco._SurvivalMap(spec, ch).dtype == np.complex128
+        assert deco._trapped_basis(spec, ch).dtype == np.complex128
+
+    @pytest.mark.parametrize("walk_kind", ["dft", "phased"])
+    def test_complex_walks_are_complex(self, walk_kind):
+        g, spec = cli_spec("hypercube:3", "symmetric", coin="dft" if walk_kind == "dft" else "grover")
+        if walk_kind == "phased":
+            spec = phased(spec)
+        survival = deco._SurvivalMap(spec, deco.dephasing_channel("coin", 0.5, g.num_vertices, g.degree_value))
+        self.assert_solve_dtype(survival, survival.solve(np.eye(spec.dim)), np.complex128)
 
 
 def random_kappas(n, rng):

@@ -1,8 +1,9 @@
 """One pass of the benchmark's closed-form and dephasing mixes, and of the
 symmetry mix's smaller walks, against the stored references, so that a
 drift from ``perfbench/references.json`` or an API change the benchmark
-reads fails here before it fails the benchmark; and one traced CLI run, so
-that a library name the span tracer wraps cannot vanish unnoticed.  The
+reads fails here before it fails the benchmark; the arithmetic of the
+dephasing mix's decohered solves; and one traced CLI run, so that a
+library name the span tracer wraps cannot vanish unnoticed.  The
 benchmark files are only read."""
 
 import importlib.util
@@ -11,9 +12,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qwlab import cli
+from qwlab import cli, decoherence
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text())
@@ -49,6 +51,28 @@ def failures(ops) -> list[str]:
 def test_one_pass_matches_the_references(workloads, workload):
     build, _ = workloads.WORKLOADS[workload]
     assert not failures(build(REFERENCES))
+
+
+def test_dephasing_mix_solves_in_real_arithmetic(workloads, monkeypatch):
+    """Every decohered solve of one dephasing pass runs in float64: the 24
+    points with p > 0 and the two solves of each of the 9 slopes; a dft
+    walk's point runs in complex128."""
+    build, _ = workloads.WORKLOADS["dephasing"]
+    ops = build(REFERENCES)
+    seen = []  # the right-side dtype of every GMRES solve
+    solve = decoherence._gmres
+
+    def recorded(operator, precondition, rhs):
+        seen.append(rhs.dtype)
+        return solve(operator, precondition, rhs)
+
+    monkeypatch.setattr(decoherence, "_gmres", recorded)
+    assert not failures(ops)
+    assert len(seen) == 42 and set(seen) == {np.dtype(np.float64)}
+    seen.clear()
+    argv = ["sweep-decoherence", "--graph", "hypercube:3", "--coin", "dft", "--kinds", "coin", "--p-grid", "0.5"]
+    assert cli.main(argv, out=io.StringIO()) == 0
+    assert seen == [np.dtype(np.complex128)]
 
 
 def test_symmetry_mix_builds_and_its_small_walks_pass(workloads):

@@ -535,7 +535,7 @@ def test_symmetry_paths_build_no_dense_isometry_or_shift(monkeypatch, descriptor
 
 def test_verdict_over_the_memory_budget_raises(monkeypatch):
     # U (4.5 MiB with its gather) fits in 8 MiB, the eigensolve's six
-    # 384 x 384 complex arrays do not
+    # 384 x 384 complex arrays do not; the verdict refuses before it reads U
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve started")
 
@@ -545,5 +545,6 @@ def test_verdict_over_the_memory_budget_raises(monkeypatch):
     final = graphs.BasisIndexing.from_graph(g).indices_for([63])
     monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
     monkeypatch.setattr(spectral, "_split", refuse)
+    monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
     with pytest.raises(ValueError, match="dimension 384 needs an estimated 14 MiB, over a memory budget of 8 MiB"):
         quotient.quotient_infinite_hitting(op, basis, final)
