@@ -22,11 +22,11 @@ X -> U+ Phi+(Q_f X Q_f) U.  Restarted GMRES solves this on D x D
 matrices, in O(D^3) time per step and O(D^2) memory per Krylov vector;
 for a multiplier it is preconditioned by the Stein inverse of
 sqrt(min Re m) Q_f U, applied by the Smith doubling of the unitary closed
-form.  The solve runs in the walk's own arithmetic: in float64 when U and
-the channel's data are real (every Grover walk under dephasing, or under
-swap dephasing with real kappa), as L then keeps real X real, and in
-complex128 otherwise.  The slope in p is one more solve with the same
-operator, and the step series iterates D x D density matrices.  A solve
+form.  Channel data keeps the dtype of its entries, as walk data does, so
+type promotion runs the solve in float64 when U and the channel are real
+(Grover walks under dephasing, or swap dephasing with real kappa), else in
+complex128.  The slope in p is one more solve with the same operator, and
+the step series iterates D x D density matrices.  A solve
 that stagnates marks I - N_D as singular; as in the unitary closed form,
 an orthonormal basis T of the trapped subspace then decides the escape
 Tr(T+ rho_0 T), and the same map solves again for the right side
@@ -65,7 +65,7 @@ from .hitting import (
     _stein_sum,
     hitting_time_closed_form,
 )
-from .walk import _check_memory
+from .walk import _check_memory, _inexact
 
 __all__ = [
     "Channel",
@@ -97,8 +97,8 @@ GMRES_STALL = 0.5
 # D x D arrays held during a solve: the Krylov basis, at most MAX_DOUBLINGS
 # preconditioner powers, ten more (9.5 measured on hypercube:4-5), and U,
 # rho_0, a dephasing multiplier and its (D + 1) x D Kraus weights held by
-# the caller.  The estimate counts complex entries; a real walk's solve
-# holds float64 arrays, half that size, so the estimate is conservative
+# the caller.  The estimate counts complex entries; the solve of a real walk
+# under a real channel holds float64 arrays, half that size
 DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 14
 
 KIND_BOTH = "both"
@@ -114,17 +114,20 @@ class Channel:
     :meth:`_from_monomials` holds ``monomials``, a k x D image array and a
     k x D weight array with A_i e_j = weights[i, j] e_image[i, j] (a
     permutation matrix times a diagonal), and builds its dense Kraus family
-    on the first read of ``kraus``.
+    on the first read of ``kraus``.  ``dtype`` is the result type of the
+    data that the channel's maps read: the multiplier, else the monomial
+    weights, else the Kraus operators.
     """
 
     monomials: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, kraus: Sequence[np.ndarray]):
-        ops = tuple(np.asarray(a, dtype=complex) for a in kraus)
+        ops = tuple(_inexact(a) for a in kraus)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         d = ops[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
+        self.dtype = np.result_type(*ops)
+        total = np.zeros((d, d), dtype=self.dtype)
         for a in ops:
             if a.shape != (d, d):
                 raise ValueError("Kraus operators must share one square shape")
@@ -135,7 +138,7 @@ class Channel:
         schur = None
         off_diagonal = ~np.eye(d, dtype=bool)
         if not any(np.any(a[off_diagonal]) for a in ops):
-            schur = np.zeros((d, d), dtype=complex)
+            schur = np.zeros((d, d), dtype=self.dtype)
             for a in ops:
                 schur += np.outer(np.diag(a), np.diag(a).conj())
         self.schur = schur
@@ -153,7 +156,7 @@ class Channel:
         the identity.
         """
         images = np.asarray(images)
-        weights = np.asarray(weights, dtype=complex)
+        weights = _inexact(weights)
         k, d = images.shape
         if not np.array_equal(np.sort(images, axis=1), np.broadcast_to(np.arange(d), (k, d))):
             raise ValueError("monomial Kraus images must be permutations")
@@ -163,6 +166,7 @@ class Channel:
         ch = cls.__new__(cls)
         ch.schur = schur
         ch.monomials = (images, weights)
+        ch.dtype = (weights if schur is None else schur).dtype
         return ch
 
     @functools.cached_property
@@ -171,7 +175,7 @@ class Channel:
         d = images.shape[1]
         ops = []
         for image, w in zip(images, weights):
-            a = np.zeros((d, d), dtype=complex)
+            a = np.zeros((d, d), dtype=weights.dtype)
             a[image, np.arange(d)] = w
             ops.append(a)
         return tuple(ops)
@@ -195,7 +199,7 @@ class LindbladSet:
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        ops = tuple(np.asarray(m, dtype=complex) for m in self.ops)
+        ops = tuple(_inexact(m) for m in self.ops)
         rates = tuple(float(r) for r in self.rates)
         if len(ops) != len(rates):
             raise ValueError("one rate per Lindblad operator")
@@ -243,7 +247,7 @@ def dephasing_channel(
 
 def _monomial_apply(image: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for A e_j = weights[j] e_image[j], x a vector or a block of columns."""
-    out = np.empty(x.shape, dtype=complex)
+    out = np.empty(x.shape, dtype=np.result_type(weights, x))
     out[image] = (weights * x.T).T
     return out
 
@@ -260,59 +264,27 @@ def _monomial_sandwich(image: np.ndarray, weights: np.ndarray, y: np.ndarray) ->
     return weights.conj()[:, None] * y[np.ix_(image, image)] * weights
 
 
-def _solve_dtype(u: np.ndarray, ch: Channel) -> np.dtype:
-    """float64 when U and the data of the channel that its maps read (the
-    multiplier, else the monomial weights, else the Kraus operators) have
-    no imaginary part, else complex128: the arithmetic of the decohered
-    solve, in which a real walk's survive map keeps real X real."""
+def _channel_map(ch: Channel, *, adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Phi, or Phi+ when ``adjoint``, on D x D arrays, with a multiplier m
+    conjugated once: m o rho and m* o Y; else sum_i A_i rho A_i+ and
+    sum_i A_i+ Y A_i, which for monomial A_i go by gathers, Phi as
+    sum_i B_i+ rho B_i with B_i = A_i+."""
     if ch.schur is not None:
-        data = (ch.schur,)
-    elif ch.monomials is not None:
-        data = (ch.monomials[1],)
-    else:
-        data = ch.kraus
-    real = not any(np.iscomplexobj(a) and a.imag.any() for a in (u, *data))
-    return np.dtype(float if real else complex)
-
-
-def _in_dtype(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """``a`` for arithmetic in ``dtype``: its real part, contiguous, when
-    ``dtype`` is real (:func:`_solve_dtype` has checked that this is all
-    of it), else ``a`` as it is."""
-    return np.ascontiguousarray(a.real) if dtype.kind == "f" else a
-
-
-def _channel_map(
-    ch: Channel, dtype: np.dtype, *, adjoint: bool
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Phi, or Phi+ when ``adjoint``, on D x D arrays of ``dtype``, with
-    the channel's data cast (and a multiplier m conjugated) once: m o rho
-    and m* o Y; else sum_i A_i rho A_i+ and sum_i A_i+ Y A_i, which for
-    monomial A_i go by gathers, Phi as sum_i B_i+ rho B_i with B_i = A_i+."""
-    if ch.schur is not None:
-        m = _in_dtype(ch.schur.conj() if adjoint else ch.schur, dtype)
+        m = ch.schur.conj() if adjoint else ch.schur
         return lambda y: m * y
     if ch.monomials is not None:
-        pairs = [(image, _in_dtype(w, dtype)) for image, w in zip(*ch.monomials)]
+        pairs = list(zip(*ch.monomials))
         if not adjoint:
             pairs = [_monomial_adjoint(*a) for a in pairs]
         return lambda y: sum(_monomial_sandwich(*a, y) for a in pairs)
-    ops = [_in_dtype(a, dtype) for a in ch.kraus]
     if adjoint:
-        return lambda y: sum(a.conj().T @ y @ a for a in ops)
-    return lambda y: sum(a @ y @ a.conj().T for a in ops)
+        return lambda y: sum(a.conj().T @ y @ a for a in ch.kraus)
+    return lambda y: sum(a @ y @ a.conj().T for a in ch.kraus)
 
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Phi(rho): m o rho for a multiplier m; sum_i A_i rho A_i+, which for
-    monomial A_i is sum_i B_i+ rho B_i with B_i = A_i+, by gathers."""
-    rho = np.asarray(rho, dtype=complex)
-    return _channel_map(ch, rho.dtype, adjoint=False)(rho)
-
-
-def _apply_adjoint(ch: Channel, y: np.ndarray) -> np.ndarray:
-    """Phi+(Y): m* o Y for a channel with multiplier m, else sum_i A_i+ Y A_i."""
-    return _channel_map(ch, np.dtype(complex), adjoint=True)(y)
+    """Phi(rho), by :func:`_channel_map`."""
+    return _channel_map(ch, adjoint=False)(np.asarray(rho))
 
 
 def channel_superoperator(ch: Channel) -> np.ndarray:
@@ -415,25 +387,23 @@ class _SurvivalMap:
     L(X) = U+ Phi+(Q_f X Q_f) U.  For a channel with Schur multiplier m,
     the preconditioner is the Stein inverse C -> sum_t (B^t)+ C B^t of
     B = sqrt(c) A with A = Q_f U, where c = min Re m (1 - p for dephasing)
-    is the weight of the identity in the channel.  U, A, the channel's
-    data and the doubling powers are held in ``dtype``, the
-    :func:`_solve_dtype` of U and the channel, so that a real walk under a
-    real channel solves in float64.
+    is the weight of the identity in the channel.  The solve runs in
+    ``dtype``, the result type of U and the channel: float64 for a real
+    walk under a real channel.
     """
 
     def __init__(self, spec: MeasuredWalkSpec, ch: Channel):
         if ch.dim != spec.dim:
             raise ValueError("channel dimension does not match the walk")
         u = spec.walk.matrix
-        self.dtype = _solve_dtype(u, ch)
-        u = _in_dtype(u, self.dtype)
+        self.dtype = np.result_type(u, ch.dtype)
         self.a = u.copy()
         self.a[spec.final_array, :] = 0.0
         keep = np.ones(spec.dim)
         keep[spec.final_array] = 0.0
         q = np.outer(keep, keep)
         u_dag = u.conj().T
-        adjoint = _channel_map(ch, self.dtype, adjoint=True)
+        adjoint = _channel_map(ch, adjoint=True)
         self.apply = lambda x: u_dag @ adjoint(q * x) @ u
         self.powers: list[np.ndarray] | None = []
         c = 0.0 if ch.schur is None else float(np.clip(ch.schur.real.min(), 0.0, 1.0))
@@ -464,15 +434,13 @@ def _trapped_basis(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:
     A_i U and its adjoint keep: the projector P grows from P_f to the range
     of P + Phi(U P U+) + U+ Phi+(P) U, with rank cutoff NULLSPACE_RTOL,
     until its rank stops, and T spans the rest.  N_D and L map each block
-    of the split by T T+ into itself.  T is real when the
-    :func:`_solve_dtype` of U and the channel is."""
+    of the split by T T+ into itself.  T is real when U and the channel
+    are."""
     u = spec.walk.matrix
-    dtype = _solve_dtype(u, ch)
-    u = _in_dtype(u, dtype)
     u_dag = u.conj().T
-    channel = _channel_map(ch, dtype, adjoint=False)
-    adjoint = _channel_map(ch, dtype, adjoint=True)
-    basis = np.eye(spec.dim, dtype=dtype)[:, spec.final_array]
+    channel = _channel_map(ch, adjoint=False)
+    adjoint = _channel_map(ch, adjoint=True)
+    basis = np.eye(spec.dim)[:, spec.final_array]
     while True:
         p = basis @ basis.conj().T
         grown = p + channel(u @ p @ u_dag) + u_dag @ adjoint(p) @ u
@@ -529,7 +497,7 @@ def decohered_hitting_series(
     """Step-iterated hitting time: sigma = Phi(U rho U+), detect on P_f, keep Q_f sigma Q_f."""
     if ch.dim != spec.dim:
         raise ValueError("channel dimension does not match the walk")
-    probabilities = _hit_probabilities(spec, lambda sig: apply_channel(ch, sig))
+    probabilities = _hit_probabilities(spec, _channel_map(ch, adjoint=False))
     return _series_hitting_time(spec, probabilities, epsilon, step_cap, stall_window)
 
 
@@ -645,12 +613,12 @@ def swap_dephasing_example(n: int, kappas: Iterable[float | complex]) -> Channel
     """
     if n < 2:
         raise ValueError("swap dephasing needs n >= 2")
-    kap = tuple(complex(k) for k in kappas)
+    kap = _inexact(tuple(kappas))
     if len(kap) != n - 1:
         raise ValueError(f"expected {n - 1} coefficients, got {len(kap)}")
     norm = sum(abs(k) ** 2 for k in kap)
     if abs(norm - 1.0) > COMPLETENESS_ATOL:
         raise ValueError(f"sum |kappa|^2 = {norm} != 1")
     images = np.array([_swap_image(n, i) for i in range(1, n)])
-    weights = np.repeat(np.array(kap)[:, None], images.shape[1], axis=1)
+    weights = np.repeat(kap[:, None], images.shape[1], axis=1)
     return Channel._from_monomials(images, weights)

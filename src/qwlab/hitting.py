@@ -48,7 +48,7 @@ import numpy as np
 from . import spectral
 from .errors import IndeterminateError, ThresholdUnreachableError
 from .graphs import BasisIndexing, ColoredGraph
-from .walk import WalkOperator, _check_memory
+from .walk import WalkOperator, _check_memory, _inexact
 
 __all__ = [
     "MeasuredWalkSpec",
@@ -106,7 +106,7 @@ class MeasuredWalkSpec:
 
     def __post_init__(self):
         d = self.walk.dim
-        state = np.asarray(self.state, dtype=complex)
+        state = _inexact(self.state)
         if state.shape == (d,):
             if abs(np.linalg.norm(state) - 1.0) > 1e-12:
                 raise ValueError("start state must be normalized")
@@ -149,7 +149,7 @@ class MeasuredWalkSpec:
 def symmetric_state(g: ColoredGraph, vertex: int = 0) -> np.ndarray:
     """Walker at ``vertex`` with an equal superposition over its directions."""
     idx = BasisIndexing.from_graph(g)
-    psi = np.zeros(idx.total_dim, dtype=complex)
+    psi = np.zeros(idx.total_dim)
     rows = np.asarray(idx.vertex_indices(vertex))
     psi[rows] = 1.0 / np.sqrt(rows.size)
     return psi
@@ -157,7 +157,7 @@ def symmetric_state(g: ColoredGraph, vertex: int = 0) -> np.ndarray:
 
 def basis_state(g: ColoredGraph, vertex: int, color: int) -> np.ndarray:
     idx = BasisIndexing.from_graph(g)
-    psi = np.zeros(idx.total_dim, dtype=complex)
+    psi = np.zeros(idx.total_dim)
     psi[idx.index(vertex, color)] = 1.0
     return psi
 
@@ -394,8 +394,8 @@ def one_shot_hitting_time(
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    psi = np.asarray(start_state, dtype=complex)
-    fin = np.asarray(final_state, dtype=complex)
+    psi = np.asarray(start_state)
+    fin = np.asarray(final_state)
     for t in range(t_max + 1):
         if abs(np.vdot(fin, psi)) ** 2 >= threshold:
             return t
@@ -575,7 +575,7 @@ def hitting_time_closed_form(
     w = report.untrapped
     r = w.shape[1]
     _check_memory(d, STEIN_WORK_ARRAYS * r * r + STEIN_HELD_ARRAYS * d * d)
-    aw = spec.walk.matrix @ w
+    aw = spec.walk.apply(w)
     aw[spec.final_array] = 0.0
     a_r = w.conj().T @ aw
     value = _stein_trace(a_r, w.conj().T @ spec.rho0 @ w, residual_rtol=singular_rtol)

@@ -95,7 +95,7 @@ class OrbitBasis:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        b = np.zeros((self.dim, self.num_orbits), dtype=complex)
+        b = np.zeros((self.dim, self.num_orbits))
         b[np.arange(self.dim), self.labels] = 1.0 / np.sqrt(self.sizes[self.labels])
         return b
 
@@ -135,7 +135,7 @@ def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCh
     The two sides are compared one block of rows at a time, so no whole
     D x D copy of U is made.
     """
-    m = np.asarray(getattr(u, "matrix", u), dtype=complex)
+    m = np.asarray(getattr(u, "matrix", u))
     dim = m.shape[0]
     rows = max(1, _SYMMETRY_BLOCK_BYTES // max(1, m[:1].nbytes))
     worst = 0.0
@@ -154,7 +154,7 @@ def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCh
 
 def quotient_walk(u, basis: OrbitBasis) -> np.ndarray:
     """U_H = B+ U B by orbit sums; requires U to commute with the subgroup."""
-    m = np.asarray(getattr(u, "matrix", u), dtype=complex)
+    m = np.asarray(getattr(u, "matrix", u))
     chk = check_walk_symmetry(m, basis.generators)
     if not chk.commutes:
         raise SymmetryError(
@@ -251,7 +251,7 @@ def quotient_coin(
     ``s_h`` is the reduced shift's orbit image, so row j of C_H is row
     ``s_h[j]`` of U_H.  Off-block mass or a non-permutation shift raises.
     """
-    u_h = np.asarray(u_h, dtype=complex)
+    u_h = np.asarray(u_h)
     s_h = np.asarray(s_h)
     if not _is_permutation(s_h, u_h.shape[0]):
         raise ValueError("reduced shift must be a permutation of the orbits")
@@ -312,13 +312,13 @@ def hypercube_line_reduction(n: int) -> LineWalk:
             labels.append(f"R{x}")
     index = {lab: i for i, lab in enumerate(labels)}
 
-    shift = np.zeros((dim, dim), dtype=complex)
+    shift = np.zeros((dim, dim))
     for x in range(n):
         i, j = index[f"R{x}"], index[f"L{x + 1}"]
         shift[i, j] = 1.0
         shift[j, i] = 1.0
 
-    coin = np.zeros((dim, dim), dtype=complex)
+    coin = np.zeros((dim, dim))
     for x in range(n + 1):
         c = 1.0 - 2.0 * x / n
         s = np.sqrt(max(0.0, 1.0 - c * c))

@@ -7,21 +7,21 @@ the per-vertex coin-overlap blocks of P identify which local coin states
 avoid (or cannot avoid) being trapped.
 
 A unitary is normal, so its spectrum comes from Hermitian eigensolves: one
-of the Hermitian part (U + U+)/2, then small ones inside each chain of
-nearby cosines (``eigenspace_clusters``); no general eigensolver or QR is
-used, and non-normal input is rejected.  The small work is batched: the
-blocks of all chains of one length are split by one stacked eigh, and the
-final-vertex overlaps of all clusters of one multiplicity by one stacked
-SVD, so a small walk costs a few numpy calls rather than a Python pass per
-chain and per cluster.  Only the D-tall products stay per chain, on column
-views.  The trapped subspace is kept as an orthonormal basis B; trace(P),
-escape probabilities and coin-overlap blocks are read from B, and no D x D
-projector is formed.  The rest of each cluster, the eigenvectors that do
-see the finals, is kept too: an orthonormal basis W of ran(I - P) made of
-eigenvectors of U, in which the hitting module solves for the hitting time.
-An eigensolve whose estimated working set exceeds the memory budget
-(physical memory, or the cgroup limit where lower) raises ValueError
-before U is built or read.
+of the Hermitian part (U + U+)/2, real for a real U, then small ones
+inside each chain of nearby cosines (``eigenspace_clusters``); no general
+eigensolver or QR is used, and non-normal input is rejected.  The small
+work is batched: the blocks of all chains of one length are split by one
+stacked eigh, and the final-vertex overlaps of all clusters of one
+multiplicity by one stacked SVD, so a small walk costs a few numpy calls
+rather than a Python pass per chain and per cluster.  Only the D-tall
+products stay per chain, on column views.  The trapped subspace is kept as
+an orthonormal basis B; trace(P), escape probabilities and coin-overlap
+blocks are read from B, and no D x D projector is formed.  The rest of
+each cluster, the eigenvectors that do see the finals, is kept too: an
+orthonormal basis W of ran(I - P) made of eigenvectors of U, in which the
+hitting module solves for the hitting time.  An eigensolve whose estimated
+working set exceeds the memory budget (physical memory, or the cgroup
+limit where lower) raises ValueError before U is built or read.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _as_matrix(u) -> np.ndarray:
     eigensolve on it would not fit in the memory budget."""
     d = _walk_dim(u)
     _check_memory(d, EIGENSOLVE_WORK_ARRAYS * d * d)
-    return np.asarray(getattr(u, "matrix", u), dtype=complex)
+    return np.asarray(getattr(u, "matrix", u))
 
 
 def _final_array(p_f, dim: int) -> np.ndarray:
@@ -175,9 +175,8 @@ def _split(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     chain's D-tall work runs on column views; its small blocks are stacked
     with those of the other chains of its length and split together.
     """
-    a = m.real if not m.imag.any() else m
-    cos, w = np.linalg.eigh((a + a.conj().T) / 2)
-    ikw = ((a - a.conj().T) / 2) @ w  # i K W
+    cos, w = np.linalg.eigh((m + m.conj().T) / 2)
+    ikw = ((m - m.conj().T) / 2) @ w  # i K W
     starts = np.flatnonzero(_runs(cos, max(tol, np.sqrt(tol))))
     blocks = []
     for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(cos)]):
@@ -342,7 +341,7 @@ def infinite_hitting_projector(u, p_f) -> SpectralReport:
 
 def escape_probability(report: SpectralReport, state: np.ndarray) -> float:
     """Mass of a state (vector or density matrix) inside the trapped subspace."""
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state)
     if state.ndim == 1:
         amps = report.basis.conj().T @ state
         return float(np.real(np.vdot(amps, amps)))

@@ -3,9 +3,12 @@
 A discrete step is U = S (I (x) C): coin flip in each vertex's direction
 space followed by the shift along colored edges.  Continuous walks drop
 the coin and exponentiate a symmetric Hamiltonian built from the
-adjacency structure.  The memory budget lives here too: the dense U, the
-eigensolves and the solves on it each check their estimated working set
-against it before they allocate.
+adjacency structure.  Walk data is float64 when its entries are real (the
+Grover coin and its U) and complex128 when not (the DFT coin, a phased
+walk); numpy's type promotion picks the arithmetic of what is computed
+from it.  The memory budget lives here too: the dense U, the eigensolves
+and the solves on it each check their estimated working set against it
+before they allocate.
 """
 
 from __future__ import annotations
@@ -36,6 +39,12 @@ PROPAGATOR_UNITARITY_ATOL = 1e-9
 # where this process's cgroups are listed, and where they are mounted
 PROC_CGROUP = "/proc/self/cgroup"
 CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _inexact(a) -> np.ndarray:
+    """``a`` as float64 when its entries are real, else as complex128."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, float), copy=False)
 
 
 def _require_unitary(m: np.ndarray, atol: float, what: str):
@@ -90,7 +99,7 @@ class Coin:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        object.__setattr__(self, "matrix", _inexact(self.matrix))
         _require_unitary(self.matrix, COIN_UNITARITY_ATOL, "coin")
 
     @property
@@ -117,7 +126,7 @@ first if it would not fit in the memory budget.  ``graph``,
     image: np.ndarray | None = None
 
     def __post_init__(self):
-        block = np.asarray(self.block, dtype=complex)
+        block = _inexact(self.block)
         object.__setattr__(self, "block", block)
         if self.image is None:
             object.__setattr__(self, "image", np.arange(block.shape[0]))
@@ -130,7 +139,7 @@ first if it would not fit in the memory budget.  ``graph``,
     def matrix(self) -> np.ndarray:
         d, b = self.dim, self.block.shape[0]
         _check_memory(d, 2 * d * d)  # U and the product it is gathered from
-        u = np.empty((d, d), dtype=complex)
+        u = np.empty((d, d), dtype=self.block.dtype)
         eye = np.eye(d // b)  # I (x) C, entry for entry as np.kron forms it
         u[self.image] = (eye[:, None, :, None] * self.block[None, :, None, :]).reshape(d, d)
         return u

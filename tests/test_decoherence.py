@@ -674,7 +674,8 @@ class TestSwapDephasingMonomials:
         rho /= np.trace(rho)
         y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         assert np.max(np.abs(deco.apply_channel(ch, rho) - deco.apply_channel(dense, rho))) < 1e-14
-        assert np.max(np.abs(deco._apply_adjoint(ch, y) - deco._apply_adjoint(dense, y))) < 1e-13
+        adjoint = deco._channel_map(ch, adjoint=True)(y) - deco._channel_map(dense, adjoint=True)(y)
+        assert np.max(np.abs(adjoint)) < 1e-13
 
     def test_builds_no_dense_operator(self, monkeypatch, rng):
         monkeypatch.setattr(np, "kron", refuse)
@@ -682,7 +683,7 @@ class TestSwapDephasingMonomials:
         ch = deco.swap_dephasing_example(4, random_kappas(4, rng))
         rho = np.eye(ch.dim, dtype=complex) / ch.dim
         deco.apply_channel(ch, rho)
-        deco._apply_adjoint(ch, rho)
+        deco._channel_map(ch, adjoint=True)(rho)
         cay = graphs.cayley_hypercube(4)
         assert deco.dfs_check_kraus(ch, orbit_basis(full_direction_group(cay), ch.dim).matrix).is_dfs
 
