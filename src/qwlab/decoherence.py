@@ -97,8 +97,7 @@ GMRES_STALL = 0.5
 # D x D arrays held during a solve: the Krylov basis, at most MAX_DOUBLINGS
 # preconditioner powers, ten more (9.5 measured on hypercube:4-5), and U,
 # rho_0, a dephasing multiplier and its (D + 1) x D Kraus weights held by
-# the caller.  The estimate counts complex entries; the solve of a real walk
-# under a real channel holds float64 arrays, half that size
+# the caller, each counted in the solve's dtype
 DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 14
 
 KIND_BOTH = "both"
@@ -468,7 +467,8 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
     """
     if ch.is_identity and ch.dim == spec.dim:
         return hitting_time_closed_form(spec)
-    _check_memory(spec.dim, DECOHERED_WORK_ARRAYS * spec.dim**2)
+    _check_memory(spec.dim, DECOHERED_WORK_ARRAYS * spec.dim**2,
+                  np.result_type(spec.walk.block, ch.dtype))
     survival = _SurvivalMap(spec, ch)
     eye = np.eye(spec.dim, dtype=survival.dtype)
     x = survival.solve(eye)

@@ -78,7 +78,7 @@ STALL_GAIN = 1e-12
 MAX_DOUBLINGS = 64
 # complex arrays held at once by the Stein solve: in r dimensions, its two
 # doubling powers, X and temporaries (6 r^2 measured) beside A_r and
-# W+ rho_0 W, and in D dimensions U, rho_0, the report's bases and U W
+# W+ rho_0 W, and in D dimensions U, a mixed start, the report's bases and U W
 # (STEIN_HELD_ARRAYS D^2)
 STEIN_WORK_ARRAYS = 8
 STEIN_HELD_ARRAYS = 4
@@ -559,7 +559,8 @@ def hitting_time_closed_form(
     Escape mass in the trapped subspace above ESCAPE_ATOL makes the
     hitting time infinite (method ``closed_form``).  Otherwise A maps the
     range of the untrapped eigenbasis W into itself, as A_r = W+ A W, and
-    tau = Tr(X_r W+ rho_0 W) for X_r - A_r+ X_r A_r = I.  The method is
+    tau = Tr(X_r W+ rho_0 W) for X_r - A_r+ X_r A_r = I; a pure start
+    enters as W+ psi_0, so the D x D rho_0 is never formed.  The method is
     ``pseudo_inverse`` when a trapped subspace exists, else ``closed_form``.
     A relative residual ||X_r - A_r+ X_r A_r - I|| / ||X_r|| above
     ``singular_rtol``, a non-finite entry or a solve that does not converge
@@ -578,7 +579,9 @@ def hitting_time_closed_form(
     aw = spec.walk.apply(w)
     aw[spec.final_array] = 0.0
     a_r = w.conj().T @ aw
-    value = _stein_trace(a_r, w.conj().T @ spec.rho0 @ w, residual_rtol=singular_rtol)
+    start = w.conj().T @ spec.state
+    rho_r = start @ w if spec.psi0 is None else np.outer(start, start.conj())
+    value = _stein_trace(a_r, rho_r, residual_rtol=singular_rtol)
     method = METHOD_PSEUDO_INVERSE if report.basis.shape[1] else METHOD_CLOSED_FORM
     return HittingResult(method, value=value)
 

@@ -4,11 +4,12 @@ A subgroup H of basis automorphisms partitions the (vertex, color) basis
 into orbits, held as one label array: the orbit index of each basis index.
 The uniform superpositions over orbits are the simultaneous eigenvalue-1
 eigenvectors of all sigma(h); as columns they form an isometry B onto the
-symmetric subspace.  When U commutes with every sigma(h) the walk
-restricted there is U_H = B+ U B, a coined walk on a smaller quotient graph
-whose vertices are orbit vertex-sets.  B is never formed on these paths:
-U_H is scaled orbit sums of U's rows and then its columns, and the reduced
-shift B+ S B is a permutation of the orbits, read off the shift image.
+symmetric subspace.  When U keeps ran(B), as commuting with every sigma(h)
+implies, the walk restricted there is U_H = B+ U B, a coined walk on a
+smaller quotient graph whose vertices are orbit vertex-sets.  B is never
+formed on these paths: U_H is scaled orbit sums of U's rows and then its
+columns, and the reduced shift B+ S B is a permutation of the orbits,
+read off the shift image.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ SYMMETRY_ATOL = 1e-10
 UNITARITY_ATOL = 1e-9
 ENTRY_ATOL = 1e-12
 ANGLE_ATOL = 1e-8  # a principal angle cosine above 1 - ANGLE_ATOL is a shared direction
-_SYMMETRY_BLOCK_BYTES = 1 << 18  # per side, so that both blocks stay in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +57,8 @@ class OrbitBasis:
     ``labels[i]`` is the orbit of basis index i; orbits are numbered by
     smallest member, which fixes every reduced matrix deterministically.
     ``matrix``, the isometry whose column j is the normalized indicator of
-    orbit j, is built only when read.  The orbits and every symmetry test
-    need only the subgroup's ``generators``; its elements are never listed.
+    orbit j, is built only when read.  The orbits need only the subgroup's
+    ``generators``; its elements are never listed.
     """
 
     labels: np.ndarray
@@ -132,35 +132,29 @@ class SymmetryCheck:
 def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCheck:
     """Largest entry of U sigma(h) - sigma(h) U over the generators.
 
-    The two sides are compared one block of rows at a time, so no whole
-    D x D copy of U is made.
+    Commuting with the subgroup is sufficient for :func:`quotient_walk`,
+    not necessary: the reduction needs only that U keeps ran(B).
     """
     m = np.asarray(getattr(u, "matrix", u))
-    dim = m.shape[0]
-    rows = max(1, _SYMMETRY_BLOCK_BYTES // max(1, m[:1].nbytes))
     worst = 0.0
     for h in generators_of(grp):
         img = np.asarray(h.image)
         inv = np.empty_like(img)
-        inv[img] = np.arange(dim)
+        inv[img] = np.arange(m.shape[0])
         # sigma(h) U permutes rows; U sigma(h) permutes columns (by inverse).
-        for lo in range(0, dim, rows):
-            hi = lo + rows
-            right = m[lo:hi][:, img]
-            left = m[inv[lo:hi]]
-            worst = max(worst, float(np.max(np.abs(right - left))))
+        worst = max(worst, float(np.max(np.abs(m[:, img] - m[inv]))))
     return SymmetryCheck(worst <= SYMMETRY_ATOL, worst)
 
 
 def quotient_walk(u, basis: OrbitBasis) -> np.ndarray:
-    """U_H = B+ U B by orbit sums; requires U to commute with the subgroup."""
+    """U_H = B+ U B by orbit sums of U's rows, R = B+ U, then of R's columns.
+    U keeps ran(B) exactly when R = U_H B+; max |R - U_H B+| is its leak."""
     m = np.asarray(getattr(u, "matrix", u))
-    chk = check_walk_symmetry(m, basis.generators)
-    if not chk.commutes:
-        raise SymmetryError(
-            f"walk leaks out of the symmetric subspace (residual {chk.max_residual:.3e})"
-        )
-    uh = _orbit_sums(_orbit_sums(m, basis, 0), basis, 1)
+    r = _orbit_sums(m, basis, 0)
+    uh = _orbit_sums(r, basis, 1)
+    leak = float(np.max(np.abs(r - np.take(uh / np.sqrt(basis.sizes), basis.labels, axis=1))))
+    if leak > SYMMETRY_ATOL:
+        raise SymmetryError(f"walk leaks out of the symmetric subspace (residual {leak:.3e})")
     defect = float(np.max(np.abs(uh.conj().T @ uh - np.eye(uh.shape[0]))))
     if defect > UNITARITY_ATOL:
         raise SymmetryError(f"reduced walk not unitary (defect {defect:.3e})")

@@ -81,10 +81,10 @@ def _memory_budget() -> int:
     return budget
 
 
-def _check_memory(dim: int, entries: int) -> None:
+def _check_memory(dim: int, entries: int, dtype=complex) -> None:
     """Refuse work in dimension ``dim`` before it allocates: an estimated
-    ``entries`` complex numbers held at once beyond the memory budget."""
-    need = entries * np.dtype(complex).itemsize
+    ``entries`` numbers of ``dtype`` held at once beyond the memory budget."""
+    need = entries * np.dtype(dtype).itemsize
     budget = _memory_budget()
     if need > budget:
         raise ValueError(f"dimension {dim} needs an estimated {need / 2**20:.0f} MiB, "
@@ -138,7 +138,7 @@ first if it would not fit in the memory budget.  ``graph``,
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         d, b = self.dim, self.block.shape[0]
-        _check_memory(d, 2 * d * d)  # U and the product it is gathered from
+        _check_memory(d, 2 * d * d, self.block.dtype)  # U and the product it is gathered from
         u = np.empty((d, d), dtype=self.block.dtype)
         eye = np.eye(d // b)  # I (x) C, entry for entry as np.kron forms it
         u[self.image] = (eye[:, None, :, None] * self.block[None, :, None, :]).reshape(d, d)

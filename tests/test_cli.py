@@ -274,15 +274,15 @@ class TestQuotientCommand:
         assert np.max(np.abs(u_h.conj().T @ u_h - np.eye(6))) < 1e-10
 
     def test_walk_over_the_memory_budget_exits_one(self, monkeypatch, capsys):
-        # U and the product it is gathered from, two 384 x 384 complex arrays,
-        # against a 1 MiB budget
+        # U and the product it is gathered from, two 384 x 384 float64 arrays
+        # for the real grover walk, against a 1 MiB budget
         monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
         monkeypatch.setattr(quotient, "quotient_walk", refuse)
         code, out = run_cli("quotient", "--graph", "hypercube:6", "--subgroup", "(1,2)",
                             "--coin", "grover")
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == (
-            "error: dimension 384 needs an estimated 4 MiB, over a memory budget of 1 MiB\n"
+            "error: dimension 384 needs an estimated 2 MiB, over a memory budget of 1 MiB\n"
         )
 
     def test_subgroup_required(self):

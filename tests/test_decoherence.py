@@ -477,10 +477,26 @@ class TestDecoheredHitting:
         monkeypatch.setattr(walk.os, "sysconf", pages.__getitem__)
         g, spec = grover_cube_spec()
         ch = deco.dephasing_channel("both", 0.2, g.num_vertices, g.degree_value)
-        # the Krylov basis, the doubling powers and 13 more 24 x 24 complex
-        # arrays: 1.1 MiB against a 0.5 MiB budget
+        # the Krylov basis, the doubling powers and 14 more 24 x 24 float64
+        # arrays for the real walk and channel: 0.52 MiB against a 0.5 MiB
+        # budget
         with pytest.raises(ValueError, match="dimension 24 needs an estimated 1 MiB, over a memory budget of 0 MiB"):
             deco.decohered_hitting_time(spec, ch)
+
+    def test_memory_estimate_counts_the_solve_dtype(self, monkeypatch):
+        # the same 119 arrays of 24 x 24 entries: 0.52 MiB in float64 for the
+        # real grover walk, 1.05 MiB in complex128 for dft; a 0.75 MiB budget
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 3 * 2**18)
+        g = graphs.build_hypercube(3)
+        ch = deco.dephasing_channel("both", 0.2, g.num_vertices, g.degree_value)
+        for coin, fits in (("grover", True), ("dft", False)):
+            op = walk.evolution_operator(g, COINS[coin](3))
+            spec = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[7])
+            if fits:
+                assert deco.decohered_hitting_time(spec, ch).is_finite
+            else:
+                with pytest.raises(ValueError, match="dimension 24 needs an estimated 1 MiB"):
+                    deco.decohered_hitting_time(spec, ch)
 
 
 class TestSlope:

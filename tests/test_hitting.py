@@ -459,6 +459,20 @@ class TestClosedForm:
             else:
                 assert abs(fast.escape_probability - dense.escape_probability) <= 1e-10, name
 
+    def test_pure_start_is_projected_as_a_vector(self):
+        # W+ psi_0 stands in for W+ rho_0 W, so the D x D rho_0 is never formed
+        for name, spec in battery():
+            finals = spec.final_indices
+            pure = hitting.measured_walk(spec.walk, spec.psi0, final_indices=finals)
+            rho = np.outer(spec.psi0, spec.psi0.conj())
+            mixed = hitting.measured_walk(spec.walk, rho, final_indices=finals)
+            a, b = hitting.hitting_time_closed_form(pure), hitting.hitting_time_closed_form(mixed)
+            assert "rho0" not in vars(pure), name
+            assert (a.method, a.kind) == (b.method, b.kind), name
+            assert (a.value, a.escape_probability) == pytest.approx(
+                (b.value, b.escape_probability), rel=1e-12, abs=1e-12
+            ), name
+
     def test_pure_and_density_matrix_starts_agree_on_battery(self):
         for name, pure in battery():
             mixed = hitting.measured_walk(

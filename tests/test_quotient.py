@@ -1,5 +1,6 @@
 import functools
 import io
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qwlab import cli, graphs, groups, hitting, quotient, spectral, walk
 from qwlab.errors import SymmetryError
 
-from conftest import direction_group, full_direction_group, subgroup_forms
+from conftest import direction_group, full_direction_group, random_unitary, subgroup_forms
 
 R22 = 2.0 * np.sqrt(2.0) / 3.0
 
@@ -137,8 +138,8 @@ class TestWalkSymmetry:
             assert chk.commutes and chk.max_residual == 0.0
 
     def test_row_blocks_match_whole_matrix_residual(self, rng):
-        # D=512 spans several row blocks; the residual must equal, bit for
-        # bit, the one read off whole-matrix copies.
+        # the residual must equal, bit for bit, the one read off
+        # whole-matrix copies.
         dim = 512
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         perms = [groups.Permutation(tuple(rng.permutation(dim).tolist())) for _ in range(3)]
@@ -154,6 +155,40 @@ class TestWalkSymmetry:
             basis = quotient.orbit_basis(sub, 24)
             with pytest.raises(SymmetryError):
                 quotient.quotient_walk(op.matrix, basis)
+
+    def test_quotient_walk_needs_only_the_symmetric_subspace_kept(self, rng):
+        # U = B B+ + Q W Q+ keeps ran(B) and is the identity there, while a
+        # random unitary W on the complement breaks every commutation
+        cay, _ = cube_walk(3)
+        grp = full_direction_group(cay)
+        basis = quotient.orbit_basis(grp, 24)
+        b, k = basis.matrix, basis.num_orbits
+        q = np.linalg.svd(b)[0][:, k:]
+        u = b @ b.T + q @ random_unitary(24 - k, rng) @ q.T
+        assert np.max(np.abs(quotient.quotient_walk(u, basis) - np.eye(k))) < 1e-12
+        assert not quotient.check_walk_symmetry(u, grp.generators).commutes
+
+    def test_leak_residual_is_read_off_the_orbit_sums(self):
+        cay, op = cube_walk(3, coin="dft")
+        basis = quotient.orbit_basis(direction_group(cay, "(1,2)"), 24)
+        b = basis.matrix
+        u_h = b.T @ op.matrix @ b
+        leak = np.max(np.abs(b.T @ op.matrix - u_h @ b.T))
+        with pytest.raises(SymmetryError, match=re.escape(f"(residual {leak:.3e})")):
+            quotient.quotient_walk(op, basis)
+
+    def test_reduction_runs_without_the_commutation_test(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the commutation test ran")
+
+        monkeypatch.setattr(quotient, "check_walk_symmetry", refuse)
+        argv = ["quotient", "--graph", "hypercube:4", "--coin", "grover"]
+        argv += [arg for i in range(1, 4) for arg in ("--subgroup", f"({i},{i + 1})")]
+        assert cli.main(argv, out=io.StringIO()) == 0
+        cay, op = cube_walk(4)
+        basis = quotient.orbit_basis(full_direction_group(cay), op.dim)
+        final = graphs.BasisIndexing.from_graph(cay.graph).indices_for([15])
+        assert quotient.quotient_infinite_hitting(op, basis, final).intersection_dim == 0
 
 
 class TestReducedWalks:
@@ -534,7 +569,7 @@ def test_symmetry_paths_build_no_dense_isometry_or_shift(monkeypatch, descriptor
 
 
 def test_verdict_over_the_memory_budget_raises(monkeypatch):
-    # U (4.5 MiB with its gather) fits in 8 MiB, the eigensolve's six
+    # U (2.25 MiB with its gather) fits in 8 MiB, the eigensolve's six
     # 384 x 384 complex arrays do not; the verdict refuses before it reads U
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve started")

@@ -116,6 +116,15 @@ class TestEvolutionOperator:
             defect = np.max(np.abs(op.matrix.conj().T @ op.matrix - np.eye(op.dim)))
             assert defect < 1e-10
 
+    def test_memory_estimate_counts_the_dtype_allocated(self, monkeypatch):
+        # U and the product it is gathered from at D = 384: 2.25 MiB in
+        # float64 for grover, 4.5 MiB in complex128 for dft; a 3 MiB budget
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 3 * 2**20)
+        g = graphs.build_hypercube(6)
+        assert walk.evolution_operator(g, walk.grover_coin(6)).matrix.dtype == np.float64
+        with pytest.raises(ValueError, match="dimension 384 needs an estimated 4 MiB, over a memory budget of 3 MiB"):
+            walk.evolution_operator(g, walk.dft_coin(6)).matrix
+
     def test_dft_hypercube4_eigenvalue_multiplicities(self):
         op = walk.evolution_operator(graphs.build_hypercube(4), walk.dft_coin(4))
         clusters = spectral.eigenspace_clusters(op.matrix)
