@@ -196,14 +196,14 @@ def cmd_hitting(args, out) -> int:
         result = hitting.hitting_time_series(spec, args.epsilon, step_cap=args.step_cap)
     else:
         result = hitting.hitting_time_closed_form(spec)
-    header = ["graph", "kind", "tau", "method", "escape", "arrival_mass"]
-    emit_csv(out, header, [[fields["graph"]] + _result_row(result)], manifest)
-    if args.distribution is not None:
+    if args.distribution is not None:  # before the row, so a failure prints nothing
         dist = hitting.first_hit_distribution(spec, args.horizon)
         body = hitting.distribution_csv(dist)
         with open(args.distribution, "w", encoding="utf-8") as fh:
             fh.write(body)
             fh.write(f"# manifest-sha256={manifest_hash(manifest)}\n")
+    header = ["graph", "kind", "tau", "method", "escape", "arrival_mass"]
+    emit_csv(out, header, [[fields["graph"]] + _result_row(result)], manifest)
     return 0
 
 
@@ -262,7 +262,7 @@ def cmd_quotient(args, out) -> int:
     sh, qg = quotient.quotient_shift_and_graph(graphs.shift_permutation(g), basis, graph=g)
     payload = {
         "orbits": [list(o) for o in basis.orbits],
-        "quotient_graph": quotient.quotient_graph_to_dict(qg, sh),
+        "quotient_graph": quotient.quotient_graph_to_dict(qg),
         "s_h": sh.tolist(),
     }
     if args.coin is not None:
@@ -280,6 +280,8 @@ def cmd_dfs(args, out) -> int:
     if not descr.startswith("hypercube"):
         raise UsageError("dfs currently drives the hypercube swap example")
     n = g.degree_value
+    if n < 2:  # before the uniform kappas divide by sqrt(n - 1)
+        raise ValueError("swap dephasing needs n >= 2")
     if args.kappas == "uniform":
         kappas = [1.0 / np.sqrt(n - 1)] * (n - 1)
     else:

@@ -373,9 +373,6 @@ class CayleyGraph:
     def degree(self) -> int:
         return len(self.generators)
 
-    def vertex_of(self, element) -> int:
-        return self.vertex_index[element]
-
     def vertex_of_word(self, word: Iterable[int]) -> int:
         """Vertex reached from the identity by following 1-based generator
         indices; an index outside 1..degree raises ValueError."""

@@ -36,12 +36,11 @@ __all__ = [
     "closure",
     "generators_of",
     "orbit_labels",
-    "orbits",
     "group_to_dict",
     "group_from_dict",
 ]
 
-DEFAULT_MAX_ORDER = 10_080  # |S_7|; desk-scale graphs only
+DEFAULT_MAX_ORDER = 10_080  # 2 * |S_7|; desk-scale graphs only
 
 
 @dataclass(frozen=True)
@@ -247,20 +246,15 @@ def is_direction_preserving(g: ColoredGraph, p: Permutation) -> bool:
     return True
 
 
-def closure(
-    generators: Sequence[Permutation],
-    *,
-    dim: int | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> PermGroup:
+def closure(generators: Sequence[Permutation], *, dim: int | None = None) -> PermGroup:
     """Full element set generated by breadth-first products.
 
     Each level multiplies the whole frontier by each generator with one
     gather, ``s[frontier]``, whose rows are the products ``s.compose(p)``.
     Finite closure under generator products contains inverses and the
     identity automatically.  Raises :class:`GroupOrderError` as soon as
-    more than ``max_order`` elements are found, to guard against
-    combinatorial blowup.
+    more than ``DEFAULT_MAX_ORDER`` elements are found, to guard against
+    combinatorial blowup; the limit is read at each call.
     """
     generators = tuple(generators)
     if not generators:
@@ -288,9 +282,9 @@ def closure(
             for i in range(len(products)):
                 key = buf[i * width:(i + 1) * width]
                 if key not in seen:
-                    if len(seen) >= max_order:
+                    if len(seen) >= DEFAULT_MAX_ORDER:
                         raise GroupOrderError(
-                            f"group order exceeds max_order={max_order}"
+                            f"group order exceeds max_order={DEFAULT_MAX_ORDER}"
                         )
                     seen.add(key)
                     new_rows.append(i)
@@ -333,13 +327,6 @@ def orbit_labels(grp: PermGroup | Iterable[Permutation], dim: int) -> np.ndarray
         if np.array_equal(new, label):
             return np.unique(label, return_inverse=True)[1]
         label = new
-
-
-def orbits(grp: PermGroup | Iterable[Permutation], dim: int) -> tuple[tuple[int, ...], ...]:
-    """Partition of ``[0, dim)`` into orbits, sorted by smallest member."""
-    labels = orbit_labels(grp, dim)
-    members = np.argsort(labels, kind="stable")
-    return tuple(tuple(m.tolist()) for m in np.split(members, np.cumsum(np.bincount(labels))[:-1]))
 
 
 def group_to_dict(grp: PermGroup) -> dict:

@@ -595,17 +595,23 @@ def classical_hypercube_hitting(n: int) -> float:
 
     By symmetry the walk reduces to the Hamming weight x; telescoping the
     weight recursion gives tau(0) as a sum over x of cumulative binomial
-    ratios.  Exact integer arithmetic, converted to float at the end (the
-    value grows like 2**n).
+    ratios.  Exact integer arithmetic, converted to float term by term (the
+    value grows like 2**n and passes the largest float from n = 1024 on,
+    which raises ValueError).
     """
     if n < 1:
         raise ValueError("hypercube dimension must be >= 1")
     total = 0.0
     cumulative = 1  # sum of C(n, k) for k <= x
-    for x in range(n):
-        if x:
-            cumulative += math.comb(n, x)
-        total += cumulative / math.comb(n - 1, x)
+    try:
+        for x in range(n):
+            if x:
+                cumulative += math.comb(n, x)
+            total += cumulative / math.comb(n - 1, x)
+    except OverflowError:
+        raise ValueError(
+            f"classical hitting time for n = {n} exceeds the float limit {np.finfo(float).max:g}"
+        ) from None
     return total
 
 

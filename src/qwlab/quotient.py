@@ -52,17 +52,16 @@ ANGLE_ATOL = 1e-8  # a principal angle cosine above 1 - ANGLE_ATOL is a shared d
 
 @dataclass(frozen=True, eq=False)
 class OrbitBasis:
-    """Orbit partition of the walk basis, as one label array.
+    """Orbit partition of the walk basis: its label array and nothing else.
 
     ``labels[i]`` is the orbit of basis index i; orbits are numbered by
     smallest member, which fixes every reduced matrix deterministically.
-    ``matrix``, the isometry whose column j is the normalized indicator of
-    orbit j, is built only when read.  The orbits need only the subgroup's
-    ``generators``; its elements are never listed.
+    Sizes, member lists, ``orbits`` and ``matrix``, the isometry whose
+    column j is the normalized indicator of orbit j, derive from the labels
+    when first read.
     """
 
     labels: np.ndarray
-    generators: tuple[Permutation, ...]
 
     def __post_init__(self):
         self.labels.flags.writeable = False
@@ -101,8 +100,8 @@ class OrbitBasis:
 
 
 def orbit_basis(grp: PermGroup | Iterable[Permutation], dim: int) -> OrbitBasis:
-    gens = generators_of(grp)
-    return OrbitBasis(orbit_labels(gens, dim), gens)
+    """Orbits of a subgroup, from its generators; its elements are never listed."""
+    return OrbitBasis(orbit_labels(grp, dim))
 
 
 def _orbit_map(basis: OrbitBasis, image: np.ndarray, what: str) -> np.ndarray:
@@ -238,15 +237,16 @@ def quotient_shift_and_graph(
 
 
 def quotient_coin(
-    u_h: np.ndarray, s_h: np.ndarray, qgraph: QuotientGraph
+    u_h: np.ndarray, qgraph: QuotientGraph
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """C_H = S_H+ U_H with its per-vertex unitary blocks.
 
-    ``s_h`` is the reduced shift's orbit image, so row j of C_H is row
-    ``s_h[j]`` of U_H.  Off-block mass or a non-permutation shift raises.
+    The reduced shift is ``qgraph.connections``, its orbit image, so row j
+    of C_H is row ``connections[j]`` of U_H.  Off-block mass raises, and so
+    does a hand-built graph whose connections are not a permutation.
     """
     u_h = np.asarray(u_h)
-    s_h = np.asarray(s_h)
+    s_h = np.asarray(qgraph.connections)
     if not _is_permutation(s_h, u_h.shape[0]):
         raise ValueError("reduced shift must be a permutation of the orbits")
     c_h = u_h[s_h]
@@ -350,11 +350,7 @@ def glued_trees_quotient_hamiltonian(depth: int, gamma: float = 1.0) -> np.ndarr
 def glued_trees_column_isometry(depth: int) -> np.ndarray:
     """Isometry whose columns are normalized column indicators (weights 2^(-min[j,2n-j]/2))."""
     cols = glued_trees_columns(depth)
-    dim = cols[-1][-1] + 1
-    b = np.zeros((dim, len(cols)))
-    for j, members in enumerate(cols):
-        b[list(members), j] = 1.0 / np.sqrt(len(members))
-    return b
+    return OrbitBasis(np.repeat(np.arange(len(cols)), [len(c) for c in cols])).matrix
 
 
 @dataclass(frozen=True)
@@ -432,11 +428,11 @@ def quotient_automorphism_check(
     return bool(np.array_equal(s_h[induced], induced[s_h]))
 
 
-def quotient_graph_to_dict(qg: QuotientGraph, s_h: np.ndarray) -> dict:
+def quotient_graph_to_dict(qg: QuotientGraph) -> dict:
     """Quotient graph in the shared edge-list schema, with self-loop markers."""
     edges = []
     done = set()
-    for j, k in enumerate(np.asarray(s_h).tolist()):
+    for j, k in enumerate(qg.connections):
         key = (min(j, k), max(j, k))
         if key in done:
             continue

@@ -3,6 +3,7 @@ import json
 import pathlib
 import re
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ class TestHittingCommand:
         assert lines[0] == "t,p_t,cumulative"
         assert lines[1].startswith("1,1,")
         assert lines[-1].startswith("# manifest-sha256=")
+
+    @pytest.mark.parametrize(
+        "target, horizon, message",
+        [("dist.csv", "0", "error: horizon must be >= 1\n"),
+         ("missing/dist.csv", "4", "error: [Errno 2] ")],
+        ids=["horizon-0", "missing-directory"],
+    )
+    def test_distribution_failure_prints_nothing(self, tmp_path, capsys, target, horizon, message):
+        path = tmp_path / target
+        code, out = run_cli(
+            "hitting", "--graph", "edge", "--distribution", str(path), "--horizon", horizon
+        )
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith(message)
+        assert not path.exists()
 
     def test_trapped_start_reports_infinite(self):
         code, out = run_cli(
@@ -298,7 +314,7 @@ class TestQuotientCommand:
         g, cay, _ = cli.resolve_graph(descriptor, None)
         dim = graphs.BasisIndexing.from_graph(g).total_dim
         elements = groups.closure(cli.resolve_subgroup(texts, cay), dim=dim).elements
-        expected_orbits = [list(o) for o in groups.orbits(elements, dim)]
+        expected_orbits = [list(o) for o in quotient.orbit_basis(elements, dim).orbits]
 
         def refuse(*args, **kwargs):
             raise AssertionError("quotient listed the group's elements")
@@ -340,7 +356,7 @@ class TestDfsCommand:
     def test_never_enumerates_the_group(self, monkeypatch):
         _, reference = run_cli("dfs", "--graph", "hypercube:3")
         cay = graphs.cayley_hypercube(3)
-        num_orbits = len(groups.orbits(full_direction_group(cay).elements, 24))
+        num_orbits = len(quotient.orbit_basis(full_direction_group(cay).elements, 24).orbits)
 
         def refuse(*args, **kwargs):
             raise AssertionError("dfs listed the group's elements")
@@ -353,8 +369,20 @@ class TestDfsCommand:
         assert payload["num_orbits"] == num_orbits
         assert payload["manifest"]["subgroup"] == ["(1,2)", "(2,3)"]
 
+    def test_one_dimensional_cube_is_one_error_line(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli("dfs", "--graph", "hypercube:1")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: swap dephasing needs n >= 2\n"
+
 
 class TestClassicalCommand:
+    def test_float_overflow_is_one_error_line(self, capsys):
+        assert run_cli("classical", "--hypercube", "1024") == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_recursion_and_monte_carlo(self):
         code, out = run_cli(
             "classical", "--hypercube", "3", "--mc-trials", "20000", "--seed", "7"

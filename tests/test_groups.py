@@ -251,12 +251,13 @@ class TestClosure:
         for p in grp.elements:
             assert p.inverse() in grp
 
-    def test_order_guard(self):
+    def test_order_guard(self, monkeypatch):
         cay = graphs.cayley_s3_3gen()
         a = groups.direction_perm_to_automorphism(cay, groups.parse_cycles("(1,2)", 3))
         b = groups.direction_perm_to_automorphism(cay, groups.parse_cycles("(1,2,3)", 3))
+        monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 4)
         with pytest.raises(GroupOrderError):
-            groups.closure([a, b], max_order=4)
+            groups.closure([a, b])
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_compose_oracle(self, case):
@@ -265,11 +266,13 @@ class TestClosure:
         assert grp.order == len(grp.elements)
         assert grp.degree == grp.generators[0].degree
 
-    def test_order_guard_is_exact(self):
+    def test_order_guard_is_exact(self, monkeypatch):
         gens = full_direction_group(graphs.cayley_hypercube(4)).generators
-        assert groups.closure(gens, max_order=24).order == 24
+        monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 24)
+        assert groups.closure(gens).order == 24
+        monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 23)
         with pytest.raises(GroupOrderError, match="max_order=23"):
-            groups.closure(gens, max_order=23)
+            groups.closure(gens)
 
     def test_hypercube8_full_direction_group_refused(self):
         cay = graphs.cayley_hypercube(8)
@@ -350,25 +353,25 @@ class TestOrbits:
 
     def test_trivial_group_gives_singletons(self):
         grp = groups.closure([], dim=6)
-        assert groups.orbits(grp, 6) == tuple((i,) for i in range(6))
+        assert quotient.orbit_basis(grp, 6).orbits == tuple((i,) for i in range(6))
 
     def test_s3_two_generator_direction_swap(self):
         cay = graphs.cayley_s3_2gen()
         grp = direction_group(cay, "(1,2)")
-        orbs = groups.orbits(grp, 12)
+        orbs = quotient.orbit_basis(grp, 12).orbits
         assert orbs == ((0, 1), (2, 5), (3, 4), (6, 9), (7, 8), (10, 11))
 
     def test_hypercube_full_direction_group(self):
         cay = graphs.cayley_hypercube(3)
         grp = full_direction_group(cay)
         assert grp.order == 6
-        orbs = groups.orbits(grp, 24)
+        orbs = quotient.orbit_basis(grp, 24).orbits
         assert [len(o) for o in orbs] == [3, 3, 6, 6, 3, 3]
 
     def test_partition_and_invariance(self):
         cay = graphs.cayley_s3_3gen()
         grp = full_direction_group(cay)
-        orbs = groups.orbits(grp, 18)
+        orbs = quotient.orbit_basis(grp, 18).orbits
         flat = sorted(i for o in orbs for i in o)
         assert flat == list(range(18))
         for orb in orbs:

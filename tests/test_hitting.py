@@ -598,6 +598,13 @@ class TestClassicalRecursion:
         value = hitting.classical_hypercube_hitting(20)
         assert 2 ** 20 / 4 <= value <= 2 ** 20 * 4
 
+    def test_largest_float_dimension(self):
+        assert hitting.classical_hypercube_hitting(1023) == 8.9972779295415e+307
+
+    def test_float_overflow_raises_value_error(self):
+        with pytest.raises(ValueError, match="n = 1024 exceeds the float limit"):
+            hitting.classical_hypercube_hitting(1024)
+
 
 class TestMonteCarlo:
     def test_single_edge_exact(self):

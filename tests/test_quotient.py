@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import io
 import re
@@ -72,14 +73,15 @@ class TestOrbitBasis:
         for sub in subgroup_forms(groups.closure([], dim=5)):
             basis = quotient.orbit_basis(sub, 5)
             assert np.array_equal(basis.matrix, np.eye(5, dtype=complex))
-            assert basis.generators == ()
+            assert [f.name for f in dataclasses.fields(basis)] == ["labels"]
 
-    def test_keeps_generators_not_elements(self):
+    def test_is_its_labels(self):
         cay, _ = cube_walk(3)
         grp = full_direction_group(cay)
         for sub in subgroup_forms(grp):
             basis = quotient.orbit_basis(sub, 24)
-            assert basis.generators == grp.generators
+            assert [f.name for f in dataclasses.fields(basis)] == ["labels"]
+            assert np.array_equal(basis.labels, groups.orbit_labels(grp.generators, 24))
             assert not any(isinstance(v, groups.PermGroup) for v in vars(basis).values())
 
     def test_isometry_and_symmetry(self):
@@ -280,7 +282,7 @@ class TestQuotientShiftAndGraph:
             graphs.shift_matrix(cay.graph), basis, graph=cay.graph
         )
         assert qg.self_loops
-        payload = quotient.quotient_graph_to_dict(qg, sh)
+        payload = quotient.quotient_graph_to_dict(qg)
         assert any(e.get("self_loop") for e in payload["edges"])
 
     @pytest.mark.parametrize(
@@ -312,7 +314,7 @@ class TestQuotientCoin:
         sh, qg = quotient.quotient_shift_and_graph(
             graphs.shift_matrix(cay.graph), basis, graph=cay.graph
         )
-        c_h, blocks = quotient.quotient_coin(uh, sh, qg)
+        c_h, blocks = quotient.quotient_coin(uh, qg)
         assert [b.shape[0] for b in blocks] == [1, 2, 2, 1]
         assert np.allclose(blocks[0], [[1.0]])
         assert np.allclose(blocks[3], [[1.0]])
@@ -326,10 +328,10 @@ class TestQuotientCoin:
         cay, op = cube_walk(3)
         basis = quotient.orbit_basis(direction_group(cay, "(2,3)"), 24)
         uh = quotient.quotient_walk(op.matrix, basis)
-        sh, qg = quotient.quotient_shift_and_graph(
+        _, qg = quotient.quotient_shift_and_graph(
             graphs.shift_matrix(cay.graph), basis, graph=cay.graph
         )
-        _, blocks = quotient.quotient_coin(uh, sh, qg)
+        _, blocks = quotient.quotient_coin(uh, qg)
         sizes = sorted(b.shape[0] for b in blocks)
         assert sizes == [2, 2, 2, 2, 3, 3]
         for b in blocks:
@@ -342,15 +344,16 @@ class TestQuotientCoin:
         cay, op = cube_walk(2)
         basis = quotient.orbit_basis(groups.closure([], dim=8), 8)
         uh = quotient.quotient_walk(op.matrix, basis)
-        sh, qg = quotient.quotient_shift_and_graph(
+        _, qg = quotient.quotient_shift_and_graph(
             graphs.shift_matrix(cay.graph), basis, graph=cay.graph
         )
-        c_h, blocks = quotient.quotient_coin(uh, sh, qg)
+        c_h, blocks = quotient.quotient_coin(uh, qg)
         assert np.max(np.abs(c_h - np.kron(np.eye(4), walk.grover_coin(2).matrix))) < 1e-12
 
     def test_rejects_non_permutation_shift(self):
+        qg = quotient.QuotientGraph(2, ((0,), (1,)), (0, 1), (0, 0))
         with pytest.raises(ValueError, match="permutation"):
-            quotient.quotient_coin(np.eye(2), np.array([0, 0]), None)
+            quotient.quotient_coin(np.eye(2), qg)
 
 
 class TestLineReduction:
@@ -397,6 +400,14 @@ class TestGluedTreesQuotient:
         b = quotient.glued_trees_column_isometry(depth)
         reduced = quotient.glued_trees_quotient_hamiltonian(depth, 1.0)
         assert np.max(np.abs(b.T @ full @ b - reduced)) < 1e-12
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_column_isometry_bit_identical(self, depth):
+        cols = graphs.glued_trees_columns(depth)
+        b = np.zeros((cols[-1][-1] + 1, len(cols)))
+        for j, members in enumerate(cols):
+            b[list(members), j] = 1.0 / np.sqrt(len(members))
+        assert np.array_equal(quotient.glued_trees_column_isometry(depth), b)
 
     def test_diagonal_mirror_symmetry(self):
         h = quotient.glued_trees_quotient_hamiltonian(5, 2.0)
