@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import spectral
+from . import graphs, groups, spectral
 from .errors import IndeterminateError
 from .hitting import (
     ESCAPE_ATOL,
@@ -132,7 +132,7 @@ class Channel:
                 raise ValueError("Kraus operators must share one square shape")
             total += a.conj().T @ a
         defect = float(np.max(np.abs(total - np.eye(d))))
-        if defect > COMPLETENESS_ATOL:
+        if not defect <= COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated (defect {defect:.3e})")
         schur = None
         off_diagonal = ~np.eye(d, dtype=bool)
@@ -160,7 +160,7 @@ class Channel:
         if not np.array_equal(np.sort(images, axis=1), np.broadcast_to(np.arange(d), (k, d))):
             raise ValueError("monomial Kraus images must be permutations")
         defect = float(np.max(np.abs(np.sum(np.abs(weights) ** 2, axis=0) - 1.0)))
-        if defect > COMPLETENESS_ATOL:
+        if not defect <= COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated (defect {defect:.3e})")
         ch = cls.__new__(cls)
         ch.schur = schur
@@ -202,7 +202,7 @@ class LindbladSet:
         rates = tuple(float(r) for r in self.rates)
         if len(ops) != len(rates):
             raise ValueError("one rate per Lindblad operator")
-        if any(r < 0 for r in rates):
+        if not all(r >= 0 for r in rates):
             raise ValueError("rates must be nonnegative")
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "rates", rates)
@@ -557,14 +557,14 @@ def _check_scalar_action(
     if basis.ndim != 2 or basis.shape[1] == 0:
         raise ValueError("basis must be a nonempty matrix of columns")
     gram = basis.conj().T @ basis
-    if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-9:
+    if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-9:
         raise ValueError("basis columns must be orthonormal")
     coeffs = []
     for i, apply in enumerate(ops):
         image = apply(basis)
         c = complex(np.vdot(basis[:, 0], image[:, 0]))
         residuals = np.linalg.norm(image - c * basis, axis=0)
-        bad = np.flatnonzero(residuals > atol)
+        bad = np.flatnonzero(~(residuals <= atol))
         if bad.size:
             return DfsVerdict(False, witness=(i, int(bad[0]), float(residuals[bad[0]])))
         coeffs.append(c)
@@ -589,27 +589,17 @@ def dfs_check_lindblad(lset: LindbladSet, basis: np.ndarray) -> DfsVerdict:
     return _check_scalar_action(_dense_actions(lset.ops), basis, DFS_ATOL)
 
 
-def _swap_image(n: int, i: int) -> np.ndarray:
-    """Image of the walk-basis permutation |v, c> -> |v', c'> where v' swaps
-    position bits i-1 and i of v, and c' transposes coin directions i-1 and
-    i (0-based) of c: the direction transposition (i, i+1), basis v*n + c."""
-    v = np.arange(1 << n)
-    flip = ((v >> (i - 1)) ^ (v >> i)) & 1
-    vertex = v ^ (flip * (3 << (i - 1)))
-    coin = np.arange(n)
-    coin[[i - 1, i]] = coin[[i, i - 1]]
-    return (vertex[:, None] * n + coin).ravel()
-
-
 def swap_dephasing_example(n: int, kappas: Iterable[float | complex]) -> Channel:
     """Nearest-neighbor qubit-swap dephasing on the hypercube walk space.
 
-    Kraus operator i is kappa_i times the unitary that swaps position bits
-    i, i+1 and transposes the matching pair of coin directions, i.e. the
-    walk-basis representation of the direction transposition (i, i+1).
-    Orbit states of the full direction-permutation group are fixed points
-    of every such unitary, so that orbit basis is decoherence-free with
-    coefficients kappa_i.  Requires sum |kappa_i|^2 = 1 over i = 1..n-1.
+    Kraus operator i is kappa_i sigma((i, i+1)): the direction
+    transposition (i, i+1) lifted by
+    :func:`~qwlab.groups.direction_perm_to_automorphism` on
+    :func:`~qwlab.graphs.cayley_hypercube`, which swaps position bits i, i+1
+    and the matching pair of coin directions.  Orbit states of the full
+    direction-permutation group are fixed points of every such unitary, so
+    that orbit basis is decoherence-free with coefficients kappa_i.
+    Requires sum |kappa_i|^2 = 1 over i = 1..n-1.
     """
     if n < 2:
         raise ValueError("swap dephasing needs n >= 2")
@@ -617,8 +607,12 @@ def swap_dephasing_example(n: int, kappas: Iterable[float | complex]) -> Channel
     if len(kap) != n - 1:
         raise ValueError(f"expected {n - 1} coefficients, got {len(kap)}")
     norm = sum(abs(k) ** 2 for k in kap)
-    if abs(norm - 1.0) > COMPLETENESS_ATOL:
+    if not abs(norm - 1.0) <= COMPLETENESS_ATOL:
         raise ValueError(f"sum |kappa|^2 = {norm} != 1")
-    images = np.array([_swap_image(n, i) for i in range(1, n)])
+    cay = graphs.cayley_hypercube(n)
+    images = np.array([
+        groups.direction_perm_to_automorphism(cay, groups.parse_cycles(f"({i},{i + 1})", n)).image
+        for i in range(1, n)
+    ])
     weights = np.repeat(kap[:, None], images.shape[1], axis=1)
     return Channel._from_monomials(images, weights)

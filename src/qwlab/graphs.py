@@ -15,8 +15,8 @@ are the graphs on which a position-independent coin factorizes as
 
 from __future__ import annotations
 
-import collections
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -173,7 +173,7 @@ class ColoredGraph:
             raise ValueError("graph is not regular")
         return self.degrees[0]
 
-    @property
+    @cached_property
     def is_consistently_colored(self) -> bool:
         """True when every edge has equal end colors and vertex v uses 1..deg(v)."""
         if any(e.cu != e.cv for e in self.edges):
@@ -259,9 +259,9 @@ def build_hypercube(n: int) -> ColoredGraph:
     if n < 1:
         raise ValueError("hypercube dimension must be >= 1")
     edges = []
-    for i in range(1, n + 1):
-        bit = 1 << (i - 1)
-        for v in range(1 << n):
+    for v in range(1 << n):  # vertex-major: the order ColoredGraph sorts into
+        for i in range(1, n + 1):
+            bit = 1 << (i - 1)
             if not v & bit:
                 edges.append(Edge(v, i, v | bit, i))
     return ColoredGraph(1 << n, tuple(edges))
@@ -385,7 +385,6 @@ class CayleyGraph:
 
 
 def build_cayley(
-    elements: Sequence | None,
     generators: Sequence,
     *,
     mul: Callable | None = None,
@@ -393,82 +392,62 @@ def build_cayley(
 ) -> CayleyGraph:
     """Cayley graph on a finite group with involution generators.
 
-    When ``elements`` is None the vertex set is enumerated breadth-first
-    from the identity, which also fixes the vertex ordering.  Generators
-    must be involutions and must exclude the identity so each color
-    labels a well-defined undirected edge family.
+    Generators are permutation tuples composed by :func:`perm_compose`
+    unless ``mul`` and ``identity`` are given.  The vertex set is
+    enumerated breadth-first from the identity, which also fixes the vertex
+    ordering.  Generators must be involutions and must exclude the identity
+    so each color labels a well-defined undirected edge family.
     """
     generators = tuple(generators)
     if not generators:
         raise ValueError("generating set is empty")
     if mul is None or identity is None:
-        sample = generators[0]
-        if isinstance(sample, int):
-            mul, identity = (lambda a, b: a ^ b), 0
-        elif isinstance(sample, tuple):
-            mul, identity = perm_compose, perm_identity(len(sample))
-        else:
+        if not isinstance(generators[0], tuple):
             raise ValueError("supply mul and identity for custom group elements")
+        mul, identity = perm_compose, perm_identity(len(generators[0]))
     for s in generators:
         if s == identity:
             raise ValueError("identity element in generating set")
         if mul(s, s) != identity:
             raise ValueError(f"generator {s} is not an involution")
 
-    if elements is None:
-        order = [identity]
-        index = {identity: 0}
-        queue = collections.deque([identity])
-        while queue:
-            g = queue.popleft()
-            for s in generators:
-                h = mul(g, s)
-                if h not in index:
-                    index[h] = len(order)
-                    order.append(h)
-                    queue.append(h)
-        elements = tuple(order)
-    else:
-        elements = tuple(elements)
-        index = {g: i for i, g in enumerate(elements)}
-        if len(index) != len(elements):
-            raise ValueError("duplicate group elements")
-        if identity not in index:
-            raise ValueError("identity element missing from elements")
-
+    elements = [identity]
+    index = {identity: 0}
     edges = []
-    for g in elements:
+    for g in elements:  # the list grows behind the loop: breadth-first order
         for i, s in enumerate(generators, start=1):
             h = mul(g, s)
             if h not in index:
-                raise ValueError(f"product {h} outside the supplied element set")
+                index[h] = len(elements)
+                elements.append(h)
             if index[g] < index[h]:
                 edges.append(Edge(index[g], i, index[h], i))
     graph = ColoredGraph(len(elements), tuple(edges))
-    return CayleyGraph(graph, elements, generators, identity, mul, index)
+    return CayleyGraph(graph, tuple(elements), generators, identity, mul, index)
 
 
 def cayley_hypercube(n: int) -> CayleyGraph:
-    """Z_2^n with canonical generators; vertex labels equal the integers."""
-    if n < 1:
-        raise ValueError("hypercube dimension must be >= 1")
-    gens = tuple(1 << i for i in range(n))
-    return build_cayley(tuple(range(1 << n)), gens, mul=lambda a, b: a ^ b, identity=0)
+    """Z_2^n under XOR with generators 1 << i on :func:`build_hypercube`'s
+    graph, whose vertex v is the group element v."""
+    graph = build_hypercube(n)
+    elements = tuple(range(1 << n))
+    return CayleyGraph(graph, elements, tuple(1 << i for i in range(n)), 0,
+                       operator.xor, {v: v for v in elements})
 
 
 def cayley_s3_2gen() -> CayleyGraph:
     gens = (_transposition(3, 0, 1), _transposition(3, 1, 2))
-    return build_cayley(None, gens)
+    return build_cayley(gens)
 
 
 def cayley_s3_3gen() -> CayleyGraph:
     gens = (_transposition(3, 0, 1), _transposition(3, 1, 2), _transposition(3, 0, 2))
-    return build_cayley(None, gens)
+    return build_cayley(gens)
 
 
 def cayley_s4_3gen() -> CayleyGraph:
     gens = (_transposition(4, 0, 1), _transposition(4, 0, 2), _transposition(4, 0, 3))
-    return build_cayley(None, gens)
+    return build_cayley(gens)
 
 
 # ----------------------------------------------------------------------

@@ -206,20 +206,22 @@ def direction_perm_to_automorphism(cay: CayleyGraph, dirperm: Permutation) -> Pe
             f"direction permutation is not an automorphism: vertex {v}, "
             f"color {c + 1} maps inconsistently"
         )
-    # consistently colored and regular: (v, c) sits at v * d + c - 1
-    return Permutation(tuple((vmap[:, None] * d + perm).ravel().tolist()))
+    return _basis_image(vmap, perm)
 
 
 def left_translation(cay: CayleyGraph, element) -> Permutation:
-    """Direction-preserving automorphism g -> a*g with identity coin action."""
-    g = cay.graph
-    idx = BasisIndexing.from_graph(g)
-    image = [0] * idx.total_dim
-    for v in range(g.num_vertices):
-        w = cay.vertex_index[cay.mul(element, cay.elements[v])]
-        for c in g.colors(v):
-            image[idx.index(v, c)] = idx.index(w, c)
-    return Permutation(tuple(image))
+    """Direction-preserving automorphism g -> a*g: the vertex map of the
+    left product with ``element``, and the identity on colors."""
+    vmap = [cay.vertex_index[cay.mul(element, g)] for g in cay.elements]
+    return _basis_image(vmap, range(cay.degree))
+
+
+def _basis_image(vmap: Sequence[int], perm: Sequence[int]) -> Permutation:
+    """The basis map |v, c> -> |vmap[v], perm[c]> of a Cayley graph, c the
+    0-based color: the graph is regular and consistently colored, so
+    (v, c) sits at v * d + c."""
+    perm = np.asarray(perm)
+    return Permutation(tuple((np.asarray(vmap)[:, None] * perm.size + perm).ravel().tolist()))
 
 
 def is_automorphism(g: ColoredGraph, p: Permutation) -> bool:

@@ -108,15 +108,16 @@ class MeasuredWalkSpec:
         d = self.walk.dim
         state = _inexact(self.state)
         if state.shape == (d,):
-            if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+            if not abs(np.linalg.norm(state) - 1.0) <= 1e-12:
                 raise ValueError("start state must be normalized")
         elif state.shape == (d, d):
-            if abs(np.trace(state).real - 1.0) > 1e-12 or abs(np.trace(state).imag) > 1e-12:
+            trace = np.trace(state)
+            if not (abs(trace.real - 1.0) <= 1e-12 and abs(trace.imag) <= 1e-12):
                 raise ValueError("rho0 must have unit trace")
-            if np.max(np.abs(state - state.conj().T)) > 1e-10:
+            if not np.max(np.abs(state - state.conj().T)) <= 1e-10:
                 raise ValueError("rho0 must be Hermitian")
             evs = np.linalg.eigvalsh((state + state.conj().T) / 2)
-            if evs[0] < -1e-10:
+            if not evs[0] >= -1e-10:
                 raise ValueError(f"rho0 not positive semidefinite (min eig {evs[0]:.3e})")
         else:
             raise ValueError(f"start state of shape {state.shape} does not match dimension {d}")
@@ -224,7 +225,7 @@ def _hit_probabilities(
 
 
 def _clamp_probability(p: float) -> float:
-    if p < -1e-12:
+    if not p >= -1e-12:
         raise ValueError(f"negative first-hit probability {p:.3e}")
     return max(p, 0.0)
 
@@ -297,6 +298,8 @@ def _accumulate_series(
     component of a measured walk loses mass geometrically, so a flat stretch
     this long means the remainder is trapped.
     """
+    if step_cap < 1:
+        raise ValueError("step_cap must be >= 1")
     mass = 0.0
     tau = 0.0
     mark_step, mark_mass = 0, 0.0
@@ -643,6 +646,8 @@ def classical_hitting_monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if step_cap < 1:
+        raise ValueError("step_cap must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     deg = np.asarray(g.degrees)
     offsets = np.cumsum(deg) - deg

@@ -141,7 +141,7 @@ def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCh
         inv = np.empty_like(img)
         inv[img] = np.arange(m.shape[0])
         # sigma(h) U permutes rows; U sigma(h) permutes columns (by inverse).
-        worst = max(worst, float(np.max(np.abs(m[:, img] - m[inv]))))
+        worst = float(np.max(np.abs(m[:, img] - m[inv]), initial=worst))  # keeps a NaN
     return SymmetryCheck(worst <= SYMMETRY_ATOL, worst)
 
 
@@ -152,10 +152,10 @@ def quotient_walk(u, basis: OrbitBasis) -> np.ndarray:
     r = _orbit_sums(m, basis, 0)
     uh = _orbit_sums(r, basis, 1)
     leak = float(np.max(np.abs(r - np.take(uh / np.sqrt(basis.sizes), basis.labels, axis=1))))
-    if leak > SYMMETRY_ATOL:
+    if not leak <= SYMMETRY_ATOL:
         raise SymmetryError(f"walk leaks out of the symmetric subspace (residual {leak:.3e})")
     defect = float(np.max(np.abs(uh.conj().T @ uh - np.eye(uh.shape[0]))))
-    if defect > UNITARITY_ATOL:
+    if not defect <= UNITARITY_ATOL:
         raise SymmetryError(f"reduced walk not unitary (defect {defect:.3e})")
     return uh
 
@@ -256,12 +256,12 @@ def quotient_coin(
         rows = np.asarray(slots)
         block = c_h[np.ix_(rows, rows)]
         defect = float(np.max(np.abs(block.conj().T @ block - np.eye(rows.size))))
-        if defect > UNITARITY_ATOL:
+        if not defect <= UNITARITY_ATOL:
             raise ValueError(f"coin block not unitary (defect {defect:.3e})")
         blocks.append(block)
         mask[np.ix_(rows, rows)] = True
     stray = float(np.max(np.abs(np.where(mask, 0.0, c_h))))
-    if stray > ENTRY_ATOL:
+    if not stray <= ENTRY_ATOL:
         raise ValueError(f"reduced coin has off-block mass {stray:.3e}")
     return c_h, tuple(blocks)
 
@@ -399,7 +399,7 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
 
     report_q = infinite_hitting_projector(quotient_walk(u, basis), final_orbits)
     dim_q = report_q.trace_int
-    if abs(report_q.trace_p - dim_q) > 1e-6:
+    if not abs(report_q.trace_p - dim_q) <= 1e-6:
         raise OracleMismatchError(
             f"quotient trapped trace {report_q.trace_p} is not near an integer"
         )

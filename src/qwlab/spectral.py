@@ -183,7 +183,7 @@ def _split(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
         wc, ikc = w[:, lo:hi], ikw[:, lo:hi]
         t = wc.conj().T @ ikc  # i W_c+ K W_c
         residual = float(np.linalg.norm(ikc - wc @ t))
-        if residual > tol:
+        if not residual <= tol:
             raise ValueError(
                 f"matrix is not normal (eigenspace block residual {residual:.3e} > {tol:.0e})"
             )
@@ -376,11 +376,11 @@ def coin_overlap_matrix(
     b = report.basis[rows]
     block = b @ b.conj().T
     herm_defect = float(np.max(np.abs(block - block.conj().T))) if block.size else 0.0
-    if herm_defect > 1e-10:
+    if not herm_defect <= 1e-10:
         raise ValueError(f"coin-overlap block not Hermitian (defect {herm_defect:.3e})")
     block = (block + block.conj().T) / 2
     w, v = np.linalg.eigh(block)
-    if w.size and w[0] < -1e-10:
+    if w.size and not w[0] >= -1e-10:
         raise ValueError(f"coin-overlap block not PSD (min eigenvalue {w[0]:.3e})")
     return CoinOverlapMatrix(vertex, block, w, v)
 

@@ -51,7 +51,7 @@ def _require_unitary(m: np.ndarray, atol: float, what: str):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
     defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-    if defect > atol:
+    if not defect <= atol:
         raise ValueError(f"{what} is not unitary (defect {defect:.3e} > {atol:.0e})")
 
 
@@ -222,7 +222,7 @@ def continuous_propagator(h: np.ndarray, t: float) -> WalkOperator:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("Hamiltonian must be square")
-    if np.max(np.abs(h - h.T)) > 1e-12:
+    if not np.max(np.abs(h - h.T)) <= 1e-12:
         raise ValueError("Hamiltonian must be symmetric")
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(1j * w * t)) @ v.T

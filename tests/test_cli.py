@@ -99,6 +99,14 @@ class TestHittingCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_step_cap_below_one_exits_one(self, cap, capsys):
+        code, out = run_cli(
+            "hitting", "--graph", "hypercube:3", "--method", "series", "--step-cap", cap
+        )
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: step_cap must be >= 1\n"
+
     def test_distribution_file(self, tmp_path):
         path = tmp_path / "dist.csv"
         code, _ = run_cli(
@@ -375,6 +383,12 @@ class TestDfsCommand:
             code, out = run_cli("dfs", "--graph", "hypercube:1")
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == "error: swap dephasing needs n >= 2\n"
+
+
+    def test_nan_kappas_are_one_error_line(self, capsys):
+        code, out = run_cli("dfs", "--graph", "hypercube:3", "--kappas", "nan,nan")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: sum |kappa|^2 = nan != 1\n"
 
 
 class TestClassicalCommand:

@@ -216,6 +216,13 @@ class TestDecoheredHitting:
             assert res.method == unit.method
             assert res.value == pytest.approx(unit.value, abs=1e-10)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_series_cap_below_one_is_a_bad_argument(self, cap):
+        g, spec = grover_cube_spec()
+        ch = deco.dephasing_channel("both", 0.3, g.num_vertices, g.degree_value)
+        with pytest.raises(ValueError, match="step_cap must be >= 1"):
+            deco.decohered_hitting_series(spec, ch, 1e-8, step_cap=cap)
+
     def test_identity_channel_is_the_unitary_closed_form(self, monkeypatch):
         g = graphs.build_hypercube(3)
         op = walk.evolution_operator(g, walk.grover_coin(3))
@@ -669,7 +676,7 @@ def random_kappas(n, rng):
 
 
 class TestSwapDephasingMonomials:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_kraus_family_is_the_kronecker_construction(self, n, rng):
         kappas = random_kappas(n, rng)
         ch = deco.swap_dephasing_example(n, kappas)

@@ -136,14 +136,32 @@ class TestCayley:
             graphs.shift_matrix(cay.graph), graphs.shift_matrix(graphs.build_hypercube(n))
         )
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_hypercube_group_is_xor_on_the_built_cube(self, n):
+        cay = graphs.cayley_hypercube(n)
+        assert cay.graph == graphs.build_hypercube(n)
+        assert cay.elements == tuple(range(1 << n))
+        assert cay.generators == tuple(1 << i for i in range(n))
+        assert cay.identity == 0
+        assert cay.vertex_index == {v: v for v in range(1 << n)}
+        assert all(
+            cay.mul(a, b) == a ^ b
+            for a in cay.elements
+            for b in cay.generators + (cay.elements[-1],)
+        )
+
+    def test_integer_generators_need_mul_and_identity(self):
+        with pytest.raises(ValueError, match="supply mul and identity"):
+            graphs.build_cayley((1, 2))
+
     def test_rejects_identity_generator(self):
         with pytest.raises(ValueError, match="identity"):
-            graphs.build_cayley(None, (0, 1), mul=lambda a, b: a ^ b, identity=0)
+            graphs.build_cayley((0, 1), mul=lambda a, b: a ^ b, identity=0)
 
     def test_rejects_non_involution(self):
         three_cycle = (1, 2, 0)
         with pytest.raises(ValueError, match="involution"):
-            graphs.build_cayley(None, (three_cycle,))
+            graphs.build_cayley((three_cycle,))
 
     def test_word_lookup(self):
         cay = graphs.cayley_s3_2gen()

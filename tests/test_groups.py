@@ -120,7 +120,7 @@ class TestDirectionPermLift:
 
     @pytest.mark.parametrize("text", ["(1,3)", "(2,3)", "(1,2,3)"])
     def test_non_automorphism_names_the_first_bad_edge(self, text):
-        cay = graphs.build_cayley(None, ((1, 0, 3, 2), (2, 1, 0, 3), (2, 3, 0, 1)))
+        cay = graphs.build_cayley(((1, 0, 3, 2), (2, 1, 0, 3), (2, 3, 0, 1)))
         p = groups.parse_cycles(text, 3)
         v, c = lift_oracle(cay, p)
         with pytest.raises(NotAnAutomorphismError, match=f"vertex {v}, color {c} maps"):
@@ -160,7 +160,7 @@ class TestDirectionPermLift:
         refl = (1, 0, 3, 2)       # (12)(34)
         diag = (2, 1, 0, 3)       # (13)
         center = (2, 3, 0, 1)     # (13)(24)
-        cay = graphs.build_cayley(None, (refl, diag, center))
+        cay = graphs.build_cayley((refl, diag, center))
         assert cay.graph.num_vertices == 8
         with pytest.raises(NotAnAutomorphismError):
             groups.direction_perm_to_automorphism(cay, groups.parse_cycles("(1,3)", 3))
@@ -378,6 +378,31 @@ class TestOrbits:
             members = set(orb)
             for p in grp.elements:
                 assert {p(i) for i in orb} == members
+
+
+def translation_oracle(cay, element):
+    """Image of g -> a*g on the basis, state by state through BasisIndexing."""
+    g = cay.graph
+    idx = BasisIndexing.from_graph(g)
+    image = [0] * idx.total_dim
+    for v in range(g.num_vertices):
+        w = cay.vertex_index[cay.mul(element, cay.elements[v])]
+        for c in g.colors(v):
+            image[idx.index(v, c)] = idx.index(w, c)
+    return tuple(image)
+
+
+class TestLeftTranslation:
+    @pytest.mark.parametrize(
+        "build",
+        [graphs.cayley_s3_2gen, graphs.cayley_s3_3gen, graphs.cayley_s4_3gen,
+         lambda: graphs.cayley_hypercube(3)],
+        ids=["cayley:s3:2gen", "cayley:s3:3gen", "cayley:s4:3gen", "hypercube:3"],
+    )
+    def test_matches_the_basis_indexing_loop(self, build):
+        cay = build()
+        for a in cay.elements:
+            assert groups.left_translation(cay, a).image == translation_oracle(cay, a)
 
 
 class TestDirectionPreserving:

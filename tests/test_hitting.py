@@ -213,6 +213,11 @@ class TestSeries:
         escape = spectral.escape_probability(rep, spec.psi0)
         assert res.arrival_mass + escape == pytest.approx(1.0, abs=2e-3)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_a_bad_argument(self, cap):
+        with pytest.raises(ValueError, match="step_cap must be >= 1"):
+            hitting.hitting_time_series(hypercube_spec(3), 1e-6, step_cap=cap)
+
     def test_target_prints_its_digits(self):
         with pytest.raises(IndeterminateError, match=r"did not reach mass 0\.999999 or stall within 2"):
             hitting.hitting_time_series(hypercube_spec(3), 1e-6, step_cap=2)
@@ -236,6 +241,11 @@ class TestConcurrent:
     def test_step_cap(self):
         with pytest.raises(IndeterminateError, match="within 2 steps"):
             hitting.concurrent_hitting_time(hypercube_spec(3), 0.9, step_cap=2)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_a_bad_argument(self, cap):
+        with pytest.raises(ValueError, match="step_cap must be >= 1"):
+            hitting.concurrent_hitting_time(hypercube_spec(3), 0.9, step_cap=cap)
 
     def test_spectrum_refuses_before_stepping(self, monkeypatch):
         # on dft hypercube:5 the arrival mass creeps toward 1 - 0.2553 too
@@ -616,6 +626,13 @@ class TestMonteCarlo:
         g = graphs.build_hypercube(3)
         est = hitting.classical_hitting_monte_carlo(g, 0, 7, 100_000, seed=42)
         assert abs(est.mean - 10.0) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("final", [7, 0])
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_a_bad_argument(self, cap, final):
+        g = graphs.build_hypercube(3)
+        with pytest.raises(ValueError, match="step_cap must be >= 1"):
+            hitting.classical_hitting_monte_carlo(g, 0, final, 10, seed=0, step_cap=cap)
 
     def test_deterministic_given_seed(self):
         g = graphs.build_hypercube(3)
