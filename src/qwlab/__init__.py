@@ -1,4 +1,8 @@
-"""Quantum walks on colored graphs: hitting times, spectra, decoherence, quotients."""
+"""Quantum walks on colored graphs: hitting times, spectra, decoherence, quotients.
+
+``qwlab.fourier``, the hypercube walk's Fourier route, is imported by
+``qwlab.spectral`` on first use.
+"""
 
 from . import decoherence, graphs, groups, hitting, quotient, spectral, walk
 from .errors import (
@@ -19,6 +23,7 @@ __all__ = [
     "walk",
     "hitting",
     "spectral",
+    "fourier",
     "decoherence",
     "quotient",
     "QwlabError",

@@ -243,8 +243,8 @@ def cmd_spectrum(args, out) -> int:
     report = spectral.infinite_hitting_projector(op, idx.indices_for(final))
     payload = spectral.report_to_dict(report)
     payload["zero_coin_eigenvalues"] = {
-        str(v): spectral.coin_overlap_matrix(report, g, v).zero_eigenvalue_count
-        for v in range(g.num_vertices)
+        str(block.vertex): block.zero_eigenvalue_count
+        for block in spectral.coin_overlap_matrices(report, g)
     }
     payload["degeneracy_condition"] = spectral.degeneracy_condition(
         report.clusters, g.degree_value

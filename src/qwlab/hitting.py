@@ -20,7 +20,10 @@ orthonormal eigenbasis W of U's other eigenvectors, whose range holds the
 finals and reduces A to the r x r matrix A_r = W+ A W, formed from U so
 that the residual checks the walk itself: Smith doubling in r dimensions
 after an O(D^3) eigensolve, in O(D^2) memory, each refused before it
-allocates if its estimated working set exceeds the memory budget.  A
+allocates if its estimated working set exceeds the memory budget.  On the
+n-cube the spectral report comes from the walk's 2^n Fourier blocks
+instead, and gives the escape, W+ psi_0 and A_r in O(2^n n^3) time and
+O(D n) memory with no D x D array; the solve is the same.  A
 solve that does not converge, leaves a residual above the bound or
 produces a non-finite entry raises IndeterminateError.  With a trapped
 subspace this is the Moore-Penrose value of the vectorized formula
@@ -76,12 +79,10 @@ SINGULAR_RTOL = 1e-9
 ESCAPE_ATOL = 1e-9
 STALL_GAIN = 1e-12
 MAX_DOUBLINGS = 64
-# complex arrays held at once by the Stein solve: in r dimensions, its two
-# doubling powers, X and temporaries (6 r^2 measured) beside A_r and
-# W+ rho_0 W, and in D dimensions U, a mixed start, the report's bases and U W
-# (STEIN_HELD_ARRAYS D^2)
+# complex r x r arrays held at once by the Stein solve: its two doubling
+# powers, X and temporaries (6 r^2 measured) beside A_r and W+ rho_0 W; the
+# spectral report states what it holds beside them
 STEIN_WORK_ARRAYS = 8
-STEIN_HELD_ARRAYS = 4
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_PSEUDO_INVERSE = "pseudo_inverse"
@@ -203,13 +204,18 @@ def _hit_probabilities(
     walk = spec.walk
     fin = spec.final_array
     if spec.psi0 is not None and step_map is None:
-        psi = spec.psi0
+        # the state stays in the coin-major order that WalkOperator.apply
+        # multiplies in: one gather and one product with C per step
+        coin_major, rows = walk._gathers
+        step = rows[coin_major]
+        at = np.argsort(coin_major)[fin]  # the finals' coin-major positions
+        b = walk.block.shape[0]
+        psi = spec.psi0[coin_major]
         while True:
-            phi = walk.apply(psi)
-            amp = phi[fin]
-            p = float(np.real(np.vdot(amp, amp)))
-            phi[fin] = 0.0
-            psi = phi
+            psi = (walk.block @ psi.reshape(b, -1)).reshape(-1)[step]
+            amp = psi[at]
+            p = float(np.vdot(amp, amp).real)
+            psi[at] = 0.0
             yield _clamp_probability(p)
     else:
         rho = spec.rho0
@@ -366,15 +372,20 @@ def concurrent_hitting_time(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
-    reachable = 1.0 - spectral.escape_probability(report, spec.state)
-    if threshold > reachable + ESCAPE_ATOL:
-        raise ThresholdUnreachableError(
-            f"threshold {threshold} exceeds the reachable arrival mass {reachable:.12g}",
-            arrival_mass=reachable,
-        )
+
+    def probabilities() -> Iterator[float]:
+        # first read by _accumulate_series, after its own argument checks
+        report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
+        reachable = 1.0 - spectral.escape_probability(report, spec.state)
+        if threshold > reachable + ESCAPE_ATOL:
+            raise ThresholdUnreachableError(
+                f"threshold {threshold} exceeds the reachable arrival mass {reachable:.12g}",
+                arrival_mass=reachable,
+            )
+        yield from _hit_probabilities(spec)
+
     result = _accumulate_series(
-        _hit_probabilities(spec), threshold, step_cap=step_cap, stall_window=4 * spec.dim
+        probabilities(), threshold, step_cap=step_cap, stall_window=4 * spec.dim
     )
     if not result.is_finite:
         raise ThresholdUnreachableError(
@@ -518,7 +529,7 @@ def _doubling_powers(a: np.ndarray) -> Iterator[np.ndarray]:
     for _ in range(MAX_DOUBLINGS):
         with np.errstate(over="ignore", invalid="ignore"):
             square = ak @ ak
-            tail = np.linalg.norm(square) ** 2
+            tail = np.vdot(square, square).real
         if not np.isfinite(tail):
             raise IndeterminateError(
                 "Stein doubling overflowed: the spectral radius of Q_f U is not below 1"
@@ -568,24 +579,21 @@ def hitting_time_closed_form(
     A relative residual ||X_r - A_r+ X_r A_r - I|| / ||X_r|| above
     ``singular_rtol``, a non-finite entry or a solve that does not converge
     raises IndeterminateError.  The eigensolve and the solve are each
-    refused first if they would not fit in the memory budget.
+    refused first if they would not fit in the memory budget.  The report
+    answers the escape, W+ psi_0 and A_r, so one body serves the dense route
+    and the n-cube's Fourier route.
     """
-    d = spec.dim
     report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
-    escape = spectral.escape_probability(report, spec.state)
+    escape, start = report.split_start(spec.state)
     if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
 
-    w = report.untrapped
-    r = w.shape[1]
-    _check_memory(d, STEIN_WORK_ARRAYS * r * r + STEIN_HELD_ARRAYS * d * d)
-    aw = spec.walk.apply(w)
-    aw[spec.final_array] = 0.0
-    a_r = w.conj().T @ aw
-    start = w.conj().T @ spec.state
-    rho_r = start @ w if spec.psi0 is None else np.outer(start, start.conj())
+    r = report.untrapped_dim
+    _check_memory(spec.dim, STEIN_WORK_ARRAYS * r * r + report.held_entries)
+    a_r = report.reduced_step()
+    rho_r = start if spec.psi0 is None else np.outer(start, start.conj())
     value = _stein_trace(a_r, rho_r, residual_rtol=singular_rtol)
-    method = METHOD_PSEUDO_INVERSE if report.basis.shape[1] else METHOD_CLOSED_FORM
+    method = METHOD_PSEUDO_INVERSE if report.trapped_dim else METHOD_CLOSED_FORM
     return HittingResult(method, value=value)
 
 

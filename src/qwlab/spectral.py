@@ -22,10 +22,16 @@ orthonormal basis W of ran(I - P) made of eigenvectors of U, in which the
 hitting module solves for the hitting time.  An eigensolve whose estimated
 working set exceeds the memory budget (physical memory, or the cgroup
 limit where lower) raises ValueError before U is built or read.
+
+A WalkOperator whose shift is the n-cube's, as ``build_hypercube`` colors
+it, takes the Fourier route of :mod:`qwlab.fourier` instead: its 2^n
+coin-sized blocks are split by the same batched core as the chains above
+(``_split_stack``), in O(2^n n^3) time and O(D (n + |finals|)) memory.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,7 @@ __all__ = [
     "eigenspace_clusters",
     "infinite_hitting_projector",
     "escape_probability",
+    "coin_overlap_matrices",
     "coin_overlap_matrix",
     "degeneracy_condition",
     "SUFFICIENT_FOR_INFINITE",
@@ -52,6 +59,9 @@ NULLSPACE_RTOL = 1e-9
 # complex D x D arrays held at once: the eigensolve's (3.0-3.5 measured)
 # beside U and a caller's rho_0
 EIGENSOLVE_WORK_ARRAYS = 6
+# complex D x D arrays a dense report's hitting time holds besides its
+# r x r solve: U, a mixed start, the report's bases and U W
+DENSE_HELD_ARRAYS = 4
 
 SUFFICIENT_FOR_INFINITE = "sufficient_for_infinite"
 INCONCLUSIVE = "inconclusive"
@@ -66,6 +76,25 @@ class EigenCluster:
     basis: np.ndarray  # D x multiplicity, orthonormal columns
 
 
+class _BuiltOnRead:
+    """A report field given at construction, or left out and built by the
+    report's ``_build_<name>()`` the first time it is read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default: build on read
+        value = report.__dict__[self.name]
+        if value is None:
+            value = report.__dict__[self.name] = getattr(report, f"_build_{self.name}")()
+        return value
+
+    def __set__(self, report, value):
+        report.__dict__[self.name] = value
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Spectral decomposition of U together with the trapped subspace.
@@ -76,16 +105,22 @@ class SpectralReport:
     dimensions contributed by each cluster, in cluster order.  Warnings, in
     cluster order, record nullspace rank decisions that fell within 10x of
     the singular value cutoff, and neighbouring clusters whose eigenvalues
-    lie within 10x of the cluster tolerance.
+    lie within 10x of the cluster tolerance.  ``walk`` and ``finals`` are the
+    U and the final indices the report was made for.  ``split_start`` and
+    ``reduced_step`` answer what the unitary closed form asks: the escape
+    with the start in W's coordinates, and A_r = W+ (Q_f U) W;
+    ``vertex_blocks`` gives the coin-overlap blocks.
     """
 
-    clusters: tuple[EigenCluster, ...]
-    basis: np.ndarray
-    untrapped: np.ndarray
     contributions: tuple[int, ...]
     warnings: tuple[str, ...] = ()
+    clusters: tuple[EigenCluster, ...] = _BuiltOnRead()
+    basis: np.ndarray = _BuiltOnRead()
+    untrapped: np.ndarray = _BuiltOnRead()
+    walk: object = None
+    finals: np.ndarray | None = None
 
-    @property
+    @functools.cached_property
     def trace_p(self) -> float:
         return float(np.linalg.norm(self.basis) ** 2)
 
@@ -96,6 +131,58 @@ class SpectralReport:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @functools.cached_property
+    def trapped_dim(self) -> int:
+        return sum(self.contributions)
+
+    @functools.cached_property
+    def untrapped_dim(self) -> int:
+        return self.dim - self.trapped_dim
+
+    @property
+    def held_entries(self) -> int:
+        """Complex entries a hitting time on this report holds beside its solve."""
+        return DENSE_HELD_ARRAYS * self.dim**2
+
+    def split_start(self, state: np.ndarray) -> tuple[float, np.ndarray]:
+        """(escape, W+ psi_0 or W+ rho_0 W): what the closed form reads of its start."""
+        return self.escape(state), self.untrapped_start(state)
+
+    def vertex_blocks(self, rows: np.ndarray) -> np.ndarray:
+        """B_v B_v+ for each row set v of the V x d ``rows``: the diagonal
+        blocks of the trapped projector."""
+        return _row_grams(self.basis, rows)
+
+    def escape(self, state: np.ndarray) -> float:
+        """Mass of a state (vector or density matrix) inside the trapped subspace."""
+        if state.ndim == 1:
+            amps = self.basis.conj().T @ state
+            return float(np.real(np.vdot(amps, amps)))
+        return float(np.real(np.vdot(self.basis, state @ self.basis)))
+
+    def untrapped_start(self, state: np.ndarray) -> np.ndarray:
+        """W+ psi_0 for a start vector, W+ rho_0 W for a density matrix."""
+        start = self.untrapped.conj().T @ state
+        return start @ self.untrapped if state.ndim == 2 else start
+
+    def reduced_step(self) -> np.ndarray:
+        """A_r = W+ (Q_f U) W, from U W."""
+        w = self.untrapped
+        aw = self.walk.apply(w) if hasattr(self.walk, "apply") else np.asarray(self.walk) @ w
+        aw[self.finals] = 0.0
+        return w.conj().T @ aw
+
+
+def _row_grams(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a_v a_v+ for each row set v of the V x d ``rows``: one gather to
+    V x d x k (a view when the rows are all of a's, in order) and one
+    stacked product."""
+    if np.array_equal(rows.ravel(), np.arange(len(a))):
+        b = a.reshape(rows.shape + a.shape[1:])
+    else:
+        b = a[rows]
+    return b @ b.conj().transpose(0, 2, 1)
 
 
 def _walk_dim(u) -> int:
@@ -124,7 +211,7 @@ def _runs(values: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the entries that start a run along the last axis of ascending
     ``values``: the first, and each more than tol above the one before it."""
     new_run = np.ones(values.shape, dtype=bool)
-    new_run[..., 1:] = np.diff(values, axis=-1) > tol
+    new_run[..., 1:] = values[..., 1:] - values[..., :-1] > tol
     return new_run
 
 
@@ -140,6 +227,8 @@ def _eigen_runs(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.n
     k = a.shape[-1]
     dev = a - (np.trace(a, axis1=-2, axis2=-1).real / k)[..., None, None] * np.eye(k)
     whole = (k == 1) | (2 * np.linalg.norm(dev, axis=(-2, -1)) <= tol)
+    if whole.all():
+        return whole, np.empty((0, k, k)), np.empty((0, k), dtype=bool)
     vals, y = np.linalg.eigh(a[~whole])
     return whole, y, _runs(vals, tol)
 
@@ -167,6 +256,51 @@ def _joint_blocks(c: np.ndarray, s: np.ndarray, tol: float) -> list[np.ndarray]:
     return blocks
 
 
+def _split_chains(starts: np.ndarray, c: np.ndarray, t: np.ndarray, tol: float):
+    """(first columns, Rayleigh sums, turns) of the clusters in a stack of
+    chains of one length L: the batched core of both eigensolves.
+
+    Chain g starts at column starts[g]; c[g] holds its ascending cosines and
+    t[g] = W_g+ (iK) W_g its L x L block, so that diag(c[g]) + t[g] is the
+    normal matrix W_g+ U W_g.  Each cluster is listed by its first column
+    and the sum of its Rayleigh quotients.  A turn (chain starts, rotations)
+    says that the columns of chain starts[i] are to be rotated by
+    rotations[i] to become the clusters' bases; chains that are one cluster
+    as they stand take none.  A chain whose cosines spread wider than tol
+    takes the alternating split on its own; the others are split together
+    by one stacked eigh of their blocks -i t, skipped for blocks within tol
+    of a multiple of the identity.
+    """
+    size = c.shape[1]
+    if size == 1:  # each chain is one cluster
+        return [starts], [c[:, 0] + t[:, 0, 0]], []
+    firsts, lams, turns = [], [], []
+    wide = c[:, -1] - c[:, 0] > tol
+    for i in np.flatnonzero(wide).tolist():
+        parts = _joint_blocks(c[i], -1j * t[i], tol)
+        at = np.cumsum([0] + [p.shape[1] for p in parts[:-1]])
+        x = np.hstack(parts)
+        rayleigh = np.sum(x.conj() * ((np.diag(c[i]) + t[i]) @ x), axis=0)
+        firsts.append(starts[i] + at)
+        lams.append(np.add.reduceat(rayleigh, at))
+        turns.append((starts[i:i + 1], x[None]))
+    if wide.all():
+        return firsts, lams, turns
+    starts, c, t = starts[~wide], c[~wide], t[~wide]
+    mc = t + c[:, :, None] * np.eye(size)  # W_c+ U W_c
+    whole, y, new_run = _eigen_runs(-1j * t, tol)
+    firsts.append(starts[whole])
+    lams.append(np.trace(mc[whole], axis1=1, axis2=2))
+    if not whole.all():
+        split = starts[~whole]
+        rayleigh = np.sum(y.conj() * (mc[~whole] @ y), axis=1)  # per eigenvector
+        at = np.flatnonzero(new_run)  # flat index of each run's first eigenvector
+        firsts.append(split[at // size] + at % size)
+        lams.append(np.add.reduceat(rayleigh.ravel(), at))
+        turns.append((split, y))
+    return firsts, lams, turns
+
+
 def _split(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eigenvalues, first columns, basis) of the clusters of unitary m, in chain order.
 
@@ -191,41 +325,64 @@ def _split(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     del ikw
 
     lengths = np.diff([*starts, len(cos)])
-    wide = cos[starts + lengths - 1] - cos[starts] > tol
-    firsts, lams, turns = [], [], []  # turns: (chain start, rotation of its columns)
-    for i in np.flatnonzero(wide).tolist():  # cosines spread wider than tol
-        c = cos[starts[i]:starts[i] + lengths[i]]
-        parts = _joint_blocks(c, -1j * blocks[i], tol)
-        at = np.cumsum([0] + [p.shape[1] for p in parts[:-1]])
-        x = np.hstack(parts)
-        rayleigh = np.sum(x.conj() * ((np.diag(c) + blocks[i]) @ x), axis=0)
-        firsts.append(starts[i] + at)
-        lams.append(np.add.reduceat(rayleigh, at))
-        turns.append((starts[i], x))
-    for size in sorted(set(lengths[~wide].tolist())):
-        group = np.flatnonzero((lengths == size) & ~wide)
+    firsts, lams, turns = [], [], []
+    for size in sorted(set(lengths.tolist())):
+        group = np.flatnonzero(lengths == size)
         c = cos[starts[group, None] + np.arange(size)]
-        t = np.stack([blocks[i] for i in group])
-        mc = t + c[:, :, None] * np.eye(size)  # W_c+ U W_c
-        whole, y, new_run = _eigen_runs(-1j * t, tol)
-        firsts.append(starts[group[whole]])
-        lams.append(np.trace(mc[whole], axis1=1, axis2=2))
-        if whole.all():
-            continue
-        split = starts[group[~whole]]
-        rayleigh = np.sum(y.conj() * (mc[~whole] @ y), axis=1)  # per eigenvector
-        at = np.flatnonzero(new_run)  # flat index of each run's first eigenvector
-        firsts.append(split[at // size] + at % size)
-        lams.append(np.add.reduceat(rayleigh.ravel(), at))
-        turns += zip(split.tolist(), y)
+        parts = _split_chains(starts[group], c, np.stack([blocks[i] for i in group]), tol)
+        for out, part in zip((firsts, lams, turns), parts):
+            out += part
 
     first = np.concatenate(firsts)
     order = np.argsort(first)
     lam = np.concatenate(lams)[order]
     basis = w.astype(complex, copy=False)
-    for lo, x in turns:
-        basis[:, lo:lo + len(x)] = basis[:, lo:lo + len(x)] @ x
+    for los, xs in turns:
+        for lo, x in zip(los.tolist(), xs):
+            basis[:, lo:lo + len(x)] = basis[:, lo:lo + len(x)] @ x
     return lam / np.abs(lam), first[order], basis
+
+
+def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Rayleigh sums, first columns, eigenvectors) of the clusters of each
+    matrix of a stack of small normal k x k matrices, in flat column order.
+
+    Column j of the result is column j % k of block j // k; cluster i holds
+    the columns from ``first[i]`` up to the next cluster's first column, all
+    in one block.  The chains of every block are cut as in :func:`_split`.
+    A chain's block t is its diagonal block of T = W+ (iK) W, and since W is
+    unitary its residual ||iK W_c - W_c t|| is the norm of T's entries in the
+    chain's columns and the other rows; the chains of one length are split
+    together by :func:`_split_chains`.
+    """
+    b, k = m.shape[:2]
+    m_h = m.conj().transpose(0, 2, 1)
+    cos, w = np.linalg.eigh((m + m_h) / 2)
+    t_all = w.conj().transpose(0, 2, 1) @ ((m - m_h) / 2) @ w
+    new_chain = _runs(cos, max(tol, np.sqrt(tol)))  # each block starts a chain
+    chain = np.cumsum(new_chain, axis=1)
+    leak = np.sum(np.abs(t_all) ** 2 * (chain[:, :, None] != chain[:, None, :]), axis=1)
+    starts = np.flatnonzero(new_chain)
+    residual = np.sqrt(np.max(np.add.reduceat(leak.ravel(), starts)))
+    if not residual <= tol:
+        raise ValueError(f"matrix is not normal (eigenspace block residual {residual:.3e} > {tol:.0e})")
+    lengths = np.append(starts[1:], b * k) - starts
+    cos = cos.ravel()
+    firsts, lams, turns = [], [], []
+    for size in sorted(set(lengths.tolist())):
+        group = starts[lengths == size]
+        cols = group[:, None] % k + np.arange(size)
+        t = t_all[group[:, None, None] // k, cols[:, :, None], cols[:, None, :]]
+        parts = _split_chains(group, cos[group[:, None] + np.arange(size)], t, tol)
+        for out, part in zip((firsts, lams, turns), parts):
+            out += part
+    w = w.astype(complex, copy=False)
+    for los, xs in turns:
+        at = (los[:, None] // k, slice(None), los[:, None] % k + np.arange(xs.shape[1]))
+        w[at] = xs.transpose(0, 2, 1) @ w[at]
+    first = np.concatenate(firsts)
+    order = np.argsort(first)
+    return np.concatenate(lams)[order], first[order], w
 
 
 def _phase_order(lams: np.ndarray, tol: float) -> np.ndarray:
@@ -240,6 +397,20 @@ def _clusters(lams, first, basis, order) -> tuple[EigenCluster, ...]:
         EigenCluster(complex(lams[i]), bounds[i + 1] - bounds[i], basis[:, bounds[i]:bounds[i + 1]])
         for i in order.tolist()
     )
+
+
+def _cube_order(u) -> int:
+    """n when u is a WalkOperator with an n x n coin block whose shift image
+    sends v*n + c to (v XOR 2^c)*n + c, the walk on the n-cube that
+    ``build_hypercube`` colors; else 0.  Costs O(D) and reads no graph."""
+    image = getattr(u, "image", None)
+    if image is None:
+        return 0
+    n = u.block.shape[0]
+    if not 1 <= n < 63 or image.size != n << n:
+        return 0
+    v, c = np.divmod(np.arange(image.size), n)
+    return n if np.array_equal(image, (v ^ (1 << c)) * n + c) else 0
 
 
 def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:
@@ -269,10 +440,64 @@ def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]
     by construction; its eigenvalue is the normalised mean Rayleigh quotient.
     Clusters are listed by phase in [-pi, pi): the cluster within tol of -1
     comes first.  Raises ValueError when U is not normal, i.e. when a
-    chain's block residual ||K W_c - W_c (W_c+ K W_c)|| exceeds tol.
+    chain's block residual ||K W_c - W_c (W_c+ K W_c)|| exceeds tol.  The
+    walk on the n-cube is split block by block in the Fourier basis, and
+    its clusters' bases are built when read.
     """
+    cube = _cube_order(u)
+    if cube:
+        from . import fourier  # which builds on this module
+
+        return fourier.cube_clusters(u, cube, tol)
     lams, first, basis = _split(_as_matrix(u), tol)
     return _clusters(lams, first, basis, _phase_order(lams, tol))
+
+
+def _rank_clusters(overlap, starts, size, lams, position, full_matrices: bool):
+    """(rank, warnings, groups) of the clusters' final overlaps.
+
+    Cluster i's overlap is the block of columns of ``overlap`` from
+    starts[i] on, size[i] wide; the overlaps of all clusters of one
+    multiplicity are decomposed by one stacked SVD, each group listed as
+    (cluster indices, overlaps, their SVD).  Warnings are (position,
+    message) pairs for singular values within 10x of the cutoff.
+    """
+    rank = np.zeros(len(size), dtype=int)
+    warnings, groups = [], []
+    for k in sorted(set(size.tolist())):
+        group = np.flatnonzero(size == k)
+        gathered = overlap[:, starts[group, None] + np.arange(k)].transpose(1, 0, 2)
+        svd = np.linalg.svd(gathered, full_matrices=full_matrices)
+        sv = svd[1]
+        cutoff = NULLSPACE_RTOL * sv[:, :1]
+        kept = sv > cutoff
+        rank[group] = kept.sum(axis=1)
+        for i, band in zip(group, np.sum(kept & (sv <= 10 * cutoff), axis=1).tolist()):
+            if band:
+                warnings.append((position[i], f"cluster {position[i]} (eigenvalue "
+                                 f"{complex(lams[i]):.6f}): {band} singular value(s) "
+                                 "within 10x of cutoff"))
+        groups.append((group, gathered, svd))
+    return rank, warnings, groups
+
+
+def _gap_warnings(ring: np.ndarray) -> list:
+    """(position, message) for neighbouring clusters, eigenvalues ``ring`` in
+    cluster order, within 10x the cluster tolerance, around the circle."""
+    n = len(ring)
+    gaps = np.abs(np.append(ring[1:], ring[:1]) - ring)  # cluster i to cluster i + 1, and around
+    pairs = n if n > 2 else n - 1  # two clusters are one pair of neighbours, not two
+    warnings = []
+    for i in np.flatnonzero(gaps[:pairs] <= 10 * CLUSTER_TOL).tolist():
+        j = (i + 1) % n
+        warnings.append((i, f"clusters {i} and {j} (eigenvalues {complex(ring[i]):.6f} and "
+                         f"{complex(ring[j]):.6f}): gap {gaps[i]:.1e} within 10x of the "
+                         "cluster tolerance"))
+    return warnings
+
+
+def _in_order(warnings: list) -> tuple[str, ...]:
+    return tuple(msg for _, msg in sorted(warnings, key=lambda w: w[0]))
 
 
 def infinite_hitting_projector(u, p_f) -> SpectralReport:
@@ -289,65 +514,48 @@ def infinite_hitting_projector(u, p_f) -> SpectralReport:
     circle whose eigenvalues lie within 10*CLUSTER_TOL, where the clustering
     itself is a close call.  The clusters' bases are mutually orthogonal, so
     the trapped pieces are stacked into ``basis`` as they are.  A final
-    index outside [0, D) raises ValueError.
+    index outside [0, D) raises ValueError.  The walk on the n-cube takes
+    the Fourier route and returns a :class:`qwlab.fourier.FourierReport`.
     """
+    p_f = _final_array(p_f, _walk_dim(u))
+    cube = _cube_order(u)
+    if cube:
+        from . import fourier
+
+        return fourier.cube_report(u, cube, p_f)
     m = _as_matrix(u)
-    p_f = _final_array(p_f, m.shape[0])
     lams, first, v = _split(m, CLUSTER_TOL)
     dim, n = v.shape[0], len(lams)
     order = _phase_order(lams, CLUSTER_TOL)
     position = np.empty_like(order)
     position[order] = np.arange(n)
     size = np.diff([*first, dim])
-    overlap = v[p_f]
-
-    rank = np.zeros(n, dtype=int)
-    warnings = []  # (cluster position, message)
-    for k in sorted(set(size.tolist())):
-        group = np.flatnonzero(size == k)
-        _, sv, vh = np.linalg.svd(overlap[:, first[group, None] + np.arange(k)].transpose(1, 0, 2))
-        cutoff = NULLSPACE_RTOL * sv[:, :1]
-        kept = sv > cutoff
-        rank[group] = kept.sum(axis=1)
-        for i, band in zip(group, np.sum(kept & (sv <= 10 * cutoff), axis=1).tolist()):
-            if band:
-                warnings.append((position[i], f"cluster {position[i]} (eigenvalue "
-                                 f"{complex(lams[i]):.6f}): {band} singular value(s) "
-                                 "within 10x of cutoff"))
+    rank, warnings, groups = _rank_clusters(v[p_f], first, size, lams, position, True)
+    for group, _, (_, _, vh) in groups:
         for i, vhi in zip(group.tolist(), vh):
-            if 0 < rank[i] < k:  # rotate the first rank columns onto the overlap's row space
-                cols = slice(first[i], first[i] + k)
+            if 0 < rank[i] < size[i]:  # rotate the first rank columns onto the overlap's row space
+                cols = slice(first[i], first[i] + size[i])
                 v[:, cols] = v[:, cols] @ vhi.conj().T
-
-    ring = lams[order]
-    gaps = np.abs(ring - np.roll(ring, -1))  # cluster i to cluster i + 1, and around
-    pairs = n if n > 2 else n - 1  # two clusters are one pair of neighbours, not two
-    for i in np.flatnonzero(gaps[:pairs] <= 10 * CLUSTER_TOL).tolist():
-        j = (i + 1) % n
-        warnings.append((i, f"clusters {i} and {j} (eigenvalues {complex(ring[i]):.6f} and "
-                         f"{complex(ring[j]):.6f}): gap {gaps[i]:.1e} within 10x of the "
-                         "cluster tolerance"))
 
     columns = np.argsort(np.repeat(position, size), kind="stable")  # in cluster order
     sees_finals = (np.arange(dim) - np.repeat(first, size) < np.repeat(rank, size))[columns]
     return SpectralReport(
         clusters=_clusters(lams, first, v, order),
+        contributions=tuple((size - rank)[order].tolist()),
+        warnings=_in_order(warnings + _gap_warnings(lams[order])),
         basis=np.take(v, columns[~sees_finals], axis=1),
         untrapped=np.take(v, columns[sees_finals], axis=1),
-        contributions=tuple((size - rank)[order].tolist()),
-        warnings=tuple(msg for _, msg in sorted(warnings, key=lambda w: w[0])),
+        walk=u,
+        finals=p_f,
     )
 
 
 def escape_probability(report: SpectralReport, state: np.ndarray) -> float:
     """Mass of a state (vector or density matrix) inside the trapped subspace."""
     state = np.asarray(state)
-    if state.ndim == 1:
-        amps = report.basis.conj().T @ state
-        return float(np.real(np.vdot(amps, amps)))
-    if state.ndim == 2:
-        return float(np.real(np.vdot(report.basis, state @ report.basis)))
-    raise ValueError("state must be a vector or a density matrix")
+    if state.ndim not in (1, 2):
+        raise ValueError("state must be a vector or a density matrix")
+    return report.escape(state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,21 +576,28 @@ class CoinOverlapMatrix:
         return int(np.sum(self.eigenvalues < 1e-8))
 
 
+def coin_overlap_matrices(report: SpectralReport, g: ColoredGraph, vertices=None):
+    """The coin-overlap blocks of ``vertices`` (default: all) of equal degree
+    d, from the report's ``vertex_blocks`` and one stacked eigh.  A block
+    that is not Hermitian, or not positive semidefinite, to 1e-10 raises
+    ValueError."""
+    idx = BasisIndexing.from_graph(g)
+    vertices = range(g.num_vertices) if vertices is None else vertices
+    blocks = report.vertex_blocks(np.array([idx.vertex_indices(v) for v in vertices]))
+    herm_defect = float(np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1)))) if blocks.size else 0.0
+    if not herm_defect <= 1e-10:
+        raise ValueError(f"coin-overlap block not Hermitian (defect {herm_defect:.3e})")
+    blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
+    w, v = np.linalg.eigh(blocks)
+    if w.size and not w[:, 0].min() >= -1e-10:
+        raise ValueError(f"coin-overlap block not PSD (min eigenvalue {w[:, 0].min():.3e})")
+    return tuple(CoinOverlapMatrix(int(x), *parts) for x, *parts in zip(vertices, blocks, w, v))
+
+
 def coin_overlap_matrix(
     report: SpectralReport, g: ColoredGraph, vertex: int
 ) -> CoinOverlapMatrix:
-    idx = BasisIndexing.from_graph(g)
-    rows = np.asarray(idx.vertex_indices(vertex))
-    b = report.basis[rows]
-    block = b @ b.conj().T
-    herm_defect = float(np.max(np.abs(block - block.conj().T))) if block.size else 0.0
-    if not herm_defect <= 1e-10:
-        raise ValueError(f"coin-overlap block not Hermitian (defect {herm_defect:.3e})")
-    block = (block + block.conj().T) / 2
-    w, v = np.linalg.eigh(block)
-    if w.size and not w[0] >= -1e-10:
-        raise ValueError(f"coin-overlap block not PSD (min eigenvalue {w[0]:.3e})")
-    return CoinOverlapMatrix(vertex, block, w, v)
+    return coin_overlap_matrices(report, g, [vertex])[0]
 
 
 def degeneracy_condition(u_or_clusters, coin_dim: int) -> str:

@@ -266,13 +266,25 @@ class TestSpectrumCommand:
 
     def test_eigensolve_over_the_memory_budget_exits_one(self, monkeypatch, capsys):
         # six 384 x 384 complex arrays against a 1 MiB budget, refused before
-        # U is built
+        # U is built (the rewired hypercube takes the dense eigensolve)
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
+        code, out = run_cli("spectrum", "--graph", "distorted-hypercube:6")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: dimension 384 needs an estimated 14 MiB, over a memory budget of 1 MiB\n"
+        )
+
+    def test_fourier_basis_over_the_memory_budget_exits_one(self, monkeypatch, capsys):
+        # the Fourier spectrum of hypercube:6 fits in 1 MiB; the 384 x 72
+        # untrapped basis that the coin blocks read does not (7 x 384 x 73
+        # complex entries), and is refused before it is built
         monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
         monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
         code, out = run_cli("spectrum", "--graph", "hypercube:6")
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == (
-            "error: dimension 384 needs an estimated 14 MiB, over a memory budget of 1 MiB\n"
+            "error: dimension 384 needs an estimated 3 MiB, over a memory budget of 1 MiB\n"
         )
 
     def test_dft_cube4_multiplicities(self):
@@ -410,6 +422,19 @@ class TestClassicalCommand:
     def test_deterministic_given_seed(self):
         args = ("classical", "--hypercube", "3", "--mc-trials", "5000", "--seed", "3")
         assert run_cli(*args) == run_cli(*args)
+
+
+@pytest.mark.parametrize("argv", [["hitting", "--graph", "hypercube:40"],
+                                  ["classical", "--hypercube", "40", "--mc-trials", "1"]])
+def test_huge_hypercube_exits_one_before_listing_edges(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an edge was listed")
+
+    monkeypatch.setattr(graphs, "Edge", refuse)
+    code, out = run_cli(*argv)
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dimension 43980465111040 needs an estimated" in err
 
 
 class TestGraphFile:

@@ -80,12 +80,17 @@ class TestStepDtypes:
         return seen
 
     @pytest.mark.parametrize("coin, dtype", [(walk.grover_coin, F64), (walk.dft_coin, C128)])
-    def test_series_steps_in_the_walk_dtype(self, seen, coin, dtype):
-        """The first step gets the real start; every later one the walk's dtype."""
+    def test_series_steps_in_the_walk_dtype(self, seen, monkeypatch, coin, dtype):
+        """The unitary series steps its own gathers: each stepped state, read
+        at the finals, is in the walk's dtype.  The decohered series applies
+        the walk: the first step gets the real start, every later one the
+        walk's dtype."""
         g, spec = cube_spec(coin=coin)
+        stepped, vdot = [], np.vdot
+        monkeypatch.setattr(np, "vdot", lambda a, b: stepped.append(b.dtype) or vdot(a, b))
         hitting.hitting_time_series(spec, 1e-6)
-        assert len(seen) > 1 and seen[0] == F64 and set(seen[1:]) == {dtype}
-        seen.clear()
+        monkeypatch.setattr(np, "vdot", vdot)
+        assert len(stepped) > 1 and set(stepped) == {dtype} and not seen
         ch = deco.dephasing_channel("coin", 0.5, g.num_vertices, g.degree_value)
         deco.decohered_hitting_series(spec, ch, 1e-6)
         assert len(seen) > 1 and seen[0] == F64 and set(seen[1:]) == {dtype}

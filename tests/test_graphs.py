@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwlab import graphs
+from qwlab import graphs, walk
 from qwlab.graphs import BasisIndexing, ColoredGraph, Edge
 
 
@@ -38,6 +38,16 @@ class TestHypercube:
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
             graphs.build_hypercube(0)
+
+    def test_refused_before_its_edges_are_listed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an edge was listed")
+
+        # 5120 edges at HYPERCUBE_EDGE_BYTES each, against a 1 MiB budget
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(graphs, "Edge", refuse)
+        with pytest.raises(ValueError, match="dimension 10240 needs an estimated 3 MiB, over a memory budget of 1 MiB"):
+            graphs.build_hypercube(10)
 
 
 def sigma_x_on_bit(bit: int, n: int) -> np.ndarray:

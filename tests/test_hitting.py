@@ -173,6 +173,17 @@ class TestFirstHitDistribution:
 
 
 class TestSeries:
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    def test_fused_step_matches_apply_bit_for_bit(self, coin_kind):
+        # the series steps in the coin-major order that apply multiplies in
+        spec = hypercube_spec(5, coin_kind)
+        fin, psi, want = spec.final_array, spec.psi0, []
+        for _ in range(300):
+            psi = spec.walk.apply(psi)
+            want.append(float(np.real(np.vdot(psi[fin], psi[fin]))))
+            psi[fin] = 0.0
+        assert hitting.first_hit_distribution(spec, 300).tolist() == want
+
     def test_single_edge(self):
         for eps in (0.5, 1e-3, 1e-9):
             res = hitting.hitting_time_series(edge_spec(), eps)
@@ -246,6 +257,14 @@ class TestConcurrent:
     def test_cap_below_one_is_a_bad_argument(self, cap):
         with pytest.raises(ValueError, match="step_cap must be >= 1"):
             hitting.concurrent_hitting_time(hypercube_spec(3), 0.9, step_cap=cap)
+
+    def test_cap_below_one_is_refused_before_the_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve started")
+
+        monkeypatch.setattr(spectral, "infinite_hitting_projector", refuse)
+        with pytest.raises(ValueError, match="step_cap must be >= 1"):
+            hitting.concurrent_hitting_time(hypercube_spec(7), 0.9, step_cap=0)
 
     def test_spectrum_refuses_before_stepping(self, monkeypatch):
         # on dft hypercube:5 the arrival mass creeps toward 1 - 0.2553 too
@@ -399,9 +418,13 @@ class TestClosedForm:
         # the process reads its budget once; these checks read it afresh
         monkeypatch.setattr(walk, "_memory_budget", walk._memory_budget.__wrapped__)
         assert walk._memory_budget() == 2**20
-        # hypercube:5 fits in physical memory, not in the limit
+        # the eigensolve of distorted-hypercube:5 (D=160, no Fourier route)
+        # fits in physical memory, not in the limit
+        g = graphs.build_distorted_hypercube(5)
+        spec = hitting.measured_walk(walk.evolution_operator(g, walk.grover_coin(5)),
+                                     hitting.symmetric_state(g, 0), final_vertices=[31])
         with pytest.raises(ValueError, match="dimension 160 needs an estimated 2 MiB, over a memory budget of 1 MiB"):
-            hitting.hitting_time_closed_form(hypercube_spec(5))
+            hitting.hitting_time_closed_form(spec)
         monkeypatch.setattr(walk, "PROC_CGROUP", str(tmp_path / "absent"))
         assert walk._memory_budget() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 

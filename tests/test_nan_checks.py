@@ -57,8 +57,8 @@ def nan_quotient_coin():
 
 
 def nan_coin_overlap():
-    g, op = cube3()
-    report = spectral.infinite_hitting_projector(op, np.arange(21, 24))
+    g, op = cube3()  # the dense report, whose blocks read the trapped basis
+    report = spectral.infinite_hitting_projector(op.matrix, np.arange(21, 24))
     report = dataclasses.replace(report, basis=np.full_like(report.basis, NAN))
     return spectral.coin_overlap_matrix(report, g, 0)
 

@@ -581,12 +581,13 @@ def test_symmetry_paths_build_no_dense_isometry_or_shift(monkeypatch, descriptor
 
 def test_verdict_over_the_memory_budget_raises(monkeypatch):
     # U (2.25 MiB with its gather) fits in 8 MiB, the eigensolve's six
-    # 384 x 384 complex arrays do not; the verdict refuses before it reads U
+    # 384 x 384 complex arrays do not; the verdict refuses before it reads U.
+    # U is given as its dense matrix, which takes the dense eigensolve.
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve started")
 
     g, cay, _ = cli.resolve_graph("hypercube:6", None)
-    op = walk.evolution_operator(g, walk.grover_coin(6))
+    op = walk.WalkOperator(walk.evolution_operator(g, walk.grover_coin(6)).matrix)
     basis = quotient.orbit_basis(cli.resolve_subgroup(["(1,2)"], cay), op.dim)
     final = graphs.BasisIndexing.from_graph(g).indices_for([63])
     monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)

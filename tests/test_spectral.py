@@ -1,7 +1,10 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
-from qwlab import graphs, hitting, quotient, spectral, walk
+from qwlab import cli, fourier, graphs, hitting, quotient, spectral, walk
 
 from conftest import battery, full_direction_group, random_unitary, trapped_projector
 
@@ -480,6 +483,18 @@ class TestCoinOverlap:
             cv = spectral.coin_overlap_matrix(report, g, v)
             assert np.max(np.abs(cv.matrix)) < 1e-12
 
+    def test_batched_blocks_are_the_per_vertex_blocks(self):
+        g, op, fin = hypercube_setup(4, "dft")
+        report = spectral.infinite_hitting_projector(op.matrix, fin)
+        idx = graphs.BasisIndexing.from_graph(g)
+        blocks = spectral.coin_overlap_matrices(report, g)
+        assert [b.vertex for b in blocks] == list(range(16))
+        for v, block in enumerate(blocks):
+            b = report.basis[list(idx.vertex_indices(v))]
+            assert np.max(np.abs(block.matrix - b @ b.conj().T)) <= 1e-14
+            single = spectral.coin_overlap_matrix(report, g, v)
+            assert np.array_equal(single.eigenvalues, block.eigenvalues)
+
     def test_blocks_tile_the_trace(self):
         for coin_kind in ("grover", "dft"):
             g, op, fin = hypercube_setup(3, coin_kind)
@@ -516,3 +531,125 @@ class TestReportDict:
         d = spectral.report_to_dict(report)
         assert d["trace_p_int"] == report.trace_int
         assert sum(e["multiplicity"] for e in d["eigenvalues"]) == 24
+
+
+def permuted_color_cube(n):
+    """build_hypercube(n) with colors 1 and 2 swapped, read back from JSON:
+    the same graph, whose shift is not the one the Fourier route reads."""
+    doc = graphs.graph_to_dict(graphs.build_hypercube(n))
+    swap = {1: 2, 2: 1}
+    for e in doc["edges"]:
+        e["cu"] = e["cv"] = swap.get(e["cu"], e["cu"])
+    return graphs.graph_from_json(json.dumps(doc))
+
+
+def cube_walk_spec(n, coin_kind, start, finals):
+    g = graphs.build_hypercube(n)
+    coin = walk.grover_coin(n) if coin_kind == "grover" else walk.dft_coin(n)
+    psi = hitting.symmetric_state(g, 0) if start == "symmetric" else hitting.basis_state(g, 0, 1)
+    return hitting.measured_walk(walk.evolution_operator(g, coin), psi, final_vertices=finals)
+
+
+class TestFourierRoute:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    def test_matches_the_dense_route(self, n, coin_kind):
+        for start in ("symmetric", "basis"):
+            for finals in ([2**n - 1], [2**n - 1, 2**n - 2]):
+                spec = cube_walk_spec(n, coin_kind, start, finals)
+                dense = hitting.measured_walk(walk.WalkOperator(spec.walk.matrix), spec.state,
+                                              final_indices=spec.final_indices)
+                fr = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
+                dr = spectral.infinite_hitting_projector(dense.walk, spec.final_array)
+                assert type(fr) is fourier.FourierReport and type(dr) is spectral.SpectralReport
+                assert [c.multiplicity for c in fr.clusters] == [c.multiplicity for c in dr.clusters]
+                assert fr.contributions == dr.contributions and fr.warnings == dr.warnings
+                lams = [c.eigenvalue for c in fr.clusters]
+                assert np.max(np.abs(np.subtract(lams, [c.eigenvalue for c in dr.clusters]))) <= 1e-12
+                got, want = hitting.hitting_time_closed_form(spec), hitting.hitting_time_closed_form(dense)
+                assert (got.method, got.kind) == (want.method, want.kind)
+                if want.is_finite:
+                    assert got.value == pytest.approx(want.value, rel=1e-10)
+                else:
+                    assert got.escape_probability == pytest.approx(want.escape_probability, abs=1e-12)
+
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    def test_bases_span_the_dense_subspaces(self, coin_kind):
+        spec = cube_walk_spec(4, coin_kind, "symmetric", [15])
+        fr = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
+        dr = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
+        for got, want in ((fr.basis, dr.basis), (fr.untrapped, dr.untrapped)):
+            assert np.max(np.abs(got.conj().T @ got - np.eye(got.shape[1]))) <= 1e-12
+            assert np.max(np.abs(got @ got.conj().T - want @ want.conj().T)) <= 1e-10
+        u = spec.walk.matrix
+        for c in fr.clusters:
+            assert np.max(np.abs(u @ c.basis - c.eigenvalue * c.basis)) <= 1e-10
+        rho = spec.rho0
+        assert fr.escape(rho) == pytest.approx(dr.escape(rho), abs=1e-12)
+        assert np.max(np.abs(fr.untrapped_start(rho) - fr.untrapped.conj().T @ rho @ fr.untrapped)) <= 1e-12
+        mixed = hitting.MeasuredWalkSpec(spec.walk, spec.final_indices, rho)
+        assert hitting.hitting_time_closed_form(mixed).value == pytest.approx(
+            hitting.hitting_time_closed_form(spec).value, rel=1e-10)
+
+    def test_no_finals_trap_everything(self):
+        _, op, _ = hypercube_setup(3, "dft")
+        for u in (op, op.matrix):
+            report = spectral.infinite_hitting_projector(u, [])
+            assert report.trapped_dim == report.trace_int == 24 and report.untrapped.shape == (24, 0)
+
+    @pytest.mark.parametrize("walk_kind", ["distorted", "dense-matrix", "permuted-colors"])
+    def test_other_walks_take_the_dense_route(self, monkeypatch, walk_kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fourier route taken")
+
+        g = permuted_color_cube(3) if walk_kind == "permuted-colors" else (
+            graphs.build_distorted_hypercube(3) if walk_kind == "distorted" else graphs.build_hypercube(3))
+        op = walk.evolution_operator(g, walk.grover_coin(3))
+        if walk_kind == "dense-matrix":
+            op = walk.WalkOperator(op.matrix)
+        spec = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_indices=range(21, 24))
+        cube = cube_walk_spec(3, "grover", "symmetric", [7])
+        want = hitting.hitting_time_closed_form(cube).value
+        monkeypatch.setattr(fourier, "frame", refuse)
+        report = spectral.infinite_hitting_projector(op, spec.final_array)
+        assert type(report) is spectral.SpectralReport
+        spectral.eigenspace_clusters(op)
+        got = hitting.hitting_time_closed_form(spec).value
+        if walk_kind != "distorted":  # the same walk, relabelled or given densely
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_builds_no_dense_matrix(self, monkeypatch):
+        # spectrum and hitting on hypercube:3-8, with the dense U unavailable;
+        # the grover hitting times match the Hamming-weight line walk
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense U read")
+
+        line_taus = {}
+        for n in range(3, 9):
+            lw = quotient.hypercube_line_reduction(n)
+            start = np.zeros(lw.dim)
+            start[lw.start_index] = 1.0
+            line = hitting.measured_walk(walk.WalkOperator(lw.matrix), start, final_indices=[lw.final_index])
+            line_taus[n] = hitting.hitting_time_closed_form(line).value
+        monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
+        monkeypatch.setattr(graphs, "shift_matrix", refuse)
+        for n in range(3, 9):
+            out = io.StringIO()
+            assert cli.main(["spectrum", "--graph", f"hypercube:{n}"], out=out) == 0
+            payload = json.loads(out.getvalue())
+            assert payload["trace_p_int"] == sum(e["trapped_dim"] for e in payload["eigenvalues"])
+            out = io.StringIO()
+            assert cli.main(["hitting", "--graph", f"hypercube:{n}"], out=out) == 0
+            tau = float(out.getvalue().splitlines()[1].split(",")[2])
+            assert tau == pytest.approx(line_taus[n], rel=1e-10)
+
+    def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fourier route allocated")
+
+        # 10240 x (8 x 10 + 8 x 10) complex entries against an 8 MiB budget
+        spec = cube_walk_spec(10, "grover", "symmetric", [1023])
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
+        monkeypatch.setattr(fourier, "frame", refuse)
+        with pytest.raises(ValueError, match="dimension 10240 needs an estimated 25 MiB, over a memory budget of 8 MiB"):
+            hitting.hitting_time_closed_form(spec)
