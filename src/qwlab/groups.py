@@ -6,15 +6,19 @@ integer arithmetic: p is an automorphism iff conjugating the shift
 permutation by p returns it unchanged.
 
 A closed group is an ``order x degree`` integer table, one image per row,
-built by breadth-first products of whole frontiers of rows.  The
-``Permutation`` objects of its elements are built only when first read;
-orbits, quotients and verdicts need only the generators.
+listed from a Schreier-Sims stabilizer chain (Sims 1970; Seress,
+*Permutation Group Algorithms*, 2003, ch. 4): the chain gives the order
+before any row exists, and every element once, as a product of coset
+representatives.  The ``Permutation`` objects of its elements are built
+only when first read; orbits, quotients and verdicts need only the
+generators.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -24,6 +28,7 @@ import numpy as np
 
 from .errors import GroupOrderError, NotAnAutomorphismError
 from .graphs import BasisIndexing, CayleyGraph, ColoredGraph, shift_permutation
+from .walk import _check_memory
 
 __all__ = [
     "Permutation",
@@ -41,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ORDER = 10_080  # 2 * |S_7|; desk-scale graphs only
+SIFT_ENTRIES = 2**20  # permutation entries a batch of Schreier generators holds
 
 
 @dataclass(frozen=True)
@@ -248,55 +254,157 @@ def is_direction_preserving(g: ColoredGraph, p: Permutation) -> bool:
     return True
 
 
-def closure(generators: Sequence[Permutation], *, dim: int | None = None) -> PermGroup:
-    """Full element set generated by breadth-first products.
+def _through(perms: np.ndarray, which: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``perms[which[r], points[r, x]]`` for every r and x: each row of
+    ``points`` sent through the permutation row of ``perms`` that ``which``
+    names, as one flat gather."""
+    return np.take(perms, points + which[..., None] * perms.shape[1])
 
-    Each level multiplies the whole frontier by each generator with one
-    gather, ``s[frontier]``, whose rows are the products ``s.compose(p)``.
-    Finite closure under generator products contains inverses and the
-    identity automatically.  Raises :class:`GroupOrderError` as soon as
-    more than ``DEFAULT_MAX_ORDER`` elements are found, to guard against
-    combinatorial blowup; the limit is read at each call.
+
+class _StabilizerChain:
+    """Schreier-Sims stabilizer chain of the group generated by ``gens``.
+
+    Level i holds a base point, the strong generators fixing every earlier
+    base point, and its transversal: the base point's orbit under those
+    generators, each orbit point with the coset representative that takes
+    the base point there (and its inverse).  Schreier generators of a level
+    are sifted through the levels below it; one that does not sift to the
+    identity joins the levels it fixes, and checking resumes at the deepest
+    of them.  A level whose Schreier generators all sift to the identity is
+    complete, and once every level is, the order is the product of the
+    transversal sizes.  That product only grows as the chain does, and is a
+    lower bound on the order throughout, so a group past
+    ``DEFAULT_MAX_ORDER`` is refused as soon as the bound passes it.
+    """
+
+    def __init__(self, gens: Sequence[np.ndarray], degree: int, dtype: type):
+        self.identity = np.arange(degree, dtype=dtype)
+        self.base: list[int] = []
+        self.gens: list[list[np.ndarray]] = []
+        self.orbits: list[np.ndarray] = []  # orbit points in discovery order
+        self.reps: list[np.ndarray] = []  # reps[i][j] takes base[i] to orbits[i][j]
+        self.inverses: list[np.ndarray] = []
+        self.where: list[np.ndarray] = []  # where[i][x]: index of x in orbits[i], or -1
+        gens = [g for g in gens if not np.array_equal(g, self.identity)]
+        for g in gens:
+            if np.array_equal(g[self.base], self.base):  # fixes every base point so far
+                self._add_level(g)
+        for i in range(len(self.base)):
+            self.gens[i] = [g for g in gens if np.array_equal(g[self.base[:i]], self.base[:i])]
+            self._transversal(i)
+        i = len(self.base) - 1
+        while i >= 0:
+            residue, j = self._sifted_schreier(i)
+            if residue is None:
+                i -= 1
+                continue
+            if j == len(self.base):
+                self._add_level(residue)
+            for level in range(i + 1, j + 1):
+                self.gens[level].append(residue)
+                self._transversal(level)
+            i = j
+
+    @property
+    def order(self) -> int:
+        return math.prod(o.size for o in self.orbits)
+
+    def _add_level(self, g: np.ndarray) -> None:
+        """A new last level, based at the first point g moves; its
+        transversal is built once its generators are in place."""
+        point = int(np.argmax(g != self.identity))
+        self.base.append(point)
+        self.gens.append([])
+        self.orbits.append(np.array([point]))
+        self.reps.append(None)
+        self.inverses.append(None)
+        self.where.append(None)
+
+    def _transversal(self, i: int) -> None:
+        """Orbit of base point i under its level's generators, breadth-first,
+        refused as soon as it makes the order bound pass DEFAULT_MAX_ORDER;
+        the representative of s(x) is s after the representative of x."""
+        gens = np.stack(self.gens[i])
+        others = self.order // self.orbits[i].size
+        orbit, parent, gen = [self.base[i]], [0], [0]
+        index = {self.base[i]: 0}
+        for j, x in enumerate(orbit):  # the orbit grows as it is read
+            for k, y in enumerate(gens[:, x].tolist()):
+                if y not in index:
+                    index[y] = len(orbit)
+                    orbit.append(y)
+                    parent.append(j)
+                    gen.append(k)
+            if len(orbit) * others > DEFAULT_MAX_ORDER:
+                raise GroupOrderError(f"group order exceeds max_order={DEFAULT_MAX_ORDER}")
+        reps = np.empty((len(orbit), self.identity.size), dtype=self.identity.dtype)
+        reps[0] = self.identity
+        for j in range(1, len(orbit)):
+            reps[j] = gens[gen[j]][reps[parent[j]]]
+        inverses = np.empty_like(reps)
+        np.put_along_axis(inverses, reps, self.identity, axis=1)
+        where = np.full(self.identity.size, -1)
+        where[orbit] = np.arange(len(orbit))
+        self.orbits[i] = np.array(orbit)
+        self.reps[i] = reps
+        self.inverses[i] = inverses
+        self.where[i] = where
+
+    def _sifted_schreier(self, i: int) -> tuple[np.ndarray | None, int]:
+        """The first Schreier generator u_{s(x)}^-1 s u_x of level i, for
+        orbit points x and generators s, that does not sift to the identity
+        through the levels below, with the level where its sift stopped;
+        (None, -1) when every one does.  They sift in batches of whole
+        generators, of at most SIFT_ENTRIES entries or one generator's."""
+        gens = np.stack(self.gens[i])
+        orbit, degree = self.orbits[i], self.identity.size
+        step = max(1, SIFT_ENTRIES // (orbit.size * degree))
+        for lo in range(0, len(gens), step):
+            s = gens[lo:lo + step]
+            h = _through(self.inverses[i], self.where[i][s[:, orbit]], s[:, self.reps[i]])
+            h = h.reshape(-1, degree)
+            for level in range(i + 1, len(self.base)):
+                at = self.where[level][h[:, self.base[level]]]
+                out = np.flatnonzero(at < 0)
+                if out.size:
+                    return h[out[0]], level
+                h = _through(self.inverses[level], at, h)
+            left = np.flatnonzero(np.any(h != self.identity, axis=1))
+            if left.size:
+                return h[left[0]], len(self.base)
+        return None, -1
+
+
+def closure(generators: Sequence[Permutation], *, dim: int | None = None) -> PermGroup:
+    """Full element set, listed from a Schreier-Sims stabilizer chain.
+
+    The chain gives the order before any element is listed: a group past
+    ``DEFAULT_MAX_ORDER`` raises :class:`GroupOrderError` (the limit is read
+    at each call), and a table past the memory budget raises ValueError.
+    Every element is then u_1 u_2 ... u_k for one coset representative u_i
+    per level, so the table is built once, bottom level first, with one
+    gather per level, ``np.take(reps, table, axis=1)``, whose rows are
+    ``u.compose(t)`` for every representative u and every row t.  No
+    element is found twice.  Rows are sorted lexicographically.
     """
     generators = tuple(generators)
-    if not generators:
-        if dim is None:
-            raise ValueError("dim required for an empty generator list")
-        return PermGroup(np.arange(dim, dtype=_index_dtype(dim))[None, :], ())
+    if not generators and dim is None:
+        raise ValueError("dim required for an empty generator list")
     if dim is not None and any(g.degree != dim for g in generators):
         raise ValueError("generator degree does not match dim")
-    degree = generators[0].degree
+    degree = generators[0].degree if generators else dim
     if any(g.degree != degree for g in generators):
         raise ValueError("generators have different degrees")
 
     dtype = _index_dtype(degree)
-    gens = [np.asarray(g.image, dtype=dtype) for g in generators]
-    frontier = np.arange(degree, dtype=dtype)[None, :]
-    seen = {frontier.tobytes()}
-    levels = [frontier]
-    width = frontier.nbytes
-    while len(frontier):
-        fresh = []
-        for s in gens:
-            products = s[frontier]
-            buf = products.tobytes()
-            new_rows = []
-            for i in range(len(products)):
-                key = buf[i * width:(i + 1) * width]
-                if key not in seen:
-                    if len(seen) >= DEFAULT_MAX_ORDER:
-                        raise GroupOrderError(
-                            f"group order exceeds max_order={DEFAULT_MAX_ORDER}"
-                        )
-                    seen.add(key)
-                    new_rows.append(i)
-            fresh.append(products[new_rows])
-        frontier = np.concatenate(fresh)
-        levels.append(frontier)
-    table = np.concatenate(levels)
+    chain = _StabilizerChain([np.asarray(g.image, dtype=dtype) for g in generators], degree, dtype)
+    _check_memory(degree, 3 * chain.order * degree, dtype)  # the table, its sort keys, the sorted copy
+    table = chain.identity[None, :]
+    for reps in reversed(chain.reps):
+        table = np.take(reps, table, axis=1).reshape(-1, degree)
     if degree:  # big-endian bytes of non-negative indices sort as the rows do
         keys = table.astype(table.dtype.newbyteorder(">"))
-        table = table[np.argsort(keys.view(np.dtype((np.void, width))).ravel())]
+        table = table[np.argsort(keys.view(np.dtype((np.void, table[0].nbytes))).ravel())]
     return PermGroup(table, generators)
 
 

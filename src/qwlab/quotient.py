@@ -23,7 +23,7 @@ import numpy as np
 from .errors import OracleMismatchError, SymmetryError
 from .graphs import ColoredGraph, glued_trees_columns
 from .groups import PermGroup, Permutation, generators_of, orbit_labels
-from .spectral import _final_array, _walk_dim, infinite_hitting_projector
+from .spectral import _as_matrix, _cube_order, _final_array, _walk_dim, infinite_hitting_projector
 
 __all__ = [
     "OrbitBasis",
@@ -380,8 +380,10 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     walk directly.  The measurement must commute with the subgroup, that
     is, no orbit may straddle the finals; otherwise the measured walk
     leaves the quotient.  A final index outside [0, D) raises ValueError.
-    Route 1 gets ``u`` itself, so that a walk whose eigensolve would not
-    fit in the memory budget is refused before its dense U is read.
+    A walk whose dense eigensolve would not fit in the memory budget is
+    refused before its dense U is read; then the reduced walk is built, so
+    that a walk that leaks out of the symmetric subspace raises before the
+    full-space eigensolve.
     """
     final = np.unique(_final_array(final_indices, _walk_dim(u)))
     inside = np.bincount(basis.labels[final], minlength=basis.num_orbits)
@@ -393,11 +395,13 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     if not final_orbits.size:
         raise SymmetryError("final projector has no support on the quotient")
 
+    if not _cube_order(u):  # the dense route; the n-cube's Fourier route reads no dense U
+        u = _as_matrix(u)
+    u_h = quotient_walk(u, basis)
     report_full = infinite_hitting_projector(u, final)
-    cosines = np.linalg.svd(_orbit_sums(report_full.basis, basis, 0), compute_uv=False)
-    dim_full = int(np.sum(cosines > 1.0 - ANGLE_ATOL))
+    dim_full = _shared_directions(report_full, basis)
 
-    report_q = infinite_hitting_projector(quotient_walk(u, basis), final_orbits)
+    report_q = infinite_hitting_projector(u_h, final_orbits)
     dim_q = report_q.trace_int
     if not abs(report_q.trace_p - dim_q) <= 1e-6:
         raise OracleMismatchError(
@@ -413,6 +417,20 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
         full_trace=report_full.trace_p,
         quotient_trace=report_q.trace_p,
     )
+
+
+def _shared_directions(report, basis: OrbitBasis) -> int:
+    """dim(ran B intersect the trapped subspace): the principal angle cosines
+    above 1 - ANGLE_ATOL, the singular values of B+ V for the D x t trapped
+    basis V.  The rows of B+ [V W] are orthonormal, so the same k directions
+    have squared sines below 2 ANGLE_ATOL - ANGLE_ATOL^2 against the D x r
+    untrapped basis W; when r < t, k less the singular values of B+ W at or
+    above that bound is counted on W instead."""
+    if report.untrapped_dim < report.trapped_dim:
+        sines = np.linalg.svd(_orbit_sums(report.untrapped, basis, 0), compute_uv=False)
+        return basis.num_orbits - int(np.sum(sines**2 >= 2 * ANGLE_ATOL - ANGLE_ATOL**2))
+    cosines = np.linalg.svd(_orbit_sums(report.basis, basis, 0), compute_uv=False)
+    return int(np.sum(cosines > 1.0 - ANGLE_ATOL))
 
 
 def quotient_automorphism_check(

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,86 @@ ORACLE_CASES = {
 }
 
 
+def breadth_first_table(generators, degree):
+    """The group table by breadth-first products of whole frontiers, each
+    product row looked up among the rows' bytes, sorted by big-endian row
+    bytes; past ``DEFAULT_MAX_ORDER`` rows it raises.  An oracle for
+    ``closure``'s stabilizer chain that shares none of its code."""
+    dtype = groups._index_dtype(degree)
+    gens = [np.asarray(g.image, dtype=dtype) for g in generators]
+    frontier = np.arange(degree, dtype=dtype)[None, :]
+    if not gens:
+        return frontier
+    seen = {frontier.tobytes()}
+    levels = [frontier]
+    width = frontier.nbytes
+    while len(frontier):
+        fresh = []
+        for s in gens:
+            products = s[frontier]
+            buf = products.tobytes()
+            new_rows = []
+            for i in range(len(products)):
+                key = buf[i * width:(i + 1) * width]
+                if key not in seen:
+                    if len(seen) >= groups.DEFAULT_MAX_ORDER:
+                        raise GroupOrderError(f"group order exceeds max_order={groups.DEFAULT_MAX_ORDER}")
+                    seen.add(key)
+                    new_rows.append(i)
+            fresh.append(products[new_rows])
+        frontier = np.concatenate(fresh)
+        levels.append(frontier)
+    table = np.concatenate(levels)
+    if degree:
+        keys = table.astype(table.dtype.newbyteorder(">"))
+        table = table[np.argsort(keys.view(np.dtype((np.void, width))).ravel())]
+    return table
+
+
+def lifted(cay, *cycle_texts):
+    return [groups.direction_perm_to_automorphism(cay, groups.parse_cycles(t, cay.degree))
+            for t in cycle_texts]
+
+
+def adjacent_transpositions(cay):
+    return lifted(cay, *(f"({i},{i + 1})" for i in range(1, cay.degree)))
+
+
+def translations(cay):
+    return [groups.left_translation(cay, a) for a in cay.generators]
+
+
+def _hypercube(n):
+    return graphs.cayley_hypercube(n)
+
+
+CHAIN_CASES = {
+    **{f"hypercube:{n}/full": (lambda n=n: adjacent_transpositions(_hypercube(n))) for n in range(3, 8)},
+    "hypercube:6/(1,2)(3,4)": lambda: lifted(_hypercube(6), "(1,2)(3,4)"),
+    "hypercube:5/(1,2,3,4,5)": lambda: lifted(_hypercube(5), "(1,2,3,4,5)"),
+    "cayley:s3:2gen/full": lambda: adjacent_transpositions(graphs.cayley_s3_2gen()),
+    "cayley:s3:3gen/full": lambda: adjacent_transpositions(graphs.cayley_s3_3gen()),
+    "cayley:s3:3gen/(1,2,3)": lambda: lifted(graphs.cayley_s3_3gen(), "(1,2,3)"),
+    "cayley:s4:3gen/full": lambda: adjacent_transpositions(graphs.cayley_s4_3gen()),
+    "cayley:s4:3gen/(1,2,3)": lambda: lifted(graphs.cayley_s4_3gen(), "(1,2,3)"),
+    "cayley:s3:2gen/translations": lambda: translations(graphs.cayley_s3_2gen()),
+    "cayley:s4:3gen/translations": lambda: translations(graphs.cayley_s4_3gen()),
+    "hypercube:4/translations": lambda: translations(_hypercube(4)),
+    "hypercube:3/translations+(1,2)": lambda: translations(_hypercube(3)) + lifted(_hypercube(3), "(1,2)"),
+    "hypercube:4/translations+full": lambda: translations(_hypercube(4)) + adjacent_transpositions(_hypercube(4)),
+    "hypercube:5/(1,2)+translation": lambda: lifted(_hypercube(5), "(1,2)") + translations(_hypercube(5))[2:3],
+    "hypercube:4/identity,duplicates": lambda: (
+        lifted(_hypercube(4), "", "(1,2)", "(1,2)", "(2,3)", "", "(2,3)", "(3,4)")
+    ),
+    "hypercube:4/redundant": lambda: (
+        lifted(_hypercube(4), "(1,2)", "(1,3)", "(1,2,3)", "(1,2,3,4)", "(1,4)(2,3)", "(1,2)(3,4)")
+    ),
+    "hypercube:4/identity only": lambda: lifted(_hypercube(4), "", ""),
+    "degree 1": lambda: [Permutation((0,))],
+    "degree 0": lambda: [Permutation(()), Permutation(())],
+}
+
+
 class TestClosure:
     def test_single_involution(self):
         p = Permutation((1, 0, 2))
@@ -274,14 +355,66 @@ class TestClosure:
         with pytest.raises(GroupOrderError, match="max_order=23"):
             groups.closure(gens)
 
-    def test_hypercube8_full_direction_group_refused(self):
-        cay = graphs.cayley_hypercube(8)
-        gens = [
-            groups.direction_perm_to_automorphism(cay, groups.parse_cycles(f"({i},{i + 1})", 8))
-            for i in range(1, 8)
-        ]
-        with pytest.raises(GroupOrderError, match=f"max_order={groups.DEFAULT_MAX_ORDER}"):
-            groups.closure(gens)
+    @pytest.mark.parametrize("case", list(CHAIN_CASES))
+    def test_matches_the_breadth_first_table(self, case):
+        gens = tuple(CHAIN_CASES[case]())
+        grp = groups.closure(gens)
+        table = breadth_first_table(gens, gens[0].degree)
+        assert grp.table.dtype == table.dtype
+        assert grp.table.shape == table.shape
+        assert grp.table.tobytes() == table.tobytes()
+        assert grp.order == len(table)
+        assert grp.generators == gens
+
+    def test_empty_generators_match_the_breadth_first_table(self):
+        for dim in (0, 1, 6):
+            grp = groups.closure([], dim=dim)
+            assert grp.table.tobytes() == breadth_first_table([], dim).tobytes()
+            assert grp.table.shape == (1, dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), degree=st.integers(0, 10), count=st.integers(0, 4))
+    def test_random_generators_match_the_breadth_first_table(self, data, degree, count):
+        perms = st.permutations(range(degree)).map(lambda image: Permutation(tuple(image)))
+        gens = tuple(data.draw(st.lists(perms, min_size=count, max_size=count)))
+        try:
+            table = breadth_first_table(gens, degree)
+        except GroupOrderError:
+            with pytest.raises(GroupOrderError, match=f"max_order={groups.DEFAULT_MAX_ORDER}"):
+                groups.closure(gens, dim=degree)
+            return
+        grp = groups.closure(gens, dim=degree)
+        assert grp.table.tobytes() == table.tobytes()
+        assert grp.order == len(table)
+        assert grp.generators == gens
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_full_direction_group_refused_before_listing(self, n):
+        # |S_8| = 40,320 rows of 2,048 and |S_9| rows of 4,608 would take
+        # 165 MB and 3.3 GB; the refusal comes from the chain's order alone.
+        gens = adjacent_transpositions(graphs.cayley_hypercube(n))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupOrderError, match="group order exceeds max_order=10080"):
+                groups.closure(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_table_over_the_memory_budget_raises(self, monkeypatch):
+        # S_6 on hypercube:6 is 720 rows of 384 int16 entries, 540 KiB a
+        # copy; the refusal comes before the first copy is made.
+        gens = adjacent_transpositions(graphs.cayley_hypercube(6))
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension 384 needs an estimated 2 MiB, over a memory budget of 1 MiB"):
+                groups.closure(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 720 * 384 * 2
 
     def test_mixed_generator_degrees_rejected(self):
         gens = [Permutation((1, 0)), Permutation((1, 0, 2))]

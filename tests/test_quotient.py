@@ -595,3 +595,62 @@ def test_verdict_over_the_memory_budget_raises(monkeypatch):
     monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
     with pytest.raises(ValueError, match="dimension 384 needs an estimated 14 MiB, over a memory budget of 8 MiB"):
         quotient.quotient_infinite_hitting(op, basis, final)
+
+
+@pytest.mark.parametrize("form", ["dense", "factored"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_verdict_on_a_leaking_walk_raises_before_any_eigensolve(monkeypatch, n, form):
+    # The dft coin does not commute with direction swaps, so the walk leaks
+    # out of the symmetric subspace; that is found from the orbit sums alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve started")
+
+    cay, op = cube_walk(n, "dft")
+    basis = quotient.orbit_basis(full_direction_group(cay).generators, op.dim)
+    final = graphs.BasisIndexing.from_graph(cay.graph).indices_for([2**n - 1])
+    monkeypatch.setattr(spectral, "infinite_hitting_projector", refuse)
+    monkeypatch.setattr(quotient, "infinite_hitting_projector", refuse)
+    with pytest.raises(SymmetryError, match="leaks out of the symmetric subspace"):
+        quotient.quotient_infinite_hitting(op.matrix if form == "dense" else op, basis, final)
+
+
+@pytest.mark.parametrize("coin", ["grover", "dft"])
+@pytest.mark.parametrize("subgroup", ["(1,2)", "full", "translations"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_shared_directions_agree_on_either_basis(n, subgroup, coin):
+    # Counted on whichever of the trapped and untrapped bases is narrower,
+    # the intersection with the symmetric subspace is the count of cosines
+    # above 1 - ANGLE_ATOL against the trapped basis.
+    cay, op = cube_walk(n, coin)
+    gens = {
+        "(1,2)": lambda: direction_group(cay, "(1,2)").generators,
+        "full": lambda: full_direction_group(cay).generators,
+        "translations": lambda: [groups.left_translation(cay, a) for a in cay.generators],
+    }[subgroup]()
+    basis = quotient.orbit_basis(gens, op.dim)
+    final = graphs.BasisIndexing.from_graph(cay.graph).indices_for([2**n - 1])
+    final = np.flatnonzero(np.isin(basis.labels, basis.labels[final]))
+    for u in (op, op.matrix):
+        report = spectral.infinite_hitting_projector(u, final)
+        cosines = np.linalg.svd(report.basis.conj().T @ basis.matrix, compute_uv=False)
+        expected = int(np.sum(cosines > 1.0 - quotient.ANGLE_ATOL))
+        assert quotient._shared_directions(report, basis) == expected
+
+
+@pytest.mark.parametrize("wide", [True, False])
+@pytest.mark.parametrize("gap, shared", [(0.75, 2), (1.25, 1)])
+def test_shared_directions_at_the_angle_tolerance(wide, gap, shared):
+    # Orbits {0, 1} and {2, 3}: ran B is spanned by b0 = (e0 + e1)/sqrt2 and
+    # b1 = (e2 + e3)/sqrt2.  The trapped subspace holds b1 and b0 turned by
+    # theta towards c0 = (e0 - e1)/sqrt2, with 1 - cos(theta) = gap * ANGLE_ATOL,
+    # and, when wide, also c1 = (e2 - e3)/sqrt2, so that W is the narrower basis.
+    basis = quotient.OrbitBasis(np.array([0, 0, 1, 1]))
+    b0, b1, c0, c1 = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, -1, 0, 0], [0, 0, 1, -1]]) / np.sqrt(2)
+    theta = np.arccos(1.0 - gap * quotient.ANGLE_ATOL)
+    x, y = np.cos(theta) * b0 + np.sin(theta) * c0, -np.sin(theta) * b0 + np.cos(theta) * c0
+    trapped, untrapped = ([x, b1, c1], [y]) if wide else ([x, b1], [y, c1])
+    report = spectral.SpectralReport(
+        contributions=(len(trapped),), basis=np.array(trapped).T, untrapped=np.array(untrapped).T
+    )
+    assert (report.untrapped_dim < report.trapped_dim) == wide
+    assert quotient._shared_directions(report, basis) == shared
