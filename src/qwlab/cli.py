@@ -286,9 +286,12 @@ def cmd_dfs(args, out) -> int:
         kappas = [1.0 / np.sqrt(n - 1)] * (n - 1)
     else:
         kappas = [float(t) for t in args.kappas.split(",")]
-    ch = decoherence.swap_dephasing_example(n, kappas)
-    subgroup = args.subgroup or [f"({i},{i + 1})" for i in range(1, n)]
-    gens = resolve_subgroup(subgroup, cay)
+    # the adjacent transpositions are the channel's and the default subgroup
+    adjacent = [f"({i},{i + 1})" for i in range(1, n)]
+    swaps = resolve_subgroup(adjacent, cay)
+    ch = decoherence._swap_dephasing(swaps, kappas)
+    subgroup = args.subgroup or adjacent
+    gens = resolve_subgroup(args.subgroup, cay) if args.subgroup else swaps
     dim = graphs.BasisIndexing.from_graph(g).total_dim
     basis = quotient.orbit_basis(gens, dim)
     verdict = decoherence.dfs_check_kraus(ch, basis.matrix)

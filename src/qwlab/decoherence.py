@@ -22,7 +22,7 @@ X -> U+ Phi+(Q_f X Q_f) U.  Restarted GMRES solves this on D x D
 matrices, in O(D^3) time per step and O(D^2) memory per Krylov vector;
 for a multiplier it is preconditioned by the Stein inverse of
 sqrt(min Re m) Q_f U, applied by the Smith doubling of the unitary closed
-form.  Channel data keeps the dtype of its entries, as walk data does, so
+form, stopped at a looser tail.  Channel data keeps the dtype of its entries, as walk data does, so
 type promotion runs the solve in float64 when U and the channel are real
 (Grover walks under dephasing, or swap dephasing with real kappa), else in
 complex128.  The slope in p is one more solve with the same operator, and
@@ -43,6 +43,7 @@ the first basis vector and verify the residual on all of them.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -94,6 +95,12 @@ DFS_ATOL = 1e-9
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 40
 GMRES_STALL = 0.5
+# tail bound at which the Stein doubling of the GMRES preconditioner stops
+# (machine epsilon in the unitary closed form): a preconditioner need not be
+# exact, and each power left out saves two D x D products per application;
+# at 1e-5 the hypercube:3-6 points keep 6, 5, 4 of 8, 6, 5 powers at p =
+# 0.25, 0.5, 0.75 and take no more GMRES steps
+STEIN_PRECONDITIONER_TAIL = 1e-5
 # D x D arrays held during a solve: the Krylov basis, at most MAX_DOUBLINGS
 # preconditioner powers, ten more (9.5 measured on hypercube:4-5), and U,
 # rho_0, a dephasing multiplier and its (D + 1) x D Kraus weights held by
@@ -326,6 +333,30 @@ def decohered_superoperators(
     return _survive_detect(uu, ch.schur, spec.final_array)
 
 
+def _givens_step(column: list, rotations: list, residual: float) -> float:
+    """One step of the Givens reduction of the Arnoldi least-squares problem.
+
+    ``column`` holds the k + 2 entries of the new Hessenberg column,
+    ``rotations`` the k earlier rotations (c, s), and ``residual`` the
+    least-squares residual of the k columns before, beta at k = 0.  The
+    earlier rotations take the column to its new diagonal entry a over the
+    subdiagonal b, and the rotation [[c, s], [-s*, c]] that zeroes b is
+    appended; it leaves |s| = |b| / ||(a, b)|| of the residual.  Returns
+    that residual ||beta e_1 - H y|| of the least-squares solution y for the
+    k + 1 columns, in O(k) scalar operations.  The rest of the rotated
+    column, the triangle's entries above a, is not needed: y comes from
+    one least-squares solve on H itself.
+    """
+    a = column[0]
+    for (c, s), h in zip(rotations, column[1:]):
+        a = c * h - s.conjugate() * a
+    b = column[-1]
+    nu = math.hypot(abs(a), abs(b))
+    c, s = (0.0, 1.0) if a == 0 else (abs(a) / nu, a / abs(a) * b.conjugate() / nu)
+    rotations.append((c, s))
+    return abs(s) * residual
+
+
 def _gmres(
     operator: Callable[[np.ndarray], np.ndarray],
     precondition: Callable[[np.ndarray], np.ndarray],
@@ -336,13 +367,20 @@ def _gmres(
     Right-preconditioned (Saad & Schultz 1986): each cycle builds an
     orthonormal Krylov basis of operator(precondition(.)), with the
     Gram-Schmidt pass run twice, until the least-squares residual falls
-    under GMRES_RTOL ||X|| or the basis holds GMRES_RESTART matrices.  The
-    loop ends once the true residual ||operator(X) - rhs|| is under
+    under GMRES_RTOL ||X|| or the basis holds GMRES_RESTART matrices.  That
+    residual is read off the Givens rotations of :func:`_givens_step`,
+    O(k) scalar work per step; the Hessenberg matrix H itself is kept
+    unrotated, and the cycle's coefficients y are one minimum-norm
+    least-squares solve of H y = beta e_1 at its last step, which keeps y
+    bounded when I - L is singular.  There the rotations read the exact
+    residual, which can vanish where that of the rank-truncated solve does
+    not, so a cycle may end early; its true residual then stalls.  The loop
+    ends once the true residual ||operator(X) - rhs|| is under
     GMRES_RTOL ||X||, or when a cycle leaves it above GMRES_STALL times its
-    value at the cycle start.  Returns X and that relative residual.
-    The Krylov basis and the least-squares problem take the dtype of
-    ``rhs``.  Memory is O(GMRES_RESTART D^2); each step is one operator
-    and one preconditioner application.
+    value at the cycle start.  Returns X and that relative residual.  The
+    Krylov basis and the least-squares problem take the dtype of ``rhs``.
+    Memory is O(GMRES_RESTART D^2); each step is one operator and one
+    preconditioner application.
     """
     shape = rhs.shape
     b = rhs.reshape(-1)
@@ -358,6 +396,7 @@ def _gmres(
         hess[:] = 0.0
         e1 = np.zeros(GMRES_RESTART + 1, dtype=b.dtype)
         e1[0] = res
+        rotations, estimate = [], res
         for k in range(GMRES_RESTART):
             w = operator(precondition(basis[k].reshape(shape))).reshape(-1)
             for _ in range(2):
@@ -365,11 +404,11 @@ def _gmres(
                 w = w - h @ basis[: k + 1]
                 hess[: k + 1, k] += h
             hess[k + 1, k] = np.linalg.norm(w)
-            y = np.linalg.lstsq(hess[: k + 2, : k + 1], e1[: k + 2], rcond=None)[0]
-            estimate = np.linalg.norm(e1[: k + 2] - hess[: k + 2, : k + 1] @ y)
+            estimate = _givens_step(hess[: k + 2, k].tolist(), rotations, estimate)
             if estimate <= GMRES_RTOL * scale or hess[k + 1, k] == 0.0:
                 break
             basis[k + 1] = w / hess[k + 1, k]
+        y = np.linalg.lstsq(hess[: k + 2, : k + 1], e1[: k + 2], rcond=None)[0]
         x = x + precondition((y @ basis[: k + 1]).reshape(shape)).reshape(-1)
         r = b - operator(x.reshape(shape)).reshape(-1)
         last, res = res, float(np.linalg.norm(r))
@@ -386,7 +425,8 @@ class _SurvivalMap:
     L(X) = U+ Phi+(Q_f X Q_f) U.  For a channel with Schur multiplier m,
     the preconditioner is the Stein inverse C -> sum_t (B^t)+ C B^t of
     B = sqrt(c) A with A = Q_f U, where c = min Re m (1 - p for dephasing)
-    is the weight of the identity in the channel.  The solve runs in
+    is the weight of the identity in the channel, summed by doubling until
+    the tail bound falls under STEIN_PRECONDITIONER_TAIL.  The solve runs in
     ``dtype``, the result type of U and the channel: float64 for a real
     walk under a real channel.
     """
@@ -408,7 +448,9 @@ class _SurvivalMap:
         c = 0.0 if ch.schur is None else float(np.clip(ch.schur.real.min(), 0.0, 1.0))
         if c > 0.0:
             try:
-                self.powers = list(_doubling_powers(np.sqrt(c) * self.a))
+                self.powers = list(
+                    _doubling_powers(np.sqrt(c) * self.a, STEIN_PRECONDITIONER_TAIL)
+                )
             except IndeterminateError:
                 # then m = 1 and L is the Stein map of A, whose
                 # spectral radius is not below one: I - L is singular
@@ -428,22 +470,36 @@ class _SurvivalMap:
         return x if residual <= SINGULAR_RTOL else None
 
 
+def _kraus_actions(ch: Channel, *, adjoint: bool) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The maps X -> A_i X, or X -> A_i+ X when ``adjoint``, on blocks of
+    columns; monomial A_i act by gathers, O(D) per column."""
+    if ch.monomials is None:
+        return _dense_actions([a.conj().T if adjoint else a for a in ch.kraus])
+    pairs = zip(*ch.monomials)
+    if adjoint:
+        pairs = (_monomial_adjoint(*a) for a in pairs)
+    return [functools.partial(_monomial_apply, *a) for a in pairs]
+
+
 def _trapped_basis(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:
     """Orthonormal basis T of the largest subspace off the finals that every
-    A_i U and its adjoint keep: the projector P grows from P_f to the range
-    of P + Phi(U P U+) + U+ Phi+(P) U, with rank cutoff NULLSPACE_RTOL,
-    until its rank stops, and T spans the rest.  N_D and L map each block
-    of the split by T T+ into itself.  T is real when U and the channel
-    are."""
-    u = spec.walk.matrix
-    u_dag = u.conj().T
-    channel = _channel_map(ch, adjoint=False)
-    adjoint = _channel_map(ch, adjoint=True)
+    A_i U and its adjoint keep: the projector P = B B+ grows from P_f to the
+    range of P + Phi(U P U+) + U+ Phi+(P) U = G G+, with G the columns B,
+    A_i U B and U+ A_i+ B, and rank cutoff NULLSPACE_RTOL, until its rank
+    stops, and T spans the rest.  U B comes from the walk's factored form
+    and U+ multiplies the k r columns A_i+ B, so the one D x D product of a
+    step is G G+.  N_D and L map each block of the split by T T+ into
+    itself.  T is real when U and the channel are."""
+    op = spec.walk
+    forward = _kraus_actions(ch, adjoint=False)
+    backward = _kraus_actions(ch, adjoint=True)
+    u_dag = op.matrix.conj().T
     basis = np.eye(spec.dim)[:, spec.final_array]
     while True:
-        p = basis @ basis.conj().T
-        grown = p + channel(u @ p @ u_dag) + u_dag @ adjoint(p) @ u
-        w, v = np.linalg.eigh(grown)
+        ub = op.apply(basis)
+        back = u_dag @ np.hstack([a(basis) for a in backward])
+        g = np.hstack([basis, *(a(ub) for a in forward), back])
+        w, v = np.linalg.eigh(g @ g.conj().T)
         keep = w > spectral.NULLSPACE_RTOL * w[-1]
         if keep.sum() == basis.shape[1]:
             return v[:, ~keep]
@@ -578,11 +634,7 @@ def _dense_actions(ops: Sequence[np.ndarray]) -> list[Callable[[np.ndarray], np.
 def dfs_check_kraus(ch: Channel, basis: np.ndarray, *, atol: float = DFS_ATOL) -> DfsVerdict:
     """Scalar-action test A_i v = c_i v for every basis vector of the subspace;
     monomial Kraus operators act by gathers, O(D) per column."""
-    if ch.monomials is not None:
-        ops = [functools.partial(_monomial_apply, *a) for a in zip(*ch.monomials)]
-    else:
-        ops = _dense_actions(ch.kraus)
-    return _check_scalar_action(ops, basis, atol)
+    return _check_scalar_action(_kraus_actions(ch, adjoint=False), basis, atol)
 
 
 def dfs_check_lindblad(lset: LindbladSet, basis: np.ndarray) -> DfsVerdict:
@@ -603,16 +655,25 @@ def swap_dephasing_example(n: int, kappas: Iterable[float | complex]) -> Channel
     """
     if n < 2:
         raise ValueError("swap dephasing needs n >= 2")
+    cay = graphs.cayley_hypercube(n)
+    swaps = [
+        groups.direction_perm_to_automorphism(cay, groups.parse_cycles(f"({i},{i + 1})", n))
+        for i in range(1, n)
+    ]
+    return _swap_dephasing(swaps, kappas)
+
+
+def _swap_dephasing(
+    swaps: Sequence[groups.Permutation], kappas: Iterable[float | complex]
+) -> Channel:
+    """The channel with Kraus operators kappa_i sigma_i for the lifted basis
+    permutations ``swaps``, one coefficient each, sum |kappa_i|^2 = 1."""
     kap = _inexact(tuple(kappas))
-    if len(kap) != n - 1:
-        raise ValueError(f"expected {n - 1} coefficients, got {len(kap)}")
+    if len(kap) != len(swaps):
+        raise ValueError(f"expected {len(swaps)} coefficients, got {len(kap)}")
     norm = sum(abs(k) ** 2 for k in kap)
     if not abs(norm - 1.0) <= COMPLETENESS_ATOL:
         raise ValueError(f"sum |kappa|^2 = {norm} != 1")
-    cay = graphs.cayley_hypercube(n)
-    images = np.array([
-        groups.direction_perm_to_automorphism(cay, groups.parse_cycles(f"({i},{i + 1})", n)).image
-        for i in range(1, n)
-    ])
+    images = np.array([s.image for s in swaps])
     weights = np.repeat(kap[:, None], images.shape[1], axis=1)
     return Channel._from_monomials(images, weights)

@@ -515,11 +515,14 @@ def closed_form_engine(
     return HittingResult(METHOD_PSEUDO_INVERSE, value=tau)
 
 
-def _doubling_powers(a: np.ndarray) -> Iterator[np.ndarray]:
+def _doubling_powers(
+    a: np.ndarray, tail_bound: float = np.finfo(float).eps
+) -> Iterator[np.ndarray]:
     """Yield A, A^2, A^4, ..., A^(2^(k-1)): the powers Smith doubling needs.
 
-    k is the first step with ||A^(2^k)||_F^2 under machine epsilon; that
-    bounds the tail the Stein sum leaves out, relative to the full sum.
+    k is the first step with ||A^(2^k)||_F^2 under ``tail_bound``, machine
+    epsilon unless a caller wants a cheaper, inexact sum; that bounds the
+    tail the Stein sum leaves out, relative to the full sum.
     A power is yielded once its square is known to be finite, and dropped
     when the next one is; a consumer that folds each power in as it comes
     holds two at a time.  Raises IndeterminateError on overflow or when no
@@ -535,7 +538,7 @@ def _doubling_powers(a: np.ndarray) -> Iterator[np.ndarray]:
                 "Stein doubling overflowed: the spectral radius of Q_f U is not below 1"
             )
         yield ak
-        if tail <= np.finfo(float).eps:
+        if tail <= tail_bound:
             return
         ak = square
     raise IndeterminateError(

@@ -389,6 +389,28 @@ class TestDfsCommand:
         assert payload["num_orbits"] == num_orbits
         assert payload["manifest"]["subgroup"] == ["(1,2)", "(2,3)"]
 
+    @pytest.mark.parametrize("subgroup", [[], ["(1,2)(3,4)", "(2,3)"]])
+    def test_builds_the_cube_and_each_lift_once(self, subgroup, monkeypatch):
+        # the channel's swaps are the default subgroup's lifts; a given
+        # subgroup adds its own lifts on the same Cayley graph
+        _, reference = run_cli("dfs", "--graph", "hypercube:4", *(f"--subgroup={s}" for s in subgroup))
+        calls = []
+        for module, name in ((graphs, "cayley_hypercube"), (groups, "direction_perm_to_automorphism")):
+            def counted(*args, _f=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        _, out = run_cli("dfs", "--graph", "hypercube:4", *(f"--subgroup={s}" for s in subgroup))
+        assert out == reference
+        assert calls.count("cayley_hypercube") == 1
+        assert calls.count("direction_perm_to_automorphism") == 3 + len(subgroup)
+
+    def test_kappas_are_checked_before_the_subgroup(self, capsys):
+        code, _ = run_cli("dfs", "--graph", "hypercube:4", "--kappas", "0.6,0.8", "--subgroup", "(1,9)")
+        assert code == 1
+        assert capsys.readouterr().err == "error: expected 3 coefficients, got 2\n"
+
     def test_one_dimensional_cube_is_one_error_line(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -440,6 +440,39 @@ class TestDecoheredHitting:
             traces.append(report.trace_int)
         assert traces[-2:] == [32, 18] and any(traces[:-2])
 
+    def test_trapped_basis_is_the_projector_growth(self, rng):
+        # against the growth of the dense projector P = B B+ to the range of
+        # P + Phi(U P U+) + U+ Phi+(P) U, on swap dephasing (monomial), on
+        # dense Kraus channels that damp and leak, and on a random channel
+        def grown_by_projector(spec, ch):
+            u = spec.walk.matrix
+            channel = deco._channel_map(ch, adjoint=False)
+            adjoint = deco._channel_map(ch, adjoint=True)
+            basis = np.eye(spec.dim)[:, spec.final_array]
+            while True:
+                p = basis @ basis.conj().T
+                w, v = np.linalg.eigh(p + channel(u @ p @ u.conj().T) + u.conj().T @ adjoint(p) @ u)
+                keep = w > spectral.NULLSPACE_RTOL * w[-1]
+                if keep.sum() == basis.shape[1]:
+                    return v[:, ~keep]
+                basis = v[:, keep]
+
+        cases = [
+            (grover_cube_spec(n)[1], deco.swap_dephasing_example(n, np.ones(n - 1) / np.sqrt(n - 1)))
+            for n in (3, 4, 5)
+        ]
+        cases.append((grover_cube_spec(4)[1], deco.swap_dephasing_example(4, random_kappas(4, rng))))
+        spec = two_cycle_spec(walk.dft_coin(2), 0)
+        cases += [(spec, amplitude_damping(1, 0, 16)), (spec, amplitude_damping(1, 8, 16)),
+                  (spec, random_channel(16, 2, rng)), (spec, deco.dephasing_channel("coin", 0.5, 8, 2))]
+        dims = []
+        for spec, ch in cases:
+            t, want = deco._trapped_basis(spec, ch), grown_by_projector(spec, ch)
+            assert t.shape == want.shape and t.dtype == want.dtype
+            assert np.max(np.abs(t @ t.conj().T - want @ want.conj().T), initial=0.0) <= 1e-12
+            dims.append(t.shape[1])
+        assert dims == [6, 32, 110, 32, 8, 2, 0, 8]
+
     @pytest.mark.parametrize("channel", ["coin", "swap"])
     def test_singular_point_builds_one_survival_map(self, channel, monkeypatch):
         # the solve off the trapped subspace reuses the map of the first solve
@@ -668,6 +701,166 @@ class TestSolveDtype:
             spec = phased(spec)
         survival = deco._SurvivalMap(spec, deco.dephasing_channel("coin", 0.5, g.num_vertices, g.degree_value))
         self.assert_solve_dtype(survival, survival.solve(np.eye(spec.dim)), np.complex128)
+
+
+def lstsq_gmres(operator, precondition, rhs):
+    """The decohered solve with its earlier exit test: the same restarted
+    GMRES, whose every step solves the whole Hessenberg least-squares
+    problem and takes the norm of its residual."""
+    shape = rhs.shape
+    b = rhs.reshape(-1)
+    x = np.zeros_like(b)
+    r, res = b, float(np.linalg.norm(b))
+    scale = res
+    restart = deco.GMRES_RESTART
+    basis = np.empty((restart + 1, b.size), dtype=b.dtype)
+    hess = np.empty((restart + 1, restart), dtype=b.dtype)
+    while True:
+        basis[0] = r / res
+        hess[:] = 0.0
+        e1 = np.zeros(restart + 1, dtype=b.dtype)
+        e1[0] = res
+        for k in range(restart):
+            w = operator(precondition(basis[k].reshape(shape))).reshape(-1)
+            for _ in range(2):
+                h = (basis[: k + 1] @ w.conj()).conj()
+                w = w - h @ basis[: k + 1]
+                hess[: k + 1, k] += h
+            hess[k + 1, k] = np.linalg.norm(w)
+            y = np.linalg.lstsq(hess[: k + 2, : k + 1], e1[: k + 2], rcond=None)[0]
+            estimate = np.linalg.norm(e1[: k + 2] - hess[: k + 2, : k + 1] @ y)
+            if estimate <= deco.GMRES_RTOL * scale or hess[k + 1, k] == 0.0:
+                break
+            basis[k + 1] = w / hess[k + 1, k]
+        x = x + precondition((y @ basis[: k + 1]).reshape(shape)).reshape(-1)
+        r = b - operator(x.reshape(shape)).reshape(-1)
+        last, res = res, float(np.linalg.norm(r))
+        scale = float(np.linalg.norm(x))
+        if res <= deco.GMRES_RTOL * scale or not res <= deco.GMRES_STALL * last:
+            return x.reshape(shape), res / scale
+
+
+def counted_solve(solver, survival):
+    """solver on X - L(X) = I for the survival map, as _SurvivalMap.solve
+    poses it, with the number of operator applications."""
+    calls = []
+
+    def operator(y):
+        calls.append(None)
+        return y - survival.apply(y)
+
+    rhs = np.eye(survival.a.shape[0], dtype=survival.dtype)
+    x, residual = solver(operator, lambda y: hitting._stein_sum(survival.powers, y), rhs)
+    return x, residual, len(calls)
+
+
+def gmres_maps():
+    """Coin dephasing at p = 0.5 on hypercube:3, grover and dft (real and
+    complex arithmetic), and the p = 1 point, where min Re m = 0 leaves the
+    solve unpreconditioned."""
+    g, spec = grover_cube_spec()
+    _, dft = cli_spec("hypercube:3", "symmetric", coin="dft")
+    return [
+        (spec, deco.dephasing_channel("coin", p, g.num_vertices, g.degree_value))
+        for p in (0.5, 1.0)
+    ] + [(dft, deco.dephasing_channel("coin", 0.5, g.num_vertices, g.degree_value))]
+
+
+class TestGmres:
+    """The residual estimate of the decohered GMRES comes from Givens
+    rotations; its coefficients from one least-squares solve per cycle."""
+
+    def test_givens_estimate_is_the_least_squares_residual(self, monkeypatch, rng):
+        # every step's estimate against ||beta e_1 - H y|| for the minimum-
+        # norm y of the Hessenberg matrix H built from the columns so far;
+        # the absolute floor is the rounding of that residual's computation
+        steps = []
+        rotate = deco._givens_step
+
+        def recorded(column, rotations, residual):
+            k = len(rotations)
+            estimate = rotate(column, rotations, residual)
+            steps.append((k, residual, column, estimate))
+            return estimate
+
+        monkeypatch.setattr(deco, "_givens_step", recorded)
+        # the walk's maps keep X Hermitian, so on the identity H is real even
+        # in complex arithmetic; a random right side makes it complex
+        maps = gmres_maps()
+        spec, ch = maps[0]
+        z = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal((spec.dim, spec.dim))
+        cases = [(spec, ch, np.eye(spec.dim)) for spec, ch in maps] + [(spec, ch, z)]
+        for spec, ch, rhs in cases:
+            steps.clear()
+            survival = deco._SurvivalMap(spec, ch)
+            assert survival.solve(rhs) is not None
+            dtype = np.result_type(survival.dtype, rhs)
+            for k, residual, column, estimate in steps:
+                if k == 0:
+                    hess, beta = np.zeros((deco.GMRES_RESTART + 1, deco.GMRES_RESTART), dtype), residual
+                hess[: k + 2, k] = column
+                e1 = np.zeros(k + 2, dtype=dtype)
+                e1[0] = beta
+                h = hess[: k + 2, : k + 1]
+                y = np.linalg.lstsq(h, e1, rcond=None)[0]
+                assert estimate == pytest.approx(np.linalg.norm(e1 - h @ y), rel=1e-10, abs=1e-13 * beta)
+            assert len(steps) >= 5
+        assert np.iscomplexobj(hess) and np.any(hess.imag)
+
+    def test_same_exits_as_the_least_squares_rule(self):
+        # the same steps, so the same coefficients and bit for bit the same X
+        maps = gmres_maps()
+        assert deco._SurvivalMap(*maps[1]).powers == []
+        for spec, ch in maps:
+            survival = deco._SurvivalMap(spec, ch)
+            x, residual, calls = counted_solve(deco._gmres, survival)
+            want, want_residual, want_calls = counted_solve(lstsq_gmres, survival)
+            assert calls == want_calls
+            assert residual == want_residual
+            assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("kind", ["both", "coin", "position"])
+    def test_singular_map_stops_no_later(self, kind):
+        # the singular map of test_singular_point_takes_the_dense_policy: its
+        # Krylov space closes at step 5 with H singular, where the rotations
+        # read the exact least-squares residual (~1e-15) and stop, while the
+        # rank-truncated lstsq residual stays near 2.8 and the old rule ran
+        # on to the 40th step; both cycles end in a stall, so the solve is None
+        g = two_four_cycles()
+        op = walk.evolution_operator(g, walk.grover_coin(2))
+        far = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[6])
+        survival = deco._SurvivalMap(far, deco.dephasing_channel(kind, 0.5, 8, 2))
+        _, residual, calls = counted_solve(deco._gmres, survival)
+        _, want_residual, want_calls = counted_solve(lstsq_gmres, survival)
+        assert (calls, want_calls) == (6, deco.GMRES_RESTART + 1)
+        assert residual > hitting.SINGULAR_RTOL and want_residual > hitting.SINGULAR_RTOL
+        assert survival.solve(np.eye(16, dtype=complex)) is None
+
+    @pytest.mark.parametrize("descriptor", ["hypercube:3", "hypercube:4"])
+    def test_truncated_preconditioner_costs_no_more_steps(self, descriptor, monkeypatch):
+        # the doubling stopped at STEIN_PRECONDITIONER_TAIL against the full
+        # Stein sum: no more powers, no more operator applications, and the
+        # same hitting times to 1e-12; here the powers go from 8, 6, 5 to
+        # 6, 5, 4 at p = 0.25, 0.5, 0.75
+        g, spec = cli_spec(descriptor, "symmetric")
+        points = [(kind, p) for kind in ("both", "coin", "position") for p in (0.25, 0.5, 0.75)]
+
+        def solves():
+            out = []
+            for kind, p in points:
+                survival = deco._SurvivalMap(spec, deco.dephasing_channel(kind, p, g.num_vertices, g.degree_value))
+                x, _, calls = counted_solve(deco._gmres, survival)
+                out.append((len(survival.powers), calls, float(np.real(np.sum(x * spec.rho0.T)))))
+            return out
+
+        truncated = solves()
+        monkeypatch.setattr(deco, "STEIN_PRECONDITIONER_TAIL", np.finfo(float).eps)
+        full = solves()
+        assert [t[0] for t in truncated] == [6, 5, 4] * 3
+        assert [f[0] for f in full] == [8, 6, 5] * 3
+        for (powers, calls, tau), (full_powers, full_calls, full_tau) in zip(truncated, full):
+            assert powers <= full_powers and calls <= full_calls
+            assert tau == pytest.approx(full_tau, rel=1e-12)
 
 
 def random_kappas(n, rng):

@@ -2,9 +2,9 @@
 symmetry mix's smaller walks, against the stored references, so that a
 drift from ``perfbench/references.json`` or an API change the benchmark
 reads fails here before it fails the benchmark; the arithmetic of the
-dephasing mix's decohered solves; and one traced CLI run, so that a
-library name the span tracer wraps cannot vanish unnoticed.  The
-benchmark files are only read."""
+dephasing mix's decohered solves and their operator applications; and one
+traced CLI run, so that a library name the span tracer wraps cannot vanish
+unnoticed.  The benchmark files are only read."""
 
 import importlib.util
 import io
@@ -73,6 +73,37 @@ def test_dephasing_mix_solves_in_real_arithmetic(workloads, monkeypatch):
     argv = ["sweep-decoherence", "--graph", "hypercube:3", "--coin", "dft", "--kinds", "coin", "--p-grid", "0.5"]
     assert cli.main(argv, out=io.StringIO()) == 0
     assert seen == [np.dtype(np.complex128)]
+
+
+# operator applications per decohered solve of one dephasing pass, sorted,
+# as the solver with an lstsq exit test at every step and the Stein
+# preconditioner summed to machine epsilon took them
+DEPHASING_MIX_APPLICATIONS = [7] * 12 + [10] * 3 + [11] * 15 + [17] * 12
+
+
+def test_dephasing_mix_takes_no_more_operator_applications(workloads, monkeypatch):
+    """Each of the 42 decohered solves of one dephasing pass, ranked by its
+    operator applications, takes no more than the pinned count of its rank."""
+    build, _ = workloads.WORKLOADS["dephasing"]
+    ops = build(REFERENCES)
+    counts = []
+    solve = decoherence._gmres
+
+    def counted(operator, precondition, rhs):
+        calls = []
+
+        def applied(y):
+            calls.append(None)
+            return operator(y)
+
+        out = solve(applied, precondition, rhs)
+        counts.append(len(calls))
+        return out
+
+    monkeypatch.setattr(decoherence, "_gmres", counted)
+    assert not failures(ops)
+    assert len(counts) == len(DEPHASING_MIX_APPLICATIONS)
+    assert all(c <= pinned for c, pinned in zip(sorted(counts), DEPHASING_MIX_APPLICATIONS))
 
 
 def test_symmetry_mix_builds_and_its_small_walks_pass(workloads):
