@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import (
-    CLUSTER_TOL,
     SpectralReport,
     _gap_warnings,
     _in_order,
@@ -37,7 +36,7 @@ from .spectral import (
 )
 from .walk import _check_memory
 
-__all__ = ["FourierReport", "cube_clusters", "cube_report", "frame"]
+__all__ = ["FourierReport", "cube_report", "frame"]
 
 # complex entries the Fourier route holds at once, per D x n and per D x
 # final index (a hitting time's peak by tracemalloc, beside its r x r solve,
@@ -341,11 +340,12 @@ class FourierReport(SpectralReport):
         return (a_r - f.conj().T @ g_rows)[:r, :r]
 
 
-def cube_report(u, n: int, p_f: np.ndarray) -> FourierReport:
+def cube_report(u, n: int, p_f: np.ndarray, tol: float) -> FourierReport:
     """:func:`spectral.infinite_hitting_projector` of the n-cube walk u for
-    the final indices p_f, refused first if its estimate does not fit."""
+    the final indices p_f, with clusters cut at distance tol, refused first
+    if its estimate does not fit."""
     _check_memory(n << n, _entries(n, len(p_f)))
-    cube = frame(u, n, CLUSTER_TOL)
+    cube = frame(u, n, tol)
     size = cube.multiplicities
     overlap = cube.overlap(p_f)[:, cube.members]
     rank, warnings, groups = _rank_clusters(overlap, cube.bounds[:-1], size, cube.lams,
@@ -371,11 +371,3 @@ def cube_report(u, n: int, p_f: np.ndarray) -> FourierReport:
         rank=rank,
         groups=tuple(untrapped),
     )
-
-
-def cube_clusters(u, n: int, tol: float) -> tuple:
-    """:func:`spectral.eigenspace_clusters` of the n-cube walk u, each
-    cluster's basis built when read."""
-    _check_memory(n << n, _entries(n, 0))
-    f = frame(u, n, tol)
-    return tuple(f.cluster(p) for p in range(len(f.lams)))

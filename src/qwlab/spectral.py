@@ -13,20 +13,20 @@ eigensolver or QR is used, and non-normal input is rejected.  The small
 work is batched: the blocks of all chains of one length are split by one
 stacked eigh, and the final-vertex overlaps of all clusters of one
 multiplicity by one stacked SVD, so a small walk costs a few numpy calls
-rather than a Python pass per chain and per cluster.  Only the D-tall
-products stay per chain, on column views.  The trapped subspace is kept as
-an orthonormal basis B; trace(P), escape probabilities and coin-overlap
-blocks are read from B, and no D x D projector is formed.  The rest of
-each cluster, the eigenvectors that do see the finals, is kept too: an
-orthonormal basis W of ran(I - P) made of eigenvectors of U, in which the
-hitting module solves for the hitting time.  An eigensolve whose estimated
-working set exceeds the memory budget (physical memory, or the cgroup
-limit where lower) raises ValueError before U is built or read.
+rather than a Python pass per chain and per cluster.  The trapped subspace
+is kept as an orthonormal basis B; trace(P), escape probabilities and
+coin-overlap blocks are read from B, and no D x D projector is formed.  The
+rest of each cluster, the eigenvectors that do see the finals, is kept
+too: an orthonormal basis W of ran(I - P) made of eigenvectors of U, in
+which the hitting module solves for the hitting time.  An eigensolve whose
+estimated working set exceeds the memory budget (physical memory, or the
+cgroup limit where lower) raises ValueError before U is built or read.
 
-A WalkOperator whose shift is the n-cube's, as ``build_hypercube`` colors
-it, takes the Fourier route of :mod:`qwlab.fourier` instead: its 2^n
-coin-sized blocks are split by the same batched core as the chains above
-(``_split_stack``), in O(2^n n^3) time and O(D (n + |finals|)) memory.
+Both routes split through one stacked core, ``_split_stack``: the dense
+route hands it U as a stack of one, and a WalkOperator whose shift is the
+n-cube's, as ``build_hypercube`` colors it, takes the Fourier route of
+:mod:`qwlab.fourier`, which hands it the walk's 2^n coin-sized blocks, in
+O(2^n n^3) time and O(D (n + |finals|)) memory.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def _joint_blocks(c: np.ndarray, s: np.ndarray, tol: float) -> list[np.ndarray]:
 
 def _split_chains(starts: np.ndarray, c: np.ndarray, t: np.ndarray, tol: float):
     """(first columns, Rayleigh sums, turns) of the clusters in a stack of
-    chains of one length L: the batched core of both eigensolves.
+    chains of one length L, cut from the blocks of :func:`_split_stack`.
 
     Chain g starts at column starts[g]; c[g] holds its ascending cosines and
     t[g] = W_g+ (iK) W_g its L x L block, so that diag(c[g]) + t[g] is the
@@ -301,64 +301,28 @@ def _split_chains(starts: np.ndarray, c: np.ndarray, t: np.ndarray, tol: float):
     return firsts, lams, turns
 
 
-def _split(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eigenvalues, first columns, basis) of the clusters of unitary m, in chain order.
-
-    Cluster i's orthonormal eigenbasis is the block of columns of the D x D
-    ``basis`` from ``first[i]`` up to the next cluster's first column.  Each
-    chain's D-tall work runs on column views; its small blocks are stacked
-    with those of the other chains of its length and split together.
-    """
-    cos, w = np.linalg.eigh((m + m.conj().T) / 2)
-    ikw = ((m - m.conj().T) / 2) @ w  # i K W
-    starts = np.flatnonzero(_runs(cos, max(tol, np.sqrt(tol))))
-    blocks = []
-    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(cos)]):
-        wc, ikc = w[:, lo:hi], ikw[:, lo:hi]
-        t = wc.conj().T @ ikc  # i W_c+ K W_c
-        residual = float(np.linalg.norm(ikc - wc @ t))
-        if not residual <= tol:
-            raise ValueError(
-                f"matrix is not normal (eigenspace block residual {residual:.3e} > {tol:.0e})"
-            )
-        blocks.append(t)
-    del ikw
-
-    lengths = np.diff([*starts, len(cos)])
-    firsts, lams, turns = [], [], []
-    for size in sorted(set(lengths.tolist())):
-        group = np.flatnonzero(lengths == size)
-        c = cos[starts[group, None] + np.arange(size)]
-        parts = _split_chains(starts[group], c, np.stack([blocks[i] for i in group]), tol)
-        for out, part in zip((firsts, lams, turns), parts):
-            out += part
-
-    first = np.concatenate(firsts)
-    order = np.argsort(first)
-    lam = np.concatenate(lams)[order]
-    basis = w.astype(complex, copy=False)
-    for los, xs in turns:
-        for lo, x in zip(los.tolist(), xs):
-            basis[:, lo:lo + len(x)] = basis[:, lo:lo + len(x)] @ x
-    return lam / np.abs(lam), first[order], basis
-
-
 def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Rayleigh sums, first columns, eigenvectors) of the clusters of each
-    matrix of a stack of small normal k x k matrices, in flat column order.
+    matrix of a stack of normal k x k matrices, in flat column order: the
+    one eigensolve of both routes, the dense one a stack of one.
 
     Column j of the result is column j % k of block j // k; cluster i holds
     the columns from ``first[i]`` up to the next cluster's first column, all
-    in one block.  The chains of every block are cut as in :func:`_split`.
-    A chain's block t is its diagonal block of T = W+ (iK) W, and since W is
-    unitary its residual ||iK W_c - W_c t|| is the norm of T's entries in the
-    chain's columns and the other rows; the chains of one length are split
-    together by :func:`_split_chains`.
+    in one block.  Each block's cosines, the eigenvalues of (M + M+)/2 with
+    eigenvectors W, are cut into chains across gaps of at most sqrt(tol).
+    A chain's block t is its diagonal block of T = W+ (iK W), and since W is
+    unitary its residual ||iK W_c - W_c t|| is the norm of T's entries in
+    the chain's columns and the other rows; the chains of one length are
+    split together by :func:`_split_chains`.  T is formed with W conjugated
+    in place and iK W freed before the residual, so a dense U's split holds
+    about three D x D arrays at its peak.
     """
     b, k = m.shape[:2]
-    m_h = m.conj().transpose(0, 2, 1)
-    cos, w = np.linalg.eigh((m + m_h) / 2)
-    t_all = w.conj().transpose(0, 2, 1) @ ((m - m_h) / 2) @ w
+    cos, w = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
+    ikw = ((m - m.conj().transpose(0, 2, 1)) / 2) @ w  # i K W
+    t_all = np.conjugate(w, out=w).transpose(0, 2, 1) @ ikw
+    del ikw
+    np.conjugate(w, out=w)
     new_chain = _runs(cos, max(tol, np.sqrt(tol)))  # each block starts a chain
     chain = np.cumsum(new_chain, axis=1)
     leak = np.sum(np.abs(t_all) ** 2 * (chain[:, :, None] != chain[:, None, :]), axis=1)
@@ -376,6 +340,7 @@ def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
         parts = _split_chains(group, cos[group[:, None] + np.arange(size)], t, tol)
         for out, part in zip((firsts, lams, turns), parts):
             out += part
+    del t_all
     w = w.astype(complex, copy=False)
     for los, xs in turns:
         at = (los[:, None] // k, slice(None), los[:, None] % k + np.arange(xs.shape[1]))
@@ -441,16 +406,11 @@ def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]
     Clusters are listed by phase in [-pi, pi): the cluster within tol of -1
     comes first.  Raises ValueError when U is not normal, i.e. when a
     chain's block residual ||K W_c - W_c (W_c+ K W_c)|| exceeds tol.  The
-    walk on the n-cube is split block by block in the Fourier basis, and
-    its clusters' bases are built when read.
+    clusters are those of the report for no final index, so the walk on the
+    n-cube is split block by block in the Fourier basis, and its clusters'
+    bases are built when read.
     """
-    cube = _cube_order(u)
-    if cube:
-        from . import fourier  # which builds on this module
-
-        return fourier.cube_clusters(u, cube, tol)
-    lams, first, basis = _split(_as_matrix(u), tol)
-    return _clusters(lams, first, basis, _phase_order(lams, tol))
+    return _report(u, (), tol).clusters
 
 
 def _rank_clusters(overlap, starts, size, lams, position, full_matrices: bool):
@@ -517,16 +477,21 @@ def infinite_hitting_projector(u, p_f) -> SpectralReport:
     index outside [0, D) raises ValueError.  The walk on the n-cube takes
     the Fourier route and returns a :class:`qwlab.fourier.FourierReport`.
     """
+    return _report(u, p_f, CLUSTER_TOL)
+
+
+def _report(u, p_f, tol: float) -> SpectralReport:
+    """:func:`infinite_hitting_projector` with clusters cut at distance tol."""
     p_f = _final_array(p_f, _walk_dim(u))
     cube = _cube_order(u)
     if cube:
-        from . import fourier
+        from . import fourier  # which builds on this module
 
-        return fourier.cube_report(u, cube, p_f)
-    m = _as_matrix(u)
-    lams, first, v = _split(m, CLUSTER_TOL)
+        return fourier.cube_report(u, cube, p_f, tol)
+    sums, first, v = _split_stack(_as_matrix(u)[None], tol)
+    lams, v = sums / np.abs(sums), v[0]
     dim, n = v.shape[0], len(lams)
-    order = _phase_order(lams, CLUSTER_TOL)
+    order = _phase_order(lams, tol)
     position = np.empty_like(order)
     position[order] = np.arange(n)
     size = np.diff([*first, dim])

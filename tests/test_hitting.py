@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwlab import decoherence, graphs, hitting, quotient, spectral, walk
+from qwlab import decoherence, fourier, graphs, hitting, quotient, spectral, walk
 from qwlab.errors import IndeterminateError, ThresholdUnreachableError
 
 from conftest import battery, random_unitary, trapped_projector
@@ -394,13 +394,20 @@ class TestClosedForm:
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolve started")
 
-        monkeypatch.setattr(spectral, "_split", refuse)
+        spec = hypercube_spec(3)
+        dense = hitting.measured_walk(walk.WalkOperator(spec.walk.matrix), spec.psi0,
+                                      final_indices=spec.final_indices)
+        monkeypatch.setattr(spectral, "_split_stack", refuse)
+        monkeypatch.setattr(fourier, "_split_stack", refuse)
         monkeypatch.setattr(walk, "_memory_budget", walk._memory_budget.__wrapped__)
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}
         monkeypatch.setattr(walk.os, "sysconf", pages.__getitem__)
-        # 6 arrays of 24 x 24 complex entries: 54 KiB against an 8 KiB budget
-        with pytest.raises(ValueError, match="needs an estimated 0 MiB, over a memory budget of 0 MiB"):
-            hitting.hitting_time_closed_form(hypercube_spec(3))
+        # against an 8 KiB budget: the Fourier route's 24 x (8 x 3 + 8 x 1)
+        # complex entries (12 KiB), and the dense route's 6 arrays of 24 x 24
+        # (54 KiB)
+        for s in (spec, dense):
+            with pytest.raises(ValueError, match="needs an estimated 0 MiB, over a memory budget of 0 MiB"):
+                hitting.hitting_time_closed_form(s)
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_memory_budget_reads_the_cgroup_limit(self, monkeypatch, tmp_path, version):

@@ -591,7 +591,7 @@ def test_verdict_over_the_memory_budget_raises(monkeypatch):
     basis = quotient.orbit_basis(cli.resolve_subgroup(["(1,2)"], cay), op.dim)
     final = graphs.BasisIndexing.from_graph(g).indices_for([63])
     monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
-    monkeypatch.setattr(spectral, "_split", refuse)
+    monkeypatch.setattr(spectral, "_split_stack", refuse)
     monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
     with pytest.raises(ValueError, match="dimension 384 needs an estimated 14 MiB, over a memory budget of 8 MiB"):
         quotient.quotient_infinite_hitting(op, basis, final)

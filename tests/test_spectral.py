@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,26 @@ class TestClusters:
         with pytest.raises(ValueError, match="not normal"):
             spectral.eigenspace_clusters(rng.standard_normal((8, 8)))
 
+    def test_non_normal_block_in_a_stack_rejected(self, rng):
+        normal = random_unitary(4, rng)
+        for stack in ([normal, rng.standard_normal((4, 4))], [[[1.0, 1.0], [0.0, 1.0]], np.eye(2)]):
+            with pytest.raises(ValueError, match="not normal"):
+                spectral._split_stack(np.array(stack, dtype=complex), spectral.CLUSTER_TOL)
+
+    def test_stacked_blocks_split_as_each_alone(self, rng):
+        # block 0's largest cosine, cos 0.5, is block 1's smallest: flattened,
+        # the two would chain across the blocks
+        blocks = []
+        for phases in ([2.0, 2.0, -1.0, 0.5], [0.5, -0.5, 0.2, 0.2]):
+            v = random_unitary(4, rng)
+            blocks.append((v * np.exp(1j * np.array(phases))) @ v.conj().T)
+        sums, first, vectors = spectral._split_stack(np.array(blocks), spectral.CLUSTER_TOL)
+        alone = [spectral._split_stack(b[None], spectral.CLUSTER_TOL) for b in blocks]
+        assert np.array_equal(first, np.concatenate([alone[0][1], alone[1][1] + 4]))
+        assert np.array_equal(first, [0, 2, 3, 4, 5, 6])  # e^{2i} and e^{0.2i} twice
+        assert np.max(np.abs(sums - np.concatenate([a[0] for a in alone]))) <= 1e-14
+        assert np.max(np.abs(vectors - np.concatenate([a[2] for a in alone]))) <= 1e-14
+
 
 class TestAgainstGeneralEigensolver:
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
@@ -319,6 +340,21 @@ class TestProjector:
         _, op, _ = hypercube_setup(3, "grover")
         with pytest.raises(ValueError, match="out of range"):
             spectral.infinite_hitting_projector(op.matrix, [final])
+
+    def test_dense_eigensolve_peak_within_its_estimate(self):
+        # EIGENSOLVE_WORK_ARRAYS counts U and a caller's rho_0 beside the
+        # eigensolve's own arrays; the distorted cube takes the dense route
+        g = graphs.build_distorted_hypercube(6)
+        u = walk.evolution_operator(g, walk.dft_coin(6)).matrix
+        fin = graphs.BasisIndexing.from_graph(g).indices_for([63])
+        tracemalloc.start()
+        try:
+            report = spectral.infinite_hitting_projector(u, fin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(report) is spectral.SpectralReport and report.dim == 384
+        assert peak <= (spectral.EIGENSOLVE_WORK_ARRAYS - 2) * 16 * 384**2
 
     def test_zero_when_every_eigenvector_sees_final(self, rng):
         u = random_unitary(6, rng)  # generic: no eigenvector avoids index 0
