@@ -45,7 +45,6 @@ GRAPHS = {
     "hypercube:n": lambda n: _cayley(graphs.cayley_hypercube(n)),
     "cycle:n": lambda n: (graphs.build_cycle(n), None),
     "distorted-hypercube:n": lambda n: (graphs.build_distorted_hypercube(n), None),
-    "gluedtrees:n": lambda n: (graphs.build_glued_trees(n), None),
     "cayley:s3:2gen": lambda: _cayley(graphs.cayley_s3_2gen()),
     "cayley:s3:3gen": lambda: _cayley(graphs.cayley_s3_3gen()),
     "cayley:s4:3gen": lambda: _cayley(graphs.cayley_s4_3gen()),

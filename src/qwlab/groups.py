@@ -17,7 +17,6 @@ generators.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 import re
@@ -41,8 +40,6 @@ __all__ = [
     "closure",
     "generators_of",
     "orbit_labels",
-    "group_to_dict",
-    "group_from_dict",
 ]
 
 DEFAULT_MAX_ORDER = 10_080  # 2 * |S_7|; desk-scale graphs only
@@ -437,32 +434,3 @@ def orbit_labels(grp: PermGroup | Iterable[Permutation], dim: int) -> np.ndarray
         if np.array_equal(new, label):
             return np.unique(label, return_inverse=True)[1]
         label = new
-
-
-def group_to_dict(grp: PermGroup) -> dict:
-    return {
-        "degree": grp.degree,
-        "generators": [list(p.image) for p in grp.generators],
-        "elements": grp.table.tolist(),
-    }
-
-
-def group_from_dict(d: dict) -> PermGroup:
-    try:
-        gens = tuple(Permutation(tuple(img)) for img in d["generators"])
-        elems = tuple(Permutation(tuple(img)) for img in d["elements"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed group document: {exc}") from None
-    if not elems or any(p.degree != elems[0].degree for p in elems):
-        raise ValueError("malformed group document: elements must share one degree")
-    degree = elems[0].degree
-    table = np.array([p.image for p in elems], dtype=_index_dtype(degree))
-    return PermGroup(table.reshape(len(elems), degree), gens)
-
-
-def group_to_json(grp: PermGroup) -> str:
-    return json.dumps(group_to_dict(grp), sort_keys=True)
-
-
-def group_from_json(text: str) -> PermGroup:
-    return group_from_dict(json.loads(text))

@@ -27,6 +27,14 @@ route hands it U as a stack of one, and a WalkOperator whose shift is the
 n-cube's, as ``build_hypercube`` colors it, takes the Fourier route of
 :mod:`qwlab.fourier`, which hands it the walk's 2^n coin-sized blocks, in
 O(2^n n^3) time and O(D (n + |finals|)) memory.
+
+A walk on a bipartite graph anticommutes with the sign P = +-1 by side,
+PUP = -U, so (U + U+)/2 is off-diagonal.  When a dense U's exact nonzero
+pattern 2-colours into two equal halves, an O(D^2) check that reads no
+graph, and D is at least PARITY_MIN_DIM, the core takes its cosines and
+eigenvectors from one SVD of a D/2 x D/2 block instead of the D x D eigh
+(``_parity_split``); below that size the check costs more than it saves,
+and the Fourier blocks and non-bipartite walks keep the eigh.
 """
 
 from __future__ import annotations
@@ -62,6 +70,10 @@ EIGENSOLVE_WORK_ARRAYS = 6
 # complex D x D arrays a dense report's hitting time holds besides its
 # r x r solve: U, a mixed start, the report's bases and U W
 DENSE_HELD_ARRAYS = 4
+# D from which a dense U whose nonzeros 2-colour into equal halves is split
+# through the SVD of its off-diagonal half: measured faster from D = 128 on
+# every bipartite walk tried; below, the check costs more than it saves
+PARITY_MIN_DIM = 128
 
 SUFFICIENT_FOR_INFINITE = "sufficient_for_infinite"
 INCONCLUSIVE = "inconclusive"
@@ -301,6 +313,67 @@ def _split_chains(starts: np.ndarray, c: np.ndarray, t: np.ndarray, tol: float):
     return firsts, lams, turns
 
 
+def _parity_sides(u: np.ndarray) -> np.ndarray | None:
+    """The mask of one side of a 2-colouring of U's exact nonzero pattern,
+    every nonzero entry joining the two sides, when the two sides are equal
+    halves; else None.  Breadth-first from each uncoloured index over the
+    pattern and its transpose, then a check of every entry: O(D^2)."""
+    linked = u != 0
+    linked |= linked.T
+    side = np.zeros(len(u), dtype=np.int8)  # 0: not reached yet
+    for root in range(len(u)):
+        if side[root]:
+            continue
+        side[root], frontier = 1, [root]
+        while len(frontier):
+            reached = linked[frontier].any(axis=0) & (side == 0)
+            side[reached] = -side[frontier[0]]
+            frontier = np.flatnonzero(reached)
+    ones = side > 0
+    if 2 * np.count_nonzero(ones) != len(u) or np.any(linked & (ones[:, None] == ones)):
+        return None
+    return ones
+
+
+def _parity_split(u: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cosines, W, T) of :func:`_split_stack` for a U each of whose
+    nonzeros joins the mask ``side`` to the rest, from one SVD at D/2.
+
+    In that order U = [[0, A], [B, 0]], so (U + U+)/2 = [[0, M], [M+, 0]]
+    and iK = (U - U+)/2 = [[0, N], [-N+, 0]] with M = (A + B+)/2 and
+    N = (A - B+)/2.  M = X S Z+ gives the eigenpairs (-s, [x; -z]/sqrt(2))
+    and (s, [x; z]/sqrt(2)), listed with ascending cosines (the
+    Jordan-Wielandt form; Golub and Van Loan, Matrix Computations, 8.6),
+    and T = W+ (iK) W has the blocks +-(Y +- Y+)/2 of Y = X+ N Z, the rows
+    and columns of +s in reverse order.  The half blocks are freed as they
+    are used and T is filled in place, so the peak stays under eigh's.
+    """
+    ones, others = np.flatnonzero(side), np.flatnonzero(~side)
+    h = len(ones)
+    a = u[np.ix_(ones, others)]
+    b = np.conjugate(u[np.ix_(others, ones)]).T  # B+
+    x, s, zh = np.linalg.svd((a + b) / 2)
+    a -= b
+    a /= 2  # N
+    del b
+    x /= np.sqrt(2)
+    z = zh.conj().T / np.sqrt(2)
+    del zh
+    y = x.conj().T @ (a @ z)  # Y/2, from the columns' 1/sqrt(2)
+    del a
+    t = np.empty((2 * h, 2 * h), dtype=y.dtype)
+    yh = y.conj().T
+    np.subtract(yh, y, out=t[:h, :h])
+    np.add(y, yh, out=t[:h, h:][:, ::-1])
+    del y, yh
+    np.negative(t[:h, :h][::-1, ::-1], out=t[h:, h:])
+    np.negative(t[:h, h:].conj().T, out=t[h:, :h])
+    w = np.empty_like(t)
+    w[ones, :h], w[ones, h:] = x, x[:, ::-1]
+    w[others, :h], w[others, h:] = -z, z[:, ::-1]
+    return np.concatenate([-s, s[::-1]]), w, t
+
+
 def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Rayleigh sums, first columns, eigenvectors) of the clusters of each
     matrix of a stack of normal k x k matrices, in flat column order: the
@@ -316,13 +389,22 @@ def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
     split together by :func:`_split_chains`.  T is formed with W conjugated
     in place and iK W freed before the residual, so a dense U's split holds
     about three D x D arrays at its peak.
+
+    A stack of one of size at least PARITY_MIN_DIM whose nonzero pattern
+    2-colours into equal halves (:func:`_parity_sides`) takes its cosines,
+    W and T from :func:`_parity_split` instead, one SVD at D/2 and two
+    (D/2)^3 products, within the same peak; the rest is the same code.
     """
     b, k = m.shape[:2]
-    cos, w = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
-    ikw = ((m - m.conj().transpose(0, 2, 1)) / 2) @ w  # i K W
-    t_all = np.conjugate(w, out=w).transpose(0, 2, 1) @ ikw
-    del ikw
-    np.conjugate(w, out=w)
+    side = _parity_sides(m[0]) if b == 1 and k >= PARITY_MIN_DIM else None
+    if side is not None:
+        cos, w, t_all = (part[None] for part in _parity_split(m[0], side))
+    else:
+        cos, w = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
+        ikw = ((m - m.conj().transpose(0, 2, 1)) / 2) @ w  # i K W
+        t_all = np.conjugate(w, out=w).transpose(0, 2, 1) @ ikw
+        del ikw
+        np.conjugate(w, out=w)
     new_chain = _runs(cos, max(tol, np.sqrt(tol)))  # each block starts a chain
     chain = np.cumsum(new_chain, axis=1)
     leak = np.sum(np.abs(t_all) ** 2 * (chain[:, :, None] != chain[:, None, :]), axis=1)

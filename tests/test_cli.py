@@ -91,6 +91,14 @@ class TestHittingCommand:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err.startswith(f"error: {problem} {descriptor!r}")
 
+    @pytest.mark.parametrize("command", [
+        ["hitting"], ["spectrum"], ["sweep-decoherence"], ["quotient", "--subgroup", "(1,2)"], ["dfs"]])
+    def test_glued_trees_is_not_a_shorthand(self, command, capsys):
+        # glued trees are not regular, so no coined walk runs on them
+        code, out = run_cli(command[0], "--graph", "gluedtrees:3", *command[1:])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith("error: unknown graph 'gluedtrees:3'; shorthands: edge,")
+
     def test_step_cap_exhaustion_exits_two(self):
         code, _ = run_cli(
             "hitting", "--graph", "hypercube:3", "--coin", "grover",

@@ -1,5 +1,4 @@
 import collections
-import hashlib
 import itertools
 import tracemalloc
 
@@ -568,49 +567,3 @@ class TestDirectionPreserving:
         translations = {groups.left_translation(cay, a).image for a in cay.elements}
         assert found == translations
         assert len(found) == 6
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        cay = graphs.cayley_s3_2gen()
-        grp = direction_group(cay, "(1,2)")
-        again = groups.group_from_json(groups.group_to_json(grp))
-        assert again.elements == grp.elements
-        assert again.generators == grp.generators
-
-    # SHA-256 of the documents written when groups were tuples of Permutations.
-    @pytest.mark.parametrize(
-        "build, digest",
-        [
-            (
-                lambda: direction_group(graphs.cayley_s3_2gen(), "(1,2)"),
-                "ea5cb2ee846b3d3f62a9bc9fbb612c7ed5eb8019e2f5323acdaa59b7f61fbeb2",
-            ),
-            (
-                lambda: direction_group(graphs.cayley_s3_3gen(), "(1,2,3)"),
-                "930fd7b531625ffd1de8502cd7f203cf68b8b4e1601665dc7fa21ed3d9a4d3b0",
-            ),
-            (
-                lambda: full_direction_group(graphs.cayley_hypercube(4)),
-                "b24bf33f378e589ffca89a46268029e8ec522ca11a1940f27f0efe1ba381ac68",
-            ),
-        ],
-        ids=["s3:2gen-(1,2)", "s3:3gen-(1,2,3)", "hypercube:4-full"],
-    )
-    def test_document_is_unchanged(self, build, digest):
-        text = groups.group_to_json(build())
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-        assert groups.group_to_json(groups.group_from_json(text)) == text
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"generators": [], "elements": []},
-            {"generators": [], "elements": [[0, 1], [0]]},
-            {"generators": [], "elements": [[0.0, 1.0]]},
-        ],
-        ids=["empty", "mixed-degrees", "floats"],
-    )
-    def test_malformed_document(self, doc):
-        with pytest.raises(ValueError):
-            groups.group_from_dict(doc)

@@ -341,20 +341,31 @@ class TestProjector:
         with pytest.raises(ValueError, match="out of range"):
             spectral.infinite_hitting_projector(op.matrix, [final])
 
-    def test_dense_eigensolve_peak_within_its_estimate(self):
+    @pytest.mark.parametrize("descriptor, coin_kind", [
+        ("distorted-hypercube:6", "dft"), ("hypercube:6", "grover"), ("hypercube:6", "dft"),
+        ("cayley:s4:3gen", "grover"), ("cayley:s4:3gen", "dft")])
+    def test_dense_eigensolve_peak_within_its_estimate(self, monkeypatch, descriptor, coin_kind):
         # EIGENSOLVE_WORK_ARRAYS counts U and a caller's rho_0 beside the
-        # eigensolve's own arrays; the distorted cube takes the dense route
-        g = graphs.build_distorted_hypercube(6)
-        u = walk.evolution_operator(g, walk.dft_coin(6)).matrix
-        fin = graphs.BasisIndexing.from_graph(g).indices_for([63])
-        tracemalloc.start()
-        try:
-            report = spectral.infinite_hitting_projector(u, fin)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert type(report) is spectral.SpectralReport and report.dim == 384
-        assert peak <= (spectral.EIGENSOLVE_WORK_ARRAYS - 2) * 16 * 384**2
+        # eigensolve's own arrays; the distorted cube is not bipartite and
+        # takes the eigh, the bipartite walks the parity split (forced below
+        # its crossover on the Cayley graph), held to the eigh's peak
+        g, u = dense_walk(descriptor, coin_kind)
+        fin = graphs.BasisIndexing.from_graph(g).indices_for([g.num_vertices - 1])
+        peaks, splits = [], count_parity_splits(monkeypatch)
+        for min_dim in (len(u) + 1, 0):
+            monkeypatch.setattr(spectral, "PARITY_MIN_DIM", min_dim)
+            tracemalloc.start()
+            try:
+                report = spectral.infinite_hitting_projector(u, fin)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert type(report) is spectral.SpectralReport
+            del report
+        assert len(splits) == (descriptor != "distorted-hypercube:6")
+        unit = 16 * len(u) ** 2
+        assert peaks[1] <= (spectral.EIGENSOLVE_WORK_ARRAYS - 2) * unit
+        assert peaks[1] <= peaks[0] + 0.01 * unit  # index arrays and Python objects
 
     def test_zero_when_every_eigenvector_sees_final(self, rng):
         u = random_unitary(6, rng)  # generic: no eigenvector avoids index 0
@@ -567,6 +578,104 @@ class TestReportDict:
         d = spectral.report_to_dict(report)
         assert d["trace_p_int"] == report.trace_int
         assert sum(e["multiplicity"] for e in d["eigenvalues"]) == 24
+
+
+def dense_walk(descriptor, coin_kind):
+    """(graph, dense U) of a CLI graph shorthand with a grover or dft coin."""
+    g, _, _ = cli.resolve_graph(descriptor, None)
+    coin = walk.grover_coin(g.degree_value) if coin_kind == "grover" else walk.dft_coin(g.degree_value)
+    return g, walk.evolution_operator(g, coin).matrix
+
+
+def count_parity_splits(monkeypatch) -> list:
+    """The arguments of every parity split from here on, in a list."""
+    calls, parity_split = [], spectral._parity_split
+
+    def counting(*args):
+        calls.append(args)
+        return parity_split(*args)
+
+    monkeypatch.setattr(spectral, "_parity_split", counting)
+    return calls
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    @pytest.mark.parametrize("descriptor", [
+        "hypercube:4", "hypercube:5", "hypercube:6", "hypercube:7", "cayley:s4:3gen", "cycle:32", "cycle:64"])
+    def test_both_paths_agree(self, monkeypatch, descriptor, coin_kind):
+        g, u = dense_walk(descriptor, coin_kind)
+        default = spectral.PARITY_MIN_DIM
+        project = spectral.infinite_hitting_projector
+        splits = count_parity_splits(monkeypatch)
+
+        def closed_form_on(report, spec):
+            monkeypatch.setattr(spectral, "infinite_hitting_projector", lambda *_: report)
+            return hitting.hitting_time_closed_form(spec)
+
+        last = g.num_vertices - 1
+        starts = (hitting.symmetric_state(g, 0), hitting.basis_state(g, 0, 1))
+        for finals in ([last], [last, last - 1]):
+            fin = graphs.BasisIndexing.from_graph(g).indices_for(finals)
+            reports = []
+            for min_dim in (len(u) + 1, 0):
+                monkeypatch.setattr(spectral, "PARITY_MIN_DIM", min_dim)
+                before = len(splits)
+                reports.append(project(u, fin))
+                assert len(splits) - before == (min_dim == 0)
+            eigh, parity = reports
+            assert [c.multiplicity for c in parity.clusters] == [c.multiplicity for c in eigh.clusters]
+            assert parity.contributions == eigh.contributions and parity.warnings == eigh.warnings
+            lams = [c.eigenvalue for c in parity.clusters]
+            assert np.max(np.abs(np.subtract(lams, [c.eigenvalue for c in eigh.clusters]))) <= 1e-14
+            bases = np.hstack([c.basis for c in parity.clusters])
+            each = np.repeat(lams, [c.multiplicity for c in parity.clusters])
+            assert np.max(np.abs(u @ bases - bases * each)) <= 1e-10
+            assert np.max(np.abs(trapped_projector(parity) - trapped_projector(eigh))) <= 1e-12
+            for psi in starts:
+                spec = hitting.measured_walk(walk.WalkOperator(u), psi, final_indices=fin)
+                got, want = closed_form_on(parity, spec), closed_form_on(eigh, spec)
+                assert (got.method, got.kind) == (want.method, want.kind)
+                if want.is_finite:
+                    assert got.value == pytest.approx(want.value, rel=1e-12)
+                else:
+                    assert got.escape_probability == pytest.approx(want.escape_probability, abs=1e-12)
+        monkeypatch.setattr(spectral, "PARITY_MIN_DIM", default)
+        before = len(splits)
+        project(u, [0])
+        assert len(splits) - before == (len(u) >= default)  # the default takes it from D = 128
+
+    def test_other_walks_stay_on_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parity split taken")
+
+        monkeypatch.setattr(spectral, "_parity_split", refuse)
+        tol = spectral.CLUSTER_TOL
+        assert spectral.PARITY_MIN_DIM > 40  # every closed-form and dephasing walk
+        for _, spec in battery():
+            spectral.eigenspace_clusters(spec.walk.matrix)
+        _, below = dense_walk("hypercube:4", "grover")  # D = 64, bipartite
+        assert spectral._parity_sides(below) is not None
+        spectral.eigenspace_clusters(below)
+        _, distorted = dense_walk("distorted-hypercube:6", "grover")  # D = 384, an odd cycle
+        assert spectral._parity_sides(distorted) is None
+        spectral.infinite_hitting_projector(distorted, [0])
+        # a unitary whose pattern 2-colours has equal halves, so the odd and
+        # unequal cases are Hermitian: a path on 129 vertices, K(60, 68)
+        path = np.diag(np.ones(128), 1)
+        k60_68 = np.zeros((128, 128))
+        k60_68[:60, 60:] = 1.0
+        for m in (path + path.T, k60_68 + k60_68.T):
+            assert spectral._parity_sides(m) is None
+            spectral._split_stack(m[None], tol)
+        _, u = dense_walk("hypercube:5", "grover")
+        linked = (u != 0) | (u != 0).T
+        k = np.flatnonzero(linked[0])[0]
+        i, j = np.setdiff1d(np.flatnonzero(linked[k]), [0])[:2]  # both two steps from 0
+        assert spectral._parity_sides(u)[[0, i, j]].all() and u[i, j] == 0
+        u[i, j] = 1e-300  # inside a half: the pattern no longer 2-colours
+        assert spectral._parity_sides(u) is None
+        spectral.infinite_hitting_projector(u, [0])
 
 
 def permuted_color_cube(n):
