@@ -428,14 +428,16 @@ class _SurvivalMap:
     is the weight of the identity in the channel, summed by doubling until
     the tail bound falls under STEIN_PRECONDITIONER_TAIL.  The solve runs in
     ``dtype``, the result type of U and the channel: float64 for a real
-    walk under a real channel.
+    walk under a real channel.  A map whose solve would not fit in the
+    memory budget is refused before U is read.
     """
 
     def __init__(self, spec: MeasuredWalkSpec, ch: Channel):
         if ch.dim != spec.dim:
             raise ValueError("channel dimension does not match the walk")
+        self.dtype = np.result_type(spec.walk.block, ch.dtype)
+        _check_memory(spec.dim, DECOHERED_WORK_ARRAYS * spec.dim**2, self.dtype)
         u = spec.walk.matrix
-        self.dtype = np.result_type(u, ch.dtype)
         self.a = u.copy()
         self.a[spec.final_array, :] = 0.0
         keep = np.ones(spec.dim)
@@ -468,6 +470,11 @@ class _SurvivalMap:
             np.asarray(c, dtype=np.result_type(c, self.dtype)),
         )
         return x if residual <= SINGULAR_RTOL else None
+
+
+def _start_trace(x: np.ndarray, spec: MeasuredWalkSpec) -> float:
+    """Tr(X rho_0), the hitting time or its slope read off the solve's X."""
+    return float(np.real(np.sum(x * spec.rho0.T)))
 
 
 def _kraus_actions(ch: Channel, *, adjoint: bool) -> list[Callable[[np.ndarray], np.ndarray]]:
@@ -523,13 +530,11 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
     """
     if ch.is_identity and ch.dim == spec.dim:
         return hitting_time_closed_form(spec)
-    _check_memory(spec.dim, DECOHERED_WORK_ARRAYS * spec.dim**2,
-                  np.result_type(spec.walk.block, ch.dtype))
     survival = _SurvivalMap(spec, ch)
     eye = np.eye(spec.dim, dtype=survival.dtype)
     x = survival.solve(eye)
     if x is not None:
-        return HittingResult(METHOD_CLOSED_FORM, value=float(np.real(np.sum(x * spec.rho0.T))))
+        return HittingResult(METHOD_CLOSED_FORM, value=_start_trace(x, spec))
     trapped = _trapped_basis(spec, ch)
     x = survival.solve(eye - trapped @ trapped.conj().T)
     if x is None:
@@ -539,7 +544,7 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
     escape = float(np.real(np.vdot(trapped, spec.rho0 @ trapped)))
     if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
-    return HittingResult(METHOD_PSEUDO_INVERSE, value=float(np.real(np.sum(x * spec.rho0.T))))
+    return HittingResult(METHOD_PSEUDO_INVERSE, value=_start_trace(x, spec))
 
 
 def decohered_hitting_series(
@@ -568,7 +573,8 @@ def hitting_time_slope(spec: MeasuredWalkSpec, kind: str, p: float) -> float:
         X' - L(X') = A+ ((M - 1) o X) A,    dtau/dp = Tr(X' rho_0).
 
     Raises ValueError when I - N(p) is singular (at p = 0 for walks with a
-    trapped subspace the slope is undefined in this form).
+    trapped subspace the slope is undefined in this form), and refuses a
+    solve that would not fit in the memory budget first.
     """
     if spec.walk.graph is None:
         raise ValueError("slope needs the walk's graph to build the dephasing family")
@@ -584,7 +590,7 @@ def hitting_time_slope(spec: MeasuredWalkSpec, kind: str, p: float) -> float:
         raise ValueError(
             f"I - N is singular at p={p}; the slope formula needs an invertible resolvent"
         )
-    return float(np.real(np.sum(x * spec.rho0.T)))
+    return _start_trace(x, spec)
 
 
 # ----------------------------------------------------------------------
@@ -671,7 +677,8 @@ def _swap_dephasing(
     kap = _inexact(tuple(kappas))
     if len(kap) != len(swaps):
         raise ValueError(f"expected {len(swaps)} coefficients, got {len(kap)}")
-    norm = sum(abs(k) ** 2 for k in kap)
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below, as inf
+        norm = sum(abs(k) ** 2 for k in kap)
     if not abs(norm - 1.0) <= COMPLETENESS_ATOL:
         raise ValueError(f"sum |kappa|^2 = {norm} != 1")
     images = np.array([s.image for s in swaps])

@@ -30,7 +30,6 @@ from .spectral import (
     _in_order,
     _phase_order,
     _rank_clusters,
-    _row_grams,
     _runs,
     _split_stack,
 )
@@ -214,10 +213,10 @@ class _UntrappedGroup(NamedTuple):
 class FourierReport(SpectralReport):
     """A :class:`SpectralReport` of the walk on the n-cube, held in Fourier
     coordinates: ``clusters``, ``basis`` and ``untrapped`` are built only
-    when read.  The escape, the start in W's coordinates and
-    A_r = blockdiag(W_c+ U_k W_c) - F+ G, with F and G the final rows of W
-    and U W, come from the blocks; no D x D array and no D-tall basis is
-    formed for them."""
+    when read.  It overrides only what its frame changes: trace(P), the
+    start in W's coordinates and A_r = blockdiag(W_c+ U_k W_c) - F+ G, with
+    F and G the final rows of W and U W, come from the blocks; no D x D
+    array and no D-tall basis is formed for them."""
 
     frame: Frame | None = None
     rank: np.ndarray | None = None
@@ -241,11 +240,6 @@ class FourierReport(SpectralReport):
             held = self.rank[g.clusters] < g.rows.shape[1]
             total += float(np.sum(g.rows.shape[1] - np.sum(np.abs(g.z[held]) ** 2, axis=(1, 2))))
         return total
-
-    def vertex_blocks(self, rows: np.ndarray) -> np.ndarray:
-        """The same blocks as I - W_v W_v+, from the untrapped basis W, which
-        is narrower than B wherever the finals are few."""
-        return np.eye(rows.shape[1]) - _row_grams(self.untrapped, rows)
 
     def _build_clusters(self) -> tuple:
         return tuple(self.frame.cluster(p) for p in range(len(self.frame.lams)))
@@ -300,20 +294,6 @@ class FourierReport(SpectralReport):
         if state.ndim == 1:
             return start
         return self._project(self.frame.coordinates(start.conj().T)).conj().T
-
-    def split_start(self, state: np.ndarray) -> tuple[float, np.ndarray]:
-        """The escape as ||psi||^2 - ||W+ psi||^2, or Tr(rho) - Tr(W+ rho W),
-        the sum of the clusters' trapped parts, with the start in W's
-        coordinates."""
-        start = self.untrapped_start(state)
-        if state.ndim == 1:
-            mass = np.vdot(state, state) - np.vdot(start, start)
-        else:
-            mass = np.trace(state) - np.trace(start)
-        return max(float(np.real(mass)), 0.0), start
-
-    def escape(self, state: np.ndarray) -> float:
-        return self.split_start(state)[0]
 
     def reduced_step(self) -> np.ndarray:
         """A_r = blockdiag(W_c+ U W_c) - F+ G: each cluster's block from the

@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 
+# bytes the per-vertex tables (degrees, colors, basis offsets) hold at once
+# per vertex (81 by tracemalloc on edgeless graphs of 10^4-10^6 vertices)
+VERTEX_TABLE_BYTES = 100
+
+
 class Edge(NamedTuple):
     """One undirected edge with the color at each end."""
 
@@ -66,7 +71,9 @@ class ColoredGraph:
 
     Each undirected edge appears exactly once in ``edges``, normalized so
     that ``(u, cu) <= (v, cv)``.  Parallel edges and self-loops are
-    rejected; colors at a vertex must be pairwise distinct.
+    rejected; colors at a vertex must be pairwise distinct.  A vertex count
+    whose per-vertex tables would not fit in the memory budget raises
+    ValueError, with the estimate, before any is built.
     """
 
     num_vertices: int
@@ -86,6 +93,9 @@ class ColoredGraph:
     def _validate(self):
         if self.num_vertices < 1:
             raise ValueError("graph needs at least one vertex")
+        from .walk import _check_memory  # walk builds on this module
+
+        _check_memory(self.num_vertices, VERTEX_TABLE_BYTES * self.num_vertices, np.uint8)
         seen_colors: set[tuple[int, int]] = set()
         seen_pairs: set[tuple[int, int]] = set()
         for e in self.edges:
@@ -504,7 +514,7 @@ def graph_from_dict(d: dict) -> ColoredGraph:
             Edge(int(e["u"]), int(e["cu"]), int(e["v"]), int(e["cv"]))
             for e in d["edges"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from None
     return ColoredGraph(num, edges)
 

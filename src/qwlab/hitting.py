@@ -83,6 +83,10 @@ MAX_DOUBLINGS = 64
 # powers, X and temporaries (6 r^2 measured) beside A_r and W+ rho_0 W; the
 # spectral report states what it holds beside them
 STEIN_WORK_ARRAYS = 8
+# complex D x D arrays held at once by a density-matrix series step: its
+# own (5.6 measured on hypercube:4-6 under swap dephasing, 4.5 under a
+# multiplier, 4 with no channel) beside a caller's rho_0 and multiplier
+SERIES_WORK_ARRAYS = 7
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_PSEUDO_INVERSE = "pseudo_inverse"
@@ -199,7 +203,8 @@ def _hit_probabilities(
     """Yield p(1), p(2), ... by iterating the survive-and-step map.
 
     ``step_map``, when given, acts on U rho U+ before the detection (a
-    channel, say); the density matrix is then stepped even for a pure start.
+    channel, say); the density matrix is then stepped even for a pure start,
+    refused first if its step would not fit in the memory budget.
     """
     walk = spec.walk
     fin = spec.final_array
@@ -218,6 +223,7 @@ def _hit_probabilities(
             psi[at] = 0.0
             yield _clamp_probability(p)
     else:
+        _check_memory(spec.dim, SERIES_WORK_ARRAYS * spec.dim**2)
         rho = spec.rho0
         while True:
             sig = walk.apply(walk.apply(rho).conj().T).conj().T  # U rho U+ = (U (U rho)+)+

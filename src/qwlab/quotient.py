@@ -295,39 +295,23 @@ class LineWalk:
 
 
 def hypercube_line_reduction(n: int) -> LineWalk:
+    """The n-cube's :class:`LineWalk`: R_x is state 2x and L_x state 2x - 1,
+    so the shift pairs 2x with 2x + 1 and the coin mixes 2x - 1 with 2x."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     dim = 2 * n
-    labels = []
-    for x in range(n + 1):
-        if x > 0:
-            labels.append(f"L{x}")
-        if x < n:
-            labels.append(f"R{x}")
-    index = {lab: i for i, lab in enumerate(labels)}
-
+    r = np.arange(0, dim, 2)  # R_x, whose shift partner is L_(x+1)
     shift = np.zeros((dim, dim))
-    for x in range(n):
-        i, j = index[f"R{x}"], index[f"L{x + 1}"]
-        shift[i, j] = 1.0
-        shift[j, i] = 1.0
-
+    shift[r, r + 1] = shift[r + 1, r] = 1.0
+    c = 1.0 - 2.0 * np.arange(n + 1) / n
+    s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
     coin = np.zeros((dim, dim))
-    for x in range(n + 1):
-        c = 1.0 - 2.0 * x / n
-        s = np.sqrt(max(0.0, 1.0 - c * c))
-        has_l, has_r = x > 0, x < n
-        if has_l and has_r:
-            il, ir = index[f"L{x}"], index[f"R{x}"]
-            coin[il, il] = -c
-            coin[ir, il] = s
-            coin[il, ir] = s
-            coin[ir, ir] = c
-        elif has_r:
-            coin[index[f"R{x}"], index[f"R{x}"]] = c      # x = 0: c = 1
-        else:
-            coin[index[f"L{x}"], index[f"L{x}"]] = -c     # x = n: -c = 1
-    return LineWalk(shift, coin, shift @ coin, tuple(labels))
+    coin[0, 0], coin[-1, -1] = c[0], -c[n]  # the ends keep one state: 1
+    left, right = r[1:] - 1, r[1:]  # L_x and R_x for 0 < x < n
+    coin[left, left], coin[right, right] = -c[1:n], c[1:n]
+    coin[right, left] = coin[left, right] = s[1:n]
+    labels = tuple(f"{'RL'[i % 2]}{(i + 1) // 2}" for i in range(dim))
+    return LineWalk(shift, coin, shift @ coin, labels)
 
 
 def glued_trees_quotient_hamiltonian(depth: int, gamma: float = 1.0) -> np.ndarray:

@@ -14,12 +14,12 @@ work is batched: the blocks of all chains of one length are split by one
 stacked eigh, and the final-vertex overlaps of all clusters of one
 multiplicity by one stacked SVD, so a small walk costs a few numpy calls
 rather than a Python pass per chain and per cluster.  The trapped subspace
-is kept as an orthonormal basis B; trace(P), escape probabilities and
-coin-overlap blocks are read from B, and no D x D projector is formed.  The
-rest of each cluster, the eigenvectors that do see the finals, is kept
-too: an orthonormal basis W of ran(I - P) made of eigenvectors of U, in
-which the hitting module solves for the hitting time.  An eigensolve whose
-estimated working set exceeds the memory budget (physical memory, or the
+is kept as an orthonormal basis B, from which trace(P) is read.  The rest
+of each cluster, the eigenvectors that do see the finals, is kept too: an
+orthonormal basis W of ran(I - P) made of eigenvectors of U; the escape
+(a start's mass outside W), the coin-overlap blocks I - W_v W_v+ and the
+hitting time are read from W, and no D x D projector is formed.  An eigensolve
+whose estimated working set exceeds the memory budget (physical memory, or the
 cgroup limit where lower) raises ValueError before U is built or read.
 
 Both routes split through one stacked core, ``_split_stack``: the dense
@@ -121,7 +121,7 @@ class SpectralReport:
     U and the final indices the report was made for.  ``split_start`` and
     ``reduced_step`` answer what the unitary closed form asks: the escape
     with the start in W's coordinates, and A_r = W+ (Q_f U) W;
-    ``vertex_blocks`` gives the coin-overlap blocks.
+    ``vertex_blocks`` gives the coin-overlap blocks; both read W alone.
     """
 
     contributions: tuple[int, ...]
@@ -158,20 +158,23 @@ class SpectralReport:
         return DENSE_HELD_ARRAYS * self.dim**2
 
     def split_start(self, state: np.ndarray) -> tuple[float, np.ndarray]:
-        """(escape, W+ psi_0 or W+ rho_0 W): what the closed form reads of its start."""
-        return self.escape(state), self.untrapped_start(state)
-
-    def vertex_blocks(self, rows: np.ndarray) -> np.ndarray:
-        """B_v B_v+ for each row set v of the V x d ``rows``: the diagonal
-        blocks of the trapped projector."""
-        return _row_grams(self.basis, rows)
+        """(escape, W+ psi_0 or W+ rho_0 W) for the closed form, the escape as
+        ||psi||^2 - ||W+ psi||^2 or Tr(rho) - Tr(W+ rho W), clipped at 0."""
+        start = self.untrapped_start(state)
+        if state.ndim == 1:
+            mass = np.vdot(state, state) - np.vdot(start, start)
+        else:
+            mass = np.trace(state) - np.trace(start)
+        return max(float(np.real(mass)), 0.0), start
 
     def escape(self, state: np.ndarray) -> float:
         """Mass of a state (vector or density matrix) inside the trapped subspace."""
-        if state.ndim == 1:
-            amps = self.basis.conj().T @ state
-            return float(np.real(np.vdot(amps, amps)))
-        return float(np.real(np.vdot(self.basis, state @ self.basis)))
+        return self.split_start(state)[0]
+
+    def vertex_blocks(self, rows: np.ndarray) -> np.ndarray:
+        """I - W_v W_v+ for each row set v of the V x d ``rows``: the diagonal
+        blocks of the trapped projector I - W W+."""
+        return np.eye(rows.shape[1]) - _row_grams(self.untrapped, rows)
 
     def untrapped_start(self, state: np.ndarray) -> np.ndarray:
         """W+ psi_0 for a start vector, W+ rho_0 W for a density matrix."""

@@ -432,6 +432,12 @@ class TestDfsCommand:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == "error: sum |kappa|^2 = nan != 1\n"
 
+    def test_overflowing_kappas_are_one_error_line(self, capsys):
+        # an overflow warning would be an error under the test settings
+        code, out = run_cli("dfs", "--graph", "hypercube:3", "--kappas", "1e200,1e200")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: sum |kappa|^2 = inf != 1\n"
+
 
 class TestClassicalCommand:
     def test_float_overflow_is_one_error_line(self, capsys):
@@ -481,6 +487,34 @@ class TestGraphFile:
     def test_missing_file_exits_one(self):
         code, _ = run_cli("hitting", "--graph-file", "/nonexistent/graph.json")
         assert code == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"num_vertices": 1e400, "edges": []}',
+         "malformed graph document: cannot convert float infinity to integer"),
+        ('{"num_vertices": 2, "edges": [{"u": 0, "cu": 1e400, "v": 1, "cv": 1}]}',
+         "malformed graph document: cannot convert float infinity to integer"),
+        ('{"num_vertices": NaN, "edges": []}',
+         "malformed graph document: cannot convert float NaN to integer"),
+        ('{"num_vertices": 1000000000000000000000000000000, "edges": []}',
+         "dimension 1000000000000000000000000000000 needs an estimated"),
+    ])
+    def test_out_of_range_numbers_are_one_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        assert run_cli("hitting", "--graph-file", str(path)) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_vertex_tables_over_the_memory_budget_are_refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a vertex table was built")
+
+        # 10^6 vertices at VERTEX_TABLE_BYTES each, against a 1 MiB budget
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(graphs.ColoredGraph, "degrees", property(refuse))
+        monkeypatch.setattr(graphs.ColoredGraph, "vertex_colors", property(refuse))
+        with pytest.raises(ValueError, match="dimension 1000000 needs an estimated 95 MiB, over a memory budget of 1 MiB"):
+            graphs.graph_from_dict({"num_vertices": 10**6, "edges": []})
 
 
 class TestCachedParser:

@@ -511,7 +511,7 @@ class TestDecoheredHitting:
         def refuse(*args, **kwargs):
             raise AssertionError("solve started")
 
-        monkeypatch.setattr(deco, "_SurvivalMap", refuse)
+        monkeypatch.setattr(deco, "_gmres", refuse)
         monkeypatch.setattr(walk, "_memory_budget", walk._memory_budget.__wrapped__)
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 128}
         monkeypatch.setattr(walk.os, "sysconf", pages.__getitem__)
@@ -522,6 +522,7 @@ class TestDecoheredHitting:
         # budget
         with pytest.raises(ValueError, match="dimension 24 needs an estimated 1 MiB, over a memory budget of 0 MiB"):
             deco.decohered_hitting_time(spec, ch)
+        assert "matrix" not in vars(spec.walk)  # refused before U is built
 
     def test_memory_estimate_counts_the_solve_dtype(self, monkeypatch):
         # the same 119 arrays of 24 x 24 entries: 0.52 MiB in float64 for the
@@ -540,6 +541,18 @@ class TestDecoheredHitting:
 
 
 class TestSlope:
+    def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(deco, "_gmres", refuse)
+        # the decohered point's estimate: 0.52 MiB of float64 arrays
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 100_000)
+        _, spec = grover_cube_spec()
+        with pytest.raises(ValueError, match="dimension 24 needs an estimated 1 MiB, over a memory budget of 0 MiB"):
+            deco.hitting_time_slope(spec, "coin", 0.5)
+        assert "matrix" not in vars(spec.walk)
+
     def test_matches_central_differences(self):
         g, spec = grover_cube_spec()
         for kind, p in (("both", 0.5), ("coin", 0.4), ("position", 0.6)):

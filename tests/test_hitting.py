@@ -409,6 +409,27 @@ class TestClosedForm:
             with pytest.raises(ValueError, match="needs an estimated 0 MiB, over a memory budget of 0 MiB"):
                 hitting.hitting_time_closed_form(s)
 
+    @pytest.mark.parametrize("entry", ["series", "distribution", "decohered-series"])
+    def test_density_matrix_series_refuses_before_allocating(self, monkeypatch, entry):
+        def refuse(*args, **kwargs):
+            raise AssertionError("step started")
+
+        pure = hypercube_spec(4)  # D = 64
+        mixed = hitting.measured_walk(pure.walk, np.diag(np.full(pure.dim, 1.0 / pure.dim)),
+                                      final_indices=pure.final_indices)
+        ch = decoherence.dephasing_channel("coin", 0.5, 16, 4)
+        calls = {
+            "series": lambda: hitting.hitting_time_series(mixed, 1e-6),
+            "distribution": lambda: hitting.first_hit_distribution(mixed, 10),
+            "decohered-series": lambda: decoherence.decohered_hitting_series(pure, ch, 1e-6),
+        }
+        monkeypatch.setattr(walk.WalkOperator, "apply", refuse)
+        # 7 complex arrays of 64 x 64 (0.44 MiB) against a 10 kB budget
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 10_000)
+        with pytest.raises(ValueError, match="dimension 64 needs an estimated 0 MiB, over a memory budget of 0 MiB"):
+            calls[entry]()
+        assert "rho0" not in vars(pure)  # a pure start's rho_0 is not built either
+
     @pytest.mark.parametrize("version", [1, 2])
     def test_memory_budget_reads_the_cgroup_limit(self, monkeypatch, tmp_path, version):
         # a 1 MiB limit on the parent of this process's cgroup, none on its own

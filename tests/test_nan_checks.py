@@ -57,9 +57,9 @@ def nan_quotient_coin():
 
 
 def nan_coin_overlap():
-    g, op = cube3()  # the dense report, whose blocks read the trapped basis
+    g, op = cube3()  # the dense report, whose blocks read the untrapped basis
     report = spectral.infinite_hitting_projector(op.matrix, np.arange(21, 24))
-    report = dataclasses.replace(report, basis=np.full_like(report.basis, NAN))
+    report = dataclasses.replace(report, untrapped=np.full_like(report.untrapped, NAN))
     return spectral.coin_overlap_matrix(report, g, 0)
 
 

@@ -587,6 +587,51 @@ def dense_walk(descriptor, coin_kind):
     return g, walk.evolution_operator(g, coin).matrix
 
 
+CLI_GRAPHS = ("edge", "cycle:8", "cycle:16", "cycle:32", "cycle:64", "cayley:s3:2gen",
+              "cayley:s3:3gen", "cayley:s4:3gen", "distorted-hypercube:3", "distorted-hypercube:4",
+              "distorted-hypercube:5", "hypercube:3", "hypercube:4", "hypercube:5", "hypercube:6")
+
+
+def cli_cases():
+    """(name, graph, dense U, final indices, starts) of the CLI's graphs with
+    both coins, to the last vertex from the symmetric and basis:0:1 starts,
+    and of cayley:s4:3gen to the finals w1321, w2312."""
+    for descriptor, final in [(d, "all-ones") for d in CLI_GRAPHS] + [("cayley:s4:3gen", "w1321,w2312")]:
+        g, cay, _ = cli.resolve_graph(descriptor, None)
+        fin = graphs.BasisIndexing.from_graph(g).indices_for(cli.resolve_final(final, g, cay))
+        starts = [cli.resolve_start(s, g) for s in ("symmetric", "basis:0:1")]
+        for coin_kind in ("grover", "dft"):
+            yield f"{descriptor}-{coin_kind}-{final}", g, dense_walk(descriptor, coin_kind)[1], fin, starts
+
+
+class TestReadFromUntrapped:
+    """The escape and the coin-overlap blocks are read from W on both routes:
+    on the dense route they equal their forms in the trapped basis B."""
+
+    def test_dense_escape_and_blocks_equal_the_trapped_basis_forms(self):
+        cases = [(name, spec.walk.graph, spec.walk.matrix, spec.final_array, [spec.state])
+                 for name, spec in battery()]
+        for name, g, u, fin, starts in cases + list(cli_cases()):
+            report = spectral.infinite_hitting_projector(u, fin)
+            b = report.basis
+            rho = sum(np.outer(psi, psi.conj()) for psi in starts) / len(starts)
+            for state in [*starts, rho]:
+                if state.ndim == 1:
+                    want = np.linalg.norm(b.conj().T @ state) ** 2
+                else:
+                    want = np.trace(b.conj().T @ state @ b).real
+                assert abs(report.escape(state) - want) <= 1e-13, name
+            rows = np.array([list(r) for r in map(graphs.BasisIndexing.from_graph(g).vertex_indices,
+                                                  range(g.num_vertices))])
+            blocks = report.vertex_blocks(rows)
+            assert np.max(np.abs(blocks - b[rows] @ b[rows].conj().transpose(0, 2, 1))) <= 1e-13, name
+
+    def test_fourier_report_overrides_only_what_its_frame_changes(self):
+        for name in ("split_start", "escape", "vertex_blocks"):
+            assert name in vars(spectral.SpectralReport)
+            assert name not in vars(fourier.FourierReport)
+
+
 def count_parity_splits(monkeypatch) -> list:
     """The arguments of every parity split from here on, in a list."""
     calls, parity_split = [], spectral._parity_split
