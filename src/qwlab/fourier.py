@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .spectral import (
     _rank_clusters,
     _runs,
     _split_stack,
+    _untrapped_groups,
 )
 from .walk import _check_memory
 
@@ -189,38 +189,17 @@ def frame(u, n: int, tol: float) -> Frame:
     return Frame(n, blocks, vectors, lams[order], labels, np.argsort(labels, kind="stable"), bounds)
 
 
-class _UntrappedGroup(NamedTuple):
-    """The clusters of one multiplicity m, at positions ``clusters``.
-
-    ``rows[g]`` lists cluster g's members, and ``z[g]`` holds the members'
-    coefficients of its untrapped eigenvectors, the right singular vectors
-    of its final overlap (width x m, zero past its rank).  ``slots[g]``
-    gives those eigenvectors' columns of W; past the rank it points at one
-    spare column past the last, which is dropped.  ``overlap[g]`` is the
-    cluster's final overlap, the members' rows on the finals, and ``fin[g]``
-    the rows of its untrapped eigenvectors there, u s from the same SVD.
-    """
-
-    clusters: np.ndarray
-    rows: np.ndarray
-    z: np.ndarray
-    slots: np.ndarray
-    overlap: np.ndarray
-    fin: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class FourierReport(SpectralReport):
     """A :class:`SpectralReport` of the walk on the n-cube, held in Fourier
     coordinates: ``clusters``, ``basis`` and ``untrapped`` are built only
-    when read.  It overrides only what its frame changes: trace(P), the
-    start in W's coordinates and A_r = blockdiag(W_c+ U_k W_c) - F+ G, with
-    F and G the final rows of W and U W, come from the blocks; no D x D
-    array and no D-tall basis is formed for them."""
+    when read.  It overrides only what its frame changes: the start in W's
+    coordinates and A_r = blockdiag(W_c+ U_k W_c) - F+ G, with F and G the
+    final rows of W and U W, come from the blocks; no D x D array and no
+    D-tall basis is formed for them.  The rows of its ``groups`` are
+    members of ``frame``, given when the report is built."""
 
     frame: Frame | None = None
-    rank: np.ndarray | None = None
-    groups: tuple[_UntrappedGroup, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -229,17 +208,6 @@ class FourierReport(SpectralReport):
     @property
     def held_entries(self) -> int:
         return _entries(self.frame.n, len(self.finals))
-
-    @functools.cached_property
-    def trace_p(self) -> float:
-        """||B||^2 cluster by cluster, as m_c - ||Z_c||^2 from the untrapped
-        coefficients Z_c, with no basis built; a cluster with no trapped
-        direction adds nothing."""
-        total = 0.0
-        for g in self.groups:
-            held = self.rank[g.clusters] < g.rows.shape[1]
-            total += float(np.sum(g.rows.shape[1] - np.sum(np.abs(g.z[held]) ** 2, axis=(1, 2))))
-        return total
 
     def _build_clusters(self) -> tuple:
         return tuple(self.frame.cluster(p) for p in range(len(self.frame.lams)))
@@ -330,18 +298,6 @@ def cube_report(u, n: int, p_f: np.ndarray, tol: float) -> FourierReport:
     overlap = cube.overlap(p_f)[:, cube.members]
     rank, warnings, groups = _rank_clusters(overlap, cube.bounds[:-1], size, cube.lams,
                                             np.arange(len(size)), False)
-    offset = np.cumsum(rank) - rank
-    untrapped = []
-    for group, gathered, (u_, sv, vh) in groups:
-        past = np.arange(vh.shape[1]) >= rank[group, None]
-        untrapped.append(_UntrappedGroup(
-            clusters=group,
-            rows=cube.members[cube.bounds[group, None] + np.arange(size[group[0]])],
-            z=np.where(past[:, :, None], 0.0, vh),
-            slots=np.where(past, rank.sum(), offset[group, None] + np.arange(vh.shape[1])),
-            overlap=gathered,
-            fin=np.where(past[:, None, :], 0.0, u_ * sv[:, None, :]),
-        ))
     return FourierReport(
         contributions=tuple((size - rank).tolist()),
         warnings=_in_order(warnings + _gap_warnings(cube.lams)),
@@ -349,5 +305,5 @@ def cube_report(u, n: int, p_f: np.ndarray, tol: float) -> FourierReport:
         finals=p_f,
         frame=cube,
         rank=rank,
-        groups=tuple(untrapped),
+        groups=_untrapped_groups(groups, cube.bounds[:-1], rank, np.arange(len(size)), cube.members),
     )

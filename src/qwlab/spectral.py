@@ -13,14 +13,16 @@ eigensolver or QR is used, and non-normal input is rejected.  The small
 work is batched: the blocks of all chains of one length are split by one
 stacked eigh, and the final-vertex overlaps of all clusters of one
 multiplicity by one stacked SVD, so a small walk costs a few numpy calls
-rather than a Python pass per chain and per cluster.  The trapped subspace
-is kept as an orthonormal basis B, from which trace(P) is read.  The rest
-of each cluster, the eigenvectors that do see the finals, is kept too: an
-orthonormal basis W of ran(I - P) made of eigenvectors of U; the escape
-(a start's mass outside W), the coin-overlap blocks I - W_v W_v+ and the
-hitting time are read from W, and no D x D projector is formed.  An eigensolve
-whose estimated working set exceeds the memory budget (physical memory, or the
-cgroup limit where lower) raises ValueError before U is built or read.
+rather than a Python pass per chain and per cluster.  What a report keeps
+of each cluster is the part that sees the finals: an orthonormal basis W of
+ran(I - P) made of eigenvectors of U, whose coefficients Z_c in a cluster
+are the right singular vectors of its final overlap.  trace(P) is
+the sum of m_c - ||Z_c||^2 over the clusters; the escape (a start's mass
+outside W), the coin-overlap blocks I - W_v W_v+ and the hitting time are
+read from W, and no D x D projector is formed.  The trapped subspace's
+orthonormal basis B is built only when read.  An eigensolve whose estimated
+working set exceeds the memory budget (physical memory, or the cgroup limit
+where lower) raises ValueError before U is built or read.
 
 Both routes split through one stacked core, ``_split_stack``: the dense
 route hands it U as a stack of one, and a WalkOperator whose shift is the
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +73,9 @@ EIGENSOLVE_WORK_ARRAYS = 6
 # complex D x D arrays a dense report's hitting time holds besides its
 # r x r solve: U, a mixed start, the report's bases and U W
 DENSE_HELD_ARRAYS = 4
+# complex D x D arrays held while a dense report builds its trapped basis:
+# U, V, and W with B
+DENSE_BASIS_ARRAYS = 3
 # D from which a dense U whose nonzeros 2-colour into equal halves is split
 # through the SVD of its off-diagonal half: measured faster from D = 128 on
 # every bipartite walk tried; below, the check costs more than it saves
@@ -107,21 +113,80 @@ class _BuiltOnRead:
         report.__dict__[self.name] = value
 
 
+class _UntrappedGroup(NamedTuple):
+    """The clusters of one multiplicity m, at positions ``clusters``.
+
+    ``rows[g]`` lists cluster g's columns of the frame its report is held in
+    (V on the dense route, the Fourier members on the n-cube's), and
+    ``z[g]`` holds their coefficients of its untrapped eigenvectors, the
+    right singular vectors of its final overlap (width x m, zero past its
+    rank); the dense route takes a cluster of full rank into W as it stands.
+    ``slots[g]`` gives those eigenvectors' columns of W; past the rank it
+    points at one spare column past the last, which is dropped.
+    ``overlap[g]`` is the cluster's final overlap, the rows of its columns on
+    the finals, and ``fin[g]`` the rows of its untrapped eigenvectors there,
+    u s from the same SVD.
+    """
+
+    clusters: np.ndarray
+    rows: np.ndarray
+    z: np.ndarray
+    slots: np.ndarray
+    overlap: np.ndarray
+    fin: np.ndarray
+
+
+def _untrapped_groups(ranked, starts, rank, position, members=None) -> tuple[_UntrappedGroup, ...]:
+    """The :class:`_UntrappedGroup` of each multiplicity of the thin SVDs
+    ``ranked`` of :func:`_rank_clusters`: cluster i holds the frame columns
+    ``members`` (default: all, in order) from starts[i] on, has rank[i], and
+    sits at position[i] of the cluster order, which is also W's order."""
+    by_position = np.empty_like(rank)
+    by_position[position] = rank
+    offset = (np.cumsum(by_position) - by_position)[position]
+    groups = []
+    for group, gathered, (u, sv, vh) in ranked:
+        past = np.arange(vh.shape[1]) >= rank[group, None]
+        cols = starts[group, None] + np.arange(vh.shape[2])
+        groups.append(_UntrappedGroup(
+            clusters=position[group],
+            rows=cols if members is None else members[cols],
+            z=np.where(past[:, :, None], 0.0, vh),
+            slots=np.where(past, rank.sum(), offset[group, None] + np.arange(vh.shape[1])),
+            overlap=gathered,
+            fin=np.where(past[:, None, :], 0.0, u * sv[:, None, :]),
+        ))
+    return tuple(groups)
+
+
+def _column_runs(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """first[p], first[p] + 1, ..., counts[p] of them, for each p in turn."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first + counts - ends, counts)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Spectral decomposition of U together with the trapped subspace.
 
-    ``basis`` spans the trapped subspace with orthonormal columns;
-    ``untrapped`` spans its orthogonal complement, which holds the finals,
-    with orthonormal eigenvectors of U.  ``contributions`` counts the trapped
-    dimensions contributed by each cluster, in cluster order.  Warnings, in
-    cluster order, record nullspace rank decisions that fell within 10x of
-    the singular value cutoff, and neighbouring clusters whose eigenvalues
-    lie within 10x of the cluster tolerance.  ``walk`` and ``finals`` are the
-    U and the final indices the report was made for.  ``split_start`` and
-    ``reduced_step`` answer what the unitary closed form asks: the escape
-    with the start in W's coordinates, and A_r = W+ (Q_f U) W;
-    ``vertex_blocks`` gives the coin-overlap blocks; both read W alone.
+    ``untrapped`` spans the orthogonal complement of the trapped subspace,
+    which holds the finals, with orthonormal eigenvectors W of U, built when
+    the report is.  ``basis`` spans the trapped subspace with orthonormal
+    columns and is built when first read, on both routes.  ``rank`` holds
+    each cluster's rank, and ``groups`` its coefficients of W, by
+    multiplicity, from which trace(P) is read; the dense route builds them
+    when first read, from the arguments ``ranking`` of
+    :func:`_untrapped_groups`.  ``contributions`` counts the
+    trapped dimensions contributed by each cluster, in cluster order.
+    Warnings, in cluster order, record nullspace rank decisions that fell
+    within 10x of the singular value cutoff, and neighbouring clusters whose
+    eigenvalues lie within 10x of the cluster tolerance.  ``walk`` and
+    ``finals`` are the U and the final indices the report was made for, and
+    ``vectors`` the dense route's eigenvectors V, whose columns the clusters'
+    bases are.  ``split_start`` and ``reduced_step`` answer what the unitary
+    closed form asks: the escape with the start in W's coordinates, and
+    A_r = W+ (Q_f U) W; ``vertex_blocks`` gives the coin-overlap blocks; both
+    read W alone.
     """
 
     contributions: tuple[int, ...]
@@ -131,10 +196,21 @@ class SpectralReport:
     untrapped: np.ndarray = _BuiltOnRead()
     walk: object = None
     finals: np.ndarray | None = None
+    rank: np.ndarray | None = None
+    groups: tuple[_UntrappedGroup, ...] = _BuiltOnRead()
+    vectors: np.ndarray | None = None
+    ranking: tuple = ()
 
     @functools.cached_property
     def trace_p(self) -> float:
-        return float(np.linalg.norm(self.basis) ** 2)
+        """||B||^2 cluster by cluster, as m_c - ||Z_c||^2 from the untrapped
+        coefficients Z_c, with no basis built; a cluster with no trapped
+        direction adds nothing."""
+        total = 0.0
+        for g in self.groups:
+            held = self.rank[g.clusters] < g.rows.shape[1]
+            total += float(np.sum(g.rows.shape[1] - np.sum(np.abs(g.z[held]) ** 2, axis=(1, 2))))
+        return total
 
     @property
     def trace_int(self) -> int:
@@ -142,7 +218,7 @@ class SpectralReport:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.untrapped.shape[0]
 
     @functools.cached_property
     def trapped_dim(self) -> int:
@@ -187,6 +263,33 @@ class SpectralReport:
         aw = self.walk.apply(w) if hasattr(self.walk, "apply") else np.asarray(self.walk) @ w
         aw[self.finals] = 0.0
         return w.conj().T @ aw
+
+    def _build_groups(self) -> tuple[_UntrappedGroup, ...]:
+        return _untrapped_groups(*self.ranking)
+
+    def _build_basis(self) -> np.ndarray:
+        """The trapped directions of each cluster, in cluster order: all of a
+        cluster that sees no final, by one np.take, and V_c N_c+ for a partly
+        trapped one, N_c the right singular vectors past its rank from one
+        full stacked SVD per multiplicity.  Refused first if B, beside U, V
+        and W, would not fit."""
+        v, dim = self.vectors, self.dim
+        _check_memory(dim, DENSE_BASIS_ARRAYS * dim * dim)
+        first = np.empty_like(self.rank)
+        for g in self.groups:
+            first[g.clusters] = g.rows[:, 0]
+        size = np.array(self.contributions)
+        b = np.take(v, _column_runs(first, size), axis=1)
+        offset = np.cumsum(size) - size
+        for g in self.groups:
+            rank = self.rank[g.clusters]
+            part = np.flatnonzero((rank > 0) & (rank < g.rows.shape[1]))
+            if part.size:
+                _, _, vh = np.linalg.svd(g.overlap[part])
+                for j, vhj in zip(part.tolist(), vh):
+                    k, lo, rows = rank[j], offset[g.clusters[j]], g.rows[j]
+                    b[:, lo:lo + len(rows) - k] = v[:, rows[0]:rows[-1] + 1] @ vhj[k:].conj().T
+        return b
 
 
 def _row_grams(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -580,23 +683,25 @@ def _report(u, p_f, tol: float) -> SpectralReport:
     position = np.empty_like(order)
     position[order] = np.arange(n)
     size = np.diff([*first, dim])
-    rank, warnings, groups = _rank_clusters(v[p_f], first, size, lams, position, True)
-    for group, _, (_, _, vh) in groups:
-        for i, vhi in zip(group.tolist(), vh):
-            if 0 < rank[i] < size[i]:  # rotate the first rank columns onto the overlap's row space
-                cols = slice(first[i], first[i] + size[i])
-                v[:, cols] = v[:, cols] @ vhi.conj().T
-
-    columns = np.argsort(np.repeat(position, size), kind="stable")  # in cluster order
-    sees_finals = (np.arange(dim) - np.repeat(first, size) < np.repeat(rank, size))[columns]
+    rank, warnings, ranked = _rank_clusters(v[p_f], first, size, lams, position, False)
+    by_position = rank[order]
+    offset = (np.cumsum(by_position) - by_position)[position]  # each cluster's first column of W
+    partly = (rank > 0) & (rank < size)
+    w = np.take(v, _column_runs(first[order], by_position), axis=1)  # each cluster's first rank columns
+    for group, _, (_, _, vh) in ranked:  # which are V_c Z_c+ where the cluster is partly trapped
+        for j in np.flatnonzero(partly[group]).tolist():
+            i = group[j]
+            w[:, offset[i]:offset[i] + rank[i]] = v[:, first[i]:first[i] + size[i]] @ vh[j, :rank[i]].conj().T
     return SpectralReport(
         clusters=_clusters(lams, first, v, order),
         contributions=tuple((size - rank)[order].tolist()),
         warnings=_in_order(warnings + _gap_warnings(lams[order])),
-        basis=np.take(v, columns[~sees_finals], axis=1),
-        untrapped=np.take(v, columns[sees_finals], axis=1),
+        untrapped=w,
         walk=u,
         finals=p_f,
+        rank=by_position,
+        vectors=v,
+        ranking=(ranked, first, rank, position),
     )
 
 

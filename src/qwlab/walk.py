@@ -87,8 +87,16 @@ def _check_memory(dim: int, entries: int, dtype=complex) -> None:
     need = entries * np.dtype(dtype).itemsize
     budget = _memory_budget()
     if need > budget:
-        raise ValueError(f"dimension {dim} needs an estimated {need / 2**20:.0f} MiB, "
-                         f"over a memory budget of {budget / 2**20:.0f} MiB")
+        raise ValueError(f"dimension {dim} needs an estimated {_size_text(need)}, "
+                         f"over a memory budget of {_size_text(budget)}")
+
+
+def _size_text(nbytes: int) -> str:
+    """nbytes rounded in the largest of MiB, KiB and bytes that it reaches."""
+    for unit, scale in (("MiB", 2**20), ("KiB", 2**10)):
+        if nbytes >= scale:
+            return f"{nbytes / scale:.0f} {unit}"
+    return f"{nbytes} bytes"
 
 
 @dataclass(frozen=True, eq=False)

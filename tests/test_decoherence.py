@@ -520,7 +520,7 @@ class TestDecoheredHitting:
         # the Krylov basis, the doubling powers and 14 more 24 x 24 float64
         # arrays for the real walk and channel: 0.52 MiB against a 0.5 MiB
         # budget
-        with pytest.raises(ValueError, match="dimension 24 needs an estimated 1 MiB, over a memory budget of 0 MiB"):
+        with pytest.raises(ValueError, match="dimension 24 needs an estimated 536 KiB, over a memory budget of 512 KiB"):
             deco.decohered_hitting_time(spec, ch)
         assert "matrix" not in vars(spec.walk)  # refused before U is built
 
@@ -549,7 +549,7 @@ class TestSlope:
         # the decohered point's estimate: 0.52 MiB of float64 arrays
         monkeypatch.setattr(walk, "_memory_budget", lambda: 100_000)
         _, spec = grover_cube_spec()
-        with pytest.raises(ValueError, match="dimension 24 needs an estimated 1 MiB, over a memory budget of 0 MiB"):
+        with pytest.raises(ValueError, match="dimension 24 needs an estimated 536 KiB, over a memory budget of 98 KiB"):
             deco.hitting_time_slope(spec, "coin", 0.5)
         assert "matrix" not in vars(spec.walk)
 

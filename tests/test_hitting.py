@@ -402,11 +402,11 @@ class TestClosedForm:
         monkeypatch.setattr(walk, "_memory_budget", walk._memory_budget.__wrapped__)
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}
         monkeypatch.setattr(walk.os, "sysconf", pages.__getitem__)
-        # against an 8 KiB budget: the Fourier route's 24 x (8 x 3 + 8 x 1)
-        # complex entries (12 KiB), and the dense route's 6 arrays of 24 x 24
-        # (54 KiB)
-        for s in (spec, dense):
-            with pytest.raises(ValueError, match="needs an estimated 0 MiB, over a memory budget of 0 MiB"):
+        # against an 8 KiB budget: the Fourier route's 24 x (8 x 3 + 8 x 3)
+        # complex entries, three final indices (18 KiB), and the dense route's
+        # 6 arrays of 24 x 24 (54 KiB)
+        for s, need in ((spec, 18), (dense, 54)):
+            with pytest.raises(ValueError, match=f"needs an estimated {need} KiB, over a memory budget of 8 KiB"):
                 hitting.hitting_time_closed_form(s)
 
     @pytest.mark.parametrize("entry", ["series", "distribution", "decohered-series"])
@@ -424,9 +424,9 @@ class TestClosedForm:
             "decohered-series": lambda: decoherence.decohered_hitting_series(pure, ch, 1e-6),
         }
         monkeypatch.setattr(walk.WalkOperator, "apply", refuse)
-        # 7 complex arrays of 64 x 64 (0.44 MiB) against a 10 kB budget
+        # 7 complex arrays of 64 x 64 (448 KiB) against a 10 kB budget
         monkeypatch.setattr(walk, "_memory_budget", lambda: 10_000)
-        with pytest.raises(ValueError, match="dimension 64 needs an estimated 0 MiB, over a memory budget of 0 MiB"):
+        with pytest.raises(ValueError, match="dimension 64 needs an estimated 448 KiB, over a memory budget of 10 KiB"):
             calls[entry]()
         assert "rho0" not in vars(pure)  # a pure start's rho_0 is not built either
 

@@ -367,6 +367,28 @@ class TestProjector:
         assert peaks[1] <= (spectral.EIGENSOLVE_WORK_ARRAYS - 2) * unit
         assert peaks[1] <= peaks[0] + 0.01 * unit  # index arrays and Python objects
 
+    def test_dense_report_holds_v_and_w(self):
+        # V and W, D^2 + D r complex entries, stay held, beside the
+        # clusters' final overlaps and their SVDs' coefficients, D |finals|
+        # each, and small objects; B is built on read
+        g, u = dense_walk("hypercube:6", "grover")
+        fin = graphs.BasisIndexing.from_graph(g).indices_for([g.num_vertices - 1])
+        tracemalloc.start()
+        try:
+            report = spectral.infinite_hitting_projector(u, fin)
+            held = tracemalloc.get_traced_memory()[0]
+            report.trace_p
+            with_trace = tracemalloc.get_traced_memory()[0]
+            report.basis
+            with_basis = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        d, r, t, f = len(u), report.untrapped_dim, report.trapped_dim, len(fin)
+        assert (r, t) == (72, 312)
+        assert 16 * (d * d + d * r) <= held <= 16 * (d * d + d * r + 2 * d * f) + 0.02 * 16 * d * d
+        assert with_trace - held <= 16 * 2 * d * f + 0.01 * 16 * d * d
+        assert with_basis - with_trace == pytest.approx(16 * d * t, rel=0.01)
+
     def test_zero_when_every_eigenvector_sees_final(self, rng):
         u = random_unitary(6, rng)  # generic: no eigenvector avoids index 0
         report = spectral.infinite_hitting_projector(u, np.array([0]))
@@ -627,9 +649,92 @@ class TestReadFromUntrapped:
             assert np.max(np.abs(blocks - b[rows] @ b[rows].conj().transpose(0, 2, 1))) <= 1e-13, name
 
     def test_fourier_report_overrides_only_what_its_frame_changes(self):
-        for name in ("split_start", "escape", "vertex_blocks"):
+        for name in ("split_start", "escape", "vertex_blocks", "trace_p"):
             assert name in vars(spectral.SpectralReport)
             assert name not in vars(fourier.FourierReport)
+
+
+def eager_bases(u, fin):
+    """(contributions, B, W) as the dense report built them when it built
+    both eagerly: each cluster of the no-final clustering rotated by the full
+    SVD of its final overlap, its first rank columns into W, the rest into B."""
+    contributions, trapped, untrapped = [], [], []
+    for c in spectral.eigenspace_clusters(u):
+        _, s, vh = np.linalg.svd(c.basis[fin])
+        rank = int(np.sum(s > spectral.NULLSPACE_RTOL * s[:1]))
+        rotated = c.basis @ vh.conj().T if 0 < rank < c.multiplicity else c.basis
+        contributions.append(c.multiplicity - rank)
+        trapped.append(rotated[:, rank:])
+        untrapped.append(rotated[:, :rank])
+    return tuple(contributions), np.hstack(trapped), np.hstack(untrapped)
+
+
+class TestTrappedBasisOnRead:
+    """The dense report builds W; B is built when read, and trace(P) comes
+    from W's coefficients."""
+
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    @pytest.mark.parametrize("descriptor", [
+        "cycle:8", "cycle:16", "distorted-hypercube:3", "distorted-hypercube:4", "distorted-hypercube:5",
+        "cayley:s3:2gen", "cayley:s3:3gen", "cayley:s4:3gen", "hypercube:3", "hypercube:4", "hypercube:5"])
+    def test_lazy_basis_matches_the_eager_construction(self, descriptor, coin_kind):
+        g, u = dense_walk(descriptor, coin_kind)
+        idx = graphs.BasisIndexing.from_graph(g)
+        last = g.num_vertices - 1
+        for finals in ([last], [last, last // 2]):
+            fin = idx.indices_for(finals)
+            report = spectral.infinite_hitting_projector(u, fin)
+            contributions, b_eager, w_eager = eager_bases(u, fin)
+            assert report.contributions == contributions
+            assert report.trapped_dim == b_eager.shape[1]
+            assert vars(report)["basis"] is None
+            b, w, dim = report.basis, report.untrapped, len(u)
+            assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])), initial=0.0) <= 1e-12
+            assert np.max(np.abs(b.conj().T @ w), initial=0.0) <= 1e-12
+            assert np.max(np.abs(b @ b.conj().T - (np.eye(dim) - w @ w.conj().T))) <= 1e-10
+            assert np.max(np.abs(b @ b.conj().T - b_eager @ b_eager.conj().T)) <= 1e-10
+            assert np.max(np.abs(w @ w.conj().T - w_eager @ w_eager.conj().T)) <= 1e-10
+            assert abs(report.trace_p - np.linalg.norm(b) ** 2) <= 1e-12 * dim
+
+    def test_verdict_with_r_below_t_builds_no_trapped_basis(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def refuse(report):
+            raise Built
+
+        monkeypatch.setattr(spectral.SpectralReport, "_build_basis", refuse)
+        cay = graphs.cayley_hypercube(6)
+        op = walk.evolution_operator(cay.graph, walk.grover_coin(6))
+        fin = graphs.BasisIndexing.from_graph(cay.graph).indices_for([63])
+        report = spectral.infinite_hitting_projector(op.matrix, fin)
+        assert (report.untrapped_dim, report.trapped_dim) == (72, 312)
+        verdict = quotient.quotient_infinite_hitting(op.matrix, quotient.orbit_basis(full_direction_group(cay), op.dim), fin)
+        assert verdict.intersection_dim == 0
+
+        g, u = dense_walk("distorted-hypercube:5", "grover")
+        fin = graphs.BasisIndexing.from_graph(g).indices_for([g.num_vertices - 1])
+        spec = hitting.measured_walk(walk.WalkOperator(u), hitting.symmetric_state(g, 0), final_indices=fin)
+        hitting.hitting_time_closed_form(spec)
+        spectral.coin_overlap_matrices(spectral.infinite_hitting_projector(u, spec.final_array), g)
+
+        cay = graphs.cayley_s4_3gen()
+        op = walk.evolution_operator(cay.graph, walk.grover_coin(3))
+        finals = [cay.vertex_of_word([1, 3, 2, 1]), cay.vertex_of_word([2, 3, 1, 2])]
+        fin = graphs.BasisIndexing.from_graph(cay.graph).indices_for(finals)
+        report = spectral.infinite_hitting_projector(op.matrix, fin)
+        assert (report.trapped_dim, report.untrapped_dim) == (18, 54)
+        with pytest.raises(Built):
+            quotient.quotient_infinite_hitting(op.matrix, quotient.orbit_basis(full_direction_group(cay), op.dim), fin)
+
+    def test_basis_refused_before_it_allocates(self, monkeypatch):
+        _, op, fin = hypercube_setup(4, "dft")
+        report = spectral.infinite_hitting_projector(op.matrix, fin)
+        # U, V and W with B: 3 complex arrays of 64 x 64 against a 64 KiB budget
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 64 * 2**10)
+        with pytest.raises(ValueError, match="dimension 64 needs an estimated 192 KiB, over a memory budget of 64 KiB"):
+            report.basis
+        assert vars(report)["basis"] is None
 
 
 def count_parity_splits(monkeypatch) -> list:

@@ -125,6 +125,16 @@ class TestEvolutionOperator:
         with pytest.raises(ValueError, match="dimension 384 needs an estimated 4 MiB, over a memory budget of 3 MiB"):
             walk.evolution_operator(g, walk.dft_coin(6)).matrix
 
+    @pytest.mark.parametrize("need, budget, text", [
+        (3 * 2**20, 2**20, "3 MiB, over a memory budget of 1 MiB"),
+        (2**20 - 2**10, 3 * 2**18, "1023 KiB, over a memory budget of 768 KiB"),
+        (1000, 100, "1000 bytes, over a memory budget of 100 bytes"),
+    ])
+    def test_memory_refusal_gives_sizes_below_one_mib(self, monkeypatch, need, budget, text):
+        monkeypatch.setattr(walk, "_memory_budget", lambda: budget)
+        with pytest.raises(ValueError, match=f"^dimension 5 needs an estimated {text}$"):
+            walk._check_memory(5, need, np.uint8)
+
     def test_dft_hypercube4_eigenvalue_multiplicities(self):
         op = walk.evolution_operator(graphs.build_hypercube(4), walk.dft_coin(4))
         clusters = spectral.eigenspace_clusters(op.matrix)
