@@ -267,7 +267,7 @@ def cmd_quotient(args, out) -> int:
     if args.coin is not None:
         coin = resolve_coin(args.coin, g.degree_value)
         op = walk.evolution_operator(g, coin)
-        uh = quotient.quotient_walk(op.matrix, basis)
+        uh = quotient.quotient_walk(op, basis)
         payload["u_h"] = walk.matrix_to_json(uh)
     manifest = _manifest("quotient", graph=descr, coin=args.coin, subgroup=args.subgroup)
     emit_json(out, payload, manifest)
@@ -276,8 +276,6 @@ def cmd_quotient(args, out) -> int:
 
 def cmd_dfs(args, out) -> int:
     g, cay, descr = resolve_graph(args.graph, args.graph_file)
-    if not descr.startswith("hypercube"):
-        raise UsageError("dfs currently drives the hypercube swap example")
     n = g.degree_value
     if n < 2:  # before the uniform kappas divide by sqrt(n - 1)
         raise ValueError("swap dephasing needs n >= 2")
@@ -380,7 +378,7 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("dfs", help="decoherence-free-subspace check (swap example)")
+    p = sub.add_parser("dfs", help="decoherence-free-subspace check under direction-swap dephasing")
     add_graph_args(p)
     p.add_argument("--kappas", default="uniform")
     p.add_argument(

@@ -265,27 +265,21 @@ def _monomial_adjoint(image: np.ndarray, weights: np.ndarray) -> tuple[np.ndarra
     return inverse, weights.conj()[inverse]
 
 
-def _monomial_sandwich(image: np.ndarray, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A+ Y A, entry (a, b) = weights[a]* Y[image[a], image[b]] weights[b]: one gather."""
-    return weights.conj()[:, None] * y[np.ix_(image, image)] * weights
-
-
 def _channel_map(ch: Channel, *, adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
     """Phi, or Phi+ when ``adjoint``, on D x D arrays, with a multiplier m
-    conjugated once: m o rho and m* o Y; else sum_i A_i rho A_i+ and
-    sum_i A_i+ Y A_i, which for monomial A_i go by gathers, Phi as
-    sum_i B_i+ rho B_i with B_i = A_i+."""
+    conjugated once: m o rho and m* o Y; else sum_i A_i Y A_i+, with A_i+
+    in place of A_i for Phi+, as A (A Y+)+ through the :func:`_kraus_actions`
+    X -> A X, which for monomial A go by gathers; Y+ is formed once."""
     if ch.schur is not None:
         m = ch.schur.conj() if adjoint else ch.schur
         return lambda y: m * y
-    if ch.monomials is not None:
-        pairs = list(zip(*ch.monomials))
-        if not adjoint:
-            pairs = [_monomial_adjoint(*a) for a in pairs]
-        return lambda y: sum(_monomial_sandwich(*a, y) for a in pairs)
-    if adjoint:
-        return lambda y: sum(a.conj().T @ y @ a for a in ch.kraus)
-    return lambda y: sum(a @ y @ a.conj().T for a in ch.kraus)
+    actions = _kraus_actions(ch, adjoint=adjoint)
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        yh = y.conj().T
+        return sum(a(a(yh).conj().T) for a in actions)
+
+    return apply
 
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:

@@ -296,8 +296,8 @@ def cube_report(u, n: int, p_f: np.ndarray, tol: float) -> FourierReport:
     cube = frame(u, n, tol)
     size = cube.multiplicities
     overlap = cube.overlap(p_f)[:, cube.members]
-    rank, warnings, groups = _rank_clusters(overlap, cube.bounds[:-1], size, cube.lams,
-                                            np.arange(len(size)), False)
+    position = np.arange(len(size))
+    rank, warnings, groups = _rank_clusters(overlap, cube.bounds[:-1], size, cube.lams, position)
     return FourierReport(
         contributions=tuple((size - rank).tolist()),
         warnings=_in_order(warnings + _gap_warnings(cube.lams)),
@@ -305,5 +305,5 @@ def cube_report(u, n: int, p_f: np.ndarray, tol: float) -> FourierReport:
         finals=p_f,
         frame=cube,
         rank=rank,
-        groups=_untrapped_groups(groups, cube.bounds[:-1], rank, np.arange(len(size)), cube.members),
+        groups=_untrapped_groups(groups, cube.bounds[:-1], rank, position, cube.members),
     )

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import OracleMismatchError, SymmetryError
 from .graphs import ColoredGraph, glued_trees_columns
 from .groups import PermGroup, Permutation, generators_of, orbit_labels
-from .spectral import _as_matrix, _cube_order, _final_array, _walk_dim, infinite_hitting_projector
+from .spectral import _as_matrix, _cube_order, _final_array, infinite_hitting_projector
+from .walk import _as_walk
 
 __all__ = [
     "OrbitBasis",
@@ -134,7 +135,7 @@ def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCh
     Commuting with the subgroup is sufficient for :func:`quotient_walk`,
     not necessary: the reduction needs only that U keeps ran(B).
     """
-    m = np.asarray(getattr(u, "matrix", u))
+    m = _as_walk(u).matrix
     worst = 0.0
     for h in generators_of(grp):
         img = np.asarray(h.image)
@@ -148,8 +149,7 @@ def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCh
 def quotient_walk(u, basis: OrbitBasis) -> np.ndarray:
     """U_H = B+ U B by orbit sums of U's rows, R = B+ U, then of R's columns.
     U keeps ran(B) exactly when R = U_H B+; max |R - U_H B+| is its leak."""
-    m = np.asarray(getattr(u, "matrix", u))
-    r = _orbit_sums(m, basis, 0)
+    r = _orbit_sums(_as_walk(u).matrix, basis, 0)
     uh = _orbit_sums(r, basis, 1)
     leak = float(np.max(np.abs(r - np.take(uh / np.sqrt(basis.sizes), basis.labels, axis=1))))
     if not leak <= SYMMETRY_ATOL:
@@ -369,7 +369,8 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     that a walk that leaks out of the symmetric subspace raises before the
     full-space eigensolve.
     """
-    final = np.unique(_final_array(final_indices, _walk_dim(u)))
+    op = _as_walk(u)
+    final = np.unique(_final_array(final_indices, op.dim))
     inside = np.bincount(basis.labels[final], minlength=basis.num_orbits)
     if np.any((inside > 0) & (inside < basis.sizes)):
         raise SymmetryError(
@@ -379,18 +380,16 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     if not final_orbits.size:
         raise SymmetryError("final projector has no support on the quotient")
 
-    if not _cube_order(u):  # the dense route; the n-cube's Fourier route reads no dense U
-        u = _as_matrix(u)
-    u_h = quotient_walk(u, basis)
-    report_full = infinite_hitting_projector(u, final)
+    if not _cube_order(op):  # the dense eigensolve is refused before U is read
+        _as_matrix(op)
+    # quotient_walk reads the dense U on both routes, until U_H is summed
+    # from the walk's factors
+    u_h = quotient_walk(op, basis)
+    report_full = infinite_hitting_projector(op, final)
     dim_full = _shared_directions(report_full, basis)
 
     report_q = infinite_hitting_projector(u_h, final_orbits)
-    dim_q = report_q.trace_int
-    if not abs(report_q.trace_p - dim_q) <= 1e-6:
-        raise OracleMismatchError(
-            f"quotient trapped trace {report_q.trace_p} is not near an integer"
-        )
+    dim_q = report_q.trapped_dim
     if dim_full != dim_q:
         raise OracleMismatchError(
             f"intersection dims disagree: principal angles {dim_full}, "

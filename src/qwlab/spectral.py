@@ -16,13 +16,15 @@ multiplicity by one stacked SVD, so a small walk costs a few numpy calls
 rather than a Python pass per chain and per cluster.  What a report keeps
 of each cluster is the part that sees the finals: an orthonormal basis W of
 ran(I - P) made of eigenvectors of U, whose coefficients Z_c in a cluster
-are the right singular vectors of its final overlap.  trace(P) is
-the sum of m_c - ||Z_c||^2 over the clusters; the escape (a start's mass
-outside W), the coin-overlap blocks I - W_v W_v+ and the hitting time are
-read from W, and no D x D projector is formed.  The trapped subspace's
-orthonormal basis B is built only when read.  An eigensolve whose estimated
-working set exceeds the memory budget (physical memory, or the cgroup limit
-where lower) raises ValueError before U is built or read.
+are the right singular vectors of its final overlap.  trace(P) is the
+trapped dimension, the count sum_c (m_c - rank_c) of the rank decisions;
+the escape (a start's mass outside W), the coin-overlap blocks I - W_v W_v+
+and the hitting time are read from W, and no D x D projector is formed.
+The trapped subspace's orthonormal basis B is built only when read.  Every
+entry point takes the walk as a WalkOperator, and wraps an array as one
+block, uncopied.  An eigensolve whose estimated working set exceeds the
+memory budget (physical memory, or the cgroup limit where lower) raises
+ValueError before U is built or read.
 
 Both routes split through one stacked core, ``_split_stack``: the dense
 route hands it U as a stack of one, and a WalkOperator whose shift is the
@@ -48,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import BasisIndexing, ColoredGraph
-from .walk import _check_memory
+from .walk import WalkOperator, _as_walk, _check_memory
 
 __all__ = [
     "EigenCluster",
@@ -174,14 +176,14 @@ class SpectralReport:
     the report is.  ``basis`` spans the trapped subspace with orthonormal
     columns and is built when first read, on both routes.  ``rank`` holds
     each cluster's rank, and ``groups`` its coefficients of W, by
-    multiplicity, from which trace(P) is read; the dense route builds them
-    when first read, from the arguments ``ranking`` of
-    :func:`_untrapped_groups`.  ``contributions`` counts the
-    trapped dimensions contributed by each cluster, in cluster order.
+    multiplicity; the dense route builds them when ``basis`` is first read,
+    from the arguments ``ranking`` of :func:`_untrapped_groups`.
+    ``contributions`` counts the trapped dimensions contributed by each
+    cluster, in cluster order, and trace(P) is their sum.
     Warnings, in cluster order, record nullspace rank decisions that fell
     within 10x of the singular value cutoff, and neighbouring clusters whose
     eigenvalues lie within 10x of the cluster tolerance.  ``walk`` and
-    ``finals`` are the U and the final indices the report was made for, and
+    ``finals`` are the walk and the final indices the report was made for, and
     ``vectors`` the dense route's eigenvectors V, whose columns the clusters'
     bases are.  ``split_start`` and ``reduced_step`` answer what the unitary
     closed form asks: the escape with the start in W's coordinates, and
@@ -194,27 +196,21 @@ class SpectralReport:
     clusters: tuple[EigenCluster, ...] = _BuiltOnRead()
     basis: np.ndarray = _BuiltOnRead()
     untrapped: np.ndarray = _BuiltOnRead()
-    walk: object = None
+    walk: WalkOperator | None = None
     finals: np.ndarray | None = None
     rank: np.ndarray | None = None
     groups: tuple[_UntrappedGroup, ...] = _BuiltOnRead()
     vectors: np.ndarray | None = None
     ranking: tuple = ()
 
-    @functools.cached_property
+    @property
     def trace_p(self) -> float:
-        """||B||^2 cluster by cluster, as m_c - ||Z_c||^2 from the untrapped
-        coefficients Z_c, with no basis built; a cluster with no trapped
-        direction adds nothing."""
-        total = 0.0
-        for g in self.groups:
-            held = self.rank[g.clusters] < g.rows.shape[1]
-            total += float(np.sum(g.rows.shape[1] - np.sum(np.abs(g.z[held]) ** 2, axis=(1, 2))))
-        return total
+        """trace(P), the trapped dimension: B's columns are orthonormal."""
+        return float(self.trapped_dim)
 
     @property
     def trace_int(self) -> int:
-        return int(round(self.trace_p))
+        return self.trapped_dim
 
     @property
     def dim(self) -> int:
@@ -260,7 +256,7 @@ class SpectralReport:
     def reduced_step(self) -> np.ndarray:
         """A_r = W+ (Q_f U) W, from U W."""
         w = self.untrapped
-        aw = self.walk.apply(w) if hasattr(self.walk, "apply") else np.asarray(self.walk) @ w
+        aw = self.walk.apply(w)
         aw[self.finals] = 0.0
         return w.conj().T @ aw
 
@@ -303,17 +299,11 @@ def _row_grams(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return b @ b.conj().transpose(0, 2, 1)
 
 
-def _walk_dim(u) -> int:
-    """D of a WalkOperator or a square array, without reading a dense U."""
-    return u.dim if hasattr(u, "dim") else np.shape(u)[0]
-
-
-def _as_matrix(u) -> np.ndarray:
+def _as_matrix(op: WalkOperator) -> np.ndarray:
     """U as a dense matrix, refused before it is read or built if the
     eigensolve on it would not fit in the memory budget."""
-    d = _walk_dim(u)
-    _check_memory(d, EIGENSOLVE_WORK_ARRAYS * d * d)
-    return np.asarray(getattr(u, "matrix", u))
+    _check_memory(op.dim, EIGENSOLVE_WORK_ARRAYS * op.dim**2)
+    return op.matrix
 
 
 def _final_array(p_f, dim: int) -> np.ndarray:
@@ -552,18 +542,15 @@ def _clusters(lams, first, basis, order) -> tuple[EigenCluster, ...]:
     )
 
 
-def _cube_order(u) -> int:
-    """n when u is a WalkOperator with an n x n coin block whose shift image
-    sends v*n + c to (v XOR 2^c)*n + c, the walk on the n-cube that
+def _cube_order(op: WalkOperator) -> int:
+    """n when the walk has an n x n coin block whose shift image sends
+    v*n + c to (v XOR 2^c)*n + c, the walk on the n-cube that
     ``build_hypercube`` colors; else 0.  Costs O(D) and reads no graph."""
-    image = getattr(u, "image", None)
-    if image is None:
+    n = op.block.shape[0]
+    if not 1 <= n < 63 or op.dim != n << n:
         return 0
-    n = u.block.shape[0]
-    if not 1 <= n < 63 or image.size != n << n:
-        return 0
-    v, c = np.divmod(np.arange(image.size), n)
-    return n if np.array_equal(image, (v ^ (1 << c)) * n + c) else 0
+    v, c = np.divmod(np.arange(op.dim), n)
+    return n if np.array_equal(op.image, (v ^ (1 << c)) * n + c) else 0
 
 
 def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:
@@ -601,12 +588,12 @@ def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]
     return _report(u, (), tol).clusters
 
 
-def _rank_clusters(overlap, starts, size, lams, position, full_matrices: bool):
+def _rank_clusters(overlap, starts, size, lams, position):
     """(rank, warnings, groups) of the clusters' final overlaps.
 
     Cluster i's overlap is the block of columns of ``overlap`` from
     starts[i] on, size[i] wide; the overlaps of all clusters of one
-    multiplicity are decomposed by one stacked SVD, each group listed as
+    multiplicity are decomposed by one stacked thin SVD, each group listed as
     (cluster indices, overlaps, their SVD).  Warnings are (position,
     message) pairs for singular values within 10x of the cutoff.
     """
@@ -615,7 +602,7 @@ def _rank_clusters(overlap, starts, size, lams, position, full_matrices: bool):
     for k in sorted(set(size.tolist())):
         group = np.flatnonzero(size == k)
         gathered = overlap[:, starts[group, None] + np.arange(k)].transpose(1, 0, 2)
-        svd = np.linalg.svd(gathered, full_matrices=full_matrices)
+        svd = np.linalg.svd(gathered, full_matrices=False)
         sv = svd[1]
         cutoff = NULLSPACE_RTOL * sv[:, :1]
         kept = sv > cutoff
@@ -670,20 +657,21 @@ def infinite_hitting_projector(u, p_f) -> SpectralReport:
 
 def _report(u, p_f, tol: float) -> SpectralReport:
     """:func:`infinite_hitting_projector` with clusters cut at distance tol."""
-    p_f = _final_array(p_f, _walk_dim(u))
-    cube = _cube_order(u)
+    op = _as_walk(u)
+    p_f = _final_array(p_f, op.dim)
+    cube = _cube_order(op)
     if cube:
         from . import fourier  # which builds on this module
 
-        return fourier.cube_report(u, cube, p_f, tol)
-    sums, first, v = _split_stack(_as_matrix(u)[None], tol)
+        return fourier.cube_report(op, cube, p_f, tol)
+    sums, first, v = _split_stack(_as_matrix(op)[None], tol)
     lams, v = sums / np.abs(sums), v[0]
     dim, n = v.shape[0], len(lams)
     order = _phase_order(lams, tol)
     position = np.empty_like(order)
     position[order] = np.arange(n)
     size = np.diff([*first, dim])
-    rank, warnings, ranked = _rank_clusters(v[p_f], first, size, lams, position, False)
+    rank, warnings, ranked = _rank_clusters(v[p_f], first, size, lams, position)
     by_position = rank[order]
     offset = (np.cumsum(by_position) - by_position)[position]  # each cluster's first column of W
     partly = (rank > 0) & (rank < size)
@@ -697,7 +685,7 @@ def _report(u, p_f, tol: float) -> SpectralReport:
         contributions=tuple((size - rank)[order].tolist()),
         warnings=_in_order(warnings + _gap_warnings(lams[order])),
         untrapped=w,
-        walk=u,
+        walk=op,
         finals=p_f,
         rank=by_position,
         vectors=v,

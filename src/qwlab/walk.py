@@ -122,9 +122,10 @@ class WalkOperator:
     ``block`` (C, b x b) acts on each run of b consecutive basis states, and
     the permutation ``image`` then moves state j to image[j]: row j of
     I (x) C is row image[j] of U.  ``WalkOperator(matrix)`` is the same form
-    with one D x D block and the identity image.  :meth:`apply` costs O(D b)
-    per column; the dense ``matrix`` is built on first read, and refused
-first if it would not fit in the memory budget.  ``graph``,
+    with one D x D block and the identity image, whose ``matrix`` is that
+    block itself.  :meth:`apply` costs O(D b) per column; any other dense
+    ``matrix`` is built on first read, and refused first if it would not
+    fit in the memory budget.  ``graph``,
     when given, is the graph the walk runs on; the finals and the
     dephasing labels of a measured walk are read from it.
     """
@@ -146,6 +147,8 @@ first if it would not fit in the memory budget.  ``graph``,
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         d, b = self.dim, self.block.shape[0]
+        if b == d and np.array_equal(self.image, np.arange(d)):
+            return self.block
         _check_memory(d, 2 * d * d, self.block.dtype)  # U and the product it is gathered from
         u = np.empty((d, d), dtype=self.block.dtype)
         eye = np.eye(d // b)  # I (x) C, entry for entry as np.kron forms it
@@ -169,6 +172,12 @@ first if it would not fit in the memory budget.  ``graph``,
         coin_major, rows = self._gathers
         b = self.block.shape[0]
         return (self.block @ x[coin_major].reshape(b, -1)).reshape(x.shape)[rows]
+
+
+def _as_walk(u) -> WalkOperator:
+    """``u`` itself when it is a WalkOperator, else ``WalkOperator(u)``: an
+    array is wrapped as one block, which its ``matrix`` returns uncopied."""
+    return u if isinstance(u, WalkOperator) else WalkOperator(u)
 
 
 def grover_coin(d: int) -> Coin:

@@ -295,6 +295,18 @@ class TestSpectrumCommand:
             "error: dimension 384 needs an estimated 3 MiB, over a memory budget of 1 MiB\n"
         )
 
+    @pytest.mark.parametrize("descriptor, coin", [
+        ("distorted-hypercube:3", "grover"), ("distorted-hypercube:3", "dft"), ("cayley:s3:3gen", "dft"),
+        ("cayley:s4:3gen", "dft"), ("hypercube:3", "grover")])
+    def test_trace_is_the_trapped_count(self, descriptor, coin):
+        # trace(P) is the trapped dimension, printed as that integer's float
+        # on the dense and the Fourier route alike
+        code, out = run_cli("spectrum", "--graph", descriptor, "--coin", coin)
+        payload = json.loads(out)
+        assert code == 0 and payload["trace_p_int"] > 0
+        assert payload["trace_p"] == float(payload["trace_p_int"])
+        assert f'"trace_p":{payload["trace_p_int"]}.0,' in out
+
     def test_dft_cube4_multiplicities(self):
         _, out = run_cli("spectrum", "--graph", "hypercube:4", "--coin", "dft")
         payload = json.loads(out)
@@ -319,9 +331,10 @@ class TestQuotientCommand:
 
     def test_walk_over_the_memory_budget_exits_one(self, monkeypatch, capsys):
         # U and the product it is gathered from, two 384 x 384 float64 arrays
-        # for the real grover walk, against a 1 MiB budget
+        # for the real grover walk, against a 1 MiB budget; quotient_walk
+        # reads U from the walk, and is refused before its orbit sums
         monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
-        monkeypatch.setattr(quotient, "quotient_walk", refuse)
+        monkeypatch.setattr(quotient, "_orbit_sums", refuse)
         code, out = run_cli("quotient", "--graph", "hypercube:6", "--subgroup", "(1,2)",
                             "--coin", "grover")
         assert (code, out) == (1, "")
@@ -413,6 +426,30 @@ class TestDfsCommand:
         assert out == reference
         assert calls.count("cayley_hypercube") == 1
         assert calls.count("direction_perm_to_automorphism") == 3 + len(subgroup)
+
+    @pytest.mark.parametrize("descriptor", ["cayley:s4:3gen", "cayley:s3:2gen"])
+    def test_cayley_graphs_take_the_same_path(self, descriptor):
+        # the adjacent direction swaps lift on any Cayley graph whose
+        # direction transpositions are automorphisms; the orbits of the
+        # group they generate are decoherence-free with coefficients kappa
+        code, out = run_cli("dfs", "--graph", descriptor)
+        assert code == 0
+        payload = json.loads(out)
+        g, cay, _ = cli.resolve_graph(descriptor, None)
+        adjacent = [f"({i},{i + 1})" for i in range(1, cay.degree)]
+        assert payload["manifest"]["subgroup"] == adjacent
+        dim = graphs.BasisIndexing.from_graph(g).total_dim
+        assert payload["num_orbits"] == quotient.orbit_basis(cli.resolve_subgroup(adjacent, cay), dim).num_orbits
+        assert payload["is_dfs"] is True and payload["witness"] is None
+        kappa = 1 / np.sqrt(cay.degree - 1)
+        assert len(payload["coefficients"]) == cay.degree - 1
+        for re, im in payload["coefficients"]:
+            assert re == pytest.approx(kappa, abs=1e-12) and im == 0.0
+
+    def test_graph_with_no_cayley_structure_is_one_error_line(self, capsys):
+        code, out = run_cli("dfs", "--graph", "cycle:8")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: subgroups are specified for Cayley graphs only\n"
 
     def test_kappas_are_checked_before_the_subgroup(self, capsys):
         code, _ = run_cli("dfs", "--graph", "hypercube:4", "--kappas", "0.6,0.8", "--subgroup", "(1,9)")

@@ -906,6 +906,23 @@ class TestSwapDephasingMonomials:
         adjoint = deco._channel_map(ch, adjoint=True)(y) - deco._channel_map(dense, adjoint=True)(y)
         assert np.max(np.abs(adjoint)) < 1e-13
 
+    @pytest.mark.parametrize("family", ["swap", "dense"])
+    def test_maps_are_the_written_out_kraus_sums(self, family, rng):
+        # Phi and Phi+ apply each A as A (A Y+)+ through the Kraus actions:
+        # both equal sum A Y A+ and sum A+ Y A over the dense operators, for
+        # complex-kappa swap dephasing and a random three-operator channel
+        if family == "swap":
+            ch = deco.swap_dephasing_example(4, random_kappas(4, rng))
+        else:
+            ch = random_channel(24, 3, rng)
+        d = ch.dim
+        y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        y /= np.linalg.norm(y)
+        forward = sum(a @ y @ a.conj().T for a in ch.kraus)
+        backward = sum(a.conj().T @ y @ a for a in ch.kraus)
+        assert np.max(np.abs(deco.apply_channel(ch, y) - forward)) <= 1e-14
+        assert np.max(np.abs(deco._channel_map(ch, adjoint=True)(y) - backward)) <= 1e-14
+
     def test_builds_no_dense_operator(self, monkeypatch, rng):
         monkeypatch.setattr(np, "kron", refuse)
         monkeypatch.setattr(deco.Channel, "kraus", property(refuse))

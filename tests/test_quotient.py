@@ -654,3 +654,75 @@ def test_shared_directions_at_the_angle_tolerance(wide, gap, shared):
     )
     assert (report.untrapped_dim < report.trapped_dim) == wide
     assert quotient._shared_directions(report, basis) == shared
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the SymmetryError it raises."""
+    try:
+        return f(*args)
+    except SymmetryError as exc:
+        return str(exc)
+
+
+def _same(a, b) -> bool:
+    """a and b hold the same values, arrays bit for bit and of one dtype."""
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestOneWalkForm:
+    """The spectral and quotient entry points read a walk as a WalkOperator
+    and wrap an array as one, whose dense matrix is the array itself."""
+
+    def test_wrapping_an_array_copies_nothing(self, rng):
+        for m in (random_unitary(6, rng), walk.grover_coin(4).matrix):
+            op = walk.WalkOperator(m)
+            assert op.matrix is m and np.shares_memory(op.matrix, m)
+
+    @pytest.mark.parametrize("coin", ["grover", "dft"])
+    @pytest.mark.parametrize("descriptor, texts", [
+        ("cayley:s3:2gen", ["(1,2)"]), ("cayley:s4:3gen", ["(1,2)", "(2,3)"]), ("hypercube:3", ["(1,2)"])])
+    def test_an_array_and_its_walk_operator_give_identical_results(self, descriptor, texts, coin):
+        g, cay, _ = cli.resolve_graph(descriptor, None)
+        c = walk.grover_coin(cay.degree) if coin == "grover" else walk.dft_coin(cay.degree)
+        u = walk.evolution_operator(g, c).matrix
+        gens = cli.resolve_subgroup(texts, cay)
+        basis = quotient.orbit_basis(gens, len(u))
+        fin = graphs.BasisIndexing.from_graph(g).indices_for([cay.vertex_index[cay.identity]])
+        results = []
+        for form in (u, walk.WalkOperator(u)):
+            report = spectral.infinite_hitting_projector(form, fin)
+            assert isinstance(report.walk, walk.WalkOperator) and report.walk.matrix is u
+            clusters = spectral.eigenspace_clusters(form)
+            results.append([
+                report.contributions, report.warnings, report.trace_p, report.untrapped, report.basis,
+                report.reduced_step(), [(c.eigenvalue, c.basis) for c in clusters],
+                spectral.degeneracy_condition(form, cay.degree),
+                quotient.check_walk_symmetry(form, gens),
+                _outcome(quotient.quotient_walk, form, basis),
+                _outcome(quotient.quotient_infinite_hitting, form, basis, fin),
+            ])
+        assert all(_same(a, b) for a, b in zip(*results))
+
+    @pytest.mark.parametrize("coin, subgroup", [
+        ("grover", "(1,2)"), ("grover", "full"), ("grover", "translation"), ("dft", "translation")])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cube_verdict_equals_the_dense_verdict(self, n, coin, subgroup):
+        # the WalkOperator takes the Fourier route, its dense matrix the
+        # dense route; the two verdicts are equal, traces included
+        cay, op = cube_walk(n, coin)
+        gens = {
+            "(1,2)": lambda: direction_group(cay, "(1,2)").generators,
+            "full": lambda: full_direction_group(cay).generators,
+            "translation": lambda: [groups.left_translation(cay, cay.generators[0])],
+        }[subgroup]()
+        basis = quotient.orbit_basis(gens, op.dim)
+        final = graphs.BasisIndexing.from_graph(cay.graph).indices_for([2**n - 1])
+        final = np.flatnonzero(np.isin(basis.labels, basis.labels[final]))
+        assert spectral._cube_order(op) == n and not spectral._cube_order(walk.WalkOperator(op.matrix))
+        verdict = quotient.quotient_infinite_hitting(op, basis, final)
+        assert verdict == quotient.quotient_infinite_hitting(op.matrix, basis, final)
+        assert verdict.full_trace == float(spectral.infinite_hitting_projector(op, final).trapped_dim)
