@@ -608,13 +608,19 @@ def _check_scalar_action(
     ops: Sequence[Callable[[np.ndarray], np.ndarray]], basis: np.ndarray, atol: float
 ) -> DfsVerdict:
     """Each op, given as the map X -> A X on blocks of columns, must act on
-    every basis column v as A v = c v; c is read off the first column."""
-    basis = np.asarray(basis, dtype=complex)
+    every basis column b as A b = c b, checked with c = <b_0, A b_0> of the
+    first column.  The coefficient returned is (A v)_i, v the first column
+    scaled to v_i = 1 at its largest entry i: on a real orbit column, whose
+    entries are equal, a monomial A gives exactly its kappa."""
+    given = np.asarray(basis)
+    basis = np.asarray(given, dtype=complex)
     if basis.ndim != 2 or basis.shape[1] == 0:
         raise ValueError("basis must be a nonempty matrix of columns")
     gram = basis.conj().T @ basis
     if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-9:
         raise ValueError("basis columns must be orthonormal")
+    top = int(np.argmax(np.abs(given[:, 0])))
+    scaled = given[:, :1] / given[top, 0]  # in real arithmetic for a real basis, where x / x is 1
     coeffs = []
     for i, apply in enumerate(ops):
         image = apply(basis)
@@ -623,7 +629,7 @@ def _check_scalar_action(
         bad = np.flatnonzero(~(residuals <= atol))
         if bad.size:
             return DfsVerdict(False, witness=(i, int(bad[0]), float(residuals[bad[0]])))
-        coeffs.append(c)
+        coeffs.append(complex(apply(scaled)[top, 0]))
     return DfsVerdict(True, coefficients=tuple(coeffs))
 
 

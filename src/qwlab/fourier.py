@@ -163,14 +163,15 @@ class _Cluster:
         return self.frame.synthesize(coef)
 
 
-def frame(u, n: int, tol: float) -> Frame:
-    """Split the 2^n blocks of the n-cube walk u by one stacked split, and
-    merge their clusters across blocks: sorted by phase, neighbours within
-    tol share a cluster, across the branch cut too; clusters are listed as
-    :func:`spectral._phase_order` lists them."""
+def frame(coin: np.ndarray, tol: float) -> Frame:
+    """Split the 2^n blocks of the walk on the n-cube with the n x n coin C
+    by one stacked split, and merge their clusters across blocks: sorted by
+    phase, neighbours within tol share a cluster, across the branch cut too;
+    clusters are listed as :func:`spectral._phase_order` lists them."""
+    n = coin.shape[0]
     k = np.arange(1 << n)
     signs = 1 - 2 * ((k[:, None] >> np.arange(n)) & 1)  # (-1)^(k_c)
-    blocks = signs[:, :, None] * u.block
+    blocks = signs[:, :, None] * coin
     sums, first, vectors = _split_stack(blocks, tol)
     phase = np.angle(sums)
     by_phase = np.argsort(phase, kind="stable")
@@ -288,12 +289,14 @@ class FourierReport(SpectralReport):
         return (a_r - f.conj().T @ g_rows)[:r, :r]
 
 
-def cube_report(u, n: int, p_f: np.ndarray, tol: float) -> FourierReport:
-    """:func:`spectral.infinite_hitting_projector` of the n-cube walk u for
-    the final indices p_f, with clusters cut at distance tol, refused first
-    if its estimate does not fit."""
+def cube_report(u, coin: np.ndarray, p_f: np.ndarray, tol: float) -> FourierReport:
+    """:func:`spectral.infinite_hitting_projector` of the walk u on the
+    n-cube, whose n x n coin is ``coin``, for the final indices p_f, with
+    clusters cut at distance tol, refused first if its estimate does not
+    fit."""
+    n = coin.shape[0]
     _check_memory(n << n, _entries(n, len(p_f)))
-    cube = frame(u, n, tol)
+    cube = frame(coin, tol)
     size = cube.multiplicities
     overlap = cube.overlap(p_f)[:, cube.members]
     position = np.arange(len(size))

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import OracleMismatchError, SymmetryError
 from .graphs import ColoredGraph, glued_trees_columns
 from .groups import PermGroup, Permutation, generators_of, orbit_labels
-from .spectral import _as_matrix, _cube_order, _final_array, infinite_hitting_projector
+from .spectral import _as_matrix, _cube_coin, _final_array, infinite_hitting_projector
 from .walk import _as_walk
 
 __all__ = [
@@ -365,7 +365,8 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     is, no orbit may straddle the finals; otherwise the measured walk
     leaves the quotient.  A final index outside [0, D) raises ValueError.
     A walk whose dense eigensolve would not fit in the memory budget is
-    refused before its dense U is read; then the reduced walk is built, so
+    refused before its dense U is read, unless it is the walk on the n-cube,
+    which takes the Fourier route; then the reduced walk is built, so
     that a walk that leaks out of the symmetric subspace raises before the
     full-space eigensolve.
     """
@@ -380,10 +381,12 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     if not final_orbits.size:
         raise SymmetryError("final projector has no support on the quotient")
 
-    if not _cube_order(op):  # the dense eigensolve is refused before U is read
+    try:  # the dense eigensolve is refused before U is read
         _as_matrix(op)
-    # quotient_walk reads the dense U on both routes, until U_H is summed
-    # from the walk's factors
+    except ValueError:
+        if _cube_coin(op) is None:  # the walk on the n-cube takes none
+            raise
+    # quotient_walk sums the dense U on both routes: a factored walk builds it
     u_h = quotient_walk(op, basis)
     report_full = infinite_hitting_projector(op, final)
     dim_full = _shared_directions(report_full, basis)

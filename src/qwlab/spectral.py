@@ -27,10 +27,13 @@ memory budget (physical memory, or the cgroup limit where lower) raises
 ValueError before U is built or read.
 
 Both routes split through one stacked core, ``_split_stack``: the dense
-route hands it U as a stack of one, and a WalkOperator whose shift is the
-n-cube's, as ``build_hypercube`` colors it, takes the Fourier route of
+route hands it U as a stack of one, and the walk on the n-cube, as
+``build_hypercube`` colors it, takes the Fourier route of
 :mod:`qwlab.fourier`, which hands it the walk's 2^n coin-sized blocks, in
-O(2^n n^3) time and O(D (n + |finals|)) memory.
+O(2^n n^3) time and O(D (n + |finals|)) memory.  ``_cube_coin`` recognises
+that walk factored, by its shift image, or as one dense block, by exact
+checks of its entries; the same walk with its colors relabelled at every
+vertex takes the dense route.
 
 A walk on a bipartite graph anticommutes with the sign P = +-1 by side,
 PUP = -U, so (U + U+)/2 is off-diagonal.  When a dense U's exact nonzero
@@ -542,15 +545,36 @@ def _clusters(lams, first, basis, order) -> tuple[EigenCluster, ...]:
     )
 
 
-def _cube_order(op: WalkOperator) -> int:
-    """n when the walk has an n x n coin block whose shift image sends
-    v*n + c to (v XOR 2^c)*n + c, the walk on the n-cube that
-    ``build_hypercube`` colors; else 0.  Costs O(D) and reads no graph."""
-    n = op.block.shape[0]
-    if not 1 <= n < 63 or op.dim != n << n:
-        return 0
-    v, c = np.divmod(np.arange(op.dim), n)
-    return n if np.array_equal(op.image, (v ^ (1 << c)) * n + c) else 0
+def _cube_coin(op: WalkOperator) -> np.ndarray | None:
+    """The n x n coin C when the walk is S (I (x) C) on the n-cube that
+    ``build_hypercube`` colors, whose shift sends v*n + c to
+    (v XOR 2^c)*n + c; else None.  Reads no graph and uses no tolerance.
+
+    A factored walk is that walk when its block is n x n and its image is
+    that shift: O(D).  One dense D x D block with the identity image,
+    D = n 2^n, is that walk when the n x n gathers
+    U[(v XOR 2^c)*n + c, v*n + c'] of all vertices v equal the first
+    exactly, and U has no other nonzero entry: its nonzero real and
+    imaginary parts are as many as the gathers', O(D^2).
+    """
+    d, n = op.dim, op.block.shape[0]
+    dense = n == d
+    if dense:  # the n of D = n 2^n
+        n = next((k for k in range(1, 63) if k << k >= d), 0)
+    if not 1 <= n < 63 or d != n << n:
+        return None
+    v, c = np.divmod(np.arange(d), n)
+    shifted = (v ^ (1 << c)) * n + c
+    if not dense:
+        return op.block if np.array_equal(op.image, shifted) else None
+    if not np.array_equal(op.image, np.arange(d)):
+        return None
+    u = op.block
+    coins = u[shifted.reshape(-1, n, 1), np.arange(d).reshape(-1, 1, n)]
+    if not np.all(coins == coins[0]):  # a NaN fails too
+        return None
+    nonzero = np.count_nonzero(np.ascontiguousarray(u).view(np.float64))
+    return coins[0] if nonzero == np.count_nonzero(coins.view(np.float64)) else None
 
 
 def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:
@@ -659,11 +683,11 @@ def _report(u, p_f, tol: float) -> SpectralReport:
     """:func:`infinite_hitting_projector` with clusters cut at distance tol."""
     op = _as_walk(u)
     p_f = _final_array(p_f, op.dim)
-    cube = _cube_order(op)
-    if cube:
+    coin = _cube_coin(op)
+    if coin is not None:
         from . import fourier  # which builds on this module
 
-        return fourier.cube_report(op, cube, p_f, tol)
+        return fourier.cube_report(op, coin, p_f, tol)
     sums, first, v = _split_stack(_as_matrix(op)[None], tol)
     lams, v = sums / np.abs(sums), v[0]
     dim, n = v.shape[0], len(lams)

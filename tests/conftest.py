@@ -22,6 +22,36 @@ def trapped_projector(report) -> np.ndarray:
     return report.basis @ report.basis.conj().T
 
 
+def color_shift(dim: int, n: int) -> np.ndarray:
+    """The image of the relabelling v*n + c -> v*n + (c + 1) % n of the n
+    colors at every vertex."""
+    v, c = np.divmod(np.arange(dim), n)
+    return v * n + (c + 1) % n
+
+
+def relabelled(x: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """P x for a vector, P x P+ for a matrix, P moving index j to image[j]."""
+    out = np.empty_like(x)
+    out[np.ix_(*[image] * x.ndim)] = x
+    return out
+
+
+def color_permuted(u: np.ndarray, n: int) -> np.ndarray:
+    """P U P+ for the :func:`color_shift` P: on the n-cube the same walk,
+    whose dense matrix takes the dense route, not the Fourier route."""
+    return relabelled(u, color_shift(len(u), n))
+
+
+def relabelled_group(gens, image: np.ndarray) -> list[groups.Permutation]:
+    """P g P+ for each basis permutation g of ``gens``."""
+    out = []
+    for g in gens:
+        conj = np.empty_like(image)
+        conj[image] = image[np.asarray(g.image)]
+        out.append(groups.Permutation(tuple(conj.tolist())))
+    return out
+
+
 def direction_group(cay: graphs.CayleyGraph, *cycle_texts: str) -> groups.PermGroup:
     """Closure of the basis automorphisms induced by direction permutations."""
     gens = [

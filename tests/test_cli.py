@@ -446,6 +446,16 @@ class TestDfsCommand:
         for re, im in payload["coefficients"]:
             assert re == pytest.approx(kappa, abs=1e-12) and im == 0.0
 
+    @pytest.mark.parametrize("argv", [
+        *(["--graph", f"hypercube:{n}"] for n in range(3, 8)),
+        *(["--graph", f"cayley:{name}"] for name in ("s3:2gen", "s3:3gen", "s4:3gen")),
+        ["--graph", "hypercube:3", "--kappas", "0.6,0.8"]])
+    def test_coefficients_are_the_kappas_bit_for_bit(self, argv):
+        code, out = run_cli("dfs", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["coefficients"] == [[kappa, 0.0] for kappa in payload["manifest"]["kappas"]]
+
     def test_graph_with_no_cayley_structure_is_one_error_line(self, capsys):
         code, out = run_cli("dfs", "--graph", "cycle:8")
         assert (code, out) == (1, "")

@@ -13,7 +13,8 @@ from conftest import (
     two_four_cycles,
 )
 from qwlab.errors import IndeterminateError
-from qwlab.quotient import orbit_basis
+from qwlab.groups import Permutation
+from qwlab.quotient import OrbitBasis, orbit_basis
 
 COINS = {"grover": walk.grover_coin, "dft": walk.dft_coin}
 
@@ -966,6 +967,22 @@ class TestSwapDephasingMonomials:
 
 
 class TestSwapDephasing:
+    @pytest.mark.parametrize("size", range(2, 41))
+    def test_coefficients_are_the_kappas_at_every_orbit_size(self, size, rng):
+        # one orbit of `size` states and one fixed state; two transpositions
+        # inside the orbit, weighted cos t and sin t, act on both orbit
+        # columns by exactly those numbers
+        swaps = []
+        for j in (1, size - 1):
+            image = list(range(size + 1))
+            image[0], image[j] = image[j], image[0]
+            swaps.append(Permutation(tuple(image)))
+        basis = OrbitBasis(np.array([0] * size + [1])).matrix
+        for t in rng.uniform(0, np.pi / 2, 5):
+            kappas = (np.cos(t), np.sin(t))
+            verdict = deco.dfs_check_kraus(deco._swap_dephasing(swaps, kappas), basis)
+            assert verdict.coefficients == tuple(complex(k) for k in kappas)
+
     def test_n2_single_unitary_kraus(self):
         ch = deco.swap_dephasing_example(2, [1.0])
         assert len(ch.kraus) == 1

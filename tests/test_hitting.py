@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qwlab import decoherence, fourier, graphs, hitting, quotient, spectral, walk
 from qwlab.errors import IndeterminateError, ThresholdUnreachableError
 
-from conftest import battery, random_unitary, trapped_projector
+from conftest import battery, color_permuted, random_unitary, trapped_projector
 
 
 def edge_spec():
@@ -395,7 +395,9 @@ class TestClosedForm:
             raise AssertionError("eigensolve started")
 
         spec = hypercube_spec(3)
-        dense = hitting.measured_walk(walk.WalkOperator(spec.walk.matrix), spec.psi0,
+        # the same walk with its colors permuted, which the dense route takes;
+        # the symmetric start and the final vertex are kept
+        dense = hitting.measured_walk(walk.WalkOperator(color_permuted(spec.walk.matrix, 3)), spec.psi0,
                                       final_indices=spec.final_indices)
         monkeypatch.setattr(spectral, "_split_stack", refuse)
         monkeypatch.setattr(fourier, "_split_stack", refuse)

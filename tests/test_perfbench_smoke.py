@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwlab import cli, decoherence
+from qwlab import cli, decoherence, fourier, spectral
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text())
@@ -113,6 +113,24 @@ def test_symmetry_mix_builds_and_its_small_walks_pass(workloads):
     small = {id(op): op for op in build(REFERENCES) if op.dim <= 160}
     assert len(small) == 9
     assert not failures(small.values())
+
+
+def test_symmetry_verdict_on_a_dense_cube_takes_the_fourier_route(workloads, monkeypatch):
+    """The symmetry mix's hypercube:5 verdict hands the walk in as its dense
+    matrix; it splits the 32 Fourier blocks of 5 x 5 and no 160 x 160 U."""
+    build, _ = workloads.WORKLOADS["symmetry"]
+    (op,) = {id(op): op for op in build(REFERENCES) if (op.kind, op.key) == ("verdict", "hypercube:5")}.values()
+    shapes = []
+
+    def recorded(m, tol):
+        shapes.append(m.shape)
+        return split(m, tol)
+
+    split = spectral._split_stack
+    monkeypatch.setattr(spectral, "_split_stack", recorded)
+    monkeypatch.setattr(fourier, "_split_stack", recorded)
+    assert not failures([op])
+    assert (32, 5, 5) in shapes and not [s for s in shapes if s[1:] == (160, 160)]
 
 
 def test_traced_sweep_counts_kraus_operators_and_uninstalls():

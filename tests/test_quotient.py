@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from qwlab import cli, graphs, groups, hitting, quotient, spectral, walk
+from qwlab import cli, fourier, graphs, groups, hitting, quotient, spectral, walk
 from qwlab.errors import SymmetryError
 
-from conftest import direction_group, full_direction_group, random_unitary, subgroup_forms
+from conftest import (color_permuted, color_shift, direction_group, full_direction_group, random_unitary,
+                      relabelled_group, subgroup_forms)
 
 R22 = 2.0 * np.sqrt(2.0) / 3.0
 
@@ -582,12 +583,14 @@ def test_symmetry_paths_build_no_dense_isometry_or_shift(monkeypatch, descriptor
 def test_verdict_over_the_memory_budget_raises(monkeypatch):
     # U (2.25 MiB with its gather) fits in 8 MiB, the eigensolve's six
     # 384 x 384 complex arrays do not; the verdict refuses before it reads U.
-    # U is given as its dense matrix, which takes the dense eigensolve.
+    # U is given as the dense matrix of the walk with its colors permuted,
+    # which takes the dense eigensolve; it is refused before the subgroup,
+    # the orbits of the walk as built, is read against U.
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve started")
 
     g, cay, _ = cli.resolve_graph("hypercube:6", None)
-    op = walk.WalkOperator(walk.evolution_operator(g, walk.grover_coin(6)).matrix)
+    op = walk.WalkOperator(color_permuted(walk.evolution_operator(g, walk.grover_coin(6)).matrix, 6))
     basis = quotient.orbit_basis(cli.resolve_subgroup(["(1,2)"], cay), op.dim)
     final = graphs.BasisIndexing.from_graph(g).indices_for([63])
     monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
@@ -595,6 +598,21 @@ def test_verdict_over_the_memory_budget_raises(monkeypatch):
     monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
     with pytest.raises(ValueError, match="dimension 384 needs an estimated 14 MiB, over a memory budget of 8 MiB"):
         quotient.quotient_infinite_hitting(op, basis, final)
+
+
+@pytest.mark.parametrize("form", ["dense", "factored"])
+def test_cube_verdict_under_that_budget_takes_the_fourier_route(monkeypatch, form):
+    # the budget that refuses the dense eigensolve above holds the Fourier
+    # route's estimate (576 KiB), so the cube walk itself, given either way,
+    # gets its verdict
+    g, cay, _ = cli.resolve_graph("hypercube:6", None)
+    op = walk.evolution_operator(g, walk.grover_coin(6))
+    u = op if form == "factored" else op.matrix
+    basis = quotient.orbit_basis(cli.resolve_subgroup(["(1,2)"], cay), op.dim)
+    final = graphs.BasisIndexing.from_graph(g).indices_for([63])
+    want = quotient.quotient_infinite_hitting(u, basis, final)
+    monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
+    assert quotient.quotient_infinite_hitting(u, basis, final) == want
 
 
 @pytest.mark.parametrize("form", ["dense", "factored"])
@@ -707,12 +725,42 @@ class TestOneWalkForm:
             ])
         assert all(_same(a, b) for a, b in zip(*results))
 
+    @pytest.mark.parametrize("coin", ["grover", "dft"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_a_cube_array_and_its_factored_walk_give_identical_results(self, n, coin):
+        # both take the Fourier route, the array with the coin gathered from
+        # its entries, which is the factored walk's block bit for bit
+        cay, op = cube_walk(n, coin)
+        u, g = op.matrix, cay.graph
+        fin = graphs.BasisIndexing.from_graph(g).indices_for([2**n - 1])
+        starts = (hitting.symmetric_state(g, 0), hitting.basis_state(g, 0, 1))
+        subgroups = ([groups.left_translation(cay, cay.generators[0])], full_direction_group(cay).generators)
+        results = []
+        for form in (op, u):
+            report = spectral.infinite_hitting_projector(form, fin)
+            assert type(report) is fourier.FourierReport
+            verdicts = []
+            for gens in subgroups:
+                basis = quotient.orbit_basis(gens, op.dim)
+                final = np.flatnonzero(np.isin(basis.labels, basis.labels[fin]))
+                verdicts.append(_outcome(quotient.quotient_infinite_hitting, form, basis, final))
+            results.append([
+                report.contributions, report.warnings, report.trace_p, report.untrapped,
+                [report.escape(psi) for psi in starts],
+                [dataclasses.astuple(hitting.hitting_time_closed_form(
+                    hitting.measured_walk(walk._as_walk(form), psi, final_indices=fin))) for psi in starts],
+                verdicts,
+            ])
+        assert all(_same(a, b) for a, b in zip(*results))
+
     @pytest.mark.parametrize("coin, subgroup", [
         ("grover", "(1,2)"), ("grover", "full"), ("grover", "translation"), ("dft", "translation")])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_cube_verdict_equals_the_dense_verdict(self, n, coin, subgroup):
-        # the WalkOperator takes the Fourier route, its dense matrix the
-        # dense route; the two verdicts are equal, traces included
+        # the WalkOperator takes the Fourier route; the same walk with its
+        # colors permuted by P, given as its dense matrix with the subgroup
+        # and the finals relabelled by P, takes the dense route; the two
+        # verdicts are equal, traces included
         cay, op = cube_walk(n, coin)
         gens = {
             "(1,2)": lambda: direction_group(cay, "(1,2)").generators,
@@ -722,7 +770,10 @@ class TestOneWalkForm:
         basis = quotient.orbit_basis(gens, op.dim)
         final = graphs.BasisIndexing.from_graph(cay.graph).indices_for([2**n - 1])
         final = np.flatnonzero(np.isin(basis.labels, basis.labels[final]))
-        assert spectral._cube_order(op) == n and not spectral._cube_order(walk.WalkOperator(op.matrix))
+        image = color_shift(op.dim, n)
+        permuted = color_permuted(op.matrix, n)
+        assert spectral._cube_coin(op) is op.block and spectral._cube_coin(walk.WalkOperator(permuted)) is None
         verdict = quotient.quotient_infinite_hitting(op, basis, final)
-        assert verdict == quotient.quotient_infinite_hitting(op.matrix, basis, final)
+        permuted_basis = quotient.orbit_basis(relabelled_group(gens, image), op.dim)
+        assert verdict == quotient.quotient_infinite_hitting(permuted, permuted_basis, image[final])
         assert verdict.full_trace == float(spectral.infinite_hitting_projector(op, final).trapped_dim)

@@ -7,7 +7,8 @@ import pytest
 
 from qwlab import cli, fourier, graphs, hitting, quotient, spectral, walk
 
-from conftest import battery, full_direction_group, random_unitary, trapped_projector
+from conftest import (battery, color_permuted, color_shift, full_direction_group, random_unitary, relabelled,
+                      trapped_projector)
 
 
 def hypercube_setup(n, coin_kind):
@@ -348,8 +349,9 @@ class TestProjector:
         # EIGENSOLVE_WORK_ARRAYS counts U and a caller's rho_0 beside the
         # eigensolve's own arrays; the distorted cube is not bipartite and
         # takes the eigh, the bipartite walks the parity split (forced below
-        # its crossover on the Cayley graph), held to the eigh's peak
-        g, u = dense_walk(descriptor, coin_kind)
+        # its crossover on the Cayley graph), held to the eigh's peak; the
+        # cube's colors are permuted, so that its dense U takes the dense route
+        g, u = dense_route_walk(descriptor, coin_kind)
         fin = graphs.BasisIndexing.from_graph(g).indices_for([g.num_vertices - 1])
         peaks, splits = [], count_parity_splits(monkeypatch)
         for min_dim in (len(u) + 1, 0):
@@ -372,8 +374,9 @@ class TestProjector:
         # clusters' final overlaps and their SVDs' coefficients, D |finals|
         # each, and small objects; trace(P) is a count and builds nothing;
         # B is built on read, with the groups of coefficients it is read
-        # from, 2 D |finals| entries more
-        g, u = dense_walk("hypercube:6", "grover")
+        # from, 2 D |finals| entries more; the color-permuted cube takes
+        # the dense route
+        g, u = dense_route_walk("hypercube:6", "grover")
         fin = graphs.BasisIndexing.from_graph(g).indices_for([g.num_vertices - 1])
         tracemalloc.start()
         try:
@@ -611,6 +614,13 @@ def dense_walk(descriptor, coin_kind):
     return g, walk.evolution_operator(g, coin).matrix
 
 
+def dense_route_walk(descriptor, coin_kind):
+    """:func:`dense_walk`, a hypercube's with its colors permuted: the same
+    walk, which takes the dense route."""
+    g, u = dense_walk(descriptor, coin_kind)
+    return g, color_permuted(u, g.degree_value) if descriptor.startswith("hypercube:") else u
+
+
 CLI_GRAPHS = ("edge", "cycle:8", "cycle:16", "cycle:32", "cycle:64", "cayley:s3:2gen",
               "cayley:s3:3gen", "cayley:s4:3gen", "distorted-hypercube:3", "distorted-hypercube:4",
               "distorted-hypercube:5", "hypercube:3", "hypercube:4", "hypercube:5", "hypercube:6")
@@ -619,13 +629,14 @@ CLI_GRAPHS = ("edge", "cycle:8", "cycle:16", "cycle:32", "cycle:64", "cayley:s3:
 def cli_cases():
     """(name, graph, dense U, final indices, starts) of the CLI's graphs with
     both coins, to the last vertex from the symmetric and basis:0:1 starts,
-    and of cayley:s4:3gen to the finals w1321, w2312."""
+    and of cayley:s4:3gen to the finals w1321, w2312; U is that of
+    :func:`dense_route_walk`, so that every case takes the dense route."""
     for descriptor, final in [(d, "all-ones") for d in CLI_GRAPHS] + [("cayley:s4:3gen", "w1321,w2312")]:
         g, cay, _ = cli.resolve_graph(descriptor, None)
         fin = graphs.BasisIndexing.from_graph(g).indices_for(cli.resolve_final(final, g, cay))
         starts = [cli.resolve_start(s, g) for s in ("symmetric", "basis:0:1")]
         for coin_kind in ("grover", "dft"):
-            yield f"{descriptor}-{coin_kind}-{final}", g, dense_walk(descriptor, coin_kind)[1], fin, starts
+            yield f"{descriptor}-{coin_kind}-{final}", g, dense_route_walk(descriptor, coin_kind)[1], fin, starts
 
 
 class TestReadFromUntrapped:
@@ -680,7 +691,7 @@ class TestTrappedBasisOnRead:
         "cycle:8", "cycle:16", "distorted-hypercube:3", "distorted-hypercube:4", "distorted-hypercube:5",
         "cayley:s3:2gen", "cayley:s3:3gen", "cayley:s4:3gen", "hypercube:3", "hypercube:4", "hypercube:5"])
     def test_lazy_basis_matches_the_eager_construction(self, descriptor, coin_kind):
-        g, u = dense_walk(descriptor, coin_kind)
+        g, u = dense_route_walk(descriptor, coin_kind)
         idx = graphs.BasisIndexing.from_graph(g)
         last = g.num_vertices - 1
         for finals in ([last], [last, last // 2]):
@@ -706,6 +717,7 @@ class TestTrappedBasisOnRead:
             raise Built
 
         monkeypatch.setattr(spectral.SpectralReport, "_build_basis", refuse)
+        monkeypatch.setattr(fourier.FourierReport, "_build_basis", refuse)  # the dense cube's route
         cay = graphs.cayley_hypercube(6)
         op = walk.evolution_operator(cay.graph, walk.grover_coin(6))
         fin = graphs.BasisIndexing.from_graph(cay.graph).indices_for([63])
@@ -731,7 +743,8 @@ class TestTrappedBasisOnRead:
 
     def test_basis_refused_before_it_allocates(self, monkeypatch):
         _, op, fin = hypercube_setup(4, "dft")
-        report = spectral.infinite_hitting_projector(op.matrix, fin)
+        report = spectral.infinite_hitting_projector(color_permuted(op.matrix, 4), fin)
+        assert type(report) is spectral.SpectralReport
         # U, V and W with B: 3 complex arrays of 64 x 64 against a 64 KiB budget
         monkeypatch.setattr(walk, "_memory_budget", lambda: 64 * 2**10)
         with pytest.raises(ValueError, match="dimension 64 needs an estimated 192 KiB, over a memory budget of 64 KiB"):
@@ -756,7 +769,7 @@ class TestParitySplit:
     @pytest.mark.parametrize("descriptor", [
         "hypercube:4", "hypercube:5", "hypercube:6", "hypercube:7", "cayley:s4:3gen", "cycle:32", "cycle:64"])
     def test_both_paths_agree(self, monkeypatch, descriptor, coin_kind):
-        g, u = dense_walk(descriptor, coin_kind)
+        g, u = dense_route_walk(descriptor, coin_kind)
         default = spectral.PARITY_MIN_DIM
         project = spectral.infinite_hitting_projector
         splits = count_parity_splits(monkeypatch)
@@ -854,8 +867,11 @@ class TestFourierRoute:
         for start in ("symmetric", "basis"):
             for finals in ([2**n - 1], [2**n - 1, 2**n - 2]):
                 spec = cube_walk_spec(n, coin_kind, start, finals)
-                dense = hitting.measured_walk(walk.WalkOperator(spec.walk.matrix), spec.state,
-                                              final_indices=spec.final_indices)
+                # the same walk with its colors permuted, which the dense
+                # route takes; P keeps the finals, which are whole vertices
+                image = color_shift(spec.dim, n)
+                dense = hitting.measured_walk(walk.WalkOperator(relabelled(spec.walk.matrix, image)),
+                                              relabelled(spec.state, image), final_indices=spec.final_indices)
                 fr = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
                 dr = spectral.infinite_hitting_projector(dense.walk, spec.final_array)
                 assert type(fr) is fourier.FourierReport and type(dr) is spectral.SpectralReport
@@ -902,8 +918,8 @@ class TestFourierRoute:
         g = permuted_color_cube(3) if walk_kind == "permuted-colors" else (
             graphs.build_distorted_hypercube(3) if walk_kind == "distorted" else graphs.build_hypercube(3))
         op = walk.evolution_operator(g, walk.grover_coin(3))
-        if walk_kind == "dense-matrix":
-            op = walk.WalkOperator(op.matrix)
+        if walk_kind == "dense-matrix":  # the cube's, its colors permuted
+            op = walk.WalkOperator(color_permuted(op.matrix, 3))
         spec = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_indices=range(21, 24))
         cube = cube_walk_spec(3, "grover", "symmetric", [7])
         want = hitting.hitting_time_closed_form(cube).value
@@ -950,3 +966,79 @@ class TestFourierRoute:
         monkeypatch.setattr(fourier, "frame", refuse)
         with pytest.raises(ValueError, match="dimension 10240 needs an estimated 25 MiB, over a memory budget of 8 MiB"):
             hitting.hitting_time_closed_form(spec)
+
+
+def cube_matrix(n, coin_kind):
+    """The dense U of the walk on the n-cube, as ``build_hypercube`` colors it."""
+    coin = walk.grover_coin(n) if coin_kind == "grover" else walk.dft_coin(n)
+    return walk.evolution_operator(graphs.build_hypercube(n), coin).matrix
+
+
+def touched(u, n, what):
+    """A copy of the n-cube's dense U with one entry changed: one of vertex
+    1's coin entries by one ulp or to NaN, or an entry that the walk leaves
+    zero to 1e-300 or NaN."""
+    u = u.copy()
+    coin_entry, zero_entry = ((1 ^ 2) * n + 1, n), (0, 1)  # C[1, 0] at vertex 1; U[0, 1]
+    assert u[coin_entry] != 0
+    if what == "ulp":
+        u.real[coin_entry] = np.nextafter(u.real[coin_entry], np.inf)
+    elif what == "nan-coin":
+        u[coin_entry] = np.nan
+    else:
+        assert u[zero_entry] == 0
+        u[zero_entry] = 1e-300 if what == "stray" else np.nan
+    return u
+
+
+class TestCubeRecognizer:
+    """The Fourier route is taken by the walk on the n-cube in either form,
+    factored or one dense block, and by nothing else."""
+
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_dense_cube_takes_the_fourier_route(self, n, coin_kind):
+        u = cube_matrix(n, coin_kind)
+        coin = walk.grover_coin(n) if coin_kind == "grover" else walk.dft_coin(n)
+        fin = graphs.BasisIndexing.from_graph(graphs.build_hypercube(n)).indices_for([2**n - 1])
+        for form in (u, walk.WalkOperator(u)):
+            got = spectral._cube_coin(walk._as_walk(form))
+            assert got.dtype == coin.matrix.dtype and np.array_equal(got, coin.matrix)
+            assert type(spectral.infinite_hitting_projector(form, fin)) is fourier.FourierReport
+
+    def test_one_block_with_a_shift_image_takes_the_dense_route(self, monkeypatch):
+        # its dense U is the block with its rows moved, not the block
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fourier route taken")
+
+        u = cube_matrix(3, "grover")
+        op = walk.WalkOperator(u, image=np.roll(np.arange(len(u)), 1))
+        assert spectral._cube_coin(op) is None
+        monkeypatch.setattr(fourier, "frame", refuse)
+        assert type(spectral.infinite_hitting_projector(op, [0])) is spectral.SpectralReport
+
+    @pytest.mark.parametrize("case", [
+        *(f"distorted-hypercube:{n}" for n in range(3, 7)),
+        *(f"{what}-{coin}" for what in ("permuted", "ulp", "stray", "nan-coin", "nan-stray")
+          for coin in ("grover", "dft"))])
+    def test_other_dense_walks_take_the_dense_route(self, monkeypatch, case):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fourier route taken")
+
+        n = 4
+        if case.startswith("distorted"):
+            g, u = dense_walk(case, "grover")
+            n = g.degree_value
+        elif case.startswith("permuted"):
+            u = color_permuted(cube_matrix(n, case.split("-")[1]), n)
+        else:
+            what, coin_kind = case.rsplit("-", 1)
+            u = touched(cube_matrix(n, coin_kind), n, what)
+        assert len(u) == n << n
+        assert spectral._cube_coin(walk.WalkOperator(u)) is None
+        monkeypatch.setattr(fourier, "frame", refuse)
+        if "nan" in case:  # the dense route refuses a NaN
+            with pytest.raises(ValueError):
+                spectral.infinite_hitting_projector(u, [0])
+        else:
+            assert type(spectral.infinite_hitting_projector(u, [0])) is spectral.SpectralReport
