@@ -610,8 +610,8 @@ def _check_scalar_action(
     """Each op, given as the map X -> A X on blocks of columns, must act on
     every basis column b as A b = c b, checked with c = <b_0, A b_0> of the
     first column.  The coefficient returned is (A v)_i, v the first column
-    scaled to v_i = 1 at its largest entry i: on a real orbit column, whose
-    entries are equal, a monomial A gives exactly its kappa."""
+    scaled to v_i = 1 at its largest entry i: on an orbit column of equal
+    real entries, real or complex typed, a monomial A gives exactly its kappa."""
     given = np.asarray(basis)
     basis = np.asarray(given, dtype=complex)
     if basis.ndim != 2 or basis.shape[1] == 0:
@@ -620,7 +620,10 @@ def _check_scalar_action(
     if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-9:
         raise ValueError("basis columns must be orthonormal")
     top = int(np.argmax(np.abs(given[:, 0])))
-    scaled = given[:, :1] / given[top, 0]  # in real arithmetic for a real basis, where x / x is 1
+    pivot = given[top, 0]
+    scaled = given[:, :1] / pivot  # in real arithmetic for a real basis, where x / x is 1
+    if np.iscomplexobj(scaled) and pivot.imag == 0:  # complex x / x can miss 1 by an ulp
+        scaled.real, scaled.imag = given[:, :1].real / pivot.real, given[:, :1].imag / pivot.real
     coeffs = []
     for i, apply in enumerate(ops):
         image = apply(basis)

@@ -51,7 +51,7 @@ import numpy as np
 from . import spectral
 from .errors import IndeterminateError, ThresholdUnreachableError
 from .graphs import BasisIndexing, ColoredGraph
-from .walk import WalkOperator, _check_memory, _inexact
+from .walk import WalkOperator, _check_bytes, _check_memory, _inexact
 
 __all__ = [
     "MeasuredWalkSpec",
@@ -87,6 +87,9 @@ STEIN_WORK_ARRAYS = 8
 # own (5.6 measured on hypercube:4-6 under swap dephasing, 4.5 under a
 # multiplier, 4 with no channel) beside a caller's rho_0 and multiplier
 SERIES_WORK_ARRAYS = 7
+# int64 arrays per trial held at once by the Monte Carlo walker (6.1
+# measured on hypercubes, 7.1 with the per-walker bounds of glued trees)
+MC_WORK_ARRAYS = 8
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_PSEUDO_INVERSE = "pseudo_inverse"
@@ -657,35 +660,53 @@ def classical_hitting_monte_carlo(
 
     The walkers still out advance in lockstep, in trial order, with
     vectorized neighbor draws from a PCG64 generator, so results are
-    reproducible given the seed; an arrival leaves the walking set.
-    Walkers still out at ``step_cap`` raise, with a hint that start and
-    final may be disconnected.
+    reproducible given the seed; an arrival leaves the walking set.  A
+    walker is its vertex's offset in the half-edge order, so one gather at
+    offset + k moves it to its k-th neighbor's.  A regular graph draws with
+    one scalar bound, which gives the same stream as the per-walker bounds
+    of an irregular one.  An unreachable final, and walkers still out at
+    ``step_cap``, raise IndeterminateError; trials past the memory budget
+    raise ValueError before they allocate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    _check_bytes(f"a Monte Carlo run of {trials} trials", MC_WORK_ARRAYS * 8 * trials)
     deg = np.asarray(g.degrees)
     offsets = np.cumsum(deg) - deg
-    nbrs = g.neighbor_table[0]  # neighbor k of v at offsets[v] + k
+    far = g.neighbor_table[0]  # neighbor k of v at offsets[v] + k
+    adjacent, first = far.tolist(), offsets.tolist()
+    seen, todo = {start}, [start]
+    for v in todo:  # breadth-first over start's component, in O(V d)
+        fresh = set(adjacent[first[v]:first[v] + g.degrees[v]]) - seen
+        seen |= fresh
+        todo += fresh
+    if final not in seen:
+        raise IndeterminateError(f"final vertex {final} is not reachable from start vertex {start}")
+    hop = offsets[far]  # on start's component no two vertices share an offset
+    degree_at = None if g.is_regular else np.repeat(deg, deg)  # indexed by vertex offset
+    rng = np.random.Generator(np.random.PCG64(seed))
 
     steps = np.zeros(trials, dtype=np.int64)
     live = np.arange(trials if start != final else 0)  # trials still walking
-    pos = np.full(live.size, start)
+    pos = np.full(live.size, offsets[start])
     t = 0
     while live.size:
         t += 1
         if t > step_cap:
             raise IndeterminateError(
-                f"{live.size} of {trials} walkers not absorbed after "
-                f"{step_cap} steps; start and final may be disconnected"
+                f"{live.size} of {trials} walkers not absorbed after {step_cap} steps"
             )
-        pos = nbrs[offsets[pos] + rng.integers(0, deg[pos])]
-        arrived = pos == final
-        steps[live[arrived]] = t
-        live, pos = live[~arrived], pos[~arrived]
+        bound = deg[start] if degree_at is None else degree_at[pos]
+        pos = hop[pos + rng.integers(0, bound, size=live.size)]
+        arrived = pos == offsets[final]
+        if arrived.any():
+            steps[live[arrived]] = t
+            keep = np.flatnonzero(~arrived)
+            live, pos = live[keep], pos[keep]
 
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
+

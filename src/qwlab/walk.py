@@ -84,10 +84,15 @@ def _memory_budget() -> int:
 def _check_memory(dim: int, entries: int, dtype=complex) -> None:
     """Refuse work in dimension ``dim`` before it allocates: an estimated
     ``entries`` numbers of ``dtype`` held at once beyond the memory budget."""
-    need = entries * np.dtype(dtype).itemsize
+    _check_bytes(f"dimension {dim}", entries * np.dtype(dtype).itemsize)
+
+
+def _check_bytes(subject: str, need: int) -> None:
+    """Refuse work on ``subject`` before it allocates: an estimated ``need``
+    bytes held at once beyond the memory budget."""
     budget = _memory_budget()
     if need > budget:
-        raise ValueError(f"dimension {dim} needs an estimated {_size_text(need)}, "
+        raise ValueError(f"{subject} needs an estimated {_size_text(need)}, "
                          f"over a memory budget of {_size_text(budget)}")
 
 

@@ -506,6 +506,23 @@ class TestClassicalCommand:
         args = ("classical", "--hypercube", "3", "--mc-trials", "5000", "--seed", "3")
         assert run_cli(*args) == run_cli(*args)
 
+    def test_unreachable_final_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(graphs, "build_hypercube", lambda n: two_four_cycles())
+        assert run_cli("classical", "--hypercube", "3", "--mc-trials", "10") == (2, "")
+        assert capsys.readouterr().err == (
+            "indeterminate: final vertex 7 is not reachable from start vertex 0\n"
+        )
+
+    def test_trials_over_the_memory_budget_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(np, "zeros", refuse)
+        code, out = run_cli("classical", "--hypercube", "3", "--mc-trials", "100000")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: a Monte Carlo run of 100000 trials needs an estimated 6 MiB, "
+            "over a memory budget of 1 MiB\n"
+        )
+
 
 @pytest.mark.parametrize("argv", [["hitting", "--graph", "hypercube:40"],
                                   ["classical", "--hypercube", "40", "--mc-trials", "1"]])

@@ -1036,6 +1036,14 @@ class TestDfsChecks:
         assert verdict.is_dfs
         assert np.allclose(verdict.coefficients, [0.3, 0.7j])
 
+    @pytest.mark.parametrize("size", [29, 30, 34, 73])
+    def test_real_orbit_column_held_as_complex_gives_the_exact_coefficient(self, size):
+        # numpy's complex x / x is 1 - 2**-53 at x = 1/sqrt(size) + 0j for these sizes
+        column = np.full((size, 1), 1 / np.sqrt(size))
+        lset = deco.LindbladSet((0.5 * np.eye(size),), (1.0,))
+        for basis in (column, column.astype(complex)):
+            assert deco.dfs_check_lindblad(lset, basis).coefficients == (0.5,)
+
     def test_position_swaps_fix_weight_sectors(self):
         # continuous walk: vertex permutations swapping qubits act trivially
         # on Hamming-symmetric combinations

@@ -1,5 +1,6 @@
 import functools
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from qwlab import decoherence, fourier, graphs, hitting, quotient, spectral, walk
 from qwlab.errors import IndeterminateError, ThresholdUnreachableError
 
-from conftest import battery, color_permuted, random_unitary, trapped_projector
+from conftest import battery, color_permuted, random_unitary, trapped_projector, two_four_cycles
 
 
 def edge_spec():
@@ -699,16 +700,31 @@ class TestMonteCarlo:
         assert est.mean > 1.0
         assert est.stderr > 0.0
 
-    @pytest.mark.parametrize("n, final, seed", [(3, 7, 0), (4, 15, 1), (5, 31, 2), (5, 0, 3)])
-    def test_same_estimate_as_stepping_every_trial(self, n, final, seed):
+    @pytest.mark.parametrize("family, n, start, final, seed", [
+        ("hypercube", 3, 0, 7, 0), ("hypercube", 4, 0, 15, 1), ("hypercube", 5, 0, 31, 2),
+        ("hypercube", 5, 0, 0, 3), ("glued_trees", 3, 0, 21, 4), ("glued_trees", 4, 0, 45, 5),
+        ("glued_trees", 4, 7, 7, 6), ("distorted_hypercube", 3, 0, 7, 7), ("cycle", 8, 0, 4, 8),
+    ])
+    def test_same_estimate_as_stepping_every_trial(self, family, n, start, final, seed):
         """Against the lockstep loop that masks all trials at every step,
-        the arrived included: the same draws, so the same estimate."""
-        g = graphs.build_hypercube(n)
-        trials = 3000
+        the arrived included, and draws with per-walker degree bounds on
+        every graph: the same draws, so the same estimate."""
+        g = getattr(graphs, f"build_{family}")(n)
+        self.assert_same_as_lockstep(g, start, final, 3000, seed)
+
+    def test_same_estimate_beside_an_isolated_vertex(self):
+        # vertex 0 has no edges, so it shares vertex 1's offset; the walkers
+        # on the triangle 1-2-3 and its tail 3-4-5 never reach it
+        E = graphs.Edge
+        edges = (E(1, 1, 2, 1), E(2, 2, 3, 1), E(3, 2, 1, 2), E(3, 3, 4, 1), E(4, 2, 5, 1))
+        self.assert_same_as_lockstep(graphs.ColoredGraph(6, edges), 1, 5, 3000, 9)
+
+    @staticmethod
+    def assert_same_as_lockstep(g, start, final, trials, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         deg = np.asarray(g.degrees)
         offsets = np.cumsum(deg) - deg
-        pos = np.zeros(trials, dtype=int)
+        pos = np.full(trials, start)
         steps = np.zeros(trials, dtype=np.int64)
         alive = pos != final
         t = 0
@@ -720,9 +736,57 @@ class TestMonteCarlo:
             arrived[alive] = pos[alive] == final
             steps[arrived] = t
             alive &= ~arrived
-        est = hitting.classical_hitting_monte_carlo(g, 0, final, trials, seed)
+        est = hitting.classical_hitting_monte_carlo(g, start, final, trials, seed)
         assert est.mean == float(steps.mean())
         assert est.stderr == float(steps.std(ddof=1) / np.sqrt(trials))
+
+    @pytest.mark.parametrize("family, n, final, ndim", [
+        ("hypercube", 4, 15, 0), ("distorted_hypercube", 3, 7, 0), ("glued_trees", 3, 21, 1)])
+    def test_regular_graph_draws_with_one_scalar_bound(self, monkeypatch, family, n, final, ndim):
+        bounds = []
+        real = np.random.Generator
+
+        class Recording:
+            def __init__(self, bits):
+                self.rng = real(bits)
+
+            def integers(self, low, high, size=None):
+                bounds.append(np.ndim(high))
+                return self.rng.integers(low, high, size=size)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        g = getattr(graphs, f"build_{family}")(n)
+        hitting.classical_hitting_monte_carlo(g, 0, final, 200, seed=1)
+        assert bounds and set(bounds) == {ndim}
+
+    @pytest.mark.parametrize("g, start, final", [(two_four_cycles(), 0, 6),
+                                                 (graphs.ColoredGraph(3, (graphs.Edge(1, 1, 2, 1),)), 0, 2)])
+    def test_unreachable_final_is_refused_before_any_draw(self, monkeypatch, g, start, final):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        began = time.perf_counter()
+        with pytest.raises(IndeterminateError,
+                           match=f"final vertex {final} is not reachable from start vertex {start}"):
+            hitting.classical_hitting_monte_carlo(g, start, final, 10, seed=0)
+        assert time.perf_counter() - began < 0.1
+
+    def test_step_cap_still_stops_a_slow_connected_walk(self):
+        with pytest.raises(IndeterminateError, match="10 of 10 walkers not absorbed after 2 steps"):
+            hitting.classical_hitting_monte_carlo(graphs.build_hypercube(3), 0, 7, 10, seed=0, step_cap=2)
+
+    def test_trials_over_the_memory_budget_are_refused_before_they_allocate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocation past the memory check")
+
+        g = graphs.build_hypercube(3)
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(np, "zeros", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ValueError, match="^a Monte Carlo run of 100000 trials needs an estimated "
+                                             "6 MiB, over a memory budget of 1 MiB$"):
+            hitting.classical_hitting_monte_carlo(g, 0, 7, 100_000, seed=0)
 
     def test_generator_recorded(self):
         est = hitting.classical_hitting_monte_carlo(graphs.build_edge_graph(), 0, 1, 10, seed=1)
