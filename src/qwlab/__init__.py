@@ -1,6 +1,7 @@
 """Quantum walks on colored graphs: hitting times, spectra, decoherence, quotients.
 
-``qwlab.fourier``, the hypercube walk's Fourier route, is imported by
+``qwlab.fourier``, the eigenvector frames every spectral report is held in
+(the hypercube walk's Fourier blocks, or one dense block), is imported by
 ``qwlab.spectral`` on first use.
 """
 

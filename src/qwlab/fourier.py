@@ -1,18 +1,23 @@
-"""The walk on the n-cube in its Fourier basis.
+"""Eigenvector frames: U's eigenvectors as those of the blocks a group of
+translations splits it into.
 
-Each translation x -> x XOR g of the n-cube commutes with a walk whose
-shift sends v*n + c to (v XOR 2^c)*n + c (Moore and Russell, RANDOM 2002;
-Krovi and Brun, PRA 73, 032341 (2006)).  In the basis
-|k^, c> = 2^(-n/2) sum_x (-1)^(k.x) |x, c> U therefore splits into 2^n
-blocks U_k = diag((-1)^(k_c)) C of the coin's size.  One stacked split of
-the blocks, by the batched core of :mod:`qwlab.spectral`, gives every
-eigenvector; clusters merge equal eigenvalues across blocks, each
-cluster's final overlap has the entries 2^(-n/2) (-1)^(k.f) y_c, and a
-state enters through one Walsh-Hadamard transform.  The route costs
-O(2^n n^3) time and O(D (n + |finals|)) memory, and builds no D x D array
-and no D-tall basis unless ``basis`` or ``untrapped`` is read.
+A frame holds 2^bits blocks of size m, D = m 2^bits.  Each translation
+x -> x XOR g of the n-cube commutes with a walk whose shift sends v*n + c
+to (v XOR 2^c)*n + c (Moore and Russell, RANDOM 2002; Krovi and Brun, PRA
+73, 032341 (2006)).  In the basis |k^, c> = 2^(-n/2) sum_x (-1)^(k.x) |x, c>
+U therefore splits into 2^n blocks U_k = diag((-1)^(k_c)) C of the coin's
+size: the frame with n bits.  Every other walk is the frame with no bits,
+one block U, where the Walsh-Hadamard transform is the identity and every
+sign is 1.
 
-:mod:`qwlab.spectral` takes this route for such a walk and imports this
+One stacked split of the blocks, by the batched core of
+:mod:`qwlab.spectral`, gives every eigenvector; clusters merge equal
+eigenvalues across blocks, each cluster's final overlap has the entries
+2^(-bits/2) (-1)^(k.f) y_c, and a state enters through one Walsh-Hadamard
+transform.  The cube costs O(2^n n^3) time and O(D (n + |finals|)) memory,
+and builds no D x D array and no D-tall basis unless a basis is read.
+
+:mod:`qwlab.spectral` builds every report on a frame and imports this
 module on first use.
 """
 
@@ -23,21 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    SpectralReport,
-    _gap_warnings,
-    _in_order,
-    _phase_order,
-    _rank_clusters,
-    _runs,
-    _split_stack,
-    _untrapped_groups,
-)
+from .spectral import _phase_order, _runs, _split_stack
 from .walk import _check_memory
 
-__all__ = ["FourierReport", "cube_report", "frame"]
+__all__ = ["Frame", "cube_blocks", "frame"]
 
-# complex entries the Fourier route holds at once, per D x n and per D x
+# complex entries the cube's frame holds at once, per D x n and per D x
 # final index (a hitting time's peak by tracemalloc, beside its r x r solve,
 # stays under 6 D n + 7 D |finals| on hypercube:6-12, grover and dft, one
 # and two final vertices), and per D x column of a basis it builds, beside
@@ -45,14 +41,17 @@ __all__ = ["FourierReport", "cube_report", "frame"]
 COIN_ARRAYS = 8
 FINAL_ARRAYS = 8
 BASIS_ARRAYS = 7
+# complex D x D arrays held while the frame with no bits builds a basis: U,
+# V, and W with B; besides, two chunks of SYNTHESIS_COLUMNS columns
+DENSE_BASIS_ARRAYS = 3
 # bits of the index that one Walsh-Hadamard matrix product transforms, and
-# the columns of a basis synthesized at once
+# the columns of a basis built at once
 WALSH_HADAMARD_BITS = 4
 SYNTHESIS_COLUMNS = 256
 
 
 def _entries(n: int, finals: int) -> int:
-    """Complex entries the Fourier route on the n-cube holds at once."""
+    """Complex entries the frame of the n-cube holds at once."""
     return (n << n) * (COIN_ARRAYS * n + FINAL_ARRAYS * finals)
 
 
@@ -96,16 +95,17 @@ def _walsh_hadamard(x: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Eigenvectors of the n-cube walk in the Fourier basis, by cluster.
+    """Eigenvectors of a walk split into 2^bits blocks of size m, by cluster.
 
-    ``blocks[k]`` is U_k = diag((-1)^(k_c)) C.  Member j = k*n + i of the
-    spectrum is column i of ``vectors[k]``, the eigenvector
-    y -> 2^(-n/2) (-1)^(k.x) y_c of U.  ``lams`` holds the clusters'
-    eigenvalues in phase order, ``labels[j]`` member j's cluster, and
-    cluster p's members are ``members[bounds[p]:bounds[p + 1]]``.
+    ``blocks[k]`` is the block U_k.  Member j = k*m + i of the spectrum is
+    column i of ``vectors[k]``, the eigenvector y -> 2^(-bits/2) (-1)^(k.x) y_c
+    of U at rows x*m + c; with no bits, column j of U's eigenvectors V.
+    ``lams`` holds the clusters' eigenvalues in phase order, ``labels[j]``
+    member j's cluster, and cluster p's members are
+    ``members[bounds[p]:bounds[p + 1]]``.
     """
 
-    n: int
+    bits: int
     blocks: np.ndarray
     vectors: np.ndarray
     lams: np.ndarray
@@ -115,7 +115,7 @@ class Frame:
 
     @property
     def dim(self) -> int:
-        return self.n << self.n
+        return self.blocks.shape[1] << self.bits
 
     @property
     def multiplicities(self) -> np.ndarray:
@@ -124,189 +124,88 @@ class Frame:
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """The members' coefficients of x along its first axis: one
         Walsh-Hadamard transform, then y+ in each block."""
-        n, b = self.n, 1 << self.n
-        xh = _walsh_hadamard(x.reshape(b, -1), n).reshape(b, n, -1)
+        b, m = self.blocks.shape[:2]
+        xh = _walsh_hadamard(x.reshape(b, -1), self.bits).reshape(b, m, -1)
         return (self.vectors.conj().transpose(0, 2, 1) @ xh).reshape(x.shape)
 
     def synthesize(self, coef: np.ndarray) -> np.ndarray:
-        """The D x m columns whose members' coefficients are the D x m ``coef``."""
-        n, b = self.n, 1 << self.n
-        xh = (self.vectors @ coef.reshape(b, n, -1)).reshape(b, -1)
-        return _walsh_hadamard(xh, n).reshape(coef.shape)
+        """The D x w columns whose members' coefficients are the D x w ``coef``."""
+        b, m = self.blocks.shape[:2]
+        xh = (self.vectors @ coef.reshape(b, m, -1)).reshape(b, -1)
+        return _walsh_hadamard(xh, self.bits).reshape(coef.shape)
 
     def overlap(self, finals: np.ndarray) -> np.ndarray:
         """Rows ``finals`` of every member, as the |finals| x D entries
-        2^(-n/2) (-1)^(k.f) y_c."""
-        n, b = self.n, 1 << self.n
-        f, c = np.divmod(finals, n)
-        signs = _parity_signs(f[:, None] & np.arange(b), n) / np.sqrt(b)
+        2^(-bits/2) (-1)^(k.f) y_c: V[finals] with no bits."""
+        if not self.bits:
+            return self.vectors[0][finals]
+        b, m = self.blocks.shape[:2]
+        f, c = np.divmod(finals, m)
+        signs = _parity_signs(f[:, None] & np.arange(b), self.bits) / np.sqrt(b)
         rows = self.vectors[:, c, :].transpose(1, 0, 2) * signs[:, :, None]
         return rows.reshape(len(finals), self.dim)
 
-    def cluster(self, p: int) -> _Cluster:
-        return _Cluster(complex(self.lams[p]), int(self.bounds[p + 1] - self.bounds[p]),
-                        self, self.members[self.bounds[p]:self.bounds[p + 1]])
+    def span(self, parts, width: int, beside: int = 0) -> np.ndarray:
+        """The D x width columns, column slots[g, j] the sum of members
+        rows[g, i] times coef[g, j, i], for each (rows, coef, slots) of the
+        iterable ``parts``: G x k members, G x w x k coefficients and G x w
+        slots.  A slot of ``width`` is dropped.
+
+        With no bits each chunk of clusters gathers its columns of V, as
+        rows, and turns them, and no product with the D x D V is formed; a
+        cube's coefficients go in one D x width array, synthesized
+        SYNTHESIS_COLUMNS at a time.  Refused before ``parts`` is read if
+        the columns, with ``beside`` more entries held, would not fit.
+        """
+        d = self.dim
+        if not self.bits:
+            _check_memory(d, DENSE_BASIS_ARRAYS * d * d + 2 * d * min(d, SYNTHESIS_COLUMNS) + beside)
+            vt, out = self.vectors[0].T, np.empty((width + 1, d), dtype=complex)
+            for rows, coef, slots in parts:
+                step = max(1, SYNTHESIS_COLUMNS // rows.shape[1])
+                for lo in range(0, len(rows), step):
+                    at = slice(lo, lo + step)
+                    out[slots[at]] = coef[at] @ vt[rows[at]]
+            return out[:width].T
+        _check_memory(d, BASIS_ARRAYS * d * (width + 1) + beside)
+        coefs = np.zeros((d, width + 1), dtype=complex)
+        for rows, coef, slots in parts:
+            coefs[rows[:, None, :], slots[:, :, None]] = coef
+        coefs, out = coefs[:, :width], np.empty((d, width), dtype=complex)
+        for lo in range(0, width, SYNTHESIS_COLUMNS):
+            out[:, lo:lo + SYNTHESIS_COLUMNS] = self.synthesize(coefs[:, lo:lo + SYNTHESIS_COLUMNS])
+        return out
 
 
-class _Cluster:
-    """A :class:`spectral.EigenCluster` held as its members; ``basis`` is
-    built on read."""
-
-    def __init__(self, eigenvalue: complex, multiplicity: int, frame: Frame, columns: np.ndarray):
-        self.eigenvalue, self.multiplicity, self.frame, self.columns = eigenvalue, multiplicity, frame, columns
-
-    @functools.cached_property
-    def basis(self) -> np.ndarray:
-        _check_memory(self.frame.dim, BASIS_ARRAYS * self.frame.dim * self.multiplicity)
-        coef = np.zeros((self.frame.dim, self.multiplicity), dtype=complex)
-        coef[self.columns, np.arange(self.multiplicity)] = 1.0
-        return self.frame.synthesize(coef)
-
-
-def frame(coin: np.ndarray, tol: float) -> Frame:
-    """Split the 2^n blocks of the walk on the n-cube with the n x n coin C
-    by one stacked split, and merge their clusters across blocks: sorted by
-    phase, neighbours within tol share a cluster, across the branch cut too;
-    clusters are listed as :func:`spectral._phase_order` lists them."""
+def cube_blocks(coin: np.ndarray) -> np.ndarray:
+    """The 2^n blocks diag((-1)^(k_c)) C of the walk on the n-cube with the
+    n x n coin C."""
     n = coin.shape[0]
     k = np.arange(1 << n)
     signs = 1 - 2 * ((k[:, None] >> np.arange(n)) & 1)  # (-1)^(k_c)
-    blocks = signs[:, :, None] * coin
+    return signs[:, :, None] * coin
+
+
+def frame(blocks: np.ndarray, bits: int, tol: float) -> Frame:
+    """The frame of the 2^bits blocks, split by one stacked split.  The
+    clusters of more than one block merge across blocks: sorted by phase,
+    neighbours within tol share a cluster, across the branch cut too.
+    Clusters are listed as :func:`spectral._phase_order` lists them."""
+    size = blocks.shape[0] * blocks.shape[1]
     sums, first, vectors = _split_stack(blocks, tol)
-    phase = np.angle(sums)
-    by_phase = np.argsort(phase, kind="stable")
-    ids = np.cumsum(_runs(phase[by_phase], tol)) - 1
-    if ids[-1] and phase[by_phase[0]] + 2 * np.pi - phase[by_phase[-1]] <= tol:
-        ids[ids == ids[-1]] = 0  # the last run wraps around to the first
-    cluster = np.empty_like(ids)
-    cluster[by_phase] = ids
-    merged = np.bincount(cluster, sums.real) + 1j * np.bincount(cluster, sums.imag)
+    cluster, merged = np.arange(len(sums)), sums  # one block: no merge
+    if bits:
+        phase = np.angle(sums)
+        by_phase = np.argsort(phase, kind="stable")
+        ids = np.cumsum(_runs(phase[by_phase], tol)) - 1
+        if ids[-1] and phase[by_phase[0]] + 2 * np.pi - phase[by_phase[-1]] <= tol:
+            ids[ids == ids[-1]] = 0  # the last run wraps around to the first
+        cluster[by_phase] = ids
+        merged = np.bincount(cluster, sums.real) + 1j * np.bincount(cluster, sums.imag)
     lams = merged / np.abs(merged)
     order = _phase_order(lams, tol)
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
-    labels = np.repeat(position[cluster], np.append(first[1:], n << n) - first)
+    labels = np.repeat(position[cluster], np.append(first[1:], size) - first)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels))])
-    return Frame(n, blocks, vectors, lams[order], labels, np.argsort(labels, kind="stable"), bounds)
-
-
-@dataclass(frozen=True, eq=False)
-class FourierReport(SpectralReport):
-    """A :class:`SpectralReport` of the walk on the n-cube, held in Fourier
-    coordinates: ``clusters``, ``basis`` and ``untrapped`` are built only
-    when read.  It overrides only what its frame changes: the start in W's
-    coordinates and A_r = blockdiag(W_c+ U_k W_c) - F+ G, with F and G the
-    final rows of W and U W, come from the blocks; no D x D array and no
-    D-tall basis is formed for them.  The rows of its ``groups`` are
-    members of ``frame``, given when the report is built."""
-
-    frame: Frame | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.frame.dim
-
-    @property
-    def held_entries(self) -> int:
-        return _entries(self.frame.n, len(self.finals))
-
-    def _build_clusters(self) -> tuple:
-        return tuple(self.frame.cluster(p) for p in range(len(self.frame.lams)))
-
-    def _synthesized(self, coef: np.ndarray) -> np.ndarray:
-        """The D-tall columns whose members' coefficients are the columns of
-        ``coef``, synthesized SYNTHESIS_COLUMNS at a time."""
-        out = np.empty_like(coef)
-        for lo in range(0, coef.shape[1], SYNTHESIS_COLUMNS):
-            out[:, lo:lo + SYNTHESIS_COLUMNS] = self.frame.synthesize(coef[:, lo:lo + SYNTHESIS_COLUMNS])
-        return out
-
-    def _check_columns(self, width: int, beside: int = 0) -> None:
-        """Refuse a D x width basis before it is built, with ``beside``
-        more entries held at once."""
-        _check_memory(self.dim, BASIS_ARRAYS * self.dim * (width + 1) + beside)
-
-    def _build_untrapped(self) -> np.ndarray:
-        self._check_columns(self.untrapped_dim)
-        coef = np.zeros((self.dim, self.untrapped_dim), dtype=complex)
-        first = np.cumsum(self.rank) - self.rank  # each cluster's first column of W
-        for g in self.groups:
-            for rows, z, rank, col in zip(g.rows, g.z, self.rank[g.clusters], first[g.clusters]):
-                coef[rows, col:col + rank] = z[:rank].conj().T
-        return self._synthesized(coef)
-
-    def _build_basis(self) -> np.ndarray:
-        """Each cluster's null directions, the right singular vectors past its
-        rank, from one full stacked SVD per multiplicity."""
-        self._check_columns(self.trapped_dim, sum(g.rows.size * g.rows.shape[1] for g in self.groups))
-        coef = np.zeros((self.dim, self.trapped_dim), dtype=complex)
-        col = 0
-        for g in self.groups:
-            m = g.rows.shape[1]
-            _, _, vh = np.linalg.svd(g.overlap)
-            for rows, vhc, rank in zip(g.rows, vh, self.rank[g.clusters]):
-                coef[rows, col:col + m - rank] = vhc[rank:].conj().T
-                col += m - rank
-        return self._synthesized(coef)
-
-    def _project(self, coords: np.ndarray) -> np.ndarray:
-        """W+ x for the members' coefficients of x along its first axis."""
-        x = coords.reshape(self.dim, -1)
-        out = np.zeros((self.untrapped_dim + 1, x.shape[1]), dtype=complex)
-        for g in self.groups:
-            out[g.slots] = g.z @ x[g.rows]
-        return out[:-1].reshape((-1,) + coords.shape[1:])
-
-    def untrapped_start(self, state: np.ndarray) -> np.ndarray:
-        """W+ psi_0, or W+ rho_0 W, from the members' coefficients of the start."""
-        start = self._project(self.frame.coordinates(state))
-        if state.ndim == 1:
-            return start
-        return self._project(self.frame.coordinates(start.conj().T)).conj().T
-
-    def reduced_step(self) -> np.ndarray:
-        """A_r = blockdiag(W_c+ U W_c) - F+ G: each cluster's block from the
-        block matrices y+ U_k y of its members, F and G the finals' rows of
-        W and U W."""
-        frame, r = self.frame, self.untrapped_dim
-        b, n = 1 << frame.n, frame.n
-        width = max(g.z.shape[1] for g in self.groups)
-        zt = np.zeros((self.dim, width), dtype=complex)  # row j: member j's coefficients
-        for g in self.groups:
-            zt[g.rows, :g.z.shape[1]] = g.z.conj().transpose(0, 2, 1)
-        label = frame.labels.reshape(b, n)
-        step = frame.vectors.conj().transpose(0, 2, 1) @ frame.blocks @ frame.vectors
-        step *= label[:, :, None] == label[:, None, :]  # y+ U_k y within each cluster
-        uz = (step @ zt.reshape(b, n, width)).reshape(self.dim, width)  # U W, by members
-        a_r = np.zeros((r + 1, r + 1), dtype=complex)
-        f = np.zeros((len(self.finals), r + 1), dtype=complex)  # the finals' rows of W
-        g_rows = np.zeros_like(f)  # and of U W
-        for g in self.groups:
-            uzg = uz[g.rows][:, :, :g.z.shape[1]]
-            a_r[g.slots[:, :, None], g.slots[:, None, :]] = g.z @ uzg
-            f[:, g.slots] = g.fin.transpose(1, 0, 2)
-            g_rows[:, g.slots] = (g.overlap @ uzg).transpose(1, 0, 2)
-        return (a_r - f.conj().T @ g_rows)[:r, :r]
-
-
-def cube_report(u, coin: np.ndarray, p_f: np.ndarray, tol: float) -> FourierReport:
-    """:func:`spectral.infinite_hitting_projector` of the walk u on the
-    n-cube, whose n x n coin is ``coin``, for the final indices p_f, with
-    clusters cut at distance tol, refused first if its estimate does not
-    fit."""
-    n = coin.shape[0]
-    _check_memory(n << n, _entries(n, len(p_f)))
-    cube = frame(coin, tol)
-    size = cube.multiplicities
-    overlap = cube.overlap(p_f)[:, cube.members]
-    position = np.arange(len(size))
-    rank, warnings, groups = _rank_clusters(overlap, cube.bounds[:-1], size, cube.lams, position)
-    return FourierReport(
-        contributions=tuple((size - rank).tolist()),
-        warnings=_in_order(warnings + _gap_warnings(cube.lams)),
-        walk=u,
-        finals=p_f,
-        frame=cube,
-        rank=rank,
-        groups=_untrapped_groups(groups, cube.bounds[:-1], rank, position, cube.members),
-    )
+    return Frame(bits, blocks, vectors, lams[order], labels, np.argsort(labels, kind="stable"), bounds)

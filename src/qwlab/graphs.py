@@ -254,9 +254,10 @@ class BasisIndexing:
 # Builders
 # ----------------------------------------------------------------------
 
-# bytes a hypercube edge holds while the graph is built and checked (peak
-# RSS over the baseline: 562, 529 and 517 at hypercube:12, 14 and 16)
-HYPERCUBE_EDGE_BYTES = 600
+# bytes an edge holds while the graph is built and checked (peak RSS over
+# the baseline: 562, 529 and 517 at hypercube:12, 14 and 16; 572, 595 and
+# 574 at cycle:100000, 200000 and 400000)
+EDGE_BYTES = 600
 
 
 def build_edge_graph() -> ColoredGraph:
@@ -277,7 +278,7 @@ def build_hypercube(n: int) -> ColoredGraph:
         raise ValueError("hypercube dimension must be >= 1")
     from .walk import _check_memory  # walk builds on this module
 
-    _check_memory(n << n, HYPERCUBE_EDGE_BYTES * (n << (n - 1)), np.uint8)
+    _check_memory(n << n, EDGE_BYTES * (n << (n - 1)), np.uint8)
     edges = []
     for v in range(1 << n):  # vertex-major: the order ColoredGraph sorts into
         for i in range(1, n + 1):
@@ -288,9 +289,14 @@ def build_hypercube(n: int) -> ColoredGraph:
 
 
 def build_cycle(n: int) -> ColoredGraph:
-    """Even cycle with edges alternately colored 1 and 2."""
+    """Even cycle with edges alternately colored 1 and 2.  A cycle whose
+    edge list would not fit in the memory budget raises ValueError before it
+    is started, with the estimate."""
     if n < 4 or n % 2:
         raise ValueError("consistent 2-coloring needs an even cycle, n >= 4")
+    from .walk import _check_memory  # walk builds on this module
+
+    _check_memory(n, EDGE_BYTES * n, np.uint8)
     edges = [Edge(k, 1 + k % 2, (k + 1) % n, 1 + k % 2) for k in range(n)]
     return ColoredGraph(n, tuple(edges))
 

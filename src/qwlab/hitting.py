@@ -665,13 +665,17 @@ def classical_hitting_monte_carlo(
     offset + k moves it to its k-th neighbor's.  A regular graph draws with
     one scalar bound, which gives the same stream as the per-walker bounds
     of an irregular one.  An unreachable final, and walkers still out at
-    ``step_cap``, raise IndeterminateError; trials past the memory budget
-    raise ValueError before they allocate.
+    ``step_cap``, raise IndeterminateError; a start or final outside
+    [0, V), and trials past the memory budget, raise ValueError before they
+    allocate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
+    for name, v in (("start", start), ("final", final)):
+        if not 0 <= v < g.num_vertices:
+            raise ValueError(f"{name} vertex {v} out of range [0, {g.num_vertices})")
     _check_bytes(f"a Monte Carlo run of {trials} trials", MC_WORK_ARRAYS * 8 * trials)
     deg = np.asarray(g.degrees)
     offsets = np.cumsum(deg) - deg

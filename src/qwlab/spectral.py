@@ -20,18 +20,19 @@ are the right singular vectors of its final overlap.  trace(P) is the
 trapped dimension, the count sum_c (m_c - rank_c) of the rank decisions;
 the escape (a start's mass outside W), the coin-overlap blocks I - W_v W_v+
 and the hitting time are read from W, and no D x D projector is formed.
-The trapped subspace's orthonormal basis B is built only when read.  Every
-entry point takes the walk as a WalkOperator, and wraps an array as one
-block, uncopied.  An eigensolve whose estimated working set exceeds the
-memory budget (physical memory, or the cgroup limit where lower) raises
-ValueError before U is built or read.
+W, the trapped subspace's orthonormal basis B and the clusters' bases are
+built only when read.  Every entry point takes the walk as a WalkOperator,
+and wraps an array as one block, uncopied.  An eigensolve whose estimated
+working set exceeds the memory budget (physical memory, or the cgroup
+limit where lower) raises ValueError before U is built or read.
 
-Both routes split through one stacked core, ``_split_stack``: the dense
-route hands it U as a stack of one, and the walk on the n-cube, as
-``build_hypercube`` colors it, takes the Fourier route of
-:mod:`qwlab.fourier`, which hands it the walk's 2^n coin-sized blocks, in
-O(2^n n^3) time and O(D (n + |finals|)) memory.  ``_cube_coin`` recognises
-that walk factored, by its shift image, or as one dense block, by exact
+One report serves every walk, held in a :class:`qwlab.fourier.Frame` of
+eigenvectors: the n-cube's walk, as ``build_hypercube`` colors it, in the
+frame of its 2^n coin-sized Fourier blocks, in O(2^n n^3) time and
+O(D (n + |finals|)) memory, and any other walk in the frame of the one
+block U (``SpectralReport.route`` says which).  Both split their blocks
+through one stacked core, ``_split_stack``.  ``_cube_coin`` recognises the
+cube's walk factored, by its shift image, or as one dense block, by exact
 checks of its entries; the same walk with its colors relabelled at every
 vertex takes the dense route.
 
@@ -48,12 +49,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .graphs import BasisIndexing, ColoredGraph
 from .walk import WalkOperator, _as_walk, _check_memory
+
+if TYPE_CHECKING:
+    from .fourier import Frame
 
 __all__ = [
     "EigenCluster",
@@ -78,9 +82,6 @@ EIGENSOLVE_WORK_ARRAYS = 6
 # complex D x D arrays a dense report's hitting time holds besides its
 # r x r solve: U, a mixed start, the report's bases and U W
 DENSE_HELD_ARRAYS = 4
-# complex D x D arrays held while a dense report builds its trapped basis:
-# U, V, and W with B
-DENSE_BASIS_ARRAYS = 3
 # D from which a dense U whose nonzeros 2-colour into equal halves is split
 # through the SVD of its off-diagonal half: measured faster from D = 128 on
 # every bipartite walk tried; below, the check costs more than it saves
@@ -92,45 +93,32 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True, eq=False)
 class EigenCluster:
-    """One (numerically) degenerate eigenvalue of a unitary with its eigenbasis."""
+    """One (numerically) degenerate eigenvalue of a unitary with its
+    eigenbasis, D x multiplicity orthonormal columns: its ``members`` of
+    ``frame``, built when ``basis`` is first read."""
 
     eigenvalue: complex
     multiplicity: int
-    basis: np.ndarray  # D x multiplicity, orthonormal columns
+    frame: Frame
+    members: np.ndarray
 
-
-class _BuiltOnRead:
-    """A report field given at construction, or left out and built by the
-    report's ``_build_<name>()`` the first time it is read."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return None  # the field's default: build on read
-        value = report.__dict__[self.name]
-        if value is None:
-            value = report.__dict__[self.name] = getattr(report, f"_build_{self.name}")()
-        return value
-
-    def __set__(self, report, value):
-        report.__dict__[self.name] = value
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        m = self.multiplicity
+        return self.frame.span([(self.members[None], np.eye(m)[None], np.arange(m)[None])], m)
 
 
 class _UntrappedGroup(NamedTuple):
     """The clusters of one multiplicity m, at positions ``clusters``.
 
-    ``rows[g]`` lists cluster g's columns of the frame its report is held in
-    (V on the dense route, the Fourier members on the n-cube's), and
-    ``z[g]`` holds their coefficients of its untrapped eigenvectors, the
-    right singular vectors of its final overlap (width x m, zero past its
-    rank); the dense route takes a cluster of full rank into W as it stands.
+    ``rows[g]`` lists cluster g's members of the report's frame, and ``z[g]``
+    holds their coefficients of its untrapped eigenvectors, the right
+    singular vectors of its final overlap (width x m, zero past its rank).
     ``slots[g]`` gives those eigenvectors' columns of W; past the rank it
     points at one spare column past the last, which is dropped.
-    ``overlap[g]`` is the cluster's final overlap, the rows of its columns on
-    the finals, and ``fin[g]`` the rows of its untrapped eigenvectors there,
-    u s from the same SVD.
+    ``overlap[g]`` is the cluster's final overlap, the rows of its members
+    on the finals, and ``fin[g]`` the rows of its untrapped eigenvectors
+    there, u s from the same SVD.
     """
 
     clusters: np.ndarray
@@ -141,70 +129,45 @@ class _UntrappedGroup(NamedTuple):
     fin: np.ndarray
 
 
-def _untrapped_groups(ranked, starts, rank, position, members=None) -> tuple[_UntrappedGroup, ...]:
-    """The :class:`_UntrappedGroup` of each multiplicity of the thin SVDs
-    ``ranked`` of :func:`_rank_clusters`: cluster i holds the frame columns
-    ``members`` (default: all, in order) from starts[i] on, has rank[i], and
-    sits at position[i] of the cluster order, which is also W's order."""
-    by_position = np.empty_like(rank)
-    by_position[position] = rank
-    offset = (np.cumsum(by_position) - by_position)[position]
-    groups = []
-    for group, gathered, (u, sv, vh) in ranked:
-        past = np.arange(vh.shape[1]) >= rank[group, None]
-        cols = starts[group, None] + np.arange(vh.shape[2])
-        groups.append(_UntrappedGroup(
-            clusters=position[group],
-            rows=cols if members is None else members[cols],
-            z=np.where(past[:, :, None], 0.0, vh),
-            slots=np.where(past, rank.sum(), offset[group, None] + np.arange(vh.shape[1])),
-            overlap=gathered,
-            fin=np.where(past[:, None, :], 0.0, u * sv[:, None, :]),
-        ))
-    return tuple(groups)
-
-
-def _column_runs(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """first[p], first[p] + 1, ..., counts[p] of them, for each p in turn."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first + counts - ends, counts)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Spectral decomposition of U together with the trapped subspace.
 
-    ``untrapped`` spans the orthogonal complement of the trapped subspace,
-    which holds the finals, with orthonormal eigenvectors W of U, built when
-    the report is.  ``basis`` spans the trapped subspace with orthonormal
-    columns and is built when first read, on both routes.  ``rank`` holds
-    each cluster's rank, and ``groups`` its coefficients of W, by
-    multiplicity; the dense route builds them when ``basis`` is first read,
-    from the arguments ``ranking`` of :func:`_untrapped_groups`.
-    ``contributions`` counts the trapped dimensions contributed by each
-    cluster, in cluster order, and trace(P) is their sum.
-    Warnings, in cluster order, record nullspace rank decisions that fell
-    within 10x of the singular value cutoff, and neighbouring clusters whose
-    eigenvalues lie within 10x of the cluster tolerance.  ``walk`` and
-    ``finals`` are the walk and the final indices the report was made for, and
-    ``vectors`` the dense route's eigenvectors V, whose columns the clusters'
-    bases are.  ``split_start`` and ``reduced_step`` answer what the unitary
-    closed form asks: the escape with the start in W's coordinates, and
-    A_r = W+ (Q_f U) W; ``vertex_blocks`` gives the coin-overlap blocks; both
-    read W alone.
+    ``frame`` holds U's eigenvectors, as the one block U or the n-cube's
+    Fourier blocks (``route`` says which), and their clusters in phase
+    order.  ``rank`` holds each cluster's rank, and ``groups`` its
+    coefficients of W, by multiplicity.  ``contributions`` counts the
+    trapped dimensions contributed by each cluster, in cluster order, and
+    trace(P) is their sum.  Warnings, in cluster order, record nullspace
+    rank decisions that fell within 10x of the singular value cutoff, and
+    neighbouring clusters whose eigenvalues lie within 10x of the cluster
+    tolerance.  ``walk`` and ``finals`` are the walk and the final indices
+    the report was made for, and ``held_entries`` the complex entries a
+    hitting time on it holds beside its solve.
+
+    ``clusters``, ``untrapped`` and ``basis`` are built when first read:
+    W, the orthonormal eigenvectors of U that span the orthogonal
+    complement of the trapped subspace, which holds the finals, and B, an
+    orthonormal basis of the trapped subspace.  ``split_start`` and
+    ``reduced_step`` answer what the unitary closed form asks: the escape
+    with the start in W's coordinates, and A_r = W+ (Q_f U) W;
+    ``vertex_blocks`` gives the coin-overlap blocks from W.
     """
 
     contributions: tuple[int, ...]
-    warnings: tuple[str, ...] = ()
-    clusters: tuple[EigenCluster, ...] = _BuiltOnRead()
-    basis: np.ndarray = _BuiltOnRead()
-    untrapped: np.ndarray = _BuiltOnRead()
-    walk: WalkOperator | None = None
-    finals: np.ndarray | None = None
-    rank: np.ndarray | None = None
-    groups: tuple[_UntrappedGroup, ...] = _BuiltOnRead()
-    vectors: np.ndarray | None = None
-    ranking: tuple = ()
+    warnings: tuple[str, ...]
+    walk: WalkOperator
+    finals: np.ndarray
+    frame: Frame
+    rank: np.ndarray
+    groups: tuple[_UntrappedGroup, ...]
+    held_entries: int
+
+    @property
+    def route(self) -> str:
+        """The route taken: "dense" on the frame of one block, "fourier" on
+        the n-cube's Fourier blocks."""
+        return "fourier" if self.frame.bits else "dense"
 
     @property
     def trace_p(self) -> float:
@@ -217,7 +180,7 @@ class SpectralReport:
 
     @property
     def dim(self) -> int:
-        return self.untrapped.shape[0]
+        return self.frame.dim
 
     @functools.cached_property
     def trapped_dim(self) -> int:
@@ -227,10 +190,39 @@ class SpectralReport:
     def untrapped_dim(self) -> int:
         return self.dim - self.trapped_dim
 
-    @property
-    def held_entries(self) -> int:
-        """Complex entries a hitting time on this report holds beside its solve."""
-        return DENSE_HELD_ARRAYS * self.dim**2
+    @functools.cached_property
+    def clusters(self) -> tuple[EigenCluster, ...]:
+        f = self.frame
+        bounds = f.bounds.tolist()
+        return tuple(EigenCluster(complex(lam), hi - lo, f, f.members[lo:hi])
+                     for lam, lo, hi in zip(f.lams.tolist(), bounds, bounds[1:]))
+
+    @functools.cached_property
+    def untrapped(self) -> np.ndarray:
+        """W: each cluster's members turned by its coefficients Z_c+, in
+        cluster order."""
+        return self.frame.span([(g.rows, g.z.conj(), g.slots) for g in self.groups], self.untrapped_dim)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """B: each cluster's null directions, the right singular vectors past
+        its rank, from one full stacked SVD per multiplicity, in cluster
+        order.  Refused before the SVDs if B and they would not fit."""
+        size = np.array(self.contributions)
+        first = np.cumsum(size) - size  # each cluster's first column of B
+        parts = [(g, np.flatnonzero(self.rank[g.clusters] < g.rows.shape[1])) for g in self.groups]
+
+        def turns():
+            for g, part in parts:
+                if part.size:
+                    m, rank = g.rows.shape[1], self.rank[g.clusters[part]]
+                    _, _, vh = np.linalg.svd(g.overlap[part])
+                    past = np.arange(m) - rank[:, None]
+                    slots = np.where(past >= 0, first[g.clusters[part], None] + past, self.trapped_dim)
+                    yield g.rows[part], vh.conj(), slots
+
+        svd_entries = sum(part.size * g.rows.shape[1] ** 2 for g, part in parts)
+        return self.frame.span(turns(), self.trapped_dim, svd_entries)
 
     def split_start(self, state: np.ndarray) -> tuple[float, np.ndarray]:
         """(escape, W+ psi_0 or W+ rho_0 W) for the closed form, the escape as
@@ -252,43 +244,54 @@ class SpectralReport:
         return np.eye(rows.shape[1]) - _row_grams(self.untrapped, rows)
 
     def untrapped_start(self, state: np.ndarray) -> np.ndarray:
-        """W+ psi_0 for a start vector, W+ rho_0 W for a density matrix."""
-        start = self.untrapped.conj().T @ state
-        return start @ self.untrapped if state.ndim == 2 else start
+        """W+ psi_0 for a start vector, W+ rho_0 W for a density matrix: read
+        from W on one block, and from the members' coefficients of the start
+        on the n-cube's blocks."""
+        if not self.frame.bits:
+            start = self.untrapped.conj().T @ state
+            return start @ self.untrapped if state.ndim == 2 else start
+        start = self._project(self.frame.coordinates(state))
+        if state.ndim == 1:
+            return start
+        return self._project(self.frame.coordinates(start.conj().T)).conj().T
+
+    def _project(self, coords: np.ndarray) -> np.ndarray:
+        """W+ x for the members' coefficients of x along its first axis."""
+        x = coords.reshape(self.dim, -1)
+        out = np.zeros((self.untrapped_dim + 1, x.shape[1]), dtype=complex)
+        for g in self.groups:
+            out[g.slots] = g.z @ x[g.rows]
+        return out[:-1].reshape((-1,) + coords.shape[1:])
 
     def reduced_step(self) -> np.ndarray:
-        """A_r = W+ (Q_f U) W, from U W."""
-        w = self.untrapped
-        aw = self.walk.apply(w)
-        aw[self.finals] = 0.0
-        return w.conj().T @ aw
-
-    def _build_groups(self) -> tuple[_UntrappedGroup, ...]:
-        return _untrapped_groups(*self.ranking)
-
-    def _build_basis(self) -> np.ndarray:
-        """The trapped directions of each cluster, in cluster order: all of a
-        cluster that sees no final, by one np.take, and V_c N_c+ for a partly
-        trapped one, N_c the right singular vectors past its rank from one
-        full stacked SVD per multiplicity.  Refused first if B, beside U, V
-        and W, would not fit."""
-        v, dim = self.vectors, self.dim
-        _check_memory(dim, DENSE_BASIS_ARRAYS * dim * dim)
-        first = np.empty_like(self.rank)
+        """A_r = W+ (Q_f U) W: from U W on one block; on the n-cube's blocks,
+        blockdiag(W_c+ U W_c) - F+ G, each cluster's block from the block
+        matrices y+ U_k y of its members, F and G the finals' rows of W and
+        U W, with no D-tall array."""
+        frame, r = self.frame, self.untrapped_dim
+        if not frame.bits:
+            w = self.untrapped
+            aw = self.walk.apply(w)
+            aw[self.finals] = 0.0
+            return w.conj().T @ aw
+        b, m = frame.blocks.shape[:2]
+        width = max(g.z.shape[1] for g in self.groups)
+        zt = np.zeros((self.dim, width), dtype=complex)  # row j: member j's coefficients
         for g in self.groups:
-            first[g.clusters] = g.rows[:, 0]
-        size = np.array(self.contributions)
-        b = np.take(v, _column_runs(first, size), axis=1)
-        offset = np.cumsum(size) - size
+            zt[g.rows, :g.z.shape[1]] = g.z.conj().transpose(0, 2, 1)
+        label = frame.labels.reshape(b, m)
+        step = frame.vectors.conj().transpose(0, 2, 1) @ frame.blocks @ frame.vectors
+        step *= label[:, :, None] == label[:, None, :]  # y+ U_k y within each cluster
+        uz = (step @ zt.reshape(b, m, width)).reshape(self.dim, width)  # U W, by members
+        a_r = np.zeros((r + 1, r + 1), dtype=complex)
+        f = np.zeros((len(self.finals), r + 1), dtype=complex)  # the finals' rows of W
+        g_rows = np.zeros_like(f)  # and of U W
         for g in self.groups:
-            rank = self.rank[g.clusters]
-            part = np.flatnonzero((rank > 0) & (rank < g.rows.shape[1]))
-            if part.size:
-                _, _, vh = np.linalg.svd(g.overlap[part])
-                for j, vhj in zip(part.tolist(), vh):
-                    k, lo, rows = rank[j], offset[g.clusters[j]], g.rows[j]
-                    b[:, lo:lo + len(rows) - k] = v[:, rows[0]:rows[-1] + 1] @ vhj[k:].conj().T
-        return b
+            uzg = uz[g.rows][:, :, :g.z.shape[1]]
+            a_r[g.slots[:, :, None], g.slots[:, None, :]] = g.z @ uzg
+            f[:, g.slots] = g.fin.transpose(1, 0, 2)
+            g_rows[:, g.slots] = (g.overlap @ uzg).transpose(1, 0, 2)
+        return (a_r - f.conj().T @ g_rows)[:r, :r]
 
 
 def _row_grams(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -536,15 +539,6 @@ def _phase_order(lams: np.ndarray, tol: float) -> np.ndarray:
     return np.argsort(np.where(np.abs(lams + 1) <= tol, -np.pi, np.angle(lams)), kind="stable")
 
 
-def _clusters(lams, first, basis, order) -> tuple[EigenCluster, ...]:
-    """The clusters in ``order``, each with a view of its columns of basis."""
-    bounds = [*first.tolist(), basis.shape[1]]
-    return tuple(
-        EigenCluster(complex(lams[i]), bounds[i + 1] - bounds[i], basis[:, bounds[i]:bounds[i + 1]])
-        for i in order.tolist()
-    )
-
-
 def _cube_coin(op: WalkOperator) -> np.ndarray | None:
     """The n x n coin C when the walk is S (I (x) C) on the n-cube that
     ``build_hypercube`` colors, whose shift sends v*n + c to
@@ -606,37 +600,43 @@ def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]
     comes first.  Raises ValueError when U is not normal, i.e. when a
     chain's block residual ||K W_c - W_c (W_c+ K W_c)|| exceeds tol.  The
     clusters are those of the report for no final index, so the walk on the
-    n-cube is split block by block in the Fourier basis, and its clusters'
-    bases are built when read.
+    n-cube is split block by block in the Fourier basis; every cluster's
+    basis is built when read.
     """
     return _report(u, (), tol).clusters
 
 
-def _rank_clusters(overlap, starts, size, lams, position):
+def _rank_clusters(frame: Frame, finals: np.ndarray) -> tuple[np.ndarray, list, tuple[_UntrappedGroup, ...]]:
     """(rank, warnings, groups) of the clusters' final overlaps.
 
-    Cluster i's overlap is the block of columns of ``overlap`` from
-    starts[i] on, size[i] wide; the overlaps of all clusters of one
-    multiplicity are decomposed by one stacked thin SVD, each group listed as
-    (cluster indices, overlaps, their SVD).  Warnings are (position,
+    The overlaps of all clusters of one multiplicity, the rows ``finals``
+    of their members, are decomposed by one stacked thin SVD, and their
+    :class:`_UntrappedGroup` is read from it.  Warnings are (position,
     message) pairs for singular values within 10x of the cutoff.
     """
+    size = frame.multiplicities
+    overlap = frame.overlap(finals)
     rank = np.zeros(len(size), dtype=int)
-    warnings, groups = [], []
+    warnings, ranked = [], []
     for k in sorted(set(size.tolist())):
         group = np.flatnonzero(size == k)
-        gathered = overlap[:, starts[group, None] + np.arange(k)].transpose(1, 0, 2)
-        svd = np.linalg.svd(gathered, full_matrices=False)
-        sv = svd[1]
+        rows = frame.members[frame.bounds[group, None] + np.arange(k)]
+        gathered = overlap[:, rows].transpose(1, 0, 2)
+        u, sv, vh = np.linalg.svd(gathered, full_matrices=False)
         cutoff = NULLSPACE_RTOL * sv[:, :1]
-        kept = sv > cutoff
+        kept = sv > cutoff  # the first rank of each row
         rank[group] = kept.sum(axis=1)
-        for i, band in zip(group, np.sum(kept & (sv <= 10 * cutoff), axis=1).tolist()):
+        for i, band in zip(group.tolist(), np.sum(kept & (sv <= 10 * cutoff), axis=1).tolist()):
             if band:
-                warnings.append((position[i], f"cluster {position[i]} (eigenvalue "
-                                 f"{complex(lams[i]):.6f}): {band} singular value(s) "
-                                 "within 10x of cutoff"))
-        groups.append((group, gathered, svd))
+                warnings.append((i, f"cluster {i} (eigenvalue {complex(frame.lams[i]):.6f}): "
+                                 f"{band} singular value(s) within 10x of cutoff"))
+        z, fin = np.where(kept[:, :, None], vh, 0.0), u * (sv * kept)[:, None, :]
+        ranked.append((group, rows, kept, gathered, z, fin))
+    first, spare = np.cumsum(rank) - rank, rank.sum()  # each cluster's first column of W, and past the last
+    groups = tuple(
+        _UntrappedGroup(group, rows, z, np.where(kept, first[group, None] + np.arange(z.shape[1]), spare),
+                        gathered, fin)
+        for group, rows, kept, gathered, z, fin in ranked)
     return rank, warnings, groups
 
 
@@ -674,46 +674,38 @@ def infinite_hitting_projector(u, p_f) -> SpectralReport:
     itself is a close call.  The clusters' bases are mutually orthogonal, so
     the trapped pieces are stacked into ``basis`` as they are.  A final
     index outside [0, D) raises ValueError.  The walk on the n-cube takes
-    the Fourier route and returns a :class:`qwlab.fourier.FourierReport`.
+    the Fourier route; ``route`` on the report says which it took.
     """
     return _report(u, p_f, CLUSTER_TOL)
 
 
 def _report(u, p_f, tol: float) -> SpectralReport:
-    """:func:`infinite_hitting_projector` with clusters cut at distance tol."""
+    """:func:`infinite_hitting_projector` with clusters cut at distance tol:
+    on the frame of the n-cube's Fourier blocks for its walk, refused first
+    if its estimate does not fit, else on the frame of the one block U."""
+    from . import fourier  # which builds on this module
+
     op = _as_walk(u)
     p_f = _final_array(p_f, op.dim)
     coin = _cube_coin(op)
-    if coin is not None:
-        from . import fourier  # which builds on this module
-
-        return fourier.cube_report(op, coin, p_f, tol)
-    sums, first, v = _split_stack(_as_matrix(op)[None], tol)
-    lams, v = sums / np.abs(sums), v[0]
-    dim, n = v.shape[0], len(lams)
-    order = _phase_order(lams, tol)
-    position = np.empty_like(order)
-    position[order] = np.arange(n)
-    size = np.diff([*first, dim])
-    rank, warnings, ranked = _rank_clusters(v[p_f], first, size, lams, position)
-    by_position = rank[order]
-    offset = (np.cumsum(by_position) - by_position)[position]  # each cluster's first column of W
-    partly = (rank > 0) & (rank < size)
-    w = np.take(v, _column_runs(first[order], by_position), axis=1)  # each cluster's first rank columns
-    for group, _, (_, _, vh) in ranked:  # which are V_c Z_c+ where the cluster is partly trapped
-        for j in np.flatnonzero(partly[group]).tolist():
-            i = group[j]
-            w[:, offset[i]:offset[i] + rank[i]] = v[:, first[i]:first[i] + size[i]] @ vh[j, :rank[i]].conj().T
+    if coin is None:
+        frame = fourier.frame(_as_matrix(op)[None], 0, tol)
+        held = DENSE_HELD_ARRAYS * op.dim**2
+    else:
+        n = coin.shape[0]
+        held = fourier._entries(n, len(p_f))
+        _check_memory(op.dim, held)
+        frame = fourier.frame(fourier.cube_blocks(coin), n, tol)
+    rank, warnings, groups = _rank_clusters(frame, p_f)
     return SpectralReport(
-        clusters=_clusters(lams, first, v, order),
-        contributions=tuple((size - rank)[order].tolist()),
-        warnings=_in_order(warnings + _gap_warnings(lams[order])),
-        untrapped=w,
+        contributions=tuple((frame.multiplicities - rank).tolist()),
+        warnings=_in_order(warnings + _gap_warnings(frame.lams)),
         walk=op,
         finals=p_f,
-        rank=by_position,
-        vectors=v,
-        ranking=(ranked, first, rank, position),
+        frame=frame,
+        rank=rank,
+        groups=groups,
+        held_entries=held,
     )
 
 

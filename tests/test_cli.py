@@ -619,10 +619,15 @@ class TestCachedParser:
         assert len(inits) == built
 
 
+def readme_block(section: str, language: str) -> str:
+    """The first ``language`` code block of README's ``section``."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"## {section}\n.*?```{language}\n(.*?)```", text, re.S).group(1)
+
+
 def readme_commands():
     """The qwlab lines of README's "Command line" block, continuations joined."""
-    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    block = readme_block("Command line", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line) for line in lines if line.startswith("qwlab ")]
 
@@ -633,3 +638,20 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # one example writes a CSV file
     for argv in commands:
         assert run_cli(*argv[1:])[0] == 0, shlex.join(argv)
+
+
+def test_readme_quickstart_prints_its_comments(capsys):
+    # each print line's comment, up to a colon, is what it prints; a value
+    # ending in "..." is a prefix of the printed one
+    block = readme_block("Library quickstart", "python")
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    wanted = [line.split("#", 1)[1].split(":")[0].split() for line in block.splitlines()
+              if line.startswith("print(")]
+    assert wanted == [["infinite", "0.42857..."], ["fourier", "24"]]
+    assert len(printed) == len(wanted)
+    for got, want in zip(printed, wanted):
+        got = got.split()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.startswith(w[:-3]) if w.endswith("...") else g == w

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,11 +44,36 @@ class TestHypercube:
         def refuse(*args, **kwargs):
             raise AssertionError("an edge was listed")
 
-        # 5120 edges at HYPERCUBE_EDGE_BYTES each, against a 1 MiB budget
+        # 5120 edges at EDGE_BYTES each, against a 1 MiB budget
         monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
         monkeypatch.setattr(graphs, "Edge", refuse)
         with pytest.raises(ValueError, match="dimension 10240 needs an estimated 3 MiB, over a memory budget of 1 MiB"):
             graphs.build_hypercube(10)
+
+
+class TestCycle:
+    def test_refused_before_its_edges_are_listed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an edge was listed")
+
+        # 200000 edges at EDGE_BYTES each, against a 1 MiB budget; the
+        # refusal allocates next to nothing
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(graphs, "Edge", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension 200000 needs an estimated 114 MiB, "
+                                                 "over a memory budget of 1 MiB"):
+                graphs.build_cycle(200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_within_the_budget_is_built(self, monkeypatch):
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
+        g = graphs.build_cycle(1024)  # 600 KiB of edges
+        assert g.num_vertices == len(g.edges) == 1024 and g.degree_value == 2
 
 
 def sigma_x_on_bit(bit: int, n: int) -> np.ndarray:

@@ -772,6 +772,20 @@ class TestMonteCarlo:
             hitting.classical_hitting_monte_carlo(g, start, final, 10, seed=0)
         assert time.perf_counter() - began < 0.1
 
+    @pytest.mark.parametrize("start, final, name, vertex", [(-1, 7, "start", -1), (9, 7, "start", 9),
+                                                             (0, 8, "final", 8), (0, -1, "final", -1)])
+    def test_vertex_out_of_range_is_refused_before_any_draw(self, monkeypatch, start, final, name, vertex):
+        # -1 would walk from vertex 7, 9 would fail as an IndexError, and a
+        # final of 8 would be reported as not reachable
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocation or draw past the range check")
+
+        g = graphs.build_hypercube(3)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(ValueError, match=rf"^{name} vertex {vertex} out of range \[0, 8\)$"):
+            hitting.classical_hitting_monte_carlo(g, start, final, 10, seed=0)
+
     def test_step_cap_still_stops_a_slow_connected_walk(self):
         with pytest.raises(IndeterminateError, match="10 of 10 walkers not absorbed after 2 steps"):
             hitting.classical_hitting_monte_carlo(graphs.build_hypercube(3), 0, 7, 10, seed=0, step_cap=2)

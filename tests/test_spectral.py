@@ -1,6 +1,7 @@
 import io
 import json
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,6 +18,14 @@ def hypercube_setup(n, coin_kind):
     op = walk.evolution_operator(g, coin)
     fin = graphs.BasisIndexing.from_graph(g).indices_for([2 ** n - 1])
     return g, op, fin
+
+
+class OracleCluster(NamedTuple):
+    """An oracle's cluster: its eigenvalue, multiplicity and D x m eigenbasis."""
+
+    eigenvalue: complex
+    multiplicity: int
+    basis: np.ndarray
 
 
 def eig_qr_clusters(u, tol=spectral.CLUSTER_TOL):
@@ -38,7 +47,7 @@ def eig_qr_clusters(u, tol=spectral.CLUSTER_TOL):
     for idx in groups:
         q, _ = np.linalg.qr(v[:, idx])
         lam = complex(np.mean(w[idx]))
-        clusters.append(spectral.EigenCluster(lam / abs(lam), len(idx), q))
+        clusters.append(OracleCluster(lam / abs(lam), len(idx), q))
     return tuple(clusters)
 
 
@@ -106,7 +115,7 @@ def loop_clusters(u, tol=spectral.CLUSTER_TOL):
                 lam, basis = complex(np.trace(mc)), wc.astype(complex)
             else:
                 lam, basis = complex(np.trace(x.conj().T @ mc @ x)), wc @ x
-            clusters.append(spectral.EigenCluster(lam / abs(lam), basis.shape[1], basis))
+            clusters.append(OracleCluster(lam / abs(lam), basis.shape[1], basis))
     clusters.sort(key=lambda c: -np.pi if abs(c.eigenvalue + 1) <= tol else np.angle(c.eigenvalue))
     return tuple(clusters)
 
@@ -362,20 +371,20 @@ class TestProjector:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert type(report) is spectral.SpectralReport
+            assert report.route == "dense"
             del report
         assert len(splits) == (descriptor != "distorted-hypercube:6")
         unit = 16 * len(u) ** 2
         assert peaks[1] <= (spectral.EIGENSOLVE_WORK_ARRAYS - 2) * unit
         assert peaks[1] <= peaks[0] + 0.01 * unit  # index arrays and Python objects
 
-    def test_dense_report_holds_v_and_w(self):
-        # V and W, D^2 + D r complex entries, stay held, beside the
-        # clusters' final overlaps and their SVDs' coefficients, D |finals|
-        # each, and small objects; trace(P) is a count and builds nothing;
-        # B is built on read, with the groups of coefficients it is read
-        # from, 2 D |finals| entries more; the color-permuted cube takes
-        # the dense route
+    def test_dense_report_holds_v_and_builds_w_and_b_on_read(self):
+        # V, D^2 complex entries, stays held, beside the clusters' final
+        # overlaps and their SVDs' coefficients, D |finals| each, and small
+        # objects; trace(P) is a count and builds nothing; W and B are each
+        # built on read, D-tall with one spare column, and B's peak, beside
+        # U, V and W, stays within the estimate it is refused by; the
+        # color-permuted cube takes the dense route
         g, u = dense_route_walk("hypercube:6", "grover")
         fin = graphs.BasisIndexing.from_graph(g).indices_for([g.num_vertices - 1])
         tracemalloc.start()
@@ -384,15 +393,21 @@ class TestProjector:
             held = tracemalloc.get_traced_memory()[0]
             report.trace_p
             with_trace = tracemalloc.get_traced_memory()[0]
+            report.untrapped
+            with_w = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             report.basis
-            with_basis = tracemalloc.get_traced_memory()[0]
+            with_basis, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         d, r, t, f = len(u), report.untrapped_dim, report.trapped_dim, len(fin)
         assert (r, t) == (72, 312)
-        assert 16 * (d * d + d * r) <= held <= 16 * (d * d + d * r + 2 * d * f) + 0.02 * 16 * d * d
+        assert 16 * d * d <= held <= 16 * (d * d + 2 * d * f) + 0.02 * 16 * d * d
         assert with_trace - held <= 1024
-        assert 16 * d * t <= with_basis - with_trace <= 16 * (d * t + 2 * d * f) + 0.01 * 16 * d * d
+        assert 16 * d * r <= with_w - with_trace <= 16 * d * (r + 1) + 0.01 * 16 * d * d
+        assert 16 * d * t <= with_basis - with_w <= 16 * d * (t + 1) + 0.01 * 16 * d * d
+        estimate = fourier.DENSE_BASIS_ARRAYS * d * d + 2 * d * min(d, fourier.SYNTHESIS_COLUMNS)
+        assert 16 * d * d + peak <= 16 * estimate  # U, allocated before tracing, and the rest
 
     def test_zero_when_every_eigenvector_sees_final(self, rng):
         u = random_unitary(6, rng)  # generic: no eigenvector avoids index 0
@@ -661,10 +676,13 @@ class TestReadFromUntrapped:
             blocks = report.vertex_blocks(rows)
             assert np.max(np.abs(blocks - b[rows] @ b[rows].conj().transpose(0, 2, 1))) <= 1e-13, name
 
-    def test_fourier_report_overrides_only_what_its_frame_changes(self):
-        for name in ("split_start", "escape", "vertex_blocks", "trace_p"):
-            assert name in vars(spectral.SpectralReport)
-            assert name not in vars(fourier.FourierReport)
+    def test_one_report_class_serves_both_routes(self):
+        # the frame, not a subclass, says which route a report took
+        _, op, fin = hypercube_setup(3, "grover")
+        reports = [spectral.infinite_hitting_projector(u, fin) for u in (op, color_permuted(op.matrix, 3))]
+        assert [type(r) for r in reports] == [spectral.SpectralReport] * 2
+        assert [r.route for r in reports] == ["fourier", "dense"]
+        assert not spectral.SpectralReport.__subclasses__()
 
 
 def eager_bases(u, fin):
@@ -683,8 +701,8 @@ def eager_bases(u, fin):
 
 
 class TestTrappedBasisOnRead:
-    """The dense report builds W; B is built when read, and trace(P) comes
-    from W's coefficients."""
+    """The dense report builds W and B when each is read, and trace(P)
+    comes from W's coefficients."""
 
     @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
     @pytest.mark.parametrize("descriptor", [
@@ -700,7 +718,7 @@ class TestTrappedBasisOnRead:
             contributions, b_eager, w_eager = eager_bases(u, fin)
             assert report.contributions == contributions
             assert report.trapped_dim == b_eager.shape[1]
-            assert vars(report)["basis"] is None
+            assert "basis" not in vars(report)
             b, w, dim = report.basis, report.untrapped, len(u)
             assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])), initial=0.0) <= 1e-12
             assert np.max(np.abs(b.conj().T @ w), initial=0.0) <= 1e-12
@@ -716,8 +734,7 @@ class TestTrappedBasisOnRead:
         def refuse(report):
             raise Built
 
-        monkeypatch.setattr(spectral.SpectralReport, "_build_basis", refuse)
-        monkeypatch.setattr(fourier.FourierReport, "_build_basis", refuse)  # the dense cube's route
+        monkeypatch.setattr(spectral.SpectralReport, "basis", property(refuse))  # on both routes
         cay = graphs.cayley_hypercube(6)
         op = walk.evolution_operator(cay.graph, walk.grover_coin(6))
         fin = graphs.BasisIndexing.from_graph(cay.graph).indices_for([63])
@@ -744,12 +761,27 @@ class TestTrappedBasisOnRead:
     def test_basis_refused_before_it_allocates(self, monkeypatch):
         _, op, fin = hypercube_setup(4, "dft")
         report = spectral.infinite_hitting_projector(color_permuted(op.matrix, 4), fin)
-        assert type(report) is spectral.SpectralReport
-        # U, V and W with B: 3 complex arrays of 64 x 64 against a 64 KiB budget
+        assert report.route == "dense"
+        # U, V and W with B, 3 complex arrays of 64 x 64, two chunks of 64
+        # columns and the SVD factors of the partly trapped clusters, four
+        # of 4 x 4 and four of 8 x 8, against a 64 KiB budget
         monkeypatch.setattr(walk, "_memory_budget", lambda: 64 * 2**10)
-        with pytest.raises(ValueError, match="dimension 64 needs an estimated 192 KiB, over a memory budget of 64 KiB"):
+        with pytest.raises(ValueError, match="dimension 64 needs an estimated 325 KiB, over a memory budget of 64 KiB"):
             report.basis
-        assert vars(report)["basis"] is None
+        assert "basis" not in vars(report)
+
+    @pytest.mark.parametrize("route", ["dense", "fourier"])
+    def test_basis_refused_before_its_svds(self, monkeypatch, route):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD ran before the memory check")
+
+        _, op, fin = hypercube_setup(6, "grover")
+        report = spectral.infinite_hitting_projector(op if route == "fourier" else color_permuted(op.matrix, 6), fin)
+        assert report.route == route and report.trapped_dim == 312
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2**10)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        with pytest.raises(ValueError, match="over a memory budget of 1 KiB"):
+            report.basis
 
 
 def count_parity_splits(monkeypatch) -> list:
@@ -874,7 +906,7 @@ class TestFourierRoute:
                                               relabelled(spec.state, image), final_indices=spec.final_indices)
                 fr = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
                 dr = spectral.infinite_hitting_projector(dense.walk, spec.final_array)
-                assert type(fr) is fourier.FourierReport and type(dr) is spectral.SpectralReport
+                assert (fr.route, dr.route) == ("fourier", "dense")
                 assert [c.multiplicity for c in fr.clusters] == [c.multiplicity for c in dr.clusters]
                 assert fr.contributions == dr.contributions and fr.warnings == dr.warnings
                 lams = [c.eigenvalue for c in fr.clusters]
@@ -911,10 +943,7 @@ class TestFourierRoute:
             assert report.trapped_dim == report.trace_int == 24 and report.untrapped.shape == (24, 0)
 
     @pytest.mark.parametrize("walk_kind", ["distorted", "dense-matrix", "permuted-colors"])
-    def test_other_walks_take_the_dense_route(self, monkeypatch, walk_kind):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Fourier route taken")
-
+    def test_other_walks_take_the_dense_route(self, walk_kind):
         g = permuted_color_cube(3) if walk_kind == "permuted-colors" else (
             graphs.build_distorted_hypercube(3) if walk_kind == "distorted" else graphs.build_hypercube(3))
         op = walk.evolution_operator(g, walk.grover_coin(3))
@@ -923,9 +952,8 @@ class TestFourierRoute:
         spec = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_indices=range(21, 24))
         cube = cube_walk_spec(3, "grover", "symmetric", [7])
         want = hitting.hitting_time_closed_form(cube).value
-        monkeypatch.setattr(fourier, "frame", refuse)
         report = spectral.infinite_hitting_projector(op, spec.final_array)
-        assert type(report) is spectral.SpectralReport
+        assert report.route == "dense"
         spectral.eigenspace_clusters(op)
         got = hitting.hitting_time_closed_form(spec).value
         if walk_kind != "distorted":  # the same walk, relabelled or given densely
@@ -1004,27 +1032,20 @@ class TestCubeRecognizer:
         for form in (u, walk.WalkOperator(u)):
             got = spectral._cube_coin(walk._as_walk(form))
             assert got.dtype == coin.matrix.dtype and np.array_equal(got, coin.matrix)
-            assert type(spectral.infinite_hitting_projector(form, fin)) is fourier.FourierReport
+            assert spectral.infinite_hitting_projector(form, fin).route == "fourier"
 
-    def test_one_block_with_a_shift_image_takes_the_dense_route(self, monkeypatch):
+    def test_one_block_with_a_shift_image_takes_the_dense_route(self):
         # its dense U is the block with its rows moved, not the block
-        def refuse(*args, **kwargs):
-            raise AssertionError("Fourier route taken")
-
         u = cube_matrix(3, "grover")
         op = walk.WalkOperator(u, image=np.roll(np.arange(len(u)), 1))
         assert spectral._cube_coin(op) is None
-        monkeypatch.setattr(fourier, "frame", refuse)
-        assert type(spectral.infinite_hitting_projector(op, [0])) is spectral.SpectralReport
+        assert spectral.infinite_hitting_projector(op, [0]).route == "dense"
 
     @pytest.mark.parametrize("case", [
         *(f"distorted-hypercube:{n}" for n in range(3, 7)),
         *(f"{what}-{coin}" for what in ("permuted", "ulp", "stray", "nan-coin", "nan-stray")
           for coin in ("grover", "dft"))])
-    def test_other_dense_walks_take_the_dense_route(self, monkeypatch, case):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Fourier route taken")
-
+    def test_other_dense_walks_take_the_dense_route(self, case):
         n = 4
         if case.startswith("distorted"):
             g, u = dense_walk(case, "grover")
@@ -1036,9 +1057,8 @@ class TestCubeRecognizer:
             u = touched(cube_matrix(n, coin_kind), n, what)
         assert len(u) == n << n
         assert spectral._cube_coin(walk.WalkOperator(u)) is None
-        monkeypatch.setattr(fourier, "frame", refuse)
         if "nan" in case:  # the dense route refuses a NaN
             with pytest.raises(ValueError):
                 spectral.infinite_hitting_projector(u, [0])
         else:
-            assert type(spectral.infinite_hitting_projector(u, [0])) is spectral.SpectralReport
+            assert spectral.infinite_hitting_projector(u, [0]).route == "dense"
