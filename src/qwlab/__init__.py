@@ -1,11 +1,12 @@
 """Quantum walks on colored graphs: hitting times, spectra, decoherence, quotients.
 
-``qwlab.fourier``, the eigenvector frames every spectral report is held in
-(the hypercube walk's Fourier blocks, or one dense block), is imported by
-``qwlab.spectral`` on first use.
+``qwlab.fourier`` holds the eigenvector frames every spectral report is
+held in (the hypercube walk's Fourier blocks, or one dense block) and the
+n-cube's convention; it imports nothing from ``qwlab.spectral``, which
+imports it at load time and alone chooses a walk's spectral route.
 """
 
-from . import decoherence, graphs, groups, hitting, quotient, spectral, walk
+from . import decoherence, fourier, graphs, groups, hitting, quotient, spectral, walk
 from .errors import (
     GroupOrderError,
     IndeterminateError,

@@ -286,7 +286,7 @@ def cmd_dfs(args, out) -> int:
     # the adjacent transpositions are the channel's and the default subgroup
     adjacent = [f"({i},{i + 1})" for i in range(1, n)]
     swaps = resolve_subgroup(adjacent, cay)
-    ch = decoherence._swap_dephasing(swaps, kappas)
+    ch = decoherence.swap_dephasing(swaps, kappas)
     subgroup = args.subgroup or adjacent
     gens = resolve_subgroup(args.subgroup, cay) if args.subgroup else swaps
     dim = graphs.BasisIndexing.from_graph(g).total_dim

@@ -84,6 +84,7 @@ __all__ = [
     "hitting_time_slope",
     "dfs_check_kraus",
     "dfs_check_lindblad",
+    "swap_dephasing",
     "swap_dephasing_example",
 ]
 
@@ -106,6 +107,16 @@ STEIN_PRECONDITIONER_TAIL = 1e-5
 # rho_0, a dephasing multiplier and its (D + 1) x D Kraus weights held by
 # the caller, each counted in the solve's dtype
 DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 14
+# 8-byte arrays held while a dephasing channel is built, per row x D of its
+# Kraus weights (the weights, their squares and the images sorted for the
+# permutation check) and per D x D (the multiplier and its label
+# comparison); 4.1 D^2 in all measured for kind "both" at D = 384 and 2048
+DEPHASING_ROW_ARRAYS = 3
+DEPHASING_SQUARE_ARRAYS = 2
+# complex D x k arrays the scalar-action check holds at once: the basis and
+# its complex copy, one image, c b and the residual with its squares (4.4 to
+# 5.1 measured on orbit bases of hypercube:6-7)
+SCALAR_ACTION_ARRAYS = 6
 
 KIND_BOTH = "both"
 KIND_COIN = "coin"
@@ -235,14 +246,17 @@ def dephasing_channel(
     diagonals sqrt(1-p) I and sqrt(p) Pi_c over the projectors onto the
     label classes, held as monomials with the identity image; the family is
     complete because the projectors sum to the identity.  Unknown kinds are
-    rejected.
+    rejected, and so is a channel that would not fit in the memory budget,
+    before its weights or its multiplier are built.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("dephasing strength must lie in [0, 1]")
     label = _basis_labels(kind, num_vertices, coin_dim)
+    d, classes = label.size, int(label.max(initial=-1)) + 1
+    _check_memory(d, DEPHASING_ROW_ARRAYS * (classes + 1) * d + DEPHASING_SQUARE_ARRAYS * d * d, float)
     rows = [np.full((1, label.size), np.sqrt(1.0 - p))] if p < 1.0 else []
     if p > 0.0:
-        rows.append(np.sqrt(p) * (np.arange(label.max() + 1)[:, None] == label))
+        rows.append(np.sqrt(p) * (np.arange(classes)[:, None] == label))
     weights = np.concatenate(rows)
     return Channel._from_monomials(
         np.broadcast_to(np.arange(label.size), weights.shape),
@@ -611,11 +625,15 @@ def _check_scalar_action(
     every basis column b as A b = c b, checked with c = <b_0, A b_0> of the
     first column.  The coefficient returned is (A v)_i, v the first column
     scaled to v_i = 1 at its largest entry i: on an orbit column of equal
-    real entries, real or complex typed, a monomial A gives exactly its kappa."""
+    real entries, real or complex typed, a monomial A gives exactly its kappa.
+    Refused before the first copy if the check would not fit in the memory
+    budget."""
     given = np.asarray(basis)
-    basis = np.asarray(given, dtype=complex)
-    if basis.ndim != 2 or basis.shape[1] == 0:
+    if given.ndim != 2 or given.shape[1] == 0:
         raise ValueError("basis must be a nonempty matrix of columns")
+    d, k = given.shape
+    _check_memory(d, SCALAR_ACTION_ARRAYS * d * k + 2 * k * k)
+    basis = np.asarray(given, dtype=complex)
     gram = basis.conj().T @ basis
     if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-9:
         raise ValueError("basis columns must be orthonormal")
@@ -669,14 +687,16 @@ def swap_dephasing_example(n: int, kappas: Iterable[float | complex]) -> Channel
         groups.direction_perm_to_automorphism(cay, groups.parse_cycles(f"({i},{i + 1})", n))
         for i in range(1, n)
     ]
-    return _swap_dephasing(swaps, kappas)
+    return swap_dephasing(swaps, kappas)
 
 
-def _swap_dephasing(
+def swap_dephasing(
     swaps: Sequence[groups.Permutation], kappas: Iterable[float | complex]
 ) -> Channel:
     """The channel with Kraus operators kappa_i sigma_i for the lifted basis
-    permutations ``swaps``, one coefficient each, sum |kappa_i|^2 = 1."""
+    permutations ``swaps``, one coefficient each, sum |kappa_i|^2 = 1: the
+    one constructor of swap dephasing, on the n-cube for
+    :func:`swap_dephasing_example` and on any Cayley graph for ``qwlab dfs``."""
     kap = _inexact(tuple(kappas))
     if len(kap) != len(swaps):
         raise ValueError(f"expected {len(swaps)} coefficients, got {len(kap)}")

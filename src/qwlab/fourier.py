@@ -10,15 +10,15 @@ size: the frame with n bits.  Every other walk is the frame with no bits,
 one block U, where the Walsh-Hadamard transform is the identity and every
 sign is 1.
 
-One stacked split of the blocks, by the batched core of
-:mod:`qwlab.spectral`, gives every eigenvector; clusters merge equal
-eigenvalues across blocks, each cluster's final overlap has the entries
-2^(-bits/2) (-1)^(k.f) y_c, and a state enters through one Walsh-Hadamard
-transform.  The cube costs O(2^n n^3) time and O(D (n + |finals|)) memory,
-and builds no D x D array and no D-tall basis unless a basis is read.
+A frame's eigenvectors come from one stacked split of its blocks; each
+cluster's final overlap has the entries 2^(-bits/2) (-1)^(k.f) y_c, and a
+state enters through one Walsh-Hadamard transform.  The cube costs
+O(2^n n^3) time and O(D (n + |finals|)) memory, and builds no D x D array
+and no D-tall basis unless a basis is read.
 
-:mod:`qwlab.spectral` builds every report on a frame and imports this
-module on first use.
+This module owns the n-cube's convention (``cube_blocks``, ``_cube_coin``,
+``_entries``) and imports nothing from :mod:`qwlab.spectral`, which splits
+blocks into frames, chooses the route and builds the reports.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _phase_order, _runs, _split_stack
-from .walk import _check_memory
+from .walk import WalkOperator, _check_memory
 
-__all__ = ["Frame", "cube_blocks", "frame"]
+__all__ = ["Frame", "cube_blocks"]
 
 # complex entries the cube's frame holds at once, per D x n and per D x
 # final index (a hitting time's peak by tracemalloc, beside its r x r solve,
@@ -186,26 +185,33 @@ def cube_blocks(coin: np.ndarray) -> np.ndarray:
     return signs[:, :, None] * coin
 
 
-def frame(blocks: np.ndarray, bits: int, tol: float) -> Frame:
-    """The frame of the 2^bits blocks, split by one stacked split.  The
-    clusters of more than one block merge across blocks: sorted by phase,
-    neighbours within tol share a cluster, across the branch cut too.
-    Clusters are listed as :func:`spectral._phase_order` lists them."""
-    size = blocks.shape[0] * blocks.shape[1]
-    sums, first, vectors = _split_stack(blocks, tol)
-    cluster, merged = np.arange(len(sums)), sums  # one block: no merge
-    if bits:
-        phase = np.angle(sums)
-        by_phase = np.argsort(phase, kind="stable")
-        ids = np.cumsum(_runs(phase[by_phase], tol)) - 1
-        if ids[-1] and phase[by_phase[0]] + 2 * np.pi - phase[by_phase[-1]] <= tol:
-            ids[ids == ids[-1]] = 0  # the last run wraps around to the first
-        cluster[by_phase] = ids
-        merged = np.bincount(cluster, sums.real) + 1j * np.bincount(cluster, sums.imag)
-    lams = merged / np.abs(merged)
-    order = _phase_order(lams, tol)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    labels = np.repeat(position[cluster], np.append(first[1:], size) - first)
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels))])
-    return Frame(bits, blocks, vectors, lams[order], labels, np.argsort(labels, kind="stable"), bounds)
+def _cube_coin(op: WalkOperator) -> np.ndarray | None:
+    """The n x n coin C when the walk is S (I (x) C) on the n-cube that
+    ``build_hypercube`` colors, whose shift sends v*n + c to
+    (v XOR 2^c)*n + c; else None.  Reads no graph and uses no tolerance.
+
+    A factored walk is that walk when its block is n x n and its image is
+    that shift: O(D).  One dense D x D block with the identity image,
+    D = n 2^n, is that walk when the n x n gathers
+    U[(v XOR 2^c)*n + c, v*n + c'] of all vertices v equal the first
+    exactly, and U has no other nonzero entry: its nonzero real and
+    imaginary parts are as many as the gathers', O(D^2).
+    """
+    d, n = op.dim, op.block.shape[0]
+    dense = n == d
+    if dense:  # the n of D = n 2^n
+        n = next((k for k in range(1, 63) if k << k >= d), 0)
+    if not 1 <= n < 63 or d != n << n:
+        return None
+    v, c = np.divmod(np.arange(d), n)
+    shifted = (v ^ (1 << c)) * n + c
+    if not dense:
+        return op.block if np.array_equal(op.image, shifted) else None
+    if not np.array_equal(op.image, np.arange(d)):
+        return None
+    u = op.block
+    coins = u[shifted.reshape(-1, n, 1), np.arange(d).reshape(-1, 1, n)]
+    if not np.all(coins == coins[0]):  # a NaN fails too
+        return None
+    nonzero = np.count_nonzero(np.ascontiguousarray(u).view(np.float64))
+    return coins[0] if nonzero == np.count_nonzero(coins.view(np.float64)) else None

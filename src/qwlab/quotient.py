@@ -23,8 +23,8 @@ import numpy as np
 from .errors import OracleMismatchError, SymmetryError
 from .graphs import ColoredGraph, glued_trees_columns
 from .groups import PermGroup, Permutation, generators_of, orbit_labels
-from .spectral import _as_matrix, _cube_coin, _final_array, infinite_hitting_projector
-from .walk import _as_walk
+from .spectral import _final_array, infinite_hitting_projector
+from .walk import _as_walk, _check_memory
 
 __all__ = [
     "OrbitBasis",
@@ -49,6 +49,9 @@ SYMMETRY_ATOL = 1e-10
 UNITARITY_ATOL = 1e-9
 ENTRY_ATOL = 1e-12
 ANGLE_ATOL = 1e-8  # a principal angle cosine above 1 - ANGLE_ATOL is a shared direction
+# k x D arrays of U's dtype the orbit sums hold beside U and its rows by
+# orbit: sums, R, and R's leak (2.25 measured on hypercube:6-7 subgroups)
+ORBIT_SUM_ARRAYS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +62,7 @@ class OrbitBasis:
     smallest member, which fixes every reduced matrix deterministically.
     Sizes, member lists, ``orbits`` and ``matrix``, the isometry whose
     column j is the normalized indicator of orbit j, derive from the labels
-    when first read.
+    when first read, ``matrix`` after a memory check.
     """
 
     labels: np.ndarray
@@ -95,6 +98,7 @@ class OrbitBasis:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
+        _check_memory(self.dim, self.dim * self.num_orbits, float)
         b = np.zeros((self.dim, self.num_orbits))
         b[np.arange(self.dim), self.labels] = 1.0 / np.sqrt(self.sizes[self.labels])
         return b
@@ -148,8 +152,12 @@ def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCh
 
 def quotient_walk(u, basis: OrbitBasis) -> np.ndarray:
     """U_H = B+ U B by orbit sums of U's rows, R = B+ U, then of R's columns.
-    U keeps ran(B) exactly when R = U_H B+; max |R - U_H B+| is its leak."""
-    r = _orbit_sums(_as_walk(u).matrix, basis, 0)
+    U keeps ran(B) exactly when R = U_H B+; max |R - U_H B+| is its leak.
+    Refused once U is read, before the sums, if they would not fit."""
+    m = _as_walk(u).matrix
+    d, k = len(m), basis.num_orbits
+    _check_memory(d, 2 * d * d + ORBIT_SUM_ARRAYS * k * d, m.dtype)
+    r = _orbit_sums(m, basis, 0)
     uh = _orbit_sums(r, basis, 1)
     leak = float(np.max(np.abs(r - np.take(uh / np.sqrt(basis.sizes), basis.labels, axis=1))))
     if not leak <= SYMMETRY_ATOL:
@@ -364,11 +372,9 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     walk directly.  The measurement must commute with the subgroup, that
     is, no orbit may straddle the finals; otherwise the measured walk
     leaves the quotient.  A final index outside [0, D) raises ValueError.
-    A walk whose dense eigensolve would not fit in the memory budget is
-    refused before its dense U is read, unless it is the walk on the n-cube,
-    which takes the Fourier route; then the reduced walk is built, so
-    that a walk that leaks out of the symmetric subspace raises before the
-    full-space eigensolve.
+    The reduced walk is built first, so that a walk that leaks out of the
+    symmetric subspace raises before either eigensolve.  Each step checks
+    its own memory; the spectral reports choose their routes.
     """
     op = _as_walk(u)
     final = np.unique(_final_array(final_indices, op.dim))
@@ -381,12 +387,6 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     if not final_orbits.size:
         raise SymmetryError("final projector has no support on the quotient")
 
-    try:  # the dense eigensolve is refused before U is read
-        _as_matrix(op)
-    except ValueError:
-        if _cube_coin(op) is None:  # the walk on the n-cube takes none
-            raise
-    # quotient_walk sums the dense U on both routes: a factored walk builds it
     u_h = quotient_walk(op, basis)
     report_full = infinite_hitting_projector(op, final)
     dim_full = _shared_directions(report_full, basis)

@@ -30,11 +30,11 @@ One report serves every walk, held in a :class:`qwlab.fourier.Frame` of
 eigenvectors: the n-cube's walk, as ``build_hypercube`` colors it, in the
 frame of its 2^n coin-sized Fourier blocks, in O(2^n n^3) time and
 O(D (n + |finals|)) memory, and any other walk in the frame of the one
-block U (``SpectralReport.route`` says which).  Both split their blocks
-through one stacked core, ``_split_stack``.  ``_cube_coin`` recognises the
-cube's walk factored, by its shift image, or as one dense block, by exact
-checks of its entries; the same walk with its colors relabelled at every
-vertex takes the dense route.
+block U (``SpectralReport.route`` says which).  This module alone chooses
+the route and refuses a report that would not fit; both routes split their
+blocks through one stacked core, ``_split_stack``, into a frame
+(``_frame``).  :func:`qwlab.fourier._cube_coin` recognises the cube's walk;
+the same walk with its colors relabelled at every vertex is not it.
 
 A walk on a bipartite graph anticommutes with the sign P = +-1 by side,
 PUP = -U, so (U + U+)/2 is off-diagonal.  When a dense U's exact nonzero
@@ -49,15 +49,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from . import fourier
 from .graphs import BasisIndexing, ColoredGraph
 from .walk import WalkOperator, _as_walk, _check_memory
-
-if TYPE_CHECKING:
-    from .fourier import Frame
 
 __all__ = [
     "EigenCluster",
@@ -99,7 +97,7 @@ class EigenCluster:
 
     eigenvalue: complex
     multiplicity: int
-    frame: Frame
+    frame: fourier.Frame
     members: np.ndarray
 
     @functools.cached_property
@@ -158,7 +156,7 @@ class SpectralReport:
     warnings: tuple[str, ...]
     walk: WalkOperator
     finals: np.ndarray
-    frame: Frame
+    frame: fourier.Frame
     rank: np.ndarray
     groups: tuple[_UntrappedGroup, ...]
     held_entries: int
@@ -303,13 +301,6 @@ def _row_grams(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     else:
         b = a[rows]
     return b @ b.conj().transpose(0, 2, 1)
-
-
-def _as_matrix(op: WalkOperator) -> np.ndarray:
-    """U as a dense matrix, refused before it is read or built if the
-    eigensolve on it would not fit in the memory budget."""
-    _check_memory(op.dim, EIGENSOLVE_WORK_ARRAYS * op.dim**2)
-    return op.matrix
 
 
 def _final_array(p_f, dim: int) -> np.ndarray:
@@ -539,36 +530,29 @@ def _phase_order(lams: np.ndarray, tol: float) -> np.ndarray:
     return np.argsort(np.where(np.abs(lams + 1) <= tol, -np.pi, np.angle(lams)), kind="stable")
 
 
-def _cube_coin(op: WalkOperator) -> np.ndarray | None:
-    """The n x n coin C when the walk is S (I (x) C) on the n-cube that
-    ``build_hypercube`` colors, whose shift sends v*n + c to
-    (v XOR 2^c)*n + c; else None.  Reads no graph and uses no tolerance.
-
-    A factored walk is that walk when its block is n x n and its image is
-    that shift: O(D).  One dense D x D block with the identity image,
-    D = n 2^n, is that walk when the n x n gathers
-    U[(v XOR 2^c)*n + c, v*n + c'] of all vertices v equal the first
-    exactly, and U has no other nonzero entry: its nonzero real and
-    imaginary parts are as many as the gathers', O(D^2).
-    """
-    d, n = op.dim, op.block.shape[0]
-    dense = n == d
-    if dense:  # the n of D = n 2^n
-        n = next((k for k in range(1, 63) if k << k >= d), 0)
-    if not 1 <= n < 63 or d != n << n:
-        return None
-    v, c = np.divmod(np.arange(d), n)
-    shifted = (v ^ (1 << c)) * n + c
-    if not dense:
-        return op.block if np.array_equal(op.image, shifted) else None
-    if not np.array_equal(op.image, np.arange(d)):
-        return None
-    u = op.block
-    coins = u[shifted.reshape(-1, n, 1), np.arange(d).reshape(-1, 1, n)]
-    if not np.all(coins == coins[0]):  # a NaN fails too
-        return None
-    nonzero = np.count_nonzero(np.ascontiguousarray(u).view(np.float64))
-    return coins[0] if nonzero == np.count_nonzero(coins.view(np.float64)) else None
+def _frame(blocks: np.ndarray, bits: int, tol: float) -> fourier.Frame:
+    """The frame of the 2^bits blocks, split by one stacked split.  The
+    clusters of more than one block merge across blocks: sorted by phase,
+    neighbours within tol share a cluster, across the branch cut too.
+    Clusters are listed as :func:`_phase_order` lists them."""
+    size = blocks.shape[0] * blocks.shape[1]
+    sums, first, vectors = _split_stack(blocks, tol)
+    cluster, merged = np.arange(len(sums)), sums  # one block: no merge
+    if bits:
+        phase = np.angle(sums)
+        by_phase = np.argsort(phase, kind="stable")
+        ids = np.cumsum(_runs(phase[by_phase], tol)) - 1
+        if ids[-1] and phase[by_phase[0]] + 2 * np.pi - phase[by_phase[-1]] <= tol:
+            ids[ids == ids[-1]] = 0  # the last run wraps around to the first
+        cluster[by_phase] = ids
+        merged = np.bincount(cluster, sums.real) + 1j * np.bincount(cluster, sums.imag)
+    lams = merged / np.abs(merged)
+    order = _phase_order(lams, tol)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    labels = np.repeat(position[cluster], np.append(first[1:], size) - first)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels))])
+    return fourier.Frame(bits, blocks, vectors, lams[order], labels, np.argsort(labels, kind="stable"), bounds)
 
 
 def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:
@@ -606,7 +590,7 @@ def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]
     return _report(u, (), tol).clusters
 
 
-def _rank_clusters(frame: Frame, finals: np.ndarray) -> tuple[np.ndarray, list, tuple[_UntrappedGroup, ...]]:
+def _rank_clusters(frame: fourier.Frame, finals: np.ndarray) -> tuple[np.ndarray, list, tuple[_UntrappedGroup, ...]]:
     """(rank, warnings, groups) of the clusters' final overlaps.
 
     The overlaps of all clusters of one multiplicity, the rows ``finals``
@@ -681,21 +665,20 @@ def infinite_hitting_projector(u, p_f) -> SpectralReport:
 
 def _report(u, p_f, tol: float) -> SpectralReport:
     """:func:`infinite_hitting_projector` with clusters cut at distance tol:
-    on the frame of the n-cube's Fourier blocks for its walk, refused first
-    if its estimate does not fit, else on the frame of the one block U."""
-    from . import fourier  # which builds on this module
-
+    on the frame of the n-cube's Fourier blocks for its walk, else on the
+    frame of the one block U, read only once its estimate fits."""
     op = _as_walk(u)
     p_f = _final_array(p_f, op.dim)
-    coin = _cube_coin(op)
+    coin = fourier._cube_coin(op)
     if coin is None:
-        frame = fourier.frame(_as_matrix(op)[None], 0, tol)
+        _check_memory(op.dim, EIGENSOLVE_WORK_ARRAYS * op.dim**2)
+        frame = _frame(op.matrix[None], 0, tol)
         held = DENSE_HELD_ARRAYS * op.dim**2
     else:
         n = coin.shape[0]
         held = fourier._entries(n, len(p_f))
         _check_memory(op.dim, held)
-        frame = fourier.frame(fourier.cube_blocks(coin), n, tol)
+        frame = _frame(fourier.cube_blocks(coin), n, tol)
     rank, warnings, groups = _rank_clusters(frame, p_f)
     return SpectralReport(
         contributions=tuple((frame.multiplicities - rank).tolist()),

@@ -36,6 +36,10 @@ __all__ = [
 
 COIN_UNITARITY_ATOL = 1e-10
 PROPAGATOR_UNITARITY_ATOL = 1e-9
+# bytes held per entry while a matrix is written as JSON: the [re, im]
+# list, its two floats and its share of the text written from them (180 to
+# 212 measured through the CLI's JSON output, 256 x 256 to 1408 x 1408)
+JSON_ENTRY_BYTES = 256
 # where this process's cgroups are listed, and where they are mounted
 PROC_CGROUP = "/proc/self/cgroup"
 CGROUP_ROOT = "/sys/fs/cgroup"
@@ -253,7 +257,9 @@ def continuous_propagator(h: np.ndarray, t: float) -> WalkOperator:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    """Nested lists of [re, im] pairs, for golden tests and CLI output."""
+    """Nested lists of [re, im] pairs, for golden tests and CLI output;
+    refused before they are built if they and their text would not fit."""
+    _check_bytes(f"a JSON matrix of {np.size(m)} entries", np.size(m) * JSON_ENTRY_BYTES)
     m = np.asarray(m, dtype=complex)
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 

@@ -3,6 +3,7 @@ import json
 import pathlib
 import re
 import shlex
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -535,6 +536,36 @@ def test_huge_hypercube_exits_one_before_listing_edges(monkeypatch, capsys, argv
     assert (code, out) == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "dimension 43980465111040 needs an estimated" in err
+
+
+QUOTIENT_8 = ["quotient", "--graph", "hypercube:8", "--subgroup", "(1,2)", "--coin", "grover"]
+DFS_8 = ["dfs", "--graph", "hypercube:8", "--subgroup", "(1,2)"]
+
+
+@pytest.mark.parametrize("budget, argv, need", [
+    # U is built (two 2048 x 2048 float64 arrays fit); its orbit sums into
+    # 1408 orbits are refused
+    (70, QUOTIENT_8, "dimension 2048 needs an estimated 130 MiB"),
+    # the orbit sums fit; the 1408 x 1408 u_h as JSON lists and text does not
+    (200, QUOTIENT_8, "a JSON matrix of 1982464 entries needs an estimated 484 MiB"),
+    # the 2049 x 2048 Kraus weights and the 2048 x 2048 multiplier
+    (40, ["sweep-decoherence", "--graph", "hypercube:8", "--kinds", "both", "--p-grid", "0.5"],
+     "dimension 2048 needs an estimated 160 MiB"),
+    # the 2048 x 1408 orbit isometry, then the scalar-action check on it
+    (16, DFS_8, "dimension 2048 needs an estimated 22 MiB"),
+    (40, DFS_8, "dimension 2048 needs an estimated 324 MiB"),
+])
+def test_refused_with_the_estimate_before_the_budget_is_reached(monkeypatch, capsys, budget, argv, need):
+    monkeypatch.setattr(walk, "_memory_budget", lambda: budget * 2**20)
+    tracemalloc.start()
+    try:
+        code, out = run_cli(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {need}, over a memory budget of {budget} MiB\n"
+    assert peak < budget * 2**20
 
 
 class TestGraphFile:

@@ -980,7 +980,7 @@ class TestSwapDephasing:
         basis = OrbitBasis(np.array([0] * size + [1])).matrix
         for t in rng.uniform(0, np.pi / 2, 5):
             kappas = (np.cos(t), np.sin(t))
-            verdict = deco.dfs_check_kraus(deco._swap_dephasing(swaps, kappas), basis)
+            verdict = deco.dfs_check_kraus(deco.swap_dephasing(swaps, kappas), basis)
             assert verdict.coefficients == tuple(complex(k) for k in kappas)
 
     def test_n2_single_unitary_kraus(self):

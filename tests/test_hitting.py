@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwlab import decoherence, fourier, graphs, hitting, quotient, spectral, walk
+from qwlab import decoherence, graphs, hitting, quotient, spectral, walk
 from qwlab.errors import IndeterminateError, ThresholdUnreachableError
 
 from conftest import battery, color_permuted, random_unitary, trapped_projector, two_four_cycles
@@ -401,7 +401,6 @@ class TestClosedForm:
         dense = hitting.measured_walk(walk.WalkOperator(color_permuted(spec.walk.matrix, 3)), spec.psi0,
                                       final_indices=spec.final_indices)
         monkeypatch.setattr(spectral, "_split_stack", refuse)
-        monkeypatch.setattr(fourier, "_split_stack", refuse)
         monkeypatch.setattr(walk, "_memory_budget", walk._memory_budget.__wrapped__)
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}
         monkeypatch.setattr(walk.os, "sysconf", pages.__getitem__)

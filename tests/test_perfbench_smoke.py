@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwlab import cli, decoherence, fourier, spectral
+from qwlab import cli, decoherence, spectral
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text())
@@ -128,7 +128,6 @@ def test_symmetry_verdict_on_a_dense_cube_takes_the_fourier_route(workloads, mon
 
     split = spectral._split_stack
     monkeypatch.setattr(spectral, "_split_stack", recorded)
-    monkeypatch.setattr(fourier, "_split_stack", recorded)
     assert not failures([op])
     assert (32, 5, 5) in shapes and not [s for s in shapes if s[1:] == (160, 160)]
 

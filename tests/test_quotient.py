@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from qwlab import cli, graphs, groups, hitting, quotient, spectral, walk
+from qwlab import cli, fourier, graphs, groups, hitting, quotient, spectral, walk
 from qwlab.errors import SymmetryError
 
 from conftest import (color_permuted, color_shift, direction_group, full_direction_group, random_unitary,
@@ -581,24 +581,54 @@ def test_symmetry_paths_build_no_dense_isometry_or_shift(monkeypatch, descriptor
     assert all("matrix" not in vars(b) for b in made)
 
 
+def permuted_cube_verdict_args(relabel_subgroup: bool):
+    """(U, orbit basis, finals) for the walk on hypercube:6 with its colors
+    permuted, given as its dense matrix, which takes the dense eigensolve.
+    With the subgroup (1,2) relabelled the same way the walk keeps its
+    symmetric subspace; with the subgroup as built it leaks out of it."""
+    g, cay, _ = cli.resolve_graph("hypercube:6", None)
+    image = color_shift(384, 6)
+    u = color_permuted(walk.evolution_operator(g, walk.grover_coin(6)).matrix, 6)
+    gens = cli.resolve_subgroup(["(1,2)"], cay)
+    basis = quotient.orbit_basis(relabelled_group(gens, image) if relabel_subgroup else gens, 384)
+    return u, basis, image[graphs.BasisIndexing.from_graph(g).indices_for([63])]
+
+
 def test_verdict_over_the_memory_budget_raises(monkeypatch):
-    # U (2.25 MiB with its gather) fits in 8 MiB, the eigensolve's six
-    # 384 x 384 complex arrays do not; the verdict refuses before it reads U.
-    # U is given as the dense matrix of the walk with its colors permuted,
-    # which takes the dense eigensolve; it is refused before the subgroup,
-    # the orbits of the walk as built, is read against U.
+    # U (1.1 MiB) and its orbit sums fit in 8 MiB, the eigensolve's six
+    # 384 x 384 complex arrays do not; the spectral report refuses before
+    # its eigensolve starts
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve started")
 
-    g, cay, _ = cli.resolve_graph("hypercube:6", None)
-    op = walk.WalkOperator(color_permuted(walk.evolution_operator(g, walk.grover_coin(6)).matrix, 6))
-    basis = quotient.orbit_basis(cli.resolve_subgroup(["(1,2)"], cay), op.dim)
-    final = graphs.BasisIndexing.from_graph(g).indices_for([63])
+    u, basis, final = permuted_cube_verdict_args(relabel_subgroup=True)
+    assert quotient.quotient_infinite_hitting(u, basis, final).intersection_dim >= 0
     monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
     monkeypatch.setattr(spectral, "_split_stack", refuse)
-    monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
     with pytest.raises(ValueError, match="dimension 384 needs an estimated 14 MiB, over a memory budget of 8 MiB"):
-        quotient.quotient_infinite_hitting(op, basis, final)
+        quotient.quotient_infinite_hitting(u, basis, final)
+
+
+def test_leak_is_raised_before_the_eigensolve_is_refused(monkeypatch):
+    # under the same budget, a walk that also leaks out of the symmetric
+    # subspace raises the leak, the exact check on its orbit sums, first
+    u, basis, final = permuted_cube_verdict_args(relabel_subgroup=False)
+    monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
+    with pytest.raises(SymmetryError, match="leaks out of the symmetric subspace"):
+        quotient.quotient_infinite_hitting(u, basis, final)
+
+
+def test_orbit_sums_over_the_memory_budget_are_refused_before_they_allocate(monkeypatch):
+    # U, its rows gathered by orbit and three 256 x 384 float64 arrays
+    # (4.5 MiB) against a 3 MiB budget, refused once U is read
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit sums started")
+
+    u, basis, _ = permuted_cube_verdict_args(relabel_subgroup=True)
+    monkeypatch.setattr(walk, "_memory_budget", lambda: 3 * 2**20)
+    monkeypatch.setattr(quotient, "_orbit_sums", refuse)
+    with pytest.raises(ValueError, match="dimension 384 needs an estimated 4 MiB, over a memory budget of 3 MiB"):
+        quotient.quotient_walk(u, basis)
 
 
 @pytest.mark.parametrize("form", ["dense", "factored"])
@@ -772,7 +802,7 @@ class TestOneWalkForm:
         final = np.flatnonzero(np.isin(basis.labels, basis.labels[final]))
         image = color_shift(op.dim, n)
         permuted = color_permuted(op.matrix, n)
-        assert spectral._cube_coin(op) is op.block and spectral._cube_coin(walk.WalkOperator(permuted)) is None
+        assert fourier._cube_coin(op) is op.block and fourier._cube_coin(walk.WalkOperator(permuted)) is None
         verdict = quotient.quotient_infinite_hitting(op, basis, final)
         permuted_basis = quotient.orbit_basis(relabelled_group(gens, image), op.dim)
         assert verdict == quotient.quotient_infinite_hitting(permuted, permuted_basis, image[final])

@@ -991,7 +991,7 @@ class TestFourierRoute:
         # 10240 x (8 x 10 + 8 x 10) complex entries against an 8 MiB budget
         spec = cube_walk_spec(10, "grover", "symmetric", [1023])
         monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
-        monkeypatch.setattr(fourier, "frame", refuse)
+        monkeypatch.setattr(spectral, "_frame", refuse)
         with pytest.raises(ValueError, match="dimension 10240 needs an estimated 25 MiB, over a memory budget of 8 MiB"):
             hitting.hitting_time_closed_form(spec)
 
@@ -1030,7 +1030,7 @@ class TestCubeRecognizer:
         coin = walk.grover_coin(n) if coin_kind == "grover" else walk.dft_coin(n)
         fin = graphs.BasisIndexing.from_graph(graphs.build_hypercube(n)).indices_for([2**n - 1])
         for form in (u, walk.WalkOperator(u)):
-            got = spectral._cube_coin(walk._as_walk(form))
+            got = fourier._cube_coin(walk._as_walk(form))
             assert got.dtype == coin.matrix.dtype and np.array_equal(got, coin.matrix)
             assert spectral.infinite_hitting_projector(form, fin).route == "fourier"
 
@@ -1038,7 +1038,7 @@ class TestCubeRecognizer:
         # its dense U is the block with its rows moved, not the block
         u = cube_matrix(3, "grover")
         op = walk.WalkOperator(u, image=np.roll(np.arange(len(u)), 1))
-        assert spectral._cube_coin(op) is None
+        assert fourier._cube_coin(op) is None
         assert spectral.infinite_hitting_projector(op, [0]).route == "dense"
 
     @pytest.mark.parametrize("case", [
@@ -1056,7 +1056,7 @@ class TestCubeRecognizer:
             what, coin_kind = case.rsplit("-", 1)
             u = touched(cube_matrix(n, coin_kind), n, what)
         assert len(u) == n << n
-        assert spectral._cube_coin(walk.WalkOperator(u)) is None
+        assert fourier._cube_coin(walk.WalkOperator(u)) is None
         if "nan" in case:  # the dense route refuses a NaN
             with pytest.raises(ValueError):
                 spectral.infinite_hitting_projector(u, [0])
