@@ -399,6 +399,29 @@ class CayleyGraph:
     def degree(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def breadth_first_tree(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(child, parent, 0-based color) arrays of each level of the
+        breadth-first tree from the identity: each new vertex hangs from its
+        first (frontier vertex, color) in queue order.  The neighbor table is
+        read as vertex x color, as on a consistently colored graph."""
+        d = self.degree
+        nbr = self.graph.neighbor_table[0].reshape(self.graph.num_vertices, d)  # nbr[v, c - 1]
+        seen = np.zeros(self.graph.num_vertices, dtype=bool)
+        frontier = np.array([self.vertex_index[self.identity]])
+        seen[frontier] = True
+        levels = []
+        while True:
+            far = nbr[frontier].ravel()
+            fresh = np.flatnonzero(~seen[far])
+            _, first = np.unique(far[fresh], return_index=True)
+            first = fresh[np.sort(first)]
+            if not first.size:
+                return tuple(levels)
+            levels.append((far[first], frontier[first // d], first % d))
+            frontier = far[first]
+            seen[frontier] = True
+
     def vertex_of_word(self, word: Iterable[int]) -> int:
         """Vertex reached from the identity by following 1-based generator
         indices; an index outside 1..degree raises ValueError."""

@@ -5,13 +5,13 @@ matrices are materialized on demand.  The automorphism criterion is exact
 integer arithmetic: p is an automorphism iff conjugating the shift
 permutation by p returns it unchanged.
 
-A closed group is an ``order x degree`` integer table, one image per row,
-listed from a Schreier-Sims stabilizer chain (Sims 1970; Seress,
-*Permutation Group Algorithms*, 2003, ch. 4): the chain gives the order
-before any row exists, and every element once, as a product of coset
-representatives.  The ``Permutation`` objects of its elements are built
-only when first read; orbits, quotients and verdicts need only the
-generators.
+A closed group is its generators and a Schreier-Sims stabilizer chain
+(Sims 1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4): the chain
+gives the order and the degree without listing any element.  The
+``order x degree`` integer table, one image per row, is listed from the
+chain when first read, every element once as a product of coset
+representatives, and its ``Permutation`` objects after it; orbits,
+quotients and verdicts read only the generators.
 """
 
 from __future__ import annotations
@@ -101,24 +101,36 @@ def _index_dtype(degree: int) -> type:
 class PermGroup:
     """A closed set of permutations with a distinguished generator list.
 
-    ``table`` holds one element's image per row, rows in lexicographic
-    order.  ``elements`` builds the matching ``Permutation`` tuple on first
-    read; membership looks the image up among the rows' bytes.
+    ``order`` and ``degree`` are read off the stabilizer chain.  ``table``,
+    one element's image per row, rows in lexicographic order, is listed on
+    first read, and ``elements``, the matching ``Permutation`` tuple, from
+    it; membership looks the image up among the rows' bytes.
     """
 
-    table: np.ndarray
     generators: tuple[Permutation, ...]
-
-    def __post_init__(self):
-        self.table.flags.writeable = False
+    chain: _StabilizerChain
 
     @property
     def order(self) -> int:
-        return self.table.shape[0]
+        return self.chain.order
 
     @property
     def degree(self) -> int:
-        return self.table.shape[1]
+        return self.chain.identity.size
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Each element is u_1 ... u_k for one coset representative u_i per
+        level: one gather per level, bottom first, ``np.take(reps, table,
+        axis=1)``, lists every element once; the rows are then sorted."""
+        table = self.chain.identity[None, :]
+        for reps in reversed(self.chain.reps):
+            table = np.take(reps, table, axis=1).reshape(-1, self.degree)
+        if self.degree:  # big-endian bytes of non-negative indices sort as the rows do
+            keys = table.astype(table.dtype.newbyteorder(">"))
+            table = table[np.argsort(keys.view(np.dtype((np.void, table[0].nbytes))).ravel())]
+        table.flags.writeable = False
+        return table
 
     @functools.cached_property
     def elements(self) -> tuple[Permutation, ...]:
@@ -188,19 +200,13 @@ def direction_perm_to_automorphism(cay: CayleyGraph, dirperm: Permutation) -> Pe
     nbr = g.neighbor_table[0].reshape(g.num_vertices, d)  # nbr[v, c - 1]
     perm = np.asarray(dirperm.image)
 
-    # Level by level: each new vertex takes the image given by its first
-    # (frontier vertex, color) in queue order.
+    # Down the breadth-first tree: a child's image is its parent's image's
+    # neighbor along the permuted color.
     vmap = np.full(g.num_vertices, -1)
-    frontier = np.array([cay.vertex_index[cay.identity]])
-    vmap[frontier] = frontier
-    while frontier.size:
-        far = nbr[frontier].ravel()
-        target = nbr[vmap[frontier]][:, perm].ravel()
-        fresh = np.flatnonzero(vmap[far] == -1)
-        _, first = np.unique(far[fresh], return_index=True)
-        first = fresh[np.sort(first)]
-        frontier = far[first]
-        vmap[frontier] = target[first]
+    root = cay.vertex_index[cay.identity]
+    vmap[root] = root
+    for child, parent, color in cay.breadth_first_tree:
+        vmap[child] = nbr[vmap[parent], perm[color]]
 
     bad = np.argwhere(vmap[nbr] != nbr[vmap][:, perm])
     if bad.size:
@@ -373,16 +379,13 @@ class _StabilizerChain:
 
 
 def closure(generators: Sequence[Permutation], *, dim: int | None = None) -> PermGroup:
-    """Full element set, listed from a Schreier-Sims stabilizer chain.
+    """The group the generators generate, held as its Schreier-Sims chain.
 
     The chain gives the order before any element is listed: a group past
     ``DEFAULT_MAX_ORDER`` raises :class:`GroupOrderError` (the limit is read
-    at each call), and a table past the memory budget raises ValueError.
-    Every element is then u_1 u_2 ... u_k for one coset representative u_i
-    per level, so the table is built once, bottom level first, with one
-    gather per level, ``np.take(reps, table, axis=1)``, whose rows are
-    ``u.compose(t)`` for every representative u and every row t.  No
-    element is found twice.  Rows are sorted lexicographically.
+    at each call), and one whose table would pass the memory budget raises
+    ValueError, both before this returns.  The table itself is listed only
+    when :attr:`PermGroup.table` is first read.
     """
     generators = tuple(generators)
     if not generators and dim is None:
@@ -396,13 +399,7 @@ def closure(generators: Sequence[Permutation], *, dim: int | None = None) -> Per
     dtype = _index_dtype(degree)
     chain = _StabilizerChain([np.asarray(g.image, dtype=dtype) for g in generators], degree, dtype)
     _check_memory(degree, 3 * chain.order * degree, dtype)  # the table, its sort keys, the sorted copy
-    table = chain.identity[None, :]
-    for reps in reversed(chain.reps):
-        table = np.take(reps, table, axis=1).reshape(-1, degree)
-    if degree:  # big-endian bytes of non-negative indices sort as the rows do
-        keys = table.astype(table.dtype.newbyteorder(">"))
-        table = table[np.argsort(keys.view(np.dtype((np.void, table[0].nbytes))).ravel())]
-    return PermGroup(table, generators)
+    return PermGroup(generators, chain)
 
 
 def generators_of(grp: PermGroup | Iterable[Permutation]) -> tuple[Permutation, ...]:

@@ -49,8 +49,8 @@ SYMMETRY_ATOL = 1e-10
 UNITARITY_ATOL = 1e-9
 ENTRY_ATOL = 1e-12
 ANGLE_ATOL = 1e-8  # a principal angle cosine above 1 - ANGLE_ATOL is a shared direction
-# k x D arrays of U's dtype the orbit sums hold beside U and its rows by
-# orbit: sums, R, and R's leak (2.25 measured on hypercube:6-7 subgroups)
+# k x D arrays of U's dtype held beside the D x b rows of C that R sums: R and
+# two for its leak (3 + k/D measured on hypercube:6-7 subgroups, U_H the k/D)
 ORBIT_SUM_ARRAYS = 3
 
 
@@ -150,14 +150,30 @@ def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCh
     return SymmetryCheck(worst <= SYMMETRY_ATOL, worst)
 
 
+def _check_dim(basis: OrbitBasis, dim: int) -> None:
+    if basis.dim != dim:
+        raise ValueError(f"orbit basis of dimension {basis.dim} on a walk of dimension {dim}")
+
+
 def quotient_walk(u, basis: OrbitBasis) -> np.ndarray:
     """U_H = B+ U B by orbit sums of U's rows, R = B+ U, then of R's columns.
-    U keeps ran(B) exactly when R = U_H B+; max |R - U_H B+| is its leak.
-    Refused once U is read, before the sums, if they would not fit."""
-    m = _as_walk(u).matrix
-    d, k = len(m), basis.num_orbits
-    _check_memory(d, 2 * d * d + ORBIT_SUM_ARRAYS * k * d, m.dtype)
-    r = _orbit_sums(m, basis, 0)
+    R is summed from U's factors: row j of I (x) C, row j mod b of C on
+    vertex j // b, is row ``image[j]`` of U.  Sorted by (vertex, orbit of
+    the image, image), the rows add in one ``np.add.reduceat``, in the dense
+    sums' order; a one-block walk is one vertex.  U keeps ran(B) exactly
+    when R = U_H B+; max |R - U_H B+| is its leak.  D b + ORBIT_SUM_ARRAYS
+    k D entries are checked before the rows are read."""
+    op = _as_walk(u)
+    d, b, k = op.dim, op.block.shape[0], basis.num_orbits
+    _check_dim(basis, d)
+    _check_memory(d, d * b + ORBIT_SUM_ARRAYS * k * d, op.block.dtype)
+    vertex, orbit = np.arange(d) // b, basis.labels[op.image]
+    rows = np.lexsort((op.image, orbit, vertex))
+    run = vertex[rows] * k + orbit[rows]
+    starts = np.flatnonzero(np.diff(run, prepend=-1))
+    r = np.zeros((k, d // b, b), dtype=op.block.dtype)
+    r[orbit[rows[starts]], vertex[rows[starts]]] = np.add.reduceat(op.block[rows % b], starts)
+    r = r.reshape(k, d) * (1.0 / np.sqrt(basis.sizes))[:, None]
     uh = _orbit_sums(r, basis, 1)
     leak = float(np.max(np.abs(r - np.take(uh / np.sqrt(basis.sizes), basis.labels, axis=1))))
     if not leak <= SYMMETRY_ATOL:
@@ -377,6 +393,7 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     its own memory; the spectral reports choose their routes.
     """
     op = _as_walk(u)
+    _check_dim(basis, op.dim)
     final = np.unique(_final_array(final_indices, op.dim))
     inside = np.bincount(basis.labels[final], minlength=basis.num_orbits)
     if np.any((inside > 0) & (inside < basis.sizes)):

@@ -331,9 +331,9 @@ class TestQuotientCommand:
         assert np.max(np.abs(u_h.conj().T @ u_h - np.eye(6))) < 1e-10
 
     def test_walk_over_the_memory_budget_exits_one(self, monkeypatch, capsys):
-        # U and the product it is gathered from, two 384 x 384 float64 arrays
-        # for the real grover walk, against a 1 MiB budget; quotient_walk
-        # reads U from the walk, and is refused before its orbit sums
+        # the 384 x 6 rows of the grover coin and three 256 x 384 float64
+        # arrays, against a 1 MiB budget; quotient_walk reads the walk's
+        # factors, and is refused before its orbit sums
         monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
         monkeypatch.setattr(quotient, "_orbit_sums", refuse)
         code, out = run_cli("quotient", "--graph", "hypercube:6", "--subgroup", "(1,2)",
@@ -543,9 +543,9 @@ DFS_8 = ["dfs", "--graph", "hypercube:8", "--subgroup", "(1,2)"]
 
 
 @pytest.mark.parametrize("budget, argv, need", [
-    # U is built (two 2048 x 2048 float64 arrays fit); its orbit sums into
-    # 1408 orbits are refused
-    (70, QUOTIENT_8, "dimension 2048 needs an estimated 130 MiB"),
+    # the sums into 1408 orbits of the factored walk's 2048 x 8 rows of C
+    # are refused; no 2048 x 2048 U is built
+    (60, QUOTIENT_8, "dimension 2048 needs an estimated 66 MiB"),
     # the orbit sums fit; the 1408 x 1408 u_h as JSON lists and text does not
     (200, QUOTIENT_8, "a JSON matrix of 1982464 entries needs an estimated 484 MiB"),
     # the 2049 x 2048 Kraus weights and the 2048 x 2048 multiplier

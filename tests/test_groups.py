@@ -165,6 +165,18 @@ class TestDirectionPermLift:
         with pytest.raises(NotAnAutomorphismError):
             groups.direction_perm_to_automorphism(cay, groups.parse_cycles("(1,3)", 3))
 
+    def test_one_breadth_first_tree_per_graph(self):
+        # the tree does not depend on the permutation: the first lift builds
+        # it, every later lift on the graph reads it
+        cay = graphs.cayley_hypercube(5)
+        first = groups.direction_perm_to_automorphism(cay, groups.parse_cycles("(1,2)", 5))
+        tree = vars(cay)["breadth_first_tree"]
+        assert groups.direction_perm_to_automorphism(cay, groups.parse_cycles("(1,2)", 5)) == first
+        assert cay.breadth_first_tree is tree
+        assert len(tree) == 5  # one level per Hamming weight
+        children = np.concatenate([child for child, _, _ in tree])
+        assert sorted(children.tolist()) == list(range(1, 32))
+
     def test_degree_mismatch(self):
         cay = graphs.cayley_hypercube(2)
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
 import functools
 import io
+import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -581,6 +584,71 @@ def test_symmetry_paths_build_no_dense_isometry_or_shift(monkeypatch, descriptor
     assert all("matrix" not in vars(b) for b in made)
 
 
+@pytest.mark.parametrize("subgroup", ["(1,2)", "full"])
+@pytest.mark.parametrize("descriptor", [
+    "hypercube:3", "hypercube:4", "hypercube:5", "hypercube:6",
+    "cayley:s3:2gen", "cayley:s3:3gen", "cayley:s4:3gen"])
+def test_quotient_command_builds_no_dense_walk_or_shift(monkeypatch, descriptor, subgroup):
+    # the reduced walk is summed from the walk's factors; the dft coin does
+    # not commute with direction swaps, and its leak is found the same way
+    def refuse(*args, **kwargs):
+        raise AssertionError("a D x D walk or shift was built")
+
+    monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
+    monkeypatch.setattr(graphs, "shift_matrix", refuse)
+    degree = cli.resolve_graph(descriptor, None)[0].degree_value
+    texts = ["(1,2)"] if subgroup == "(1,2)" else [f"({i},{i + 1})" for i in range(1, degree)]
+    argv = ["quotient", "--graph", descriptor] + [a for t in texts for a in ("--subgroup", t)]
+    assert cli.main(argv + ["--coin", "grover"], out=io.StringIO()) == 0
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(argv + ["--coin", "dft"], out=io.StringIO()) == 1
+    assert err.getvalue().startswith("error: walk leaks out of the symmetric subspace")
+
+
+@pytest.mark.parametrize("descriptor, subgroup", [
+    ("hypercube:3", ["(1,2)"]), ("hypercube:5", ["(1,2)", "(2,3)"]), ("cayley:s4:3gen", ["(1,2)"])])
+def test_factored_sums_equal_the_dense_sums(descriptor, subgroup):
+    # the same rows in the same order: equal as numbers, the dense U's
+    # products with 0 aside, which may leave a -0.0 where the factors give 0.0
+    g, cay, _ = cli.resolve_graph(descriptor, None)
+    op = walk.evolution_operator(g, walk.grover_coin(cay.degree))
+    basis = quotient.orbit_basis(cli.resolve_subgroup(subgroup, cay), op.dim)
+    assert np.array_equal(quotient.quotient_walk(op, basis), quotient.quotient_walk(op.matrix, basis))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_a_full_group_verdict_lists_no_table(n):
+    # orbits and the verdict read the generators only; up to hypercube:7
+    # the lift, closure and verdict stay under one 896 x 896 complex array
+    # (12.25 MiB), where the listed and sorted 5040 x 896 table took 26 MiB
+    cay, op = cube_walk(n)
+    final = graphs.BasisIndexing.from_graph(cay.graph).indices_for([2**n - 1])
+    tracemalloc.start()
+    try:
+        grp = full_direction_group(cay)
+        verdict = quotient.quotient_infinite_hitting(op, quotient.orbit_basis(grp, op.dim), final)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "table" not in vars(grp)
+    assert (grp.order, grp.degree, verdict.intersection_dim) == (math.factorial(n), op.dim, 0)
+    assert peak < 896**2 * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("labels", [20, 30])
+def test_an_orbit_basis_of_another_dimension_is_refused(labels):
+    cay, op = cube_walk(3)
+    basis = quotient.OrbitBasis(np.arange(labels))
+    final = graphs.BasisIndexing.from_graph(cay.graph).indices_for([7])
+    message = f"orbit basis of dimension {labels} on a walk of dimension 24"
+    for u in (op, op.matrix):
+        with pytest.raises(ValueError, match=message):
+            quotient.quotient_walk(u, basis)
+        with pytest.raises(ValueError, match=message):
+            quotient.quotient_infinite_hitting(u, basis, final)
+
+
 def permuted_cube_verdict_args(relabel_subgroup: bool):
     """(U, orbit basis, finals) for the walk on hypercube:6 with its colors
     permuted, given as its dense matrix, which takes the dense eigensolve.
@@ -619,16 +687,23 @@ def test_leak_is_raised_before_the_eigensolve_is_refused(monkeypatch):
 
 
 def test_orbit_sums_over_the_memory_budget_are_refused_before_they_allocate(monkeypatch):
-    # U, its rows gathered by orbit and three 256 x 384 float64 arrays
-    # (4.5 MiB) against a 3 MiB budget, refused once U is read
+    # the dense U is one 384 x 384 block: its rows gathered by orbit and
+    # three 256 x 384 float64 arrays (3.4 MiB) against a 2 MiB budget,
+    # refused before the rows are gathered
     def refuse(*args, **kwargs):
         raise AssertionError("orbit sums started")
 
     u, basis, _ = permuted_cube_verdict_args(relabel_subgroup=True)
-    monkeypatch.setattr(walk, "_memory_budget", lambda: 3 * 2**20)
+    monkeypatch.setattr(walk, "_memory_budget", lambda: 2 * 2**20)
     monkeypatch.setattr(quotient, "_orbit_sums", refuse)
-    with pytest.raises(ValueError, match="dimension 384 needs an estimated 4 MiB, over a memory budget of 3 MiB"):
-        quotient.quotient_walk(u, basis)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dimension 384 needs an estimated 3 MiB, over a memory budget of 2 MiB"):
+            quotient.quotient_walk(u, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes
 
 
 @pytest.mark.parametrize("form", ["dense", "factored"])
