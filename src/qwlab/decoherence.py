@@ -104,15 +104,16 @@ GMRES_STALL = 0.5
 STEIN_PRECONDITIONER_TAIL = 1e-5
 # D x D arrays held during a solve: the Krylov basis, at most MAX_DOUBLINGS
 # preconditioner powers, ten more (9.5 measured on hypercube:4-5), and U,
-# rho_0, a dephasing multiplier and its (D + 1) x D Kraus weights held by
-# the caller, each counted in the solve's dtype
+# rho_0, a dephasing multiplier and its (D + 1) x D Kraus weights, when
+# read, held by the caller, each counted in the solve's dtype
 DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 14
-# 8-byte arrays held while a dephasing channel is built, per row x D of its
-# Kraus weights (the weights, their squares and the images sorted for the
-# permutation check) and per D x D (the multiplier and its label
-# comparison); 4.1 D^2 in all measured for kind "both" at D = 384 and 2048
-DEPHASING_ROW_ARRAYS = 3
+# 8-byte D x D arrays held while a dephasing channel builds its multiplier
+# (the multiplier and its label comparison, 1.2 measured at D = 384 and
+# 2048), and 8-byte arrays per row x D of the Kraus weights it builds when
+# they are read (the scaled class rows and their concatenation, 2.0-2.2
+# measured there for all three kinds)
 DEPHASING_SQUARE_ARRAYS = 2
+DEPHASING_ROW_ARRAYS = 3
 # complex D x k arrays the scalar-action check holds at once: the basis and
 # its complex copy, one image, c b and the residual with its squares (4.4 to
 # 5.1 measured on orbit bases of hypercube:6-7)
@@ -131,12 +132,15 @@ class Channel:
     :meth:`_from_monomials` holds ``monomials``, a k x D image array and a
     k x D weight array with A_i e_j = weights[i, j] e_image[i, j] (a
     permutation matrix times a diagonal), and builds its dense Kraus family
-    on the first read of ``kraus``.  ``dtype`` is the result type of the
+    on the first read of ``kraus``.  A dephasing channel holds its
+    multiplier, its class ``labels`` and its strength ``p``, and builds its
+    monomials from them on first read.  ``dtype`` is the result type of the
     data that the channel's maps read: the multiplier, else the monomial
     weights, else the Kraus operators.
     """
 
-    monomials: tuple[np.ndarray, np.ndarray] | None = None
+    labels: np.ndarray | None = None
+    p: float = 0.0
 
     def __init__(self, kraus: Sequence[np.ndarray]):
         ops = tuple(_inexact(a) for a in kraus)
@@ -162,15 +166,11 @@ class Channel:
         self.kraus = ops
 
     @classmethod
-    def _from_monomials(
-        cls, images: np.ndarray, weights: np.ndarray, schur: np.ndarray | None = None
-    ) -> "Channel":
+    def _from_monomials(cls, images: np.ndarray, weights: np.ndarray) -> "Channel":
         """The channel with Kraus operators e_j -> weights[i, j] e_images[i, j].
 
         Each A_i+ A_i is diag(|weights[i]|^2), so completeness is an O(D)
-        check: sum_i |weights[i, j]|^2 = 1 for every j.  ``schur`` is the
-        channel's multiplier, which the caller passes when every image is
-        the identity.
+        check: sum_i |weights[i, j]|^2 = 1 for every j.
         """
         images = np.asarray(images)
         weights = _inexact(weights)
@@ -181,10 +181,27 @@ class Channel:
         if not defect <= COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated (defect {defect:.3e})")
         ch = cls.__new__(cls)
-        ch.schur = schur
+        ch.schur = None
         ch.monomials = (images, weights)
-        ch.dtype = (weights if schur is None else schur).dtype
+        ch.dtype = weights.dtype
         return ch
+
+    @functools.cached_property
+    def monomials(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """A dephasing channel's monomials, built from its labels on first
+        read: sqrt(1 - p) I and sqrt(p) Pi_c over the label classes, all
+        with the identity image, refused first if they would not fit; None
+        for a channel given by its Kraus operators."""
+        if self.labels is None:
+            return None
+        label, p = self.labels, self.p
+        d, classes = label.size, int(label.max(initial=-1)) + 1
+        _check_memory(d, DEPHASING_ROW_ARRAYS * (classes + 1) * d, float)
+        rows = [np.full((1, d), np.sqrt(1.0 - p))] if p < 1.0 else []
+        if p > 0.0:
+            rows.append(np.sqrt(p) * (np.arange(classes)[:, None] == label))
+        weights = np.concatenate(rows)
+        return np.broadcast_to(np.arange(d), weights.shape), weights
 
     @functools.cached_property
     def kraus(self) -> tuple[np.ndarray, ...]:
@@ -203,6 +220,8 @@ class Channel:
 
     @property
     def dim(self) -> int:
+        if self.schur is not None:
+            return self.schur.shape[0]
         if self.monomials is not None:
             return self.monomials[0].shape[1]
         return self.kraus[0].shape[0]
@@ -242,27 +261,23 @@ def dephasing_channel(
 
     The channel is the Schur multiplier (1 - p) + p M, where the 0/1 mask
     M keeps (i, j) when i and j share a basis state (``both``), coin
-    (``coin``) or vertex (``position``).  Its Kraus operators are the
-    diagonals sqrt(1-p) I and sqrt(p) Pi_c over the projectors onto the
-    label classes, held as monomials with the identity image; the family is
-    complete because the projectors sum to the identity.  Unknown kinds are
-    rejected, and so is a channel that would not fit in the memory budget,
-    before its weights or its multiplier are built.
+    (``coin``) or vertex (``position``).  It holds the multiplier, the
+    class labels and p; its Kraus operators, the diagonals sqrt(1-p) I and
+    sqrt(p) Pi_c over the projectors onto the label classes, are built as
+    monomials with the identity image when read, complete because the
+    projectors sum to the identity.  Unknown kinds are rejected, and so is
+    a multiplier that would not fit in the memory budget, before it is
+    built.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("dephasing strength must lie in [0, 1]")
     label = _basis_labels(kind, num_vertices, coin_dim)
-    d, classes = label.size, int(label.max(initial=-1)) + 1
-    _check_memory(d, DEPHASING_ROW_ARRAYS * (classes + 1) * d + DEPHASING_SQUARE_ARRAYS * d * d, float)
-    rows = [np.full((1, label.size), np.sqrt(1.0 - p))] if p < 1.0 else []
-    if p > 0.0:
-        rows.append(np.sqrt(p) * (np.arange(classes)[:, None] == label))
-    weights = np.concatenate(rows)
-    return Channel._from_monomials(
-        np.broadcast_to(np.arange(label.size), weights.shape),
-        weights,
-        schur=(1.0 - p) + p * (label[:, None] == label[None, :]),
-    )
+    _check_memory(label.size, DEPHASING_SQUARE_ARRAYS * label.size**2, float)
+    ch = Channel.__new__(Channel)
+    ch.labels, ch.p = label, p
+    ch.schur = (1.0 - p) + p * (label[:, None] == label[None, :])
+    ch.dtype = ch.schur.dtype
+    return ch
 
 
 def _monomial_apply(image: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -587,12 +602,12 @@ def hitting_time_slope(spec: MeasuredWalkSpec, kind: str, p: float) -> float:
     if spec.walk.graph is None:
         raise ValueError("slope needs the walk's graph to build the dephasing family")
     g = spec.walk.graph
-    survival = _SurvivalMap(spec, dephasing_channel(kind, p, g.num_vertices, g.degree_value))
+    ch = dephasing_channel(kind, p, g.num_vertices, g.degree_value)
+    survival = _SurvivalMap(spec, ch)
     x = survival.solve(np.eye(spec.dim, dtype=survival.dtype))
     if x is not None:
         a = survival.a
-        label = _basis_labels(kind, g.num_vertices, g.degree_value)
-        dm = (label[:, None] == label[None, :]) - 1.0
+        dm = (ch.labels[:, None] == ch.labels[None, :]) - 1.0
         x = survival.solve(a.conj().T @ (dm * x) @ a)
     if x is None:
         raise ValueError(

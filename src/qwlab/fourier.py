@@ -12,9 +12,11 @@ sign is 1.
 
 A frame's eigenvectors come from one stacked split of its blocks; each
 cluster's final overlap has the entries 2^(-bits/2) (-1)^(k.f) y_c, and a
-state enters through one Walsh-Hadamard transform.  The cube costs
-O(2^n n^3) time and O(D (n + |finals|)) memory, and builds no D x D array
-and no D-tall basis unless a basis is read.
+state enters through one Walsh-Hadamard transform.  The frame keeps U in
+its own eigenbasis, cut to the split's chains, in place of the blocks, so
+that a closed form reads U from the frame alone, with one body for every
+frame.  The cube costs O(2^n n^3) time and O(D (n + |finals|)) memory, and
+builds no D x D array and no D-tall basis unless a basis is read.
 
 This module owns the n-cube's convention (``cube_blocks``, ``_cube_coin``,
 ``_entries``) and imports nothing from :mod:`qwlab.spectral`, which splits
@@ -41,7 +43,8 @@ COIN_ARRAYS = 8
 FINAL_ARRAYS = 8
 BASIS_ARRAYS = 7
 # complex D x D arrays held while the frame with no bits builds a basis: U,
-# V, and W with B; besides, two chunks of SYNTHESIS_COLUMNS columns
+# V, and W with B; besides, U on its chains and two chunks of
+# SYNTHESIS_COLUMNS columns
 DENSE_BASIS_ARRAYS = 3
 # bits of the index that one Walsh-Hadamard matrix product transforms, and
 # the columns of a basis built at once
@@ -79,7 +82,7 @@ def _walsh_hadamard(x: np.ndarray, n: int) -> np.ndarray:
     bits of the row index at a time, by one real matrix product each.
     """
     y = np.ascontiguousarray(x)
-    if not y.size:
+    if not (n and y.size):  # no bits: the identity
         return y
     cplx = np.iscomplexobj(y)
     if cplx:
@@ -94,18 +97,24 @@ def _walsh_hadamard(x: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Eigenvectors of a walk split into 2^bits blocks of size m, by cluster.
+    """Eigenvectors of a walk split into 2^bits blocks of size m, by cluster,
+    and U in their basis.
 
-    ``blocks[k]`` is the block U_k.  Member j = k*m + i of the spectrum is
-    column i of ``vectors[k]``, the eigenvector y -> 2^(-bits/2) (-1)^(k.x) y_c
-    of U at rows x*m + c; with no bits, column j of U's eigenvectors V.
+    Member j = k*m + i of the spectrum is column i of ``vectors[k]``, the
+    eigenvector y -> 2^(-bits/2) (-1)^(k.x) y_c of U at rows x*m + c; with
+    no bits, column j of U's eigenvectors V.  ``chains`` holds U on its
+    chains of nearby eigenvalues, runs of members within one block: one
+    (starts, blocks) pair per chain length L, chain g being the members
+    starts[g] to starts[g] + L - 1 and blocks[g] the L x L matrix y+ U y on
+    them, zero between members of different clusters; U has no entry
+    between chains, to the eigensolve's tolerance.
     ``lams`` holds the clusters' eigenvalues in phase order, ``labels[j]``
     member j's cluster, and cluster p's members are
     ``members[bounds[p]:bounds[p + 1]]``.
     """
 
     bits: int
-    blocks: np.ndarray
+    chains: tuple[tuple[np.ndarray, np.ndarray], ...]
     vectors: np.ndarray
     lams: np.ndarray
     labels: np.ndarray
@@ -114,7 +123,7 @@ class Frame:
 
     @property
     def dim(self) -> int:
-        return self.blocks.shape[1] << self.bits
+        return self.vectors.shape[1] << self.bits
 
     @property
     def multiplicities(self) -> np.ndarray:
@@ -122,14 +131,15 @@ class Frame:
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """The members' coefficients of x along its first axis: one
-        Walsh-Hadamard transform, then y+ in each block."""
-        b, m = self.blocks.shape[:2]
+        Walsh-Hadamard transform, then y+ in each block, as (y^T x*)*, so
+        that no conjugate of the eigenvectors is formed."""
+        b, m = self.vectors.shape[:2]
         xh = _walsh_hadamard(x.reshape(b, -1), self.bits).reshape(b, m, -1)
-        return (self.vectors.conj().transpose(0, 2, 1) @ xh).reshape(x.shape)
+        return np.conjugate(self.vectors.transpose(0, 2, 1) @ xh.conj()).reshape(x.shape)
 
     def synthesize(self, coef: np.ndarray) -> np.ndarray:
         """The D x w columns whose members' coefficients are the D x w ``coef``."""
-        b, m = self.blocks.shape[:2]
+        b, m = self.vectors.shape[:2]
         xh = (self.vectors @ coef.reshape(b, m, -1)).reshape(b, -1)
         return _walsh_hadamard(xh, self.bits).reshape(coef.shape)
 
@@ -138,7 +148,7 @@ class Frame:
         2^(-bits/2) (-1)^(k.f) y_c: V[finals] with no bits."""
         if not self.bits:
             return self.vectors[0][finals]
-        b, m = self.blocks.shape[:2]
+        b, m = self.vectors.shape[:2]
         f, c = np.divmod(finals, m)
         signs = _parity_signs(f[:, None] & np.arange(b), self.bits) / np.sqrt(b)
         rows = self.vectors[:, c, :].transpose(1, 0, 2) * signs[:, :, None]
@@ -158,7 +168,8 @@ class Frame:
         """
         d = self.dim
         if not self.bits:
-            _check_memory(d, DENSE_BASIS_ARRAYS * d * d + 2 * d * min(d, SYNTHESIS_COLUMNS) + beside)
+            chained = sum(blocks.size for _, blocks in self.chains)
+            _check_memory(d, DENSE_BASIS_ARRAYS * d * d + chained + 2 * d * min(d, SYNTHESIS_COLUMNS) + beside)
             vt, out = self.vectors[0].T, np.empty((width + 1, d), dtype=complex)
             for rows, coef, slots in parts:
                 step = max(1, SYNTHESIS_COLUMNS // rows.shape[1])

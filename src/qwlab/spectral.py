@@ -18,13 +18,17 @@ of each cluster is the part that sees the finals: an orthonormal basis W of
 ran(I - P) made of eigenvectors of U, whose coefficients Z_c in a cluster
 are the right singular vectors of its final overlap.  trace(P) is the
 trapped dimension, the count sum_c (m_c - rank_c) of the rank decisions;
-the escape (a start's mass outside W), the coin-overlap blocks I - W_v W_v+
-and the hitting time are read from W, and no D x D projector is formed.
-W, the trapped subspace's orthonormal basis B and the clusters' bases are
-built only when read.  Every entry point takes the walk as a WalkOperator,
-and wraps an array as one block, uncopied.  An eigensolve whose estimated
-working set exceeds the memory budget (physical memory, or the cgroup
-limit where lower) raises ValueError before U is built or read.
+the coin-overlap blocks I - W_v W_v+ are read from W, and no D x D
+projector is formed.  The closed form's questions, the escape (a start's
+mass outside W), W+ psi_0 and A_r = W+ (Q_f U) W, have one body on every
+frame: the start from its members' coefficients, A_r from U in its own
+eigenbasis, which the frame keeps cut to its chains, so a hitting time
+builds no D-tall basis.  W, the trapped subspace's orthonormal basis B and
+the clusters' bases are built only when read.  Every entry point takes the
+walk as a WalkOperator, and wraps an array as one block, uncopied.  An
+eigensolve whose estimated working set exceeds the memory budget (physical
+memory, or the cgroup limit where lower) raises ValueError before U is
+built or read.
 
 One report serves every walk, held in a :class:`qwlab.fourier.Frame` of
 eigenvectors: the n-cube's walk, as ``build_hypercube`` colors it, in the
@@ -78,8 +82,12 @@ NULLSPACE_RTOL = 1e-9
 # beside U and a caller's rho_0
 EIGENSOLVE_WORK_ARRAYS = 6
 # complex D x D arrays a dense report's hitting time holds besides its
-# r x r solve: U, a mixed start, the report's bases and U W
-DENSE_HELD_ARRAYS = 4
+# r x r solve: U, V, U on its chains and a mixed start with V+ rho_0 and its
+# coefficient gathers (4.2 measured, by tracemalloc, on the dense hypercube:5-6,
+# distorted-hypercube:5-7, cayley:s4:3gen and cycle:64-128 walks, grover
+# and dft, pure and mixed starts; an infinite time from a complex mixed
+# start, which takes no solve, peaked at 7.5 there)
+DENSE_HELD_ARRAYS = 5
 # D from which a dense U whose nonzeros 2-colour into equal halves is split
 # through the SVD of its off-diagonal half: measured faster from D = 128 on
 # every bipartite walk tried; below, the check costs more than it saves
@@ -132,9 +140,9 @@ class SpectralReport:
     """Spectral decomposition of U together with the trapped subspace.
 
     ``frame`` holds U's eigenvectors, as the one block U or the n-cube's
-    Fourier blocks (``route`` says which), and their clusters in phase
-    order.  ``rank`` holds each cluster's rank, and ``groups`` its
-    coefficients of W, by multiplicity.  ``contributions`` counts the
+    Fourier blocks (``route`` says which), U in their basis on its chains,
+    and their clusters in phase order.  ``rank`` holds each cluster's rank,
+    and ``groups`` its coefficients of W, by multiplicity.  ``contributions`` counts the
     trapped dimensions contributed by each cluster, in cluster order, and
     trace(P) is their sum.  Warnings, in cluster order, record nullspace
     rank decisions that fell within 10x of the singular value cutoff, and
@@ -148,8 +156,10 @@ class SpectralReport:
     complement of the trapped subspace, which holds the finals, and B, an
     orthonormal basis of the trapped subspace.  ``split_start`` and
     ``reduced_step`` answer what the unitary closed form asks: the escape
-    with the start in W's coordinates, and A_r = W+ (Q_f U) W;
-    ``vertex_blocks`` gives the coin-overlap blocks from W.
+    with the start in W's coordinates, and A_r = W+ (Q_f U) W, each with
+    one body over any frame, read from the frame and the coefficients,
+    never from W or the walk; ``vertex_blocks`` gives the coin-overlap
+    blocks from W.
     """
 
     contributions: tuple[int, ...]
@@ -242,16 +252,10 @@ class SpectralReport:
         return np.eye(rows.shape[1]) - _row_grams(self.untrapped, rows)
 
     def untrapped_start(self, state: np.ndarray) -> np.ndarray:
-        """W+ psi_0 for a start vector, W+ rho_0 W for a density matrix: read
-        from W on one block, and from the members' coefficients of the start
-        on the n-cube's blocks."""
-        if not self.frame.bits:
-            start = self.untrapped.conj().T @ state
-            return start @ self.untrapped if state.ndim == 2 else start
+        """W+ psi_0 for a start vector, W+ rho_0 W for a density matrix, from
+        the members' coefficients of the start."""
         start = self._project(self.frame.coordinates(state))
-        if state.ndim == 1:
-            return start
-        return self._project(self.frame.coordinates(start.conj().T)).conj().T
+        return start if state.ndim == 1 else self._project(self.frame.coordinates(start.conj().T)).conj().T
 
     def _project(self, coords: np.ndarray) -> np.ndarray:
         """W+ x for the members' coefficients of x along its first axis."""
@@ -262,25 +266,19 @@ class SpectralReport:
         return out[:-1].reshape((-1,) + coords.shape[1:])
 
     def reduced_step(self) -> np.ndarray:
-        """A_r = W+ (Q_f U) W: from U W on one block; on the n-cube's blocks,
-        blockdiag(W_c+ U W_c) - F+ G, each cluster's block from the block
-        matrices y+ U_k y of its members, F and G the finals' rows of W and
-        U W, with no D-tall array."""
+        """A_r = W+ (Q_f U) W = blockdiag(W_c+ U W_c) - F+ G: U W by members
+        from the frame's chain blocks, which join only members of one
+        cluster; F and G the finals' rows of W and U W.  The D-tall arrays
+        are as wide as a cluster's untrapped part, at most the final rows."""
         frame, r = self.frame, self.untrapped_dim
-        if not frame.bits:
-            w = self.untrapped
-            aw = self.walk.apply(w)
-            aw[self.finals] = 0.0
-            return w.conj().T @ aw
-        b, m = frame.blocks.shape[:2]
         width = max(g.z.shape[1] for g in self.groups)
         zt = np.zeros((self.dim, width), dtype=complex)  # row j: member j's coefficients
         for g in self.groups:
             zt[g.rows, :g.z.shape[1]] = g.z.conj().transpose(0, 2, 1)
-        label = frame.labels.reshape(b, m)
-        step = frame.vectors.conj().transpose(0, 2, 1) @ frame.blocks @ frame.vectors
-        step *= label[:, :, None] == label[:, None, :]  # y+ U_k y within each cluster
-        uz = (step @ zt.reshape(b, m, width)).reshape(self.dim, width)  # U W, by members
+        uz = np.empty_like(zt)  # U W, by members
+        for starts, blocks in frame.chains:
+            cols = starts[:, None] + np.arange(blocks.shape[1])
+            uz[cols] = blocks @ zt[cols]
         a_r = np.zeros((r + 1, r + 1), dtype=complex)
         f = np.zeros((len(self.finals), r + 1), dtype=complex)  # the finals' rows of W
         g_rows = np.zeros_like(f)  # and of U W
@@ -362,8 +360,9 @@ def _joint_blocks(c: np.ndarray, s: np.ndarray, tol: float) -> list[np.ndarray]:
 
 
 def _split_chains(starts: np.ndarray, c: np.ndarray, t: np.ndarray, tol: float):
-    """(first columns, Rayleigh sums, turns) of the clusters in a stack of
-    chains of one length L, cut from the blocks of :func:`_split_stack`.
+    """(first columns, Rayleigh sums, turns, turned blocks) of the clusters
+    in a stack of chains of one length L, cut from the blocks of
+    :func:`_split_stack`.
 
     Chain g starts at column starts[g]; c[g] holds its ascending cosines and
     t[g] = W_g+ (iK) W_g its L x L block, so that diag(c[g]) + t[g] is the
@@ -374,36 +373,45 @@ def _split_chains(starts: np.ndarray, c: np.ndarray, t: np.ndarray, tol: float):
     as they stand take none.  A chain whose cosines spread wider than tol
     takes the alternating split on its own; the others are split together
     by one stacked eigh of their blocks -i t, skipped for blocks within tol
-    of a multiple of the identity.
+    of a multiple of the identity.  The turned blocks, G x L x L, are each
+    chain's W_g+ U W_g in its turned columns, x+ (W_g+ U W_g) x from the
+    product its Rayleigh sums read, with the entries between its clusters
+    dropped, and the block itself where the chain takes no turn.
     """
     size = c.shape[1]
+    mc = t + c[:, :, None] * np.eye(size)  # W_c+ U W_c
+    kept = mc.astype(complex)
     if size == 1:  # each chain is one cluster
-        return [starts], [c[:, 0] + t[:, 0, 0]], []
+        return [starts], [c[:, 0] + t[:, 0, 0]], [], kept
     firsts, lams, turns = [], [], []
     wide = c[:, -1] - c[:, 0] > tol
     for i in np.flatnonzero(wide).tolist():
         parts = _joint_blocks(c[i], -1j * t[i], tol)
         at = np.cumsum([0] + [p.shape[1] for p in parts[:-1]])
         x = np.hstack(parts)
-        rayleigh = np.sum(x.conj() * ((np.diag(c[i]) + t[i]) @ x), axis=0)
+        mx = (np.diag(c[i]) + t[i]) @ x
+        cluster = np.cumsum(np.isin(np.arange(size), at))
+        kept[i] = (x.conj().T @ mx) * (cluster[:, None] == cluster)
         firsts.append(starts[i] + at)
-        lams.append(np.add.reduceat(rayleigh, at))
+        lams.append(np.add.reduceat(np.sum(x.conj() * mx, axis=0), at))
         turns.append((starts[i:i + 1], x[None]))
     if wide.all():
-        return firsts, lams, turns
-    starts, c, t = starts[~wide], c[~wide], t[~wide]
-    mc = t + c[:, :, None] * np.eye(size)  # W_c+ U W_c
-    whole, y, new_run = _eigen_runs(-1j * t, tol)
-    firsts.append(starts[whole])
-    lams.append(np.trace(mc[whole], axis1=1, axis2=2))
+        return firsts, lams, turns, kept
+    rest = np.flatnonzero(~wide)
+    whole, y, new_run = _eigen_runs(-1j * t[rest], tol)
+    firsts.append(starts[rest[whole]])
+    lams.append(np.trace(mc[rest[whole]], axis1=1, axis2=2))
     if not whole.all():
-        split = starts[~whole]
-        rayleigh = np.sum(y.conj() * (mc[~whole] @ y), axis=1)  # per eigenvector
+        split = rest[~whole]
+        my = mc[split] @ y
+        cluster = np.cumsum(new_run, axis=1)
+        kept[split] = (y.conj().transpose(0, 2, 1) @ my) * (cluster[:, :, None] == cluster[:, None, :])
+        rayleigh = np.sum(y.conj() * my, axis=1)  # per eigenvector
         at = np.flatnonzero(new_run)  # flat index of each run's first eigenvector
-        firsts.append(split[at // size] + at % size)
+        firsts.append(starts[split][at // size] + at % size)
         lams.append(np.add.reduceat(rayleigh.ravel(), at))
-        turns.append((split, y))
-    return firsts, lams, turns
+        turns.append((starts[split], y))
+    return firsts, lams, turns, kept
 
 
 def _parity_sides(u: np.ndarray) -> np.ndarray | None:
@@ -467,10 +475,11 @@ def _parity_split(u: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.concatenate([-s, s[::-1]]), w, t
 
 
-def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Rayleigh sums, first columns, eigenvectors) of the clusters of each
-    matrix of a stack of normal k x k matrices, in flat column order: the
-    one eigensolve of both routes, the dense one a stack of one.
+def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """(Rayleigh sums, first columns, eigenvectors, chain blocks) of the
+    clusters of each matrix of a stack of normal k x k matrices, in flat
+    column order: the one eigensolve of both routes, the dense one a stack
+    of one.
 
     Column j of the result is column j % k of block j // k; cluster i holds
     the columns from ``first[i]`` up to the next cluster's first column, all
@@ -479,9 +488,12 @@ def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
     A chain's block t is its diagonal block of T = W+ (iK W), and since W is
     unitary its residual ||iK W_c - W_c t|| is the norm of T's entries in
     the chain's columns and the other rows; the chains of one length are
-    split together by :func:`_split_chains`.  T is formed with W conjugated
-    in place and iK W freed before the residual, so a dense U's split holds
-    about three D x D arrays at its peak.
+    split together by :func:`_split_chains`, and the chain blocks are their
+    turned blocks, (chain starts, G x L x L) per chain length L: the matrix
+    in its own eigenvectors, cut to its chains, sum L^2 <= b k^2 entries.
+    T is formed with W conjugated in place and iK W freed before the
+    residual, so a dense U's split holds about three D x D arrays at its
+    peak.
 
     A stack of one of size at least PARITY_MIN_DIM whose nonzero pattern
     2-colours into equal halves (:func:`_parity_sides`) takes its cosines,
@@ -507,14 +519,15 @@ def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
         raise ValueError(f"matrix is not normal (eigenspace block residual {residual:.3e} > {tol:.0e})")
     lengths = np.append(starts[1:], b * k) - starts
     cos = cos.ravel()
-    firsts, lams, turns = [], [], []
+    firsts, lams, turns, chains = [], [], [], []
     for size in sorted(set(lengths.tolist())):
         group = starts[lengths == size]
         cols = group[:, None] % k + np.arange(size)
         t = t_all[group[:, None, None] // k, cols[:, :, None], cols[:, None, :]]
-        parts = _split_chains(group, cos[group[:, None] + np.arange(size)], t, tol)
+        *parts, kept = _split_chains(group, cos[group[:, None] + np.arange(size)], t, tol)
         for out, part in zip((firsts, lams, turns), parts):
             out += part
+        chains.append((group, kept))
     del t_all
     w = w.astype(complex, copy=False)
     for los, xs in turns:
@@ -522,7 +535,7 @@ def _split_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
         w[at] = xs.transpose(0, 2, 1) @ w[at]
     first = np.concatenate(firsts)
     order = np.argsort(first)
-    return np.concatenate(lams)[order], first[order], w
+    return np.concatenate(lams)[order], first[order], w, tuple(chains)
 
 
 def _phase_order(lams: np.ndarray, tol: float) -> np.ndarray:
@@ -531,12 +544,13 @@ def _phase_order(lams: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _frame(blocks: np.ndarray, bits: int, tol: float) -> fourier.Frame:
-    """The frame of the 2^bits blocks, split by one stacked split.  The
-    clusters of more than one block merge across blocks: sorted by phase,
-    neighbours within tol share a cluster, across the branch cut too.
-    Clusters are listed as :func:`_phase_order` lists them."""
+    """The frame of the 2^bits blocks, split by one stacked split, keeping
+    the split's chain blocks in place of the blocks.  The clusters of more
+    than one block merge across blocks: sorted by phase, neighbours within
+    tol share a cluster, across the branch cut too.  Clusters are listed as
+    :func:`_phase_order` lists them."""
     size = blocks.shape[0] * blocks.shape[1]
-    sums, first, vectors = _split_stack(blocks, tol)
+    sums, first, vectors, chains = _split_stack(blocks, tol)
     cluster, merged = np.arange(len(sums)), sums  # one block: no merge
     if bits:
         phase = np.angle(sums)
@@ -552,7 +566,7 @@ def _frame(blocks: np.ndarray, bits: int, tol: float) -> fourier.Frame:
     position[order] = np.arange(len(order))
     labels = np.repeat(position[cluster], np.append(first[1:], size) - first)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels))])
-    return fourier.Frame(bits, blocks, vectors, lams[order], labels, np.argsort(labels, kind="stable"), bounds)
+    return fourier.Frame(bits, chains, vectors, lams[order], labels, np.argsort(labels, kind="stable"), bounds)
 
 
 def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:

@@ -331,16 +331,17 @@ class TestQuotientCommand:
         assert np.max(np.abs(u_h.conj().T @ u_h - np.eye(6))) < 1e-10
 
     def test_walk_over_the_memory_budget_exits_one(self, monkeypatch, capsys):
-        # the 384 x 6 rows of the grover coin and three 256 x 384 float64
-        # arrays, against a 1 MiB budget; quotient_walk reads the walk's
-        # factors, and is refused before its orbit sums
+        # the 384 x 6 rows of the grover coin, three 256 x 384 float64
+        # arrays and the 256 x 256 u_h, against a 1 MiB budget;
+        # quotient_walk reads the walk's factors, and is refused before its
+        # orbit sums
         monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
         monkeypatch.setattr(quotient, "_orbit_sums", refuse)
         code, out = run_cli("quotient", "--graph", "hypercube:6", "--subgroup", "(1,2)",
                             "--coin", "grover")
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == (
-            "error: dimension 384 needs an estimated 2 MiB, over a memory budget of 1 MiB\n"
+            "error: dimension 384 needs an estimated 3 MiB, over a memory budget of 1 MiB\n"
         )
 
     def test_subgroup_required(self):
@@ -543,14 +544,15 @@ DFS_8 = ["dfs", "--graph", "hypercube:8", "--subgroup", "(1,2)"]
 
 
 @pytest.mark.parametrize("budget, argv, need", [
-    # the sums into 1408 orbits of the factored walk's 2048 x 8 rows of C
-    # are refused; no 2048 x 2048 U is built
-    (60, QUOTIENT_8, "dimension 2048 needs an estimated 66 MiB"),
+    # the sums into 1408 orbits of the factored walk's 2048 x 8 rows of C,
+    # with the 1408 x 1408 u_h, are refused; no 2048 x 2048 U is built
+    (60, QUOTIENT_8, "dimension 2048 needs an estimated 81 MiB"),
     # the orbit sums fit; the 1408 x 1408 u_h as JSON lists and text does not
     (200, QUOTIENT_8, "a JSON matrix of 1982464 entries needs an estimated 484 MiB"),
-    # the 2049 x 2048 Kraus weights and the 2048 x 2048 multiplier
+    # the 2048 x 2048 multiplier and its label comparison; its Kraus
+    # weights are built only when read
     (40, ["sweep-decoherence", "--graph", "hypercube:8", "--kinds", "both", "--p-grid", "0.5"],
-     "dimension 2048 needs an estimated 160 MiB"),
+     "dimension 2048 needs an estimated 64 MiB"),
     # the 2048 x 1408 orbit isometry, then the scalar-action check on it
     (16, DFS_8, "dimension 2048 needs an estimated 22 MiB"),
     (40, DFS_8, "dimension 2048 needs an estimated 324 MiB"),

@@ -188,6 +188,18 @@ class TestChannels:
             assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, want))
             assert np.max(np.abs(deco.Channel(ch.kraus).schur - ch.schur)) < 1e-15
 
+    def test_dephasing_holds_its_multiplier_and_builds_its_weights_on_read(self, monkeypatch):
+        # the channel holds the 384 x 384 multiplier, its labels and p; the
+        # 385 x 384 weight rows, three 8-byte arrays of them (3 MiB), are
+        # refused under a 2 MiB budget when first read
+        ch = deco.dephasing_channel("both", 0.5, 64, 6)
+        assert "monomials" not in vars(ch) and "kraus" not in vars(ch)
+        assert ch.dim == 384 and ch.p == 0.5 and np.array_equal(ch.labels, np.arange(384))
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2 * 2**20)
+        with pytest.raises(ValueError, match="dimension 384 needs an estimated 3 MiB, over a memory budget of 2 MiB"):
+            ch.monomials
+        assert "monomials" not in vars(ch)
+
     def test_identity_is_read_off_the_multiplier(self, rng):
         assert deco.Channel((np.eye(3, dtype=complex),)).is_identity
         assert not random_channel(4, 3, rng).is_identity

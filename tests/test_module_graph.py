@@ -80,3 +80,20 @@ def test_each_route_piece_has_one_module_and_one_binding(name, owner):
         if any(a.name == name for node in imports(tree) for a in node.names):
             imported.append(path.stem)
     assert (defined, imported) == ([owner], [])
+
+
+def test_the_closed_form_has_one_body_over_any_frame():
+    # inside SpectralReport only ``route`` reads the frame's bits; the start
+    # and A_r read neither W nor the walk, and the frame keeps U on its
+    # chains in place of its blocks
+    (report,) = [node for node in parsed("spectral").body
+                 if isinstance(node, ast.ClassDef) and node.name == "SpectralReport"]
+    methods = {node.name: node for node in report.body if isinstance(node, ast.FunctionDef)}
+    attrs = {name: {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+             for name, fn in methods.items()}
+    assert {name for name, read in attrs.items() if "bits" in read} == {"route"}
+    for name in ("untrapped_start", "reduced_step"):
+        assert not attrs[name] & {"bits", "untrapped", "walk"}, name
+    (frame,) = [node for node in parsed("fourier").body if isinstance(node, ast.ClassDef) and node.name == "Frame"]
+    fields = {node.target.id for node in frame.body if isinstance(node, ast.AnnAssign)}
+    assert "blocks" not in fields and "chains" in fields

@@ -617,6 +617,30 @@ def test_factored_sums_equal_the_dense_sums(descriptor, subgroup):
     assert np.array_equal(quotient.quotient_walk(op, basis), quotient.quotient_walk(op.matrix, basis))
 
 
+@pytest.mark.parametrize("form", ["dense", "factored"])
+def test_quotient_walk_peak_within_its_estimate(monkeypatch, form):
+    # hypercube:6 under (1,2): k = 256 orbits of D = 384; the rows of C (the
+    # whole U when dense), R, the leak's temporaries and U_H stay within the
+    # D b + ORBIT_SUM_ARRAYS k D + k^2 entries that are checked first
+    cay, op = cube_walk(6)
+    basis = quotient.orbit_basis(cli.resolve_subgroup(["(1,2)"], cay), op.dim)
+    u = op.matrix if form == "dense" else op
+    d, b, k = op.dim, (op.dim if form == "dense" else 6), basis.num_orbits
+    assert (d, k) == (384, 256)
+    estimates = []
+    check = walk._check_memory
+    monkeypatch.setattr(quotient, "_check_memory", lambda dim, entries, dtype: estimates.append(
+        entries * np.dtype(dtype).itemsize) or check(dim, entries, dtype))
+    tracemalloc.start()
+    try:
+        quotient.quotient_walk(u, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimates == [8 * (d * b + quotient.ORBIT_SUM_ARRAYS * k * d + k * k)]
+    assert peak <= estimates[0]
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_a_full_group_verdict_lists_no_table(n):
     # orbits and the verdict read the generators only; up to hypercube:7
@@ -687,9 +711,9 @@ def test_leak_is_raised_before_the_eigensolve_is_refused(monkeypatch):
 
 
 def test_orbit_sums_over_the_memory_budget_are_refused_before_they_allocate(monkeypatch):
-    # the dense U is one 384 x 384 block: its rows gathered by orbit and
-    # three 256 x 384 float64 arrays (3.4 MiB) against a 2 MiB budget,
-    # refused before the rows are gathered
+    # the dense U is one 384 x 384 block: its rows gathered by orbit, three
+    # 256 x 384 float64 arrays and the 256 x 256 U_H (3.9 MiB) against a
+    # 2 MiB budget, refused before the rows are gathered
     def refuse(*args, **kwargs):
         raise AssertionError("orbit sums started")
 
@@ -698,7 +722,7 @@ def test_orbit_sums_over_the_memory_budget_are_refused_before_they_allocate(monk
     monkeypatch.setattr(quotient, "_orbit_sums", refuse)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="dimension 384 needs an estimated 3 MiB, over a memory budget of 2 MiB"):
+        with pytest.raises(ValueError, match="dimension 384 needs an estimated 4 MiB, over a memory budget of 2 MiB"):
             quotient.quotient_walk(u, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

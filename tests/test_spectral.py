@@ -267,12 +267,24 @@ class TestClusters:
         for phases in ([2.0, 2.0, -1.0, 0.5], [0.5, -0.5, 0.2, 0.2]):
             v = random_unitary(4, rng)
             blocks.append((v * np.exp(1j * np.array(phases))) @ v.conj().T)
-        sums, first, vectors = spectral._split_stack(np.array(blocks), spectral.CLUSTER_TOL)
+        sums, first, vectors, chains = spectral._split_stack(np.array(blocks), spectral.CLUSTER_TOL)
         alone = [spectral._split_stack(b[None], spectral.CLUSTER_TOL) for b in blocks]
         assert np.array_equal(first, np.concatenate([alone[0][1], alone[1][1] + 4]))
         assert np.array_equal(first, [0, 2, 3, 4, 5, 6])  # e^{2i} and e^{0.2i} twice
         assert np.max(np.abs(sums - np.concatenate([a[0] for a in alone]))) <= 1e-14
         assert np.max(np.abs(vectors - np.concatenate([a[2] for a in alone]))) <= 1e-14
+
+        def by_start(chains, offset=0):
+            return {int(s) + offset: blk for starts, blks in chains for s, blk in zip(starts, blks)}
+
+        # the kept chain blocks are each block in its own eigenvectors
+        kept, want = by_start(chains), {**by_start(alone[0][3]), **by_start(alone[1][3], 4)}
+        assert kept.keys() == want.keys()
+        assert all(np.max(np.abs(kept[s] - want[s])) <= 1e-14 for s in want)
+        for s, blk in kept.items():
+            k, first = divmod(s, 4)
+            v = vectors[k][:, first + np.arange(len(blk))]
+            assert np.max(np.abs(v.conj().T @ blocks[k] @ v - blk)) <= 1e-13
 
 
 class TestAgainstGeneralEigensolver:
@@ -308,6 +320,21 @@ class TestAgainstGeneralEigensolver:
         assert np.max(np.abs(trapped_projector(report) - b @ b.conj().T)) <= 1e-12
         w_report = report.untrapped @ report.untrapped.conj().T
         assert np.max(np.abs(w_report - w @ w.conj().T)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES) + sorted(PLANTED_CASES))
+    def test_reduced_step_from_the_chains_is_w_q_u_w(self, name):
+        # A_r read off U on its chains is the product W+ (Q_f U) W with the
+        # D-tall W, but for the entries between clusters that the clusters'
+        # blocks leave out: 1.1e-10 in the wide chain's turned block, whose
+        # alternating split separates cosines 3e-6 apart, and at rounding
+        # level elsewhere
+        u, fin = {**ORACLE_CASES, **PLANTED_CASES}[name]
+        report = spectral.infinite_hitting_projector(u, fin)
+        w = report.untrapped
+        quw = np.asarray(u) @ w
+        quw[fin] = 0.0
+        tol = 1e-9 if name == "wide-chain" else 1e-12
+        assert np.max(np.abs(report.reduced_step() - w.conj().T @ quw)) <= tol
 
     def test_planted_cases_reach_every_path(self, monkeypatch):
         joint_calls = []
@@ -379,9 +406,10 @@ class TestProjector:
         assert peaks[1] <= peaks[0] + 0.01 * unit  # index arrays and Python objects
 
     def test_dense_report_holds_v_and_builds_w_and_b_on_read(self):
-        # V, D^2 complex entries, stays held, beside the clusters' final
-        # overlaps and their SVDs' coefficients, D |finals| each, and small
-        # objects; trace(P) is a count and builds nothing; W and B are each
+        # V, D^2 complex entries, and U in its chains, sum L^2 complex
+        # entries, stay held, beside the clusters' final overlaps and their
+        # SVDs' coefficients, D |finals| each, and small objects; trace(P)
+        # is a count and builds nothing; W and B are each
         # built on read, D-tall with one spare column, and B's peak, beside
         # U, V and W, stays within the estimate it is refused by; the
         # color-permuted cube takes the dense route
@@ -401,12 +429,13 @@ class TestProjector:
         finally:
             tracemalloc.stop()
         d, r, t, f = len(u), report.untrapped_dim, report.trapped_dim, len(fin)
+        chained = sum(blocks.size for _, blocks in report.frame.chains)
         assert (r, t) == (72, 312)
-        assert 16 * d * d <= held <= 16 * (d * d + 2 * d * f) + 0.02 * 16 * d * d
+        assert 16 * (d * d + chained) <= held <= 16 * (d * d + chained + 2 * d * f) + 0.02 * 16 * d * d
         assert with_trace - held <= 1024
         assert 16 * d * r <= with_w - with_trace <= 16 * d * (r + 1) + 0.01 * 16 * d * d
         assert 16 * d * t <= with_basis - with_w <= 16 * d * (t + 1) + 0.01 * 16 * d * d
-        estimate = fourier.DENSE_BASIS_ARRAYS * d * d + 2 * d * min(d, fourier.SYNTHESIS_COLUMNS)
+        estimate = fourier.DENSE_BASIS_ARRAYS * d * d + chained + 2 * d * min(d, fourier.SYNTHESIS_COLUMNS)
         assert 16 * d * d + peak <= 16 * estimate  # U, allocated before tracing, and the rest
 
     def test_zero_when_every_eigenvector_sees_final(self, rng):
@@ -762,11 +791,13 @@ class TestTrappedBasisOnRead:
         _, op, fin = hypercube_setup(4, "dft")
         report = spectral.infinite_hitting_projector(color_permuted(op.matrix, 4), fin)
         assert report.route == "dense"
-        # U, V and W with B, 3 complex arrays of 64 x 64, two chunks of 64
-        # columns and the SVD factors of the partly trapped clusters, four
-        # of 4 x 4 and four of 8 x 8, against a 64 KiB budget
+        # U, V and W with B, 3 complex arrays of 64 x 64, U on its chains
+        # (512 entries), two chunks of 64 columns and the SVD factors of the
+        # partly trapped clusters, four of 4 x 4 and four of 8 x 8, against
+        # a 64 KiB budget
+        assert sum(blocks.size for _, blocks in report.frame.chains) == 512
         monkeypatch.setattr(walk, "_memory_budget", lambda: 64 * 2**10)
-        with pytest.raises(ValueError, match="dimension 64 needs an estimated 325 KiB, over a memory budget of 64 KiB"):
+        with pytest.raises(ValueError, match="dimension 64 needs an estimated 333 KiB, over a memory budget of 64 KiB"):
             report.basis
         assert "basis" not in vars(report)
 
@@ -994,6 +1025,41 @@ class TestFourierRoute:
         monkeypatch.setattr(spectral, "_frame", refuse)
         with pytest.raises(ValueError, match="dimension 10240 needs an estimated 25 MiB, over a memory budget of 8 MiB"):
             hitting.hitting_time_closed_form(spec)
+
+
+class TestOneClosedForm:
+    """The unitary closed form reads the frame alone on every route: the
+    start from the members' coefficients, A_r from U on its chains."""
+
+    @pytest.mark.parametrize("descriptor, route, parity", [
+        ("distorted-hypercube:4", "dense", False), ("cycle:64", "dense", True), ("hypercube:4", "fourier", False)])
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    def test_builds_no_basis_and_applies_no_walk(self, monkeypatch, descriptor, route, parity, coin_kind):
+        # the mixed start is the mean of two pure ones, psi and U psi, and
+        # its hitting time, linear in the start, the mean of theirs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a D-tall basis was built or the walk applied")
+
+        g, u = dense_walk(descriptor, coin_kind)  # the cube's dense U takes the Fourier route
+        op = walk.WalkOperator(u)
+        fin = graphs.BasisIndexing.from_graph(g).indices_for([g.num_vertices - 1])
+        psi = hitting.symmetric_state(g, 0)
+        psis = (psi, u @ psi)
+        specs = [hitting.measured_walk(op, psi, final_indices=fin) for psi in psis]
+        rho = sum(np.outer(psi, psi.conj()) for psi in psis) / 2
+        specs.append(hitting.MeasuredWalkSpec(op, specs[0].final_indices, rho))
+        splits = count_parity_splits(monkeypatch)
+        monkeypatch.setattr(fourier.Frame, "span", refuse)
+        monkeypatch.setattr(walk.WalkOperator, "apply", refuse)
+        results = [hitting.hitting_time_closed_form(spec) for spec in specs]
+        assert spectral.infinite_hitting_projector(op, fin).route == route
+        assert len(splits) == 4 * parity
+        if results[2].is_finite:
+            assert all(r.is_finite for r in results)
+            assert results[2].value == pytest.approx((results[0].value + results[1].value) / 2, rel=1e-10)
+        else:
+            escapes = [r.escape_probability for r in results]
+            assert escapes[2] == pytest.approx((escapes[0] + escapes[1]) / 2, abs=1e-12)
 
 
 def cube_matrix(n, coin_kind):
