@@ -25,11 +25,13 @@ sqrt(min Re m) Q_f U, applied by the Smith doubling of the unitary closed
 form, stopped at a looser tail.  Channel data keeps the dtype of its entries, as walk data does, so
 type promotion runs the solve in float64 when U and the channel are real
 (Grover walks under dephasing, or swap dephasing with real kappa), else in
-complex128.  The slope in p is one more solve with the same operator, and
-the step series iterates D x D density matrices.  A solve
+complex128.  Every solve reads the start as its D x k columns Psi, rho_0 =
+Psi Psi+ (``MeasuredWalkSpec.columns``): tau = Tr(Psi+ X Psi).  The slope
+in p is one more solve with the same operator, and the step series, the
+one route with a channel to step, iterates D x D density matrices.  A solve
 that stagnates marks I - N_D as singular; as in the unitary closed form,
 an orthonormal basis T of the trapped subspace then decides the escape
-Tr(T+ rho_0 T), and the same map solves again for the right side
+||T+ Psi||^2, and the same map solves again for the right side
 I - T T+, as L keeps each block of the split by T T+.  N_D of a unital
 channel is a Hilbert-Schmidt contraction with its fixed points in
 B(ran T), so this is the Moore-Penrose value of the dense D^2 x D^2
@@ -45,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +62,7 @@ from .hitting import (
     METHOD_PSEUDO_INVERSE,
     HittingResult,
     MeasuredWalkSpec,
-    _hit_probabilities,
+    _clamp_probability,
     _series_hitting_time,
     _doubling_powers,
     _stein_sum,
@@ -104,8 +106,8 @@ GMRES_STALL = 0.5
 STEIN_PRECONDITIONER_TAIL = 1e-5
 # D x D arrays held during a solve: the Krylov basis, at most MAX_DOUBLINGS
 # preconditioner powers, ten more (9.5 measured on hypercube:4-5), and U,
-# rho_0, a dephasing multiplier and its (D + 1) x D Kraus weights, when
-# read, held by the caller, each counted in the solve's dtype
+# rho_0 with its columns, a dephasing multiplier and its (D + 1) x D Kraus
+# weights, when read, held by the caller, each counted in the solve's dtype
 DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 14
 # 8-byte D x D arrays held while a dephasing channel builds its multiplier
 # (the multiplier and its label comparison, 1.2 measured at D = 384 and
@@ -114,6 +116,10 @@ DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 14
 # measured there for all three kinds)
 DEPHASING_SQUARE_ARRAYS = 2
 DEPHASING_ROW_ARRAYS = 3
+# complex D x D arrays held at once by a density-matrix series step: its
+# own (5.6 measured on hypercube:4-6 under swap dephasing, 4.5 under a
+# multiplier) beside a caller's rho_0 and multiplier
+SERIES_WORK_ARRAYS = 7
 # complex D x k arrays the scalar-action check holds at once: the basis and
 # its complex copy, one image, c b and the residual with its squares (4.4 to
 # 5.1 measured on orbit bases of hypercube:6-7)
@@ -496,8 +502,9 @@ class _SurvivalMap:
 
 
 def _start_trace(x: np.ndarray, spec: MeasuredWalkSpec) -> float:
-    """Tr(X rho_0), the hitting time or its slope read off the solve's X."""
-    return float(np.real(np.sum(x * spec.rho0.T)))
+    """Tr(X rho_0) = Tr(Psi+ X Psi), the hitting time or its slope read off
+    the solve's X with the start's columns Psi."""
+    return float(np.real(np.vdot(spec.columns, x @ spec.columns)))
 
 
 def _kraus_actions(ch: Channel, *, adjoint: bool) -> list[Callable[[np.ndarray], np.ndarray]]:
@@ -540,12 +547,13 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
     """Closed-form hitting time of the decohered measured walk.
 
     The identity channel is the unitary walk and goes to
-    :func:`hitting_time_closed_form`.  Otherwise tau = Tr(X rho_0), where X
-    solves X - L(X) = I for the Heisenberg survive map L of
-    :class:`_SurvivalMap` (method ``closed_form``).  A solve whose relative
-    residual ends above SINGULAR_RTOL marks I - N_D as singular.  The same
+    :func:`hitting_time_closed_form`.  Otherwise tau = Tr(X rho_0) =
+    Tr(Psi+ X Psi) for the start's columns Psi, where X solves X - L(X) = I
+    for the Heisenberg survive map L of :class:`_SurvivalMap` (method
+    ``closed_form``).  A solve whose relative residual ends above
+    SINGULAR_RTOL marks I - N_D as singular.  The same
     map then solves X - L(X) = I - T T+ for the :func:`_trapped_basis` T;
-    escape Tr(T+ rho_0 T) above ESCAPE_ATOL is infinite (``closed_form``),
+    escape ||T+ Psi||^2 above ESCAPE_ATOL is infinite (``closed_form``),
     else tau = Tr(X rho_0) (``pseudo_inverse``), the Moore-Penrose value for
     a unital channel.  A second stagnating solve, as when a channel moves
     mass into a region it keeps, raises IndeterminateError.  A solve that
@@ -564,10 +572,30 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
         raise IndeterminateError(
             f"I - N_D is singular off the trapped subspace (dimension {trapped.shape[1]})"
         )
-    escape = float(np.real(np.vdot(trapped, spec.rho0 @ trapped)))
+    inside = trapped.conj().T @ spec.columns
+    escape = float(np.real(np.vdot(inside, inside)))
     if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
     return HittingResult(METHOD_PSEUDO_INVERSE, value=_start_trace(x, spec))
+
+
+def _density_hit_probabilities(
+    spec: MeasuredWalkSpec, step_map: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[float]:
+    """Yield p(1), p(2), ... by stepping rho_0 to sigma = step_map(U rho U+),
+    detecting on P_f and keeping Q_f sigma Q_f: the one series with a
+    channel to step.  Refused before rho_0 is read if the step would not
+    fit in the memory budget."""
+    _check_memory(spec.dim, SERIES_WORK_ARRAYS * spec.dim**2)
+    walk, fin = spec.walk, spec.final_array
+    rho = spec.rho0
+    while True:
+        sig = step_map(walk.apply(walk.apply(rho).conj().T).conj().T)  # U rho U+ = (U (U rho)+)+
+        p = float(np.real(np.sum(sig[fin, fin])))
+        sig[fin, :] = 0.0
+        sig[:, fin] = 0.0
+        rho = sig
+        yield _clamp_probability(p)
 
 
 def decohered_hitting_series(
@@ -581,7 +609,7 @@ def decohered_hitting_series(
     """Step-iterated hitting time: sigma = Phi(U rho U+), detect on P_f, keep Q_f sigma Q_f."""
     if ch.dim != spec.dim:
         raise ValueError("channel dimension does not match the walk")
-    probabilities = _hit_probabilities(spec, _channel_map(ch, adjoint=False))
+    probabilities = _density_hit_probabilities(spec, _channel_map(ch, adjoint=False))
     return _series_hitting_time(spec, probabilities, epsilon, step_cap, stall_window)
 
 

@@ -12,6 +12,12 @@ arrives, tau is the summed survival mass: with A = Q_f U,
 
 where X = sum_t (A^t)+ A^t solves the Stein equation X - A+ X A = I.
 
+Every route reads the start in one form: the D x k columns Psi with
+rho_0 = Psi Psi+ (``MeasuredWalkSpec.columns``), a pure start's one column
+psi_0 or a rank-k density matrix's k.  The series steps the k columns, the
+escape is ||Psi||^2 - ||W+ Psi||^2 and tau = Tr(X_r S S+) with S = W+ Psi,
+so no route keeps a second body for a density matrix.
+
 The sum converges exactly when U has no trapped eigenvector, one without
 final-vertex amplitude.  A start state with mass in the trapped subspace
 never arrives: an infinite hitting time with that escape mass (Krovi and
@@ -22,7 +28,7 @@ that the residual checks the walk itself: Smith doubling in r dimensions
 after an O(D^3) eigensolve, in O(D^2) memory, each refused before it
 allocates if its estimated working set exceeds the memory budget.  On the
 n-cube the spectral report comes from the walk's 2^n Fourier blocks
-instead, and gives the escape, W+ psi_0 and A_r in O(2^n n^3) time and
+instead, and gives the escape, W+ Psi and A_r in O(2^n n^3) time and
 O(D n) memory with no D x D array; the solve is the same.  A
 solve that does not converge, leaves a residual above the bound or
 produces a non-finite entry raises IndeterminateError.  With a trapped
@@ -43,15 +49,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import spectral
 from .errors import IndeterminateError, ThresholdUnreachableError
 from .graphs import BasisIndexing, ColoredGraph
-from .walk import WalkOperator, _check_bytes, _check_memory, _inexact
+from .walk import WalkOperator, _check_bytes, _check_memory, _inexact, _start_columns
 
 __all__ = [
     "MeasuredWalkSpec",
@@ -83,10 +89,11 @@ MAX_DOUBLINGS = 64
 # powers, X and temporaries (6 r^2 measured) beside A_r and W+ rho_0 W; the
 # spectral report states what it holds beside them
 STEIN_WORK_ARRAYS = 8
-# complex D x D arrays held at once by a density-matrix series step: its
-# own (5.6 measured on hypercube:4-6 under swap dephasing, 4.5 under a
-# multiplier, 4 with no channel) beside a caller's rho_0 and multiplier
-SERIES_WORK_ARRAYS = 7
+# complex D x k arrays held at once by a series step on a start's k
+# columns: the columns, their product with C, its gather and the int64
+# gather index (3.5-3.7 measured by tracemalloc on hypercube:5-6,
+# distorted-hypercube:5 and cycle:64, grover and dft, k = 3 and k = D)
+SERIES_COLUMN_ARRAYS = 4
 # int64 arrays per trial held at once by the Monte Carlo walker (6.1
 # measured on hypercubes, 7.1 with the per-walker bounds of glued trees)
 MC_WORK_ARRAYS = 8
@@ -102,15 +109,19 @@ class MeasuredWalkSpec:
 
     ``final_indices`` lists the flat basis indices supporting P_f (all coin
     states of the final vertices for a coined walk).  ``state`` is the start
-    as given: a unit vector psi_0 or a density matrix rho_0, checked once in
-    that form.  ``psi0`` is the vector, or None for a mixed start; ``rho0``
-    is the density matrix, built as psi_0 psi_0+ on first read for a pure
-    start, so a route that steps or projects the vector never forms it.
+    as given, a unit vector psi_0 or a density matrix rho_0, and
+    ``columns`` the one form every route reads: the D x k columns Psi with
+    rho_0 = Psi Psi+, built once here.  A vector is its own single column,
+    a view; a density matrix is factored by the eigh that checks it, so a
+    rank-k start is D x k.  ``psi0`` is the vector, or None for a mixed
+    start; ``rho0`` is the density matrix, built as psi_0 psi_0+ on first
+    read for a pure start, which only a channel's density step does.
     """
 
     walk: WalkOperator
     final_indices: tuple[int, ...]
     state: np.ndarray
+    columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.walk.dim
@@ -124,12 +135,10 @@ class MeasuredWalkSpec:
                 raise ValueError("rho0 must have unit trace")
             if not np.max(np.abs(state - state.conj().T)) <= 1e-10:
                 raise ValueError("rho0 must be Hermitian")
-            evs = np.linalg.eigvalsh((state + state.conj().T) / 2)
-            if not evs[0] >= -1e-10:
-                raise ValueError(f"rho0 not positive semidefinite (min eig {evs[0]:.3e})")
         else:
             raise ValueError(f"start state of shape {state.shape} does not match dimension {d}")
         object.__setattr__(self, "state", state)
+        object.__setattr__(self, "columns", _start_columns(state))
         fin = tuple(sorted(set(int(i) for i in self.final_indices)))
         if not fin:
             raise ValueError("final projector must have positive rank")
@@ -200,43 +209,30 @@ def measured_walk(
 # Step-iterated dynamics
 # ----------------------------------------------------------------------
 
-def _hit_probabilities(
-    spec: MeasuredWalkSpec, step_map: Callable[[np.ndarray], np.ndarray] | None = None
-) -> Iterator[float]:
-    """Yield p(1), p(2), ... by iterating the survive-and-step map.
+def _hit_probabilities(spec: MeasuredWalkSpec) -> Iterator[float]:
+    """Yield p(1), p(2), ... by stepping the start's k columns, refused
+    first if they would not fit in the memory budget.
 
-    ``step_map``, when given, acts on U rho U+ before the detection (a
-    channel, say); the density matrix is then stepped even for a pure start,
-    refused first if its step would not fit in the memory budget.
+    The columns stay in the coin-major order that WalkOperator.apply
+    multiplies in, held flat, entry (i, j) at i k + j, so that each step is
+    one product with C and one one-dimensional gather; p(t) is the squared
+    norm of the finals' entries, which are then zeroed.
     """
     walk = spec.walk
-    fin = spec.final_array
-    if spec.psi0 is not None and step_map is None:
-        # the state stays in the coin-major order that WalkOperator.apply
-        # multiplies in: one gather and one product with C per step
-        coin_major, rows = walk._gathers
-        step = rows[coin_major]
-        at = np.argsort(coin_major)[fin]  # the finals' coin-major positions
-        b = walk.block.shape[0]
-        psi = spec.psi0[coin_major]
-        while True:
-            psi = (walk.block @ psi.reshape(b, -1)).reshape(-1)[step]
-            amp = psi[at]
-            p = float(np.vdot(amp, amp).real)
-            psi[at] = 0.0
-            yield _clamp_probability(p)
-    else:
-        _check_memory(spec.dim, SERIES_WORK_ARRAYS * spec.dim**2)
-        rho = spec.rho0
-        while True:
-            sig = walk.apply(walk.apply(rho).conj().T).conj().T  # U rho U+ = (U (U rho)+)+
-            if step_map is not None:
-                sig = step_map(sig)
-            p = float(np.real(np.sum(sig[fin, fin])))
-            sig[fin, :] = 0.0
-            sig[:, fin] = 0.0
-            rho = sig
-            yield _clamp_probability(p)
+    k = spec.columns.shape[1]
+    _check_memory(spec.dim, SERIES_COLUMN_ARRAYS * spec.dim * k)
+    coin_major, rows = walk._gathers
+    lanes = np.arange(k)
+    step = (rows[coin_major][:, None] * k + lanes).ravel()
+    at = (np.argsort(coin_major)[spec.final_array][:, None] * k + lanes).ravel()  # the finals
+    b = walk.block.shape[0]
+    psi = spec.columns[coin_major].ravel()
+    while True:
+        psi = (walk.block @ psi.reshape(b, -1)).reshape(-1)[step]
+        amp = psi[at]
+        p = float(np.vdot(amp, amp).real)
+        psi[at] = 0.0
+        yield _clamp_probability(p)
 
 
 def _clamp_probability(p: float) -> float:
@@ -385,7 +381,7 @@ def concurrent_hitting_time(
     def probabilities() -> Iterator[float]:
         # first read by _accumulate_series, after its own argument checks
         report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
-        reachable = 1.0 - spectral.escape_probability(report, spec.state)
+        reachable = 1.0 - report.split_start(spec.columns)[0]
         if threshold > reachable + ESCAPE_ATOL:
             raise ThresholdUnreachableError(
                 f"threshold {threshold} exceeds the reachable arrival mass {reachable:.12g}",
@@ -585,26 +581,27 @@ def hitting_time_closed_form(
     Escape mass in the trapped subspace above ESCAPE_ATOL makes the
     hitting time infinite (method ``closed_form``).  Otherwise A maps the
     range of the untrapped eigenbasis W into itself, as A_r = W+ A W, and
-    tau = Tr(X_r W+ rho_0 W) for X_r - A_r+ X_r A_r = I; a pure start
-    enters as W+ psi_0, so the D x D rho_0 is never formed.  The method is
-    ``pseudo_inverse`` when a trapped subspace exists, else ``closed_form``.
+    tau = Tr(X_r S S+) for X_r - A_r+ X_r A_r = I, with S = W+ Psi from
+    the start's columns Psi, so a pure start forms no D x D rho_0.  The
+    method is ``pseudo_inverse`` when a trapped subspace exists, else
+    ``closed_form``.
     A relative residual ||X_r - A_r+ X_r A_r - I|| / ||X_r|| above
     ``singular_rtol``, a non-finite entry or a solve that does not converge
     raises IndeterminateError.  The eigensolve and the solve are each
-    refused first if they would not fit in the memory budget.  The report
-    answers the escape, W+ psi_0 and A_r, so one body serves the dense route
-    and the n-cube's Fourier route.
+    refused first if they would not fit in the memory budget, and so is the
+    start's split.  The report answers the escape, W+ Psi and A_r, so one
+    body serves the dense route and the n-cube's Fourier route, and any start.
     """
     report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
-    escape, start = report.split_start(spec.state)
+    escape, start = report.split_start(spec.columns)
     if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
 
+    rho_r = start @ start.conj().T  # W+ rho_0 W
+    del start
     r = report.untrapped_dim
     _check_memory(spec.dim, STEIN_WORK_ARRAYS * r * r + report.held_entries)
-    a_r = report.reduced_step()
-    rho_r = start if spec.psi0 is None else np.outer(start, start.conj())
-    value = _stein_trace(a_r, rho_r, residual_rtol=singular_rtol)
+    value = _stein_trace(report.reduced_step(), rho_r, residual_rtol=singular_rtol)
     method = METHOD_PSEUDO_INVERSE if report.trapped_dim else METHOD_CLOSED_FORM
     return HittingResult(method, value=value)
 

@@ -20,8 +20,9 @@ are the right singular vectors of its final overlap.  trace(P) is the
 trapped dimension, the count sum_c (m_c - rank_c) of the rank decisions;
 the coin-overlap blocks I - W_v W_v+ are read from W, and no D x D
 projector is formed.  The closed form's questions, the escape (a start's
-mass outside W), W+ psi_0 and A_r = W+ (Q_f U) W, have one body on every
-frame: the start from its members' coefficients, A_r from U in its own
+mass outside W), W+ Psi and A_r = W+ (Q_f U) W, have one body on every
+frame and for every start, read as its D x k columns Psi with rho_0 =
+Psi Psi+: the start from its members' coefficients, A_r from U in its own
 eigenbasis, which the frame keeps cut to its chains, so a hitting time
 builds no D-tall basis.  W, the trapped subspace's orthonormal basis B and
 the clusters' bases are built only when read.  Every entry point takes the
@@ -59,7 +60,7 @@ import numpy as np
 
 from . import fourier
 from .graphs import BasisIndexing, ColoredGraph
-from .walk import WalkOperator, _as_walk, _check_memory
+from .walk import WalkOperator, _as_walk, _check_memory, _start_columns
 
 __all__ = [
     "EigenCluster",
@@ -78,16 +79,23 @@ __all__ = [
 
 CLUSTER_TOL = 1e-8
 NULLSPACE_RTOL = 1e-9
-# complex D x D arrays held at once: the eigensolve's (3.0-3.5 measured)
-# beside U and a caller's rho_0
-EIGENSOLVE_WORK_ARRAYS = 6
-# complex D x D arrays a dense report's hitting time holds besides its
-# r x r solve: U, V, U on its chains and a mixed start with V+ rho_0 and its
-# coefficient gathers (4.2 measured, by tracemalloc, on the dense hypercube:5-6,
-# distorted-hypercube:5-7, cayley:s4:3gen and cycle:64-128 walks, grover
-# and dft, pure and mixed starts; an infinite time from a complex mixed
-# start, which takes no solve, peaked at 7.5 there)
+# the rank cutoff's floor: an overlap's columns are unit vectors, so a
+# singular value this small is rounding, whatever the cluster's largest
+NULLSPACE_ATOL = 1e3 * np.finfo(float).eps
+# complex D x D arrays held at once: the eigensolve's (3.0-3.3 measured,
+# 4.0 on cayley:s4:3gen dft) beside U and a caller's start, rho_0 and its
+# columns, D x D each at full rank
+EIGENSOLVE_WORK_ARRAYS = 7
+# complex D x D arrays a dense report's hitting time holds beside its r x r
+# solve and its start's work: U, V and U on its chains (2.1-2.4 measured, by
+# tracemalloc, on the dense hypercube:5-6, distorted-hypercube:5-6,
+# cayley:s4:3gen and cycle:64-128 walks, grover and dft), and a mixed
+# start's rho_0 and its columns
 DENSE_HELD_ARRAYS = 5
+# complex D x k arrays a start's k columns take while they are split: their
+# coordinates, the projection's gathers and products, and W+ Psi (at most
+# 4.0 D k measured beside the report on the walks above, k = 3 and k = D)
+SPLIT_WORK_ARRAYS = 4
 # D from which a dense U whose nonzeros 2-colour into equal halves is split
 # through the SVD of its off-diagonal half: measured faster from D = 128 on
 # every bipartite walk tried; below, the check costs more than it saves
@@ -156,10 +164,11 @@ class SpectralReport:
     complement of the trapped subspace, which holds the finals, and B, an
     orthonormal basis of the trapped subspace.  ``split_start`` and
     ``reduced_step`` answer what the unitary closed form asks: the escape
-    with the start in W's coordinates, and A_r = W+ (Q_f U) W, each with
-    one body over any frame, read from the frame and the coefficients,
-    never from W or the walk; ``vertex_blocks`` gives the coin-overlap
-    blocks from W.
+    and W+ Psi of a start given as its D x k columns Psi (rho_0 = Psi Psi+,
+    one column for a pure start), and A_r = W+ (Q_f U) W, each with one
+    body over any frame and any start, read from the frame and the
+    coefficients, never from W or the walk; ``vertex_blocks`` gives the
+    coin-overlap blocks from W.
     """
 
     contributions: tuple[int, ...]
@@ -232,38 +241,29 @@ class SpectralReport:
         svd_entries = sum(part.size * g.rows.shape[1] ** 2 for g, part in parts)
         return self.frame.span(turns(), self.trapped_dim, svd_entries)
 
-    def split_start(self, state: np.ndarray) -> tuple[float, np.ndarray]:
-        """(escape, W+ psi_0 or W+ rho_0 W) for the closed form, the escape as
-        ||psi||^2 - ||W+ psi||^2 or Tr(rho) - Tr(W+ rho W), clipped at 0."""
-        start = self.untrapped_start(state)
-        if state.ndim == 1:
-            mass = np.vdot(state, state) - np.vdot(start, start)
-        else:
-            mass = np.trace(state) - np.trace(start)
+    def split_start(self, columns: np.ndarray) -> tuple[float, np.ndarray]:
+        """(escape, W+ Psi) for the closed form, from a start's D x k columns
+        Psi: the escape is ||Psi||^2 - ||W+ Psi||^2, clipped at 0.  Refused
+        first if the split, beside what a hitting time holds, would not fit
+        in the memory budget."""
+        _check_memory(self.dim, self.held_entries + SPLIT_WORK_ARRAYS * columns.size)
+        start = self.untrapped_start(columns)
+        mass = np.vdot(columns, columns) - np.vdot(start, start)
         return max(float(np.real(mass)), 0.0), start
-
-    def escape(self, state: np.ndarray) -> float:
-        """Mass of a state (vector or density matrix) inside the trapped subspace."""
-        return self.split_start(state)[0]
 
     def vertex_blocks(self, rows: np.ndarray) -> np.ndarray:
         """I - W_v W_v+ for each row set v of the V x d ``rows``: the diagonal
         blocks of the trapped projector I - W W+."""
         return np.eye(rows.shape[1]) - _row_grams(self.untrapped, rows)
 
-    def untrapped_start(self, state: np.ndarray) -> np.ndarray:
-        """W+ psi_0 for a start vector, W+ rho_0 W for a density matrix, from
-        the members' coefficients of the start."""
-        start = self._project(self.frame.coordinates(state))
-        return start if state.ndim == 1 else self._project(self.frame.coordinates(start.conj().T)).conj().T
-
-    def _project(self, coords: np.ndarray) -> np.ndarray:
-        """W+ x for the members' coefficients of x along its first axis."""
-        x = coords.reshape(self.dim, -1)
-        out = np.zeros((self.untrapped_dim + 1, x.shape[1]), dtype=complex)
+    def untrapped_start(self, columns: np.ndarray) -> np.ndarray:
+        """W+ Psi, r x k, for a start's D x k columns Psi, from their
+        members' coefficients."""
+        coords = self.frame.coordinates(columns)
+        out = np.zeros((self.untrapped_dim + 1, coords.shape[1]), dtype=complex)
         for g in self.groups:
-            out[g.slots] = g.z @ x[g.rows]
-        return out[:-1].reshape((-1,) + coords.shape[1:])
+            out[g.slots] = g.z @ coords[g.rows]
+        return out[:-1]
 
     def reduced_step(self) -> np.ndarray:
         """A_r = W+ (Q_f U) W = blockdiag(W_c+ U W_c) - F+ G: U W by members
@@ -621,7 +621,7 @@ def _rank_clusters(frame: fourier.Frame, finals: np.ndarray) -> tuple[np.ndarray
         rows = frame.members[frame.bounds[group, None] + np.arange(k)]
         gathered = overlap[:, rows].transpose(1, 0, 2)
         u, sv, vh = np.linalg.svd(gathered, full_matrices=False)
-        cutoff = NULLSPACE_RTOL * sv[:, :1]
+        cutoff = np.maximum(NULLSPACE_RTOL * sv[:, :1], NULLSPACE_ATOL)
         kept = sv > cutoff  # the first rank of each row
         rank[group] = kept.sum(axis=1)
         for i, band in zip(group.tolist(), np.sum(kept & (sv <= 10 * cutoff), axis=1).tolist()):
@@ -666,11 +666,13 @@ def infinite_hitting_projector(u, p_f) -> SpectralReport:
     indices; the solution space has dimension k - rank.
     The overlaps V[p_f] of all clusters of one multiplicity are decomposed in
     one stacked SVD.  Rank decisions use singular values with a relative
-    cutoff NULLSPACE_RTOL; values inside [cutoff, 10*cutoff) are reported as
-    warnings rather than failures, and so are neighbouring clusters on the
-    circle whose eigenvalues lie within 10*CLUSTER_TOL, where the clustering
-    itself is a close call.  The clusters' bases are mutually orthogonal, so
-    the trapped pieces are stacked into ``basis`` as they are.  A final
+    cutoff NULLSPACE_RTOL, floored at NULLSPACE_ATOL so that an overlap
+    that is zero up to rounding has rank 0; values inside (cutoff,
+    10*cutoff] are reported as warnings rather than failures, and so are
+    neighbouring clusters on the circle whose eigenvalues lie within
+    10*CLUSTER_TOL, where the clustering itself is a close call.  The
+    clusters' bases are mutually orthogonal, so the trapped pieces are
+    stacked into ``basis`` as they are.  A final
     index outside [0, D) raises ValueError.  The walk on the n-cube takes
     the Fourier route; ``route`` on the report says which it took.
     """
@@ -708,10 +710,7 @@ def _report(u, p_f, tol: float) -> SpectralReport:
 
 def escape_probability(report: SpectralReport, state: np.ndarray) -> float:
     """Mass of a state (vector or density matrix) inside the trapped subspace."""
-    state = np.asarray(state)
-    if state.ndim not in (1, 2):
-        raise ValueError("state must be a vector or a density matrix")
-    return report.escape(state)
+    return report.split_start(_start_columns(np.asarray(state)))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,6 +51,22 @@ def _inexact(a) -> np.ndarray:
     return a.astype(np.result_type(a, float), copy=False)
 
 
+def _start_columns(state: np.ndarray) -> np.ndarray:
+    """The D x k columns Psi of a start, with rho_0 = Psi Psi+: a vector is
+    its own single column, a view; a density matrix is factored by the eigh
+    that checks it is positive semidefinite to 1e-10, its eigenvalues at
+    most D eps lambda_max dropped, so that a rank-k start is D x k."""
+    if state.ndim == 1:
+        return state[:, None]
+    if state.ndim != 2:
+        raise ValueError("state must be a vector or a density matrix")
+    w, v = np.linalg.eigh((state + state.conj().T) / 2)
+    if not w[0] >= -1e-10:
+        raise ValueError(f"rho0 not positive semidefinite (min eig {w[0]:.3e})")
+    keep = w > len(w) * np.finfo(float).eps * w[-1]
+    return v[:, keep] * np.sqrt(w[keep])
+
+
 def _require_unitary(m: np.ndarray, atol: float, what: str):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix")

@@ -1,0 +1,105 @@
+"""Write ``cli.txt``: the CLI's output on a fixed battery of commands.
+
+Run from the repository root after a change that is meant to move an
+output, and read the diff before committing it:
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+
+The battery runs ``hitting``, closed form and series, on small walks of
+every graph family, both coins, the symmetric and a basis start and two
+finals; ``sweep-decoherence`` with the three dephasing kinds at p = 0 and
+0.5; and the README's ``spectrum``, ``quotient``, ``dfs`` and ``classical``
+runs.  Each entry is the command line after ``$ qwlab``, its exit code,
+then what it wrote to stdout and, prefixed ``! ``, to stderr.  The
+manifest's SHA-256 lines are dropped and its numpy version is masked, so
+that a numpy upgrade alone moves no line.  ``tests/test_golden.py`` reruns
+every command in process and compares.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+import re
+
+from qwlab import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("cli.txt")
+
+HITTING_GRAPHS = (
+    ["edge"]
+    + [f"hypercube:{n}" for n in range(2, 6)]
+    + [f"cycle:{n}" for n in (4, 8, 16, 32, 64)]
+    + [f"distorted-hypercube:{n}" for n in range(3, 6)]
+    + ["cayley:s3:2gen", "cayley:s3:3gen", "cayley:s4:3gen"]
+)
+README_RUNS = [
+    "spectrum --graph hypercube:4 --coin grover --final all-ones",
+    'quotient --graph cayley:s3:2gen --subgroup (1,2) --coin grover',
+    "quotient --graph hypercube:8 "
+    + " ".join(f"--subgroup ({i},{i + 1})" for i in range(1, 8)),
+    "dfs --graph hypercube:3",
+    "classical --hypercube 3 --mc-trials 100000 --seed 7",
+]
+
+
+# the walks, D <= 64, that the series and the sweep run on too: above, a
+# dft series on hypercube:5 takes seconds to stall
+STEPPED_GRAPHS = set(HITTING_GRAPHS) - {"hypercube:5", "cycle:64", "distorted-hypercube:5"}
+
+
+def commands() -> list[str]:
+    """The battery, one command line each, arguments split on spaces."""
+    out = []
+    for graph in HITTING_GRAPHS:
+        methods = ("closed-form", "series") if graph in STEPPED_GRAPHS else ("closed-form",)
+        for coin in ("grover", "dft"):
+            walk = f"--graph {graph} --coin {coin}"
+            for start in ("symmetric", "basis:0:1"):
+                for final in ("all-ones", "all-ones-but-last"):
+                    for method in methods:
+                        out.append(f"hitting {walk} --start {start} --final {final} --method {method}")
+            if graph in STEPPED_GRAPHS:
+                out.append(f"sweep-decoherence {walk} --kinds both,coin,position --p-grid 0,0.5")
+    return out + README_RUNS
+
+
+def run(command: str) -> list[str]:
+    """The exit code and output lines of one command, run in process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(command.split(" "), out=stdout)
+    lines = [f"exit {code}"]
+    for line in stdout.getvalue().splitlines():
+        if not line.startswith("# manifest-sha256="):
+            lines.append(_masked(line))
+    lines += [f"! {line}" for line in stderr.getvalue().splitlines()]
+    return lines
+
+
+def _masked(line: str) -> str:
+    """A line with a JSON body's manifest hash dropped and the numpy version masked."""
+    line = re.sub(r',"manifest_sha256":"[0-9a-f]+"', "", line)
+    return re.sub(r'"numpy_version":"[^"]*"', '"numpy_version":"*"', line)
+
+
+def read(path: pathlib.Path = GOLDEN) -> dict[str, list[str]]:
+    """The golden file's entries: command line -> exit code and output lines."""
+    entries, lines = {}, None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ qwlab "):
+            lines = entries[line.removeprefix("$ qwlab ")] = []
+        else:
+            lines.append(line)
+    return entries
+
+
+def main() -> None:
+    with GOLDEN.open("w", encoding="utf-8") as fh:
+        for command in commands():
+            fh.write("\n".join([f"$ qwlab {command}", *run(command)]) + "\n")
+
+
+if __name__ == "__main__":
+    main()

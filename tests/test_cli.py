@@ -274,14 +274,14 @@ class TestSpectrumCommand:
         assert payload["zero_coin_eigenvalues"]["0"] == 1
 
     def test_eigensolve_over_the_memory_budget_exits_one(self, monkeypatch, capsys):
-        # six 384 x 384 complex arrays against a 1 MiB budget, refused before
+        # seven 384 x 384 complex arrays against a 1 MiB budget, refused before
         # U is built (the rewired hypercube takes the dense eigensolve)
         monkeypatch.setattr(walk, "_memory_budget", lambda: 2**20)
         monkeypatch.setattr(walk.WalkOperator, "matrix", property(refuse))
         code, out = run_cli("spectrum", "--graph", "distorted-hypercube:6")
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == (
-            "error: dimension 384 needs an estimated 14 MiB, over a memory budget of 1 MiB\n"
+            "error: dimension 384 needs an estimated 16 MiB, over a memory budget of 1 MiB\n"
         )
 
     def test_fourier_basis_over_the_memory_budget_exits_one(self, monkeypatch, capsys):

@@ -119,14 +119,37 @@ class TestSpecValidation:
 
     def test_pure_start_forms_no_density_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a pure start was checked by an eigensolve")
+            raise AssertionError("a pure start was factored by an eigensolve")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         spec = hypercube_spec(3)
         assert spec.psi0 is spec.state
+        assert spec.columns.shape == (24, 1) and np.shares_memory(spec.columns, spec.state)
         hitting.hitting_time_series(spec, 1e-6)
         assert "rho0" not in vars(spec)
         assert np.array_equal(spec.rho0, np.outer(spec.psi0, spec.psi0.conj()))
+
+
+class TestStartColumns:
+    @pytest.mark.parametrize("rank", [1, 2, 5, 24])
+    def test_a_rank_k_start_holds_k_columns(self, rng, rank):
+        g = graphs.build_hypercube(3)
+        op = walk.evolution_operator(g, walk.dft_coin(3))
+        z = rng.standard_normal((24, rank)) + 1j * rng.standard_normal((24, rank))
+        rho = z @ z.conj().T
+        spec = hitting.measured_walk(op, rho / np.trace(rho).real, final_vertices=[7])
+        assert spec.psi0 is None and spec.columns.shape == (24, rank)
+        assert np.max(np.abs(spec.columns @ spec.columns.conj().T - spec.state)) <= 1e-15
+
+    def test_eigenvalues_at_rounding_level_are_dropped(self):
+        # diag(1 - 2e-15, 1e-15, 1e-15, 0...): at D = 24 the cut is
+        # 24 eps ~ 5.3e-15 times the largest eigenvalue
+        rho = np.zeros((24, 24))
+        rho[0, 0], rho[1, 1], rho[2, 2] = 1 - 2e-15, 1e-15, 1e-15
+        g = graphs.build_hypercube(3)
+        spec = hitting.measured_walk(walk.evolution_operator(g, walk.grover_coin(3)), rho, final_vertices=[7])
+        assert spec.columns.shape == (24, 1) and spec.columns.dtype == np.float64
+        assert abs(abs(spec.columns[0, 0]) - np.sqrt(1 - 2e-15)) <= 1e-16
 
 
 class TestFirstHitDistribution:
@@ -406,10 +429,64 @@ class TestClosedForm:
         monkeypatch.setattr(walk.os, "sysconf", pages.__getitem__)
         # against an 8 KiB budget: the Fourier route's 24 x (8 x 3 + 8 x 3)
         # complex entries, three final indices (18 KiB), and the dense route's
-        # 6 arrays of 24 x 24 (54 KiB)
-        for s, need in ((spec, 18), (dense, 54)):
+        # 7 arrays of 24 x 24 (63 KiB)
+        for s, need in ((spec, 18), (dense, 63)):
             with pytest.raises(ValueError, match=f"needs an estimated {need} KiB, over a memory budget of 8 KiB"):
                 hitting.hitting_time_closed_form(s)
+
+    @pytest.mark.parametrize("descriptor", ["distorted-hypercube:5", "cayley:s4:3gen", "cycle:64"])
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    def test_closed_form_peak_within_each_estimate(self, monkeypatch, descriptor, coin_kind):
+        # each phase of a dense closed form, by tracemalloc, against the
+        # estimate it is refused by: the eigensolve, the start's split and
+        # the Stein solve, with U and the start (rho_0 and its columns)
+        # allocated before tracing; a pure start, a rank-3 complex start and
+        # a full-rank one
+        g = {"distorted-hypercube:5": lambda: graphs.build_distorted_hypercube(5),
+             "cayley:s4:3gen": lambda: graphs.cayley_s4_3gen().graph,
+             "cycle:64": lambda: graphs.build_cycle(64)}[descriptor]()
+        coin = walk.grover_coin(g.degree_value) if coin_kind == "grover" else walk.dft_coin(g.degree_value)
+        op = walk.evolution_operator(g, coin)
+        d = op.dim
+        rng = np.random.default_rng(3)
+        phases = []
+
+        def phase(fn):
+            def run(*args, **kwargs):
+                tracemalloc.reset_peak()
+                out = fn(*args, **kwargs)
+                report = out if isinstance(out, spectral.SpectralReport) else None  # W+ Psi is let go
+                phases.append((tracemalloc.get_traced_memory()[1], report))
+                tracemalloc.reset_peak()
+                return out
+            return run
+
+        monkeypatch.setattr(spectral, "infinite_hitting_projector", phase(spectral.infinite_hitting_projector))
+        monkeypatch.setattr(spectral.SpectralReport, "split_start", phase(spectral.SpectralReport.split_start))
+        for k in (1, 3, d):
+            if k > 1:
+                z = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+                start = z @ z.conj().T / np.linalg.norm(z) ** 2
+            else:
+                start = hitting.symmetric_state(g, 0)
+            spec = hitting.measured_walk(op, start, final_vertices=[g.num_vertices - 1])
+            held = op.matrix.nbytes + spec.state.nbytes + (spec.columns.nbytes if k > 1 else 0)
+            phases.clear()
+            tracemalloc.start()
+            try:
+                res = hitting.hitting_time_closed_form(spec)
+                solve = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            (eigensolve, report), (split, _) = phases
+            estimates = [spectral.EIGENSOLVE_WORK_ARRAYS * d * d,
+                         report.held_entries + spectral.SPLIT_WORK_ARRAYS * d * k]
+            peaks = [held + eigensolve, held + split]
+            if res.is_finite:
+                estimates.append(hitting.STEIN_WORK_ARRAYS * report.untrapped_dim ** 2 + report.held_entries)
+                peaks.append(held + solve)
+            # 64 KiB for Python objects and index arrays, 0.8% of D^2 at D = 72
+            assert all(peak <= 16 * estimate + 2**16 for peak, estimate in zip(peaks, estimates)), (k, peaks, estimates)
 
     @pytest.mark.parametrize("entry", ["series", "distribution", "decohered-series"])
     def test_density_matrix_series_refuses_before_allocating(self, monkeypatch, entry):
@@ -426,9 +503,14 @@ class TestClosedForm:
             "decohered-series": lambda: decoherence.decohered_hitting_series(pure, ch, 1e-6),
         }
         monkeypatch.setattr(walk.WalkOperator, "apply", refuse)
-        # 7 complex arrays of 64 x 64 (448 KiB) against a 10 kB budget
+        monkeypatch.setattr(walk.WalkOperator, "_gathers", property(refuse))
+        # against a 10 kB budget: the full-rank start's 64 columns, 4 complex
+        # arrays of 64 x 64 (256 KiB), and the channel's density step, 7 of
+        # them (448 KiB)
+        need = 448 if entry == "decohered-series" else 256
         monkeypatch.setattr(walk, "_memory_budget", lambda: 10_000)
-        with pytest.raises(ValueError, match="dimension 64 needs an estimated 448 KiB, over a memory budget of 10 KiB"):
+        assert mixed.columns.shape == (64, 64)
+        with pytest.raises(ValueError, match=f"dimension 64 needs an estimated {need} KiB, over a memory budget of 10 KiB"):
             calls[entry]()
         assert "rho0" not in vars(pure)  # a pure start's rho_0 is not built either
 
@@ -453,7 +535,7 @@ class TestClosedForm:
         g = graphs.build_distorted_hypercube(5)
         spec = hitting.measured_walk(walk.evolution_operator(g, walk.grover_coin(5)),
                                      hitting.symmetric_state(g, 0), final_vertices=[31])
-        with pytest.raises(ValueError, match="dimension 160 needs an estimated 2 MiB, over a memory budget of 1 MiB"):
+        with pytest.raises(ValueError, match="dimension 160 needs an estimated 3 MiB, over a memory budget of 1 MiB"):
             hitting.hitting_time_closed_form(spec)
         monkeypatch.setattr(walk, "PROC_CGROUP", str(tmp_path / "absent"))
         assert walk._memory_budget() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -634,6 +716,55 @@ class TestClosedForm:
         assert singular and smin <= 1e-9 * smax
         smin, smax, singular = hitting.superoperator_singularity(cycle4_deterministic_spec())
         assert not singular and smin > 1e-6 * smax
+
+
+def result_number(res):
+    """tau of a finite result, the escape of an infinite one."""
+    return res.value if res.is_finite else res.escape_probability
+
+
+class TestMixedStartsAcrossRoutes:
+    """A rank-1 start given as a matrix, a rank-2 and a full-rank start, on
+    the Fourier route (hypercube:3) and the dense one (distorted-hypercube:3,
+    cycle:16): the closed form, the unitary series and the dense oracle
+    agree, and so do the decohered closed form and its series."""
+
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    @pytest.mark.parametrize("graph, route", [
+        ("hypercube:3", "fourier"), ("distorted-hypercube:3", "dense"), ("cycle:16", "dense")])
+    def test_every_route_agrees(self, graph, route, coin_kind):
+        kind, _, size = graph.partition(":")
+        g = {"hypercube": graphs.build_hypercube, "distorted-hypercube": graphs.build_distorted_hypercube,
+             "cycle": graphs.build_cycle}[kind](int(size))
+        coin = walk.grover_coin(g.degree_value) if coin_kind == "grover" else walk.dft_coin(g.degree_value)
+        op = walk.evolution_operator(g, coin)
+        d, fin = op.dim, [g.num_vertices - 1]
+        rng = np.random.default_rng(7)
+        psi = hitting.symmetric_state(g, 0)
+        factors = {"rank-1": psi[:, None], "rank-2": rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)),
+                   "full-rank": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))}
+        dephasing = decoherence.dephasing_channel("coin", 0.5, g.num_vertices, g.degree_value)
+        pure = hitting.measured_walk(op, psi, final_vertices=fin)
+        for name, z in factors.items():
+            rho = z @ z.conj().T
+            spec = hitting.measured_walk(op, rho / np.trace(rho).real, final_vertices=fin)
+            assert spec.columns.shape == (d, z.shape[1]), name
+            closed = hitting.hitting_time_closed_form(spec)
+            assert spectral.infinite_hitting_projector(op, fin).route == route
+            for other in (hitting.hitting_time_series(spec, 1e-12), dense_oracle(spec)):
+                assert other.kind == closed.kind, (name, other.method)
+                assert result_number(other) == pytest.approx(result_number(closed), rel=1e-9), (name, other.method)
+            deco = decoherence.decohered_hitting_time(spec, dephasing)
+            series = decoherence.decohered_hitting_series(spec, dephasing, 1e-12)
+            assert deco.kind == series.kind == "finite", name
+            assert series.value == pytest.approx(deco.value, rel=1e-9), name
+            if name == "rank-1":
+                for solve in (hitting.hitting_time_closed_form,
+                              functools.partial(hitting.hitting_time_series, epsilon=1e-12),
+                              functools.partial(decoherence.decohered_hitting_time, ch=dephasing)):
+                    a, b = solve(spec), solve(pure)
+                    assert (a.method, a.kind, a.truncation) == (b.method, b.kind, b.truncation)
+                    assert result_number(a) == pytest.approx(result_number(b), rel=1e-12, abs=1e-12)
 
 
 class TestClassicalRecursion:

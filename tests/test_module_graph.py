@@ -5,7 +5,9 @@ and imports nothing from ``qwlab.spectral``; ``qwlab.spectral`` imports it
 at load time and alone chooses a walk's spectral route; ``qwlab.quotient``
 leaves that choice, and the eigensolve's memory check, to the spectral
 report.  A new route (an S_m or a dihedral frame, say) that brings back the
-import cycle or a second copy of the decision fails here.
+import cycle or a second copy of the decision fails here.  Every hitting-time
+route reads its start in one form, the spec's D x k columns; a second body
+for a vector or a density matrix fails here too.
 """
 
 import ast
@@ -97,3 +99,25 @@ def test_the_closed_form_has_one_body_over_any_frame():
     (frame,) = [node for node in parsed("fourier").body if isinstance(node, ast.ClassDef) and node.name == "Frame"]
     fields = {node.target.id for node in frame.body if isinstance(node, ast.AnnAssign)}
     assert "blocks" not in fields and "chains" in fields
+
+
+def readers(tree: ast.Module, attrs: set) -> set:
+    """The top-level definitions of ``tree`` that read any of ``attrs``."""
+    return {top.name for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr in attrs}
+
+
+def test_every_route_reads_the_start_in_one_form():
+    # a start is read as its D x k columns: the spectral report never asks
+    # whether it was a vector or a matrix, and only the spec itself and the
+    # channel's density step read the vector or the density matrix
+    spectral_tree = parsed("spectral")
+    assert not [node for node in ast.walk(spectral_tree) if isinstance(node, ast.Attribute) and node.attr == "ndim"]
+    hitting_tree, decoherence_tree = parsed("hitting"), parsed("decoherence")
+    assert readers(hitting_tree, {"psi0", "rho0", "state"}) == {"MeasuredWalkSpec"}
+    assert readers(decoherence_tree, {"psi0", "rho0", "state"}) == {"_density_hit_probabilities"}
+    (steps,) = [node for node in hitting_tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_hit_probabilities"]
+    assert [a.arg for a in steps.args.args + steps.args.kwonlyargs] == ["spec"]
+    (report,) = [node for node in spectral_tree.body if isinstance(node, ast.ClassDef) and node.name == "SpectralReport"]
+    assert "escape" not in {node.name for node in report.body if isinstance(node, ast.FunctionDef)}

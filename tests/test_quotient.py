@@ -687,7 +687,7 @@ def permuted_cube_verdict_args(relabel_subgroup: bool):
 
 
 def test_verdict_over_the_memory_budget_raises(monkeypatch):
-    # U (1.1 MiB) and its orbit sums fit in 8 MiB, the eigensolve's six
+    # U (1.1 MiB) and its orbit sums fit in 8 MiB, the eigensolve's seven
     # 384 x 384 complex arrays do not; the spectral report refuses before
     # its eigensolve starts
     def refuse(*args, **kwargs):
@@ -697,7 +697,7 @@ def test_verdict_over_the_memory_budget_raises(monkeypatch):
     assert quotient.quotient_infinite_hitting(u, basis, final).intersection_dim >= 0
     monkeypatch.setattr(walk, "_memory_budget", lambda: 8 * 2**20)
     monkeypatch.setattr(spectral, "_split_stack", refuse)
-    with pytest.raises(ValueError, match="dimension 384 needs an estimated 14 MiB, over a memory budget of 8 MiB"):
+    with pytest.raises(ValueError, match="dimension 384 needs an estimated 16 MiB, over a memory budget of 8 MiB"):
         quotient.quotient_infinite_hitting(u, basis, final)
 
 
@@ -875,7 +875,7 @@ class TestOneWalkForm:
                 verdicts.append(_outcome(quotient.quotient_infinite_hitting, form, basis, final))
             results.append([
                 report.contributions, report.warnings, report.trace_p, report.untrapped,
-                [report.escape(psi) for psi in starts],
+                [spectral.escape_probability(report, psi) for psi in starts],
                 [dataclasses.astuple(hitting.hitting_time_closed_form(
                     hitting.measured_walk(walk._as_walk(form), psi, final_indices=fin))) for psi in starts],
                 verdicts,

@@ -127,7 +127,7 @@ def loop_report(clusters, fin, tol=spectral.CLUSTER_TOL, null_rtol=spectral.NULL
     trapped, untrapped, contributions, warnings = [], [], [], []
     for ci, cluster in enumerate(clusters):
         _, sv, vh = np.linalg.svd(cluster.basis[np.asarray(fin)])
-        cutoff = null_rtol * (sv[0] if sv.size else 0.0)
+        cutoff = max(null_rtol * (sv[0] if sv.size else 0.0), spectral.NULLSPACE_ATOL)
         rank = int(np.sum(sv > cutoff))
         band = int(np.sum((sv > cutoff) & (sv <= 10 * cutoff)))
         if band:
@@ -382,8 +382,9 @@ class TestProjector:
         ("distorted-hypercube:6", "dft"), ("hypercube:6", "grover"), ("hypercube:6", "dft"),
         ("cayley:s4:3gen", "grover"), ("cayley:s4:3gen", "dft")])
     def test_dense_eigensolve_peak_within_its_estimate(self, monkeypatch, descriptor, coin_kind):
-        # EIGENSOLVE_WORK_ARRAYS counts U and a caller's rho_0 beside the
-        # eigensolve's own arrays; the distorted cube is not bipartite and
+        # EIGENSOLVE_WORK_ARRAYS counts U and a caller's rho_0 with its
+        # columns, D x D each at full rank, beside the eigensolve's own
+        # arrays; the distorted cube is not bipartite and
         # takes the eigh, the bipartite walks the parity split (forced below
         # its crossover on the Cayley graph), held to the eigh's peak; the
         # cube's colors are permuted, so that its dense U takes the dense route
@@ -402,7 +403,7 @@ class TestProjector:
             del report
         assert len(splits) == (descriptor != "distorted-hypercube:6")
         unit = 16 * len(u) ** 2
-        assert peaks[1] <= (spectral.EIGENSOLVE_WORK_ARRAYS - 2) * unit
+        assert peaks[1] <= (spectral.EIGENSOLVE_WORK_ARRAYS - 3) * unit
         assert peaks[1] <= peaks[0] + 0.01 * unit  # index arrays and Python objects
 
     def test_dense_report_holds_v_and_builds_w_and_b_on_read(self):
@@ -525,6 +526,47 @@ class TestProjector:
         assert [w.split(" (")[0] for w in report.warnings] == ["cluster 1"]
 
 
+def glued_trees_flip_flop(depth):
+    """(graph, U) of the flip-flop Grover walk on ``build_glued_trees``: each
+    vertex's Grover coin of its own degree, then the shift that swaps the
+    two half-edges of each edge."""
+    g = graphs.build_glued_trees(depth)
+    image = graphs.shift_permutation(g)
+    coin = np.zeros((image.size, image.size))
+    lo = 0
+    for deg in g.degrees:
+        coin[lo:lo + deg, lo:lo + deg] = walk.grover_coin(deg).matrix
+        lo += deg
+    u = np.empty_like(coin)
+    u[image] = coin
+    return g, u
+
+
+class TestRankFloor:
+    def test_rounding_level_overlaps_are_trapped_on_the_glued_trees(self):
+        # D = 56, finals the right root's two half-edges; four two-fold
+        # clusters, at angles +-0.6155 and +-2.5261, have final overlaps of
+        # rounding size only (7e-17 to 4e-16), which the floor counts as
+        # rank 0: 32 trapped dimensions, as a block Krylov space of the
+        # finals finds, where a cutoff relative to each cluster's largest
+        # singular value alone counted 24 and the Stein doubling overflowed
+        g, u = glued_trees_flip_flop(3)
+        fin = [54, 55]
+        report = spectral.infinite_hitting_projector(u, fin)
+        krylov = [np.eye(len(u))[:, fin]]
+        for _ in range(len(u)):
+            krylov.append(u @ krylov[-1])
+        sv = np.linalg.svd(np.hstack(krylov), compute_uv=False)
+        reached = int(np.sum(sv > 1e-8 * sv[0]))
+        assert (report.trapped_dim, report.untrapped_dim, reached) == (32, 24, 24)
+        assert report.warnings == ()
+        spec = hitting.measured_walk(walk.WalkOperator(u), hitting.symmetric_state(g, 0), final_indices=fin)
+        closed, series = hitting.hitting_time_closed_form(spec), hitting.hitting_time_series(spec, 1e-10)
+        assert closed.method == "pseudo_inverse" and series.is_finite
+        assert closed.value == pytest.approx(8.5, rel=1e-12)
+        assert series.value == pytest.approx(closed.value, rel=1e-8)
+
+
 class TestEscape:
     def test_dft_hypercube4_symmetric_start(self):
         g, op, fin = hypercube_setup(4, "dft")
@@ -565,6 +607,8 @@ class TestEscape:
         assert spectral.escape_probability(report, rho) == pytest.approx(
             spectral.escape_probability(report, psi), abs=1e-12
         )
+        with pytest.raises(ValueError, match="vector or a density matrix"):
+            spectral.escape_probability(report, rho[:, :, None])
 
     def test_projector_not_built_for_escape_or_coin_blocks(self):
         g, op, fin = hypercube_setup(3, "dft")
@@ -699,7 +743,7 @@ class TestReadFromUntrapped:
                     want = np.linalg.norm(b.conj().T @ state) ** 2
                 else:
                     want = np.trace(b.conj().T @ state @ b).real
-                assert abs(report.escape(state) - want) <= 1e-13, name
+                assert abs(spectral.escape_probability(report, state) - want) <= 1e-13, name
             rows = np.array([list(r) for r in map(graphs.BasisIndexing.from_graph(g).vertex_indices,
                                                   range(g.num_vertices))])
             blocks = report.vertex_blocks(rows)
@@ -961,9 +1005,11 @@ class TestFourierRoute:
         for c in fr.clusters:
             assert np.max(np.abs(u @ c.basis - c.eigenvalue * c.basis)) <= 1e-10
         rho = spec.rho0
-        assert fr.escape(rho) == pytest.approx(dr.escape(rho), abs=1e-12)
-        assert np.max(np.abs(fr.untrapped_start(rho) - fr.untrapped.conj().T @ rho @ fr.untrapped)) <= 1e-12
+        escapes = [spectral.escape_probability(report, rho) for report in (fr, dr)]
+        assert escapes[0] == pytest.approx(escapes[1], abs=1e-12)
         mixed = hitting.MeasuredWalkSpec(spec.walk, spec.final_indices, rho)
+        start = fr.untrapped_start(mixed.columns)  # W+ Psi, with rho = Psi Psi+
+        assert np.max(np.abs(start @ start.conj().T - fr.untrapped.conj().T @ rho @ fr.untrapped)) <= 1e-12
         assert hitting.hitting_time_closed_form(mixed).value == pytest.approx(
             hitting.hitting_time_closed_form(spec).value, rel=1e-10)
 
