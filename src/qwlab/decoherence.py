@@ -747,6 +747,6 @@ def swap_dephasing(
         norm = sum(abs(k) ** 2 for k in kap)
     if not abs(norm - 1.0) <= COMPLETENESS_ATOL:
         raise ValueError(f"sum |kappa|^2 = {norm} != 1")
-    images = np.array([s.image for s in swaps])
+    images = np.array([s.array for s in swaps])
     weights = np.repeat(kap[:, None], images.shape[1], axis=1)
     return Channel._from_monomials(images, weights)

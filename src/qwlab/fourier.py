@@ -19,8 +19,12 @@ frame.  The cube costs O(2^n n^3) time and O(D (n + |finals|)) memory, and
 builds no D x D array and no D-tall basis unless a basis is read.
 
 This module owns the n-cube's convention (``cube_blocks``, ``_cube_coin``,
-``_entries``) and imports nothing from :mod:`qwlab.spectral`, which splits
-blocks into frames, chooses the route and builds the reports.
+``cube_walk``, ``_entries``) and imports nothing from
+:mod:`qwlab.spectral`, which splits blocks into frames, chooses the route
+and builds the reports.  ``cube_walk`` is its one public reader of a walk:
+it turns a dense one-block n-cube walk into the factored walk of its n x n
+coin and the cube's shift, so that a caller holding the dense U checks it
+once and every later reader takes the O(D n) paths.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .walk import WalkOperator, _check_memory
 
-__all__ = ["Frame", "cube_blocks"]
+__all__ = ["Frame", "cube_blocks", "cube_walk"]
 
 # complex entries the cube's frame holds at once, per D x n and per D x
 # final index (a hitting time's peak by tracemalloc, beside its r x r solve,
@@ -196,6 +200,13 @@ def cube_blocks(coin: np.ndarray) -> np.ndarray:
     return signs[:, :, None] * coin
 
 
+def _cube_shift(n: int) -> np.ndarray:
+    """The image of the n-cube's shift as ``build_hypercube`` colors it:
+    v*n + c goes to (v XOR 2^c)*n + c."""
+    v, c = np.divmod(np.arange(n << n), n)
+    return (v ^ (1 << c)) * n + c
+
+
 def _cube_coin(op: WalkOperator) -> np.ndarray | None:
     """The n x n coin C when the walk is S (I (x) C) on the n-cube that
     ``build_hypercube`` colors, whose shift sends v*n + c to
@@ -214,8 +225,7 @@ def _cube_coin(op: WalkOperator) -> np.ndarray | None:
         n = next((k for k in range(1, 63) if k << k >= d), 0)
     if not 1 <= n < 63 or d != n << n:
         return None
-    v, c = np.divmod(np.arange(d), n)
-    shifted = (v ^ (1 << c)) * n + c
+    shifted = _cube_shift(n)
     if not dense:
         return op.block if np.array_equal(op.image, shifted) else None
     if not np.array_equal(op.image, np.arange(d)):
@@ -226,3 +236,16 @@ def _cube_coin(op: WalkOperator) -> np.ndarray | None:
         return None
     nonzero = np.count_nonzero(np.ascontiguousarray(u).view(np.float64))
     return coins[0] if nonzero == np.count_nonzero(coins.view(np.float64)) else None
+
+
+def cube_walk(op: WalkOperator) -> WalkOperator:
+    """The walk in its factors: a dense one-block walk that is the n-cube's
+    walk, as :func:`_cube_coin` reads it, becomes the walk of its n x n coin
+    and the cube's shift, on the same graph, whose ``matrix`` equals the
+    block entry for entry; any other walk, a factored one included, is
+    returned as it is.  The dense block is checked once, in O(D^2), and
+    never gathered; what reads the result takes its O(D b) paths."""
+    coin = _cube_coin(op)
+    if coin is None or coin is op.block:  # not the cube's walk, or factored already
+        return op
+    return WalkOperator(coin, op.graph, image=_cube_shift(coin.shape[0]))

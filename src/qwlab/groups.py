@@ -1,6 +1,7 @@
 """Permutations of the walk basis, graph automorphisms, and orbits.
 
-A permutation is its image on the flat ``(vertex, color)`` basis;
+A permutation is its image on the flat ``(vertex, color)`` basis, held as
+a tuple and as a read-only index array that every numpy reader takes;
 matrices are materialized on demand.  The automorphism criterion is exact
 integer arithmetic: p is an automorphism iff conjugating the shift
 permutation by p returns it unchanged.
@@ -20,7 +21,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,22 +49,39 @@ SIFT_ENTRIES = 2**20  # permutation entries a batch of Schreier generators holds
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection of ``[0, D)`` stored as its image tuple."""
+    """Bijection of ``[0, D)`` stored as its image tuple, and beside it as
+    ``array``, the same image as a read-only index array that every numpy
+    reader takes.
+
+    A one-dimensional integer array is checked and copied by numpy once; any
+    other image is read entry by entry.  Equality and hashing read the tuple.
+    """
 
     image: tuple[int, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            image = tuple(map(operator.index, self.image))
-        except TypeError:
-            raise ValueError("image entries are not integers") from None
+        image = self.image
+        if isinstance(image, np.ndarray) and image.ndim == 1 and image.dtype.kind in "iu":
+            array = image.astype(np.intp)  # a copy, which the caller cannot change
+            if not np.array_equal(np.sort(array), np.arange(array.size)):
+                raise ValueError("image is not a bijection")
+            image = tuple(array.tolist())
+        else:
+            try:
+                image = tuple(map(operator.index, image))
+            except TypeError:
+                raise ValueError("image entries are not integers") from None
+            if sorted(image) != list(range(len(image))):
+                raise ValueError("image is not a bijection")
+            array = np.fromiter(image, np.intp, len(image))
+        array.flags.writeable = False
         object.__setattr__(self, "image", image)
-        if sorted(image) != list(range(len(image))):
-            raise ValueError("image is not a bijection")
+        object.__setattr__(self, "array", array)
 
     @classmethod
     def identity(cls, dim: int) -> "Permutation":
-        return cls(tuple(range(dim)))
+        return cls(np.arange(dim))
 
     @property
     def degree(self) -> int:
@@ -74,22 +92,21 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.other)(x) = self(other(x))."""
-        return Permutation(tuple(self.image[x] for x in other.image))
+        return Permutation(self.array[other.array])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, x in enumerate(self.image):
-            inv[x] = i
-        return Permutation(tuple(inv))
+        inv = np.empty_like(self.array)
+        inv[self.array] = np.arange(self.degree)
+        return Permutation(inv)
 
     @property
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.image))
+        return bool(np.array_equal(self.array, np.arange(self.degree)))
 
     def matrix(self, dtype=complex) -> np.ndarray:
-        d = len(self.image)
+        d = self.degree
         m = np.zeros((d, d), dtype=dtype)
-        m[np.asarray(self.image), np.arange(d)] = 1
+        m[self.array, np.arange(d)] = 1
         return m
 
 
@@ -134,7 +151,7 @@ class PermGroup:
 
     @functools.cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation(tuple(row)) for row in self.table.tolist())
+        return tuple(Permutation(row) for row in self.table)
 
     @functools.cached_property
     def _row_keys(self) -> frozenset[bytes]:
@@ -143,7 +160,7 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        return np.asarray(p.image, dtype=self.table.dtype).tobytes() in self._row_keys
+        return p.array.astype(self.table.dtype).tobytes() in self._row_keys
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -198,7 +215,7 @@ def direction_perm_to_automorphism(cay: CayleyGraph, dirperm: Permutation) -> Pe
         raise ValueError("graph is not consistently colored")
 
     nbr = g.neighbor_table[0].reshape(g.num_vertices, d)  # nbr[v, c - 1]
-    perm = np.asarray(dirperm.image)
+    perm = dirperm.array
 
     # Down the breadth-first tree: a child's image is its parent's image's
     # neighbor along the permuted color.
@@ -230,7 +247,7 @@ def _basis_image(vmap: Sequence[int], perm: Sequence[int]) -> Permutation:
     0-based color: the graph is regular and consistently colored, so
     (v, c) sits at v * d + c."""
     perm = np.asarray(perm)
-    return Permutation(tuple((np.asarray(vmap)[:, None] * perm.size + perm).ravel().tolist()))
+    return Permutation((np.asarray(vmap)[:, None] * perm.size + perm).ravel())
 
 
 def is_automorphism(g: ColoredGraph, p: Permutation) -> bool:
@@ -238,7 +255,7 @@ def is_automorphism(g: ColoredGraph, p: Permutation) -> bool:
     shift = shift_permutation(g)
     if p.degree != shift.size:
         raise ValueError("permutation dimension does not match the walk basis")
-    img = np.asarray(p.image)
+    img = p.array
     return bool(np.array_equal(shift[img], img[shift]))
 
 
@@ -268,9 +285,9 @@ class _StabilizerChain:
     """Schreier-Sims stabilizer chain of the group generated by ``gens``.
 
     Level i holds a base point, the strong generators fixing every earlier
-    base point, and its transversal: the base point's orbit under those
-    generators, each orbit point with the coset representative that takes
-    the base point there (and its inverse).  Schreier generators of a level
+    base point, stacked as one array, and its transversal: the base point's
+    orbit under those generators, each orbit point with the coset
+    representative that takes the base point there (and its inverse).  Schreier generators of a level
     are sifted through the levels below it; one that does not sift to the
     identity joins the levels it fixes, and checking resumes at the deepest
     of them.  A level whose Schreier generators all sift to the identity is
@@ -280,20 +297,20 @@ class _StabilizerChain:
     ``DEFAULT_MAX_ORDER`` is refused as soon as the bound passes it.
     """
 
-    def __init__(self, gens: Sequence[np.ndarray], degree: int, dtype: type):
+    def __init__(self, gens: np.ndarray, degree: int, dtype: type):
         self.identity = np.arange(degree, dtype=dtype)
         self.base: list[int] = []
-        self.gens: list[list[np.ndarray]] = []
+        self.gens: list[np.ndarray] = []  # gens[i]: level i's generators, one per row
         self.orbits: list[np.ndarray] = []  # orbit points in discovery order
         self.reps: list[np.ndarray] = []  # reps[i][j] takes base[i] to orbits[i][j]
         self.inverses: list[np.ndarray] = []
         self.where: list[np.ndarray] = []  # where[i][x]: index of x in orbits[i], or -1
-        gens = [g for g in gens if not np.array_equal(g, self.identity)]
+        gens = gens[np.any(gens != self.identity, axis=1)]
         for g in gens:
             if np.array_equal(g[self.base], self.base):  # fixes every base point so far
                 self._add_level(g)
         for i in range(len(self.base)):
-            self.gens[i] = [g for g in gens if np.array_equal(g[self.base[:i]], self.base[:i])]
+            self.gens[i] = gens[np.all(gens[:, self.base[:i]] == self.base[:i], axis=1)]
             self._transversal(i)
         i = len(self.base) - 1
         while i >= 0:
@@ -304,7 +321,7 @@ class _StabilizerChain:
             if j == len(self.base):
                 self._add_level(residue)
             for level in range(i + 1, j + 1):
-                self.gens[level].append(residue)
+                self.gens[level] = np.vstack([self.gens[level], residue])
                 self._transversal(level)
             i = j
 
@@ -317,7 +334,7 @@ class _StabilizerChain:
         transversal is built once its generators are in place."""
         point = int(np.argmax(g != self.identity))
         self.base.append(point)
-        self.gens.append([])
+        self.gens.append(np.empty((0, self.identity.size), dtype=self.identity.dtype))
         self.orbits.append(np.array([point]))
         self.reps.append(None)
         self.inverses.append(None)
@@ -327,7 +344,7 @@ class _StabilizerChain:
         """Orbit of base point i under its level's generators, breadth-first,
         refused as soon as it makes the order bound pass DEFAULT_MAX_ORDER;
         the representative of s(x) is s after the representative of x."""
-        gens = np.stack(self.gens[i])
+        gens = self.gens[i]
         others = self.order // self.orbits[i].size
         orbit, parent, gen = [self.base[i]], [0], [0]
         index = {self.base[i]: 0}
@@ -345,7 +362,7 @@ class _StabilizerChain:
         for j in range(1, len(orbit)):
             reps[j] = gens[gen[j]][reps[parent[j]]]
         inverses = np.empty_like(reps)
-        np.put_along_axis(inverses, reps, self.identity, axis=1)
+        inverses[np.arange(len(orbit))[:, None], reps] = self.identity
         where = np.full(self.identity.size, -1)
         where[orbit] = np.arange(len(orbit))
         self.orbits[i] = np.array(orbit)
@@ -359,7 +376,7 @@ class _StabilizerChain:
         through the levels below, with the level where its sift stopped;
         (None, -1) when every one does.  They sift in batches of whole
         generators, of at most SIFT_ENTRIES entries or one generator's."""
-        gens = np.stack(self.gens[i])
+        gens = self.gens[i]
         orbit, degree = self.orbits[i], self.identity.size
         step = max(1, SIFT_ENTRIES // (orbit.size * degree))
         for lo in range(0, len(gens), step):
@@ -397,7 +414,8 @@ def closure(generators: Sequence[Permutation], *, dim: int | None = None) -> Per
         raise ValueError("generators have different degrees")
 
     dtype = _index_dtype(degree)
-    chain = _StabilizerChain([np.asarray(g.image, dtype=dtype) for g in generators], degree, dtype)
+    images = np.array([g.array for g in generators], dtype=dtype).reshape(len(generators), degree)
+    chain = _StabilizerChain(images, degree, dtype)
     _check_memory(degree, 3 * chain.order * degree, dtype)  # the table, its sort keys, the sorted copy
     return PermGroup(generators, chain)
 
@@ -421,7 +439,7 @@ def orbit_labels(grp: PermGroup | Iterable[Permutation], dim: int) -> np.ndarray
     for p in generators_of(grp):
         if p.degree != dim:
             raise ValueError("permutation degree does not match dim")
-        images.append(np.asarray(p.image))
+        images.append(p.array)
     label = np.arange(dim)
     while True:
         new = label

@@ -6,10 +6,17 @@ The uniform superpositions over orbits are the simultaneous eigenvalue-1
 eigenvectors of all sigma(h); as columns they form an isometry B onto the
 symmetric subspace.  When U keeps ran(B), as commuting with every sigma(h)
 implies, the walk restricted there is U_H = B+ U B, a coined walk on a
-smaller quotient graph whose vertices are orbit vertex-sets.  B is never
-formed on these paths: U_H is scaled orbit sums of U's rows and then its
+smaller quotient graph whose vertices are orbit vertex-sets.  U_H is
+scaled orbit sums of U's rows, summed from its factors, and then its
 columns, and the reduced shift B+ S B is a permutation of the orbits,
-read off the shift image.
+read off the shift image; neither forms B.
+
+The verdict reads the walk and the group in their compact forms: a dense
+U that is the n-cube's walk as its coin and shift (``fourier.cube_walk``),
+checked once and never gathered, the group as its generators' index
+arrays, and the trapped subspace's overlap with ran(B) from the narrower
+side, the D x k isometry B in the frame's coordinates when the orbits are
+fewer than either D-tall basis of the report has columns.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import OracleMismatchError, SymmetryError
+from .fourier import cube_walk
 from .graphs import ColoredGraph, glued_trees_columns
 from .groups import PermGroup, Permutation, generators_of, orbit_labels
 from .spectral import _final_array, infinite_hitting_projector
@@ -144,7 +152,7 @@ def check_walk_symmetry(u, grp: PermGroup | Iterable[Permutation]) -> SymmetryCh
     m = _as_walk(u).matrix
     worst = 0.0
     for h in generators_of(grp):
-        img = np.asarray(h.image)
+        img = h.array
         inv = np.empty_like(img)
         inv[img] = np.arange(m.shape[0])
         # sigma(h) U permutes rows; U sigma(h) permutes columns (by inverse).
@@ -391,11 +399,15 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     walk directly.  The measurement must commute with the subgroup, that
     is, no orbit may straddle the finals; otherwise the measured walk
     leaves the quotient.  A final index outside [0, D) raises ValueError.
-    The reduced walk is built first, so that a walk that leaks out of the
-    symmetric subspace raises before either eigensolve.  Each step checks
-    its own memory; the spectral reports choose their routes.
+    A dense U that is the n-cube's walk is read once as its coin and shift
+    (``fourier.cube_walk``), and both the reduced walk and the full report
+    take that factored walk, so U is checked once and never gathered.  The
+    reduced walk is built first, so that a walk that leaks out of the
+    symmetric subspace raises before either eigensolve.  Route 1's overlap
+    is formed from the narrower side (:func:`_shared_directions`).  Each
+    step checks its own memory; the spectral reports choose their routes.
     """
-    op = _as_walk(u)
+    op = cube_walk(_as_walk(u))
     _check_dim(basis, op.dim)
     final = np.unique(_final_array(final_indices, op.dim))
     inside = np.bincount(basis.labels[final], minlength=basis.num_orbits)
@@ -425,18 +437,32 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     )
 
 
-def _shared_directions(report, basis: OrbitBasis) -> int:
+def _shared_directions(report, basis: OrbitBasis, via: str | None = None) -> int:
     """dim(ran B intersect the trapped subspace): the principal angle cosines
     above 1 - ANGLE_ATOL, the singular values of B+ V for the D x t trapped
-    basis V.  The rows of B+ [V W] are orthonormal, so the same k directions
+    basis V.  The rows of B+ [V W] are orthonormal, so the same directions
     have squared sines below 2 ANGLE_ATOL - ANGLE_ATOL^2 against the D x r
-    untrapped basis W; when r < t, k less the singular values of B+ W at or
-    above that bound is counted on W instead."""
-    if report.untrapped_dim < report.trapped_dim:
-        sines = np.linalg.svd(_orbit_sums(report.untrapped, basis, 0), compute_uv=False)
-        return basis.num_orbits - int(np.sum(sines**2 >= 2 * ANGLE_ATOL - ANGLE_ATOL**2))
-    cosines = np.linalg.svd(_orbit_sums(report.basis, basis, 0), compute_uv=False)
-    return int(np.sum(cosines > 1.0 - ANGLE_ATOL))
+    untrapped basis W, and k less the singular values of W+ B at or above
+    that bound counts them too.
+
+    The overlap is formed from the narrower side, or from the one ``via``
+    names, which the tests use to force each side.  With fewer orbits than both bases have columns, k < min(r, t), W+ B is
+    read from the frame's coordinates of B (``"coordinates"``,
+    ``report.untrapped_start``) and neither D-tall basis is built;
+    otherwise it is the orbit sums of W when r < t (``"untrapped"``), else
+    B+ V is the orbit sums of V (``"trapped"``)."""
+    k, r, t = basis.num_orbits, report.untrapped_dim, report.trapped_dim
+    if via is None:
+        via = "coordinates" if k < min(r, t) else "untrapped" if r < t else "trapped"
+    if via == "trapped":
+        cosines = np.linalg.svd(_orbit_sums(report.basis, basis, 0), compute_uv=False)
+        return int(np.sum(cosines > 1.0 - ANGLE_ATOL))
+    if via == "coordinates":
+        overlap = report.untrapped_start(basis.matrix)
+    else:
+        overlap = _orbit_sums(report.untrapped, basis, 0)
+    sines = np.linalg.svd(overlap, compute_uv=False)
+    return k - int(np.sum(sines**2 >= 2 * ANGLE_ATOL - ANGLE_ATOL**2))
 
 
 def quotient_automorphism_check(
@@ -447,7 +473,7 @@ def quotient_automorphism_check(
     ``s_h`` is the reduced shift's orbit image.  Raises when p does not map
     orbits onto orbits (membership in the orbit-stabilizing subgroup fails).
     """
-    induced = _orbit_map(basis, np.asarray(p.image), "permutation")
+    induced = _orbit_map(basis, p.array, "permutation")
     s_h = np.asarray(s_h)
     return bool(np.array_equal(s_h[induced], induced[s_h]))
 

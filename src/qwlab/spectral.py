@@ -624,10 +624,11 @@ def _rank_clusters(frame: fourier.Frame, finals: np.ndarray) -> tuple[np.ndarray
         cutoff = np.maximum(NULLSPACE_RTOL * sv[:, :1], NULLSPACE_ATOL)
         kept = sv > cutoff  # the first rank of each row
         rank[group] = kept.sum(axis=1)
-        for i, band in zip(group.tolist(), np.sum(kept & (sv <= 10 * cutoff), axis=1).tolist()):
-            if band:
-                warnings.append((i, f"cluster {i} (eigenvalue {complex(frame.lams[i]):.6f}): "
-                                 f"{band} singular value(s) within 10x of cutoff"))
+        band = np.sum(kept & (sv <= 10 * cutoff), axis=1)
+        for j in np.flatnonzero(band).tolist():
+            i = int(group[j])
+            warnings.append((i, f"cluster {i} (eigenvalue {complex(frame.lams[i]):.6f}): "
+                             f"{band[j]} singular value(s) within 10x of cutoff"))
         z, fin = np.where(kept[:, :, None], vh, 0.0), u * (sv * kept)[:, None, :]
         ranked.append((group, rows, kept, gathered, z, fin))
     first, spare = np.cumsum(rank) - rank, rank.sum()  # each cluster's first column of W, and past the last

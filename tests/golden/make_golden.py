@@ -8,11 +8,12 @@ output, and read the diff before committing it:
 The battery runs ``hitting``, closed form and series, on small walks of
 every graph family, both coins, the symmetric and a basis start and two
 finals; ``sweep-decoherence`` with the three dephasing kinds at p = 0 and
-0.5; and the README's ``spectrum``, ``quotient``, ``dfs`` and ``classical``
-runs.  Each entry is the command line after ``$ qwlab``, its exit code,
-then what it wrote to stdout and, prefixed ``! ``, to stderr.  The
-manifest's SHA-256 lines are dropped and its numpy version is masked, so
-that a numpy upgrade alone moves no line.  ``tests/test_golden.py`` reruns
+0.5; ``spectrum`` on every one of those walks, all with D <= 160, with
+both coins and both finals; and the README's ``spectrum``, ``quotient``,
+``dfs`` and ``classical`` runs.  Each entry is the command line after
+``$ qwlab``, its exit code, then what it wrote to stdout and, prefixed
+``! ``, to stderr.  The manifest's SHA-256 lines are dropped and its numpy
+version is masked, so that a numpy upgrade alone moves no line.  ``tests/test_golden.py`` reruns
 every command in process and compares.
 """
 
@@ -62,7 +63,11 @@ def commands() -> list[str]:
                         out.append(f"hitting {walk} --start {start} --final {final} --method {method}")
             if graph in STEPPED_GRAPHS:
                 out.append(f"sweep-decoherence {walk} --kinds both,coin,position --p-grid 0,0.5")
-    return out + README_RUNS
+    for graph in HITTING_GRAPHS:
+        for coin in ("grover", "dft"):
+            for final in ("all-ones", "all-ones-but-last"):
+                out.append(f"spectrum --graph {graph} --coin {coin} --final {final}")
+    return [c for c in out if c not in README_RUNS] + README_RUNS
 
 
 def run(command: str) -> list[str]:

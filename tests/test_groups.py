@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import tracemalloc
 
@@ -579,3 +580,76 @@ class TestDirectionPreserving:
         translations = {groups.left_translation(cay, a).image for a in cay.elements}
         assert found == translations
         assert len(found) == 6
+
+
+# order and the first 16 hex digits of the SHA-256 of the little-endian
+# table bytes of each chain case, as the tuple-built chain listed them
+TABLE_DIGESTS = {
+    'hypercube:3/full': (6, '2f64dd6865db2b81'),
+    'hypercube:4/full': (24, 'ef75446bb704e954'),
+    'hypercube:5/full': (120, 'aa16906106ce6f21'),
+    'hypercube:6/full': (720, '30cfd30c789165bc'),
+    'hypercube:7/full': (5040, 'f5a7ed826aa09e5e'),
+    'hypercube:6/(1,2)(3,4)': (2, 'fa9c9986c74a6ab6'),
+    'hypercube:5/(1,2,3,4,5)': (5, '5193447c32c17e72'),
+    'cayley:s3:2gen/full': (2, '68505f0ee61e16ff'),
+    'cayley:s3:3gen/full': (6, 'a0185efae0441448'),
+    'cayley:s3:3gen/(1,2,3)': (3, '0215d8d2d928dafc'),
+    'cayley:s4:3gen/full': (6, '764457d6e0840dd1'),
+    'cayley:s4:3gen/(1,2,3)': (3, '4a79a450b81633de'),
+    'cayley:s3:2gen/translations': (6, 'a71a15c796a3f541'),
+    'cayley:s4:3gen/translations': (24, 'f2d569ce26ff7b3c'),
+    'hypercube:4/translations': (16, 'f476dbc23ca8d749'),
+    'hypercube:3/translations+(1,2)': (16, '8521294c4847ec3c'),
+    'hypercube:4/translations+full': (384, '4d5c535a1f62b829'),
+    'hypercube:5/(1,2)+translation': (4, 'f54033548c43e7e6'),
+    'hypercube:4/identity,duplicates': (24, 'ef75446bb704e954'),
+    'hypercube:4/redundant': (24, 'ef75446bb704e954'),
+    'hypercube:4/identity only': (1, 'd9f3c8064105485f'),
+    'degree 1': (1, '96a296d224f285c6'),
+    'degree 0': (1, 'e3b0c44298fc1c14'),
+}
+
+
+class TestPermutationArrays:
+    """A permutation keeps its image as a read-only index array beside the
+    tuple; the array readers give what the tuple readers gave."""
+
+    @pytest.mark.parametrize("image", [
+        [0, 0, 1], [0, 3, 1], [-1, 0, 1], [2, 0, 1, 5], np.array([0.0, 1.0]), np.array([True, False]),
+        np.array([[0, 1]]), np.array([1, 0], dtype=np.uint8), np.array([2**62, 0]), np.array([], dtype=int),
+        np.array([2, 0, 1], dtype=np.int16)])
+    def test_an_array_raises_as_its_tuple_does(self, image):
+        arr = np.asarray(image)
+        outcomes = []
+        for form in (arr, tuple(arr)):
+            try:
+                p = Permutation(form)
+                outcomes.append((p.image, p.array.tolist(), p.array.dtype))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_the_array_is_a_read_only_copy(self):
+        source = np.array([2, 0, 1])
+        p = Permutation(source)
+        source[0] = 1
+        assert p.image == (2, 0, 1) and all(type(x) is int for x in p.image)
+        assert p.array.tolist() == [2, 0, 1] and not p.array.flags.writeable
+        assert p == Permutation((2, 0, 1)) and hash(p) == hash(Permutation((2, 0, 1)))
+        with pytest.raises(ValueError):
+            p.array[0] = 0
+
+    @pytest.mark.parametrize("case", list(CHAIN_CASES))
+    def test_closure_orders_and_tables_are_unchanged(self, case):
+        grp = groups.closure(CHAIN_CASES[case]())
+        digest = hashlib.sha256(grp.table.astype("<i2").tobytes()).hexdigest()[:16]
+        assert (grp.order, digest) == TABLE_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", ["hypercube:5/full", "hypercube:4/translations+full", "degree 0"])
+    def test_elements_equal_the_tuple_built_elements(self, case):
+        grp = groups.closure(CHAIN_CASES[case]())
+        built = tuple(Permutation(tuple(row)) for row in grp.table.tolist())
+        assert grp.elements == built
+        assert all(np.array_equal(p.array, q.array) for p, q in zip(grp.elements, built))
+        assert all(p in grp for p in grp.elements)

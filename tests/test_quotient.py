@@ -581,7 +581,12 @@ def test_symmetry_paths_build_no_dense_isometry_or_shift(monkeypatch, descriptor
     final = graphs.BasisIndexing.from_graph(g).indices_for([cay.vertex_index[cay.identity]])
     quotient.quotient_infinite_hitting(op, basis, final)
     assert len(made) == 3
-    assert all("matrix" not in vars(b) for b in made)
+    assert all("matrix" not in vars(b) for b in made[:2])
+    # the verdict reads the D x k isometry only on the narrow side, with
+    # fewer orbits than either D-tall basis of the report has columns
+    report = spectral.infinite_hitting_projector(op, final)
+    narrow = basis.num_orbits < min(report.trapped_dim, report.untrapped_dim)
+    assert ("matrix" in vars(basis)) == narrow
 
 
 @pytest.mark.parametrize("subgroup", ["(1,2)", "full"])
@@ -906,3 +911,72 @@ class TestOneWalkForm:
         permuted_basis = quotient.orbit_basis(relabelled_group(gens, image), op.dim)
         assert verdict == quotient.quotient_infinite_hitting(permuted, permuted_basis, image[final])
         assert verdict.full_trace == float(spectral.infinite_hitting_projector(op, final).trapped_dim)
+
+
+VERDICT_GRAPHS = [f"hypercube:{n}" for n in range(3, 7)] + ["cayley:s3:2gen", "cayley:s3:3gen", "cayley:s4:3gen"]
+VERDICT_SUBGROUPS = {"adjacent": None, "(1,2)": ["(1,2)"], "(1,2),(2,3)": ["(1,2)", "(2,3)"]}
+S4_FINAL_WORDS = ((1, 3, 2, 1), (2, 3, 1, 2))
+
+
+def verdict_cases():
+    """(graph, subgroup, finals): every subgroup that fits the degree, with
+    the far vertex of a cube or the identity of a Cayley graph as final,
+    and S4's pair of finals besides."""
+    for descriptor in VERDICT_GRAPHS:
+        finals = ["far" if descriptor.startswith("hypercube") else "identity"]
+        finals += ["s4"] if descriptor == "cayley:s4:3gen" else []
+        for name in VERDICT_SUBGROUPS:
+            if not (descriptor == "cayley:s3:2gen" and name == "(1,2),(2,3)"):
+                yield from ((descriptor, name, f) for f in finals)
+
+
+def verdict_args(descriptor, subgroup, finals, coin="grover"):
+    """(factored walk, orbit basis, final indices) of one verdict case."""
+    g, cay, _ = cli.resolve_graph(descriptor, None)
+    c = walk.grover_coin(cay.degree) if coin == "grover" else walk.dft_coin(cay.degree)
+    op = walk.evolution_operator(g, c)
+    texts = VERDICT_SUBGROUPS[subgroup] or [f"({i},{i + 1})" for i in range(1, cay.degree)]
+    basis = quotient.orbit_basis(cli.resolve_subgroup(texts, cay), op.dim)
+    if finals == "s4":
+        vertices = sorted(cay.vertex_of_word(w) for w in S4_FINAL_WORDS)
+        assert vertices == [20, 23]
+    else:
+        vertices = [g.num_vertices - 1] if finals == "far" else [cay.vertex_index[cay.identity]]
+    return op, basis, graphs.BasisIndexing.from_graph(g).indices_for(vertices)
+
+
+@pytest.mark.parametrize("descriptor, subgroup, finals", list(verdict_cases()))
+def test_the_dense_verdict_equals_the_factored_one_on_every_side(descriptor, subgroup, finals):
+    # the dense U of a cube is read as its factors; any U, dense or not,
+    # gives one count whichever side the principal-angle overlap is formed on
+    op, basis, fin = verdict_args(descriptor, subgroup, finals)
+    verdict = quotient.quotient_infinite_hitting(op, basis, fin)
+    dense = quotient.quotient_infinite_hitting(op.matrix, basis, fin)
+    assert (dense.intersection_dim, dense.full_trace, dense.quotient_trace) == (
+        verdict.intersection_dim, verdict.full_trace, verdict.quotient_trace)
+    report = spectral.infinite_hitting_projector(op, fin)
+    counts = {via: quotient._shared_directions(report, basis, via) for via in ("coordinates", "untrapped", "trapped")}
+    assert counts == dict.fromkeys(counts, verdict.intersection_dim)
+
+
+@pytest.mark.parametrize("descriptor, subgroup, finals", list(verdict_cases()))
+def test_a_leaking_dft_walk_raises_alike_in_either_form(descriptor, subgroup, finals):
+    op, basis, fin = verdict_args(descriptor, subgroup, finals, coin="dft")
+    outcome = _outcome(quotient.quotient_infinite_hitting, op, basis, fin)
+    assert outcome.startswith("walk leaks out of the symmetric subspace")
+    assert _outcome(quotient.quotient_infinite_hitting, op.matrix, basis, fin) == outcome
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_dense_cube_verdict_hands_the_quotient_no_dense_block(monkeypatch, n):
+    op, basis, fin = verdict_args(f"hypercube:{n}", "adjacent", "far")
+    reduce, seen = quotient.quotient_walk, []
+
+    def factored_only(u, b):
+        assert isinstance(u, walk.WalkOperator) and u.block.shape == (n, n)
+        seen.append(u)
+        return reduce(u, b)
+
+    monkeypatch.setattr(quotient, "quotient_walk", factored_only)
+    verdict = quotient.quotient_infinite_hitting(op.matrix, basis, fin)
+    assert len(seen) == 1 and verdict.intersection_dim == 0

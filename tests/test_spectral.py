@@ -8,8 +8,8 @@ import pytest
 
 from qwlab import cli, fourier, graphs, hitting, quotient, spectral, walk
 
-from conftest import (battery, color_permuted, color_shift, full_direction_group, random_unitary, relabelled,
-                      trapped_projector)
+from conftest import (battery, color_permuted, color_shift, direction_group, full_direction_group, random_unitary,
+                      relabelled, trapped_projector)
 
 
 def hypercube_setup(n, coin_kind):
@@ -828,8 +828,15 @@ class TestTrappedBasisOnRead:
         fin = graphs.BasisIndexing.from_graph(cay.graph).indices_for(finals)
         report = spectral.infinite_hitting_projector(op.matrix, fin)
         assert (report.trapped_dim, report.untrapped_dim) == (18, 54)
+        # the full group's 14 orbits are fewer than either basis has columns,
+        # so neither is built; the 38 orbits of (1,2) are not, and with
+        # t <= r the trapped basis is read
+        full = quotient.orbit_basis(full_direction_group(cay), op.dim)
+        assert quotient.quotient_infinite_hitting(op.matrix, full, fin).intersection_dim == 2
+        swap = quotient.orbit_basis(direction_group(cay, "(1,2)"), op.dim)
+        assert swap.num_orbits == 38
         with pytest.raises(Built):
-            quotient.quotient_infinite_hitting(op.matrix, quotient.orbit_basis(full_direction_group(cay), op.dim), fin)
+            quotient.quotient_infinite_hitting(op.matrix, swap, fin)
 
     def test_basis_refused_before_it_allocates(self, monkeypatch):
         _, op, fin = hypercube_setup(4, "dft")
@@ -1174,3 +1181,38 @@ class TestCubeRecognizer:
                 spectral.infinite_hitting_projector(u, [0])
         else:
             assert spectral.infinite_hitting_projector(u, [0]).route == "dense"
+
+
+class TestCubeWalk:
+    """``fourier.cube_walk`` reads a dense n-cube walk as its factors, once,
+    and hands every other walk back as it is."""
+
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_a_dense_cube_becomes_its_coin_and_shift(self, n, coin_kind):
+        g = graphs.build_hypercube(n)
+        coin = walk.grover_coin(n) if coin_kind == "grover" else walk.dft_coin(n)
+        op = walk.evolution_operator(g, coin)
+        u = op.matrix
+        got = fourier.cube_walk(walk.WalkOperator(u))
+        assert got.block.dtype == coin.matrix.dtype and np.array_equal(got.block, coin.matrix)
+        assert np.array_equal(got.image, op.image)
+        assert not np.shares_memory(got.block, u)
+        m = got.matrix
+        assert m.dtype == u.dtype and np.array_equal(m.view(np.float64), u.view(np.float64))
+        assert np.array_equal(np.signbit(m.view(np.float64)), np.signbit(u.view(np.float64)))
+        assert fourier.cube_walk(op) is op  # already factored
+
+    @pytest.mark.parametrize("case", [
+        *(f"permuted-hypercube:{n}-{coin}" for n in (2, 4, 6) for coin in ("grover", "dft")),
+        *(f"distorted-hypercube:{n}" for n in range(3, 7)),
+        "cayley:s3:2gen", "cayley:s3:3gen", "cayley:s4:3gen", "cycle:8"])
+    def test_every_other_walk_is_returned_as_it_is(self, case):
+        if case.startswith("permuted"):
+            descriptor, coin_kind = case.removeprefix("permuted-").rsplit("-", 1)
+            g, u = dense_walk(descriptor, coin_kind)
+            u = color_permuted(u, g.degree_value)
+        else:
+            g, u = dense_walk(case, "grover")
+        for op in (walk.WalkOperator(u), walk.evolution_operator(g, walk.grover_coin(g.degree_value))):
+            assert fourier.cube_walk(op) is op
