@@ -437,30 +437,33 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     )
 
 
-def _shared_directions(report, basis: OrbitBasis, via: str | None = None) -> int:
-    """dim(ran B intersect the trapped subspace): the principal angle cosines
-    above 1 - ANGLE_ATOL, the singular values of B+ V for the D x t trapped
-    basis V.  The rows of B+ [V W] are orthonormal, so the same directions
-    have squared sines below 2 ANGLE_ATOL - ANGLE_ATOL^2 against the D x r
-    untrapped basis W, and k less the singular values of W+ B at or above
-    that bound counts them too.
-
-    The overlap is formed from the narrower side, or from the one ``via``
-    names, which the tests use to force each side.  With fewer orbits than both bases have columns, k < min(r, t), W+ B is
-    read from the frame's coordinates of B (``"coordinates"``,
-    ``report.untrapped_start``) and neither D-tall basis is built;
-    otherwise it is the orbit sums of W when r < t (``"untrapped"``), else
-    B+ V is the orbit sums of V (``"trapped"``)."""
+def _shared_directions(report, basis: OrbitBasis) -> int:
+    """dim(ran B intersect the trapped subspace), counted from the narrower
+    side of the principal-angle overlap.  With fewer orbits than both the
+    D x r untrapped and the D x t trapped basis have columns, k < min(r, t),
+    W+ B is read from the frame's coordinates of B, refused first by the
+    report's split estimate (``report.split_start``), and neither D-tall
+    basis is built; otherwise it is the orbit sums of W when r < t, else
+    B+ V is the orbit sums of V."""
     k, r, t = basis.num_orbits, report.untrapped_dim, report.trapped_dim
-    if via is None:
-        via = "coordinates" if k < min(r, t) else "untrapped" if r < t else "trapped"
-    if via == "trapped":
-        cosines = np.linalg.svd(_orbit_sums(report.basis, basis, 0), compute_uv=False)
-        return int(np.sum(cosines > 1.0 - ANGLE_ATOL))
-    if via == "coordinates":
-        overlap = report.untrapped_start(basis.matrix)
-    else:
-        overlap = _orbit_sums(report.untrapped, basis, 0)
+    if k < min(r, t):
+        return _count_from_untrapped(report.split_start(basis.matrix)[1], k)
+    if r < t:
+        return _count_from_untrapped(_orbit_sums(report.untrapped, basis, 0), k)
+    return _count_from_trapped(_orbit_sums(report.basis, basis, 0))
+
+
+def _count_from_trapped(overlap: np.ndarray) -> int:
+    """The principal angle cosines above 1 - ANGLE_ATOL: the singular values
+    of the k x t overlap B+ V with the trapped basis V."""
+    return int(np.sum(np.linalg.svd(overlap, compute_uv=False) > 1.0 - ANGLE_ATOL))
+
+
+def _count_from_untrapped(overlap: np.ndarray, k: int) -> int:
+    """The same count from the r x k (or k x r) overlap W+ B with the
+    untrapped basis W: the rows of B+ [V W] are orthonormal, so a shared
+    direction has squared sine below 2 ANGLE_ATOL - ANGLE_ATOL^2 against W,
+    and k less the singular values at or above that bound counts them."""
     sines = np.linalg.svd(overlap, compute_uv=False)
     return k - int(np.sum(sines**2 >= 2 * ANGLE_ATOL - ANGLE_ATOL**2))
 

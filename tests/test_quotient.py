@@ -954,9 +954,53 @@ def test_the_dense_verdict_equals_the_factored_one_on_every_side(descriptor, sub
     dense = quotient.quotient_infinite_hitting(op.matrix, basis, fin)
     assert (dense.intersection_dim, dense.full_trace, dense.quotient_trace) == (
         verdict.intersection_dim, verdict.full_trace, verdict.quotient_trace)
+    report, k = spectral.infinite_hitting_projector(op, fin), basis.num_orbits
+    counts = [
+        quotient._count_from_untrapped(report.untrapped_start(basis.matrix), k),
+        quotient._count_from_untrapped(quotient._orbit_sums(report.untrapped, basis, 0), k),
+        quotient._count_from_trapped(quotient._orbit_sums(report.basis, basis, 0)),
+    ]
+    assert counts == [verdict.intersection_dim] * 3
+
+
+def test_the_verdict_battery_takes_every_side_of_the_overlap(monkeypatch):
+    # the narrow-side choice is made by the verdict itself: the full groups
+    # of hypercube:4-6 and the larger Cayley graphs read the coordinates of
+    # B, the smaller subgroups of hypercube:5-6 the orbit sums of W, and
+    # hypercube:3 and (1,2) on hypercube:4 and the Cayley graphs those of V
+    trapped_read = []
+    count = quotient._count_from_trapped
+    monkeypatch.setattr(quotient, "_count_from_trapped", lambda o: trapped_read.append(1) or count(o))
+    sides = {}
+    for case in verdict_cases():
+        op, basis, fin = verdict_args(*case)
+        trapped_read.clear()
+        quotient.quotient_infinite_hitting(op, basis, fin)
+        side = "trapped" if trapped_read else "coordinates" if "matrix" in vars(basis) else "untrapped"
+        sides.setdefault(side, []).append(case[:2])
+    assert set(sides) == {"coordinates", "untrapped", "trapped"}
+    assert ("hypercube:6", "adjacent") in sides["coordinates"]
+    assert ("hypercube:6", "(1,2)") in sides["untrapped"]
+    assert ("cayley:s4:3gen", "(1,2)") in sides["trapped"]
+
+
+def test_coordinates_of_the_isometry_refused_before_they_allocate(monkeypatch):
+    # hypercube:6 under its full group: 12 orbits, fewer than r = 72 and
+    # t = 312, so W+ B is read from the frame's coordinates of B.  Beside
+    # the 36864 entries a hitting time holds, four 384 x 12 complex arrays
+    # (864 KiB) against a 512 KiB budget are refused before the frame
+    # transforms B; the 384 x 12 real B itself (36 KiB) fits
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame's coordinates were formed")
+
+    op, basis, fin = verdict_args("hypercube:6", "adjacent", "far")
     report = spectral.infinite_hitting_projector(op, fin)
-    counts = {via: quotient._shared_directions(report, basis, via) for via in ("coordinates", "untrapped", "trapped")}
-    assert counts == dict.fromkeys(counts, verdict.intersection_dim)
+    assert (basis.num_orbits, report.untrapped_dim, report.trapped_dim) == (12, 72, 312)
+    assert report.held_entries == 36864
+    monkeypatch.setattr(walk, "_memory_budget", lambda: 512 * 2**10)
+    monkeypatch.setattr(type(report.frame), "coordinates", refuse)
+    with pytest.raises(ValueError, match="dimension 384 needs an estimated 864 KiB, over a memory budget of 512 KiB"):
+        quotient._shared_directions(report, basis)
 
 
 @pytest.mark.parametrize("descriptor, subgroup, finals", list(verdict_cases()))
