@@ -293,11 +293,10 @@ def _monomial_apply(image: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np
     return out
 
 
-def _monomial_adjoint(image: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(image, weights) of A+, which sends e_image[j] to weights[j]* e_j."""
-    inverse = np.empty_like(image)
-    inverse[image] = np.arange(image.size)
-    return inverse, weights.conj()[inverse]
+def _monomial_adjoint(image: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A+ x for the same A, which sends e_image[j] to weights[j]* e_j: one
+    gather, (A+ x)_j = weights[j]* x_image[j]."""
+    return (weights.conj() * x[image].T).T
 
 
 def _channel_map(ch: Channel, *, adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
@@ -512,10 +511,8 @@ def _kraus_actions(ch: Channel, *, adjoint: bool) -> list[Callable[[np.ndarray],
     columns; monomial A_i act by gathers, O(D) per column."""
     if ch.monomials is None:
         return _dense_actions([a.conj().T if adjoint else a for a in ch.kraus])
-    pairs = zip(*ch.monomials)
-    if adjoint:
-        pairs = (_monomial_adjoint(*a) for a in pairs)
-    return [functools.partial(_monomial_apply, *a) for a in pairs]
+    act = _monomial_adjoint if adjoint else _monomial_apply
+    return [functools.partial(act, *a) for a in zip(*ch.monomials)]
 
 
 def _trapped_basis(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:

@@ -112,16 +112,14 @@ class Frame:
     starts[g] to starts[g] + L - 1 and blocks[g] the L x L matrix y+ U y on
     them, zero between members of different clusters; U has no entry
     between chains, to the eigensolve's tolerance.
-    ``lams`` holds the clusters' eigenvalues in phase order, ``labels[j]``
-    member j's cluster, and cluster p's members are
-    ``members[bounds[p]:bounds[p + 1]]``.
+    ``lams`` holds the clusters' eigenvalues in phase order, and cluster
+    p's members are ``members[bounds[p]:bounds[p + 1]]``.
     """
 
     bits: int
     chains: tuple[tuple[np.ndarray, np.ndarray], ...]
     vectors: np.ndarray
     lams: np.ndarray
-    labels: np.ndarray
     members: np.ndarray
     bounds: np.ndarray
 

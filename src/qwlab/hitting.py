@@ -107,8 +107,10 @@ METHOD_SERIES = "series"
 class MeasuredWalkSpec:
     """Walk operator, final-vertex projector, and start state.
 
-    ``final_indices`` lists the flat basis indices supporting P_f (all coin
-    states of the final vertices for a coined walk).  ``state`` is the start
+    ``final_indices`` (also ``final_array``) holds the flat basis indices
+    supporting P_f (all coin states of the final vertices for a coined
+    walk) as ``spectral._final_array`` gives them: read-only, sorted,
+    without repeats and range-checked.  ``state`` is the start
     as given, a unit vector psi_0 or a density matrix rho_0, and
     ``columns`` the one form every route reads: the D x k columns Psi with
     rho_0 = Psi Psi+, built once here.  A vector is its own single column,
@@ -119,7 +121,7 @@ class MeasuredWalkSpec:
     """
 
     walk: WalkOperator
-    final_indices: tuple[int, ...]
+    final_indices: np.ndarray
     state: np.ndarray
     columns: np.ndarray = field(init=False, repr=False)
 
@@ -139,11 +141,9 @@ class MeasuredWalkSpec:
             raise ValueError(f"start state of shape {state.shape} does not match dimension {d}")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "columns", _start_columns(state))
-        fin = tuple(sorted(set(int(i) for i in self.final_indices)))
-        if not fin:
+        fin = spectral._final_array(self.final_indices, d)
+        if not fin.size:
             raise ValueError("final projector must have positive rank")
-        if fin[0] < 0 or fin[-1] >= d:
-            raise ValueError("final index out of range")
         object.__setattr__(self, "final_indices", fin)
 
     @property
@@ -161,7 +161,7 @@ class MeasuredWalkSpec:
 
     @property
     def final_array(self) -> np.ndarray:
-        return np.asarray(self.final_indices, dtype=int)
+        return self.final_indices
 
 
 def symmetric_state(g: ColoredGraph, vertex: int = 0) -> np.ndarray:
@@ -198,11 +198,8 @@ def measured_walk(
     if final_indices is None:
         if walk.graph is None:
             raise ValueError("walk has no graph; use final_indices")
-        verts = tuple(sorted(set(int(v) for v in final_vertices)))
-        final_indices = BasisIndexing.from_graph(walk.graph).indices_for(verts)
-    return MeasuredWalkSpec(
-        walk=walk, final_indices=tuple(int(i) for i in final_indices), state=start
-    )
+        final_indices = BasisIndexing.from_graph(walk.graph).indices_for(final_vertices)
+    return MeasuredWalkSpec(walk=walk, final_indices=final_indices, state=start)
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +304,9 @@ def _accumulate_series(
     below STALL_GAIN across ``stall_window`` consecutive steps) classifies
     the walk as infinite-hitting with escape estimate 1 - mass: the decaying
     component of a measured walk loses mass geometrically, so a flat stretch
-    this long means the remainder is trapped.
+    this long means the remainder is trapped.  A stall within ESCAPE_ATOL
+    of the target is the mass sum's rounding, an arrival with a finite
+    result, as an escape that small is for the closed form.
     """
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
@@ -319,17 +318,12 @@ def _accumulate_series(
         mass += p
         tau += t * p
         if mass >= target:
-            return HittingResult(
-                METHOD_SERIES, value=tau, arrival_mass=mass, truncation=t
-            )
+            return HittingResult(METHOD_SERIES, value=tau, arrival_mass=mass, truncation=t)
         if t - mark_step >= stall_window:
             if mass - mark_mass < STALL_GAIN:
-                return HittingResult(
-                    METHOD_SERIES,
-                    escape_probability=1.0 - mass,
-                    arrival_mass=mass,
-                    truncation=t,
-                )
+                if mass >= target - ESCAPE_ATOL:
+                    return HittingResult(METHOD_SERIES, value=tau, arrival_mass=mass, truncation=t)
+                return HittingResult(METHOD_SERIES, escape_probability=1.0 - mass, arrival_mass=mass, truncation=t)
             mark_step, mark_mass = t, mass
     raise IndeterminateError(
         f"series did not reach mass {target:.12g} or stall within {step_cap} steps"
@@ -466,14 +460,13 @@ def _vec_identity_dot(w: np.ndarray) -> float:
     return float(np.real(w[:: d + 1].sum()))
 
 
-def superoperator_singularity(
-    spec: MeasuredWalkSpec, *, singular_rtol: float = SINGULAR_RTOL
-) -> tuple[float, float, bool]:
-    """(sigma_min, sigma_max, is_singular) of I - N by dense SVD."""
+def superoperator_singularity(spec: MeasuredWalkSpec) -> tuple[float, float, bool]:
+    """(sigma_min, sigma_max, is_singular) of I - N by dense SVD, singular
+    below SINGULAR_RTOL relative."""
     n_mat, _ = superoperators(spec)
     m = np.eye(n_mat.shape[0]) - n_mat
     sv = np.linalg.svd(m, compute_uv=False)
-    return float(sv[-1]), float(sv[0]), bool(sv[-1] <= singular_rtol * sv[0])
+    return float(sv[-1]), float(sv[0]), bool(sv[-1] <= SINGULAR_RTOL * sv[0])
 
 
 def closed_form_engine(
@@ -481,33 +474,31 @@ def closed_form_engine(
     y_mat: np.ndarray,
     rho_vec: np.ndarray,
     *,
-    singular_rtol: float = SINGULAR_RTOL,
-    escape_atol: float = ESCAPE_ATOL,
     escape_fn=None,
 ) -> HittingResult:
     """Invert/pseudo-invert policy on dense vectorized superoperators: the
     small-D test oracle of both closed forms, called by no production path.
 
-    ``escape_fn`` is called only when I - N is singular and must return the
-    never-arriving mass; escape above ``escape_atol`` classifies the walk as
-    infinite, otherwise the pseudo-inverse (relative singular value cutoff)
-    replaces the inverse.
+    ``escape_fn`` is called only when I - N is singular to SINGULAR_RTOL
+    and must return the never-arriving mass; escape above ESCAPE_ATOL
+    classifies the walk as infinite, otherwise the pseudo-inverse (relative
+    singular value cutoff) replaces the inverse.
     """
     dim2 = n_mat.shape[0]
     m = np.eye(dim2) - n_mat
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] > singular_rtol * sv[0]:
+    if sv[-1] > SINGULAR_RTOL * sv[0]:
         x = np.linalg.solve(m, rho_vec)
         x = np.linalg.solve(m, x)
         tau = _vec_identity_dot(y_mat @ x)
         return HittingResult(METHOD_CLOSED_FORM, value=tau)
 
     escape = float(escape_fn()) if escape_fn is not None else 0.0
-    if escape > escape_atol:
+    if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
 
     uu, s, vh = np.linalg.svd(m)
-    cutoff = singular_rtol * s[0]
+    cutoff = SINGULAR_RTOL * s[0]
     inv_s = np.zeros_like(s)
     keep = s > cutoff
     inv_s[keep] = 1.0 / s[keep]

@@ -409,7 +409,7 @@ def quotient_infinite_hitting(u, basis: OrbitBasis, final_indices) -> QuotientHi
     """
     op = cube_walk(_as_walk(u))
     _check_dim(basis, op.dim)
-    final = np.unique(_final_array(final_indices, op.dim))
+    final = _final_array(final_indices, op.dim)
     inside = np.bincount(basis.labels[final], minlength=basis.num_orbits)
     if np.any((inside > 0) & (inside < basis.sizes)):
         raise SymmetryError(
@@ -443,12 +443,13 @@ def _shared_directions(report, basis: OrbitBasis) -> int:
     D x r untrapped and the D x t trapped basis have columns, k < min(r, t),
     W+ B is read from the frame's coordinates of B, refused first by the
     report's split estimate (``report.split_start``), and neither D-tall
-    basis is built; otherwise it is the orbit sums of W when r < t, else
-    B+ V is the orbit sums of V."""
+    basis is built; otherwise it is the orbit sums of W when r <= t, the
+    tie going to W, which costs less to build than V, else B+ V is the
+    orbit sums of V."""
     k, r, t = basis.num_orbits, report.untrapped_dim, report.trapped_dim
     if k < min(r, t):
         return _count_from_untrapped(report.split_start(basis.matrix)[1], k)
-    if r < t:
+    if r <= t:
         return _count_from_untrapped(_orbit_sums(report.untrapped, basis, 0), k)
     return _count_from_trapped(_orbit_sums(report.basis, basis, 0))
 

@@ -156,7 +156,8 @@ class SpectralReport:
     rank decisions that fell within 10x of the singular value cutoff, and
     neighbouring clusters whose eigenvalues lie within 10x of the cluster
     tolerance.  ``walk`` and ``finals`` are the walk and the final indices
-    the report was made for, and ``held_entries`` the complex entries a
+    the report was made for, the finals sorted and without repeats, and
+    ``held_entries`` the complex entries a
     hitting time on it holds beside its solve.
 
     ``clusters``, ``untrapped`` and ``basis`` are built when first read:
@@ -302,11 +303,14 @@ def _row_grams(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _final_array(p_f, dim: int) -> np.ndarray:
-    """``p_f`` as an index array, checked to lie in [0, dim): a negative
-    index would otherwise wrap around to the last rows."""
-    p_f = np.asarray(p_f, dtype=int)
-    if p_f.size and (p_f.min() < 0 or p_f.max() >= dim):
+    """``p_f`` in the one form every route reads: a new read-only int array,
+    sorted and without repeats, so that P_f is a projector however often an
+    index is named, and checked to lie in [0, dim): a negative index would
+    otherwise wrap around to the last rows."""
+    p_f = np.unique(np.asarray(p_f, dtype=int))
+    if p_f.size and (p_f[0] < 0 or p_f[-1] >= dim):
         raise ValueError(f"final index out of range [0, {dim})")
+    p_f.flags.writeable = False
     return p_f
 
 
@@ -566,7 +570,7 @@ def _frame(blocks: np.ndarray, bits: int, tol: float) -> fourier.Frame:
     position[order] = np.arange(len(order))
     labels = np.repeat(position[cluster], np.append(first[1:], size) - first)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels))])
-    return fourier.Frame(bits, chains, vectors, lams[order], labels, np.argsort(labels, kind="stable"), bounds)
+    return fourier.Frame(bits, chains, vectors, lams[order], np.argsort(labels, kind="stable"), bounds)
 
 
 def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:

@@ -894,7 +894,33 @@ def random_kappas(n, rng):
     return k / np.linalg.norm(k)
 
 
+def scatter_adjoint(image, weights, x):
+    """A+ x for A e_j = weights[j] e_image[j] by the inverse permutation and
+    a scatter: the form the one-gather adjoint replaced, kept as its oracle."""
+    inverse = np.empty_like(image)
+    inverse[image] = np.arange(image.size)
+    out = np.empty(x.shape, dtype=np.result_type(weights, x))
+    out[inverse] = (weights.conj()[inverse] * x.T).T
+    return out
+
+
 class TestSwapDephasingMonomials:
+    @pytest.mark.parametrize("d", [8, 160, 896])
+    def test_adjoint_gather_is_the_scatter_bit_for_bit(self, d, rng):
+        image = rng.permutation(d)
+        weights = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        weights[1::7], weights[2::7] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        x = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        x[3::5] = complex(-0.0, -0.0)
+        for w in (weights, weights.real):
+            a = np.zeros((d, d), dtype=w.dtype)
+            a[image, np.arange(d)] = w
+            for y in (x, x[:, 0], x.real):
+                got, want = deco._monomial_adjoint(image, w, y), scatter_adjoint(image, w, y)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()  # signed zeros too
+                assert np.max(np.abs(got - a.conj().T @ y)) <= 1e-14
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_kraus_family_is_the_kronecker_construction(self, n, rng):
         kappas = random_kappas(n, rng)

@@ -90,6 +90,15 @@ class TestSpecValidation:
                 op, hitting.symmetric_state(g, 0), final_vertices=[3], final_indices=[0]
             )
 
+    def test_finals_are_held_sorted_once_and_read_only(self):
+        g = graphs.build_hypercube(3)
+        op = walk.evolution_operator(g, walk.grover_coin(3))
+        spec = hitting.MeasuredWalkSpec(op, [23, 5, 21, 5, 23], hitting.symmetric_state(g, 0))
+        assert spec.final_indices.tolist() == [5, 21, 23]
+        assert spec.final_array is spec.final_indices and not spec.final_indices.flags.writeable
+        twice = hitting.measured_walk(op, hitting.symmetric_state(g, 0), final_vertices=[7, 7])
+        assert twice.final_indices.tolist() == [21, 22, 23]
+
     def test_non_hermitian_rejected(self):
         g = graphs.build_edge_graph()
         op = walk.evolution_operator(g, walk.grover_coin(1))
@@ -226,6 +235,17 @@ class TestSeries:
         rep = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
         esc = spectral.escape_probability(rep, spec.psi0)
         assert res.escape_probability == pytest.approx(esc, abs=2e-3)
+
+    def test_stall_at_the_rounding_of_the_mass_is_an_arrival(self):
+        # epsilon below the rounding of the mass sum: the series stalls
+        # 7e-13 short of 1 - epsilon, within ESCAPE_ATOL, on a walk with no
+        # trapped subspace, and returns the closed form's finite time
+        g = graphs.build_cycle(16)
+        spec = hitting.measured_walk(walk.evolution_operator(g, walk.dft_coin(2)), hitting.symmetric_state(g, 0),
+                                     final_vertices=[15])
+        res = hitting.hitting_time_series(spec, 1e-13)
+        assert res.is_finite and res.arrival_mass < 1.0 - 1e-13
+        assert res.value == pytest.approx(hitting.hitting_time_closed_form(spec).value, rel=1e-9)
 
     def test_step_cap_raises_indeterminate(self):
         with pytest.raises(IndeterminateError):

@@ -7,7 +7,8 @@ leaves that choice, and the eigensolve's memory check, to the spectral
 report.  A new route (an S_m or a dihedral frame, say) that brings back the
 import cycle or a second copy of the decision fails here.  Every hitting-time
 route reads its start in one form, the spec's D x k columns; a second body
-for a vector or a density matrix fails here too.
+for a vector or a density matrix fails here too.  The final indices have one
+normalizer, ``spectral._final_array``; a second range check fails here.
 """
 
 import ast
@@ -121,3 +122,16 @@ def test_every_route_reads_the_start_in_one_form():
     assert [a.arg for a in steps.args.args + steps.args.kwonlyargs] == ["spec"]
     (report,) = [node for node in spectral_tree.body if isinstance(node, ast.ClassDef) and node.name == "SpectralReport"]
     assert "escape" not in {node.name for node in report.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_final_indices_are_range_checked_in_one_place():
+    # every route reads the finals through spectral._final_array, which
+    # sorts, deduplicates and range-checks them; no other module carries
+    # its own copy of the check
+    raisers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and "final index out of range" in node.value for node in ast.walk(top)):
+                raisers.add((path.stem, getattr(top, "name", None)))
+    assert raisers == {("spectral", "_final_array")}

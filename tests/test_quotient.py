@@ -793,18 +793,23 @@ def test_shared_directions_agree_on_either_basis(n, subgroup, coin):
 @pytest.mark.parametrize("wide", [True, False])
 @pytest.mark.parametrize("gap, shared", [(0.75, 2), (1.25, 1)])
 def test_shared_directions_at_the_angle_tolerance(wide, gap, shared):
-    # Orbits {0, 1} and {2, 3}: ran B is spanned by b0 = (e0 + e1)/sqrt2 and
-    # b1 = (e2 + e3)/sqrt2.  The trapped subspace holds b1 and b0 turned by
-    # theta towards c0 = (e0 - e1)/sqrt2, with 1 - cos(theta) = gap * ANGLE_ATOL,
-    # and, when wide, also c1 = (e2 - e3)/sqrt2, so that W is the narrower basis.
-    basis = quotient.OrbitBasis(np.array([0, 0, 1, 1]))
-    b0, b1, c0, c1 = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, -1, 0, 0], [0, 0, 1, -1]]) / np.sqrt(2)
+    # Orbits {0, 1}, {2, 3}, {4} and {5}: ran B is spanned by b0 = (e0 + e1)/sqrt2,
+    # b1 = (e2 + e3)/sqrt2, e4 and e5.  The trapped subspace holds b1 and b0
+    # turned by theta towards c0 = (e0 - e1)/sqrt2, with 1 - cos(theta) =
+    # gap * ANGLE_ATOL, and, when wide, also c1 = (e2 - e3)/sqrt2: then W is
+    # as wide as V (r = t = 3) and the tie is counted on W, else V is the
+    # narrower basis (t = 2 < r = 4).  k = 4 orbits keep both off the
+    # coordinates side.
+    basis = quotient.OrbitBasis(np.array([0, 0, 1, 1, 2, 3]))
+    b0, b1, c0, c1 = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0],
+                               [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]]) / np.sqrt(2)
+    e4, e5 = np.eye(6)[4:]
     theta = np.arccos(1.0 - gap * quotient.ANGLE_ATOL)
     x, y = np.cos(theta) * b0 + np.sin(theta) * c0, -np.sin(theta) * b0 + np.cos(theta) * c0
-    trapped, untrapped = ([x, b1, c1], [y]) if wide else ([x, b1], [y, c1])
+    trapped, untrapped = ([x, b1, c1], [y, e4, e5]) if wide else ([x, b1], [y, c1, e4, e5])
     b, w = np.array(trapped).T, np.array(untrapped).T
     report = types.SimpleNamespace(basis=b, untrapped=w, trapped_dim=b.shape[1], untrapped_dim=w.shape[1])
-    assert (report.untrapped_dim < report.trapped_dim) == wide
+    assert (report.untrapped_dim <= report.trapped_dim) == wide
     assert quotient._shared_directions(report, basis) == shared
 
 

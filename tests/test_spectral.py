@@ -378,6 +378,22 @@ class TestProjector:
         with pytest.raises(ValueError, match="out of range"):
             spectral.infinite_hitting_projector(op.matrix, [final])
 
+    def test_repeated_finals_give_the_report_of_the_set(self, rng):
+        # P_f is a projector however often a final is named: a repeat must
+        # not count a final's row twice in the overlaps or in A_r
+        op = walk.evolution_operator(graphs.build_cycle(8), walk.grover_coin(2))
+        once = spectral.infinite_hitting_projector(op, [14, 15])
+        twice = spectral.infinite_hitting_projector(op, [15, 14, 15])
+        assert np.array_equal(twice.finals, [14, 15]) and not twice.finals.flags.writeable
+        assert twice.contributions == once.contributions
+        assert np.array_equal(twice.reduced_step(), once.reduced_step())
+        columns = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+        (esc_once, start_once), (esc_twice, start_twice) = once.split_start(columns), twice.split_start(columns)
+        assert esc_twice == esc_once and np.array_equal(start_twice, start_once)
+        w, qu = twice.untrapped, op.matrix.copy()
+        qu[[14, 15]] = 0.0
+        assert np.max(np.abs(twice.reduced_step() - w.conj().T @ qu @ w)) < 1e-12
+
     @pytest.mark.parametrize("descriptor, coin_kind", [
         ("distorted-hypercube:6", "dft"), ("hypercube:6", "grover"), ("hypercube:6", "dft"),
         ("cayley:s4:3gen", "grover"), ("cayley:s4:3gen", "dft")])
