@@ -62,7 +62,6 @@ from .hitting import (
     METHOD_PSEUDO_INVERSE,
     HittingResult,
     MeasuredWalkSpec,
-    _clamp_probability,
     _series_hitting_time,
     _doubling_powers,
     _stein_sum,
@@ -578,11 +577,11 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
 
 def _density_hit_probabilities(
     spec: MeasuredWalkSpec, step_map: Callable[[np.ndarray], np.ndarray]
-) -> Iterator[float]:
-    """Yield p(1), p(2), ... by stepping rho_0 to sigma = step_map(U rho U+),
-    detecting on P_f and keeping Q_f sigma Q_f: the one series with a
-    channel to step.  Refused before rho_0 is read if the step would not
-    fit in the memory budget."""
+) -> Iterator[list[float]]:
+    """Yield p(1), p(2), ..., one step to a block, by stepping rho_0 to
+    sigma = step_map(U rho U+), detecting on P_f and keeping Q_f sigma Q_f:
+    the one series with a channel to step.  Refused before rho_0 is read if
+    the step would not fit in the memory budget."""
     _check_memory(spec.dim, SERIES_WORK_ARRAYS * spec.dim**2)
     walk, fin = spec.walk, spec.final_array
     rho = spec.rho0
@@ -592,7 +591,7 @@ def _density_hit_probabilities(
         sig[fin, :] = 0.0
         sig[:, fin] = 0.0
         rho = sig
-        yield _clamp_probability(p)
+        yield [p]
 
 
 def decohered_hitting_series(

@@ -14,7 +14,8 @@ where X = sum_t (A^t)+ A^t solves the Stein equation X - A+ X A = I.
 
 Every route reads the start in one form: the D x k columns Psi with
 rho_0 = Psi Psi+ (``MeasuredWalkSpec.columns``), a pure start's one column
-psi_0 or a rank-k density matrix's k.  The series steps the k columns, the
+psi_0 or a rank-k density matrix's k.  The series steps the k columns, in
+blocks of up to 64 steps at two array calls a step, the
 escape is ||Psi||^2 - ||W+ Psi||^2 and tau = Tr(X_r S S+) with S = W+ Psi,
 so no route keeps a second body for a density matrix.
 
@@ -89,11 +90,14 @@ MAX_DOUBLINGS = 64
 # powers, X and temporaries (6 r^2 measured) beside A_r and W+ rho_0 W; the
 # spectral report states what it holds beside them
 STEIN_WORK_ARRAYS = 8
-# complex D x k arrays held at once by a series step on a start's k
-# columns: the columns, their product with C, its gather and the int64
-# gather index (3.5-3.7 measured by tracemalloc on hypercube:5-6,
-# distorted-hypercube:5 and cycle:64, grover and dft, k = 3 and k = D)
+# complex D x k arrays held at once by the series on a start's k columns:
+# its buffer (the columns and a block's rows of finals' amplitudes, at most
+# D k entries more), the product with C and the int64 gather index (3.0-3.7
+# measured by tracemalloc on hypercube:4, 6 and 7, dft, k = 64)
 SERIES_COLUMN_ARRAYS = 4
+# steps in the series' largest block: each block's bookkeeping is spread
+# over up to 64 steps, and at most 63 steps run past the stop
+SERIES_BLOCK_STEPS = 64
 # int64 arrays per trial held at once by the Monte Carlo walker (6.1
 # measured on hypercubes, 7.1 with the per-walker bounds of glued trees)
 MC_WORK_ARRAYS = 8
@@ -206,30 +210,60 @@ def measured_walk(
 # Step-iterated dynamics
 # ----------------------------------------------------------------------
 
-def _hit_probabilities(spec: MeasuredWalkSpec) -> Iterator[float]:
-    """Yield p(1), p(2), ... by stepping the start's k columns, refused
-    first if they would not fit in the memory budget.
+def _hit_probabilities(spec: MeasuredWalkSpec) -> Iterator[list[float]]:
+    """Yield p(1), p(2), ... in blocks of 8, 16, 32 and then 64 steps, by
+    stepping the start's k columns, refused first if they would not fit in
+    the memory budget.
 
     The columns stay in the coin-major order that WalkOperator.apply
-    multiplies in, held flat, entry (i, j) at i k + j, so that each step is
-    one product with C and one one-dimensional gather; p(t) is the squared
-    norm of the finals' entries, which are then zeroed.
+    multiplies in, held flat, entry (i, j) at i k + j, in one buffer held
+    for the whole series.  Each step is two array calls: the product with C
+    into ``prod``, whose one trailing entry stays zero, and one gather from
+    it that writes the finals' a = |F| k amplitudes and then the next
+    state, with the finals pointed at that zero, so the one gather reads
+    and zeroes them.  Step j writes a entries further into the buffer than
+    step j - 1, so a block's amplitudes lie contiguous at its head, and
+    p(t) for the whole block is one stacked product of conjugated
+    amplitudes and amplitudes, the sum that np.vdot takes.  A block holds
+    at most D // |F| steps, so its amplitudes fit in ``prod`` to be
+    conjugated there.
     """
     walk = spec.walk
-    k = spec.columns.shape[1]
-    _check_memory(spec.dim, SERIES_COLUMN_ARRAYS * spec.dim * k)
+    d, k = spec.columns.shape
+    n = d * k
+    _check_memory(d, SERIES_COLUMN_ARRAYS * n)
+    dtype = np.result_type(walk.block, spec.columns)
+    c = walk.block.astype(dtype, copy=False)
+    b = c.shape[0]
+    most = min(SERIES_BLOCK_STEPS, d // spec.final_array.size)
     coin_major, rows = walk._gathers
+    a = spec.final_array.size * k
+    buf = np.empty(n + most * a, dtype)
+    buf[:n].reshape(d, k)[...] = spec.columns[coin_major]
     lanes = np.arange(k)
     step = (rows[coin_major][:, None] * k + lanes).ravel()
     at = (np.argsort(coin_major)[spec.final_array][:, None] * k + lanes).ravel()  # the finals
-    b = walk.block.shape[0]
-    psi = spec.columns[coin_major].ravel()
+    ext = np.concatenate([step[at], step])
+    ext[a + at] = n
+    del step
+    prod = np.zeros(n + 1, dtype)
+    out = prod[:n].reshape(b, -1)
+    dot, take = c.dot, prod.take
+    states, gathered = [], []
+    size = min(8, most)
     while True:
-        psi = (walk.block @ psi.reshape(b, -1)).reshape(-1)[step]
-        amp = psi[at]
-        p = float(np.vdot(amp, amp).real)
-        psi[at] = 0.0
-        yield _clamp_probability(p)
+        for j in range(len(states), size):
+            states.append(buf[j * a:j * a + n].reshape(b, -1))
+            gathered.append(buf[j * a:(j + 1) * a + n])
+        for j in range(size):
+            dot(states[j], out=out)
+            take(ext, out=gathered[j], mode="clip")
+        amps = buf[:size * a].reshape(size, 1, a)
+        conj = np.conjugate(amps, out=prod[:size * a].reshape(size, 1, a))
+        p = np.matmul(conj, amps.transpose(0, 2, 1))
+        buf[:n] = buf[size * a:size * a + n]
+        size = min(2 * size, most)
+        yield p.real.ravel().tolist()
 
 
 def _clamp_probability(p: float) -> float:
@@ -242,8 +276,12 @@ def first_hit_distribution(spec: MeasuredWalkSpec, horizon: int) -> np.ndarray:
     """First-detection probabilities p(1..horizon)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    it = _hit_probabilities(spec)
-    out = np.fromiter((next(it) for _ in range(horizon)), dtype=float, count=horizon)
+    ps = []
+    for block in _hit_probabilities(spec):
+        ps += block
+        if len(ps) >= horizon:
+            break
+    out = np.array([_clamp_probability(p) for p in ps[:horizon]])
     if out.sum() > 1.0 + 1e-9:
         raise ValueError("first-hit probabilities exceed unit mass")
     return out
@@ -292,13 +330,14 @@ class HittingResult:
 
 
 def _accumulate_series(
-    probabilities: Iterator[float],
+    blocks: Iterator[list[float]],
     target: float,
     *,
     step_cap: int,
     stall_window: int,
 ) -> HittingResult:
-    """Sum t*p(t) until the mass reaches ``target``, stalls, or hits the cap.
+    """Sum t*p(t) over the blocks of p(t) until the mass reaches
+    ``target``, stalls, or hits the cap.
 
     The result's ``truncation`` is the last step summed.  A stall (mass gain
     below STALL_GAIN across ``stall_window`` consecutive steps) classifies
@@ -310,29 +349,36 @@ def _accumulate_series(
     """
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
+    if stall_window < 1:
+        raise ValueError("stall_window must be >= 1")
     mass = 0.0
     tau = 0.0
+    t = 0
     mark_step, mark_mass = 0, 0.0
-    for t in range(1, step_cap + 1):
-        p = next(probabilities)
-        mass += p
-        tau += t * p
-        if mass >= target:
-            return HittingResult(METHOD_SERIES, value=tau, arrival_mass=mass, truncation=t)
-        if t - mark_step >= stall_window:
-            if mass - mark_mass < STALL_GAIN:
-                if mass >= target - ESCAPE_ATOL:
-                    return HittingResult(METHOD_SERIES, value=tau, arrival_mass=mass, truncation=t)
-                return HittingResult(METHOD_SERIES, escape_probability=1.0 - mass, arrival_mass=mass, truncation=t)
-            mark_step, mark_mass = t, mass
-    raise IndeterminateError(
-        f"series did not reach mass {target:.12g} or stall within {step_cap} steps"
-    )
+    for block in blocks:
+        for p in block:
+            if not p >= 0.0:
+                p = _clamp_probability(p)
+            t += 1
+            mass += p
+            tau += t * p
+            if mass >= target:
+                return HittingResult(METHOD_SERIES, value=tau, arrival_mass=mass, truncation=t)
+            if t - mark_step >= stall_window:
+                if mass - mark_mass < STALL_GAIN:
+                    if mass >= target - ESCAPE_ATOL:
+                        return HittingResult(METHOD_SERIES, value=tau, arrival_mass=mass, truncation=t)
+                    return HittingResult(METHOD_SERIES, escape_probability=1.0 - mass, arrival_mass=mass, truncation=t)
+                mark_step, mark_mass = t, mass
+            if t == step_cap:
+                raise IndeterminateError(
+                    f"series did not reach mass {target:.12g} or stall within {step_cap} steps"
+                )
 
 
 def _series_hitting_time(
     spec: MeasuredWalkSpec,
-    probabilities: Iterator[float],
+    blocks: Iterator[list[float]],
     epsilon: float,
     step_cap: int,
     stall_window: int | None,
@@ -342,7 +388,7 @@ def _series_hitting_time(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     window = 4 * spec.dim if stall_window is None else stall_window
-    return _accumulate_series(probabilities, 1.0 - epsilon, step_cap=step_cap, stall_window=window)
+    return _accumulate_series(blocks, 1.0 - epsilon, step_cap=step_cap, stall_window=window)
 
 
 def hitting_time_series(
@@ -372,7 +418,7 @@ def concurrent_hitting_time(
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
 
-    def probabilities() -> Iterator[float]:
+    def blocks() -> Iterator[list[float]]:
         # first read by _accumulate_series, after its own argument checks
         report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
         reachable = 1.0 - report.split_start(spec.columns)[0]
@@ -384,7 +430,7 @@ def concurrent_hitting_time(
         yield from _hit_probabilities(spec)
 
     result = _accumulate_series(
-        probabilities(), threshold, step_cap=step_cap, stall_window=4 * spec.dim
+        blocks(), threshold, step_cap=step_cap, stall_window=4 * spec.dim
     )
     if not result.is_finite:
         raise ThresholdUnreachableError(
@@ -407,13 +453,17 @@ def one_shot_hitting_time(
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
     psi = np.asarray(start_state)
     fin = np.asarray(final_state)
-    for t in range(t_max + 1):
-        if abs(np.vdot(fin, psi)) ** 2 >= threshold:
-            return t
+    t = 0
+    while abs(np.vdot(fin, psi)) ** 2 < threshold:
+        if t == t_max:
+            return None
         psi = walk.apply(psi)
-    return None
+        t += 1
+    return t
 
 
 # ----------------------------------------------------------------------

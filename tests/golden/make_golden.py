@@ -9,8 +9,8 @@ The battery runs ``hitting``, closed form and series, on small walks of
 every graph family, both coins, the symmetric and a basis start and two
 finals; ``sweep-decoherence`` with the three dephasing kinds at p = 0 and
 0.5; ``spectrum`` on every one of those walks, all with D <= 160, with
-both coins and both finals; and the README's ``spectrum``, ``quotient``,
-``dfs`` and ``classical`` runs.  Each entry is the command line after
+both coins and both finals; the README's ``spectrum``, ``quotient``,
+``dfs`` and ``classical`` runs; and the series the benchmark times.  Each entry is the command line after
 ``$ qwlab``, its exit code, then what it wrote to stdout and, prefixed
 ``! ``, to stderr.  The manifest's SHA-256 lines are dropped and its numpy
 version is masked, so that a numpy upgrade alone moves no line.  ``tests/test_golden.py`` reruns
@@ -43,6 +43,14 @@ README_RUNS = [
     "dfs --graph hypercube:3",
     "classical --hypercube 3 --mc-trials 100000 --seed 7",
 ]
+# the benchmark's series, appended after the battery so that no earlier
+# line moves: hypercube:6-7 grover, and cycle:16 dft whose mass stalls at
+# its rounding, an arrival after 4352 steps
+BENCHMARK_SERIES = [
+    "hitting --graph hypercube:6 --coin grover --start symmetric --final all-ones --method series",
+    "hitting --graph hypercube:7 --coin grover --start symmetric --final all-ones --method series",
+    "hitting --graph cycle:16 --coin dft --start symmetric --final all-ones --method series --epsilon 1e-13",
+]
 
 
 # the walks, D <= 64, that the series and the sweep run on too: above, a
@@ -67,7 +75,7 @@ def commands() -> list[str]:
         for coin in ("grover", "dft"):
             for final in ("all-ones", "all-ones-but-last"):
                 out.append(f"spectrum --graph {graph} --coin {coin} --final {final}")
-    return [c for c in out if c not in README_RUNS] + README_RUNS
+    return [c for c in out if c not in README_RUNS] + README_RUNS + BENCHMARK_SERIES
 
 
 def run(command: str) -> list[str]:

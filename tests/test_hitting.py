@@ -273,6 +273,24 @@ class TestSeries:
         with pytest.raises(ValueError, match="step_cap must be >= 1"):
             hitting.hitting_time_series(hypercube_spec(3), 1e-6, step_cap=cap)
 
+    @pytest.mark.parametrize("window", [0, -5])
+    @pytest.mark.parametrize("entry", ["series", "decohered-series"])
+    def test_stall_window_below_one_is_refused_before_stepping(self, monkeypatch, entry, window):
+        # with a window of 0 the mass was declared stalled after one step:
+        # "infinite, escape 1.0" on a walk whose time is 4
+        def refuse(*args, **kwargs):
+            raise AssertionError("step started")
+
+        spec = hypercube_spec(3)
+        ch = decoherence.dephasing_channel("coin", 0.5, 8, 3)
+        monkeypatch.setattr(walk.WalkOperator, "apply", refuse)
+        monkeypatch.setattr(walk.WalkOperator, "_gathers", property(refuse))
+        with pytest.raises(ValueError, match="stall_window must be >= 1"):
+            if entry == "series":
+                hitting.hitting_time_series(spec, 1e-6, stall_window=window)
+            else:
+                decoherence.decohered_hitting_series(spec, ch, 1e-6, stall_window=window)
+
     def test_target_prints_its_digits(self):
         with pytest.raises(IndeterminateError, match=r"did not reach mass 0\.999999 or stall within 2"):
             hitting.hitting_time_series(hypercube_spec(3), 1e-6, step_cap=2)
@@ -359,6 +377,26 @@ class TestOneShot:
         start = hitting.basis_state(g, 0, 1)
         final = hitting.basis_state(g, 3, 1)
         assert hitting.one_shot_hitting_time(op, start, final, 0.999999, 3) is None
+
+
+    def test_negative_t_max_is_a_bad_argument(self):
+        # it returned None without checking t = 0, where this start is final
+        g = graphs.build_edge_graph()
+        op = walk.evolution_operator(g, walk.grover_coin(1))
+        psi = hitting.basis_state(g, 0, 1)
+        with pytest.raises(ValueError, match="t_max must be >= 0"):
+            hitting.one_shot_hitting_time(op, psi, psi, 1.0, -1)
+
+    @pytest.mark.parametrize("t_max", [0, 3])
+    def test_no_step_past_the_last_check(self, monkeypatch, t_max):
+        g = graphs.build_cycle(6)
+        op = walk.evolution_operator(g, walk.dft_coin(2))
+        start = hitting.basis_state(g, 0, 1)
+        final = hitting.basis_state(g, 3, 1)
+        steps, apply = [], walk.WalkOperator.apply
+        monkeypatch.setattr(walk.WalkOperator, "apply", lambda self, x: steps.append(1) or apply(self, x))
+        assert hitting.one_shot_hitting_time(op, start, final, 0.999999, t_max) is None
+        assert len(steps) == t_max
 
 
 class TestVectorize:
