@@ -22,13 +22,15 @@ X -> U+ Phi+(Q_f X Q_f) U.  Restarted GMRES solves this on D x D
 matrices, in O(D^3) time per step and O(D^2) memory per Krylov vector;
 for a multiplier it is preconditioned by the Stein inverse of
 sqrt(min Re m) Q_f U, applied by the Smith doubling of the unitary closed
-form, stopped at a looser tail.  Channel data keeps the dtype of its entries, as walk data does, so
-type promotion runs the solve in float64 when U and the channel are real
-(Grover walks under dephasing, or swap dephasing with real kappa), else in
-complex128.  Every solve reads the start as its D x k columns Psi, rho_0 =
-Psi Psi+ (``MeasuredWalkSpec.columns``): tau = Tr(Psi+ X Psi).  The slope
-in p is one more solve with the same operator, and the step series, the
-one route with a channel to step, iterates D x D density matrices.  A solve
+form, stopped at a looser tail.  Channel data keeps the dtype of its
+entries, as walk data does, so type promotion runs the solve in float64
+when U and the channel are real (Grover walks under dephasing, or swap
+dephasing with real kappa), else in complex128.  Every solve reads the
+start as its D x k columns Psi, rho_0 = Psi Psi+
+(``MeasuredWalkSpec.columns``): tau = Tr(Psi+ X Psi), by the unitary
+closed form's one trace helper.  The slope in p is one more solve with
+the same operator, and the step series, the one route with a channel to
+step, iterates D x D density matrices.  A solve
 that stagnates marks I - N_D as singular; as in the unitary closed form,
 an orthonormal basis T of the trapped subspace then decides the escape
 ||T+ Psi||^2, and the same map solves again for the right side
@@ -64,6 +66,7 @@ from .hitting import (
     MeasuredWalkSpec,
     _series_hitting_time,
     _doubling_powers,
+    _start_trace,
     _stein_sum,
     hitting_time_closed_form,
 )
@@ -234,7 +237,9 @@ class Channel:
 
 @dataclass(frozen=True, eq=False)
 class LindbladSet:
-    """Lindblad operators with nonnegative rates (no completeness constraint)."""
+    """Lindblad operators with positive rates (no completeness constraint):
+    an operator at rate 0 is absent from the generator, so it is refused
+    rather than read by a DFS check that does not weigh rates."""
 
     ops: tuple[np.ndarray, ...]
     rates: tuple[float, ...]
@@ -244,8 +249,8 @@ class LindbladSet:
         rates = tuple(float(r) for r in self.rates)
         if len(ops) != len(rates):
             raise ValueError("one rate per Lindblad operator")
-        if not all(r >= 0 for r in rates):
-            raise ValueError("rates must be nonnegative")
+        if not all(r > 0 for r in rates):
+            raise ValueError("rates must be positive")
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "rates", rates)
 
@@ -499,12 +504,6 @@ class _SurvivalMap:
         return x if residual <= SINGULAR_RTOL else None
 
 
-def _start_trace(x: np.ndarray, spec: MeasuredWalkSpec) -> float:
-    """Tr(X rho_0) = Tr(Psi+ X Psi), the hitting time or its slope read off
-    the solve's X with the start's columns Psi."""
-    return float(np.real(np.vdot(spec.columns, x @ spec.columns)))
-
-
 def _kraus_actions(ch: Channel, *, adjoint: bool) -> list[Callable[[np.ndarray], np.ndarray]]:
     """The maps X -> A_i X, or X -> A_i+ X when ``adjoint``, on blocks of
     columns; monomial A_i act by gathers, O(D) per column."""
@@ -561,7 +560,7 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
     eye = np.eye(spec.dim, dtype=survival.dtype)
     x = survival.solve(eye)
     if x is not None:
-        return HittingResult(METHOD_CLOSED_FORM, value=_start_trace(x, spec))
+        return HittingResult(METHOD_CLOSED_FORM, value=_start_trace(x, spec.columns))
     trapped = _trapped_basis(spec, ch)
     x = survival.solve(eye - trapped @ trapped.conj().T)
     if x is None:
@@ -572,7 +571,7 @@ def decohered_hitting_time(spec: MeasuredWalkSpec, ch: Channel) -> HittingResult
     escape = float(np.real(np.vdot(inside, inside)))
     if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
-    return HittingResult(METHOD_PSEUDO_INVERSE, value=_start_trace(x, spec))
+    return HittingResult(METHOD_PSEUDO_INVERSE, value=_start_trace(x, spec.columns))
 
 
 def _density_hit_probabilities(
@@ -637,7 +636,7 @@ def hitting_time_slope(spec: MeasuredWalkSpec, kind: str, p: float) -> float:
         raise ValueError(
             f"I - N is singular at p={p}; the slope formula needs an invertible resolvent"
         )
-    return _start_trace(x, spec)
+    return _start_trace(x, spec.columns)
 
 
 # ----------------------------------------------------------------------

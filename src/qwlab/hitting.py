@@ -15,9 +15,10 @@ where X = sum_t (A^t)+ A^t solves the Stein equation X - A+ X A = I.
 Every route reads the start in one form: the D x k columns Psi with
 rho_0 = Psi Psi+ (``MeasuredWalkSpec.columns``), a pure start's one column
 psi_0 or a rank-k density matrix's k.  The series steps the k columns, in
-blocks of up to 64 steps at two array calls a step, the
-escape is ||Psi||^2 - ||W+ Psi||^2 and tau = Tr(X_r S S+) with S = W+ Psi,
-so no route keeps a second body for a density matrix.
+blocks of up to 64 steps at two array calls a step, the escape is
+||Psi||^2 - ||W+ Psi||^2, and every closed form, this one with S = W+ Psi
+and the decohered one with S = Psi, reads tau = Tr(S+ X S) through one
+helper, ``_start_trace``: no closed form builds a density matrix.
 
 The sum converges exactly when U has no trapped eigenvector, one without
 final-vertex amplitude.  A start state with mass in the trapped subspace
@@ -37,7 +38,8 @@ subspace this is the Moore-Penrose value of the vectorized formula
 
     tau = vec(I) . Y (I - N)^(-2) vec(rho_0),   N = A (x) A*,
 
-whose dense D^2 x D^2 superoperators are kept as a small-D test oracle.
+whose dense D^2 x D^2 superoperators are kept as a small-D test oracle,
+with vec(rho) = rho.reshape(-1).
 The decohered closed form (decoherence module) solves its own Heisenberg
 equation by GMRES, with the same Smith doubling as preconditioner.
 
@@ -72,8 +74,6 @@ __all__ = [
     "hitting_time_series",
     "concurrent_hitting_time",
     "one_shot_hitting_time",
-    "vectorize",
-    "devectorize",
     "superoperators",
     "superoperator_singularity",
     "hitting_time_closed_form",
@@ -87,9 +87,11 @@ ESCAPE_ATOL = 1e-9
 STALL_GAIN = 1e-12
 MAX_DOUBLINGS = 64
 # complex r x r arrays held at once by the Stein solve: its two doubling
-# powers, X and temporaries (6 r^2 measured) beside A_r and W+ rho_0 W; the
-# spectral report states what it holds beside them
-STEIN_WORK_ARRAYS = 8
+# powers, X and temporaries (6 r^2 measured), beside A_r; the start's r x k
+# columns S = W+ Psi and X S are counted apart, as 2 r k (the solve's peak
+# is max(6 r^2, 2 r^2 + r k) measured at k = 1 and full rank); the spectral
+# report states what it holds beside them
+STEIN_WORK_ARRAYS = 7
 # complex D x k arrays held at once by the series on a start's k columns:
 # its buffer (the columns and a block's rows of finals' amplitudes, at most
 # D k entries more), the product with C and the int64 gather index (3.0-3.7
@@ -467,30 +469,15 @@ def one_shot_hitting_time(
 
 
 # ----------------------------------------------------------------------
-# Vectorization and the closed form
+# The dense oracle and the closed form
 # ----------------------------------------------------------------------
-
-def vectorize(m: np.ndarray) -> np.ndarray:
-    """Row-stack a D x D matrix into a length-D^2 vector: (i, j) -> i*D + j."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("vectorize expects a square matrix")
-    return m.reshape(-1)
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError("vector length is not a perfect square")
-    return v.reshape(d, d)
-
 
 def superoperators(spec: MeasuredWalkSpec) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized survive (N) and detect (Y) superoperators.
 
-    With row stacking, rho -> A rho B becomes (A (x) B^T) vec(rho), so the
-    maps rho -> (Q_f U) rho (Q_f U)+ and rho -> (P_f U) rho (P_f U)+ are
+    With row stacking, vec(rho) = rho.reshape(-1) and rho -> A rho B
+    becomes (A (x) B^T) vec(rho), so the maps rho -> (Q_f U) rho (Q_f U)+
+    and rho -> (P_f U) rho (P_f U)+ are
     N = (Q_f U) (x) (Q_f U)* and Y = (P_f U) (x) (P_f U)*.  Both are
     D^2 x D^2; the unitary closed form never builds them, so they serve as
     the dense oracle for small D.
@@ -502,12 +489,6 @@ def superoperators(spec: MeasuredWalkSpec) -> tuple[np.ndarray, np.ndarray]:
     pu = np.zeros_like(u)
     pu[fin, :] = u[fin, :]
     return np.kron(qu, qu.conj()), np.kron(pu, pu.conj())
-
-
-def _vec_identity_dot(w: np.ndarray) -> float:
-    """vec(I) . w, i.e. the trace of the devectorized w."""
-    d = math.isqrt(w.size)
-    return float(np.real(w[:: d + 1].sum()))
 
 
 def superoperator_singularity(spec: MeasuredWalkSpec) -> tuple[float, float, bool]:
@@ -528,6 +509,8 @@ def closed_form_engine(
 ) -> HittingResult:
     """Invert/pseudo-invert policy on dense vectorized superoperators: the
     small-D test oracle of both closed forms, called by no production path.
+    ``rho_vec`` is vec(rho_0) = rho_0.reshape(-1), and tau is the trace of
+    Y x, reshaped to D x D, for x = (I - N)^(-2) vec(rho_0).
 
     ``escape_fn`` is called only when I - N is singular to SINGULAR_RTOL
     and must return the never-arriving mass; escape above ESCAPE_ATOL
@@ -538,27 +521,21 @@ def closed_form_engine(
     m = np.eye(dim2) - n_mat
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] > SINGULAR_RTOL * sv[0]:
-        x = np.linalg.solve(m, rho_vec)
-        x = np.linalg.solve(m, x)
-        tau = _vec_identity_dot(y_mat @ x)
-        return HittingResult(METHOD_CLOSED_FORM, value=tau)
-
-    escape = float(escape_fn()) if escape_fn is not None else 0.0
-    if escape > ESCAPE_ATOL:
-        return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
-
-    uu, s, vh = np.linalg.svd(m)
-    cutoff = SINGULAR_RTOL * s[0]
-    inv_s = np.zeros_like(s)
-    keep = s > cutoff
-    inv_s[keep] = 1.0 / s[keep]
-
-    def pinv_apply(vec: np.ndarray) -> np.ndarray:
-        return vh.conj().T @ (inv_s * (uu.conj().T @ vec))
-
-    x = pinv_apply(pinv_apply(rho_vec))
-    tau = _vec_identity_dot(y_mat @ x)
-    return HittingResult(METHOD_PSEUDO_INVERSE, value=tau)
+        method = METHOD_CLOSED_FORM
+        x = np.linalg.solve(m, np.linalg.solve(m, rho_vec))
+    else:
+        escape = float(escape_fn()) if escape_fn is not None else 0.0
+        if escape > ESCAPE_ATOL:
+            return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
+        uu, s, vh = np.linalg.svd(m)
+        keep = s > SINGULAR_RTOL * s[0]
+        inv_s = np.zeros_like(s)
+        inv_s[keep] = 1.0 / s[keep]
+        method, x = METHOD_PSEUDO_INVERSE, rho_vec
+        for _ in range(2):  # the pseudo-inverse, applied twice
+            x = vh.conj().T @ (inv_s * (uu.conj().T @ x))
+    d = math.isqrt(dim2)
+    return HittingResult(method, value=float(np.real(np.trace((y_mat @ x).reshape(d, d)))))
 
 
 def _doubling_powers(
@@ -602,8 +579,15 @@ def _stein_sum(powers: Iterable[np.ndarray], c: np.ndarray) -> np.ndarray:
     return x
 
 
-def _stein_trace(a: np.ndarray, rho: np.ndarray, *, residual_rtol: float) -> float:
-    """Tr(X rho) for the solution X = sum_t (A^t)+ A^t of X - A+ X A = I."""
+def _start_trace(x: np.ndarray, columns: np.ndarray) -> float:
+    """Tr(X S S+) = Tr(S+ X S): a hitting time or its slope read off a
+    solve's X with the columns S of the start it reads, Psi or W+ Psi."""
+    return float(np.real(np.vdot(columns, x @ columns)))
+
+
+def _stein_trace(a: np.ndarray, start: np.ndarray, *, residual_rtol: float) -> float:
+    """Tr(S+ X S) for the solution X = sum_t (A^t)+ A^t of X - A+ X A = I
+    and the start's columns S."""
     eye = np.eye(a.shape[0], dtype=complex)
     x = _stein_sum(_doubling_powers(a), eye)
     residual = np.linalg.norm(x - a.conj().T @ x @ a - eye) / np.linalg.norm(x)
@@ -611,7 +595,7 @@ def _stein_trace(a: np.ndarray, rho: np.ndarray, *, residual_rtol: float) -> flo
         raise IndeterminateError(
             f"Stein residual {residual:.3e} exceeds {residual_rtol:.3e}"
         )
-    return float(np.real(np.sum(x * rho.T)))
+    return _start_trace(x, start)
 
 
 def hitting_time_closed_form(
@@ -622,8 +606,8 @@ def hitting_time_closed_form(
     Escape mass in the trapped subspace above ESCAPE_ATOL makes the
     hitting time infinite (method ``closed_form``).  Otherwise A maps the
     range of the untrapped eigenbasis W into itself, as A_r = W+ A W, and
-    tau = Tr(X_r S S+) for X_r - A_r+ X_r A_r = I, with S = W+ Psi from
-    the start's columns Psi, so a pure start forms no D x D rho_0.  The
+    tau = Tr(S+ X_r S) for X_r - A_r+ X_r A_r = I, with S = W+ Psi from
+    the start's columns Psi, so no start is formed as a density matrix.  The
     method is ``pseudo_inverse`` when a trapped subspace exists, else
     ``closed_form``.
     A relative residual ||X_r - A_r+ X_r A_r - I|| / ||X_r|| above
@@ -638,11 +622,9 @@ def hitting_time_closed_form(
     if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)
 
-    rho_r = start @ start.conj().T  # W+ rho_0 W
-    del start
-    r = report.untrapped_dim
-    _check_memory(spec.dim, STEIN_WORK_ARRAYS * r * r + report.held_entries)
-    value = _stein_trace(report.reduced_step(), rho_r, residual_rtol=singular_rtol)
+    r, k = start.shape
+    _check_memory(spec.dim, STEIN_WORK_ARRAYS * r * r + 2 * r * k + report.held_entries)
+    value = _stein_trace(report.reduced_step(), start, residual_rtol=singular_rtol)
     method = METHOD_PSEUDO_INVERSE if report.trapped_dim else METHOD_CLOSED_FORM
     return HittingResult(method, value=value)
 

@@ -573,8 +573,8 @@ def _frame(blocks: np.ndarray, bits: int, tol: float) -> fourier.Frame:
     return fourier.Frame(bits, chains, vectors, lams[order], np.argsort(labels, kind="stable"), bounds)
 
 
-def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]:
-    """Eigenvalues of a unitary grouped into clusters by distance tol.
+def eigenspace_clusters(u) -> tuple[EigenCluster, ...]:
+    """Eigenvalues of a unitary clustered at distance tol = CLUSTER_TOL.
 
     U = H + iK with Hermitian H = (U + U+)/2 and K = (U - U+)/2i, which
     commute exactly when U is normal; each eigenvalue cos + i sin of U pairs
@@ -605,7 +605,7 @@ def eigenspace_clusters(u, tol: float = CLUSTER_TOL) -> tuple[EigenCluster, ...]
     n-cube is split block by block in the Fourier basis; every cluster's
     basis is built when read.
     """
-    return _report(u, (), tol).clusters
+    return _report(u, ()).clusters
 
 
 def _rank_clusters(frame: fourier.Frame, finals: np.ndarray) -> tuple[np.ndarray, list, tuple[_UntrappedGroup, ...]]:
@@ -681,25 +681,25 @@ def infinite_hitting_projector(u, p_f) -> SpectralReport:
     index outside [0, D) raises ValueError.  The walk on the n-cube takes
     the Fourier route; ``route`` on the report says which it took.
     """
-    return _report(u, p_f, CLUSTER_TOL)
+    return _report(u, p_f)
 
 
-def _report(u, p_f, tol: float) -> SpectralReport:
-    """:func:`infinite_hitting_projector` with clusters cut at distance tol:
-    on the frame of the n-cube's Fourier blocks for its walk, else on the
+def _report(u, p_f) -> SpectralReport:
+    """:func:`infinite_hitting_projector`, clusters cut at CLUSTER_TOL: on
+    the frame of the n-cube's Fourier blocks for its walk, else on the
     frame of the one block U, read only once its estimate fits."""
     op = _as_walk(u)
     p_f = _final_array(p_f, op.dim)
     coin = fourier._cube_coin(op)
     if coin is None:
         _check_memory(op.dim, EIGENSOLVE_WORK_ARRAYS * op.dim**2)
-        frame = _frame(op.matrix[None], 0, tol)
+        frame = _frame(op.matrix[None], 0, CLUSTER_TOL)
         held = DENSE_HELD_ARRAYS * op.dim**2
     else:
         n = coin.shape[0]
         held = fourier._entries(n, len(p_f))
         _check_memory(op.dim, held)
-        frame = _frame(fourier.cube_blocks(coin), n, tol)
+        frame = _frame(fourier.cube_blocks(coin), n, CLUSTER_TOL)
     rank, warnings, groups = _rank_clusters(frame, p_f)
     return SpectralReport(
         contributions=tuple((frame.multiplicities - rank).tolist()),

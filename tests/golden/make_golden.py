@@ -4,6 +4,12 @@ Run from the repository root after a change that is meant to move an
 output, and read the diff before committing it:
 
     PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py --slow
+
+Run as a script, it pins the BLAS to one thread before numpy loads, as
+``perfbench/run.py`` does: the files were written so, and a threaded BLAS
+moves the last digits of some eigenvalues.  Imported by the tests, it
+leaves the process's environment as it is.
 
 The battery runs ``hitting``, closed form and series, on small walks of
 every graph family, both coins, the symmetric and a basis start and two
@@ -14,19 +20,29 @@ both coins and both finals; the README's ``spectrum``, ``quotient``,
 ``$ qwlab``, its exit code, then what it wrote to stdout and, prefixed
 ``! ``, to stderr.  The manifest's SHA-256 lines are dropped and its numpy
 version is masked, so that a numpy upgrade alone moves no line.  ``tests/test_golden.py`` reruns
-every command in process and compares.
+every command in process and compares.  ``--slow`` writes ``cli_slow.txt``
+instead: ``hitting`` closed form and ``spectrum`` on the walks from D =
+256 to 896 that the battery leaves out, which ``tests/test_golden_slow.py``
+reruns under ``pytest -m slow``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import pathlib
 import re
+import sys
 
-from qwlab import cli
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+from qwlab import cli  # after the thread pin
 
 GOLDEN = pathlib.Path(__file__).with_name("cli.txt")
+GOLDEN_SLOW = pathlib.Path(__file__).with_name("cli_slow.txt")
 
 HITTING_GRAPHS = (
     ["edge"]
@@ -78,6 +94,24 @@ def commands() -> list[str]:
     return [c for c in out if c not in README_RUNS] + README_RUNS + BENCHMARK_SERIES
 
 
+SLOW_GRAPHS = ["hypercube:6", "hypercube:7", "distorted-hypercube:6", "distorted-hypercube:7", "cycle:128"]
+
+
+def slow_commands() -> list[str]:
+    """The slow battery: closed-form ``hitting`` from both starts to both
+    finals, and ``spectrum`` to both finals, on each slow walk and coin."""
+    out = []
+    for graph in SLOW_GRAPHS:
+        for coin in ("grover", "dft"):
+            walk = f"--graph {graph} --coin {coin}"
+            for start in ("symmetric", "basis:0:1"):
+                for final in ("all-ones", "all-ones-but-last"):
+                    out.append(f"hitting {walk} --start {start} --final {final} --method closed-form")
+            for final in ("all-ones", "all-ones-but-last"):
+                out.append(f"spectrum {walk} --final {final}")
+    return out
+
+
 def run(command: str) -> list[str]:
     """The exit code and output lines of one command, run in process."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -108,11 +142,14 @@ def read(path: pathlib.Path = GOLDEN) -> dict[str, list[str]]:
     return entries
 
 
-def main() -> None:
-    with GOLDEN.open("w", encoding="utf-8") as fh:
-        for command in commands():
+def main(argv: list[str]) -> None:
+    if argv not in ([], ["--slow"]):
+        raise SystemExit("usage: make_golden.py [--slow]")
+    path, battery = (GOLDEN_SLOW, slow_commands()) if argv == ["--slow"] else (GOLDEN, commands())
+    with path.open("w", encoding="utf-8") as fh:
+        for command in battery:
             fh.write("\n".join([f"$ qwlab {command}", *run(command)]) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -62,7 +62,7 @@ def test_criterion_01_dft_cube_escape_probability():
 def test_criterion_02_dft_cube_degeneracies():
     started = time.time()
     _, op = cube_operator(4, "dft")
-    clusters = spectral.eigenspace_clusters(op.matrix, tol=1e-8)
+    clusters = spectral.eigenspace_clusters(op.matrix)
     mults = {}
     for target in (1, -1, 1j, -1j):
         match = [c.multiplicity for c in clusters if abs(c.eigenvalue - target) < 1e-8]

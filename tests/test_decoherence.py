@@ -41,7 +41,7 @@ def dense_policy(spec, ch):
         return deco.decohered_hitting_series(spec, ch, 1e-9).escape_probability or 0.0
 
     return hitting.closed_form_engine(
-        *deco.decohered_superoperators(spec, ch), hitting.vectorize(spec.rho0), escape_fn=escape
+        *deco.decohered_superoperators(spec, ch), spec.rho0.reshape(-1), escape_fn=escape
     )
 
 
@@ -146,7 +146,7 @@ class TestChannels:
     def test_superoperator_consistent_with_kraus(self, rng):
         ch = random_channel(3, 2, rng)
         rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        via_super = hitting.devectorize(deco.channel_superoperator(ch) @ hitting.vectorize(rho))
+        via_super = (deco.channel_superoperator(ch) @ rho.reshape(-1)).reshape(rho.shape)
         assert np.max(np.abs(via_super - deco.apply_channel(ch, rho))) < 1e-12
 
     @pytest.mark.parametrize("kind", ["both", "coin", "position", "phases"])
@@ -217,6 +217,17 @@ class TestChannels:
     def test_lindblad_rates_nonnegative(self):
         with pytest.raises(ValueError):
             deco.LindbladSet((np.eye(2),), (-1.0,))
+
+    def test_zero_rate_operator_is_refused(self):
+        # an operator at rate 0 is absent from the generator, and the DFS
+        # check does not read rates: a non-scalar one beside a scalar one
+        # would mark the subspace as not decoherence-free
+        scalar, flip = 0.5 * np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="rates must be positive"):
+            deco.LindbladSet((scalar, flip), (1.0, 0.0))
+        basis = np.eye(2)[:, :1]
+        assert deco.dfs_check_lindblad(deco.LindbladSet((scalar,), (1.0,)), basis).is_dfs
+        assert not deco.dfs_check_lindblad(deco.LindbladSet((scalar, flip), (1.0, 1.0)), basis).is_dfs
 
 
 class TestDecoheredHitting:
@@ -329,7 +340,7 @@ class TestDecoheredHitting:
         assert closed.value == pytest.approx(series.value, rel=1e-6)
         # the final projector acts inside the channel: U+ (sum K+ (Q X Q) K) U
         dense = hitting.closed_form_engine(
-            *deco.decohered_superoperators(spec, ch), hitting.vectorize(spec.rho0)
+            *deco.decohered_superoperators(spec, ch), spec.rho0.reshape(-1)
         )
         assert closed.method == dense.method
         assert closed.value == pytest.approx(dense.value, rel=1e-10)
@@ -371,7 +382,7 @@ class TestDecoheredHitting:
                 ch = deco.dephasing_channel(kind, p, g.num_vertices, g.degree_value)
                 got = deco.decohered_hitting_time(spec, ch)
                 dense = hitting.closed_form_engine(
-                    *deco.decohered_superoperators(spec, ch), hitting.vectorize(spec.rho0)
+                    *deco.decohered_superoperators(spec, ch), spec.rho0.reshape(-1)
                 )
                 assert got.method == dense.method
                 assert got.value == pytest.approx(dense.value, rel=1e-10)

@@ -43,7 +43,7 @@ def dense_oracle(spec):
     report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
     return hitting.closed_form_engine(
         *hitting.superoperators(spec),
-        hitting.vectorize(spec.rho0),
+        spec.rho0.reshape(-1),
         escape_fn=lambda: spectral.escape_probability(report, spec.rho0),
     )
 
@@ -400,23 +400,6 @@ class TestOneShot:
 
 
 class TestVectorize:
-    def test_row_stacking_order(self):
-        m = np.arange(9).reshape(3, 3)
-        assert np.array_equal(hitting.vectorize(m), np.arange(9))
-
-    def test_identity_two(self):
-        assert np.array_equal(hitting.vectorize(np.eye(2)), np.array([1.0, 0.0, 0.0, 1.0]))
-
-    def test_devectorize_inverse(self, rng):
-        m = rng.standard_normal((4, 4))
-        assert np.array_equal(hitting.devectorize(hitting.vectorize(m)), m)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            hitting.vectorize(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            hitting.devectorize(np.ones(5))
-
     def test_distribution_csv_columns(self):
         body = hitting.distribution_csv(hitting.first_hit_distribution(edge_spec(), 3))
         lines = body.strip().splitlines()
@@ -424,6 +407,7 @@ class TestVectorize:
         assert lines[1].split(",") == ["1", "1", "1"]
         assert len(lines) == 4
 
+    # the oracle's vec(rho) is rho.reshape(-1), which stacks rows
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_kronecker_identity(self, seed):
@@ -431,15 +415,15 @@ class TestVectorize:
         a = r.standard_normal((3, 3)) + 1j * r.standard_normal((3, 3))
         b = r.standard_normal((3, 3)) + 1j * r.standard_normal((3, 3))
         rho = r.standard_normal((3, 3)) + 1j * r.standard_normal((3, 3))
-        lhs = hitting.vectorize(a @ rho @ b)
-        rhs = np.kron(a, b.T) @ hitting.vectorize(rho)
+        lhs = (a @ rho @ b).reshape(-1)
+        rhs = np.kron(a, b.T) @ rho.reshape(-1)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_conjugation_identity(self, rng):
         a = random_unitary(3, rng)
         rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = hitting.vectorize(a @ rho @ a.conj().T)
-        rhs = np.kron(a, a.conj()) @ hitting.vectorize(rho)
+        lhs = (a @ rho @ a.conj().T).reshape(-1)
+        rhs = np.kron(a, a.conj()) @ rho.reshape(-1)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -541,7 +525,8 @@ class TestClosedForm:
                          report.held_entries + spectral.SPLIT_WORK_ARRAYS * d * k]
             peaks = [held + eigensolve, held + split]
             if res.is_finite:
-                estimates.append(hitting.STEIN_WORK_ARRAYS * report.untrapped_dim ** 2 + report.held_entries)
+                r = report.untrapped_dim
+                estimates.append(hitting.STEIN_WORK_ARRAYS * r * r + 2 * r * k + report.held_entries)
                 peaks.append(held + solve)
             # 64 KiB for Python objects and index arrays, 0.8% of D^2 at D = 72
             assert all(peak <= 16 * estimate + 2**16 for peak, estimate in zip(peaks, estimates)), (k, peaks, estimates)
@@ -619,20 +604,21 @@ class TestClosedForm:
         shapes = []
         stein_trace = hitting._stein_trace
 
-        def record(a, rho, **kwargs):
-            shapes.append((a.shape, rho.shape))
-            return stein_trace(a, rho, **kwargs)
+        def record(a, start, **kwargs):
+            shapes.append((a.shape, start.shape))
+            return stein_trace(a, start, **kwargs)
 
         monkeypatch.setattr(hitting, "_stein_trace", record)
         res = hitting.hitting_time_closed_form(hypercube_spec(6))
         assert res.method == "pseudo_inverse" and res.value == pytest.approx(13.6, rel=1e-12)
-        assert shapes == [((72, 72), (72, 72))]
+        assert shapes == [((72, 72), (72, 1))]  # A_r and the pure start's W+ psi_0
 
     def test_stein_solve_folds_each_power_as_it_squares(self, rng):
-        # slow decay: 15 doubling powers, of which the solve holds two at a time
+        # slow decay: 15 doubling powers, of which the solve holds two at a
+        # time; the maximally mixed start's r columns
         r = 120
         a = 0.999 * random_unitary(r, rng)
-        rho = np.eye(r, dtype=complex) / r
+        start = np.eye(r, dtype=complex) / np.sqrt(r)
         powers = list(hitting._doubling_powers(a))
         assert len(powers) == 15
         eye = np.eye(r, dtype=complex)
@@ -640,12 +626,14 @@ class TestClosedForm:
         del powers
         tracemalloc.start()
         try:
-            value = hitting._stein_trace(a, rho, residual_rtol=1e-9)
+            value = hitting._stein_trace(a, start, residual_rtol=1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert value == float(np.real(np.sum(stored * rho.T)))  # bit for bit
-        assert peak <= (hitting.STEIN_WORK_ARRAYS - 2) * r * r * 16 + 2**16
+        assert value == float(np.real(np.vdot(start, stored @ start)))  # bit for bit
+        # beside A_r and S, held by the caller: 6 r^2 measured, and X S
+        k = start.shape[1]
+        assert peak <= (hitting.STEIN_WORK_ARRAYS - 1) * r * r * 16 + r * k * 16 + 2**16
 
     def test_values_at_least_one_without_final_support(self):
         for spec in (edge_spec(), hypercube_spec(2), hypercube_spec(3)):
@@ -663,7 +651,7 @@ class TestClosedForm:
                 assert abs(fast.escape_probability - dense.escape_probability) <= 1e-10, name
 
     def test_pure_start_is_projected_as_a_vector(self):
-        # W+ psi_0 stands in for W+ rho_0 W, so the D x D rho_0 is never formed
+        # the Stein trace reads the columns W+ psi_0, so rho_0 is never formed
         for name, spec in battery():
             finals = spec.final_indices
             pure = hitting.measured_walk(spec.walk, spec.psi0, final_indices=finals)
@@ -719,7 +707,7 @@ class TestClosedForm:
         spec = hypercube_spec(4, coin_kind)
         fast = hitting.hitting_time_closed_form(spec)
         report = spectral.infinite_hitting_projector(spec.walk.matrix, spec.final_array)
-        p_vec = hitting.vectorize(trapped_projector(report))
+        p_vec = trapped_projector(report).reshape(-1)
         n_mat, _ = hitting.superoperators(spec)
         assert np.linalg.norm(p_vec - n_mat @ p_vec) <= 1e-12 * np.linalg.norm(p_vec)
         del n_mat
@@ -735,8 +723,8 @@ class TestClosedForm:
         m = np.kron(a_c, a_c.conj())
         m *= -1.0
         m[np.diag_indices_from(m)] += 1.0
-        x = np.linalg.solve(m, hitting.vectorize(q @ spec.rho0 @ q))
-        dense = float(np.real(np.trace(hitting.devectorize(x))))
+        x = np.linalg.solve(m, (q @ spec.rho0 @ q).reshape(-1))
+        dense = float(np.real(np.trace(x.reshape(spec.dim, spec.dim))))
         assert abs(fast.value - dense) <= 1e-10 * dense
 
     def test_builds_no_superoperator(self, monkeypatch):

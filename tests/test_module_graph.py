@@ -7,7 +7,8 @@ leaves that choice, and the eigensolve's memory check, to the spectral
 report.  A new route (an S_m or a dihedral frame, say) that brings back the
 import cycle or a second copy of the decision fails here.  Every hitting-time
 route reads its start in one form, the spec's D x k columns; a second body
-for a vector or a density matrix fails here too.  The final indices have one
+for a vector or a density matrix, or a closed form that squares the start
+or keeps its own trace of it, fails here too.  The final indices have one
 normalizer, ``spectral._final_array``; a second range check fails here.
 """
 
@@ -72,9 +73,9 @@ def test_quotient_does_not_decide_the_spectral_route():
     assert not [node for node in ast.walk(verdict) if isinstance(node, ast.Try)]
 
 
-@pytest.mark.parametrize("name, owner", [("_split_stack", "spectral"), ("_frame", "spectral"),
-                                         ("_cube_coin", "fourier")])
-def test_each_route_piece_has_one_module_and_one_binding(name, owner):
+def owners(name: str) -> tuple[list, list]:
+    """The modules that define ``name`` at their top level, and those that
+    import it."""
     defined, imported = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -82,7 +83,18 @@ def test_each_route_piece_has_one_module_and_one_binding(name, owner):
             defined.append(path.stem)
         if any(a.name == name for node in imports(tree) for a in node.names):
             imported.append(path.stem)
-    assert (defined, imported) == ([owner], [])
+    return defined, imported
+
+
+@pytest.mark.parametrize("name, owner", [("_split_stack", "spectral"), ("_frame", "spectral"),
+                                         ("_cube_coin", "fourier")])
+def test_each_route_piece_has_one_module_and_one_binding(name, owner):
+    assert owners(name) == ([owner], [])
+
+
+def test_the_dense_oracle_vectorizes_by_reshape():
+    for name in ("vectorize", "devectorize", "_vec_identity_dot"):
+        assert owners(name) == ([], []), name
 
 
 def test_the_closed_form_has_one_body_over_any_frame():
@@ -100,6 +112,26 @@ def test_the_closed_form_has_one_body_over_any_frame():
     (frame,) = [node for node in parsed("fourier").body if isinstance(node, ast.ClassDef) and node.name == "Frame"]
     fields = {node.target.id for node in frame.body if isinstance(node, ast.AnnAssign)}
     assert "blocks" not in fields and "chains" in fields
+
+
+def adjoint_products(tree: ast.Module) -> set:
+    """(top-level definition, X) for each product X @ X.conj().T, X @
+    X.conj() or np.outer(X, X.conj()) in ``tree``."""
+    out = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                left, right = node.left, node.right
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "outer":
+                left, right = node.args
+            else:
+                continue
+            if isinstance(right, ast.Attribute) and right.attr == "T":
+                right = right.value
+            if (isinstance(right, ast.Call) and isinstance(right.func, ast.Attribute)
+                    and right.func.attr == "conj" and ast.dump(right.func.value) == ast.dump(left)):
+                out.add((top.name, ast.unparse(left)))
+    return out
 
 
 def readers(tree: ast.Module, attrs: set) -> set:
@@ -122,6 +154,18 @@ def test_every_route_reads_the_start_in_one_form():
     assert [a.arg for a in steps.args.args + steps.args.kwonlyargs] == ["spec"]
     (report,) = [node for node in spectral_tree.body if isinstance(node, ast.ClassDef) and node.name == "SpectralReport"]
     assert "escape" not in {node.name for node in report.body if isinstance(node, ast.FunctionDef)}
+    # every closed form reads Tr(S+ X S) through hitting._start_trace, which
+    # decoherence imports; none forms S S+, and the one adjoint product
+    # left in them is the decohered projector T T+ onto the trapped subspace
+    assert owners("_start_trace") == (["hitting"], ["decoherence"])
+    callers = {top.name for tree in (hitting_tree, decoherence_tree) for top in tree.body
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_start_trace"}
+    assert callers == {"_stein_trace", "decohered_hitting_time", "hitting_time_slope"}
+    closed_forms = callers | {"hitting_time_closed_form", "_start_trace"}
+    products = adjoint_products(hitting_tree) | adjoint_products(decoherence_tree)
+    assert {(name, x) for name, x in products if name in closed_forms} == {("decohered_hitting_time", "trapped")}
+    assert ("MeasuredWalkSpec", "psi") in products  # the probe sees the spec's own rho_0
 
 
 def test_final_indices_are_range_checked_in_one_place():

@@ -83,7 +83,7 @@ RAISES = {
         ValueError, "Kraus completeness violated",
     ),
     "lindblad-rate": (lambda: decoherence.LindbladSet((np.eye(2),), (NAN,)),
-                      ValueError, "rates must be nonnegative"),
+                      ValueError, "rates must be positive"),
     "swap-kappa": (lambda: decoherence.swap_dephasing_example(3, [NAN, NAN]),
                    ValueError, "sum |kappa|^2 = nan != 1"),
     "dfs-basis": (nan_dfs_basis, ValueError, "basis columns must be orthonormal"),
