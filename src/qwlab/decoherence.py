@@ -107,9 +107,9 @@ GMRES_STALL = 0.5
 # 0.25, 0.5, 0.75 and take no more GMRES steps
 STEIN_PRECONDITIONER_TAIL = 1e-5
 # D x D arrays held during a solve: the Krylov basis, at most MAX_DOUBLINGS
-# preconditioner powers, ten more (9.5 measured on hypercube:4-5), and U,
-# rho_0 with its columns, a dephasing multiplier and its (D + 1) x D Kraus
-# weights, when read, held by the caller, each counted in the solve's dtype
+# preconditioner powers, ten more (9.5 measured on hypercube:4-5, 5.5-7.3
+# by the trapped basis growth), and U, rho_0 with its columns and a
+# dephasing multiplier, held by the caller, each counted in the solve's dtype
 DECOHERED_WORK_ARRAYS = GMRES_RESTART + 1 + MAX_DOUBLINGS + 14
 # 8-byte D x D arrays held while a dephasing channel builds its multiplier
 # (the multiplier and its label comparison, 1.2 measured at D = 384 and
@@ -301,6 +301,15 @@ def _monomial_adjoint(image: np.ndarray, weights: np.ndarray, x: np.ndarray) -> 
     """A+ x for the same A, which sends e_image[j] to weights[j]* e_j: one
     gather, (A+ x)_j = weights[j]* x_image[j]."""
     return (weights.conj() * x[image].T).T
+
+
+def _kraus_actions(ch: Channel, *, adjoint: bool) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The maps X -> A_i X, or X -> A_i+ X when ``adjoint``, on blocks of
+    columns; monomial A_i act by gathers, O(D) per column."""
+    if ch.monomials is None:
+        return _dense_actions([a.conj().T if adjoint else a for a in ch.kraus])
+    act = _monomial_adjoint if adjoint else _monomial_apply
+    return [functools.partial(act, *a) for a in zip(*ch.monomials)]
 
 
 def _channel_map(ch: Channel, *, adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
@@ -504,34 +513,23 @@ class _SurvivalMap:
         return x if residual <= SINGULAR_RTOL else None
 
 
-def _kraus_actions(ch: Channel, *, adjoint: bool) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """The maps X -> A_i X, or X -> A_i+ X when ``adjoint``, on blocks of
-    columns; monomial A_i act by gathers, O(D) per column."""
-    if ch.monomials is None:
-        return _dense_actions([a.conj().T if adjoint else a for a in ch.kraus])
-    act = _monomial_adjoint if adjoint else _monomial_apply
-    return [functools.partial(act, *a) for a in zip(*ch.monomials)]
-
-
 def _trapped_basis(spec: MeasuredWalkSpec, ch: Channel) -> np.ndarray:
     """Orthonormal basis T of the largest subspace off the finals that every
     A_i U and its adjoint keep: the projector P = B B+ grows from P_f to the
-    range of P + Phi(U P U+) + U+ Phi+(P) U = G G+, with G the columns B,
-    A_i U B and U+ A_i+ B, and rank cutoff NULLSPACE_RTOL, until its rank
-    stops, and T spans the rest.  U B comes from the walk's factored form
-    and U+ multiplies the k r columns A_i+ B, so the one D x D product of a
-    step is G G+.  N_D and L map each block of the split by T T+ into
-    itself.  T is real when U and the channel are."""
-    op = spec.walk
-    forward = _kraus_actions(ch, adjoint=False)
-    backward = _kraus_actions(ch, adjoint=True)
-    u_dag = op.matrix.conj().T
+    range of P + Phi(U P U+) + U+ Phi+(P) U, with rank cutoff
+    NULLSPACE_RTOL, until its rank stops, and T spans the rest.  Phi and
+    Phi+ are the :func:`_channel_map` maps of the survive map and the
+    series, so a step holds a few D x D arrays whatever the number of Kraus
+    operators.  N_D and L map each block of the split by T T+ into itself.
+    T is real when U and the channel are."""
+    u = spec.walk.matrix
+    u_dag = u.conj().T
+    channel = _channel_map(ch, adjoint=False)
+    adjoint = _channel_map(ch, adjoint=True)
     basis = np.eye(spec.dim)[:, spec.final_array]
     while True:
-        ub = op.apply(basis)
-        back = u_dag @ np.hstack([a(basis) for a in backward])
-        g = np.hstack([basis, *(a(ub) for a in forward), back])
-        w, v = np.linalg.eigh(g @ g.conj().T)
+        p = basis @ basis.conj().T
+        w, v = np.linalg.eigh(p + channel(u @ p @ u_dag) + u_dag @ adjoint(p) @ u)
         keep = w > spectral.NULLSPACE_RTOL * w[-1]
         if keep.sum() == basis.shape[1]:
             return v[:, ~keep]

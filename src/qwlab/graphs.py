@@ -536,11 +536,20 @@ def graph_to_dict(g: ColoredGraph) -> dict:
     }
 
 
+def _whole(x) -> int:
+    """``x`` as an int, refused when it is a bool or a string, or when it
+    differs from its int(), so that 1.9, true and "1" are not read as 1."""
+    n = int(x)
+    if isinstance(x, (bool, str)) or n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 def graph_from_dict(d: dict) -> ColoredGraph:
     try:
-        num = int(d["num_vertices"])
+        num = _whole(d["num_vertices"])
         edges = tuple(
-            Edge(int(e["u"]), int(e["cu"]), int(e["v"]), int(e["cv"]))
+            Edge(_whole(e["u"]), _whole(e["cu"]), _whole(e["v"]), _whole(e["cv"]))
             for e in d["edges"]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -103,6 +103,11 @@ SERIES_BLOCK_STEPS = 64
 # int64 arrays per trial held at once by the Monte Carlo walker (6.1
 # measured on hypercubes, 7.1 with the per-walker bounds of glued trees)
 MC_WORK_ARRAYS = 8
+# bytes held per step of a first-hit distribution: its list of
+# probabilities, its array and the CSV text written from it (145-182
+# measured through distribution_csv on cycle:6 and hypercube:3 and 5, 10^4
+# to 3 x 10^5 steps)
+DISTRIBUTION_STEP_BYTES = 200
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_PSEUDO_INVERSE = "pseudo_inverse"
@@ -275,9 +280,12 @@ def _clamp_probability(p: float) -> float:
 
 
 def first_hit_distribution(spec: MeasuredWalkSpec, horizon: int) -> np.ndarray:
-    """First-detection probabilities p(1..horizon)."""
+    """First-detection probabilities p(1..horizon), refused before the
+    first step if they and their CSV text would not fit in the memory
+    budget."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    _check_bytes(f"a distribution of {horizon} steps", DISTRIBUTION_STEP_BYTES * horizon)
     ps = []
     for block in _hit_probabilities(spec):
         ps += block

@@ -74,10 +74,16 @@ def full_direction_group(cay: graphs.CayleyGraph) -> groups.PermGroup:
     return direction_group(cay, *texts)
 
 
+def two_cycles(n: int) -> graphs.ColoredGraph:
+    """Two disjoint n-cycles for even n, vertices 0..n-1 and n..2n-1, colored
+    like build_cycle(n)."""
+    edges = [graphs.Edge(o + k, 1 + k % 2, o + (k + 1) % n, 1 + k % 2) for o in (0, n) for k in range(n)]
+    return graphs.ColoredGraph(2 * n, tuple(edges))
+
+
 def two_four_cycles() -> graphs.ColoredGraph:
-    """Two disjoint 4-cycles, vertices 0-3 and 4-7, colored like build_cycle(4)."""
-    edges = [graphs.Edge(o + k, 1 + k % 2, o + (k + 1) % 4, 1 + k % 2) for o in (0, 4) for k in range(4)]
-    return graphs.ColoredGraph(8, tuple(edges))
+    """Two disjoint 4-cycles, vertices 0-3 and 4-7."""
+    return two_cycles(4)
 
 
 @functools.cache

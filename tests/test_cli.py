@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -11,7 +12,7 @@ import pytest
 
 from qwlab import cli, decoherence, graphs, groups, hitting, quotient, walk
 
-from conftest import full_direction_group, two_four_cycles
+from conftest import full_direction_group, two_cycles, two_four_cycles
 
 
 def run_cli(*argv):
@@ -253,6 +254,20 @@ class TestSweepCommand:
                             "--kinds", "coin", "--p-grid", "0.5")
         row = csv_rows(out)[0]
         assert code == 0 and row["method"] == "closed_form" and row["escape"] == "1"
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_two_cycles_return_in_n_at_every_strength(self, tmp_path, n):
+        # measured at its own vertex, the symmetric start returns in its
+        # component's 2n states over d = 2, on the pseudo-inverse route
+        path = tmp_path / "two-cycles.json"
+        path.write_text(graphs.graph_to_json(two_cycles(n)))
+        code, out = run_cli("sweep-decoherence", "--graph-file", str(path), "--final", "v0",
+                            "--p-grid", "0,0.5,1")
+        rows = csv_rows(out)
+        assert code == 0 and [row["p"] for row in rows] == ["0", "0.5", "1"]
+        for row in rows:
+            assert row["method"] == "pseudo_inverse"
+            assert float(row["tau"]) == pytest.approx(n, rel=1e-9)
 
     def test_memory_error_exits_one(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
@@ -556,6 +571,9 @@ DFS_8 = ["dfs", "--graph", "hypercube:8", "--subgroup", "(1,2)"]
     # the 2048 x 1408 orbit isometry, then the scalar-action check on it
     (16, DFS_8, "dimension 2048 needs an estimated 22 MiB"),
     (40, DFS_8, "dimension 2048 needs an estimated 324 MiB"),
+    # 300000 steps of probabilities and their CSV, before the first step
+    (1, ["hitting", "--graph", "hypercube:3", "--distribution", os.devnull, "--horizon", "300000"],
+     "a distribution of 300000 steps needs an estimated 57 MiB"),
 ])
 def test_refused_with_the_estimate_before_the_budget_is_reached(monkeypatch, capsys, budget, argv, need):
     monkeypatch.setattr(walk, "_memory_budget", lambda: budget * 2**20)
@@ -594,6 +612,15 @@ class TestGraphFile:
          "malformed graph document: cannot convert float NaN to integer"),
         ('{"num_vertices": 1000000000000000000000000000000, "edges": []}',
          "dimension 1000000000000000000000000000000 needs an estimated"),
+        # int() would read each of these as the edge graph and run the walk on it
+        ('{"num_vertices": 2, "edges": [{"u": 0, "cu": 1, "v": 1.9, "cv": 1.2}]}',
+         "malformed graph document: 1.9 is not an integer"),
+        ('{"num_vertices": 2, "edges": [{"u": 0, "cu": true, "v": 1, "cv": 1}]}',
+         "malformed graph document: True is not an integer"),
+        ('{"num_vertices": 2, "edges": [{"u": 0, "cu": 1, "v": "1", "cv": 1}]}',
+         "malformed graph document: '1' is not an integer"),
+        ('{"num_vertices": 2.5, "edges": [{"u": 0, "cu": 1, "v": 1, "cv": 1}]}',
+         "malformed graph document: 2.5 is not an integer"),
     ])
     def test_out_of_range_numbers_are_one_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "graph.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from conftest import (
     full_direction_group,
     random_unitary,
     trapped_projector,
+    two_cycles,
     two_four_cycles,
 )
 from qwlab.errors import IndeterminateError
@@ -53,11 +56,12 @@ def assert_same_result(got, want, rel=1e-10):
         assert got.escape_probability == pytest.approx(want.escape_probability, rel=rel)
 
 
-def two_cycle_spec(coin, vertex):
-    """Two 4-cycles measured at vertex 6: a walker at 0 never arrives, one at 4 does."""
-    g = two_four_cycles()
+def two_cycle_spec(coin, vertex, n=4):
+    """Two n-cycles measured at vertex 3n/2, 6 for n = 4: a walker at 0 never
+    arrives, one at n does."""
+    g = two_cycles(n)
     op = walk.evolution_operator(g, coin)
-    return hitting.measured_walk(op, hitting.symmetric_state(g, vertex), final_vertices=[6])
+    return hitting.measured_walk(op, hitting.symmetric_state(g, vertex), final_vertices=[3 * n // 2])
 
 
 def amplitude_damping(source, target, dim, gamma=0.3):
@@ -464,18 +468,19 @@ class TestDecoheredHitting:
             traces.append(report.trace_int)
         assert traces[-2:] == [32, 18] and any(traces[:-2])
 
-    def test_trapped_basis_is_the_projector_growth(self, rng):
-        # against the growth of the dense projector P = B B+ to the range of
-        # P + Phi(U P U+) + U+ Phi+(P) U, on swap dephasing (monomial), on
-        # dense Kraus channels that damp and leak, and on a random channel
-        def grown_by_projector(spec, ch):
+    def test_trapped_basis_is_the_column_growth(self, rng):
+        # against the growth of the running basis B by the columns A_i U B
+        # and U+ A_i+ B of every dense Kraus operator, whose Gram matrix is
+        # P + Phi(U P U+) + U+ Phi+(P) U: on swap dephasing (monomial), on
+        # dense Kraus channels that damp and leak, on a random channel and
+        # on the three dephasing kinds
+        def grown_by_columns(spec, ch):
             u = spec.walk.matrix
-            channel = deco._channel_map(ch, adjoint=False)
-            adjoint = deco._channel_map(ch, adjoint=True)
             basis = np.eye(spec.dim)[:, spec.final_array]
             while True:
-                p = basis @ basis.conj().T
-                w, v = np.linalg.eigh(p + channel(u @ p @ u.conj().T) + u.conj().T @ adjoint(p) @ u)
+                g = np.hstack([basis, *(a @ u @ basis for a in ch.kraus),
+                               *(u.conj().T @ a.conj().T @ basis for a in ch.kraus)])
+                w, v = np.linalg.eigh(g @ g.conj().T)
                 keep = w > spectral.NULLSPACE_RTOL * w[-1]
                 if keep.sum() == basis.shape[1]:
                     return v[:, ~keep]
@@ -488,14 +493,15 @@ class TestDecoheredHitting:
         cases.append((grover_cube_spec(4)[1], deco.swap_dephasing_example(4, random_kappas(4, rng))))
         spec = two_cycle_spec(walk.dft_coin(2), 0)
         cases += [(spec, amplitude_damping(1, 0, 16)), (spec, amplitude_damping(1, 8, 16)),
-                  (spec, random_channel(16, 2, rng)), (spec, deco.dephasing_channel("coin", 0.5, 8, 2))]
+                  (spec, random_channel(16, 2, rng))]
+        cases += [(spec, deco.dephasing_channel(kind, 0.5, 8, 2)) for kind in ("coin", "both", "position")]
         dims = []
         for spec, ch in cases:
-            t, want = deco._trapped_basis(spec, ch), grown_by_projector(spec, ch)
+            t, want = deco._trapped_basis(spec, ch), grown_by_columns(spec, ch)
             assert t.shape == want.shape and t.dtype == want.dtype
             assert np.max(np.abs(t @ t.conj().T - want @ want.conj().T), initial=0.0) <= 1e-12
             dims.append(t.shape[1])
-        assert dims == [6, 32, 110, 32, 8, 2, 0, 8]
+        assert dims == [6, 32, 110, 32, 8, 2, 0, 8, 8, 8]
 
     @pytest.mark.parametrize("channel", ["coin", "swap"])
     def test_singular_point_builds_one_survival_map(self, channel, monkeypatch):
@@ -516,6 +522,39 @@ class TestDecoheredHitting:
             ch = deco.dephasing_channel("coin", 0.5, 8, 2)
         assert deco.decohered_hitting_time(spec, ch).method == "pseudo_inverse"
         assert len(built) == 1
+
+    @pytest.mark.parametrize("coin", ["grover", "dft"])
+    def test_singular_dephasing_reads_the_multiplier_alone(self, coin, monkeypatch):
+        # the trapped basis reads the channel through its maps, so a
+        # dephasing channel builds no Kraus weights on the singular route
+        spec = two_cycle_spec(COINS[coin](2), 4)
+        channels = [deco.dephasing_channel(kind, 0.5, 8, 2) for kind in ("both", "position")]
+        wants = [dense_policy(spec, ch) for ch in channels]
+        monkeypatch.setattr(deco.Channel, "monomials", property(refuse))
+        monkeypatch.setattr(deco.Channel, "kraus", property(refuse))
+        for ch, want in zip(channels, wants):
+            got = deco.decohered_hitting_time(spec, ch)
+            assert got.method == "pseudo_inverse"
+            assert_same_result(got, want)
+
+    @pytest.mark.parametrize("kind", ["both", "position"])
+    @pytest.mark.parametrize("coin", ["grover", "dft"])
+    def test_singular_point_stays_inside_the_solve_estimate(self, coin, kind):
+        # two 32-cycles, D = 128: the trapped basis growth holds a few D x D
+        # arrays whatever the number of Kraus operators (129 for both, 65 for
+        # position), inside the estimate that the survive map checks
+        spec = two_cycle_spec(COINS[coin](2), 32, n=32)
+        ch = deco.dephasing_channel(kind, 0.5, 64, 2)
+        spec.walk.matrix  # U, held by the caller, is built before the trace
+        dtype = np.result_type(spec.walk.block, ch.dtype)
+        tracemalloc.start()
+        try:
+            res = deco.decohered_hitting_time(spec, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.method == "pseudo_inverse"
+        assert peak <= deco.DECOHERED_WORK_ARRAYS * spec.dim**2 * np.dtype(dtype).itemsize
 
     @pytest.mark.parametrize("coin", ["grover", "dft"])
     @pytest.mark.parametrize("vertex", [0, 4])

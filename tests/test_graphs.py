@@ -368,6 +368,10 @@ class TestJson:
         with pytest.raises(ValueError):
             graphs.graph_from_dict(bad)
 
+    def test_whole_floats_are_read(self):
+        text = '{"num_vertices": 2.0, "edges": [{"u": 0, "cu": 1.0, "v": 1, "cv": 1}]}'
+        assert graphs.graph_from_json(text) == graphs.build_edge_graph()
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(min_value=1, max_value=5))
     def test_hypercube_round_trip_any_dimension(self, n):

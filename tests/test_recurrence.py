@@ -17,7 +17,10 @@ The references here need no oracle: the cyclic dimension is a block
 Arnoldi rank of U, computed below from U alone, and D / d is a ratio of
 sizes.  The closed forms must meet them to 1e-9 relative, and the series,
 which sum a nonnegative tail short of epsilon, from below to 1e-7.  F is
-vertex 0's d coin states throughout.
+a vertex's d coin states: every vertex's for the subspace identity, vertex
+0's elsewhere.  On two disjoint cycles the start's component never meets
+the other, so I - N is singular and the same integers check the
+pseudo-inverse route.
 """
 
 import functools
@@ -27,9 +30,12 @@ import pytest
 
 from qwlab import cli, decoherence, hitting, walk
 
+from conftest import two_cycles
+
 WALKS = ["hypercube:3", "hypercube:4", "cycle:8", "distorted-hypercube:4", "cayley:s4:3gen"]
 COINS = ["grover", "dft"]
 KAC_WALKS = ["hypercube:3", "cycle:8", "distorted-hypercube:4"]
+KINDS = ["coin", "position", "both"]
 RTOL = 1e-9
 SERIES_EPSILON = 1e-10
 SERIES_RTOL = 1e-7
@@ -65,15 +71,19 @@ def pure_spec(descriptor: str, coin: str, i: int):
     return hitting.measured_walk(op, start, final_indices=[i])
 
 
-def subspace_spec(descriptor: str, coin: str):
-    """The start maximally mixed on vertex 0's coin states, those states final."""
-    g, op = built(descriptor, coin)
+def mixed_on_vertex(g, op, v: int = 0):
+    """The start maximally mixed on vertex v's coin states, those states final."""
     d = g.degree_value
+    states = np.arange(v * d, (v + 1) * d)
     rho = np.zeros((op.dim, op.dim))
-    rho[np.arange(d), np.arange(d)] = 1.0 / d
-    spec = hitting.measured_walk(op, rho, final_vertices=[0])
-    assert spec.final_array.tolist() == list(range(d))
+    rho[states, states] = 1.0 / d
+    spec = hitting.measured_walk(op, rho, final_vertices=[v])
+    assert spec.final_array.tolist() == states.tolist()
     return spec
+
+
+def subspace_spec(descriptor: str, coin: str, v: int = 0):
+    return mixed_on_vertex(*built(descriptor, coin), v)
 
 
 def return_time(spec) -> float:
@@ -101,13 +111,15 @@ def test_pure_start_returns_in_its_krylov_rank(descriptor, coin, which):
 @pytest.mark.parametrize("coin", COINS)
 @pytest.mark.parametrize("descriptor", WALKS)
 def test_subspace_start_returns_in_its_block_krylov_rank_over_d(descriptor, coin):
-    spec = subspace_spec(descriptor, coin)
-    res = hitting.hitting_time_closed_form(spec)
-    assert res.is_finite and res.value == pytest.approx(return_time(spec), rel=RTOL)
+    g, _ = built(descriptor, coin)
+    for v in range(g.num_vertices):
+        spec = subspace_spec(descriptor, coin, v)
+        res = hitting.hitting_time_closed_form(spec)
+        assert res.is_finite and res.value == pytest.approx(return_time(spec), rel=RTOL), v
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0])
-@pytest.mark.parametrize("kind", ["coin", "position", "both"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("coin", COINS)
 @pytest.mark.parametrize("descriptor", KAC_WALKS)
 def test_dephased_subspace_start_returns_in_d_over_dim_f(descriptor, coin, kind, p):
@@ -116,6 +128,40 @@ def test_dephased_subspace_start_returns_in_d_over_dim_f(descriptor, coin, kind,
     ch = decoherence.dephasing_channel(kind, p, g.num_vertices, g.degree_value)
     res = decoherence.decohered_hitting_time(spec, ch)
     assert res.is_finite and res.value == pytest.approx(spec.dim / g.degree_value, rel=RTOL)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("coin", COINS)
+@pytest.mark.parametrize("descriptor", KAC_WALKS)
+def test_dephased_pure_start_returns_in_d(descriptor, coin, kind):
+    # measured, not assumed: e_0 with final index 0 returns in D, but for
+    # grover cycle:8 in D / 2: its d = 2 coin is a swap, so the walk only
+    # permutes basis states, which every dephasing channel leaves alone
+    g, _ = built(descriptor, coin)
+    spec = pure_spec(descriptor, coin, 0)
+    want = spec.dim / 2 if (descriptor, coin) == ("cycle:8", "grover") else spec.dim
+    for p in (0.25, 0.5, 1.0):
+        ch = decoherence.dephasing_channel(kind, p, g.num_vertices, g.degree_value)
+        res = decoherence.decohered_hitting_time(spec, ch)
+        assert res.is_finite and res.value == pytest.approx(want, rel=RTOL), p
+
+
+@pytest.mark.parametrize("coin", COINS)
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_two_cycles_return_in_the_component_dimension_over_d(n, coin):
+    # vertex 0's n-cycle never meets the other one, so I - N is singular
+    # with and without dephasing, and the pseudo-inverse gives the return
+    # time of the component, whose 2n states give 2n / d = n
+    g = two_cycles(n)
+    spec = mixed_on_vertex(g, walk.evolution_operator(g, cli.resolve_coin(coin, 2)))
+    assert return_time(spec) == n
+    results = [hitting.hitting_time_closed_form(spec)] + [
+        decoherence.decohered_hitting_time(spec, decoherence.dephasing_channel(kind, p, 2 * n, 2))
+        for kind in KINDS
+        for p in (0.5, 1.0)
+    ]
+    for res in results:
+        assert res.method == hitting.METHOD_PSEUDO_INVERSE and res.value == pytest.approx(n, rel=RTOL)
 
 
 # measured, not assumed: swap dephasing (equal kappas) mixes the dft walks
