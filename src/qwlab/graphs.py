@@ -220,13 +220,16 @@ class BasisIndexing:
     def num_vertices(self) -> int:
         return len(self.offsets)
 
-    def _colors(self, v: int) -> tuple[int, ...]:
+    def _colors(self, v: int) -> tuple[int, tuple[int, ...]]:
+        """``v`` as an int, refused unless it is a whole number in range,
+        and its colors."""
+        v = _whole(v)
         if not 0 <= v < self.num_vertices:
             raise ValueError(f"vertex {v} out of range")
-        return self.vertex_colors[v]
+        return v, self.vertex_colors[v]
 
     def index(self, v: int, c: int) -> int:
-        colors = self._colors(v)
+        v, colors = self._colors(v)
         try:
             rank = colors.index(c)
         except ValueError:
@@ -240,7 +243,8 @@ class BasisIndexing:
         return v, self.vertex_colors[v][i - self.offsets[v]]
 
     def vertex_indices(self, v: int) -> range:
-        size = len(self._colors(v))
+        v, colors = self._colors(v)
+        size = len(colors)
         return range(self.offsets[v], self.offsets[v] + size)
 
     def indices_for(self, vertices: Iterable[int]) -> np.ndarray:
@@ -537,10 +541,14 @@ def graph_to_dict(g: ColoredGraph) -> dict:
 
 
 def _whole(x) -> int:
-    """``x`` as an int, refused when it is a bool or a string, or when it
-    differs from its int(), so that 1.9, true and "1" are not read as 1."""
-    n = int(x)
-    if isinstance(x, (bool, str)) or n != x:
+    """``x`` as an int, refused with ValueError when it is a bool or a
+    string, when it differs from its int(), so that 1.9, true and "1" are
+    not read as 1, or when it has no int()."""
+    try:
+        n = int(x)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
+    if isinstance(x, (bool, np.bool_, str)) or n != x:
         raise ValueError(f"{x!r} is not an integer")
     return n
 

@@ -17,21 +17,24 @@ rho_0 = Psi Psi+ (``MeasuredWalkSpec.columns``), a pure start's one column
 psi_0 or a rank-k density matrix's k.  The series steps the k columns, in
 blocks of up to 64 steps at two array calls a step, the escape is
 ||Psi||^2 - ||W+ Psi||^2, and every closed form, this one with S = W+ Psi
-and the decohered one with S = Psi, reads tau = Tr(S+ X S) through one
-helper, ``_start_trace``: no closed form builds a density matrix.
+(S = Psi with nothing trapped) and the decohered one with S = Psi, reads
+tau = Tr(S+ X S) through one helper, ``_start_trace``: no closed form
+builds a density matrix.
 
 The sum converges exactly when U has no trapped eigenvector, one without
 final-vertex amplitude.  A start state with mass in the trapped subspace
 never arrives: an infinite hitting time with that escape mass (Krovi and
-Brun, PRA 74, 042334 (2006)).  Otherwise the closed form solves in the
-orthonormal eigenbasis W of U's other eigenvectors, whose range holds the
-finals and reduces A to the r x r matrix A_r = W+ A W, formed from U so
-that the residual checks the walk itself: Smith doubling in r dimensions
-after an O(D^3) eigensolve, in O(D^2) memory, each refused before it
-allocates if its estimated working set exceeds the memory budget.  On the
-n-cube the spectral report comes from the walk's 2^n Fourier blocks
-instead, and gives the escape, W+ Psi and A_r in O(2^n n^3) time and
-O(D n) memory with no D x D array; the solve is the same.  A
+Brun, PRA 74, 042334 (2006)).  With no trapped subspace at all the closed
+form solves on A itself, in U's dtype, so a real walk runs in float64.
+Otherwise it solves in the orthonormal eigenbasis W of U's other
+eigenvectors, whose range holds the finals and reduces A to the r x r
+matrix A_r = W+ A W, formed from U so that the residual checks the walk
+itself.  Either way the solve is Smith doubling, after an O(D^3)
+eigensolve, in O(D^2) memory, each refused before it allocates if its
+estimated working set exceeds the memory budget.  On the n-cube the
+spectral report comes from the walk's 2^n Fourier blocks instead, and
+gives the escape, W+ Psi and A_r in O(2^n n^3) time and O(D n) memory
+with no D x D array; the solve is the same.  A
 solve that does not converge, leaves a residual above the bound or
 produces a non-finite entry raises IndeterminateError.  With a trapped
 subspace this is the Moore-Penrose value of the vectorized formula
@@ -86,11 +89,13 @@ SINGULAR_RTOL = 1e-9
 ESCAPE_ATOL = 1e-9
 STALL_GAIN = 1e-12
 MAX_DOUBLINGS = 64
-# complex r x r arrays held at once by the Stein solve: its two doubling
-# powers, X and temporaries (6 r^2 measured), beside A_r; the start's r x k
-# columns S = W+ Psi and X S are counted apart, as 2 r k (the solve's peak
-# is max(6 r^2, 2 r^2 + r k) measured at k = 1 and full rank); the spectral
-# report states what it holds beside them
+# r x r arrays held at once by the Stein solve: its two doubling powers, X
+# and temporaries (6 r^2 measured), beside A; the start's r x k columns S
+# and X S are counted apart, as 2 r k complex entries (the solve's peak is
+# max(6 r^2, 2 r^2 + r k) measured at k = 1 and full rank); the spectral
+# report states what it holds beside them.  Complex for A_r = W+ A W in r
+# dimensions, U's dtype for A = Q_f U itself at r = D (7.0 D^2 measured
+# with A, on grover and dft cycle:64 and cycle:128)
 STEIN_WORK_ARRAYS = 7
 # complex D x k arrays held at once by the series on a start's k columns:
 # its buffer (the columns and a block's rows of finals' amplitudes, at most
@@ -595,8 +600,8 @@ def _start_trace(x: np.ndarray, columns: np.ndarray) -> float:
 
 def _stein_trace(a: np.ndarray, start: np.ndarray, *, residual_rtol: float) -> float:
     """Tr(S+ X S) for the solution X = sum_t (A^t)+ A^t of X - A+ X A = I
-    and the start's columns S."""
-    eye = np.eye(a.shape[0], dtype=complex)
+    and the start's columns S, solved in A's dtype: a real A in float64."""
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     x = _stein_sum(_doubling_powers(a), eye)
     residual = np.linalg.norm(x - a.conj().T @ x @ a - eye) / np.linalg.norm(x)
     if not residual <= residual_rtol:
@@ -611,21 +616,40 @@ def hitting_time_closed_form(
 ) -> HittingResult:
     """Expected hitting time from the Stein equation X - A+ X A = I, A = Q_f U.
 
-    Escape mass in the trapped subspace above ESCAPE_ATOL makes the
-    hitting time infinite (method ``closed_form``).  Otherwise A maps the
-    range of the untrapped eigenbasis W into itself, as A_r = W+ A W, and
-    tau = Tr(S+ X_r S) for X_r - A_r+ X_r A_r = I, with S = W+ Psi from
-    the start's columns Psi, so no start is formed as a density matrix.  The
-    method is ``pseudo_inverse`` when a trapped subspace exists, else
-    ``closed_form``.
-    A relative residual ||X_r - A_r+ X_r A_r - I|| / ||X_r|| above
-    ``singular_rtol``, a non-finite entry or a solve that does not converge
-    raises IndeterminateError.  The eigensolve and the solve are each
-    refused first if they would not fit in the memory budget, and so is the
-    start's split.  The report answers the escape, W+ Psi and A_r, so one
-    body serves the dense route and the n-cube's Fourier route, and any start.
+    With no trapped subspace W is unitary, so there is no escape: tau =
+    Tr(Psi+ X Psi) for the start's columns Psi, X solved on A itself, U
+    with its final rows zeroed, in U's dtype (method ``closed_form``).  An
+    IndeterminateError there falls back to the eigenbasis solve, which
+    meets singular_rtol = 1e-12 on the n-cube's line at n = 26 and 30 where
+    this solve does not.  Otherwise escape mass in the trapped subspace
+    above ESCAPE_ATOL makes the hitting time infinite (method
+    ``closed_form``), and below it A maps the range of the untrapped
+    eigenbasis W into itself, as A_r = W+ A W, and tau = Tr(S+ X_r S) for
+    X_r - A_r+ X_r A_r = I with S = W+ Psi, so no start is formed as a
+    density matrix (method ``pseudo_inverse``).
+    A ``singular_rtol`` that is not a finite positive number raises
+    ValueError before the report.  A relative residual ||X - A+ X A - I||
+    / ||X|| above ``singular_rtol``, a non-finite entry or a solve that does
+    not converge raises IndeterminateError.  The eigensolve and the solve
+    are each refused first if they would not fit in the memory budget, and
+    so is the start's split.  The report answers the escape, W+ Psi and
+    A_r, so one body serves the dense route and the n-cube's Fourier route,
+    and any start.
     """
+    if not 0.0 < singular_rtol < math.inf:
+        raise ValueError(f"singular_rtol must be a finite positive number, not {singular_rtol!r}")
     report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
+    if not report.trapped_dim:  # W is unitary: no escape, and A needs no reduction
+        d, itemsize = spec.dim, spec.walk.block.itemsize
+        unheld = d * d if report.route == "fourier" else 0  # U, which a dense report holds
+        _check_bytes(f"dimension {d}", (STEIN_WORK_ARRAYS * d * d + unheld) * itemsize
+                     + 16 * (2 * spec.columns.size + report.held_entries))
+        a = spec.walk.matrix.copy()
+        a[spec.final_array] = 0.0
+        try:
+            return HittingResult(METHOD_CLOSED_FORM, value=_stein_trace(a, spec.columns, residual_rtol=singular_rtol))
+        except IndeterminateError:
+            del a  # freed for the eigenbasis solve, which near critical may meet the bound
     escape, start = report.split_start(spec.columns)
     if escape > ESCAPE_ATOL:
         return HittingResult(METHOD_CLOSED_FORM, escape_probability=escape)

@@ -59,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fourier
-from .graphs import BasisIndexing, ColoredGraph
+from .graphs import BasisIndexing, ColoredGraph, _whole
 from .walk import WalkOperator, _as_walk, _check_memory, _start_columns
 
 __all__ = [
@@ -306,7 +306,10 @@ def _final_array(p_f, dim: int) -> np.ndarray:
     """``p_f`` in the one form every route reads: a new read-only int array,
     sorted and without repeats, so that P_f is a projector however often an
     index is named, and checked to lie in [0, dim): a negative index would
-    otherwise wrap around to the last rows."""
+    otherwise wrap around to the last rows.  An integer array is read as it
+    is; any other entry must be a whole number, not a bool or a string."""
+    if not (isinstance(p_f, np.ndarray) and p_f.dtype.kind in "iu"):
+        p_f = [_whole(x) for x in np.asarray(p_f, dtype=object).ravel()]
     p_f = np.unique(np.asarray(p_f, dtype=int))
     if p_f.size and (p_f[0] < 0 or p_f[-1] >= dim):
         raise ValueError(f"final index out of range [0, {dim})")
@@ -738,11 +741,13 @@ class CoinOverlapMatrix:
 
 def coin_overlap_matrices(report: SpectralReport, g: ColoredGraph, vertices=None):
     """The coin-overlap blocks of ``vertices`` (default: all) of equal degree
-    d, from the report's ``vertex_blocks`` and one stacked eigh.  A block
-    that is not Hermitian, or not positive semidefinite, to 1e-10 raises
-    ValueError."""
+    d, from the report's ``vertex_blocks`` and one stacked eigh, and none
+    for no vertices.  A block that is not Hermitian, or not positive
+    semidefinite, to 1e-10 raises ValueError."""
     idx = BasisIndexing.from_graph(g)
-    vertices = range(g.num_vertices) if vertices is None else vertices
+    vertices = range(g.num_vertices) if vertices is None else list(vertices)
+    if not vertices:
+        return ()
     blocks = report.vertex_blocks(np.array([idx.vertex_indices(v) for v in vertices]))
     herm_defect = float(np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1)))) if blocks.size else 0.0
     if not herm_defect <= 1e-10:

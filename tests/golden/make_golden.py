@@ -94,7 +94,8 @@ def commands() -> list[str]:
     return [c for c in out if c not in README_RUNS] + README_RUNS + BENCHMARK_SERIES
 
 
-SLOW_GRAPHS = ["hypercube:6", "hypercube:7", "distorted-hypercube:6", "distorted-hypercube:7", "cycle:128"]
+SLOW_GRAPHS = ["hypercube:6", "hypercube:7", "distorted-hypercube:6", "distorted-hypercube:7", "cycle:128",
+               "cycle:256"]
 
 
 def slow_commands() -> list[str]:

@@ -1,10 +1,11 @@
 """The slow CLI battery of ``tests/golden/cli_slow.txt``, rerun in process.
 
 Closed-form ``hitting`` and ``spectrum`` on hypercube:6-7,
-distorted-hypercube:6-7 and cycle:128 (D = 256 to 896), both coins: the
-walks on which changes to the spectral routes promise every other output
-unchanged.  About 10 s at one BLAS thread, so the tests carry the ``slow``
-marker, which the default run deselects; run them with
+distorted-hypercube:6-7 and cycle:128 and 256 (D = 256 to 896), both
+coins: the walks on which changes to the spectral routes promise every
+other output unchanged, and the cycles' Stein solve on Q_f U itself.
+About 17 s at one BLAS thread, so the tests carry the ``slow`` marker,
+which the default run deselects; run them with
 
     PYTHONPATH=src python -m pytest -m slow tests/test_golden_slow.py
 

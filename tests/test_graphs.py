@@ -343,6 +343,18 @@ class TestIndexing:
         idx = BasisIndexing.from_graph(g)
         assert idx.total_dim == sum(g.degrees) == 24
 
+    @pytest.mark.parametrize("vertex", [True, np.True_, 2.7, "2", None, float("inf")])
+    def test_vertex_that_is_no_whole_number_rejected(self, vertex):
+        idx = BasisIndexing.from_graph(graphs.build_hypercube(3))
+        for read in (idx.vertex_indices, lambda v: idx.index(v, 1), lambda v: idx.indices_for([v])):
+            with pytest.raises(ValueError):
+                read(vertex)
+
+    def test_integral_vertex_read_as_an_int(self):
+        idx = BasisIndexing.from_graph(graphs.build_hypercube(3))
+        assert idx.vertex_indices(2.0) == idx.vertex_indices(np.int64(2)) == range(6, 9)
+        assert idx.index(np.float64(2.0), 3) == 8
+
 
 BUILDERS = {
     "edge": graphs.build_edge_graph,

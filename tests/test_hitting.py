@@ -126,6 +126,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="out of range"):
             hitting.basis_state(g, vertex, 1)
 
+    @pytest.mark.parametrize("finals", [[21.5, 22.9, 23.2], ["21"], [True], np.array([21.9])],
+                             ids=["fractions", "string", "bool", "fractional-array"])
+    def test_final_index_that_is_no_whole_number_rejected(self, finals):
+        # once truncated silently: the fractions measured 21-23 for tau 4.0
+        spec = hypercube_spec(3)
+        with pytest.raises(ValueError, match="is not an integer"):
+            hitting.measured_walk(spec.walk, spec.state, final_indices=finals)
+
+    @pytest.mark.parametrize("vertex", [True, 2.7, "7"])
+    def test_final_vertex_that_is_no_whole_number_rejected(self, vertex):
+        # True once measured vertex 1, and 2.7 raised a raw TypeError
+        spec = hypercube_spec(3)
+        with pytest.raises(ValueError, match="is not an integer"):
+            hitting.measured_walk(spec.walk, spec.state, final_vertices=[vertex])
+
+    def test_integral_float_finals_accepted(self):
+        spec = hypercube_spec(3)
+        for finals in (np.array([21.0, 22.0, 23.0]), [21.0, 22, np.int64(23)]):
+            got = hitting.measured_walk(spec.walk, spec.state, final_indices=finals)
+            assert got.final_indices.dtype == int and got.final_indices.tolist() == [21, 22, 23]
+        got = hitting.measured_walk(spec.walk, spec.state, final_vertices=[7.0])
+        assert np.array_equal(got.final_indices, spec.final_indices)
+
     def test_pure_start_forms_no_density_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a pure start was factored by an eigensolve")
@@ -483,7 +506,8 @@ class TestClosedForm:
         # estimate it is refused by: the eigensolve, the start's split and
         # the Stein solve, with U and the start (rho_0 and its columns)
         # allocated before tracing; a pure start, a rank-3 complex start and
-        # a full-rank one
+        # a full-rank one.  cycle:64 has no trapped subspace, so it takes no
+        # split and solves on Q_f U, a grover walk in float64
         g = {"distorted-hypercube:5": lambda: graphs.build_distorted_hypercube(5),
              "cayley:s4:3gen": lambda: graphs.cayley_s4_3gen().graph,
              "cycle:64": lambda: graphs.build_cycle(64)}[descriptor]()
@@ -520,13 +544,20 @@ class TestClosedForm:
                 solve = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            (eigensolve, report), (split, _) = phases
-            estimates = [spectral.EIGENSOLVE_WORK_ARRAYS * d * d,
-                         report.held_entries + spectral.SPLIT_WORK_ARRAYS * d * k]
-            peaks = [held + eigensolve, held + split]
-            if res.is_finite:
+            (eigensolve, report), *split = phases
+            estimates = [spectral.EIGENSOLVE_WORK_ARRAYS * d * d]
+            peaks = [held + eigensolve]
+            if report.trapped_dim:  # the start's split, then the eigenbasis solve
+                estimates.append(report.held_entries + spectral.SPLIT_WORK_ARRAYS * d * k)
+                peaks.append(held + split[0][0])
                 r = report.untrapped_dim
-                estimates.append(hitting.STEIN_WORK_ARRAYS * r * r + 2 * r * k + report.held_entries)
+                solve_estimate = hitting.STEIN_WORK_ARRAYS * r * r + 2 * r * k + report.held_entries
+            else:  # no split: the solve on Q_f U itself, in U's dtype, counted in complex entries
+                assert not split
+                solve_estimate = (hitting.STEIN_WORK_ARRAYS * d * d * op.block.itemsize // 16
+                                  + 2 * d * k + report.held_entries)
+            if res.is_finite:
+                estimates.append(solve_estimate)
                 peaks.append(held + solve)
             # 64 KiB for Python objects and index arrays, 0.8% of D^2 at D = 72
             assert all(peak <= 16 * estimate + 2**16 for peak, estimate in zip(peaks, estimates)), (k, peaks, estimates)
@@ -753,6 +784,16 @@ class TestClosedForm:
         with pytest.raises(IndeterminateError):
             hitting.hitting_time_closed_form(line_spec(64))
 
+    @pytest.mark.parametrize("rtol", [np.nan, 0.0, -1.0, np.inf])
+    def test_invalid_singular_rtol_refused_before_the_report(self, monkeypatch, rtol):
+        # nan once ran both solves and raised "Stein residual 1.907e-16 exceeds nan"
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report was built")
+
+        monkeypatch.setattr(spectral, "infinite_hitting_projector", refuse)
+        with pytest.raises(ValueError, match="singular_rtol must be a finite positive number"):
+            hitting.hitting_time_closed_form(hypercube_spec(3), singular_rtol=rtol)
+
     def test_residual_above_bound_raises(self):
         with pytest.raises(IndeterminateError, match="residual"):
             hitting.hitting_time_closed_form(line_spec(32), singular_rtol=1e-18)
@@ -762,6 +803,147 @@ class TestClosedForm:
         assert singular and smin <= 1e-9 * smax
         smin, smax, singular = hitting.superoperator_singularity(cycle4_deterministic_spec())
         assert not singular and smin > 1e-6 * smax
+
+
+def eigenbasis_value(spec, residual_rtol=hitting.SINGULAR_RTOL):
+    """tau by the solve that a trapped walk takes: the start's split into
+    W+ Psi, A_r = W+ (Q_f U) W and the Stein solve in r dimensions."""
+    report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
+    _, start = report.split_start(spec.columns)
+    return hitting._stein_trace(report.reduced_step(), start, residual_rtol=residual_rtol)
+
+
+def long_double_value(spec):
+    """tau = Tr(Psi+ X Psi) from Smith doubling of Q_f U in long double, 11
+    bits past float64 on x86: a reference for walks near critical."""
+    a = spec.walk.matrix.astype(np.longdouble)
+    a[spec.final_array] = 0
+    x, ak = np.eye(spec.dim, dtype=np.longdouble), a
+    while np.sum(ak * ak) > 1e-40:
+        x, ak = x + ak.T @ x @ ak, ak @ ak
+    cols = spec.columns.astype(np.clongdouble)
+    return float(np.real(np.sum(cols.conj() * (x @ cols))))
+
+
+def three_starts(d, pure, basis):
+    """The pure start, a basis start and a rank-3 complex mixed start."""
+    z = np.random.default_rng(5).standard_normal((d, 3, 2)) @ [1, 1j]
+    return {"pure": pure, "basis": basis, "rank-3": z @ z.conj().T / np.linalg.norm(z) ** 2}
+
+
+def untrapped_specs(descriptor, coin_kind):
+    """The three starts on a walk with no trapped subspace, to its last vertex."""
+    if descriptor == "cayley:s3:2gen":
+        g = graphs.cayley_s3_2gen().graph
+    else:
+        g = graphs.build_cycle(int(descriptor.removeprefix("cycle:")))
+    coin = walk.grover_coin(g.degree_value) if coin_kind == "grover" else walk.dft_coin(g.degree_value)
+    op = walk.evolution_operator(g, coin)
+    starts = three_starts(op.dim, hitting.symmetric_state(g, 0), hitting.basis_state(g, 0, 1))
+    return {name: hitting.measured_walk(op, s, final_vertices=[g.num_vertices - 1]) for name, s in starts.items()}
+
+
+def line_specs(n):
+    """The three starts on the Hamming-weight line of the n-cube: |R,0>, the
+    middle basis state and a rank-3 start."""
+    lw = quotient.hypercube_line_reduction(n)
+    e = np.eye(lw.dim)
+    starts = three_starts(lw.dim, e[lw.start_index], e[lw.dim // 2])
+    return {name: hitting.measured_walk(walk.WalkOperator(lw.matrix), s, final_indices=[lw.final_index])
+            for name, s in starts.items()}
+
+
+class TestUntrappedSolve:
+    """A walk with no trapped subspace solves X - A+ X A = I on A = Q_f U
+    itself, in U's dtype, with no start split and no A_r."""
+
+    @pytest.mark.parametrize("coin_kind", ["grover", "dft"])
+    @pytest.mark.parametrize("descriptor", [f"cycle:{n}" for n in (8, 12, 16, 20, 32, 64, 128)] + ["cayley:s3:2gen"])
+    def test_cycles_match_the_eigenbasis_solve(self, descriptor, coin_kind):
+        for name, spec in untrapped_specs(descriptor, coin_kind).items():
+            res = hitting.hitting_time_closed_form(spec)
+            assert res.method == "closed_form"
+            assert res.value == pytest.approx(eigenbasis_value(spec), rel=1e-10), name
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_short_lines_match_the_eigenbasis_solve(self, n):
+        for name, spec in line_specs(n).items():
+            res = hitting.hitting_time_closed_form(spec)
+            assert res.value == pytest.approx(eigenbasis_value(spec), rel=1e-10), name
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is float64 here")
+    @pytest.mark.parametrize("n", range(21, 33))
+    def test_long_lines_are_nearer_the_exact_value_than_the_eigenbasis_solve(self, n):
+        # near critical the eigenbasis solve drifts: on line:32 it is 2e-9
+        # off from |R,0> and 6e-7 from the middle state, against 8e-12 and
+        # 3e-9 here (the |R,0> value checked to 30 digits as well)
+        for name, spec in line_specs(n).items():
+            exact = long_double_value(spec)
+            got = hitting.hitting_time_closed_form(spec).value
+            assert got == pytest.approx(exact, rel=1e-8), name
+            assert abs(got - exact) <= abs(eigenbasis_value(spec) - exact), name
+
+    def test_real_walks_double_in_float64(self, monkeypatch):
+        # the powers of A and the sum X, whose identity takes A's dtype
+        dtypes = []
+        doubling_powers, stein_sum = hitting._doubling_powers, hitting._stein_sum
+
+        def powers(a, *args):
+            dtypes.append(a.dtype)
+            return doubling_powers(a, *args)
+
+        def total(powers, c):
+            x = stein_sum(powers, c)
+            dtypes.append(x.dtype)
+            return x
+
+        monkeypatch.setattr(hitting, "_doubling_powers", powers)
+        monkeypatch.setattr(hitting, "_stein_sum", total)
+        for coin_kind, want in (("grover", np.float64), ("dft", np.complex128)):
+            for spec in untrapped_specs("cycle:16", coin_kind).values():
+                dtypes.clear()
+                hitting.hitting_time_closed_form(spec)
+                assert dtypes == [want, want], coin_kind
+        dtypes.clear()
+        hitting.hitting_time_closed_form(line_spec(12))  # a complex start on a real walk
+        assert dtypes == [np.float64, np.float64]
+
+    def test_solve_refused_before_it_allocates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve started")
+
+        spec = untrapped_specs("cycle:64", "grover")["pure"]
+        monkeypatch.setattr(hitting, "_stein_trace", refuse)
+        # the report's 7 complex arrays of 128 x 128 (1.75 MiB) fit; the
+        # solve's 7 float64 ones beside the report's 5 complex (2.13 MiB) do not
+        monkeypatch.setattr(walk, "_memory_budget", lambda: 2_000_000)
+        with pytest.raises(ValueError, match="dimension 128 needs an estimated 2 MiB, over a memory budget of 2 MiB"):
+            hitting.hitting_time_closed_form(spec)
+
+    @pytest.mark.parametrize("n", [26, 30])
+    def test_a_residual_above_the_bound_falls_back_to_the_eigenbasis_solve(self, n):
+        # the walk-basis residual here is 2.6e-11 and 5.8e-10, above 1e-12
+        spec = line_spec(n)
+        res = hitting.hitting_time_closed_form(spec, singular_rtol=1e-12)
+        assert res.method == "closed_form" and res.value == eigenbasis_value(spec, 1e-12)
+
+    def test_a_failed_solve_falls_back_to_the_eigenbasis_solve(self, monkeypatch):
+        spec = untrapped_specs("cycle:16", "grover")["pure"]
+        shapes = []
+        stein_trace = hitting._stein_trace
+
+        def fail_first(a, start, **kwargs):
+            shapes.append((a.dtype, start.shape))
+            if len(shapes) == 1:
+                raise IndeterminateError("Stein doubling did not converge")
+            return stein_trace(a, start, **kwargs)
+
+        monkeypatch.setattr(hitting, "_stein_trace", fail_first)
+        res = hitting.hitting_time_closed_form(spec)
+        # the walk's own 32 x 32 float64 A first, then A_r with W+ psi_0
+        assert shapes == [(np.float64, (32, 1)), (np.complex128, (32, 1))]
+        monkeypatch.undo()
+        assert res.method == "closed_form" and res.value == eigenbasis_value(spec)
 
 
 def result_number(res):

@@ -28,7 +28,7 @@ import functools
 import numpy as np
 import pytest
 
-from qwlab import cli, decoherence, hitting, walk
+from qwlab import cli, decoherence, hitting, spectral, walk
 
 from conftest import two_cycles
 
@@ -106,6 +106,18 @@ def test_pure_start_returns_in_its_krylov_rank(descriptor, coin, which):
     want = return_time(spec)
     assert want == int(want) and 1 <= want <= spec.dim
     assert res.is_finite and res.value == pytest.approx(want, rel=RTOL)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_grover_hypercube_returns_in_2n(n):
+    # e_0 overlaps 2n eigenphases of the grover n-cube walk, which is
+    # trapped for final index 0: the Fourier route's eigenbasis solve in
+    # r = 2n dimensions, up to D = 10240 with no D x D array
+    spec = pure_spec(f"hypercube:{n}", "grover", 0)
+    report = spectral.infinite_hitting_projector(spec.walk, spec.final_array)
+    assert report.route == "fourier" and report.untrapped_dim == 2 * n
+    res = hitting.hitting_time_closed_form(spec)
+    assert res.method == hitting.METHOD_PSEUDO_INVERSE and res.value == pytest.approx(2 * n, rel=1e-10)
 
 
 @pytest.mark.parametrize("coin", COINS)

@@ -378,6 +378,13 @@ class TestProjector:
         with pytest.raises(ValueError, match="out of range"):
             spectral.infinite_hitting_projector(op.matrix, [final])
 
+    @pytest.mark.parametrize("final", [21.9, True, "21"])
+    def test_final_that_is_no_whole_number_rejected(self, final):
+        """21.9 was read as index 21."""
+        _, op, _ = hypercube_setup(3, "grover")
+        with pytest.raises(ValueError, match="is not an integer"):
+            spectral.infinite_hitting_projector(op, [final])
+
     def test_repeated_finals_give_the_report_of_the_set(self, rng):
         # P_f is a projector however often a final is named: a repeat must
         # not count a final's row twice in the overlaps or in A_r
@@ -660,6 +667,11 @@ class TestCoinOverlap:
         for v in range(4):
             cv = spectral.coin_overlap_matrix(report, g, v)
             assert np.max(np.abs(cv.matrix)) < 1e-12
+
+    def test_no_vertices_give_no_blocks(self):
+        g, op, fin = hypercube_setup(3, "grover")
+        report = spectral.infinite_hitting_projector(op, fin)
+        assert spectral.coin_overlap_matrices(report, g, []) == ()
 
     def test_batched_blocks_are_the_per_vertex_blocks(self):
         g, op, fin = hypercube_setup(4, "dft")
